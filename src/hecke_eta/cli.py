@@ -111,6 +111,8 @@ def cmd_coeffs(args) -> int:
 def cmd_delta5(args) -> int:
     if args.N < 1:
         return _usage_error("--N must be >= 1")
+    if args.N > MAX_ORDER:
+        return _usage_error(f"--N exceeds capacity limit {MAX_ORDER}")
     taus = tau5_values(args.N)
     if args.format == "csv":
         print("D,N,num_a,num_b,real")
@@ -442,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20240901)
     p.set_defaults(func=cmd_verify_modularity)
 
-    p = sub.add_parser("oracle-check", help="convolution oracle vs direct product")
+    p = sub.add_parser("oracle-check", help="convolution oracle vs the exact kernel")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(func=cmd_oracle_check)

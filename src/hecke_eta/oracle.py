@@ -11,8 +11,8 @@ theta = 1 factor uses the pentagonal expansion; the twisted F_e factors are
 multiplied out binomial by binomial, since the pentagonal monomial shortcut
 is a theta = 1 identity only; the twisted F_ord factors come from the
 length-distribution counts.  Every assembled coefficient must project
-exactly onto O_D.  The results are the anti-bug cross-check for the direct
-product construction in qseries: no period polynomials, no O_D arithmetic
+exactly onto O_D.  The results are the anti-bug cross-check for the
+Lambert-series recurrence in qseries: no divisor sums, no O_D arithmetic
 until the final projection.
 """
 

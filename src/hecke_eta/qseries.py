@@ -2,27 +2,35 @@
 
 A QSeries carries coefficients a(0..N) in O_D plus an exact rational
 valuation v, and stands for q^v * sum a(k) q^k in q = exp(2 pi i z/sqrt(D)).
-The eta constructor multiplies out, for each n <= N,
 
-    (1 - q^n)^{chi_D(n)} * f_plus(q^n) / f_minus(q^n),
+The eta kernel never expands the product.  By the Gauss sum
+sum_a chi(a) zeta^{ar} = chi(r) sqrt(D), the logarithmic derivative of
+eta_D is the Lambert series sum_k b(k) q^k with
 
-with f_plus/f_minus the period polynomials, staying in exact O_D arithmetic
-throughout (denominators never exceed the fixed 2).  The hot loops run on
-plain numerator pairs rather than RingElem objects; divisions assert
-exactness, so any sign-convention error in sqrt(D) aborts immediately.
+    b(k) = -(sum_{d|k} d chi(d) + sqrt(D) sum_{d|k} d chi(k/d)),
+
+and the coefficients follow from the Euler-transform recurrence
+k a(k) = sum_{j<=k} b(j) a(k-j), O(N^2) big-int products whatever D is.
+The hot loop runs on plain numerator pairs rather than RingElem objects;
+every division by k must be exact, so a wrong b(k), character value or
+sign convention for sqrt(D) raises RingError instead of returning
+coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .characters import build_char_table
-from .cyclotomic import period_polynomials
 from .lseries import l_minus_one
 from .quad_ring import RingElem, RingCtx, RingError, ring_ctx
 
-# Guard against runaway allocations from CLI input; generous for this domain.
-MAX_ORDER = 200_000
+# Largest order the CLI accepts, from the measured cost of the O(N^2)
+# recurrence: `hecke-eta coeffs --D 5 --N 14000` took 55 s end to end
+# (12000: 41 s, 15000: 62 s) on a 2-vCPU x86-64 machine with Python 3.11.
+# At N = 14000 `growth --D 5` took 54 s and `delta5` 66 s (larger numbers).
+MAX_ORDER = 14_000
 
 
 class SeriesError(ValueError):
@@ -191,91 +199,78 @@ def _binomial_inplace(A, B, n: int, e: int) -> None:
             B[k] += B[k - n]
 
 
-def _poly_mul_inplace(A, B, fpa, fpb, n: int, D: int) -> None:
-    """In-place multiply by the polynomial sum_j (fpa[j]+fpb[j] sqrtD)/2 q^{jn}.
+def _divisor_sums(chi, D: int, N: int) -> tuple[list[int], list[int]]:
+    """s1(k) = sum_{d|k} d chi(d) and s2(k) = sum_{d|k} d chi(k/d), k = 1..N.
 
-    Requires constant term 1, i.e. (fpa[0], fpb[0]) = (2, 0).
+    Index 0 of both lists holds s(1); the sieve costs O(N log N).
     """
-    N = len(A) - 1
-    deg = len(fpa) - 1
-    for k in range(N, n - 1, -1):
-        sa = 0
-        sb = 0
-        jmax = min(deg, k // n)
-        for j in range(1, jmax + 1):
-            fa = fpa[j]
-            fb = fpb[j]
-            x = A[k - j * n]
-            y = B[k - j * n]
-            sa += fa * x + D * fb * y
-            sb += fa * y + fb * x
-        if sa or sb:
-            A[k] += _halve(sa)
-            B[k] += _halve(sb)
+    s1 = [0] * N
+    s2 = [0] * N
+    for d in range(1, N + 1):
+        c = chi[d % D]
+        if c:
+            for e in range(1, N // d + 1):
+                s1[d * e - 1] += c * d
+                s2[d * e - 1] += c * e
+    return s1, s2
 
 
-def _poly_div_inplace(A, B, fma, fmb, n: int, D: int) -> None:
-    """In-place divide by the polynomial with pair coefficients (fma, fmb).
+def _eta_power(D: int, N: int, r: int) -> QSeries:
+    """eta_D**r to order N by the Euler-transform recurrence.
 
-    Constant term must be 1; the division is exact in O_D by ring closure
-    (unit constant term), and _halve asserts it.
-    """
-    N = len(A) - 1
-    deg = len(fma) - 1
-    for k in range(n, N + 1):
-        sa = 0
-        sb = 0
-        jmax = min(deg, k // n)
-        for j in range(1, jmax + 1):
-            fa = fma[j]
-            fb = fmb[j]
-            x = A[k - j * n]
-            y = B[k - j * n]
-            sa += fa * x + D * fb * y
-            sb += fa * y + fb * x
-        if sa or sb:
-            A[k] -= _halve(sa)
-            B[k] -= _halve(sb)
+    With b(k) = -r (s1(k) + s2(k) sqrt(D)) and a(k) = (A_k + B_k sqrt(D))/2,
+    k a(k) = sum_{j<=k} b(j) a(k-j) reads
 
+        k A_k = -r sum_j (s1(j) A_{k-j} + D s2(j) B_{k-j}),
+        k B_k = -r sum_j (s1(j) B_{k-j} + s2(j) A_{k-j}).
 
-def eta_series(D: int, N: int) -> QSeries:
-    """Coefficients a_D(0..N) of the eta analogue for H(sqrt(D)).
-
-    Builds prod_{n<=N} (1-q^n)^{chi(n)} f_plus(q^n) f_minus(q^n)^{-1}
-    truncated at q^N, with valuation metadata m = -L(-1, chi_D)/2.
+    Each division by k must leave no remainder; one that does means a wrong
+    b(k) or character value, and raises RingError.
     """
     if N < 1:
         raise SeriesError("order must be >= 1")
     if N > MAX_ORDER:
         raise SeriesError(f"order {N} exceeds capacity limit {MAX_ORDER}")
     ct = build_char_table(D)
-    ctx = ring_ctx(D)
-    rec = l_minus_one(ct)
-    pp = period_polynomials(ct)
-    fpa = [c.num_a for c in pp.f_plus]
-    fpb = [c.num_b for c in pp.f_plus]
-    fma = [c.num_a for c in pp.f_minus]
-    fmb = [c.num_b for c in pp.f_minus]
-    chi = ct.values
+    s1, s2 = _divisor_sums(ct.values, D, N)
+    s1 = [-r * x for x in s1]
+    s2 = [-r * x for x in s2]
+    ds2 = [D * x for x in s2]
+    A = [2]
+    B = [0]
+    for k in range(1, N + 1):
+        ta, ra = divmod(
+            sum(map(mul, s1, reversed(A))) + sum(map(mul, ds2, reversed(B))), k
+        )
+        tb, rb = divmod(
+            sum(map(mul, s1, reversed(B))) + sum(map(mul, s2, reversed(A))), k
+        )
+        if ra or rb:
+            raise RingError(f"inexact division by {k} in the eta recurrence")
+        A.append(ta)
+        B.append(tb)
+    m = l_minus_one(ct).m_exponent
+    return QSeries._from_pairs(ring_ctx(D), A, B, r * m)
 
-    A = [0] * (N + 1)
-    B = [0] * (N + 1)
-    A[0] = 2
-    for n in range(1, N + 1):
-        e = chi[n % D]
-        if e:
-            _binomial_inplace(A, B, n, e)
-        _poly_mul_inplace(A, B, fpa, fpb, n, D)
-        _poly_div_inplace(A, B, fma, fmb, n, D)
 
-    if (A[0], B[0]) != (2, 0):
-        raise RingError("eta series constant term is not 1")
-    return QSeries._from_pairs(ctx, A, B, rec.m_exponent)
+def eta_series(D: int, N: int) -> QSeries:
+    """Coefficients a_D(0..N) of the eta analogue for H(sqrt(D)).
+
+    eta_D = q^m prod_n (1-q^n)^{chi(n)} prod_a (1-zeta^a q^n)^{chi(a)}.  The
+    Gauss sum sum_a chi(a) zeta^{ar} = chi(r) sqrt(D) turns its logarithmic
+    derivative q d/dq log into the Lambert series sum_k b(k) q^k with
+    b(k) = -(sum_{d|k} d chi(d) + sqrt(D) sum_{d|k} d chi(k/d)), so the
+    coefficients follow from k a(k) = sum_{j<=k} b(j) a(k-j) (the identity
+    behind n p(n) = sum sigma(j) p(n-j)), with no period polynomials and
+    a cost independent of D.  Valuation metadata m = -L(-1, chi_D)/2.
+    """
+    return _eta_power(D, N, 1)
 
 
 def delta5_series(N: int) -> QSeries:
-    """Fifth power of the D = 5 series: valuation 1, coefficient k is tau_5(k+1)."""
-    return series_pow(eta_series(5, N), 5)
+    """eta_5**5 by the same recurrence with b scaled by 5: valuation 1,
+    coefficient k is tau_5(k+1)."""
+    return _eta_power(5, N, 5)
 
 
 def tau5_values(n_max: int) -> dict[int, RingElem]:

@@ -1,10 +1,14 @@
 """Independent brute-force oracles used only by the tests.
 
-Deliberately naive routes (enumeration, two-variable DP, high-precision
-numeric evaluation) that share no code with the library paths they check.
+Deliberately naive routes (enumeration, two-variable DP, the eta product
+multiplied out factor by factor) that share no code with the library paths
+they check.
 """
 
 from functools import lru_cache
+
+from hecke_eta.characters import build_char_table
+from hecke_eta.cyclotomic import period_polynomials
 
 
 def enumerate_partitions(k, max_part=None):
@@ -44,3 +48,51 @@ def _count_with_allowed(k, max_part, allowed):
 def count_partitions_with_parts(k, allowed_parts):
     """Partitions of k into parts from the ascending tuple allowed_parts."""
     return _count_with_allowed(k, k, tuple(sorted(allowed_parts)))
+
+
+def _halve(n):
+    q, r = divmod(n, 2)
+    assert r == 0, "odd numerator after a product step"
+    return q
+
+
+def _poly_step(A, B, fa, fb, n, D, sign):
+    """Multiply (sign = +1) or divide (sign = -1) the pair series A, B in place
+    by sum_j (fa[j] + fb[j] sqrt(D))/2 q^{jn}, whose constant term is 1."""
+    N = len(A) - 1
+    ks = range(N, n - 1, -1) if sign == 1 else range(n, N + 1)
+    for k in ks:
+        sa = sb = 0
+        for j in range(1, min(len(fa) - 1, k // n) + 1):
+            x, y = A[k - j * n], B[k - j * n]
+            sa += fa[j] * x + D * fb[j] * y
+            sb += fa[j] * y + fb[j] * x
+        A[k] += sign * _halve(sa)
+        B[k] += sign * _halve(sb)
+
+
+def eta_pairs_by_product(D, N):
+    """a_D(0..N) as numerator pairs (A, B), a = (A + B sqrt(D))/2, from the
+    product prod_{n<=N} (1-q^n)^{chi(n)} f_plus(q^n) / f_minus(q^n) with the
+    period polynomials f_plus/f_minus, one factor at a time."""
+    ct = build_char_table(D)
+    pp = period_polynomials(ct)
+    fpa = [c.num_a for c in pp.f_plus]
+    fpb = [c.num_b for c in pp.f_plus]
+    fma = [c.num_a for c in pp.f_minus]
+    fmb = [c.num_b for c in pp.f_minus]
+    A = [2] + [0] * N
+    B = [0] * (N + 1)
+    for n in range(1, N + 1):
+        e = ct.values[n % D]
+        if e == 1:
+            for k in range(N, n - 1, -1):
+                A[k] -= A[k - n]
+                B[k] -= B[k - n]
+        elif e == -1:
+            for k in range(n, N + 1):
+                A[k] += A[k - n]
+                B[k] += B[k - n]
+        _poly_step(A, B, fpa, fpb, n, D, 1)
+        _poly_step(A, B, fma, fmb, n, D, -1)
+    return list(zip(A, B))

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+import time
+
+import pytest
 
 from hecke_eta import cli
 
@@ -125,6 +128,31 @@ class TestSmallCommands:
         )
         assert code == 0
         assert out.count("PASS") == 3
+
+
+class TestOrderCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeffs", "--D", "5"),
+            ("signs", "--D", "5"),
+            ("growth", "--D", "5"),
+            ("delta5",),
+        ],
+    )
+    def test_one_past_the_cap_is_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--N", str(cli.MAX_ORDER + 1))
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_delta5_far_past_the_cap_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "delta5", "--N", "300000")
+        assert code == 2
+        assert out == ""
+        assert "capacity limit" in err
 
 
 class TestSigns:

@@ -1,9 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import eta_pairs_by_product
 
+from hecke_eta import qseries
+from hecke_eta.characters import fundamental_discriminants
 from hecke_eta.golden import COEFF_TABLE, TAU5_TABLE
-from hecke_eta.quad_ring import RingElem, ring_ctx
+from hecke_eta.oracle import a_via_convolution
+from hecke_eta.quad_ring import RingElem, RingError, ring_ctx
 from hecke_eta.qseries import (
     QSeries,
     SeriesError,
@@ -125,6 +130,49 @@ class TestEtaSeries:
             eta_series(9, 10)
         with pytest.raises(SeriesError):
             eta_series(5, 0)
+        with pytest.raises(SeriesError):
+            eta_series(5, qseries.MAX_ORDER + 1)
+
+    def test_guard_fires_on_a_wrong_divisor_sum(self, monkeypatch):
+        # a(3) would pick up b'(3)/3 = 1/3: the division by k = 3 is inexact
+        sums = qseries._divisor_sums
+
+        def off_by_one(chi, D, N):
+            s1, s2 = sums(chi, D, N)
+            s1[2] += 1
+            return s1, s2
+
+        monkeypatch.setattr(qseries, "_divisor_sums", off_by_one)
+        with pytest.raises(RingError, match="inexact division by 3"):
+            eta_series(13, 10)
+
+
+def _pairs(series):
+    return [(c.num_a, c.num_b) for c in series.coeffs]
+
+
+class TestThreeRoutes:
+    """Recurrence vs the period-polynomial product vs the partition oracle,
+    for prime and composite D alike."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        D=st.sampled_from(fundamental_discriminants(101)),
+        N=st.integers(min_value=1, max_value=60),
+    )
+    @example(D=85, N=60)
+    @example(D=101, N=60)
+    def test_recurrence_matches_product(self, D, N):
+        assert _pairs(eta_series(D, N)) == eta_pairs_by_product(D, N)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        D=st.sampled_from(fundamental_discriminants(33)),
+        N=st.integers(min_value=1, max_value=20),
+    )
+    @example(D=33, N=20)
+    def test_recurrence_matches_convolution(self, D, N):
+        assert list(eta_series(D, N).coeffs) == a_via_convolution(D, N)
 
 
 class TestDelta5:
@@ -140,7 +188,7 @@ class TestDelta5:
             assert (taus[n].num_a, taus[n].num_b) == pair
 
     def test_delta_is_fifth_power(self):
-        ds = delta5_series(10)
-        direct = series_pow(eta_series(5, 10), 5)
+        ds = delta5_series(60)
+        direct = series_pow(eta_series(5, 60), 5)
         assert ds == direct
         assert ds.valuation == 1
