@@ -37,10 +37,8 @@ from .qseries import (
     SeriesError,
     delta5_series,
     eta_series,
-    series_inv,
     series_mul,
     series_pow,
-    sparse_binomial_apply,
     tau5_values,
 )
 from .oracle import CycSeries, a_via_convolution

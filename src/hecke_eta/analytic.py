@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .characters import CharTable, build_char_table, euler_phi
+from .characters import CharTable, build_char_table, euler_phi, prime_factors
 from .lseries import l_minus_one, l_prime_zero
 
 
@@ -317,17 +317,6 @@ def random_words(
 # Coefficient-growth envelope
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
-
 @dataclass(frozen=True)
 class EnvelopeConstants:
     """The two growth constants and the one the envelope actually uses.
@@ -348,7 +337,7 @@ class EnvelopeConstants:
 
 def envelope_constants(D: int) -> EnvelopeConstants:
     c0 = math.pi * math.sqrt(2.0 / 3.0)
-    if _is_prime(D):
+    if prime_factors(D) == [(D, 1)]:
         cD = (math.pi / math.sqrt(3.0)) * math.sqrt((D - 1) / D)
         c_remark = math.pi / math.sqrt(3.0 * D) * math.sqrt(5 * D * D + 7 * D - 10)
     else:

@@ -16,20 +16,26 @@ class CharacterError(ValueError):
     """Invalid modulus or broken character invariant."""
 
 
-def is_fundamental(D: int) -> bool:
-    """True iff D = 1 mod 4, D >= 5 and D squarefree."""
-    if D < 5 or D % 4 != 1:
-        return False
-    n = D
+def prime_factors(n: int) -> list[tuple[int, int]]:
+    """Pairs (p, e) with n = prod p^e, p ascending, by trial division; [] for n < 2."""
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-        else:
-            p += 1 if p == 2 else 2
-    return True
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def is_fundamental(D: int) -> bool:
+    """True iff D = 1 mod 4, D >= 5 and D squarefree."""
+    return D >= 5 and D % 4 == 1 and all(e == 1 for _, e in prime_factors(D))
 
 
 def kronecker(n: int, D: int) -> int:
@@ -103,20 +109,19 @@ def build_char_table(D: int) -> CharTable:
     return CharTable(D=D, values=values, qr_list=qr, nr_list=nr)
 
 
-def euler_phi(D: int) -> int:
-    """Euler totient, by trial-division factorization."""
-    n = D
-    result = D
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
+def euler_phi(n: int) -> int:
+    """Euler totient."""
+    for p, _ in prime_factors(n):
+        n -= n // p
+    return n
+
+
+def moebius(n: int) -> int:
+    """Moebius function: 0 unless n is squarefree, else (-1)^(number of primes)."""
+    factors = prime_factors(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return (-1) ** len(factors)
 
 
 def squares_mod(D: int) -> set[int]:

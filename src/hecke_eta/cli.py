@@ -12,14 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 
 import mpmath
 
 from . import analytic
-from .characters import build_char_table, is_fundamental
+from .characters import build_char_table, euler_phi, is_fundamental
 from .cyclotomic import period_polynomials
 from .golden import golden_coefficients, golden_tau5
 from .lseries import l_minus_one, l_prime_zero
@@ -28,14 +26,19 @@ from .partitions import build_partition_tables
 from .qseries import MAX_ORDER, eta_series, tau5_values
 from .quad_ring import canonical_str, embed_real
 
-ENV_DIGITS = "HECKE_ETA_DIGITS"
+# Precision of L'(0) in `lvalues`; the printed float carries 17 digits.
+L_PRIME_DIGITS = 50
 
+# Commands whose --N is checked against 1 <= N <= MAX_ORDER.
+ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 
-def _default_digits() -> int:
-    try:
-        return max(15, int(os.environ.get(ENV_DIGITS, "50")))
-    except ValueError:
-        return 50
+# oracle-check and partitions refuse, with exit 2, any input whose predicted
+# run time exceeds TIME_BUDGET_S.  Both models were fitted to end-to-end runs
+# on a 2-vCPU x86-64 machine with Python 3.11 (oracle-check: 15 runs, D 5..101,
+# up to 61 s; partitions: 11 runs, D 5..1001, up to 65 s; the character-table
+# term: `chars` at D up to 10^5) and scaled so that none of those runs took
+# longer than predicted; they over-predict by up to 1.5x and 1.3x.
+TIME_BUDGET_S = 60
 
 
 def _fmt(x) -> str:
@@ -47,90 +50,25 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _check_D(D: int) -> bool:
-    return is_fundamental(D)
-
-
-@dataclass
-class SignReport:
-    D: int
-    N_max: int
-    signs: list[int]
-    sign_changes: list[int]
-    count: int
-
-
-@dataclass
-class GrowthReport:
-    D: int
-    N_max: int
-    pairs: list[tuple[float, float]]
-    slope: float
-    intercept: float
-    fitted_C: float
-    window: tuple[int, int]
-    excluded_zero: list[int]
-
-
-def _embedded_values(D: int, N: int, digits: int):
-    series = eta_series(D, N)
-    return series, [embed_real(c, digits=digits) for c in series.coeffs]
+def _print_rows(D: int, coeffs, fmt: str) -> None:
+    """One record per coefficient a(1), a(2), ...: exact pair and real value."""
+    if fmt == "csv":
+        print("D,N,num_a,num_b,real")
+    for n, c in enumerate(coeffs, start=1):
+        real = embed_real(c)
+        if fmt == "csv":
+            print(f"{D},{n},{c.num_a},{c.num_b},{_fmt(real)}")
+        else:
+            print(json.dumps({"D": D, "N": n, **c.to_json_dict(), "real": float(real)}))
 
 
 def cmd_coeffs(args) -> int:
-    if not _check_D(args.D):
-        return _usage_error(
-            f"D={args.D} is not fundamental (need D = 1 mod 4, squarefree, >= 5)"
-        )
-    if args.N < 1:
-        return _usage_error("--N must be >= 1")
-    if args.N > MAX_ORDER:
-        return _usage_error(f"--N exceeds capacity limit {MAX_ORDER}")
-    digits = args.digits
-    series, reals = _embedded_values(args.D, args.N, digits)
-    if args.format == "csv":
-        print("D,N,num_a,num_b,real")
-        for n in range(1, args.N + 1):
-            c = series.coeffs[n]
-            print(f"{args.D},{n},{c.num_a},{c.num_b},{_fmt(reals[n])}")
-    else:
-        for n in range(1, args.N + 1):
-            c = series.coeffs[n]
-            rec = {
-                "D": args.D,
-                "N": n,
-                "a": c.num_a,
-                "b": c.num_b,
-                "den": 2,
-                "real": float(reals[n]),
-            }
-            print(json.dumps(rec))
+    _print_rows(args.D, eta_series(args.D, args.N).coeffs[1:], args.format)
     return 0
 
 
 def cmd_delta5(args) -> int:
-    if args.N < 1:
-        return _usage_error("--N must be >= 1")
-    if args.N > MAX_ORDER:
-        return _usage_error(f"--N exceeds capacity limit {MAX_ORDER}")
-    taus = tau5_values(args.N)
-    if args.format == "csv":
-        print("D,N,num_a,num_b,real")
-        for n in range(1, args.N + 1):
-            c = taus[n]
-            print(f"5,{n},{c.num_a},{c.num_b},{_fmt(embed_real(c))}")
-    else:
-        for n in range(1, args.N + 1):
-            c = taus[n]
-            rec = {
-                "D": 5,
-                "N": n,
-                "a": c.num_a,
-                "b": c.num_b,
-                "den": 2,
-                "real": float(embed_real(c)),
-            }
-            print(json.dumps(rec))
+    _print_rows(5, tau5_values(args.N).values(), args.format)
     return 0
 
 
@@ -138,37 +76,23 @@ def cmd_verify_table(args) -> int:
     entries = golden_coefficients()
     n_max = {D: max(n for d2, n, _ in entries if d2 == D) for D in {5, 13, 17}}
     series = {D: eta_series(D, n_max[D]) for D in sorted(n_max)}
-    failures = 0
-    for D, N, expected in entries:
-        actual = series[D].coeffs[N]
-        ok = actual == expected
-        if not ok:
-            failures += 1
-        status = "PASS" if ok else "FAIL"
-        line = f"{status} a_{D}({N}) = {canonical_str(actual)}"
-        if not ok:
-            line += f" expected {canonical_str(expected)}"
-        print(line)
     tau_entries = golden_tau5()
     taus = tau5_values(max(n for n, _ in tau_entries))
-    for N, expected in tau_entries:
-        actual = taus[N]
+    checks = [(f"a_{D}({N})", series[D].coeffs[N], expected) for D, N, expected in entries]
+    checks += [(f"tau_5({N})", taus[N], expected) for N, expected in tau_entries]
+    failures = 0
+    for label, actual, expected in checks:
         ok = actual == expected
+        line = f"{'PASS' if ok else 'FAIL'} {label} = {canonical_str(actual)}"
         if not ok:
             failures += 1
-        status = "PASS" if ok else "FAIL"
-        line = f"{status} tau_5({N}) = {canonical_str(actual)}"
-        if not ok:
             line += f" expected {canonical_str(expected)}"
         print(line)
-    total = len(entries) + len(tau_entries)
-    print(f"{total - failures}/{total} entries verified")
+    print(f"{len(checks) - failures}/{len(checks)} entries verified")
     return 0 if failures == 0 else 1
 
 
 def cmd_verify_modularity(args) -> int:
-    if not _check_D(args.D):
-        return _usage_error(f"D={args.D} is not fundamental")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
     worst = 0.0
     failures = 0
@@ -187,10 +111,21 @@ def cmd_verify_modularity(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _oracle_check_s(D: int, N: int) -> float:
+    """Predicted seconds: phi(D)/2 dense products of O(N^2) cyclotomic
+    convolutions of D^2 terms, plus the O(phi(D) D N^2) binomial passes, on
+    coefficients that grow with N."""
+    return euler_phi(D) * D * (1.7e-9 * D * (N + 1) ** 2.6 + 6.5e-7 * (N + 1) ** 2)
+
+
+def _partitions_s(D: int, N: int) -> float:
+    """Predicted seconds: the O(N^2 D) length distribution, on counts that
+    grow with N, plus the O(D^1.5) character table."""
+    return (N + 1) ** 2 * (2.3e-7 + 1.5e-8 * D * (N + 1) ** 0.2) + 7e-8 * D**1.5
+
+
 def cmd_oracle_check(args) -> int:
-    if not _check_D(args.D):
-        return _usage_error(f"D={args.D} is not fundamental")
-    if args.N < 0 or args.N > 10_000:
+    if args.N < 1 or _oracle_check_s(args.D, args.N) > TIME_BUDGET_S:
         return _usage_error("--N out of range for the convolution oracle")
     matches, mismatches = compare_with_eta(args.D, args.N)
     total = args.N + 1
@@ -207,10 +142,8 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    if not _check_D(args.D):
-        return _usage_error(f"D={args.D} is not fundamental")
-    if args.N < 0 or args.N * args.D > 50_000_000:
-        return _usage_error("--N out of range (memory guard)")
+    if args.N < 0 or _partitions_s(args.D, args.N) > TIME_BUDGET_S:
+        return _usage_error("--N out of range for the partition tables")
     ct = build_char_table(args.D)
     tables = build_partition_tables(ct, args.N)
     print(
@@ -228,12 +161,10 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_lvalues(args) -> int:
-    if not _check_D(args.D):
-        return _usage_error(f"D={args.D} is not fundamental")
     ct = build_char_table(args.D)
     rec = l_minus_one(ct)
     m = rec.m_exponent
-    lp = l_prime_zero(ct, args.digits)
+    lp = l_prime_zero(ct, L_PRIME_DIGITS)
     out = {
         "S_chi": rec.S_chi,
         "L_minus_1": str(rec.l_minus_one),
@@ -245,8 +176,6 @@ def cmd_lvalues(args) -> int:
 
 
 def cmd_periods(args) -> int:
-    if not _check_D(args.D):
-        return _usage_error(f"D={args.D} is not fundamental")
     pair = period_polynomials(build_char_table(args.D))
     out = {
         "D": args.D,
@@ -258,8 +187,6 @@ def cmd_periods(args) -> int:
 
 
 def cmd_chars(args) -> int:
-    if not _check_D(args.D):
-        return _usage_error(f"D={args.D} is not fundamental")
     ct = build_char_table(args.D)
     out = {
         "D": args.D,
@@ -271,57 +198,46 @@ def cmd_chars(args) -> int:
     return 0
 
 
-def _signs_data(D: int, N: int, digits: int) -> SignReport:
-    series, reals = _embedded_values(D, N, digits)
+def cmd_signs(args) -> int:
     signs = []
     changes = []
     prev = 0
-    for n in range(1, N + 1):
-        if series.coeffs[n].is_zero():
-            s = 0
-        else:
-            s = 1 if reals[n] > 0 else -1
+    for n, c in enumerate(eta_series(args.D, args.N).coeffs[1:], start=1):
+        s = 0 if c.is_zero() else (1 if embed_real(c) > 0 else -1)
         signs.append(s)
         if s != 0:
             if prev != 0 and s != prev:
                 changes.append(n)
             prev = s
-    return SignReport(D=D, N_max=N, signs=signs, sign_changes=changes, count=len(changes))
-
-
-def cmd_signs(args) -> int:
-    if not _check_D(args.D):
-        return _usage_error(f"D={args.D} is not fundamental")
-    if args.N < 1 or args.N > MAX_ORDER:
-        return _usage_error("--N out of range")
-    rep = _signs_data(args.D, args.N, args.digits)
     print(
         json.dumps(
             {
-                "D": rep.D,
-                "N_max": rep.N_max,
-                "signs": rep.signs,
-                "sign_changes": rep.sign_changes,
-                "count": rep.count,
+                "D": args.D,
+                "N_max": args.N,
+                "signs": signs,
+                "sign_changes": changes,
+                "count": len(changes),
             }
         )
     )
     return 0
 
 
-def _growth_data(D: int, N: int, window, digits: int) -> GrowthReport:
-    series, reals = _embedded_values(D, N, digits)
-    lo, hi = window
+def cmd_growth(args) -> int:
+    lo = args.window_min if args.window_min is not None else 1
+    hi = args.window_max if args.window_max is not None else args.N
+    if not 1 <= lo <= hi <= args.N:
+        return _usage_error("fit window must satisfy 1 <= min <= max <= N")
     pairs = []
     excluded = []
     xs = []
     ys = []
-    for n in range(1, N + 1):
-        if series.coeffs[n].is_zero():
+    for n, c in enumerate(eta_series(args.D, args.N).coeffs[1:], start=1):
+        if c.is_zero():
             excluded.append(n)
             continue
         x = math.sqrt(n)
-        y = float(mpmath.log(abs(reals[n])))
+        y = float(mpmath.log(abs(embed_real(c))))
         pairs.append((x, y))
         if lo <= n <= hi:
             xs.append(x)
@@ -338,51 +254,29 @@ def _growth_data(D: int, N: int, window, digits: int) -> GrowthReport:
     else:
         slope = float("nan")
         intercept = float("nan")
-    return GrowthReport(
-        D=D,
-        N_max=N,
-        pairs=pairs,
-        slope=slope,
-        intercept=intercept,
-        fitted_C=slope,
-        window=(lo, hi),
-        excluded_zero=excluded,
-    )
-
-
-def cmd_growth(args) -> int:
-    if not _check_D(args.D):
-        return _usage_error(f"D={args.D} is not fundamental")
-    if args.N < 1 or args.N > MAX_ORDER:
-        return _usage_error("--N out of range")
-    lo = args.window_min if args.window_min is not None else 1
-    hi = args.window_max if args.window_max is not None else args.N
-    if not 1 <= lo <= hi <= args.N:
-        return _usage_error("fit window must satisfy 1 <= min <= max <= N")
-    rep = _growth_data(args.D, args.N, (lo, hi), args.digits)
     if args.format == "csv":
         print(
-            f"# D={rep.D} N_max={rep.N_max} window={rep.window[0]}..{rep.window[1]} "
-            f"slope={_fmt(rep.slope)} intercept={_fmt(rep.intercept)} "
-            f"fitted_C={_fmt(rep.fitted_C)}"
+            f"# D={args.D} N_max={args.N} window={lo}..{hi} "
+            f"slope={_fmt(slope)} intercept={_fmt(intercept)} "
+            f"fitted_C={_fmt(slope)}"
         )
-        if rep.excluded_zero:
-            print(f"# excluded zero coefficients at N = {rep.excluded_zero}")
+        if excluded:
+            print(f"# excluded zero coefficients at N = {excluded}")
         print("sqrt_N,log_abs_a")
-        for x, y in rep.pairs:
+        for x, y in pairs:
             print(f"{_fmt(x)},{_fmt(y)}")
     else:
         print(
             json.dumps(
                 {
-                    "D": rep.D,
-                    "N_max": rep.N_max,
-                    "window": list(rep.window),
-                    "slope": rep.slope,
-                    "intercept": rep.intercept,
-                    "fitted_C": rep.fitted_C,
-                    "excluded_zero": rep.excluded_zero,
-                    "pairs": [[x, y] for x, y in rep.pairs],
+                    "D": args.D,
+                    "N_max": args.N,
+                    "window": [lo, hi],
+                    "slope": slope,
+                    "intercept": intercept,
+                    "fitted_C": slope,
+                    "excluded_zero": excluded,
+                    "pairs": [[x, y] for x, y in pairs],
                 }
             )
         )
@@ -390,8 +284,6 @@ def cmd_growth(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    if not _check_D(args.D):
-        return _usage_error(f"D={args.D} is not fundamental")
     if args.im_min <= 0:
         return _usage_error("--im-min must be positive")
     if args.re_steps < 1 or args.im_steps < 1:
@@ -412,7 +304,6 @@ def cmd_grid(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    digits = _default_digits()
     parser = argparse.ArgumentParser(
         prog="hecke-eta",
         description="Eta analogues for Hecke groups H(sqrt(D)): exact "
@@ -425,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--digits", type=int, default=digits)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("delta5", help="tau_5(1..N) of the fifth-power series")
@@ -456,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lvalues", help="S_chi, exact L(-1), m, numeric L'(0)")
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--digits", type=int, default=digits)
     p.set_defaults(func=cmd_lvalues)
 
     p = sub.add_parser("periods", help="period polynomial coefficients")
@@ -470,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signs", help="sign pattern of the embedded coefficients")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--digits", type=int, default=digits)
     p.set_defaults(func=cmd_signs)
 
     p = sub.add_parser("growth", help="(sqrt N, log|a_D(N)|) data and fit")
@@ -479,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-min", type=int, default=None)
     p.add_argument("--window-max", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--digits", type=int, default=digits)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("grid", help="contour grid of eta(z) and eta(-1/z)")
@@ -497,8 +384,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    D = getattr(args, "D", None)
+    if D is not None and not is_fundamental(D):
+        return _usage_error(
+            f"D={D} is not fundamental (need D = 1 mod 4, squarefree, >= 5)"
+        )
+    if args.command in ORDER_CAPPED:
+        if args.N < 1:
+            return _usage_error("--N must be >= 1")
+        if args.N > MAX_ORDER:
+            return _usage_error(f"--N exceeds capacity limit {MAX_ORDER}")
     return args.func(args)
 
 

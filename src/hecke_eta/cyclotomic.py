@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .characters import CharTable, euler_phi
+from .characters import CharTable, euler_phi, moebius
 from .quad_ring import RingElem, ring_ctx
 
 
@@ -117,21 +117,6 @@ def cyc_mul(u: CycPoly, v: CycPoly) -> CycPoly:
     return CycPoly(D, out)
 
 
-def _moebius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result = -result
-    return result
-
-
 @lru_cache(maxsize=None)
 def _trace_weights(D: int) -> tuple[int, ...]:
     """T(k) = trace of zeta_D^k from Q(zeta_D) to Q, for squarefree D."""
@@ -140,7 +125,7 @@ def _trace_weights(D: int) -> tuple[int, ...]:
     for k in range(D):
         g = gcd(k, D)
         d = D // g
-        out.append(_moebius(d) * phi // euler_phi(d))
+        out.append(moebius(d) * phi // euler_phi(d))
     return tuple(out)
 
 

@@ -27,14 +27,15 @@ from .lseries import l_minus_one
 from .quad_ring import RingElem, RingCtx, RingError, ring_ctx
 
 # Largest order the CLI accepts, from the measured cost of the O(N^2)
-# recurrence: `hecke-eta coeffs --D 5 --N 14000` took 55 s end to end
-# (12000: 41 s, 15000: 62 s) on a 2-vCPU x86-64 machine with Python 3.11.
-# At N = 14000 `growth --D 5` took 54 s and `delta5` 66 s (larger numbers).
-MAX_ORDER = 14_000
+# recurrence for its most expensive command, `hecke-eta delta5` (tau_5 has
+# larger coefficients than a_D): it took 53 s end to end at N = 12000, 60 s
+# at 13000 and 72 s at 14000 on a 2-vCPU x86-64 machine with Python 3.11,
+# where `coeffs --D 5 --N 13000` took 48 s.
+MAX_ORDER = 12_000
 
 
 class SeriesError(ValueError):
-    """Incompatible operands or non-invertible series."""
+    """Incompatible operands or an order out of range."""
 
 
 class QSeries:
@@ -50,13 +51,6 @@ class QSeries:
         for c in self.coeffs:
             if c.ctx.D != ctx.D:
                 raise RingError("coefficient context mismatch")
-
-    @classmethod
-    def one(cls, ctx: RingCtx, prec: int) -> "QSeries":
-        coeffs = [RingElem.from_int(1, ctx)] + [
-            RingElem.from_int(0, ctx) for _ in range(prec)
-        ]
-        return cls(ctx, coeffs)
 
     @classmethod
     def _from_pairs(cls, ctx: RingCtx, A, B, valuation=Fraction(0)) -> "QSeries":
@@ -118,33 +112,6 @@ def _mul_pairs(A1, B1, A2, B2, D: int, N: int) -> tuple[list[int], list[int]]:
     return [_halve(a) for a in A], [_halve(b) for b in B]
 
 
-def _inv_pairs(A1, B1, D: int, N: int) -> tuple[list[int], list[int]]:
-    """Inverse of a pair series whose constant term is +1 or -1."""
-    if (A1[0], B1[0]) == (2, 0):
-        s = 1
-    elif (A1[0], B1[0]) == (-2, 0):
-        s = -1
-    else:
-        raise SeriesError("series_inv needs constant term +1 or -1")
-    A = [0] * (N + 1)
-    B = [0] * (N + 1)
-    A[0] = 2 * s
-    for k in range(1, N + 1):
-        sa = 0
-        sb = 0
-        for i in range(1, k + 1):
-            a1, b1 = A1[i], B1[i]
-            if a1 == 0 and b1 == 0:
-                continue
-            a2, b2 = A[k - i], B[k - i]
-            sa += a1 * a2 + D * b1 * b2
-            sb += a1 * b2 + b1 * a2
-        # b_k = -s * sum, with the sum carrying denominator 4 = 2*2
-        A[k] = -s * _halve(sa)
-        B[k] = -s * _halve(sb)
-    return A, B
-
-
 def series_mul(f: QSeries, g: QSeries) -> QSeries:
     """Exact truncated product; valuations add."""
     _check_compat(f, g)
@@ -152,13 +119,6 @@ def series_mul(f: QSeries, g: QSeries) -> QSeries:
     A2, B2 = g._pairs()
     A, B = _mul_pairs(A1, B1, A2, B2, f.ctx.D, f.prec)
     return QSeries._from_pairs(f.ctx, A, B, f.valuation + g.valuation)
-
-
-def series_inv(f: QSeries) -> QSeries:
-    """Exact truncated inverse; requires constant term +1 or -1."""
-    A1, B1 = f._pairs()
-    A, B = _inv_pairs(A1, B1, f.ctx.D, f.prec)
-    return QSeries._from_pairs(f.ctx, A, B, -f.valuation)
 
 
 def series_pow(f: QSeries, k: int) -> QSeries:
@@ -174,29 +134,6 @@ def series_pow(f: QSeries, k: int) -> QSeries:
         if k:
             base = series_mul(base, base)
     return result
-
-
-def sparse_binomial_apply(f: QSeries, n: int, e: int) -> QSeries:
-    """Multiply (e = +1) or divide (e = -1) by (1 - q^n) in O(prec) steps."""
-    if not 1 <= n <= f.prec:
-        raise SeriesError(f"gap n={n} out of range 1..{f.prec}")
-    if e not in (1, -1):
-        raise SeriesError("exponent must be +1 or -1")
-    A, B = f._pairs()
-    _binomial_inplace(A, B, n, e)
-    return QSeries._from_pairs(f.ctx, A, B, f.valuation)
-
-
-def _binomial_inplace(A, B, n: int, e: int) -> None:
-    N = len(A) - 1
-    if e == 1:
-        for k in range(N, n - 1, -1):
-            A[k] -= A[k - n]
-            B[k] -= B[k - n]
-    else:
-        for k in range(n, N + 1):
-            A[k] += A[k - n]
-            B[k] += B[k - n]
 
 
 def _divisor_sums(chi, D: int, N: int) -> tuple[list[int], list[int]]:

@@ -18,24 +18,17 @@ class RingError(ValueError):
 
 
 class RingCtx:
-    """Ambient ring descriptor: discriminant D and a cached sqrt(D).
+    """Ambient ring descriptor: the discriminant D.
 
     Use :func:`ring_ctx` to obtain the shared instance for a given D.
     """
 
-    __slots__ = ("D", "digits")
+    __slots__ = ("D",)
 
-    def __init__(self, D: int, digits: int = 50):
+    def __init__(self, D: int):
         if D < 5 or D % 4 != 1:
             raise RingError(f"D={D} is not a discriminant = 1 mod 4, >= 5")
         self.D = D
-        self.digits = digits
-
-    def sqrtD(self, digits: int | None = None) -> mpmath.mpf:
-        """Positive square root of D to at least `digits` significant digits."""
-        dps = digits if digits is not None else self.digits
-        with mpmath.workdps(dps + 10):
-            return mpmath.sqrt(self.D)
 
     def __repr__(self):
         return f"RingCtx(D={self.D})"
@@ -81,11 +74,6 @@ class RingElem:
     @classmethod
     def from_int(cls, n: int, ctx: RingCtx) -> "RingElem":
         return cls(2 * n, 0, ctx)
-
-    @classmethod
-    def from_pair(cls, a: int, b: int, ctx: RingCtx) -> "RingElem":
-        """Element (a + b*sqrt(D))/2 from its numerator pair."""
-        return cls(a, b, ctx)
 
     def _coerce(self, other) -> "RingElem":
         if isinstance(other, RingElem):
@@ -156,9 +144,9 @@ class RingElem:
         """(rational part, sqrt(D) part) as exact fractions."""
         return Fraction(self.num_a, 2), Fraction(self.num_b, 2)
 
-    def embed(self, digits: int | None = None) -> mpmath.mpf:
+    def embed(self) -> mpmath.mpf:
         """Real embedding under the positive root; see :func:`embed_real`."""
-        return embed_real(self, self.ctx, digits)
+        return embed_real(self)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -190,36 +178,18 @@ def canonical_str(x: RingElem) -> str:
     return f"({x.num_a}{sign}{abs(x.num_b)}*sqrt({x.ctx.D}))/2"
 
 
-def ring_add(x: RingElem, y: RingElem) -> RingElem:
-    return x + y
-
-
-def ring_mul(x: RingElem, y: RingElem) -> RingElem:
-    return x * y
-
-
-def ring_neg(x: RingElem) -> RingElem:
-    return -x
-
-
-def ring_conj(x: RingElem) -> RingElem:
-    return x.conj()
-
-
-def embed_real(x: RingElem, ctx: RingCtx | None = None, digits: int | None = None) -> mpmath.mpf:
+def embed_real(x: RingElem, ctx: RingCtx | None = None, digits: int = 50) -> mpmath.mpf:
     """(num_a + num_b*sqrt(D))/2 as a high-precision real.
 
-    Accurate to at least `digits` (default ctx.digits, i.e. 50) significant
-    digits of the *result*: the working precision is padded by the operand
-    size so that near-cancellation between a and b*sqrt(D) cannot wipe the
-    answer out.
+    Accurate to at least `digits` significant digits of the *result*: the
+    working precision is padded by the operand size so that near-cancellation
+    between a and b*sqrt(D) cannot wipe the answer out.
     """
     if ctx is None:
         ctx = x.ctx
     elif ctx.D != x.ctx.D:
         raise RingError(f"context mismatch: D={x.ctx.D} vs D={ctx.D}")
-    req = digits if digits is not None else ctx.digits
     pad = max(len(str(abs(x.num_a))), len(str(abs(x.num_b))))
-    with mpmath.workdps(2 * pad + req + 10):
+    with mpmath.workdps(2 * pad + digits + 10):
         val = (x.num_a + x.num_b * mpmath.sqrt(ctx.D)) / 2
         return +val

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -10,6 +10,7 @@ from hecke_eta.characters import (
     fundamental_discriminants,
     is_fundamental,
     kronecker,
+    moebius,
     squares_mod,
 )
 
@@ -57,6 +58,29 @@ class TestIsFundamental:
         assert not is_fundamental(25)  # square
         assert not is_fundamental(45)  # 9 * 5, not squarefree
         assert not is_fundamental(1) and not is_fundamental(-3)
+
+
+def _squarefree(n):
+    return all(n % (d * d) for d in range(2, isqrt(n) + 1))
+
+
+class TestFactorisationHelpers:
+    """The helpers built on prime_factors, against brute force for n <= 2000."""
+
+    def test_is_fundamental(self):
+        for n in range(1, 2001):
+            assert is_fundamental(n) == (n % 4 == 1 and n >= 5 and _squarefree(n))
+
+    def test_euler_phi(self):
+        for n in range(1, 2001):
+            assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+    def test_moebius(self):
+        for n in range(1, 2001):
+            primes = [
+                p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))
+            ]
+            assert moebius(n) == ((-1) ** len(primes) if _squarefree(n) else 0)
 
 
 class TestCharTable:

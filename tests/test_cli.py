@@ -6,6 +6,7 @@ import time
 import pytest
 
 from hecke_eta import cli
+from hecke_eta.characters import fundamental_discriminants
 
 
 def run_cli(capsys, *argv):
@@ -130,19 +131,18 @@ class TestSmallCommands:
         assert out.count("PASS") == 3
 
 
+CAPPED_COMMANDS = [("coeffs", "--D", "5"), ("signs", "--D", "5"), ("growth", "--D", "5"), ("delta5",)]
+
+
 class TestOrderCap:
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("coeffs", "--D", "5"),
-            ("signs", "--D", "5"),
-            ("growth", "--D", "5"),
-            ("delta5",),
-        ],
+        [(*cmd, "--N", str(N)) for N in (cli.MAX_ORDER + 1, 0) for cmd in CAPPED_COMMANDS],
     )
     def test_one_past_the_cap_is_refused_at_once(self, capsys, argv):
+        """N one past either end of 1..MAX_ORDER exits 2 before any work."""
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, *argv, "--N", str(cli.MAX_ORDER + 1))
+        code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 5
         assert code == 2
         assert out == ""
@@ -153,6 +153,61 @@ class TestOrderCap:
         assert code == 2
         assert out == ""
         assert "capacity limit" in err
+
+
+class TestCostLimits:
+    """oracle-check and partitions refuse inputs predicted to exceed the time budget."""
+
+    @pytest.mark.parametrize(
+        "command, D", [("oracle-check", 5), ("oracle-check", 41), ("partitions", 5), ("partitions", 101)]
+    )
+    def test_first_refused_order_exits_at_once(self, capsys, command, D):
+        predicted_s = {"oracle-check": cli._oracle_check_s, "partitions": cli._partitions_s}[command]
+        N = 1
+        while predicted_s(D, N) <= cli.TIME_BUDGET_S:
+            N += 1
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--D", str(D), "--N", str(N))
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_benchmark_ranges_stay_accepted(self):
+        for D in fundamental_discriminants(41):
+            assert cli._oracle_check_s(D, 80) <= cli.TIME_BUDGET_S
+        for D in fundamental_discriminants(101):
+            assert cli._partitions_s(D, 400) <= cli.TIME_BUDGET_S
+
+
+SUBCOMMANDS_WITH_D = [
+    ("coeffs", "--N", "3"),
+    ("signs", "--N", "3"),
+    ("growth", "--N", "3"),
+    ("verify-modularity",),
+    ("oracle-check", "--N", "3"),
+    ("partitions", "--N", "3"),
+    ("lvalues",),
+    ("periods",),
+    ("chars",),
+    ("grid",),
+]
+
+
+class TestDiscriminantCheck:
+    @pytest.mark.parametrize("D", [9, 45])
+    @pytest.mark.parametrize("argv", SUBCOMMANDS_WITH_D)
+    def test_non_fundamental_is_a_usage_error(self, capsys, argv, D):
+        code, out, err = run_cli(capsys, argv[0], "--D", str(D), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "not fundamental" in err
+
+    def test_digits_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["coeffs", "--D", "5", "--N", "3", "--digits", "30"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestSigns:
@@ -228,9 +283,3 @@ class TestEntryPoint:
         assert proc.returncode == 0
         rec = json.loads(proc.stdout)
         assert rec["D"] == 13
-
-    def test_env_var_digits(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DIGITS, "25")
-        assert cli._default_digits() == 25
-        monkeypatch.setenv(cli.ENV_DIGITS, "junk")
-        assert cli._default_digits() == 50
