@@ -46,6 +46,11 @@ def kronecker(n: int, D: int) -> int:
     """
     if not is_fundamental(D):
         raise CharacterError(f"D={D} is not a fundamental discriminant = 1 mod 4")
+    return _jacobi(n, D)
+
+
+def _jacobi(n: int, D: int) -> int:
+    """Jacobi symbol (n/D) for odd D > 0, with no check on D."""
     a = n % D
     m = D
     result = 1
@@ -88,7 +93,7 @@ def build_char_table(D: int) -> CharTable:
         raise CharacterError(
             f"D={D} rejected: need D = 1 mod 4, D >= 5, squarefree"
         )
-    values = tuple(kronecker(n, D) for n in range(D))
+    values = tuple(_jacobi(n, D) for n in range(D))
     qr = tuple(a for a in range(1, D + 1) if values[a % D] == 1)
     nr = tuple(a for a in range(1, D + 1) if values[a % D] == -1)
 

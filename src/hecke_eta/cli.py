@@ -40,6 +40,15 @@ ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 # longer than predicted; they over-predict by up to 1.5x and 1.3x.
 TIME_BUDGET_S = 60
 
+# Largest --D of the commands whose cost grows with D alone, measured end to
+# end on the same machine.  periods, O(phi(D)^2) products of coefficients
+# that grow with D, is slowest at prime D: 25 s at D = 8009, 47 s at 10009,
+# 45 s at 11057 and 58 s at 12037.  lvalues, one 50-digit log-Gamma per
+# residue, took 20 s at D = 400001 and 53 s at 1000001.  chars, linear in D,
+# took 3.9 s at D = 1000001 and 18 s at 4000001, where it held 354 MB; its
+# memory grows with D too, so its cap is the largest D measured.
+D_CAP = {"periods": 10_000, "lvalues": 1_000_000, "chars": 4_000_000}
+
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -386,6 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     D = getattr(args, "D", None)
+    cap = D_CAP.get(args.command)
+    if cap is not None and D > cap:
+        return _usage_error(f"--D exceeds the limit {cap} of {args.command}")
     if D is not None and not is_fundamental(D):
         return _usage_error(
             f"D={D} is not fundamental (need D = 1 mod 4, squarefree, >= 5)"

@@ -1,11 +1,13 @@
-"""Exact arithmetic in the model ring Z[x]/(x^D - 1) for Z[zeta_D].
+"""Exact arithmetic in the model ring Z[x]/(x^D - 1) for Z[zeta_D], and the
+period polynomials.
 
 Working modulo x^D - 1 instead of the cyclotomic polynomial keeps
 multiplication a plain cyclic convolution; the redundancy (for D prime the
 all-ones vector maps to zero) is absorbed by the trace functional, which is
-well defined on images.  The module provides the trace, the Gauss-sum
-element, the projection of fixed-field elements onto O_D, and the period
-polynomials f_plus / f_minus whose coefficients land in O_D.
+well defined on images.  The model ring, the trace, the Gauss-sum element
+and the projection of fixed-field elements onto O_D serve the convolution
+oracle.  The period polynomials f_plus / f_minus never enter the model
+ring: their coefficients in O_D follow from closed-form power sums.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import lru_cache
 from math import gcd
 
 from .characters import CharTable, euler_phi, moebius
+from .qseries import _mul_pairs, euler_transform
 from .quad_ring import RingElem, ring_ctx
 
 
@@ -69,16 +72,6 @@ class CycPoly:
         self._check(other)
         return CycPoly(self.D, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "CycPoly") -> "CycPoly":
-        self._check(other)
-        return CycPoly(self.D, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "CycPoly":
-        return CycPoly(self.D, [-a for a in self.coeffs])
-
-    def scale(self, c: int) -> "CycPoly":
-        return CycPoly(self.D, [c * a for a in self.coeffs])
-
     def _check(self, other: "CycPoly") -> None:
         if self.D != other.D:
             raise ValueError(f"dimension mismatch: D={self.D} vs D={other.D}")
@@ -89,9 +82,6 @@ class CycPoly:
             and self.D == other.D
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.D, tuple(self.coeffs)))
 
     def __repr__(self):
         return f"CycPoly(D={self.D}, {self.coeffs})"
@@ -191,22 +181,33 @@ class PeriodPair:
     f_minus: tuple[RingElem, ...]
 
 
-def _expand_linear_product(exponents, D: int) -> list[CycPoly]:
-    """Coefficients (as CycPoly) of prod_a (1 - x * zeta^a)."""
-    coeffs = [CycPoly.one(D)]
-    for a in exponents:
-        coeffs.append(CycPoly(D))
-        # multiply by (1 - zeta^a x): new[i] = old[i] - zeta^a old[i-1]
-        for i in range(len(coeffs) - 1, 0, -1):
-            coeffs[i].add_shifted(coeffs[i - 1], a, -1)
-    return coeffs
+def _expand_period(ct: CharTable, sign: int, h: int) -> tuple[RingElem, ...]:
+    """prod (1 - zeta^a x) over the h residues a with chi(a) = sign.
+
+    Its logarithm is -sum_m p(m) x^m / m with the power sums
+    p(m) = sum_a zeta^{am} = (c_D(m) + sign chi(m) sqrt(D))/2, since
+    1_{chi = sign} = (1 + sign chi)/2 on units, c_D(m) = sum_{units} zeta^{am}
+    is the Ramanujan sum (the trace weight of zeta^m) and the Gauss sum gives
+    sum_a chi(a) zeta^{am} = chi(m) sqrt(D).  A wrong power sum breaks an
+    exact division in euler_transform or leaves coefficient h+1 nonzero.
+    """
+    D = ct.D
+    c = _trace_weights(D)
+    ms = range(1, h + 2)
+    A, B = euler_transform(
+        [-c[m % D] for m in ms], [-sign * ct.values[m % D] for m in ms], D, h + 1
+    )
+    if A[h + 1] or B[h + 1]:
+        raise ProjectionError(f"period polynomial of D={D} has degree above {h}")
+    ctx = ring_ctx(D)
+    return tuple(RingElem(a, b, ctx) for a, b in zip(A[:-1], B[:-1]))
 
 
 def period_polynomials(ct: CharTable) -> PeriodPair:
-    """Expand f_plus and f_minus and project every coefficient onto O_D."""
-    fp = [project_to_quad(c, ct) for c in _expand_linear_product(ct.qr_list, ct.D)]
-    fm = [project_to_quad(c, ct) for c in _expand_linear_product(ct.nr_list, ct.D)]
-    pair = PeriodPair(D=ct.D, f_plus=tuple(fp), f_minus=tuple(fm))
+    """f_plus and f_minus with coefficients in O_D, from their power sums."""
+    fp = _expand_period(ct, 1, len(ct.qr_list))
+    fm = _expand_period(ct, -1, len(ct.nr_list))
+    pair = PeriodPair(D=ct.D, f_plus=fp, f_minus=fm)
     _check_period_invariants(pair, ct)
     return pair
 
@@ -216,19 +217,8 @@ def _check_period_invariants(pair: PeriodPair, ct: CharTable) -> None:
         raise ProjectionError("period polynomial constant term is not 1")
     if tuple(c.conj() for c in pair.f_plus) != pair.f_minus:
         raise ProjectionError("conjugation does not swap f_plus and f_minus")
-    prod = _poly_mul(pair.f_plus, pair.f_minus)
-    if any(c.num_b != 0 for c in prod):
+    fp = [c.num_a for c in pair.f_plus], [c.num_b for c in pair.f_plus]
+    fm = [c.num_a for c in pair.f_minus], [c.num_b for c in pair.f_minus]
+    _, B = _mul_pairs(*fp, *fm, ct.D, len(pair.f_plus) + len(pair.f_minus) - 2)
+    if any(B):
         raise ProjectionError("f_plus * f_minus has a nonzero sqrt(D) part")
-
-
-def _poly_mul(p, q) -> list[RingElem]:
-    """Dense product of two RingElem polynomials (plain lists, low degree)."""
-    ctx = p[0].ctx
-    out = [RingElem.from_int(0, ctx) for _ in range(len(p) + len(q) - 1)]
-    for i, pi in enumerate(p):
-        if pi.is_zero():
-            continue
-        for j, qj in enumerate(q):
-            if not qj.is_zero():
-                out[i + j] = out[i + j] + pi * qj
-    return out

@@ -11,10 +11,10 @@ eta_D is the Lambert series sum_k b(k) q^k with
 
 and the coefficients follow from the Euler-transform recurrence
 k a(k) = sum_{j<=k} b(j) a(k-j), O(N^2) big-int products whatever D is.
-The hot loop runs on plain numerator pairs rather than RingElem objects;
-every division by k must be exact, so a wrong b(k), character value or
-sign convention for sqrt(D) raises RingError instead of returning
-coefficients.
+The loop, euler_transform, runs on plain numerator pairs, not RingElem
+objects, and also expands the period polynomials; every division by k
+must be exact, so a wrong b(k), character value or sign convention for
+sqrt(D) raises RingError instead of returning coefficients.
 """
 
 from __future__ import annotations
@@ -94,15 +94,16 @@ def _halve(n: int) -> int:
 
 
 def _mul_pairs(A1, B1, A2, B2, D: int, N: int) -> tuple[list[int], list[int]]:
-    """Truncated product of two numerator-pair series over denominator 2."""
+    """Truncated product of two numerator-pair series (denominator 2); a
+    shorter operand reads as zero-padded."""
     A = [0] * (N + 1)
     B = [0] * (N + 1)
-    for i in range(N + 1):
+    for i in range(min(N + 1, len(A1))):
         a1 = A1[i]
         b1 = B1[i]
         if a1 == 0 and b1 == 0:
             continue
-        for j in range(N + 1 - i):
+        for j in range(min(N + 1 - i, len(A2))):
             a2 = A2[j]
             b2 = B2[j]
             if a2 == 0 and b2 == 0:
@@ -152,17 +153,40 @@ def _divisor_sums(chi, D: int, N: int) -> tuple[list[int], list[int]]:
     return s1, s2
 
 
+def euler_transform(P, Q, D: int, N: int) -> tuple[list[int], list[int]]:
+    """Numerator pairs (A, B) of exp(sum_j b(j) x^j / j) to order N.
+
+    With b(j) = (P[j-1] + Q[j-1] sqrt(D))/2 and a(k) = (A_k + B_k sqrt(D))/2,
+    a(0) = 1, the identity k a(k) = sum_{j<=k} b(j) a(k-j) reads
+    2k A_k = sum_j (P_j A_{k-j} + D Q_j B_{k-j}) and
+    2k B_k = sum_j (P_j B_{k-j} + Q_j A_{k-j}).  This is the library's only
+    product expander: eta_D**r and the period polynomials both reach it
+    through their power sums.  A division by 2k that leaves a remainder
+    means a wrong b(j), character value or sign convention for sqrt(D), and
+    raises RingError.
+    """
+    DQ = [D * x for x in Q]
+    A = [2]
+    B = [0]
+    for k in range(1, N + 1):
+        ta, ra = divmod(
+            sum(map(mul, P, reversed(A))) + sum(map(mul, DQ, reversed(B))), 2 * k
+        )
+        tb, rb = divmod(
+            sum(map(mul, P, reversed(B))) + sum(map(mul, Q, reversed(A))), 2 * k
+        )
+        if ra or rb:
+            raise RingError(f"inexact division by {k} in euler_transform")
+        A.append(ta)
+        B.append(tb)
+    return A, B
+
+
 def _eta_power(D: int, N: int, r: int) -> QSeries:
-    """eta_D**r to order N by the Euler-transform recurrence.
+    """eta_D**r to order N, the Euler transform of b = -r (s1 + s2 sqrt(D)).
 
-    With b(k) = -r (s1(k) + s2(k) sqrt(D)) and a(k) = (A_k + B_k sqrt(D))/2,
-    k a(k) = sum_{j<=k} b(j) a(k-j) reads
-
-        k A_k = -r sum_j (s1(j) A_{k-j} + D s2(j) B_{k-j}),
-        k B_k = -r sum_j (s1(j) B_{k-j} + s2(j) A_{k-j}).
-
-    Each division by k must leave no remainder; one that does means a wrong
-    b(k) or character value, and raises RingError.
+    Every P = -2r s1 and Q = -2r s2 is even, so the division by 2k in
+    euler_transform is exact exactly when k divides the sums.
     """
     if N < 1:
         raise SeriesError("order must be >= 1")
@@ -170,22 +194,7 @@ def _eta_power(D: int, N: int, r: int) -> QSeries:
         raise SeriesError(f"order {N} exceeds capacity limit {MAX_ORDER}")
     ct = build_char_table(D)
     s1, s2 = _divisor_sums(ct.values, D, N)
-    s1 = [-r * x for x in s1]
-    s2 = [-r * x for x in s2]
-    ds2 = [D * x for x in s2]
-    A = [2]
-    B = [0]
-    for k in range(1, N + 1):
-        ta, ra = divmod(
-            sum(map(mul, s1, reversed(A))) + sum(map(mul, ds2, reversed(B))), k
-        )
-        tb, rb = divmod(
-            sum(map(mul, s1, reversed(B))) + sum(map(mul, s2, reversed(A))), k
-        )
-        if ra or rb:
-            raise RingError(f"inexact division by {k} in the eta recurrence")
-        A.append(ta)
-        B.append(tb)
+    A, B = euler_transform([-2 * r * x for x in s1], [-2 * r * x for x in s2], D, N)
     m = l_minus_one(ct).m_exponent
     return QSeries._from_pairs(ring_ctx(D), A, B, r * m)
 

@@ -1,14 +1,14 @@
 """Independent brute-force oracles used only by the tests.
 
-Deliberately naive routes (enumeration, two-variable DP, the eta product
-multiplied out factor by factor) that share no code with the library paths
-they check.
+Deliberately naive routes (enumeration, two-variable DP, the period
+polynomials and the eta product multiplied out factor by factor) that share
+no code with the library paths they check.
 """
 
 from functools import lru_cache
 
 from hecke_eta.characters import build_char_table
-from hecke_eta.cyclotomic import period_polynomials
+from hecke_eta.cyclotomic import CycPoly, project_to_quad
 
 
 def enumerate_partitions(k, max_part=None):
@@ -71,16 +71,38 @@ def _poly_step(A, B, fa, fb, n, D, sign):
         B[k] += sign * _halve(sb)
 
 
+def _expand_linear_product(exponents, D):
+    """Coefficients (as CycPoly) of prod_a (1 - x * zeta^a)."""
+    coeffs = [CycPoly.one(D)]
+    for a in exponents:
+        coeffs.append(CycPoly(D))
+        # multiply by (1 - zeta^a x): new[i] = old[i] - zeta^a old[i-1]
+        for i in range(len(coeffs) - 1, 0, -1):
+            coeffs[i].add_shifted(coeffs[i - 1], a, -1)
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def period_polynomials_by_product(D):
+    """(f_plus, f_minus) as tuples of RingElem: each product multiplied out in
+    the model ring Z[x]/(x^D - 1) and every coefficient projected onto O_D."""
+    ct = build_char_table(D)
+    return tuple(
+        tuple(project_to_quad(c, ct) for c in _expand_linear_product(residues, D))
+        for residues in (ct.qr_list, ct.nr_list)
+    )
+
+
 def eta_pairs_by_product(D, N):
     """a_D(0..N) as numerator pairs (A, B), a = (A + B sqrt(D))/2, from the
     product prod_{n<=N} (1-q^n)^{chi(n)} f_plus(q^n) / f_minus(q^n) with the
-    period polynomials f_plus/f_minus, one factor at a time."""
+    reference period polynomials f_plus/f_minus, one factor at a time."""
     ct = build_char_table(D)
-    pp = period_polynomials(ct)
-    fpa = [c.num_a for c in pp.f_plus]
-    fpb = [c.num_b for c in pp.f_plus]
-    fma = [c.num_a for c in pp.f_minus]
-    fmb = [c.num_b for c in pp.f_minus]
+    f_plus, f_minus = period_polynomials_by_product(D)
+    fpa = [c.num_a for c in f_plus]
+    fpb = [c.num_b for c in f_plus]
+    fma = [c.num_a for c in f_minus]
+    fmb = [c.num_b for c in f_minus]
     A = [2] + [0] * N
     B = [0] * (N + 1)
     for n in range(1, N + 1):

@@ -3,6 +3,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from hecke_eta import characters
 from hecke_eta.characters import (
     CharacterError,
     build_char_table,
@@ -97,6 +98,18 @@ class TestCharTable:
     def test_d17_cardinality(self):
         ct = build_char_table(17)
         assert len(ct.qr_list) == 8 == euler_phi(17) // 2
+
+    def test_checks_the_discriminant_once(self, monkeypatch):
+        expected = tuple(kronecker(n, 101) for n in range(101))
+        calls = []
+
+        def counted(D):
+            calls.append(D)
+            return is_fundamental(D)
+
+        monkeypatch.setattr(characters, "is_fundamental", counted)
+        assert build_char_table(101).values == expected
+        assert calls == [101]
 
     def test_rejects_non_fundamental(self):
         for D in (9, 15, 25, 45, 8, 1):

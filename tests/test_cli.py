@@ -6,7 +6,7 @@ import time
 import pytest
 
 from hecke_eta import cli
-from hecke_eta.characters import fundamental_discriminants
+from hecke_eta.characters import fundamental_discriminants, is_fundamental
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +178,33 @@ class TestCostLimits:
             assert cli._oracle_check_s(D, 80) <= cli.TIME_BUDGET_S
         for D in fundamental_discriminants(101):
             assert cli._partitions_s(D, 400) <= cli.TIME_BUDGET_S
+
+
+def _first_fundamental_above(n):
+    D = n + 1
+    while not is_fundamental(D):
+        D += 1
+    return D
+
+
+class TestDiscriminantCap:
+    """chars, lvalues and periods refuse D above their measured limits."""
+
+    @pytest.mark.parametrize("command", sorted(cli.D_CAP))
+    @pytest.mark.parametrize("past", ["first", "far"])
+    def test_refused_at_once(self, capsys, command, past):
+        cap = cli.D_CAP[command]
+        D = _first_fundamental_above(cap) if past == "first" else 10**30 + 1
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--D", str(D))
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert f"exceeds the limit {cap}" in err
+
+    def test_benchmark_ranges_stay_accepted(self):
+        for command in ("chars", "lvalues", "periods"):
+            assert cli.D_CAP[command] >= 200
 
 
 SUBCOMMANDS_WITH_D = [

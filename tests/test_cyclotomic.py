@@ -2,19 +2,21 @@ import random
 
 import mpmath
 import pytest
+from oracles import period_polynomials_by_product
 
-from hecke_eta.characters import build_char_table, fundamental_discriminants
+from hecke_eta import cyclotomic
+from hecke_eta.characters import CharTable, build_char_table, fundamental_discriminants
 from hecke_eta.cyclotomic import (
     CycPoly,
     ProjectionError,
-    _poly_mul,
     cyc_mul,
     gauss_element,
     period_polynomials,
     project_to_quad,
     trace,
 )
-from hecke_eta.quad_ring import RingElem, embed_real, ring_ctx
+from hecke_eta.qseries import _mul_pairs
+from hecke_eta.quad_ring import RingElem, RingError, embed_real, ring_ctx
 
 
 def numeric_value(u: CycPoly, dps=60):
@@ -22,6 +24,20 @@ def numeric_value(u: CycPoly, dps=60):
     with mpmath.workdps(dps):
         z = mpmath.e ** (2j * mpmath.pi / u.D)
         return sum(c * z**k for k, c in enumerate(u.coeffs))
+
+
+def pair_product(f, g):
+    """f * g for two RingElem polynomials, through the numerator-pair product."""
+    ctx = f[0].ctx
+    A, B = _mul_pairs(
+        [c.num_a for c in f],
+        [c.num_b for c in f],
+        [c.num_a for c in g],
+        [c.num_b for c in g],
+        ctx.D,
+        len(f) + len(g) - 2,
+    )
+    return [RingElem(a, b, ctx) for a, b in zip(A, B)]
 
 
 class TestCycMul:
@@ -152,7 +168,7 @@ class TestPeriodPolynomials:
 
     def test_d13_product_is_all_ones(self):
         pair = period_polynomials(build_char_table(13))
-        prod = _poly_mul(list(pair.f_plus), list(pair.f_minus))
+        prod = pair_product(pair.f_plus, pair.f_minus)
         one = RingElem(2, 0, ring_ctx(13))
         assert len(prod) == 13
         assert all(c == one for c in prod)
@@ -166,7 +182,7 @@ class TestPeriodPolynomials:
             assert len(pair.f_plus) == phi // 2 + 1
             assert pair.f_plus[0].is_one() and pair.f_minus[0].is_one()
             assert tuple(c.conj() for c in pair.f_plus) == pair.f_minus
-            prod = _poly_mul(list(pair.f_plus), list(pair.f_minus))
+            prod = pair_product(pair.f_plus, pair.f_minus)
             assert len(prod) == phi + 1
             assert all(c.num_b == 0 for c in prod)
 
@@ -181,3 +197,36 @@ class TestPeriodPolynomials:
                     embed_real(c, digits=40) * x**k for k, c in enumerate(pair.f_plus)
                 )
                 assert abs(val) < mpmath.mpf(10) ** -25
+
+    def test_matches_model_ring_product_up_to_101(self):
+        for D in fundamental_discriminants(101):
+            pair = period_polynomials(build_char_table(D))
+            assert (pair.f_plus, pair.f_minus) == period_polynomials_by_product(D)
+
+    def test_needs_no_model_ring(self, monkeypatch):
+        expected = period_polynomials_by_product(101)
+
+        def forbidden(*args):
+            raise AssertionError("period polynomials entered the model ring")
+
+        monkeypatch.setattr(cyclotomic, "project_to_quad", forbidden)
+        monkeypatch.setattr(cyclotomic, "cyc_mul", forbidden)
+        pair = period_polynomials(build_char_table(101))
+        assert (pair.f_plus, pair.f_minus) == expected
+
+    @pytest.mark.parametrize("D", [13, 21, 101])
+    def test_flipped_residue_pair_breaks_a_division(self, D):
+        ct = build_char_table(D)
+        a = ct.qr_list[1]
+        values = list(ct.values)
+        values[a] = values[D - a] = -1
+        bad = CharTable(D, tuple(values), ct.qr_list, ct.nr_list)
+        with pytest.raises(RingError, match="inexact division"):
+            period_polynomials(bad)
+
+    @pytest.mark.parametrize("D", [13, 21, 101])
+    def test_dropped_residue_breaks_the_degree(self, D):
+        ct = build_char_table(D)
+        bad = CharTable(D, ct.values, ct.qr_list[1:], ct.nr_list)
+        with pytest.raises(ProjectionError, match="degree"):
+            period_polynomials(bad)
