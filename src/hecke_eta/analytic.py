@@ -19,8 +19,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import mpmath
-
 from .characters import CharTable, build_char_table, euler_phi, prime_factors
 from .lseries import l_minus_one, l_prime_zero
 
@@ -110,6 +108,7 @@ def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> 
     Computes |Phi#(i/y) - exp(L'(0,chi) + y pi L(-1,chi)/sqrt(D)) Phi(iy)|
     with both products truncated at n_max, in mpmath at `digits` digits.
     """
+    import mpmath
     if y <= 0:
         raise ValueError("need y > 0")
     ct = build_char_table(D)

@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import mpmath
-
 from . import analytic
 from .characters import build_char_table, euler_phi, is_fundamental
 from .cyclotomic import period_polynomials
@@ -24,7 +22,7 @@ from .lseries import l_minus_one, l_prime_zero
 from .oracle import compare_with_eta
 from .partitions import build_partition_tables
 from .qseries import MAX_ORDER, eta_series, tau5_values
-from .quad_ring import canonical_str, embed_real
+from .quad_ring import canonical_str, embed_midpoint, embed_real
 
 # Precision of L'(0) in `lvalues`; the printed float carries 17 digits.
 L_PRIME_DIGITS = 50
@@ -32,26 +30,43 @@ L_PRIME_DIGITS = 50
 # Commands whose --N is checked against 1 <= N <= MAX_ORDER.
 ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 
-# oracle-check and partitions refuse, with exit 2, any input whose predicted
-# run time exceeds TIME_BUDGET_S.  Both models were fitted to end-to-end runs
-# on a 2-vCPU x86-64 machine with Python 3.11 (oracle-check: 15 runs, D 5..101,
-# up to 61 s; partitions: 11 runs, D 5..1001, up to 65 s; the character-table
-# term: `chars` at D up to 10^5) and scaled so that none of those runs took
-# longer than predicted; they over-predict by up to 1.5x and 1.3x.
+# oracle-check, partitions, verify-modularity and grid refuse, with exit 2,
+# any input whose predicted run time exceeds TIME_BUDGET_S.  The models were
+# fitted to end-to-end runs on a 2-vCPU x86-64 machine with Python 3.11
+# (oracle-check: 15 runs, D 5..101, up to 61 s; partitions: 11 runs, D
+# 5..1001, up to 65 s; the character-table term: `chars` at D up to 10^5;
+# the numeric model: 11 runs, D 5..4000001, nmax 1..5000, up to 37 s) and
+# scaled so that none of those runs took longer than predicted; they
+# over-predict by up to 1.5x, 1.3x and 2x.
 TIME_BUDGET_S = 60
 
-# Largest --D of the commands whose cost grows with D alone, measured end to
-# end on the same machine.  periods, O(phi(D)^2) products of coefficients
-# that grow with D, is slowest at prime D: 25 s at D = 8009, 47 s at 10009,
-# 45 s at 11057 and 58 s at 12037.  lvalues, one 50-digit log-Gamma per
-# residue, took 20 s at D = 400001 and 53 s at 1000001.  chars, linear in D,
-# took 3.9 s at D = 1000001 and 18 s at 4000001, where it held 354 MB; its
-# memory grows with D too, so its cap is the largest D measured.
-D_CAP = {"periods": 10_000, "lvalues": 1_000_000, "chars": 4_000_000}
+# Largest --D of each command, checked before the discriminant's trial
+# division, measured end to end on the same machine with the least work the
+# command accepts.  periods, O(phi(D)^2) products of coefficients that grow
+# with D, is slowest at prime D: 25 s at D = 8009, 47 s at 10009, 45 s at
+# 11057 and 58 s at 12037.  lvalues, one 50-digit log-Gamma per residue, took
+# 20 s at D = 400001 and 53 s at 1000001.  chars, linear in D, took 3.9 s at
+# D = 1000001 and 18 s at 4000001, where it held 354 MB; coeffs, signs and
+# growth at N = 1 took 16 s and 202 MB there, and grid at one point 33 s and
+# 354 MB.  Memory grows with D too, so these caps are the largest D measured.
+# verify-modularity at one sample took 31 s at D = 2000001.  Above the caps of
+# oracle-check and partitions their cost models refuse every input anyway.
+D_CAP = {
+    "coeffs": 4_000_000,
+    "signs": 4_000_000,
+    "growth": 4_000_000,
+    "chars": 4_000_000,
+    "grid": 4_000_000,
+    "verify-modularity": 2_000_000,
+    "lvalues": 1_000_000,
+    "partitions": 1_000_000,
+    "periods": 10_000,
+    "oracle-check": 2_500,
+}
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
 
 
 def _usage_error(msg: str) -> int:
@@ -68,7 +83,7 @@ def _print_rows(D: int, coeffs, fmt: str) -> None:
         if fmt == "csv":
             print(f"{D},{n},{c.num_a},{c.num_b},{_fmt(real)}")
         else:
-            print(json.dumps({"D": D, "N": n, **c.to_json_dict(), "real": float(real)}))
+            print(json.dumps({"D": D, "N": n, **c.to_json_dict(), "real": real}))
 
 
 def cmd_coeffs(args) -> int:
@@ -101,7 +116,15 @@ def cmd_verify_table(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _numeric_s(D: int, evaluations: int, nmax: int) -> float:
+    """Predicted seconds of `evaluations` truncated products: each builds the
+    O(D) character table and roots of unity, then takes up to nmax * D logs."""
+    return evaluations * (4e-5 + D * (6e-6 + 5e-7 * max(nmax, 0)))
+
+
 def cmd_verify_modularity(args) -> int:
+    if _numeric_s(args.D, 4 * args.samples, args.nmax) > TIME_BUDGET_S:
+        return _usage_error("--samples and --nmax exceed the time budget")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
     worst = 0.0
     failures = 0
@@ -246,7 +269,14 @@ def cmd_growth(args) -> int:
             excluded.append(n)
             continue
         x = math.sqrt(n)
-        y = float(mpmath.log(abs(embed_real(c))))
+        v = abs(embed_real(c))
+        if v < math.inf:
+            y = math.log(v)
+        else:  # past the float range: the log of the exact midpoint n / 2^k
+            import mpmath
+            num, k = embed_midpoint(c)
+            with mpmath.workdps(30):
+                y = float(mpmath.log(mpmath.ldexp(abs(num), -k)))
         pairs.append((x, y))
         if lo <= n <= hi:
             xs.append(x)
@@ -297,6 +327,8 @@ def cmd_grid(args) -> int:
         return _usage_error("--im-min must be positive")
     if args.re_steps < 1 or args.im_steps < 1:
         return _usage_error("step counts must be >= 1")
+    if _numeric_s(args.D, 2 * args.re_steps * args.im_steps, args.nmax) > TIME_BUDGET_S:
+        return _usage_error("grid size and --nmax exceed the time budget")
     print("re,im,re_eta,im_eta,re_eta_inv,im_eta_inv")
     for i in range(args.im_steps):
         im = args.im_min + (args.im_max - args.im_min) * i / max(1, args.im_steps - 1)
@@ -395,13 +427,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     D = getattr(args, "D", None)
-    cap = D_CAP.get(args.command)
-    if cap is not None and D > cap:
-        return _usage_error(f"--D exceeds the limit {cap} of {args.command}")
-    if D is not None and not is_fundamental(D):
-        return _usage_error(
-            f"D={D} is not fundamental (need D = 1 mod 4, squarefree, >= 5)"
-        )
+    if D is not None:
+        cap = D_CAP[args.command]
+        if D > cap:
+            return _usage_error(f"--D exceeds the limit {cap} of {args.command}")
+        if not is_fundamental(D):
+            return _usage_error(
+                f"D={D} is not fundamental (need D = 1 mod 4, squarefree, >= 5)"
+            )
     if args.command in ORDER_CAPPED:
         if args.N < 1:
             return _usage_error("--N must be >= 1")

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .characters import CharTable
 
 
@@ -52,8 +50,9 @@ def l_minus_one(ct: CharTable) -> LValueRecord:
     return LValueRecord(D=D, S_chi=S, l_minus_one=l, m_exponent=m)
 
 
-def l_prime_zero(ct: CharTable, digits: int = 30) -> mpmath.mpf:
+def l_prime_zero(ct: CharTable, digits: int = 30):
     """L'(0, chi_D) = sum_{a=1}^{D-1} chi_D(a) log Gamma(a/D), to `digits`."""
+    import mpmath
     D = ct.D
     with mpmath.workdps(digits + 10):
         total = mpmath.mpf(0)
@@ -64,12 +63,13 @@ def l_prime_zero(ct: CharTable, digits: int = 30) -> mpmath.mpf:
         return +total
 
 
-def l_function_hurwitz(ct: CharTable, s, digits: int = 30) -> mpmath.mpf:
+def l_function_hurwitz(ct: CharTable, s, digits: int = 30):
     """L(s, chi_D) via the Hurwitz-zeta decomposition, for cross-checks.
 
     Independent of the log-Gamma route: finite differences of this function
     at s = 0 must reproduce l_prime_zero.
     """
+    import mpmath
     D = ct.D
     with mpmath.workdps(digits + 10):
         s = mpmath.mpf(s)

@@ -8,9 +8,7 @@ checks.  The discriminant lives in a shared RingCtx, not in the element.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-import mpmath
+import math
 
 
 class RingError(ValueError):
@@ -127,26 +125,14 @@ class RingElem:
         return RingElem(self.num_a, -self.num_b, self.ctx)
 
     def norm(self) -> int:
-        """Field norm x * conj(x), always a rational integer."""
-        n = self * self.conj()
-        assert n.num_b == 0
-        q, r = divmod(n.num_a, 2)
-        assert r == 0
-        return q
+        """Field norm x * conj(x) = (a^2 - D*b^2)/4, exact since a = b (mod 2)."""
+        return (self.num_a * self.num_a - self.ctx.D * self.num_b * self.num_b) // 4
 
     def is_zero(self) -> bool:
         return self.num_a == 0 and self.num_b == 0
 
     def is_one(self) -> bool:
         return self.num_a == 2 and self.num_b == 0
-
-    def as_fraction_pair(self) -> tuple[Fraction, Fraction]:
-        """(rational part, sqrt(D) part) as exact fractions."""
-        return Fraction(self.num_a, 2), Fraction(self.num_b, 2)
-
-    def embed(self) -> mpmath.mpf:
-        """Real embedding under the positive root; see :func:`embed_real`."""
-        return embed_real(self)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -178,18 +164,27 @@ def canonical_str(x: RingElem) -> str:
     return f"({x.num_a}{sign}{abs(x.num_b)}*sqrt({x.ctx.D}))/2"
 
 
-def embed_real(x: RingElem, ctx: RingCtx | None = None, digits: int = 50) -> mpmath.mpf:
-    """(num_a + num_b*sqrt(D))/2 as a high-precision real.
+def embed_midpoint(x: RingElem) -> tuple[int, int]:
+    """(n, k) such that n / 2^k rounds like (a + b*sqrt(D))/2 to any float.
 
-    Accurate to at least `digits` significant digits of the *result*: the
-    working precision is padded by the operand size so that near-cancellation
-    between a and b*sqrt(D) cannot wipe the answer out.
+    For b != 0 the value is irrational, so 2^k * (a + b*sqrt(D)) lies strictly
+    between integers L and L + 1, found with one isqrt.  With k = 64 + bitlen
+    + bitlen(D), |L| >= 2^64 because |a + b*sqrt(D)| >= 4 / (|a| + |b|*sqrt(D))
+    (a^2 - D*b^2 is a nonzero multiple of 4), so no rounding boundary of a
+    float lies between them and the midpoint (2L + 1) / 2^(k+2) rounds alike.
     """
-    if ctx is None:
-        ctx = x.ctx
-    elif ctx.D != x.ctx.D:
-        raise RingError(f"context mismatch: D={x.ctx.D} vs D={ctx.D}")
-    pad = max(len(str(abs(x.num_a))), len(str(abs(x.num_b))))
-    with mpmath.workdps(2 * pad + digits + 10):
-        val = (x.num_a + x.num_b * mpmath.sqrt(ctx.D)) / 2
-        return +val
+    a, b, D = x.num_a, x.num_b, x.ctx.D
+    if b == 0:
+        return a, 1
+    k = 64 + max(a.bit_length(), b.bit_length()) + D.bit_length()
+    r = math.isqrt(b * b * D << 2 * k)  # floor(|b| sqrt(D) 2^k)
+    return 2 * ((a << k) + (r if b > 0 else -r - 1)) + 1, k + 2
+
+
+def embed_real(x: RingElem) -> float:
+    """(a + b*sqrt(D))/2 correctly rounded to a float, +-inf past its range."""
+    n, k = embed_midpoint(x)
+    try:
+        return n / (1 << k)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf

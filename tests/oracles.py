@@ -7,6 +7,8 @@ no code with the library paths they check.
 
 from functools import lru_cache
 
+import mpmath
+
 from hecke_eta.characters import build_char_table
 from hecke_eta.cyclotomic import CycPoly, project_to_quad
 
@@ -48,6 +50,17 @@ def _count_with_allowed(k, max_part, allowed):
 def count_partitions_with_parts(k, allowed_parts):
     """Partitions of k into parts from the ascending tuple allowed_parts."""
     return _count_with_allowed(k, k, tuple(sorted(allowed_parts)))
+
+
+def embed_mp(x, dps=60):
+    """(a + b sqrt(D))/2 in mpmath to dps significant digits: the working
+    precision is padded by the operand length, so cancellation between a and
+    b sqrt(D) cannot eat into them."""
+    pad = len(str(max(abs(x.num_a), abs(x.num_b))))
+    with mpmath.workdps(dps + 2 * pad + 10):
+        value = (x.num_a + x.num_b * mpmath.sqrt(x.ctx.D)) / 2
+    with mpmath.workdps(dps):
+        return +value
 
 
 def _halve(n):

@@ -174,7 +174,7 @@ def test_criterion_08_growth_envelope(capsys):
     for D, n_max in ((5, 800), (13, 200), (17, 200)):
         series = eta_series(D, n_max)
         for N in range(1, n_max + 1):
-            val = abs(float(embed_real(series.coeffs[N], digits=30)))
+            val = abs(float(embed_real(series.coeffs[N])))
             env = analytic.bound_envelope(D, N)
             worst_ratio = max(worst_ratio, val / env)
             if val > env:

@@ -40,7 +40,7 @@ class TestEvalEta:
         v = float(series.valuation)
         total = 0
         for k, c in enumerate(series.coeffs):
-            total += complex(embed_real(c, digits=30)) * q**k
+            total += complex(embed_real(c)) * q**k
         total *= cmath.exp(2j * math.pi * v * z / math.sqrt(5))
         assert abs(total - eval_eta_numeric(5, z, 300)) < 1e-12
 
@@ -166,5 +166,5 @@ class TestEnvelope:
         for D in (5, 13, 17):
             series = eta_series(D, 100)
             for N in range(1, 101):
-                val = abs(float(embed_real(series.coeffs[N], digits=30)))
+                val = abs(float(embed_real(series.coeffs[N])))
                 assert val <= bound_envelope(D, N)

@@ -2,11 +2,15 @@ import json
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
+import mpmath
 import pytest
+from oracles import embed_mp
 
 from hecke_eta import cli
 from hecke_eta.characters import fundamental_discriminants, is_fundamental
+from hecke_eta.quad_ring import RingElem, ring_ctx
 
 
 def run_cli(capsys, *argv):
@@ -180,31 +184,53 @@ class TestCostLimits:
             assert cli._partitions_s(D, 400) <= cli.TIME_BUDGET_S
 
 
+class TestNumericBudget:
+    """verify-modularity and grid refuse work predicted to exceed the time budget."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("grid", "--D", "5", "--im-min", "1e-6", "--im-max", "1e-6", "--re-steps", "1",
+             "--im-steps", "1", "--nmax", "100000000"),
+            ("verify-modularity", "--D", "5", "--samples", "100000000"),
+        ],
+    )
+    def test_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert "time budget" in err
+
+    @pytest.mark.parametrize("command, D", [("verify-modularity", 101), ("grid", 17)])
+    def test_first_refused_size_exits_at_once(self, capsys, command, D):
+        """The smallest sample count (grid: row count) over budget, default --nmax."""
+        per_unit = 4 if command == "verify-modularity" else 2 * 20
+        k = 1
+        while cli._numeric_s(D, per_unit * k, 300) <= cli.TIME_BUDGET_S:
+            k += 1
+        size = ["--samples", str(k)] if command == "verify-modularity" else [
+            "--re-steps", "20", "--im-steps", str(k)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--D", str(D), *size)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert "time budget" in err
+
+    def test_benchmark_ranges_stay_accepted(self):
+        for D in fundamental_discriminants(101):
+            assert cli._numeric_s(D, 4 * 20, 300) <= cli.TIME_BUDGET_S
+        for D in (5, 13, 17):
+            assert cli._numeric_s(D, 2 * 20 * 6, 300) <= cli.TIME_BUDGET_S
+
+
 def _first_fundamental_above(n):
     D = n + 1
     while not is_fundamental(D):
         D += 1
     return D
-
-
-class TestDiscriminantCap:
-    """chars, lvalues and periods refuse D above their measured limits."""
-
-    @pytest.mark.parametrize("command", sorted(cli.D_CAP))
-    @pytest.mark.parametrize("past", ["first", "far"])
-    def test_refused_at_once(self, capsys, command, past):
-        cap = cli.D_CAP[command]
-        D = _first_fundamental_above(cap) if past == "first" else 10**30 + 1
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, command, "--D", str(D))
-        assert time.perf_counter() - start < 5
-        assert code == 2
-        assert out == ""
-        assert f"exceeds the limit {cap}" in err
-
-    def test_benchmark_ranges_stay_accepted(self):
-        for command in ("chars", "lvalues", "periods"):
-            assert cli.D_CAP[command] >= 200
 
 
 SUBCOMMANDS_WITH_D = [
@@ -219,6 +245,38 @@ SUBCOMMANDS_WITH_D = [
     ("chars",),
     ("grid",),
 ]
+
+
+class TestDiscriminantCap:
+    """Every --D command refuses D above its measured limit before any work."""
+
+    def test_every_command_with_D_is_capped(self):
+        assert set(cli.D_CAP) == {argv[0] for argv in SUBCOMMANDS_WITH_D}
+
+    @pytest.mark.parametrize("command", sorted(cli.D_CAP))
+    @pytest.mark.parametrize("past", ["first", "far"])
+    def test_refused_at_once(self, capsys, command, past):
+        cap = cli.D_CAP[command]
+        D = _first_fundamental_above(cap) if past == "first" else 10**30 + 1
+        extra = next(argv[1:] for argv in SUBCOMMANDS_WITH_D if argv[0] == command)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--D", str(D), *extra)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert f"exceeds the limit {cap}" in err
+
+    def test_benchmark_ranges_stay_accepted(self):
+        for command in cli.D_CAP:
+            assert cli.D_CAP[command] >= 200
+
+    def test_cost_models_refuse_everything_above_their_caps(self):
+        """The caps of oracle-check and partitions only stop the trial division."""
+        cap = cli.D_CAP["oracle-check"]
+        for D in fundamental_discriminants(2 * cap):
+            if D > cap:
+                assert cli._oracle_check_s(D, 1) > cli.TIME_BUDGET_S
+        assert cli._partitions_s(cli.D_CAP["partitions"] + 1, 0) > cli.TIME_BUDGET_S
 
 
 class TestDiscriminantCheck:
@@ -274,6 +332,16 @@ class TestGrowth:
             "--window-max", "10",
         )
         assert code == 2
+
+    def test_log_past_the_float_range(self, capsys, monkeypatch):
+        ctx = ring_ctx(5)
+        big = [RingElem(2**1100, 2**1100, ctx), RingElem(-(2**1100) - 2, 2**1099, ctx)]
+        monkeypatch.setattr(cli, "eta_series", lambda D, N: SimpleNamespace(coeffs=[None, *big]))
+        code, out, _ = run_cli(capsys, "growth", "--D", "5", "--N", "2", "--format", "json")
+        assert code == 0
+        ys = [y for _, y in json.loads(out)["pairs"]]
+        assert ys == [float(mpmath.log(abs(embed_mp(x)))) for x in big]
+        assert all(y > 709 for y in ys)
 
 
 class TestGrid:

@@ -2,7 +2,7 @@ import random
 
 import mpmath
 import pytest
-from oracles import period_polynomials_by_product
+from oracles import embed_mp, period_polynomials_by_product
 
 from hecke_eta import cyclotomic
 from hecke_eta.characters import CharTable, build_char_table, fundamental_discriminants
@@ -16,7 +16,7 @@ from hecke_eta.cyclotomic import (
     trace,
 )
 from hecke_eta.qseries import _mul_pairs
-from hecke_eta.quad_ring import RingElem, RingError, embed_real, ring_ctx
+from hecke_eta.quad_ring import RingElem, RingError, ring_ctx
 
 
 def numeric_value(u: CycPoly, dps=60):
@@ -147,7 +147,7 @@ class TestProjection:
                             u.coeffs[h * k % D] += v[k]
                 x = project_to_quad(u, ct)
                 with mpmath.workdps(60):
-                    diff = abs(numeric_value(u) - embed_real(x, digits=50))
+                    diff = abs(numeric_value(u) - embed_mp(x, 50))
                     assert diff < mpmath.mpf(10) ** -30
 
 
@@ -194,7 +194,7 @@ class TestPeriodPolynomials:
             for a in ct.qr_list[:3]:
                 x = mpmath.e ** (-2j * mpmath.pi * a / 13)
                 val = sum(
-                    embed_real(c, digits=40) * x**k for k, c in enumerate(pair.f_plus)
+                    embed_mp(c, 40) * x**k for k, c in enumerate(pair.f_plus)
                 )
                 assert abs(val) < mpmath.mpf(10) ** -25
 

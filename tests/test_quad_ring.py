@@ -1,6 +1,8 @@
-import mpmath
+import math
+
 import pytest
 from hypothesis import given, strategies as st
+from oracles import embed_mp
 
 from hecke_eta.quad_ring import (
     RingCtx,
@@ -10,6 +12,7 @@ from hecke_eta.quad_ring import (
     embed_real,
     ring_ctx,
 )
+from hecke_eta.qseries import eta_series
 
 
 CTX5 = ring_ctx(5)
@@ -24,6 +27,28 @@ def o_d_elements(D=5):
     ctx = ring_ctx(D)
     ints = st.integers(min_value=-10**6, max_value=10**6)
     return st.builds(lambda s, t: RingElem(2 * s + t, t, ctx), ints, ints)
+
+
+# Numerator pair of a unit of O_D whose real embedding is below 1 in size.
+SMALL_UNITS = {5: (1, -1), 13: (3, -1), 21: (5, -1), 101: (20, -2)}
+
+
+@st.composite
+def cancelling_elements(draw):
+    """y * e^k for random y and a small unit e: a and b*sqrt(D) agree in
+    about k digits, so the embedding cancels them."""
+    ctx = ring_ctx(draw(st.sampled_from(sorted(SMALL_UNITS))))
+    ints = st.integers(min_value=-(10**20), max_value=10**20)
+    s, t = draw(ints), draw(ints)
+    x = RingElem(2 * s + t, t, ctx)
+    e = RingElem(*SMALL_UNITS[ctx.D], ctx)
+    for _ in range(draw(st.integers(min_value=0, max_value=150))):
+        x = x * e
+    return x
+
+
+def correctly_rounded(x):
+    return float(embed_mp(x, 60))
 
 
 class TestExamples:
@@ -46,15 +71,27 @@ class TestExamples:
         assert x.conj().conj() == x
 
     def test_embed_examples(self):
-        v = embed_real(elem(-2, -2), digits=50)
-        with mpmath.workdps(60):
-            expected = -(1 + mpmath.sqrt(5))
-            assert abs(v - expected) < mpmath.mpf(10) ** -48
+        a_5_3 = eta_series(5, 3).coeffs[3]
+        assert a_5_3 == elem(0, -4)  # -2 sqrt5, with a = 0
+        for x in (elem(-2, -2), elem(7, 1), elem(7, -1), elem(-7, 1), a_5_3, elem(-6, 0)):
+            assert embed_real(x) == correctly_rounded(x)
         assert embed_real(elem(0, 0)) == 0
-        v2 = embed_real(elem(7, 1), digits=50)
-        with mpmath.workdps(60):
-            expected = (7 + mpmath.sqrt(5)) / 2
-            assert abs(v2 - expected) < mpmath.mpf(10) ** -48
+        assert embed_real(elem(-6, 0)) == -3.0
+
+    def test_embed_of_units_that_cancel_worst(self):
+        """((1 - sqrt5)/2)^k has norm +-1, so a and b sqrt5 agree to ~k/2 digits."""
+        u = elem(1, -1)
+        x = elem(2, 0)
+        for _ in range(300):
+            x = x * u
+            assert abs(x.norm()) == 1
+            assert embed_real(x) == correctly_rounded(x)
+        assert 0 < abs(embed_real(x)) < 1e-60
+
+    def test_embed_past_the_float_range(self):
+        big = 2**1100
+        assert embed_real(elem(big, big)) == math.inf
+        assert embed_real(elem(-big, 0)) == -math.inf
 
 
 class TestInvariants:
@@ -91,13 +128,14 @@ class TestInvariants:
         assert prod.num_b == 0
         assert x.norm() * 2 == prod.num_a
 
-    @given(o_d_elements(), o_d_elements())
-    def test_embed_is_ring_homomorphism(self, x, y):
-        with mpmath.workdps(60):
-            lhs = embed_real(x * y, digits=50)
-            rhs = embed_real(x, digits=50) * embed_real(y, digits=50)
-            scale = max(1, abs(rhs))
-            assert abs(lhs - rhs) / scale < mpmath.mpf(10) ** -40
+    @given(o_d_elements())
+    def test_embed_is_correctly_rounded(self, x):
+        assert embed_real(x) == correctly_rounded(x)
+
+    @given(cancelling_elements())
+    def test_embed_is_correctly_rounded_under_cancellation(self, x):
+        assert embed_real(x) == correctly_rounded(x)
+        assert embed_real(x.conj()) == correctly_rounded(x.conj())
 
 
 class TestRepresentation:
@@ -112,9 +150,3 @@ class TestRepresentation:
     def test_int_comparison(self):
         assert RingElem.from_int(3, CTX5) == 3
         assert elem(7, 1) != 3
-
-    def test_fraction_pair(self):
-        from fractions import Fraction
-
-        a, b = elem(7, 1).as_fraction_pair()
-        assert (a, b) == (Fraction(7, 2), Fraction(1, 2))
