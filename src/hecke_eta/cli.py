@@ -27,24 +27,30 @@ from .quad_ring import canonical_str, embed_midpoint, embed_real
 # Precision of L'(0) in `lvalues`; the printed float carries 17 digits.
 L_PRIME_DIGITS = 50
 
-# Commands whose --N is checked against 1 <= N <= MAX_ORDER.
+# Commands whose --N is checked against 1 <= N <= MAX_ORDER and, where they
+# take --D, against the series cost model _series_s.
 ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 
-# oracle-check, partitions, verify-modularity and grid refuse, with exit 2,
-# any input whose predicted run time exceeds TIME_BUDGET_S.  The models were
-# fitted to end-to-end runs on a 2-vCPU x86-64 machine with Python 3.11
-# (oracle-check: 15 runs, D 5..101, up to 61 s; partitions: 11 runs, D
-# 5..1001, up to 65 s; the character-table term: `chars` at D up to 10^5;
-# the numeric model: 11 runs, D 5..4000001, nmax 1..5000, up to 37 s) and
-# scaled so that none of those runs took longer than predicted; they
-# over-predict by up to 1.5x, 1.3x and 2x.
+# oracle-check, partitions, verify-modularity, grid, coeffs, signs and growth
+# refuse, with exit 2, any input whose predicted run time exceeds
+# TIME_BUDGET_S.  The models were fitted to end-to-end runs on a 2-vCPU
+# x86-64 machine with Python 3.11 (oracle-check: 15 runs, D 5..101, up to
+# 61 s; partitions: 11 runs, D 5..1001, up to 65 s; the character-table
+# term: `chars` at D up to 10^5; the numeric model: 11 runs, D 5..4000001,
+# nmax 1..5000, up to 37 s; the series model: 23 runs of coeffs, D
+# 5..3999997, N 1..17000, up to 67 s, where signs and growth cost the same)
+# and scaled so that none of those runs took longer than predicted; they
+# over-predict by up to 1.5x, 1.3x, 2x and 1.9x.
 TIME_BUDGET_S = 60
 
 # Largest --D of each command, checked before the discriminant's trial
 # division, measured end to end on the same machine with the least work the
-# command accepts.  periods, O(phi(D)^2) products of coefficients that grow
-# with D, is slowest at prime D: 25 s at D = 8009, 47 s at 10009, 45 s at
-# 11057 and 58 s at 12037.  lvalues, one 50-digit log-Gamma per residue, took
+# command accepts.  periods, three transforms of length phi(D)/2 on
+# coefficients whose width varies with D, is slowest at prime D: 6.3 s at
+# D = 10009, 4-11 s at six random primes in 12000..20000, 13 s and 33 MB at
+# 20021, 14 s at 22697, 31 s at 25033, 37 s at 33013 and 145 s at 40009,
+# where the coefficients are twice as wide as at 33013; the cap keeps a 4x
+# margin for that spread.  lvalues, one 50-digit log-Gamma per residue, took
 # 20 s at D = 400001 and 53 s at 1000001.  chars, linear in D, took 3.9 s at
 # D = 1000001 and 18 s at 4000001, where it held 354 MB; coeffs, signs and
 # growth at N = 1 took 16 s and 202 MB there, and grid at one point 33 s and
@@ -60,7 +66,7 @@ D_CAP = {
     "verify-modularity": 2_000_000,
     "lvalues": 1_000_000,
     "partitions": 1_000_000,
-    "periods": 10_000,
+    "periods": 20_000,
     "oracle-check": 2_500,
 }
 
@@ -122,6 +128,15 @@ def _numeric_s(D: int, evaluations: int, nmax: int) -> float:
     return evaluations * (4e-5 + D * (6e-6 + 5e-7 * max(nmax, 0)))
 
 
+def _residual(check, D: int, z: complex, nmax: int) -> float:
+    """A law-check residual; inf where the truncated product overflows the
+    float range, which then reads as a failed point."""
+    try:
+        return check(D, z, nmax)
+    except OverflowError:
+        return math.inf
+
+
 def cmd_verify_modularity(args) -> int:
     if _numeric_s(args.D, 4 * args.samples, args.nmax) > TIME_BUDGET_S:
         return _usage_error("--samples and --nmax exceed the time budget")
@@ -129,8 +144,8 @@ def cmd_verify_modularity(args) -> int:
     worst = 0.0
     failures = 0
     for z in points:
-        r_inv = analytic.check_inversion(args.D, z, args.nmax)
-        r_tra = analytic.check_translation(args.D, z, args.nmax)
+        r_inv = _residual(analytic.check_inversion, args.D, z, args.nmax)
+        r_tra = _residual(analytic.check_translation, args.D, z, args.nmax)
         worst = max(worst, r_inv, r_tra)
         ok = r_inv < args.tol and r_tra < args.tol
         if not ok:
@@ -141,6 +156,13 @@ def cmd_verify_modularity(args) -> int:
         )
     print(f"worst residual {worst:.3e} over {len(points)} points (tol {args.tol:g})")
     return 0 if failures == 0 else 1
+
+
+def _series_s(D: int, N: int) -> float:
+    """Predicted seconds of coeffs, signs or growth: the O(D) character
+    table, then the kernel on coefficients whose width grows with N and,
+    up to D of about 10^5, with D."""
+    return 4.7e-6 * D + 1.45e-9 * N**2.4 * min(D, 100_000) ** 0.3
 
 
 def _oracle_check_s(D: int, N: int) -> float:
@@ -440,6 +462,8 @@ def main(argv=None) -> int:
             return _usage_error("--N must be >= 1")
         if args.N > MAX_ORDER:
             return _usage_error(f"--N exceeds capacity limit {MAX_ORDER}")
+        if D is not None and _series_s(D, args.N) > TIME_BUDGET_S:
+            return _usage_error("--D and --N exceed the time budget")
     return args.func(args)
 
 

@@ -10,11 +10,15 @@ eta_D is the Lambert series sum_k b(k) q^k with
     b(k) = -(sum_{d|k} d chi(d) + sqrt(D) sum_{d|k} d chi(k/d)),
 
 and the coefficients follow from the Euler-transform recurrence
-k a(k) = sum_{j<=k} b(j) a(k-j), O(N^2) big-int products whatever D is.
-The loop, euler_transform, runs on plain numerator pairs, not RingElem
-objects, and also expands the period polynomials; every division by k
-must be exact, so a wrong b(k), character value or sign convention for
-sqrt(D) raises RingError instead of returning coefficients.
+k a(k) = sum_{j<=k} b(j) a(k-j), whatever D is.  euler_transform evaluates
+it online, divide and conquer: a block of known a(i) reaches all later sums
+through one Kronecker-substituted integer product (_pair_product), so the
+cost is O(log N) levels of Karatsuba products instead of O(N^2) scalar
+ones; blocks of coefficients too wide for that to pay use dot products.
+It runs on plain numerator pairs, not RingElem objects, and also expands
+the period polynomials; every division by k must be exact, so a wrong
+b(k), character value or sign convention for sqrt(D) raises RingError
+instead of returning coefficients.
 """
 
 from __future__ import annotations
@@ -26,12 +30,12 @@ from .characters import build_char_table
 from .lseries import l_minus_one
 from .quad_ring import RingElem, RingCtx, RingError, ring_ctx
 
-# Largest order the CLI accepts, from the measured cost of the O(N^2)
-# recurrence for its most expensive command, `hecke-eta delta5` (tau_5 has
-# larger coefficients than a_D): it took 53 s end to end at N = 12000, 60 s
-# at 13000 and 72 s at 14000 on a 2-vCPU x86-64 machine with Python 3.11,
-# where `coeffs --D 5 --N 13000` took 48 s.
-MAX_ORDER = 12_000
+# Largest order the CLI accepts, from the measured cost of its most expensive
+# order-capped command, `hecke-eta delta5` (tau_5 has larger coefficients
+# than a_D), end to end on a 2-vCPU x86-64 machine with Python 3.11: 24 s at
+# N = 12000, 44 s at 16000, 54 s at 17000, 58 s at 18000 and 71 s at 20000,
+# with a peak RSS of 48 MB at 16000; `coeffs --D 5 --N 17000` took 18 s.
+MAX_ORDER = 16_000
 
 
 class SeriesError(ValueError):
@@ -93,23 +97,77 @@ def _halve(n: int) -> int:
     return q
 
 
+def _slot_bytes(P, Q, A, B, D: int) -> int:
+    """Byte width of a Kronecker slot that holds every coefficient of
+    X = P A + D Q B and Y = P B + Q A, for nonempty P, Q of one length and
+    A, B of one length.
+
+    A coefficient sums at most n = min(len P, len A) products, so
+    |X_k| <= n max|P,Q| max|A,B| (1 + D) and |Y_k| <= 2 n max|P,Q| max|A,B|;
+    both are below 2^(w-1) when w covers the bit lengths of n, max|P,Q|,
+    max|A,B| and D + 1 plus a sign bit.
+    """
+    bits = (
+        min(len(P), len(A)).bit_length()
+        + max(max(P), -min(P), max(Q), -min(Q)).bit_length()
+        + max(max(A), -min(A), max(B), -min(B)).bit_length()
+        + (D + 1).bit_length()
+        + 1
+    )
+    return (bits + 7) // 8
+
+
+def _bias(wb: int, n: int) -> int:
+    """2^(8 wb - 1) in each of n slots of wb bytes."""
+    return int.from_bytes((bytes(wb - 1) + b"\x80") * n, "little")
+
+
+def _pack(seq, wb: int) -> int:
+    """sum_i seq[i] 2^(8 wb i): every slot is biased by 2^(8 wb - 1) on the
+    way into bytes, and the bias is subtracted again as one integer."""
+    half = 1 << (8 * wb - 1)
+    biased = b"".join([(c + half).to_bytes(wb, "little") for c in seq])
+    return int.from_bytes(biased, "little") - _bias(wb, len(seq))
+
+
+def _unpack(z: int, wb: int, lo: int, hi: int) -> list[int]:
+    """Slots lo..hi-1 of z = sum_k c_k 2^(8 wb k), |c_k| < 2^(8 wb - 1).
+
+    Adding the bias lifts every slot into [0, 2^(8 wb)), so no borrow
+    crosses a slot boundary; slots from hi up are cut off by the mask.
+    """
+    half = 1 << (8 * wb - 1)
+    data = ((z + _bias(wb, hi)) & ((1 << (8 * wb * hi)) - 1)).to_bytes(wb * hi, "little")
+    return [
+        int.from_bytes(data[i : i + wb], "little") - half
+        for i in range(wb * lo, wb * hi, wb)
+    ]
+
+
+def _pair_product(P, Q, A, B, D: int, lo: int, hi: int, wb: int):
+    """Coefficients lo..hi-1 of X = P A + D Q B and Y = P B + Q A, the
+    numerator-pair product (P + Q sqrt(D))(A + B sqrt(D)) before halving.
+
+    Kronecker substitution with slots of wb bytes (from _slot_bytes): each
+    operand becomes one integer, and three integer products PA, QB and
+    (P + Q)(A + B) give both X and Y.
+    """
+    pP, pQ, pA, pB = (_pack(s, wb) for s in (P, Q, A, B))
+    pa = pP * pA
+    qb = pQ * pB
+    return (
+        _unpack(pa + D * qb, wb, lo, hi),
+        _unpack((pP + pQ) * (pA + pB) - pa - qb, wb, lo, hi),
+    )
+
+
 def _mul_pairs(A1, B1, A2, B2, D: int, N: int) -> tuple[list[int], list[int]]:
     """Truncated product of two numerator-pair series (denominator 2); a
     shorter operand reads as zero-padded."""
-    A = [0] * (N + 1)
-    B = [0] * (N + 1)
-    for i in range(min(N + 1, len(A1))):
-        a1 = A1[i]
-        b1 = B1[i]
-        if a1 == 0 and b1 == 0:
-            continue
-        for j in range(min(N + 1 - i, len(A2))):
-            a2 = A2[j]
-            b2 = B2[j]
-            if a2 == 0 and b2 == 0:
-                continue
-            A[i + j] += a1 * a2 + D * b1 * b2
-            B[i + j] += a1 * b2 + b1 * a2
+    A1, B1, A2, B2 = A1[: N + 1], B1[: N + 1], A2[: N + 1], B2[: N + 1]
+    if not A1 or not A2:
+        return [0] * (N + 1), [0] * (N + 1)
+    A, B = _pair_product(A1, B1, A2, B2, D, 0, N + 1, _slot_bytes(A1, B1, A2, B2, D))
     return [_halve(a) for a in A], [_halve(b) for b in B]
 
 
@@ -164,22 +222,98 @@ def euler_transform(P, Q, D: int, N: int) -> tuple[list[int], list[int]]:
     through their power sums.  A division by 2k that leaves a remainder
     means a wrong b(j), character value or sign convention for sqrt(D), and
     raises RingError.
+
+    The sums are accumulated online, divide and conquer: once a(l..m-1) are
+    known, their whole contribution to the sums of k in [m, r) is added in
+    one block step (_block), so the cost is that of O(log N) levels of
+    polynomial products instead of O(N^2) scalar ones.
     """
-    DQ = [D * x for x in Q]
-    A = [2]
-    B = [0]
-    for k in range(1, N + 1):
-        ta, ra = divmod(
-            sum(map(mul, P, reversed(A))) + sum(map(mul, DQ, reversed(B))), 2 * k
-        )
-        tb, rb = divmod(
-            sum(map(mul, P, reversed(B))) + sum(map(mul, Q, reversed(A))), 2 * k
-        )
-        if ra or rb:
-            raise RingError(f"inexact division by {k} in euler_transform")
-        A.append(ta)
-        B.append(tb)
+    P = list(P[:N]) + [0] * (N - len(P))
+    Q = list(Q[:N]) + [0] * (N - len(Q))
+    A = [2] + [0] * N
+    B = [0] * (N + 1)
+    X = [0] * (N + 1)
+    Y = [0] * (N + 1)
+    _solve(P, Q, [D * x for x in Q], D, A, B, X, Y, 0, N + 1)
     return A, B
+
+
+# Ranges of at most this many orders run the plain recurrence.
+_LEAF = 48
+
+
+def _solve(P, Q, DQ, D, A, B, X, Y, l: int, r: int) -> None:
+    """Fill A, B on [l, r), given that X[k], Y[k] for k in [l, r) already
+    hold the contributions of every a(i) with i < l."""
+    if r - l <= _LEAF:
+        _leaf(P, Q, DQ, A, B, X, Y, l, r)
+        return
+    m = (l + r) // 2
+    _solve(P, Q, DQ, D, A, B, X, Y, l, m)
+    _block(P, Q, DQ, D, A, B, X, Y, l, m, r)
+    _solve(P, Q, DQ, D, A, B, X, Y, m, r)
+
+
+def _leaf(P, Q, DQ, A, B, X, Y, l: int, r: int) -> None:
+    """The plain recurrence on [l, r), starting from the sums in X, Y."""
+    for k in range(max(l, 1), r):
+        ra = A[l:k]
+        rb = B[l:k]
+        ra.reverse()
+        rb.reverse()
+        ta, rem_a = divmod(
+            X[k] + sum(map(mul, P, ra)) + sum(map(mul, DQ, rb)), 2 * k
+        )
+        tb, rem_b = divmod(
+            Y[k] + sum(map(mul, P, rb)) + sum(map(mul, Q, ra)), 2 * k
+        )
+        if rem_a or rem_b:
+            raise RingError(f"inexact division by {k} in euler_transform")
+        A[k] = ta
+        B[k] = tb
+
+
+def _block(P, Q, DQ, D, A, B, X, Y, l: int, m: int, r: int) -> None:
+    """Add the contribution of a(l..m-1) to X[k], Y[k] for k in [m, r).
+
+    That is the middle of the product of a(l..m-1) with b(1..r-l-1): by
+    Kronecker substitution when the block is long enough for its slot
+    width (_kronecker_pays), else by one dot product per k.
+    """
+    a = A[l:m]
+    b = B[l:m]
+    p = P[: r - l - 1]
+    q = Q[: r - l - 1]
+    wb = _slot_bytes(p, q, a, b, D)
+    if _kronecker_pays(m - l, wb):
+        xs, ys = _pair_product(p, q, a, b, D, m - l - 1, r - l - 1, wb)
+        for k, x, y in zip(range(m, r), xs, ys):
+            X[k] += x
+            Y[k] += y
+        return
+    a.reverse()
+    b.reverse()
+    for k in range(m, r):
+        pk = P[k - m : k - l]
+        X[k] += sum(map(mul, pk, a)) + sum(map(mul, DQ[k - m : k - l], b))
+        Y[k] += sum(map(mul, pk, b)) + sum(map(mul, Q[k - m : k - l], a))
+
+
+def _kronecker_pays(n: int, wb: int) -> bool:
+    """Whether a block of n known orders with slots of wb bytes is faster by
+    Kronecker substitution than by dot products.
+
+    A dot product multiplies the narrow b(j) into each wide a(i) in linear
+    time, while the integer product pads b(j) out to the slot and pays
+    Karatsuba on the whole width, so the crossover grows with the width.
+    Measured on random blocks (b of 14 bits, 2-vCPU x86-64, Python 3.11):
+    Kronecker is faster from n = 8 at wb = 11, 10 at 19, 19 at 27, 23 at 35,
+    135 at 52, 260 at 68, 500 at 100 and 1050 at 132.  n >= wb^2 / 18 fits
+    the wide end and gives up at most 1.5x near the narrow crossovers; over
+    whole transforms it beat wb^2 / 9 and wb^2 / 36 (eta_5^5 at N = 4000:
+    1.63 s against 1.76 s and 1.84 s).
+    """
+    return n >= max(8, wb * wb / 18)
 
 
 def _eta_power(D: int, N: int, r: int) -> QSeries:

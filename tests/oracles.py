@@ -6,6 +6,7 @@ no code with the library paths they check.
 """
 
 from functools import lru_cache
+from operator import mul
 
 import mpmath
 
@@ -67,6 +68,40 @@ def _halve(n):
     q, r = divmod(n, 2)
     assert r == 0, "odd numerator after a product step"
     return q
+
+
+def euler_transform_plain(P, Q, D, N):
+    """The Euler-transform recurrence of qseries.euler_transform, one order
+    at a time: 2k A_k = sum_j (P_j A_{k-j} + D Q_j B_{k-j}) and
+    2k B_k = sum_j (P_j B_{k-j} + Q_j A_{k-j}), O(N^2) products."""
+    DQ = [D * x for x in Q]
+    A = [2]
+    B = [0]
+    for k in range(1, N + 1):
+        ta, ra = divmod(
+            sum(map(mul, P, reversed(A))) + sum(map(mul, DQ, reversed(B))), 2 * k
+        )
+        tb, rb = divmod(
+            sum(map(mul, P, reversed(B))) + sum(map(mul, Q, reversed(A))), 2 * k
+        )
+        assert ra == 0 and rb == 0, f"inexact division by {k}"
+        A.append(ta)
+        B.append(tb)
+    return A, B
+
+
+def mul_pairs_plain(A1, B1, A2, B2, D, N):
+    """qseries._mul_pairs by the schoolbook double loop: the truncated
+    product of two numerator-pair series, a shorter operand zero-padded."""
+    A = [0] * (N + 1)
+    B = [0] * (N + 1)
+    for i in range(min(N + 1, len(A1))):
+        a1 = A1[i]
+        b1 = B1[i]
+        for j in range(min(N + 1 - i, len(A2))):
+            A[i + j] += a1 * A2[j] + D * b1 * B2[j]
+            B[i + j] += a1 * B2[j] + b1 * A2[j]
+    return [_halve(a) for a in A], [_halve(b) for b in B]
 
 
 def _poly_step(A, B, fa, fb, n, D, sign):

@@ -134,6 +134,19 @@ class TestSmallCommands:
         assert code == 0
         assert out.count("PASS") == 3
 
+    def test_verify_modularity_overflow_is_a_failed_point(self, capsys):
+        """At D = 1001 the fifth default sample overflows the float range in
+        eta(-1/z): that point fails with residual inf, the rest still print."""
+        code, out, _ = run_cli(capsys, "verify-modularity", "--D", "1001", "--samples", "5")
+        lines = out.splitlines()
+        assert code == 1
+        assert len(lines) == 6
+        assert lines[4] == (
+            "FAIL z=-13.360656428755041+0.54500160987474144i "
+            "inversion=inf translation=1.002e-52"
+        )
+        assert lines[5] == "worst residual inf over 5 points (tol 1e-06)"
+
 
 CAPPED_COMMANDS = [("coeffs", "--D", "5"), ("signs", "--D", "5"), ("growth", "--D", "5"), ("delta5",)]
 
@@ -182,6 +195,41 @@ class TestCostLimits:
             assert cli._oracle_check_s(D, 80) <= cli.TIME_BUDGET_S
         for D in fundamental_discriminants(101):
             assert cli._partitions_s(D, 400) <= cli.TIME_BUDGET_S
+
+
+class TestSeriesBudget:
+    """coeffs, signs and growth refuse (D, N) predicted to exceed the time
+    budget, though D and N each lie inside their caps."""
+
+    @pytest.mark.parametrize("command", ["coeffs", "signs", "growth"])
+    def test_large_D_and_N_refused_at_once(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--D", "100049", "--N", "12000")
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert "time budget" in err
+
+    @pytest.mark.parametrize("D", [1001, 3999997])
+    def test_first_refused_order_exits_at_once(self, capsys, D):
+        N = 1
+        while cli._series_s(D, N) <= cli.TIME_BUDGET_S:
+            N += 1
+        assert N <= cli.MAX_ORDER
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "coeffs", "--D", str(D), "--N", str(N))
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert "time budget" in err
+
+    def test_benchmark_ranges_stay_accepted(self):
+        for D in (5, 13, 17, 21):
+            assert cli._series_s(D, 1000) <= cli.TIME_BUDGET_S
+        for D in fundamental_discriminants(200):
+            assert cli._series_s(D, 100) <= cli.TIME_BUDGET_S
+        assert cli._series_s(5, cli.MAX_ORDER) <= cli.TIME_BUDGET_S
+        assert cli._series_s(cli.D_CAP["coeffs"], 1) <= cli.TIME_BUDGET_S
 
 
 class TestNumericBudget:

@@ -1,11 +1,13 @@
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import eta_pairs_by_product
+from oracles import eta_pairs_by_product, euler_transform_plain, mul_pairs_plain
 
 from hecke_eta import qseries
-from hecke_eta.characters import fundamental_discriminants
+from hecke_eta.characters import build_char_table, fundamental_discriminants
+from hecke_eta.cyclotomic import _trace_weights
 from hecke_eta.golden import COEFF_TABLE, TAU5_TABLE
 from hecke_eta.oracle import a_via_convolution
 from hecke_eta.quad_ring import RingError
@@ -100,6 +102,132 @@ class TestEtaSeries:
         monkeypatch.setattr(qseries, "_divisor_sums", off_by_one)
         with pytest.raises(RingError, match="inexact division by 3"):
             eta_series(13, 10)
+
+
+def _lambert_inputs(D, N, r):
+    """P, Q of eta_D**r to order N, as _eta_power passes them."""
+    s1, s2 = qseries._divisor_sums(build_char_table(D).values, D, N)
+    return [-2 * r * x for x in s1], [-2 * r * x for x in s2]
+
+
+class TestOnlineKernel:
+    """The divide-and-conquer kernel against the plain recurrence."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        D=st.sampled_from(fundamental_discriminants(300)),
+        r=st.sampled_from([1, 5]),
+        N=st.integers(min_value=1, max_value=400),
+    )
+    @example(D=5, r=5, N=400)
+    @example(D=285, r=1, N=400)
+    @example(D=5, r=1, N=48)
+    @example(D=5, r=1, N=49)
+    def test_eta_inputs_match_plain(self, D, r, N):
+        P, Q = _lambert_inputs(D, N, r)
+        assert qseries.euler_transform(P, Q, D, N) == euler_transform_plain(P, Q, D, N)
+
+    @settings(max_examples=20, deadline=None)
+    @given(D=st.sampled_from(fundamental_discriminants(300)), sign=st.sampled_from([1, -1]))
+    @example(D=293, sign=-1)
+    def test_period_inputs_match_plain(self, D, sign):
+        ct = build_char_table(D)
+        c = _trace_weights(D)
+        h = len(ct.qr_list)
+        ms = range(1, h + 2)
+        P = [-c[m % D] for m in ms]
+        Q = [-sign * ct.values[m % D] for m in ms]
+        assert qseries.euler_transform(P, Q, D, h + 1) == euler_transform_plain(P, Q, D, h + 1)
+
+    @pytest.mark.parametrize("D, N, r", [(100049, 400, 1), (5, 200, 10**60)])
+    def test_wide_coefficients_on_both_sides_of_the_cutoff(self, monkeypatch, D, N, r):
+        pays = qseries._kronecker_pays
+        taken = set()
+
+        def spy(n, wb):
+            taken.add(pays(n, wb))
+            return pays(n, wb)
+
+        monkeypatch.setattr(qseries, "_kronecker_pays", spy)
+        P, Q = _lambert_inputs(D, N, r)
+        assert qseries.euler_transform(P, Q, D, N) == euler_transform_plain(P, Q, D, N)
+        # D = 100049 widens a(k) past the cut-off within one transform;
+        # r = 10^60 starts past it.
+        assert taken == ({True, False} if r == 1 else {False})
+
+    def test_leaves_no_reference_cycle(self):
+        P, Q = _lambert_inputs(5, 300, 1)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            qseries.euler_transform(P, Q, 5, 300)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_guard_fires_past_the_leaves(self, monkeypatch):
+        sums = qseries._divisor_sums
+
+        def shifted(chi, D, N):
+            s1, s2 = sums(chi, D, N)
+            s1[96] += 1
+            return s1, s2
+
+        monkeypatch.setattr(qseries, "_divisor_sums", shifted)
+        with pytest.raises(RingError, match="inexact division by 97 "):
+            eta_series(5, 200)
+
+
+def _schoolbook(P, Q, A, B, D):
+    """X = P A + D Q B and Y = P B + Q A coefficient by coefficient."""
+    n = len(P) + len(A) - 1
+    X = [0] * n
+    Y = [0] * n
+    for i, (p, q) in enumerate(zip(P, Q)):
+        for j, (a, b) in enumerate(zip(A, B)):
+            X[i + j] += p * a + D * q * b
+            Y[i + j] += p * b + q * a
+    return X, Y
+
+
+class TestPairProduct:
+    """The Kronecker block product at the edge of its slot bound."""
+
+    @pytest.mark.parametrize("D", [5, 4_000_001])
+    @pytest.mark.parametrize("bits", [1, 64, 200])
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 9), (17, 40)])
+    @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, 1, -1), (-1, -1, 1, 1)])
+    def test_extreme_operands(self, D, bits, n1, n2, signs):
+        M = (1 << bits) - 1
+        sp, sq, sa, sb = signs
+        P, Q = [sp * M] * n1, [sq * M] * n1
+        A, B = [sa * M] * n2, [sb * M] * n2
+        X, Y = _schoolbook(P, Q, A, B, D)
+        wb = qseries._slot_bytes(P, Q, A, B, D)
+        assert qseries._pair_product(P, Q, A, B, D, 0, n1 + n2 - 1, wb) == (X, Y)
+        # a middle window, and slots past the product read as zero
+        lo, hi = n1 // 2, n1 + n2 + 3
+        assert qseries._pair_product(P, Q, A, B, D, lo, hi, wb) == (
+            X[lo:] + [0] * 4,
+            Y[lo:] + [0] * 4,
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        D=st.sampled_from([5, 13, 4_000_001]),
+        f=st.lists(st.tuples(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40)), max_size=30),
+        g=st.lists(st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6)), max_size=30),
+        N=st.integers(min_value=0, max_value=70),
+    )
+    def test_mul_pairs_matches_schoolbook(self, D, f, g, N):
+        # numerator pairs of O_D elements have a - b even
+        A1 = [2 * a for a, _ in f]
+        B1 = [2 * b for _, b in f]
+        A2 = [a + b % 2 - a % 2 for a, b in g]
+        B2 = [b for _, b in g]
+        assert qseries._mul_pairs(A1, B1, A2, B2, D, N) == mul_pairs_plain(A1, B1, A2, B2, D, N)
 
 
 def _pairs(series):
