@@ -7,9 +7,24 @@ the D = 5 Hecke group, and computes the coefficient-growth envelope.
 
 The fractional q^v prefactor is always exp(2 pi i v z / sqrt(D)) computed
 from z itself, never a power of q, which removes the branch ambiguity for
-the D = 5 valuation 1/5.  Product logs are accumulated termwise (each
-factor 1 - w has Re > 0 for |w| < 1, so principal logs are safe) and
-exponentiated once, so near-real-axis points cannot overflow midway.
+the D = 5 valuation 1/5.  The product part
+
+    prod_{n<=N} (1 - q^n)^chi(n) prod_{a mod D} (1 - zeta^a q^n)^chi(a)
+
+is summed as principal logs (each factor 1 - w has Re > 0 for |w| < 1) and
+exponentiated once, so near-real-axis points cannot overflow midway.  The
+untwisted half takes one log per n.  The twisted half takes phi(D) logs
+per n only up to a split point n0; for n0 < n <= N the Gauss sum
+sum_a chi(a) zeta^{am} = chi(m) sqrt(D) and a geometric sum over n give the
+same logs in closed form,
+
+    -sqrt(D) sum_{m>=1} (chi(m)/m) q^{m(n0+1)} (1 - q^{m(N-n0)}) / (1 - q^m),
+
+summed until a bound on the remaining terms is below 2^-60.  The split is
+chosen per point from |q|, N and phi(D) to minimise the work; n0 = N is
+the plain product, so no point costs more than phi(D) + 1 logs per n.
+The per-D data (character table, q^v exponent, phi(D), roots of unity) is
+built once per D.
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .characters import CharTable, build_char_table, euler_phi, prime_factors
 from .lseries import l_minus_one, l_prime_zero
@@ -34,18 +50,98 @@ def _require_upper(z: complex) -> complex:
     return z
 
 
-def _zeta_powers(D: int) -> list[complex]:
-    return [cmath.exp(2j * math.pi * a / D) for a in range(D)]
+# The twisted series stops once the bound on its remaining terms, in the log
+# of the product, is below 2^-60.
+_LOG_EPS = -60 * math.log(2)
+
+# Cost of one twisted-series term (two expm1 and one exp) in units of one log
+# of the direct product, which weighs the split between the two: 3.6 us
+# against 0.36 us on a 2-vCPU x86-64 machine with Python 3.11.
+_TERM_COST = 10
+
+
+class _EtaData:
+    """The per-D data of the numeric evaluation; built once per D by _eta_data."""
+
+    def __init__(self, D: int):
+        ct = build_char_table(D)
+        self.D = D
+        self.chi = ct.values
+        self.sqrt_d = math.sqrt(D)
+        self.phi = euler_phi(D)
+        self.v = float(l_minus_one(ct).m_exponent)
+        self._roots = None
+
+    def roots(self) -> tuple[list[complex], list[complex]]:
+        """zeta^a for the residues and for the non-residues a mod D, built on
+        first use: only points whose split has n0 > 0 need them."""
+        if self._roots is None:
+            zetas = [cmath.exp(2j * math.pi * a / self.D) for a in range(self.D)]
+            self._roots = (
+                [w for w, e in zip(zetas, self.chi) if e == 1],
+                [w for w, e in zip(zetas, self.chi) if e == -1],
+            )
+        return self._roots
+
+
+_eta_data = lru_cache(maxsize=16)(_EtaData)
+
+
+def _series_ratio(L: float, n0: int, sqrt_d: float, log_eps: float) -> float:
+    """A real M + 1 from which the twisted series' tail is below exp(log_eps).
+
+    With r = |q| = exp(-L), the terms after M, times sqrt(D), are bounded by
+    2 sqrt(D) r^{(M+1)(n0+1)} / ((M+1)(1-r)(1-r^{n0+1})); the value returned
+    makes the factor r^{(M+1)(n0+1)} alone bring that below the target.  It
+    may be inf where L underflows.
+    """
+    k = (
+        math.log(2 * sqrt_d)
+        - math.log(-math.expm1(-L))
+        - math.log(-math.expm1(-(n0 + 1) * L))
+        - log_eps
+    )
+    return k / ((n0 + 1) * L)
+
+
+def _split(L: float, N: int, phi: int, sqrt_d: float) -> tuple[int, int]:
+    """(n0, M): direct twisted factors for n <= n0 and M series terms for the
+    rest, minimising n0 * phi + _TERM_COST * M over 0, N and the two n0 next
+    to the continuous optimum n0 + 1 = sqrt(_TERM_COST * M(0) / phi)."""
+    if not L > 0:  # Im z underflowed: |q| rounds to 1 and no bound holds
+        return N, 0
+    best = (N * phi, N, 0.0)
+    opt = math.sqrt(_TERM_COST * _series_ratio(L, 0, sqrt_d, _LOG_EPS) / phi)
+    c = int(min(N, opt))
+    for n0 in {0, c - 1, c}:
+        if 0 <= n0 < N:
+            m = max(0.0, _series_ratio(L, n0, sqrt_d, _LOG_EPS) - 1)
+            best = min(best, (n0 * phi + _TERM_COST * m, n0, m))
+    return best[1], math.ceil(best[2])
+
+
+def _expm1(w: complex) -> complex:
+    """exp(w) - 1 for Re w <= 0, accurate also where exp(w) is close to 1."""
+    s = math.sin(0.5 * w.imag)
+    return complex(
+        math.expm1(w.real) * math.cos(w.imag) - 2 * s * s,
+        math.exp(w.real) * math.sin(w.imag),
+    )
 
 
 def log_eta_tail(D: int, z: complex, n_max: int, ct: CharTable | None = None) -> complex:
-    """log of the truncated product part of eta_D (no q^v prefactor)."""
+    """log of the truncated product part of eta_D (no q^v prefactor).
+
+    ct is not needed: the character table comes with the per-D data, which
+    is built once per D.
+    """
     z = _require_upper(z)
-    if ct is None:
-        ct = build_char_table(D)
-    chi = ct.values
-    zetas = _zeta_powers(D)
-    q = cmath.exp(2j * math.pi * z / math.sqrt(D))
+    data = _eta_data(D)
+    chi = data.chi
+    t = 2j * math.pi * z / data.sqrt_d
+    q = cmath.exp(t)
+    n0, M = _split(-t.real, n_max, data.phi, data.sqrt_d)
+    plus, minus = data.roots() if n0 else ([], [])
     total = 0.0 + 0.0j
     qn = 1.0 + 0.0j
     for n in range(1, n_max + 1):
@@ -55,20 +151,24 @@ def log_eta_tail(D: int, z: complex, n_max: int, ct: CharTable | None = None) ->
         e = chi[n % D]
         if e:
             total += e * cmath.log(1 - qn)
-        for a in range(1, D):
-            ea = chi[a]
-            if ea:
-                total += ea * cmath.log(1 - zetas[a] * qn)
-    return total
+        if n <= n0:
+            total += sum(cmath.log(1 - w * qn) for w in plus)
+            total -= sum(cmath.log(1 - w * qn) for w in minus)
+    series = 0.0 + 0.0j
+    for m in range(1, M + 1):
+        c = chi[m % D]
+        if c:
+            w = m * t
+            series += c / m * cmath.exp((n0 + 1) * w) * _expm1((n_max - n0) * w) / _expm1(w)
+    return total - data.sqrt_d * series
 
 
 def eval_eta_numeric(D: int, z: complex, n_max: int = 300) -> complex:
     """Truncated eta_D(z) with q = exp(2 pi i z / sqrt(D))."""
     z = _require_upper(z)
-    ct = build_char_table(D)
-    v = l_minus_one(ct).m_exponent
-    pref = 2j * math.pi * float(v) * z / math.sqrt(D)
-    return cmath.exp(pref + log_eta_tail(D, z, n_max, ct))
+    data = _eta_data(D)
+    pref = 2j * math.pi * data.v * z / data.sqrt_d
+    return cmath.exp(pref + log_eta_tail(D, z, n_max))
 
 
 def check_inversion(D: int, z: complex, n_max: int = 300) -> float:
@@ -102,11 +202,36 @@ def sample_half_plane_points(
     ]
 
 
+def _log_phi_sharp(ct: CharTable, y: float, n_max: int, digits: int):
+    """log Phi#(i/y) truncated at n_max, in mpmath at `digits` + 10 digits.
+
+    This is the twisted series of log_eta_tail with n0 = 0 on the real
+    q = exp(-2 pi / (y sqrt(D))), summed until its tail bound is below
+    10^-(digits+8).
+    """
+    import mpmath
+    D = ct.D
+    L = 2 * math.pi / (y * math.sqrt(D))
+    log_eps = -(digits + 8) * math.log(10)
+    M = math.ceil(max(0.0, _series_ratio(L, 0, math.sqrt(D), log_eps) - 1))
+    with mpmath.workdps(digits + 10):
+        sqrtD = mpmath.sqrt(D)
+        L = 2 * mpmath.pi / (y * sqrtD)
+        total = mpmath.mpf(0)
+        for m in range(1, M + 1):
+            c = ct.values[m % D]
+            if c:
+                x = m * L
+                total += c * mpmath.exp(-x) * mpmath.expm1(-n_max * x) / (m * mpmath.expm1(-x))
+        return -sqrtD * total
+
+
 def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> float:
     """Residual of the Phi-sharp / Phi relation on the imaginary axis.
 
     Computes |Phi#(i/y) - exp(L'(0,chi) + y pi L(-1,chi)/sqrt(D)) Phi(iy)|
-    with both products truncated at n_max, in mpmath at `digits` digits.
+    with both products truncated at n_max, in mpmath at `digits` digits:
+    Phi as its direct product, Phi# by the twisted series (_log_phi_sharp).
     """
     import mpmath
     if y <= 0:
@@ -126,18 +251,7 @@ def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> 
                 phi *= 1 - qn
             elif e == -1:
                 phi /= 1 - qn
-        q2 = mpmath.exp(-2 * mpmath.pi / (y * sqrtD))
-        zetas = [mpmath.exp(2j * mpmath.pi * a / D) for a in range(D)]
-        phi_sharp = mpmath.mpc(1)
-        qn = mpmath.mpf(1)
-        for n in range(1, n_max + 1):
-            qn *= q2
-            for a in range(1, D):
-                e = ct.values[a]
-                if e == 1:
-                    phi_sharp *= 1 - zetas[a] * qn
-                elif e == -1:
-                    phi_sharp /= 1 - zetas[a] * qn
+        phi_sharp = mpmath.exp(_log_phi_sharp(ct, y, n_max, digits))
         lval = mpmath.mpf(rec.l_minus_one.numerator) / rec.l_minus_one.denominator
         factor = mpmath.exp(lp + y * mpmath.pi * lval / sqrtD)
         return float(abs(phi_sharp - factor * phi))
@@ -289,12 +403,10 @@ def check_u_gamma(
     # tail of log eta is below ~(phi(D)+1) |q|^{n}/(1-|q|); force exponent 22
     n_needed = int(22 * math.sqrt(5) / (2 * math.pi * h)) + 1
     n_eff = max(n_max, min(n_needed, 2_000_000))
-    ct = build_char_table(5)
-    v = float(l_minus_one(ct).m_exponent)
     log_ratio = (
-        2j * math.pi * v * (gz - z) / math.sqrt(5)
-        + log_eta_tail(5, gz, n_eff, ct)
-        - log_eta_tail(5, z, n_eff, ct)
+        2j * math.pi * _eta_data(5).v * (gz - z) / math.sqrt(5)
+        + log_eta_tail(5, gz, n_eff)
+        - log_eta_tail(5, z, n_eff)
     )
     return abs(cmath.exp(log_ratio) - cmath.exp(2j * math.pi * u / 5))
 

@@ -123,8 +123,11 @@ def cmd_verify_table(args) -> int:
 
 
 def _numeric_s(D: int, evaluations: int, nmax: int) -> float:
-    """Predicted seconds of `evaluations` truncated products: each builds the
-    O(D) character table and roots of unity, then takes up to nmax * D logs."""
+    """Predicted seconds of `evaluations` truncated products, as if each built
+    the O(D) character table and roots of unity and took nmax * D logs.  That
+    is the direct product, the costliest split analytic.log_eta_tail can
+    choose; the per-D data is built once and most points sum far fewer
+    terms, so the model is an upper bound."""
     return evaluations * (4e-5 + D * (6e-6 + 5e-7 * max(nmax, 0)))
 
 
@@ -352,18 +355,22 @@ def cmd_grid(args) -> int:
     if _numeric_s(args.D, 2 * args.re_steps * args.im_steps, args.nmax) > TIME_BUDGET_S:
         return _usage_error("grid size and --nmax exceed the time budget")
     print("re,im,re_eta,im_eta,re_eta_inv,im_eta_inv")
+    overflows = 0
     for i in range(args.im_steps):
         im = args.im_min + (args.im_max - args.im_min) * i / max(1, args.im_steps - 1)
         for j in range(args.re_steps):
             re = args.re_min + (args.re_max - args.re_min) * j / max(1, args.re_steps - 1)
             z = complex(re, im)
-            w = analytic.eval_eta_numeric(args.D, z, args.nmax)
-            w_inv = analytic.eval_eta_numeric(args.D, -1 / z, args.nmax)
-            print(
-                f"{_fmt(re)},{_fmt(im)},{_fmt(w.real)},{_fmt(w.imag)},"
-                f"{_fmt(w_inv.real)},{_fmt(w_inv.imag)}"
-            )
-    return 0
+            cols = [_fmt(re), _fmt(im)]
+            for w in (z, -1 / z):
+                try:
+                    eta = analytic.eval_eta_numeric(args.D, w, args.nmax)
+                    cols += [_fmt(eta.real), _fmt(eta.imag)]
+                except OverflowError:  # past the float range: both columns read inf
+                    overflows += 1
+                    cols += ["inf", "inf"]
+            print(",".join(cols))
+    return 0 if overflows == 0 else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

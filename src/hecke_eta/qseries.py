@@ -150,15 +150,20 @@ def _pair_product(P, Q, A, B, D: int, lo: int, hi: int, wb: int):
 
     Kronecker substitution with slots of wb bytes (from _slot_bytes): each
     operand becomes one integer, and three integer products PA, QB and
-    (P + Q)(A + B) give both X and Y.
+    (P + Q)(A + B) give both X and Y.  The packed operands are dropped once
+    their sums are formed, and PA, QB once X and PA + QB are, so that only
+    the two sums and PA + QB are held next to the last product.
     """
     pP, pQ, pA, pB = (_pack(s, wb) for s in (P, Q, A, B))
     pa = pP * pA
     qb = pQ * pB
-    return (
-        _unpack(pa + D * qb, wb, lo, hi),
-        _unpack((pP + pQ) * (pA + pB) - pa - qb, wb, lo, hi),
-    )
+    pP += pQ
+    pA += pB
+    del pQ, pB
+    X = _unpack(pa + D * qb, wb, lo, hi)
+    pa += qb
+    del qb
+    return X, _unpack(pP * pA - pa, wb, lo, hi)
 
 
 def _mul_pairs(A1, B1, A2, B2, D: int, N: int) -> tuple[list[int], list[int]]:

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used only by the tests.
 
 Deliberately naive routes (enumeration, two-variable DP, the period
-polynomials and the eta product multiplied out factor by factor) that share
-no code with the library paths they check.
+polynomials and the eta product multiplied out factor by factor, exactly
+and numerically) that share no code with the library paths they check.
 """
 
+import cmath
+import math
 from functools import lru_cache
 from operator import mul
 
@@ -166,3 +168,47 @@ def eta_pairs_by_product(D, N):
         _poly_step(A, B, fpa, fpb, n, D, 1)
         _poly_step(A, B, fma, fmb, n, D, -1)
     return list(zip(A, B))
+
+
+def log_eta_tail_direct(D, z, n_max):
+    """log of the truncated product part of eta_D, one principal log per
+    factor (1 - q^n)^chi(n) and (1 - zeta^a q^n)^chi(a), n <= n_max: the
+    direct product that analytic.log_eta_tail sums in closed form past its
+    split point."""
+    chi = build_char_table(D).values
+    zetas = [cmath.exp(2j * math.pi * a / D) for a in range(D)]
+    q = cmath.exp(2j * math.pi * z / math.sqrt(D))
+    total = 0.0 + 0.0j
+    qn = 1.0 + 0.0j
+    for n in range(1, n_max + 1):
+        qn *= q
+        if abs(qn) < 1e-320:
+            break
+        e = chi[n % D]
+        if e:
+            total += e * cmath.log(1 - qn)
+        for a in range(1, D):
+            ea = chi[a]
+            if ea:
+                total += ea * cmath.log(1 - zetas[a] * qn)
+    return total
+
+
+def phi_sharp_direct(D, y, n_max, digits):
+    """Phi#(i/y) truncated at n_max as the direct mpmath product
+    prod_{n<=n_max} prod_a (1 - zeta^a q^n)^chi(a), q = exp(-2 pi/(y sqrt D)),
+    at digits + 10 working digits."""
+    chi = build_char_table(D).values
+    with mpmath.workdps(digits + 10):
+        q = mpmath.exp(-2 * mpmath.pi / (y * mpmath.sqrt(D)))
+        zetas = [mpmath.exp(2j * mpmath.pi * a / D) for a in range(D)]
+        value = mpmath.mpc(1)
+        qn = mpmath.mpf(1)
+        for n in range(1, n_max + 1):
+            qn *= q
+            for a in range(1, D):
+                if chi[a] == 1:
+                    value *= 1 - zetas[a] * qn
+                elif chi[a] == -1:
+                    value /= 1 - zetas[a] * qn
+        return value

@@ -2,7 +2,9 @@ import cmath
 import math
 
 import pytest
+from oracles import log_eta_tail_direct, phi_sharp_direct
 
+from hecke_eta import analytic
 from hecke_eta.analytic import (
     ConditioningError,
     bound_envelope,
@@ -17,6 +19,7 @@ from hecke_eta.analytic import (
     check_phi_relation,
     word_matrix,
 )
+from hecke_eta.characters import build_char_table, fundamental_discriminants
 from hecke_eta.qseries import eta_series
 from hecke_eta.quad_ring import embed_real
 
@@ -50,6 +53,69 @@ class TestEvalEta:
                 a = eval_eta_numeric(D, z, 300)
                 b = eval_eta_numeric(D, z, 600)
                 assert abs(a - b) < 1e-12
+
+
+NMAXES = (1, 50, 300, 3000)
+
+
+def _split_kind(D, z, n_max):
+    data = analytic._eta_data(D)
+    n0, _ = analytic._split(2 * math.pi * z.imag / data.sqrt_d, n_max, data.phi, data.sqrt_d)
+    return "direct" if n0 == n_max else ("series" if n0 == 0 else "mixed")
+
+
+class TestAgainstDirectProduct:
+    """The split evaluation equals the direct product at the same truncation
+    (tests/oracles.py) to 1e-10 relative, compared as exp of the log
+    difference so that large logs near the real axis cannot overflow."""
+
+    @staticmethod
+    def _assert_agrees(D, z, n_max):
+        got = analytic.log_eta_tail(D, z, n_max)
+        ref = log_eta_tail_direct(D, z, n_max)
+        assert abs(cmath.exp(got - ref) - 1) <= 1e-10, (D, z, n_max)
+
+    @pytest.mark.parametrize("D", fundamental_discriminants(101))
+    def test_every_discriminant_to_101(self, D):
+        """z, -1/z, z + sqrt(D) and a point near the axis (im 0.01..0.1), each
+        D at one n_max of NMAXES in turn, composites included."""
+        n_max = NMAXES[fundamental_discriminants(101).index(D) % len(NMAXES)]
+        (z,) = sample_half_plane_points(D, 1, seed=D)
+        near = sample_half_plane_points(D, 1, seed=D, im_range=(0.01, 0.1))[0]
+        for w in (z, -1 / z, z + math.sqrt(D), near):
+            self._assert_agrees(D, w, n_max)
+
+    @pytest.mark.parametrize("n_max", NMAXES)
+    @pytest.mark.parametrize("D", [5, 33, 101])
+    def test_every_truncation(self, D, n_max):
+        for z in sample_half_plane_points(D, 2, seed=n_max, im_range=(0.01, 1.5)):
+            for w in (z, -1 / z, z + math.sqrt(D)):
+                self._assert_agrees(D, w, n_max)
+
+    def test_series_alone_where_phi_is_large(self):
+        """At D = 1001 (phi = 480) and height 3 the split takes the series
+        for every n."""
+        z = complex(0.3, 3.0)
+        for n_max in (2, 50, 300):
+            assert _split_kind(1001, z, n_max) == "series"
+            self._assert_agrees(1001, z, n_max)
+
+    def test_all_three_splits_are_covered(self):
+        z = complex(0.3, 1.0)
+        kinds = {_split_kind(5, z, 1), _split_kind(5, z, 300), _split_kind(1001, 3 * z, 300)}
+        assert kinds == {"direct", "mixed", "series"}
+
+    @pytest.mark.parametrize("n_max", [1, 50, 400])
+    @pytest.mark.parametrize("D", [5, 21, 29])
+    def test_phi_sharp(self, D, n_max):
+        import mpmath
+
+        ct = build_char_table(D)
+        for y in (0.5, 2.0):
+            got = analytic._log_phi_sharp(ct, y, n_max, 30)
+            ref = phi_sharp_direct(D, y, n_max, 30)
+            with mpmath.workdps(40):
+                assert abs(mpmath.exp(got) / ref - 1) < mpmath.mpf(10) ** -30
 
 
 class TestModularLaws:

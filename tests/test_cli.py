@@ -143,7 +143,7 @@ class TestSmallCommands:
         assert len(lines) == 6
         assert lines[4] == (
             "FAIL z=-13.360656428755041+0.54500160987474144i "
-            "inversion=inf translation=1.002e-52"
+            "inversion=inf translation=9.614e-53"
         )
         assert lines[5] == "worst residual inf over 5 points (tol 1e-06)"
 
@@ -414,6 +414,25 @@ class TestGrid:
             _, _, re_eta, im_eta, re_inv, im_inv = map(float, line.split(","))
             assert abs(re_eta - re_inv) < 1e-9
             assert abs(im_eta - im_inv) < 1e-9
+
+    @pytest.mark.parametrize("im_max", ["0.54500160987474144", "3"])
+    def test_overflow_prints_inf_and_fails(self, capsys, im_max):
+        """eta(-1/z) at the overflowing verify-modularity point of D = 1001
+        reads inf in both its columns, and a second row (im 3) still prints."""
+        re_z, im_z = "-13.360656428755041", "0.54500160987474144"
+        steps = "1" if im_max == im_z else "2"
+        code, out, _ = run_cli(
+            capsys, "grid", "--D", "1001", "--re-min", re_z, "--re-max", re_z,
+            "--im-min", im_z, "--im-max", im_max, "--re-steps", "1", "--im-steps", steps,
+        )
+        lines = out.splitlines()
+        assert code == 1
+        assert len(lines) == 1 + int(steps)
+        cols = lines[1].split(",")
+        assert cols[:2] == [re_z, im_z] and cols[4:] == ["inf", "inf"]
+        assert all(abs(float(c)) < 1 for c in cols[2:4])
+        if steps == "2":
+            assert lines[2].startswith(f"{re_z},3,") and "inf" not in lines[2]
 
 
 class TestEntryPoint:
