@@ -34,13 +34,14 @@ ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 # oracle-check, partitions, verify-modularity, grid, coeffs, signs and growth
 # refuse, with exit 2, any input whose predicted run time exceeds
 # TIME_BUDGET_S.  The models were fitted to end-to-end runs on a 2-vCPU
-# x86-64 machine with Python 3.11 (oracle-check: 15 runs, D 5..101, up to
-# 61 s; partitions: 11 runs, D 5..1001, up to 65 s; the character-table
-# term: `chars` at D up to 10^5; the numeric model: 11 runs, D 5..4000001,
-# nmax 1..5000, up to 37 s; the series model: 23 runs of coeffs, D
-# 5..3999997, N 1..17000, up to 67 s, where signs and growth cost the same)
-# and scaled so that none of those runs took longer than predicted; they
-# over-predict by up to 1.5x, 1.3x, 2x and 1.9x.
+# x86-64 machine with Python 3.11 (oracle-check: 43 runs, D 5..5009, N
+# 1..4000, up to 94 s; partitions: 11 runs, D 5..1001, up to 65 s; the
+# character-table term: `chars` at D up to 10^5; the numeric model: 11
+# runs, D 5..4000001, nmax 1..5000, up to 37 s; the series model: 23 runs
+# of coeffs, D 5..3999997, N 1..17000, up to 67 s, where signs and growth
+# cost the same) and scaled so that none of those runs took longer than
+# predicted; they over-predict by up to 2.9x (at least 1.2x for oracle-check,
+# whose repeated runs vary by that much), 1.3x, 2x and 1.9x.
 TIME_BUDGET_S = 60
 
 # Largest --D of each command, checked before the discriminant's trial
@@ -56,7 +57,9 @@ TIME_BUDGET_S = 60
 # growth at N = 1 took 16 s and 202 MB there, and grid at one point 33 s and
 # 354 MB.  Memory grows with D too, so these caps are the largest D measured.
 # verify-modularity at one sample took 31 s at D = 2000001.  Above the caps of
-# oracle-check and partitions their cost models refuse every input anyway.
+# oracle-check and partitions their cost models refuse every input anyway:
+# the oracle-check model accepts no D above 4845 (3 * 5 * 17 * 19, 22 s at
+# N = 1; the largest prime it accepts, 3709, took 27 s there).
 D_CAP = {
     "coeffs": 4_000_000,
     "signs": 4_000_000,
@@ -67,7 +70,7 @@ D_CAP = {
     "lvalues": 1_000_000,
     "partitions": 1_000_000,
     "periods": 20_000,
-    "oracle-check": 2_500,
+    "oracle-check": 4_845,
 }
 
 
@@ -169,15 +172,18 @@ def _series_s(D: int, N: int) -> float:
 
 
 def _oracle_check_s(D: int, N: int) -> float:
-    """Predicted seconds: phi(D)/2 dense products of O(N^2) cyclotomic
-    convolutions of D^2 terms, plus the O(phi(D) D N^2) binomial passes, on
-    coefficients that grow with N."""
-    return euler_phi(D) * D * (1.7e-9 * D * (N + 1) ** 2.6 + 6.5e-7 * (N + 1) ** 2)
+    """Predicted seconds: phi(D)/2 Kronecker products of (N + 1)(2D - 1)
+    slots and phi(D) N / 2 binomial passes of O(N D), on coefficients that
+    grow with N."""
+    return 5e-8 * euler_phi(D) * D**1.36 * (N + 1) ** 2.17
 
 
 def _partitions_s(D: int, N: int) -> float:
-    """Predicted seconds: the O(N^2 D) length distribution, on counts that
-    grow with N, plus the O(D^1.5) character table."""
+    """Predicted seconds: the length distribution as it was fitted, O(N^2 D)
+    on counts that grow with N, plus the O(D^1.5) character table.  The
+    length distribution now takes O(N^2) additions, so this is an upper
+    bound by 3-7x (D = 5, N = 4000: 2.1 s end to end against 10 s
+    predicted)."""
     return (N + 1) ** 2 * (2.3e-7 + 1.5e-8 * D * (N + 1) ** 0.2) + 7e-8 * D**1.5
 
 

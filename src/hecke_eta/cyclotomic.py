@@ -6,8 +6,10 @@ multiplication a plain cyclic convolution; the redundancy (for D prime the
 all-ones vector maps to zero) is absorbed by the trace functional, which is
 well defined on images.  The model ring, the trace, the Gauss-sum element
 and the projection of fixed-field elements onto O_D serve the convolution
-oracle.  The period polynomials f_plus / f_minus never enter the model
-ring: their coefficients in O_D follow from closed-form power sums.
+oracle, which multiplies whole series of model-ring elements by Kronecker
+substitution; cyc_mul, one cyclic convolution of D^2 products, now serves
+only the projection.  The period polynomials f_plus / f_minus never enter
+the model ring: their coefficients in O_D follow from closed-form power sums.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, sub
 
 from .characters import CharTable, euler_phi, moebius
 from .qseries import _mul_pairs, euler_transform
@@ -57,16 +60,19 @@ class CycPoly:
         return CycPoly(self.D, self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def add_shifted(self, other: "CycPoly", shift: int, scale: int = 1) -> None:
         """In-place self += scale * x^shift * other (exponents mod D)."""
-        D = self.D
-        s = shift % D
+        s = shift % self.D
         oc = other.coeffs
-        c = self.coeffs
-        for i in range(D):
-            c[(i + s) % D] += scale * oc[i]
+        rotated = oc[-s:] + oc[:-s] if s else oc  # rotated[j] = oc[(j - s) % D]
+        if scale == -1:
+            self.coeffs[:] = map(sub, self.coeffs, rotated)
+        else:
+            if scale != 1:
+                rotated = [scale * c for c in rotated]
+            self.coeffs[:] = map(add, self.coeffs, rotated)
 
     def __add__(self, other: "CycPoly") -> "CycPoly":
         self._check(other)

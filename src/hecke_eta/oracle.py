@@ -10,19 +10,23 @@ parts with chi_D(n) = 0 (for prime D this is exactly F_ord(q^D, 1)).  The
 theta = 1 factor uses the pentagonal expansion; the twisted F_e factors are
 multiplied out binomial by binomial, since the pentagonal monomial shortcut
 is a theta = 1 identity only; the twisted F_ord factors come from the
-length-distribution counts.  Every assembled coefficient must project
-exactly onto O_D.  The results are the anti-bug cross-check for the
-Lambert-series recurrence in qseries: no divisor sums, no O_D arithmetic
-until the final projection.
+length-distribution counts, each multiplied in by one Kronecker-substituted
+integer product (CycSeries.mul_dense).  Every assembled coefficient must
+project exactly onto O_D.  The results are the anti-bug cross-check for the
+Lambert-series recurrence in qseries: no divisor sums, no Lambert
+coefficients, no O_D arithmetic until the final projection; of qseries only
+the generic packing helpers _pack and _unpack are shared.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import add
 
 from .characters import build_char_table
-from .cyclotomic import CycPoly, cyc_mul, project_to_quad
+from .cyclotomic import CycPoly, project_to_quad
 from .partitions import length_distribution, p_nr_table, pentagonal_int_series
+from .qseries import _pack, _unpack
 from .quad_ring import RingElem
 
 
@@ -41,16 +45,27 @@ class CycSeries:
         return cls(D, [CycPoly.monomial(D, 0, c) for c in ints])
 
     def mul_dense(self, other: "CycSeries") -> "CycSeries":
-        N = self.prec
-        out = [CycPoly(self.D) for _ in range(N + 1)]
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j in range(N + 1 - i):
-                cj = other.coeffs[j]
-                if not cj.is_zero():
-                    out[i + j] = out[i + j] + cyc_mul(ci, cj)
-        return CycSeries(self.D, out)
+        """Truncated product, by Kronecker substitution: one integer product.
+
+        Each operand is flattened into prec + 1 rows of 2D - 1 slots, the D
+        model-ring coefficients of a q-power followed by D - 1 zeros, so the
+        linear product of two rows (degree at most 2D - 2) stays inside its
+        row.  Row k of the product is then the unreduced sum of the row
+        products of q-powers i + j = k, and folding slot r + D onto slot r
+        reduces it mod x^D - 1.
+        """
+        D, N = self.D, self.prec
+        stride = 2 * D - 1
+        u = _flatten(self.coeffs, D, N)
+        v = _flatten(other.coeffs, D, N)
+        wb = _slot_bytes(u, v, N, D)
+        slots = _unpack(_pack(u, wb) * _pack(v, wb), wb, 0, (N + 1) * stride)
+        out = []
+        for o in range(0, (N + 1) * stride, stride):
+            row = list(map(add, slots[o : o + D - 1], slots[o + D : o + stride]))
+            row.append(slots[o + D - 1])
+            out.append(CycPoly(D, row))
+        return CycSeries(D, out)
 
     def mul_binomial_inplace(self, zexp: int, gap: int) -> None:
         """Multiply by (1 - zeta^zexp * q^gap) in place."""
@@ -59,6 +74,34 @@ class CycSeries:
             src = coeffs[k - gap]
             if not src.is_zero():
                 coeffs[k].add_shifted(src, zexp, -1)
+
+
+def _flatten(coeffs: list[CycPoly], D: int, N: int) -> list[int]:
+    """Rows 0..N of coeffs as one slot list, each padded by D - 1 zeros."""
+    pad = [0] * (D - 1)
+    out = []
+    for c in coeffs[: N + 1]:
+        out += c.coeffs
+        out += pad
+    return out
+
+
+def _slot_bytes(u: list[int], v: list[int], N: int, D: int) -> int:
+    """Byte width of a Kronecker slot that holds every unfolded slot of the
+    product of the flattened operands u and v, truncated to N + 1 rows.
+
+    Slot t of product row k sums u_i[s] v_j[t - s] over the at most N + 1
+    row pairs i + j = k and the at most D offsets s, so
+    |slot| <= (N + 1) D max|u| max|v|; that is below 2^(w-1) when w covers
+    the bit lengths of (N + 1) D, max|u| and max|v| plus a sign bit.
+    """
+    bits = (
+        ((N + 1) * D).bit_length()
+        + max(max(u), -min(u)).bit_length()
+        + max(max(v), -min(v)).bit_length()
+        + 1
+    )
+    return (bits + 7) // 8
 
 
 def _int_convolve(u, v, N: int) -> list[int]:
@@ -108,16 +151,12 @@ def a_via_convolution(D: int, N: int) -> list[RingElem]:
 
     c = length_distribution(D, N)
     for b in ct.nr_list:
-        coeffs = []
-        for k in range(N + 1):
-            poly = CycPoly(D)
-            row = c[k]
-            for r in range(D):
-                cnt = row[r]
-                if cnt:
-                    poly.coeffs[b * r % D] += cnt
-            coeffs.append(poly)
-        series = series.mul_dense(CycSeries(D, coeffs))
+        # count c[k][r] goes to zeta^(b r); b is a unit mod D, so residue t
+        # takes c[k][r] with r = t / b
+        b_inv = pow(b, -1, D)
+        idx = [b_inv * t % D for t in range(D)]
+        twisted = [CycPoly(D, map(row.__getitem__, idx)) for row in c]
+        series = series.mul_dense(CycSeries(D, twisted))
 
     return [project_to_quad(u, ct) for u in series.coeffs]
 

@@ -9,6 +9,7 @@ c[k][r] that realize the twisted counts p_ord(k, zeta_D^b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple
 
 from .characters import CharTable
@@ -93,22 +94,24 @@ def p_nr_table(ct: CharTable, N: int) -> list[int]:
 def length_distribution(D: int, N: int) -> list[list[int]]:
     """c[k][r] = number of partitions of k whose length is r mod D.
 
-    DP on prod_n (1 - t q^n)^{-1} with the t-exponent reduced mod D at each
-    step; only residues of the length enter the twisted counts, and this
-    bounds the table at (N+1) x D entries.
+    Conjugation swaps length and largest part, and the partitions of k with
+    largest part m are those of k - m into parts of size at most m.  So
+    c[k][m mod D] collects P_m(k - m) over m, where P_m counts partitions
+    into parts <= m and is extended one part size at a time: O(N^2)
+    additions whatever D is, and a table of (N+1) x D entries.
     """
     if D < 1:
         raise ValueError("modulus must be positive")
     c = [[0] * D for _ in range(N + 1)]
     c[0][0] = 1
-    for part in range(1, N + 1):
-        for k in range(part, N + 1):
-            row = c[k]
-            prev = c[k - part]
-            for r in range(D):
-                add = prev[r - 1]  # index -1 wraps to D-1: length residue r-1 -> r
-                if add:
-                    row[r] += add
+    P = [1] + [0] * N  # P[j] = partitions of j into parts <= m
+    for m in range(1, N + 1):
+        # P_m(j) = P_{m-1}(j) + P_m(j - m), one block of m orders at a time
+        for lo in range(m, N + 1, m):
+            P[lo : lo + m] = map(add, P[lo : lo + m], P[lo - m : lo])
+        r = m % D
+        for row, count in zip(c[m:], P):
+            row[r] += count
     return c
 
 

@@ -2,7 +2,8 @@
 
 Deliberately naive routes (enumeration, two-variable DP, the period
 polynomials and the eta product multiplied out factor by factor, exactly
-and numerically) that share no code with the library paths they check.
+and numerically, the oracle's series product by cyclic convolutions) that
+share no code with the library paths they check.
 """
 
 import cmath
@@ -13,7 +14,8 @@ from operator import mul
 import mpmath
 
 from hecke_eta.characters import build_char_table
-from hecke_eta.cyclotomic import CycPoly, project_to_quad
+from hecke_eta.cyclotomic import CycPoly, cyc_mul, project_to_quad
+from hecke_eta.oracle import CycSeries
 
 
 def enumerate_partitions(k, max_part=None):
@@ -39,6 +41,20 @@ def dp_partition_counts(N):
 
 
 @lru_cache(maxsize=None)
+def length_distribution_by_parts(D, N):
+    """c[k][r] = partitions of k with length r mod D, by the DP over part
+    sizes on prod_n (1 - t q^n)^{-1}: adding a part moves residue r-1 to r."""
+    c = [[0] * D for _ in range(N + 1)]
+    c[0][0] = 1
+    for part in range(1, N + 1):
+        for k in range(part, N + 1):
+            row = c[k]
+            prev = c[k - part]
+            for r in range(D):
+                row[r] += prev[r - 1]
+    return c
+
+
 def _count_with_allowed(k, max_part, allowed):
     if k == 0:
         return 1
@@ -104,6 +120,22 @@ def mul_pairs_plain(A1, B1, A2, B2, D, N):
             A[i + j] += a1 * A2[j] + D * b1 * B2[j]
             B[i + j] += a1 * B2[j] + b1 * A2[j]
     return [_halve(a) for a in A], [_halve(b) for b in B]
+
+
+def mul_dense_plain(f, g):
+    """oracle.CycSeries.mul_dense by the double loop over q-powers: one
+    cyclic convolution (cyclotomic.cyc_mul) per pair of nonzero coefficients
+    i + j <= prec."""
+    N = f.prec
+    out = [CycPoly(f.D) for _ in range(N + 1)]
+    for i, ci in enumerate(f.coeffs):
+        if ci.is_zero():
+            continue
+        for j in range(N + 1 - i):
+            cj = g.coeffs[j]
+            if not cj.is_zero():
+                out[i + j] = out[i + j] + cyc_mul(ci, cj)
+    return CycSeries(f.D, out)
 
 
 def _poly_step(A, B, fa, fb, n, D, sign):

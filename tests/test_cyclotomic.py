@@ -62,6 +62,23 @@ class TestCycMul:
             cyc_mul(CycPoly.one(5), CycPoly.one(7))
 
 
+class TestAddShifted:
+    @pytest.mark.parametrize("D", [1, 5, 21])
+    def test_matches_index_loop(self, D):
+        rng = random.Random(D)
+        for shift in (0, 1, D - 1, D, -3, 2 * D + 2):
+            for scale in (1, -1, 3, 0):
+                u = CycPoly(D, [rng.randrange(-(2**70), 2**70) for _ in range(D)])
+                v = CycPoly(D, [rng.randrange(-(2**70), 2**70) for _ in range(D)])
+                expected = list(u.coeffs)
+                for i in range(D):
+                    expected[(i + shift) % D] += scale * v.coeffs[i]
+                before = u.coeffs
+                u.add_shifted(v, shift, scale)
+                assert u.coeffs == expected
+                assert u.coeffs is before
+
+
 class TestTrace:
     def test_examples(self):
         assert trace(CycPoly.one(5)) == 4

@@ -1,7 +1,12 @@
-import pytest
+import random
 
+import pytest
+from oracles import mul_dense_plain
+
+from hecke_eta import oracle, qseries
 from hecke_eta.characters import build_char_table
 from hecke_eta.cyclotomic import CycPoly, ProjectionError, project_to_quad
+from hecke_eta.golden import golden_coefficients
 from hecke_eta.oracle import CycSeries, a_via_convolution, compare_with_eta
 from hecke_eta.quad_ring import RingElem, ring_ctx
 
@@ -83,3 +88,72 @@ class TestGaloisGuard:
             qr_vals = {u.coeffs[a % D] for a in ct.qr_list}
             nr_vals = {u.coeffs[b % D] for b in ct.nr_list}
             assert len(qr_vals) == 1 and len(nr_vals) == 1
+
+
+def _random_series(rng, D, prec, bits, zero_rows=0.2):
+    """Signed coefficients below 2^bits, about a zero_rows share of rows zero."""
+    rows = []
+    for _ in range(prec + 1):
+        if rng.random() < zero_rows:
+            rows.append(CycPoly(D))
+        else:
+            rows.append(CycPoly(D, [rng.randrange(-(2**bits) + 1, 2**bits) for _ in range(D)]))
+    return CycSeries(D, rows)
+
+
+def _constant_series(D, prec, value):
+    return CycSeries(D, [CycPoly(D, [value] * D) for _ in range(prec + 1)])
+
+
+class TestPackedProduct:
+    """CycSeries.mul_dense (one Kronecker product) against the double loop of
+    cyclic convolutions in tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "D, prec",
+        [(5, 0), (5, 1), (5, 40), (13, 1), (13, 38), (21, 0), (21, 1), (21, 12),
+         (33, 1), (33, 6), (41, 0), (41, 1), (41, 4)],
+    )
+    def test_random_signed_series(self, D, prec):
+        rng = random.Random(1000 * D + prec)
+        for bits in (1, 64, 300):
+            f = _random_series(rng, D, prec, bits)
+            g = _random_series(rng, D, prec, rng.choice((1, 20, 300)))
+            assert f.mul_dense(g).coeffs == mul_dense_plain(f, g).coeffs
+
+    @pytest.mark.parametrize("D, prec", [(5, 0), (5, 12), (13, 4), (21, 1), (33, 2)])
+    @pytest.mark.parametrize("bits", range(296, 304))
+    def test_extreme_slots(self, D, prec, bits):
+        """Every coefficient at -(2^bits - 1) on one side and both signs on
+        the other, so the last row's middle slot reaches the width bound
+        (prec + 1) D max|u| max|v| in magnitude; eight consecutive widths
+        cover every rounding of the bound to whole bytes."""
+        M = 2**bits - 1
+        f = _constant_series(D, prec, -M)
+        for g in (_constant_series(D, prec, -M), _constant_series(D, prec, M)):
+            assert f.mul_dense(g).coeffs == mul_dense_plain(f, g).coeffs
+
+    def test_zero_operands(self):
+        rng = random.Random(7)
+        f = _random_series(rng, 13, 9, 300)
+        zero = _constant_series(13, 9, 0)
+        assert f.mul_dense(zero).coeffs == zero.coeffs
+        assert zero.mul_dense(f).coeffs == zero.coeffs
+
+
+class TestIndependence:
+    """The oracle shares only the generic packing helpers with the route it
+    checks: with the kernel's entry points disabled it still reproduces the
+    golden coefficients."""
+
+    @pytest.mark.parametrize("D", [5, 13, 17])
+    def test_golden_without_the_kernel(self, monkeypatch, D):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the convolution oracle reached the exact kernel")
+
+        for name in ("euler_transform", "eta_series", "_pair_product"):
+            assert not hasattr(oracle, name)
+            monkeypatch.setattr(qseries, name, forbidden)
+        expected = {N: value for D2, N, value in golden_coefficients() if D2 == D}
+        conv = a_via_convolution(D, max(expected))
+        assert {N: conv[N] for N in expected} == expected

@@ -2,7 +2,12 @@ from collections import Counter
 
 import pytest
 
-from oracles import count_partitions_with_parts, dp_partition_counts, enumerate_partitions
+from oracles import (
+    count_partitions_with_parts,
+    dp_partition_counts,
+    enumerate_partitions,
+    length_distribution_by_parts,
+)
 
 from hecke_eta.characters import build_char_table
 from hecke_eta.partitions import (
@@ -99,6 +104,10 @@ class TestLengthDistribution:
                 counted = Counter(len(lam) % D for lam in enumerate_partitions(k))
                 for r in range(D):
                     assert c[k][r] == counted.get(r, 0)
+
+    @pytest.mark.parametrize("D, N", [(1, 40), (2, 40), (5, 120), (13, 90), (21, 60), (101, 130), (7, 0)])
+    def test_against_dp_over_part_sizes(self, D, N):
+        assert length_distribution(D, N) == length_distribution_by_parts(D, N)
 
 
 class TestTables:
