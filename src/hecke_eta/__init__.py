@@ -5,7 +5,7 @@ partition-convolution recomputation, and numeric verification of the
 transformation laws.
 """
 
-from .quad_ring import RingCtx, RingElem, RingError, embed_real, ring_ctx
+from .quad_ring import RingElem, RingError, embed_real
 from .characters import (
     CharTable,
     CharacterError,

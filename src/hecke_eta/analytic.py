@@ -129,11 +129,10 @@ def _expm1(w: complex) -> complex:
     )
 
 
-def log_eta_tail(D: int, z: complex, n_max: int, ct: CharTable | None = None) -> complex:
+def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
     """log of the truncated product part of eta_D (no q^v prefactor).
 
-    ct is not needed: the character table comes with the per-D data, which
-    is built once per D.
+    The character table comes with the per-D data, which is built once per D.
     """
     z = _require_upper(z)
     data = _eta_data(D)

@@ -35,14 +35,20 @@ ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 # refuse, with exit 2, any input whose predicted run time exceeds
 # TIME_BUDGET_S.  The models were fitted to end-to-end runs on a 2-vCPU
 # x86-64 machine with Python 3.11 (oracle-check: 43 runs, D 5..5009, N
-# 1..4000, up to 94 s; partitions: 11 runs, D 5..1001, up to 65 s; the
-# character-table term: `chars` at D up to 10^5; the numeric model: 11
-# runs, D 5..4000001, nmax 1..5000, up to 37 s; the series model: 23 runs
-# of coeffs, D 5..3999997, N 1..17000, up to 67 s, where signs and growth
-# cost the same) and scaled so that none of those runs took longer than
-# predicted; they over-predict by up to 2.9x (at least 1.2x for oracle-check,
-# whose repeated runs vary by that much), 1.3x, 2x and 1.9x.
+# 1..4000, up to 94 s; partitions: the 35 of 53 runs, D 5..900001, N
+# 0..20000, that took at least 1 s, up to 51 s; the character-table term:
+# `chars` at D up to 10^5; the numeric model: 11 runs, D 5..4000001, nmax
+# 1..5000, up to 37 s; the series model: 23 runs of coeffs, D 5..3999997, N
+# 1..17000, up to 67 s, where signs and growth cost the same) and scaled so
+# that none of those runs took longer than predicted, with a 1.2x margin in
+# oracle-check and partitions, whose repeated runs vary by that much; they
+# over-predict by up to 2.9x, 2.2x (where the table, not the character
+# table, dominates), 2x and 1.9x.
 TIME_BUDGET_S = 60
+
+# partitions also refuses input whose predicted peak RSS (_partitions_mb)
+# exceeds this, since its time model admits tables of several GB.
+MEMORY_BUDGET_MB = 500
 
 # Largest --D of each command, checked before the discriminant's trial
 # division, measured end to end on the same machine with the least work the
@@ -179,12 +185,20 @@ def _oracle_check_s(D: int, N: int) -> float:
 
 
 def _partitions_s(D: int, N: int) -> float:
-    """Predicted seconds: the length distribution as it was fitted, O(N^2 D)
-    on counts that grow with N, plus the O(D^1.5) character table.  The
-    length distribution now takes O(N^2) additions, so this is an upper
-    bound by 3-7x (D = 5, N = 4000: 2.1 s end to end against 10 s
-    predicted)."""
-    return (N + 1) ** 2 * (2.3e-7 + 1.5e-8 * D * (N + 1) ** 0.2) + 7e-8 * D**1.5
+    """Predicted seconds: the O(N^2) additions of the length distribution,
+    the (N + 1) x D table of counts about sqrt(N) digits wide, and the
+    character table, charged O(D^1.5) as first fitted (it over-predicts
+    17x at D = 900001).  At D = 5 the first refused order is 18481; N =
+    20000 took 51 s end to end."""
+    return 1.75e-7 * (N + 1) ** 2 + 1.8e-8 * D * (N + 1) ** 1.5 + 7e-8 * D**1.5
+
+
+def _partitions_mb(D: int, N: int) -> float:
+    """Predicted peak RSS in MB: the interpreter, the character table and
+    the (N + 1) x D counts, each held as an int, in two containers and as
+    JSON text, 24 + 2 sqrt(N) bytes in all.  An upper bound on the same 53
+    runs (358 MB measured at D = 1001, N = 3000, against 431 MB)."""
+    return 30 + 6e-5 * D + D * (N + 1) * (24 + 2 * math.sqrt(N + 1)) / 1e6
 
 
 def cmd_oracle_check(args) -> int:
@@ -205,7 +219,11 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    if args.N < 0 or _partitions_s(args.D, args.N) > TIME_BUDGET_S:
+    if (
+        args.N < 0
+        or _partitions_s(args.D, args.N) > TIME_BUDGET_S
+        or _partitions_mb(args.D, args.N) > MEMORY_BUDGET_MB
+    ):
         return _usage_error("--N out of range for the partition tables")
     ct = build_char_table(args.D)
     tables = build_partition_tables(ct, args.N)

@@ -22,7 +22,7 @@ from operator import add, sub
 
 from .characters import CharTable, euler_phi, moebius
 from .qseries import _mul_pairs, euler_transform
-from .quad_ring import RingElem, ring_ctx
+from .quad_ring import RingElem
 
 
 class ProjectionError(ValueError):
@@ -171,7 +171,7 @@ def project_to_quad(u: CycPoly, ct: CharTable) -> RingElem:
         raise ProjectionError(
             f"element not in O_{D}: numerator pair ({a}, {b}) breaks parity"
         )
-    return RingElem(a, b, ring_ctx(D))
+    return RingElem(a, b, D)
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,9 @@ class PeriodPair:
     f_minus: tuple[RingElem, ...]
 
 
-def _expand_period(ct: CharTable, sign: int, h: int) -> tuple[RingElem, ...]:
-    """prod (1 - zeta^a x) over the h residues a with chi(a) = sign.
+def _expand_period(ct: CharTable, sign: int, h: int) -> tuple[list[int], list[int]]:
+    """Numerator pairs (A, B) of prod (1 - zeta^a x) over the h residues a
+    with chi(a) = sign.
 
     Its logarithm is -sum_m p(m) x^m / m with the power sums
     p(m) = sum_a zeta^{am} = (c_D(m) + sign chi(m) sqrt(D))/2, since
@@ -205,26 +206,26 @@ def _expand_period(ct: CharTable, sign: int, h: int) -> tuple[RingElem, ...]:
     )
     if A[h + 1] or B[h + 1]:
         raise ProjectionError(f"period polynomial of D={D} has degree above {h}")
-    ctx = ring_ctx(D)
-    return tuple(RingElem(a, b, ctx) for a, b in zip(A[:-1], B[:-1]))
+    return A[:-1], B[:-1]
 
 
 def period_polynomials(ct: CharTable) -> PeriodPair:
     """f_plus and f_minus with coefficients in O_D, from their power sums."""
+    D = ct.D
     fp = _expand_period(ct, 1, len(ct.qr_list))
     fm = _expand_period(ct, -1, len(ct.nr_list))
-    pair = PeriodPair(D=ct.D, f_plus=fp, f_minus=fm)
-    _check_period_invariants(pair, ct)
-    return pair
+    _check_period_invariants(fp, fm, D)
+    f_plus, f_minus = (tuple(RingElem(a, b, D) for a, b in zip(*f)) for f in (fp, fm))
+    return PeriodPair(D, f_plus, f_minus)
 
 
-def _check_period_invariants(pair: PeriodPair, ct: CharTable) -> None:
-    if not pair.f_plus[0].is_one() or not pair.f_minus[0].is_one():
+def _check_period_invariants(fp, fm, D: int) -> None:
+    """The guards on the numerator pairs (A, B) of f_plus and f_minus."""
+    (pa, pb), (ma, mb) = fp, fm
+    if (pa[0], pb[0], ma[0], mb[0]) != (2, 0, 2, 0):
         raise ProjectionError("period polynomial constant term is not 1")
-    if tuple(c.conj() for c in pair.f_plus) != pair.f_minus:
+    if ma != pa or mb != [-b for b in pb]:
         raise ProjectionError("conjugation does not swap f_plus and f_minus")
-    fp = [c.num_a for c in pair.f_plus], [c.num_b for c in pair.f_plus]
-    fm = [c.num_a for c in pair.f_minus], [c.num_b for c in pair.f_minus]
-    _, B = _mul_pairs(*fp, *fm, ct.D, len(pair.f_plus) + len(pair.f_minus) - 2)
+    _, B = _mul_pairs(pa, pb, ma, mb, D, len(pa) + len(ma) - 2)
     if any(B):
         raise ProjectionError("f_plus * f_minus has a nonzero sqrt(D) part")

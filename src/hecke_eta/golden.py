@@ -8,7 +8,7 @@ Hermetic on purpose: verification never fetches anything.
 
 from __future__ import annotations
 
-from .quad_ring import RingElem, ring_ctx
+from .quad_ring import RingElem
 
 # {D: {N: (a, b)}} with value (a + b*sqrt(D))/2
 COEFF_TABLE: dict[int, dict[int, tuple[int, int]]] = {
@@ -123,14 +123,12 @@ def golden_coefficients() -> list[tuple[int, int, RingElem]]:
     """All (D, N, value) coefficient entries, ordered by (D, N)."""
     out = []
     for D in sorted(COEFF_TABLE):
-        ctx = ring_ctx(D)
         for N in sorted(COEFF_TABLE[D]):
             a, b = COEFF_TABLE[D][N]
-            out.append((D, N, RingElem(a, b, ctx)))
+            out.append((D, N, RingElem(a, b, D)))
     return out
 
 
 def golden_tau5() -> list[tuple[int, RingElem]]:
     """The (N, tau_5(N)) entries, N = 1..7."""
-    ctx = ring_ctx(5)
-    return [(N, RingElem(*TAU5_TABLE[N], ctx)) for N in sorted(TAU5_TABLE)]
+    return [(N, RingElem(*TAU5_TABLE[N], 5)) for N in sorted(TAU5_TABLE)]

@@ -28,7 +28,7 @@ from operator import mul
 
 from .characters import build_char_table
 from .lseries import l_minus_one
-from .quad_ring import RingElem, RingCtx, RingError, ring_ctx
+from .quad_ring import RingElem, RingError
 
 # Largest order the CLI accepts, from the measured cost of its most expensive
 # order-capped command, `hecke-eta delta5` (tau_5 has larger coefficients
@@ -43,26 +43,19 @@ class SeriesError(ValueError):
 
 
 class QSeries:
-    """Truncated series over O_D with rational valuation metadata."""
+    """Truncated series over O_D with rational valuation metadata.
 
-    __slots__ = ("ctx", "prec", "coeffs", "valuation")
+    Built from numerator pairs: coefficient k is (A[k] + B[k] sqrt(D))/2.
+    The coefficients are exposed as a tuple of RingElem.
+    """
 
-    def __init__(self, ctx: RingCtx, coeffs, valuation=Fraction(0)):
-        self.ctx = ctx
-        self.coeffs = tuple(coeffs)
+    __slots__ = ("D", "prec", "coeffs", "valuation")
+
+    def __init__(self, D: int, A, B, valuation=Fraction(0)):
+        self.D = D
+        self.coeffs = tuple([RingElem(a, b, D) for a, b in zip(A, B, strict=True)])
         self.prec = len(self.coeffs) - 1
         self.valuation = Fraction(valuation)
-        for c in self.coeffs:
-            if c.ctx.D != ctx.D:
-                raise RingError("coefficient context mismatch")
-
-    @classmethod
-    def _from_pairs(cls, ctx: RingCtx, A, B, valuation=Fraction(0)) -> "QSeries":
-        return cls(
-            ctx,
-            [RingElem(a, b, ctx) for a, b in zip(A, B)],
-            valuation,
-        )
 
     def _pairs(self) -> tuple[list[int], list[int]]:
         return [c.num_a for c in self.coeffs], [c.num_b for c in self.coeffs]
@@ -70,7 +63,7 @@ class QSeries:
     def __eq__(self, other):
         return (
             isinstance(other, QSeries)
-            and self.ctx.D == other.ctx.D
+            and self.D == other.D
             and self.valuation == other.valuation
             and self.coeffs == other.coeffs
         )
@@ -78,14 +71,14 @@ class QSeries:
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:4])
         return (
-            f"QSeries(D={self.ctx.D}, v={self.valuation}, prec={self.prec}, "
+            f"QSeries(D={self.D}, v={self.valuation}, prec={self.prec}, "
             f"[{head}, ...])"
         )
 
 
 def _check_compat(f: QSeries, g: QSeries) -> None:
-    if f.ctx.D != g.ctx.D:
-        raise SeriesError(f"context mismatch: D={f.ctx.D} vs D={g.ctx.D}")
+    if f.D != g.D:
+        raise SeriesError(f"discriminant mismatch: D={f.D} vs D={g.D}")
     if f.prec != g.prec:
         raise SeriesError(f"precision mismatch: {f.prec} vs {g.prec}")
 
@@ -181,8 +174,8 @@ def series_mul(f: QSeries, g: QSeries) -> QSeries:
     _check_compat(f, g)
     A1, B1 = f._pairs()
     A2, B2 = g._pairs()
-    A, B = _mul_pairs(A1, B1, A2, B2, f.ctx.D, f.prec)
-    return QSeries._from_pairs(f.ctx, A, B, f.valuation + g.valuation)
+    A, B = _mul_pairs(A1, B1, A2, B2, f.D, f.prec)
+    return QSeries(f.D, A, B, f.valuation + g.valuation)
 
 
 def series_pow(f: QSeries, k: int) -> QSeries:
@@ -335,7 +328,7 @@ def _eta_power(D: int, N: int, r: int) -> QSeries:
     s1, s2 = _divisor_sums(ct.values, D, N)
     A, B = euler_transform([-2 * r * x for x in s1], [-2 * r * x for x in s2], D, N)
     m = l_minus_one(ct).m_exponent
-    return QSeries._from_pairs(ring_ctx(D), A, B, r * m)
+    return QSeries(D, A, B, r * m)
 
 
 def eta_series(D: int, N: int) -> QSeries:

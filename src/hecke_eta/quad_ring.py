@@ -3,7 +3,7 @@
 Elements are stored as numerator pairs (a, b) over the fixed denominator 2,
 so the value is (a + b*sqrt(D))/2.  Closure of O_D for D = 1 mod 4 is
 equivalent to the single invariant a = b (mod 2), which every operation
-checks.  The discriminant lives in a shared RingCtx, not in the element.
+checks.  Each element carries its discriminant D as a plain int.
 """
 
 from __future__ import annotations
@@ -12,42 +12,7 @@ import math
 
 
 class RingError(ValueError):
-    """Invalid ring element or mixed-context operation."""
-
-
-class RingCtx:
-    """Ambient ring descriptor: the discriminant D.
-
-    Use :func:`ring_ctx` to obtain the shared instance for a given D.
-    """
-
-    __slots__ = ("D",)
-
-    def __init__(self, D: int):
-        if D < 5 or D % 4 != 1:
-            raise RingError(f"D={D} is not a discriminant = 1 mod 4, >= 5")
-        self.D = D
-
-    def __repr__(self):
-        return f"RingCtx(D={self.D})"
-
-    def __eq__(self, other):
-        return isinstance(other, RingCtx) and self.D == other.D
-
-    def __hash__(self):
-        return hash(("RingCtx", self.D))
-
-
-_CTX_CACHE: dict[int, RingCtx] = {}
-
-
-def ring_ctx(D: int) -> RingCtx:
-    """Shared context for discriminant D."""
-    ctx = _CTX_CACHE.get(D)
-    if ctx is None:
-        ctx = RingCtx(D)
-        _CTX_CACHE[D] = ctx
-    return ctx
+    """Invalid discriminant or ring element, or an operation mixing two D."""
 
 
 class RingElem:
@@ -58,48 +23,48 @@ class RingElem:
     different discriminants raises RingError.
     """
 
-    __slots__ = ("num_a", "num_b", "ctx")
+    __slots__ = ("num_a", "num_b", "D")
 
-    def __init__(self, num_a: int, num_b: int, ctx: RingCtx):
+    def __init__(self, num_a: int, num_b: int, D: int):
+        if D < 5 or D % 4 != 1:
+            raise RingError(f"D={D} is not a discriminant = 1 mod 4, >= 5")
         if (num_a - num_b) % 2 != 0:
             raise RingError(
-                f"parity violation: ({num_a} + {num_b}*sqrt({ctx.D}))/2 is not in O_D"
+                f"parity violation: ({num_a} + {num_b}*sqrt({D}))/2 is not in O_D"
             )
         self.num_a = num_a
         self.num_b = num_b
-        self.ctx = ctx
+        self.D = D
 
     @classmethod
-    def from_int(cls, n: int, ctx: RingCtx) -> "RingElem":
-        return cls(2 * n, 0, ctx)
+    def from_int(cls, n: int, D: int) -> "RingElem":
+        return cls(2 * n, 0, D)
 
     def _coerce(self, other) -> "RingElem":
         if isinstance(other, RingElem):
-            if other.ctx.D != self.ctx.D:
-                raise RingError(
-                    f"context mismatch: D={self.ctx.D} vs D={other.ctx.D}"
-                )
+            if other.D != self.D:
+                raise RingError(f"discriminant mismatch: D={self.D} vs D={other.D}")
             return other
         if isinstance(other, int):
-            return RingElem(2 * other, 0, self.ctx)
+            return RingElem(2 * other, 0, self.D)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RingElem(self.num_a + o.num_a, self.num_b + o.num_b, self.ctx)
+        return RingElem(self.num_a + o.num_a, self.num_b + o.num_b, self.D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(-self.num_a, -self.num_b, self.ctx)
+        return RingElem(-self.num_a, -self.num_b, self.D)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RingElem(self.num_a - o.num_a, self.num_b - o.num_b, self.ctx)
+        return RingElem(self.num_a - o.num_a, self.num_b - o.num_b, self.D)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -108,7 +73,7 @@ class RingElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        D = self.ctx.D
+        D = self.D
         # ((a1+b1 sqrtD)/2)*((a2+b2 sqrtD)/2): numerator pair over 4, provably even.
         na = self.num_a * o.num_a + D * self.num_b * o.num_b
         nb = self.num_a * o.num_b + self.num_b * o.num_a
@@ -116,17 +81,17 @@ class RingElem:
         qb, rb = divmod(nb, 2)
         if ra or rb:
             raise RingError("internal corruption: product numerator not divisible by 2")
-        return RingElem(qa, qb, self.ctx)
+        return RingElem(qa, qb, self.D)
 
     __rmul__ = __mul__
 
     def conj(self) -> "RingElem":
         """Galois conjugate sqrt(D) -> -sqrt(D)."""
-        return RingElem(self.num_a, -self.num_b, self.ctx)
+        return RingElem(self.num_a, -self.num_b, self.D)
 
     def norm(self) -> int:
         """Field norm x * conj(x) = (a^2 - D*b^2)/4, exact since a = b (mod 2)."""
-        return (self.num_a * self.num_a - self.ctx.D * self.num_b * self.num_b) // 4
+        return (self.num_a * self.num_a - self.D * self.num_b * self.num_b) // 4
 
     def is_zero(self) -> bool:
         return self.num_a == 0 and self.num_b == 0
@@ -140,19 +105,19 @@ class RingElem:
         if not isinstance(other, RingElem):
             return NotImplemented
         return (
-            self.ctx.D == other.ctx.D
+            self.D == other.D
             and self.num_a == other.num_a
             and self.num_b == other.num_b
         )
 
     def __hash__(self):
-        return hash((self.ctx.D, self.num_a, self.num_b))
+        return hash((self.D, self.num_a, self.num_b))
 
     def __str__(self):
         return canonical_str(self)
 
     def __repr__(self):
-        return f"RingElem({self.num_a}, {self.num_b}, D={self.ctx.D})"
+        return f"RingElem({self.num_a}, {self.num_b}, D={self.D})"
 
     def to_json_dict(self) -> dict:
         return {"a": self.num_a, "b": self.num_b, "den": 2}
@@ -161,7 +126,7 @@ class RingElem:
 def canonical_str(x: RingElem) -> str:
     """Canonical textual form "(a+b*sqrt(D))/2" used by the CLI."""
     sign = "+" if x.num_b >= 0 else "-"
-    return f"({x.num_a}{sign}{abs(x.num_b)}*sqrt({x.ctx.D}))/2"
+    return f"({x.num_a}{sign}{abs(x.num_b)}*sqrt({x.D}))/2"
 
 
 def embed_midpoint(x: RingElem) -> tuple[int, int]:
@@ -173,7 +138,7 @@ def embed_midpoint(x: RingElem) -> tuple[int, int]:
     (a^2 - D*b^2 is a nonzero multiple of 4), so no rounding boundary of a
     float lies between them and the midpoint (2L + 1) / 2^(k+2) rounds alike.
     """
-    a, b, D = x.num_a, x.num_b, x.ctx.D
+    a, b, D = x.num_a, x.num_b, x.D
     if b == 0:
         return a, 1
     k = 64 + max(a.bit_length(), b.bit_length()) + D.bit_length()

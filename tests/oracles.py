@@ -77,7 +77,7 @@ def embed_mp(x, dps=60):
     b sqrt(D) cannot eat into them."""
     pad = len(str(max(abs(x.num_a), abs(x.num_b))))
     with mpmath.workdps(dps + 2 * pad + 10):
-        value = (x.num_a + x.num_b * mpmath.sqrt(x.ctx.D)) / 2
+        value = (x.num_a + x.num_b * mpmath.sqrt(x.D)) / 2
     with mpmath.workdps(dps):
         return +value
 

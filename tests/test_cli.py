@@ -10,7 +10,7 @@ from oracles import embed_mp
 
 from hecke_eta import cli
 from hecke_eta.characters import fundamental_discriminants, is_fundamental
-from hecke_eta.quad_ring import RingElem, ring_ctx
+from hecke_eta.quad_ring import RingElem
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +195,26 @@ class TestCostLimits:
             assert cli._oracle_check_s(D, 80) <= cli.TIME_BUDGET_S
         for D in fundamental_discriminants(101):
             assert cli._partitions_s(D, 400) <= cli.TIME_BUDGET_S
+
+
+class TestPartitionsMemory:
+    """partitions refuses a table of counts predicted to exceed the memory
+    budget, though its time model accepts it."""
+
+    def test_large_table_refused_at_once(self, capsys):
+        D, N = 1001, 4000
+        assert cli._partitions_s(D, N) <= cli.TIME_BUDGET_S
+        assert cli._partitions_mb(D, N) > cli.MEMORY_BUDGET_MB
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "partitions", "--D", str(D), "--N", str(N))
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_benchmark_ranges_stay_accepted(self):
+        for D in fundamental_discriminants(101):
+            assert cli._partitions_mb(D, 400) <= cli.MEMORY_BUDGET_MB
 
 
 class TestSeriesBudget:
@@ -382,8 +402,7 @@ class TestGrowth:
         assert code == 2
 
     def test_log_past_the_float_range(self, capsys, monkeypatch):
-        ctx = ring_ctx(5)
-        big = [RingElem(2**1100, 2**1100, ctx), RingElem(-(2**1100) - 2, 2**1099, ctx)]
+        big = [RingElem(2**1100, 2**1100, 5), RingElem(-(2**1100) - 2, 2**1099, 5)]
         monkeypatch.setattr(cli, "eta_series", lambda D, N: SimpleNamespace(coeffs=[None, *big]))
         code, out, _ = run_cli(capsys, "growth", "--D", "5", "--N", "2", "--format", "json")
         assert code == 0

@@ -16,7 +16,7 @@ from hecke_eta.cyclotomic import (
     trace,
 )
 from hecke_eta.qseries import _mul_pairs
-from hecke_eta.quad_ring import RingElem, RingError, ring_ctx
+from hecke_eta.quad_ring import RingElem, RingError
 
 
 def numeric_value(u: CycPoly, dps=60):
@@ -28,16 +28,16 @@ def numeric_value(u: CycPoly, dps=60):
 
 def pair_product(f, g):
     """f * g for two RingElem polynomials, through the numerator-pair product."""
-    ctx = f[0].ctx
+    D = f[0].D
     A, B = _mul_pairs(
         [c.num_a for c in f],
         [c.num_b for c in f],
         [c.num_a for c in g],
         [c.num_b for c in g],
-        ctx.D,
+        D,
         len(f) + len(g) - 2,
     )
-    return [RingElem(a, b, ctx) for a, b in zip(A, B)]
+    return [RingElem(a, b, D) for a, b in zip(A, B)]
 
 
 class TestCycMul:
@@ -126,24 +126,24 @@ class TestGaussElement:
         for D in (5, 13, 17):
             ct = build_char_table(D)
             g = gauss_element(ct)
-            assert project_to_quad(cyc_mul(g, g), ct) == RingElem(2 * D, 0, ring_ctx(D))
+            assert project_to_quad(cyc_mul(g, g), ct) == RingElem(2 * D, 0, D)
 
 
 class TestProjection:
     def test_one(self):
         ct = build_char_table(5)
-        assert project_to_quad(CycPoly.one(5), ct) == RingElem(2, 0, ring_ctx(5))
+        assert project_to_quad(CycPoly.one(5), ct) == RingElem(2, 0, 5)
 
     def test_gauss_projects_to_sqrt_d(self):
         for D in (5, 13, 17):
             ct = build_char_table(D)
             g = gauss_element(ct)
-            assert project_to_quad(g, ct) == RingElem(0, 2, ring_ctx(D))
+            assert project_to_quad(g, ct) == RingElem(0, 2, D)
 
     def test_golden_ratio_period(self):
         ct = build_char_table(5)
         u = CycPoly(5, [0, 1, 0, 0, 1])  # x + x^4
-        assert project_to_quad(u, ct) == RingElem(-1, 1, ring_ctx(5))
+        assert project_to_quad(u, ct) == RingElem(-1, 1, 5)
 
     def test_non_member_raises(self):
         ct = build_char_table(5)
@@ -171,22 +171,21 @@ class TestProjection:
 class TestPeriodPolynomials:
     def test_d5_golden(self):
         pair = period_polynomials(build_char_table(5))
-        ctx = ring_ctx(5)
         assert pair.f_plus == (
-            RingElem(2, 0, ctx),
-            RingElem(1, -1, ctx),
-            RingElem(2, 0, ctx),
+            RingElem(2, 0, 5),
+            RingElem(1, -1, 5),
+            RingElem(2, 0, 5),
         )
         assert pair.f_minus == (
-            RingElem(2, 0, ctx),
-            RingElem(1, 1, ctx),
-            RingElem(2, 0, ctx),
+            RingElem(2, 0, 5),
+            RingElem(1, 1, 5),
+            RingElem(2, 0, 5),
         )
 
     def test_d13_product_is_all_ones(self):
         pair = period_polynomials(build_char_table(13))
         prod = pair_product(pair.f_plus, pair.f_minus)
-        one = RingElem(2, 0, ring_ctx(13))
+        one = RingElem(2, 0, 13)
         assert len(prod) == 13
         assert all(c == one for c in prod)
 
@@ -247,3 +246,50 @@ class TestPeriodPolynomials:
         bad = CharTable(D, ct.values, ct.qr_list[1:], ct.nr_list)
         with pytest.raises(ProjectionError, match="degree"):
             period_polynomials(bad)
+
+
+class TestPeriodGuards:
+    """Each invariant check of period_polynomials fires on pairs that break it."""
+
+    @staticmethod
+    def corrupted(monkeypatch, corrupt):
+        """period_polynomials at D = 13 with corrupt(sign, A, B) applied in
+        place to the numerator pairs of f_plus (sign 1) and f_minus (-1)."""
+        expand = cyclotomic._expand_period
+
+        def patched(ct, sign, h):
+            A, B = expand(ct, sign, h)
+            corrupt(sign, A, B)
+            return A, B
+
+        monkeypatch.setattr(cyclotomic, "_expand_period", patched)
+        return period_polynomials(build_char_table(13))
+
+    def test_constant_term(self, monkeypatch):
+        def corrupt(sign, A, B):
+            A[0] = 4
+
+        with pytest.raises(ProjectionError, match="constant term is not 1"):
+            self.corrupted(monkeypatch, corrupt)
+
+    def test_conjugation(self, monkeypatch):
+        def corrupt(sign, A, B):
+            if sign == -1:
+                A[1] += 2
+
+        with pytest.raises(ProjectionError, match="conjugation does not swap"):
+            self.corrupted(monkeypatch, corrupt)
+
+    def test_sqrt_d_part_of_the_product(self, monkeypatch):
+        """While conjugation swaps f_plus and f_minus their product is its own
+        conjugate, so this guard is reached by corrupting the product."""
+        mul_pairs = cyclotomic._mul_pairs
+
+        def corrupt_product(*args):
+            A, B = mul_pairs(*args)
+            B[1] += 2
+            return A, B
+
+        monkeypatch.setattr(cyclotomic, "_mul_pairs", corrupt_product)
+        with pytest.raises(ProjectionError, match="nonzero sqrt\\(D\\) part"):
+            period_polynomials(build_char_table(13))

@@ -5,28 +5,22 @@ from hypothesis import given, strategies as st
 from oracles import embed_mp
 
 from hecke_eta.quad_ring import (
-    RingCtx,
     RingElem,
     RingError,
     canonical_str,
     embed_real,
-    ring_ctx,
 )
 from hecke_eta.qseries import eta_series
 
 
-CTX5 = ring_ctx(5)
-
-
-def elem(a, b, ctx=CTX5):
-    return RingElem(a, b, ctx)
+def elem(a, b, D=5):
+    return RingElem(a, b, D)
 
 
 def o_d_elements(D=5):
     """Valid O_D elements via the s + t*(1+sqrt(D))/2 parametrization."""
-    ctx = ring_ctx(D)
     ints = st.integers(min_value=-10**6, max_value=10**6)
-    return st.builds(lambda s, t: RingElem(2 * s + t, t, ctx), ints, ints)
+    return st.builds(lambda s, t: RingElem(2 * s + t, t, D), ints, ints)
 
 
 # Numerator pair of a unit of O_D whose real embedding is below 1 in size.
@@ -37,11 +31,11 @@ SMALL_UNITS = {5: (1, -1), 13: (3, -1), 21: (5, -1), 101: (20, -2)}
 def cancelling_elements(draw):
     """y * e^k for random y and a small unit e: a and b*sqrt(D) agree in
     about k digits, so the embedding cancels them."""
-    ctx = ring_ctx(draw(st.sampled_from(sorted(SMALL_UNITS))))
+    D = draw(st.sampled_from(sorted(SMALL_UNITS)))
     ints = st.integers(min_value=-(10**20), max_value=10**20)
     s, t = draw(ints), draw(ints)
-    x = RingElem(2 * s + t, t, ctx)
-    e = RingElem(*SMALL_UNITS[ctx.D], ctx)
+    x = RingElem(2 * s + t, t, D)
+    e = RingElem(*SMALL_UNITS[D], D)
     for _ in range(draw(st.integers(min_value=0, max_value=150))):
         x = x * e
     return x
@@ -65,7 +59,7 @@ class TestExamples:
 
     def test_conj_examples(self):
         assert elem(7, 1).conj() == elem(7, -1)
-        three = RingElem.from_int(3, CTX5)
+        three = RingElem.from_int(3, 5)
         assert three.conj() == three
         x = elem(5, -3)
         assert x.conj().conj() == x
@@ -97,11 +91,11 @@ class TestExamples:
 class TestInvariants:
     def test_parity_rejected_at_construction(self):
         with pytest.raises(RingError):
-            RingElem(1, 0, CTX5)
+            RingElem(1, 0, 5)
 
     def test_context_mismatch_is_hard_error(self):
         x = elem(2, 0)
-        y = RingElem(2, 0, ring_ctx(13))
+        y = RingElem(2, 0, 13)
         with pytest.raises(RingError):
             x + y
         with pytest.raises(RingError):
@@ -110,7 +104,7 @@ class TestInvariants:
     def test_invalid_discriminants_rejected(self):
         for D in (4, 3, 0, -5, 7):
             with pytest.raises(RingError):
-                RingCtx(D)
+                RingElem(2, 0, D)
 
     @given(o_d_elements(), o_d_elements())
     def test_parity_preserved_by_ops(self, x, y):
@@ -148,5 +142,5 @@ class TestRepresentation:
         assert elem(7, 1).to_json_dict() == {"a": 7, "b": 1, "den": 2}
 
     def test_int_comparison(self):
-        assert RingElem.from_int(3, CTX5) == 3
+        assert RingElem.from_int(3, 5) == 3
         assert elem(7, 1) != 3
