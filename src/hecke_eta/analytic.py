@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .characters import CharTable, build_char_table, euler_phi, prime_factors
@@ -282,17 +282,15 @@ def _add(x: Pair, y: Pair) -> Pair:
     return (x[0] + y[0], x[1] + y[1])
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(namedtuple("GroupWord", "D ks mat")):
     """Word T^{k_1} S T^{k_2} S ... S T^{k_l} with its symbolic matrix.
 
-    Matrix entries are pairs (u, v) meaning u + v*sqrt(D); the determinant
-    is checked to be exactly 1 at construction.
+    ks is the tuple of exponents; mat is ((m00, m01), (m10, m11)), whose
+    entries are pairs (u, v) meaning u + v*sqrt(D).  The determinant is
+    checked to be exactly 1 at construction (word_matrix).
     """
 
-    D: int
-    ks: tuple[int, ...]
-    mat: tuple[tuple[Pair, Pair], tuple[Pair, Pair]]
+    __slots__ = ()
 
     def entry_floats(self) -> tuple[float, float, float, float]:
         s = math.sqrt(self.D)
@@ -427,22 +425,18 @@ def random_words(
 # Coefficient-growth envelope
 
 
-@dataclass(frozen=True)
-class EnvelopeConstants:
+class EnvelopeConstants(
+    namedtuple("EnvelopeConstants", "D c0 cD c_tilde c_remark c_used")
+):
     """The two growth constants and the one the envelope actually uses.
 
     c_tilde comes from the Cauchy-Schwarz combination of the partition
     bounds; c_remark is the larger constant stated for prime D (they differ
-    by a factor sqrt(5)).  No resolution between them is assumed: the
-    envelope takes the max.
+    by a factor sqrt(5)), None for composite D.  No resolution between them
+    is assumed: the envelope takes the max, c_used.  All are floats.
     """
 
-    D: int
-    c0: float
-    cD: float
-    c_tilde: float
-    c_remark: float | None
-    c_used: float
+    __slots__ = ()
 
 
 def envelope_constants(D: int) -> EnvelopeConstants:

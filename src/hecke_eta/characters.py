@@ -8,7 +8,7 @@ together with the sorted lists of quadratic residues / non-residues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 
@@ -66,18 +66,15 @@ def _jacobi(n: int, D: int) -> int:
     return result if m == 1 else 0
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(namedtuple("CharTable", "D values qr_list nr_list")):
     """One period of chi_D plus residue / non-residue lists.
 
-    values[n] = chi_D(n mod D); qr_list and nr_list are the sorted a in
-    [1, D] with chi_D(a) = +1 / -1, each of length phi(D)/2.
+    values[n] = chi_D(n mod D), a tuple of ints; qr_list and nr_list are the
+    sorted tuples of a in [1, D] with chi_D(a) = +1 / -1, each of length
+    phi(D)/2.
     """
 
-    D: int
-    values: tuple[int, ...]
-    qr_list: tuple[int, ...]
-    nr_list: tuple[int, ...]
+    __slots__ = ()
 
     def chi(self, n: int) -> int:
         return self.values[n % self.D]

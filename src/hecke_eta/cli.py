@@ -5,23 +5,19 @@ partitions, lvalues, periods, chars, signs, growth, grid.  Exit codes:
 0 success, 1 verification failure, 2 usage error.  Output is deterministic
 for fixed flags: stable ordering, floats printed with 17 significant
 digits, and the exact numerator pair always accompanies any real column.
+
+Every --D command needs the discriminant check, so characters and quad_ring
+are imported here; each command imports the layers it runs, and json, when
+it runs, so that a call loads only what it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from . import analytic
 from .characters import build_char_table, euler_phi, is_fundamental
-from .cyclotomic import period_polynomials
-from .golden import golden_coefficients, golden_tau5
-from .lseries import l_minus_one, l_prime_zero
-from .oracle import compare_with_eta
-from .partitions import build_partition_tables
-from .qseries import MAX_ORDER, eta_series, tau5_values
 from .quad_ring import canonical_str, embed_midpoint, embed_real
 
 # Precision of L'(0) in `lvalues`; the printed float carries 17 digits.
@@ -37,13 +33,13 @@ ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 # x86-64 machine with Python 3.11 (oracle-check: 43 runs, D 5..5009, N
 # 1..4000, up to 94 s; partitions: the 35 of 53 runs, D 5..900001, N
 # 0..20000, that took at least 1 s, up to 51 s; the character-table term:
-# `chars` at D up to 10^5; the numeric model: 11 runs, D 5..4000001, nmax
-# 1..5000, up to 37 s; the series model: 23 runs of coeffs, D 5..3999997, N
+# `chars` at D up to 10^5; the numeric model: 27 runs, D 5..2000001, nmax
+# 1..100000, up to 36 s; the series model: 23 runs of coeffs, D 5..3999997, N
 # 1..17000, up to 67 s, where signs and growth cost the same) and scaled so
 # that none of those runs took longer than predicted, with a 1.2x margin in
 # oracle-check and partitions, whose repeated runs vary by that much; they
 # over-predict by up to 2.9x, 2.2x (where the table, not the character
-# table, dominates), 2x and 1.9x.
+# table, dominates), 9x (where the points spread in height) and 1.9x.
 TIME_BUDGET_S = 60
 
 # partitions also refuses input whose predicted peak RSS (_partitions_mb)
@@ -93,6 +89,8 @@ def _print_rows(D: int, coeffs, fmt: str) -> None:
     """One record per coefficient a(1), a(2), ...: exact pair and real value."""
     if fmt == "csv":
         print("D,N,num_a,num_b,real")
+    else:
+        import json
     for n, c in enumerate(coeffs, start=1):
         real = embed_real(c)
         if fmt == "csv":
@@ -102,16 +100,23 @@ def _print_rows(D: int, coeffs, fmt: str) -> None:
 
 
 def cmd_coeffs(args) -> int:
+    from .qseries import eta_series
+
     _print_rows(args.D, eta_series(args.D, args.N).coeffs[1:], args.format)
     return 0
 
 
 def cmd_delta5(args) -> int:
+    from .qseries import tau5_values
+
     _print_rows(5, tau5_values(args.N).values(), args.format)
     return 0
 
 
 def cmd_verify_table(args) -> int:
+    from .golden import golden_coefficients, golden_tau5
+    from .qseries import eta_series, tau5_values
+
     entries = golden_coefficients()
     n_max = {D: max(n for d2, n, _ in entries if d2 == D) for D in {5, 13, 17}}
     series = {D: eta_series(D, n_max[D]) for D in sorted(n_max)}
@@ -131,13 +136,48 @@ def cmd_verify_table(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _numeric_s(D: int, evaluations: int, nmax: int) -> float:
-    """Predicted seconds of `evaluations` truncated products, as if each built
-    the O(D) character table and roots of unity and took nmax * D logs.  That
-    is the direct product, the costliest split analytic.log_eta_tail can
-    choose; the per-D data is built once and most points sum far fewer
-    terms, so the model is an upper bound."""
-    return evaluations * (4e-5 + D * (6e-6 + 5e-7 * max(nmax, 0)))
+def _product_s(D: int, nmax: int, height: float) -> float:
+    """Predicted seconds of one truncated product at Im z = height: up to
+    nmax untwisted logs, then the split that analytic._split chooses from
+    |q| = exp(-2 pi height / sqrt(D)), n0 direct twisted factors of phi(D)
+    logs each and M series terms.  Both parts fall as the height grows, and
+    the loop stops where |q|^n underflows 1e-320.  Per unit: 0.9 us an
+    untwisted log, 0.4 us a twisted one, six more of those per direct
+    factor (the loop over the roots) and _TERM_COST of them per series
+    term."""
+    from . import analytic
+
+    nmax = max(nmax, 0)
+    phi = euler_phi(D)
+    L = 2 * math.pi * height / math.sqrt(D)
+    n0, M = analytic._split(L, nmax, phi, math.sqrt(D))
+    if L > 0:
+        nmax = min(nmax, math.ceil(-math.log(1e-320) / L))
+    return 1e-5 + 9e-7 * nmax + 4e-7 * (min(n0, nmax) * (phi + 6) + analytic._TERM_COST * M)
+
+
+def _numeric_s(D: int, evaluations: int, nmax: int, height: float | None = None) -> float:
+    """Predicted seconds of `evaluations` truncated products at D, each
+    charged as at `height`, the lowest Im of the points evaluated, plus the
+    per-D data (character table, roots of unity), built once.
+
+    height=None stands for verify-modularity: each sample z, with Im z in
+    [0.5, 1.5] and |Re z| <= sqrt(D)/2, is evaluated at z (twice) and
+    z + sqrt(D), at height 0.5 or more, and at -1/z, whose height is at
+    least 0.5 / (D/4 + 2.25).  An upper bound on 27 end-to-end runs
+    (verify-modularity and grid, D 5..2000001, nmax 1..100000, 0.1 s to
+    36 s), which it over-predicts by 1.4x to 9x, most where the points
+    spread in height, as samples and grids do: verify-modularity --D 101
+    took 1.3 s at 950 samples (predicted 3.5 s) and 32 s at 16000 (58 s);
+    grid --D 5 --re-min 3 --re-max 3 --im-min 0.0005 --im-max 0.001 with
+    20 x 15 points at --nmax 100000 took 35 s (57 s).
+    """
+    if height is None:
+        low = 0.5 / (D / 4 + 2.25)
+        product_s = (_product_s(D, nmax, low) + 3 * _product_s(D, nmax, 0.5)) / 4
+    else:
+        product_s = _product_s(D, nmax, height)
+    return 6e-6 * D + evaluations * product_s
 
 
 def _residual(check, D: int, z: complex, nmax: int) -> float:
@@ -150,6 +190,8 @@ def _residual(check, D: int, z: complex, nmax: int) -> float:
 
 
 def cmd_verify_modularity(args) -> int:
+    from . import analytic
+
     if _numeric_s(args.D, 4 * args.samples, args.nmax) > TIME_BUDGET_S:
         return _usage_error("--samples and --nmax exceed the time budget")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
@@ -204,6 +246,8 @@ def _partitions_mb(D: int, N: int) -> float:
 def cmd_oracle_check(args) -> int:
     if args.N < 1 or _oracle_check_s(args.D, args.N) > TIME_BUDGET_S:
         return _usage_error("--N out of range for the convolution oracle")
+    from .oracle import compare_with_eta
+
     matches, mismatches = compare_with_eta(args.D, args.N)
     total = args.N + 1
     if mismatches:
@@ -225,6 +269,10 @@ def cmd_partitions(args) -> int:
         or _partitions_mb(args.D, args.N) > MEMORY_BUDGET_MB
     ):
         return _usage_error("--N out of range for the partition tables")
+    import json
+
+    from .partitions import build_partition_tables
+
     ct = build_char_table(args.D)
     tables = build_partition_tables(ct, args.N)
     print(
@@ -242,6 +290,10 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_lvalues(args) -> int:
+    import json
+
+    from .lseries import l_minus_one, l_prime_zero
+
     ct = build_char_table(args.D)
     rec = l_minus_one(ct)
     m = rec.m_exponent
@@ -257,6 +309,10 @@ def cmd_lvalues(args) -> int:
 
 
 def cmd_periods(args) -> int:
+    import json
+
+    from .cyclotomic import period_polynomials
+
     pair = period_polynomials(build_char_table(args.D))
     out = {
         "D": args.D,
@@ -268,6 +324,8 @@ def cmd_periods(args) -> int:
 
 
 def cmd_chars(args) -> int:
+    import json
+
     ct = build_char_table(args.D)
     out = {
         "D": args.D,
@@ -280,6 +338,10 @@ def cmd_chars(args) -> int:
 
 
 def cmd_signs(args) -> int:
+    import json
+
+    from .qseries import eta_series
+
     signs = []
     changes = []
     prev = 0
@@ -309,6 +371,8 @@ def cmd_growth(args) -> int:
     hi = args.window_max if args.window_max is not None else args.N
     if not 1 <= lo <= hi <= args.N:
         return _usage_error("fit window must satisfy 1 <= min <= max <= N")
+    from .qseries import eta_series
+
     pairs = []
     excluded = []
     xs = []
@@ -354,6 +418,8 @@ def cmd_growth(args) -> int:
         for x, y in pairs:
             print(f"{_fmt(x)},{_fmt(y)}")
     else:
+        import json
+
         print(
             json.dumps(
                 {
@@ -376,8 +442,13 @@ def cmd_grid(args) -> int:
         return _usage_error("--im-min must be positive")
     if args.re_steps < 1 or args.im_steps < 1:
         return _usage_error("step counts must be >= 1")
-    if _numeric_s(args.D, 2 * args.re_steps * args.im_steps, args.nmax) > TIME_BUDGET_S:
+    # The lowest point of the grid: Im z >= lo, and Im(-1/z) >= lo / (X^2 + hi^2).
+    lo, hi = sorted((args.im_min, args.im_max))
+    height = lo / max(1.0, max(args.re_min**2, args.re_max**2) + hi**2)
+    if _numeric_s(args.D, 2 * args.re_steps * args.im_steps, args.nmax, height) > TIME_BUDGET_S:
         return _usage_error("grid size and --nmax exceed the time budget")
+    from . import analytic
+
     print("re,im,re_eta,im_eta,re_eta_inv,im_eta_inv")
     overflows = 0
     for i in range(args.im_steps):
@@ -489,6 +560,8 @@ def main(argv=None) -> int:
                 f"D={D} is not fundamental (need D = 1 mod 4, squarefree, >= 5)"
             )
     if args.command in ORDER_CAPPED:
+        from .qseries import MAX_ORDER
+
         if args.N < 1:
             return _usage_error("--N must be >= 1")
         if args.N > MAX_ORDER:
@@ -496,6 +569,16 @@ def main(argv=None) -> int:
         if D is not None and _series_s(D, args.N) > TIME_BUDGET_S:
             return _usage_error("--D and --N exceed the time budget")
     return args.func(args)
+
+
+def __getattr__(name: str):
+    # cli.MAX_ORDER, without importing qseries for the commands that do not
+    # run it.
+    if name == "MAX_ORDER":
+        from .qseries import MAX_ORDER
+
+        return MAX_ORDER
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

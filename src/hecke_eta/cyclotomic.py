@@ -14,7 +14,7 @@ the model ring: their coefficients in O_D follow from closed-form power sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -174,17 +174,14 @@ def project_to_quad(u: CycPoly, ct: CharTable) -> RingElem:
     return RingElem(a, b, D)
 
 
-@dataclass(frozen=True)
-class PeriodPair:
+class PeriodPair(namedtuple("PeriodPair", "D f_plus f_minus")):
     """f_plus = prod_{a in qr}(1 - zeta^a x), f_minus the nr analogue.
 
-    Coefficients are O_D elements, constant terms exactly 1, and
-    coefficientwise conjugation swaps the two polynomials.
+    Coefficients are tuples of O_D elements (RingElem), constant terms
+    exactly 1, and coefficientwise conjugation swaps the two polynomials.
     """
 
-    D: int
-    f_plus: tuple[RingElem, ...]
-    f_minus: tuple[RingElem, ...]
+    __slots__ = ()
 
 
 def _expand_period(ct: CharTable, sign: int, h: int) -> tuple[list[int], list[int]]:
@@ -226,6 +223,32 @@ def _check_period_invariants(fp, fm, D: int) -> None:
         raise ProjectionError("period polynomial constant term is not 1")
     if ma != pa or mb != [-b for b in pb]:
         raise ProjectionError("conjugation does not swap f_plus and f_minus")
-    _, B = _mul_pairs(pa, pb, ma, mb, D, len(pa) + len(ma) - 2)
+    A, B = _mul_pairs(pa, pb, ma, mb, D, len(pa) + len(ma) - 2)
     if any(B):
         raise ProjectionError("f_plus * f_minus has a nonzero sqrt(D) part")
+    if A != [2 * c for c in _cyclotomic_coeffs(D)]:
+        raise ProjectionError("f_plus * f_minus is not the cyclotomic polynomial Phi_D")
+
+
+def _cyclotomic_coeffs(D: int) -> list[int]:
+    """Coefficients of Phi_D(x) = prod_{d | D} (1 - x^d)^{mu(D/d)}, D > 1.
+
+    The product of (1 - zeta^a x) over all units a mod D, so f_plus * f_minus
+    must equal it.  Built from integers alone, and independent of the power
+    sums behind the period polynomials: each factor is applied as a power
+    series truncated past the degree phi(D), multiplying where mu = 1 and
+    dividing where mu = -1.
+    """
+    n = euler_phi(D) + 1
+    c = [1] + [0] * (n - 1)
+    for d in range(1, n):
+        if D % d:
+            continue
+        mu = moebius(D // d)
+        if mu == 1:
+            for k in range(n - 1, d - 1, -1):
+                c[k] -= c[k - d]
+        elif mu == -1:
+            for k in range(d, n):
+                c[k] += c[k - d]
+    return c

@@ -9,7 +9,7 @@ L'(0, chi) = sum_a chi(a) log Gamma(a/D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .characters import CharTable
@@ -19,14 +19,11 @@ class LValueError(ValueError):
     """L-value invariant failed (bad discriminant or character bug)."""
 
 
-@dataclass(frozen=True)
-class LValueRecord:
-    """Exact data at s = -1: the character sum S, L(-1) and m = -L(-1)/2."""
+class LValueRecord(namedtuple("LValueRecord", "D S_chi l_minus_one m_exponent")):
+    """Exact data at s = -1: the character sum S (an int), and the Fractions
+    L(-1) and m = -L(-1)/2."""
 
-    D: int
-    S_chi: int
-    l_minus_one: Fraction
-    m_exponent: Fraction
+    __slots__ = ()
 
 
 def l_minus_one(ct: CharTable) -> LValueRecord:

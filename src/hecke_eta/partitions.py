@@ -8,20 +8,16 @@ c[k][r] that realize the twisted counts p_ord(k, zeta_D^b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
-from typing import NamedTuple
 
 from .characters import CharTable
 
 
-class PentagonalTerm(NamedTuple):
+class PentagonalTerm(namedtuple("PentagonalTerm", "k g sign theta_power")):
     """One term of prod(1 - theta q^n) = sum sign * theta^theta_power * q^g."""
 
-    k: int
-    g: int
-    sign: int
-    theta_power: int
+    __slots__ = ()
 
 
 def p_table(N: int) -> list[int]:
@@ -115,15 +111,11 @@ def length_distribution(D: int, N: int) -> list[list[int]]:
     return c
 
 
-@dataclass(frozen=True)
-class PartitionTables:
-    """p, p_nr and the length-distribution matrix up to N_max."""
+class PartitionTables(namedtuple("PartitionTables", "D N_max p p_nr c")):
+    """p, p_nr and the length-distribution matrix c up to N_max, as tuples of
+    ints (c a tuple of rows)."""
 
-    D: int
-    N_max: int
-    p: tuple[int, ...]
-    p_nr: tuple[int, ...]
-    c: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def build_partition_tables(ct: CharTable, N: int) -> PartitionTables:

@@ -293,6 +293,13 @@ class TestNumericBudget:
         for D in (5, 13, 17):
             assert cli._numeric_s(D, 2 * 20 * 6, 300) <= cli.TIME_BUDGET_S
 
+    def test_model_follows_the_split(self):
+        """950 samples at D = 101 took 1.3 s end to end; charging every point
+        the direct product (nmax phi(D) logs) refused them."""
+        assert cli._numeric_s(101, 4 * 950, 300) <= cli.TIME_BUDGET_S / 10
+        low, high = (cli._numeric_s(101, 1000, 300, h) for h in (1e-4, 1.0))
+        assert high < low
+
 
 def _first_fundamental_above(n):
     D = n + 1
@@ -403,7 +410,9 @@ class TestGrowth:
 
     def test_log_past_the_float_range(self, capsys, monkeypatch):
         big = [RingElem(2**1100, 2**1100, 5), RingElem(-(2**1100) - 2, 2**1099, 5)]
-        monkeypatch.setattr(cli, "eta_series", lambda D, N: SimpleNamespace(coeffs=[None, *big]))
+        monkeypatch.setattr(
+            "hecke_eta.qseries.eta_series", lambda D, N: SimpleNamespace(coeffs=[None, *big])
+        )
         code, out, _ = run_cli(capsys, "growth", "--D", "5", "--N", "2", "--format", "json")
         assert code == 0
         ys = [y for _, y in json.loads(out)["pairs"]]

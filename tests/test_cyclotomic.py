@@ -293,3 +293,25 @@ class TestPeriodGuards:
         monkeypatch.setattr(cyclotomic, "_mul_pairs", corrupt_product)
         with pytest.raises(ProjectionError, match="nonzero sqrt\\(D\\) part"):
             period_polynomials(build_char_table(13))
+
+    def test_product_is_phi_d(self, monkeypatch):
+        """A corruption of the trace weights that keeps every division exact,
+        the degree and conjugation: at D = 21, subtracting twice the power
+        sums c_7(m) of the primitive 7th roots (6 where 7 | m, else -1)
+        divides both period polynomials by Phi_7, and only the comparison of
+        their product with Phi_21 sees it."""
+        weights = cyclotomic._trace_weights(21)
+        bad = tuple(w - 2 * (6 if m % 7 == 0 else -1) for m, w in enumerate(weights))
+        monkeypatch.setattr(cyclotomic, "_trace_weights", lambda D: bad)
+        with pytest.raises(ProjectionError, match="not the cyclotomic polynomial"):
+            period_polynomials(build_char_table(21))
+
+    def test_cyclotomic_coefficients(self):
+        """Phi_21 = x^12 - x^11 + x^9 - x^8 + x^6 - x^4 + x^3 - x + 1, and
+        Phi_105, the first with a coefficient outside {-1, 0, 1}, has -2 at
+        x^7 and x^41."""
+        assert cyclotomic._cyclotomic_coeffs(21) == [1, -1, 0, 1, -1, 0, 1, 0, -1, 1, 0, -1, 1]
+        phi_105 = cyclotomic._cyclotomic_coeffs(105)
+        assert len(phi_105) == 49
+        assert [k for k, c in enumerate(phi_105) if abs(c) > 1] == [7, 41]
+        assert phi_105[7] == phi_105[41] == -2

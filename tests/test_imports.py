@@ -1,5 +1,6 @@
-"""Every module imports cleanly when it is the first one imported, and only
-the commands that compute in arbitrary precision load mpmath.
+"""Every module imports cleanly when it is the first one imported, each
+command loads only the layers it runs, and only the commands that compute in
+arbitrary precision load mpmath.
 
 The package's ``__init__`` imports its modules in one fixed order, which can
 hide an import cycle that another entry point (``python -m hecke_eta.cli``,
@@ -8,6 +9,7 @@ fresh interpreter with an empty stand-in for the package, so the module
 named is the first ``hecke_eta`` module that runs.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -44,12 +46,20 @@ def test_module_imports_first(module):
     assert proc.returncode == 0, proc.stderr
 
 
+# Prints [exit code, mpmath loaded, the hecke_eta modules loaded, whether
+# dataclasses or inspect were loaded after the probe's own imports].
 CLI_PROBE = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from hecke_eta import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, "mpmath" in sys.modules]))
+print(json.dumps([
+    code,
+    "mpmath" in sys.modules,
+    sorted(m for m in sys.modules if m.startswith("hecke_eta.")),
+    bool({"dataclasses", "inspect"} & (set(sys.modules) - before)),
+]))
 """
 
 COMMANDS = [
@@ -68,7 +78,29 @@ COMMANDS = [
 ]
 
 
-def run_cli_probe(argv):
+# The hecke_eta modules each command loads: the discriminant check's
+# characters and quad_ring, and the layers the command runs.
+BASE = {"cli", "characters", "quad_ring"}
+EXACT = BASE | {"qseries", "lseries"}
+NUMERIC = BASE | {"analytic", "lseries"}
+LAYERS = {
+    "coeffs": EXACT,
+    "delta5": EXACT,
+    "signs": EXACT,
+    "growth": EXACT,
+    "verify-table": EXACT | {"golden"},
+    "periods": EXACT | {"cyclotomic"},
+    "oracle-check": EXACT | {"cyclotomic", "oracle", "partitions"},
+    "partitions": BASE | {"partitions"},
+    "verify-modularity": NUMERIC,
+    "grid": NUMERIC,
+    "chars": BASE,
+    "lvalues": BASE | {"lseries"},
+}
+
+
+@functools.cache
+def probe_cli(argv):
     proc = subprocess.run(
         [sys.executable, "-c", CLI_PROBE, *argv.split()],
         capture_output=True,
@@ -79,11 +111,16 @@ def run_cli_probe(argv):
     return json.loads(proc.stdout)
 
 
+def run_cli_probe(argv):
+    return probe_cli(argv)[:2]
+
+
 def test_every_command_is_probed():
     from hecke_eta import cli
 
     commands = set(cli._build_parser()._subparsers._group_actions[0].choices)
     assert commands == {argv.split()[0] for argv in COMMANDS} | {"lvalues"}
+    assert set(LAYERS) == commands
 
 
 @pytest.mark.parametrize("argv", COMMANDS)
@@ -93,3 +130,92 @@ def test_command_does_not_load_mpmath(argv):
 
 def test_lvalues_loads_mpmath():
     assert run_cli_probe("lvalues --D 5") == [0, True]
+
+
+@pytest.mark.parametrize("argv", [*COMMANDS, "lvalues --D 5"])
+def test_command_loads_only_its_layers(argv):
+    code, _, modules, heavy = probe_cli(argv)
+    assert code == 0
+    assert modules == sorted(f"hecke_eta.{m}" for m in LAYERS[argv.split()[0]])
+    assert not heavy
+
+
+LIB_PROBE = """
+import json, sys
+before = set(sys.modules)
+import hecke_eta
+on_import = sorted(m for m in sys.modules if m.startswith("hecke_eta."))
+residual = hecke_eta.check_u_gamma(hecke_eta.word_matrix([1, -1, 2], 5))
+print(json.dumps([
+    on_import,
+    sorted(m for m in sys.modules if m.startswith("hecke_eta.")),
+    bool({"dataclasses", "inspect"} & (set(sys.modules) - before)),
+    residual,
+]))
+"""
+
+
+def test_library_call_loads_only_its_layers():
+    """The package import loads no layer; check_u_gamma loads the numeric
+    layer and what it reads (the character table, L(-1)), not the exact
+    kernel, the oracle or the partition tables."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LIB_PROBE], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    on_import, modules, heavy, residual = json.loads(proc.stdout)
+    assert on_import == []
+    assert modules == ["hecke_eta.analytic", "hecke_eta.characters", "hecke_eta.lseries"]
+    assert not heavy
+    assert residual < 1e-8
+
+
+# The names the package exported when it imported every module up front.
+EXPORTS = {
+    "CharTable", "CharacterError", "CycPoly", "CycSeries", "GroupWord", "LValueRecord",
+    "PartitionTables", "PeriodPair", "ProjectionError", "QSeries", "RingElem", "RingError",
+    "SeriesError", "a_via_convolution", "bound_envelope", "build_char_table",
+    "build_partition_tables", "check_inversion", "check_phi_relation", "check_translation",
+    "check_u_gamma", "cyc_mul", "delta5_series", "embed_real", "envelope_constants",
+    "eta_series", "eval_eta_numeric", "gauss_element", "is_fundamental", "kronecker",
+    "l_minus_one", "l_prime_zero", "length_distribution", "p_nr_table", "p_table",
+    "pentagonal_terms", "period_polynomials", "predicted_u", "project_to_quad", "series_mul",
+    "series_pow", "tau5_values", "trace", "word_matrix",
+}
+
+
+class TestLazyExports:
+    def test_all_lists_every_export(self):
+        assert set(hecke_eta.__all__) == EXPORTS
+
+    @pytest.mark.parametrize("name", sorted(EXPORTS))
+    def test_export_is_its_submodule_attribute(self, name):
+        obj = getattr(hecke_eta, name)
+        assert obj.__module__.startswith("hecke_eta.")
+        assert obj is getattr(sys.modules[obj.__module__], name)
+
+    def test_rebinding_in_the_submodule_shows_through(self, monkeypatch):
+        """A tracer's wrapper or a test's patch in the submodule is what the
+        package returns, so no call through the package bypasses it."""
+        from hecke_eta import qseries
+
+        def wrapper(D, N):
+            raise AssertionError("not called")
+
+        monkeypatch.setattr(qseries, "eta_series", wrapper)
+        assert hecke_eta.eta_series is wrapper
+
+    def test_dir_lists_the_exports(self):
+        assert EXPORTS <= set(dir(hecke_eta))
+        assert "__version__" in dir(hecke_eta)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hecke_eta.no_such_name
+        assert not hasattr(hecke_eta, "series_inv")
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from hecke_eta import *", namespace)
+        assert EXPORTS <= set(namespace)
+        assert namespace["eta_series"] is hecke_eta.eta_series
