@@ -220,9 +220,10 @@ def _series_s(D: int, N: int) -> float:
 
 
 def _oracle_check_s(D: int, N: int) -> float:
-    """Predicted seconds: phi(D)/2 Kronecker products of (N + 1)(2D - 1)
-    slots and phi(D) N / 2 binomial passes of O(N D), on coefficients that
-    grow with N."""
+    """Predicted seconds: phi(D)/2 + 1 Kronecker products of (N + 1)(2D - 1)
+    slots, on coefficients that grow with N.  It bounds the runs since the
+    binomial passes went, in s measured/predicted by (D, N): (5, 2900)
+    15/58, (1009, 3) 9.2/12.4, (1009, 7) 40/56, (4845, 1) 36/53."""
     return 5e-8 * euler_phi(D) * D**1.36 * (N + 1) ** 2.17
 
 
@@ -237,10 +238,15 @@ def _partitions_s(D: int, N: int) -> float:
 
 def _partitions_mb(D: int, N: int) -> float:
     """Predicted peak RSS in MB: the interpreter, the character table and
-    the (N + 1) x D counts, each held as an int, in two containers and as
-    JSON text, 24 + 2 sqrt(N) bytes in all.  An upper bound on the same 53
-    runs (358 MB measured at D = 1001, N = 3000, against 431 MB)."""
-    return 30 + 6e-5 * D + D * (N + 1) * (24 + 2 * math.sqrt(N + 1)) / 1e6
+    the (N + 1) x D counts, ints up to about 3.7 sqrt(N) bits wide held in
+    row tuples while the rows are written one at a time, 20 + 0.6 sqrt(N)
+    bytes per count.  An upper bound on 17 end-to-end runs, D 5..900001, N
+    0..16000, over-predicting by 1.08x to 3.7x (D > N leaves most counts
+    zero); in MB measured/predicted by (D, N): (1001, 3000) 159/189, (1001,
+    4000) 229/262, (1001, 5000) 299/343, (1001, 6000) 369/429, (101, 6000)
+    57/70, (101, 12000) 114/134, (101, 16000) 158/185, (301, 10000) 235/271,
+    (5, 16000) 35/38, (10001, 1000) 113/421."""
+    return 30 + 6e-5 * D + D * (N + 1) * (20 + 0.6 * math.sqrt(N + 1)) / 1e6
 
 
 def cmd_oracle_check(args) -> int:
@@ -275,17 +281,13 @@ def cmd_partitions(args) -> int:
 
     ct = build_char_table(args.D)
     tables = build_partition_tables(ct, args.N)
-    print(
-        json.dumps(
-            {
-                "D": tables.D,
-                "N_max": tables.N_max,
-                "p": list(tables.p),
-                "p_nr": list(tables.p_nr),
-                "c": [list(row) for row in tables.c],
-            }
-        )
-    )
+    head = json.dumps({"D": tables.D, "N_max": tables.N_max, "p": tables.p, "p_nr": tables.p_nr})
+    # one row of c at a time, so the table is never held as one text
+    write = sys.stdout.write
+    write(head[:-1] + ', "c": [')
+    for k, row in enumerate(tables.c):
+        write(", " + json.dumps(row) if k else json.dumps(row))
+    write("]}\n")
     return 0
 
 
@@ -438,8 +440,9 @@ def cmd_growth(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    if args.im_min <= 0:
-        return _usage_error("--im-min must be positive")
+    bounds = (args.re_min, args.re_max, args.im_min, args.im_max)
+    if not all(map(math.isfinite, bounds)) or min(args.im_min, args.im_max) <= 0:
+        return _usage_error("grid bounds must be finite, --im-min and --im-max positive")
     if args.re_steps < 1 or args.im_steps < 1:
         return _usage_error("step counts must be >= 1")
     # The lowest point of the grid: Im z >= lo, and Im(-1/z) >= lo / (X^2 + hi^2).

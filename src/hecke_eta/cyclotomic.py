@@ -7,9 +7,11 @@ all-ones vector maps to zero) is absorbed by the trace functional, which is
 well defined on images.  The model ring, the trace, the Gauss-sum element
 and the projection of fixed-field elements onto O_D serve the convolution
 oracle, which multiplies whole series of model-ring elements by Kronecker
-substitution; cyc_mul, one cyclic convolution of D^2 products, now serves
-only the projection.  The period polynomials f_plus / f_minus never enter
-the model ring: their coefficients in O_D follow from closed-form power sums.
+substitution and twists them by x -> x^a; the projection is O(D), a trace
+and one character sum.  cyc_mul, one cyclic convolution of D^2 products, is
+the tests' reference product and is called by no library path.  The period
+polynomials f_plus / f_minus never enter the model ring: their coefficients
+in O_D follow from closed-form power sums.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, sub
 
 from .characters import CharTable, euler_phi, moebius
 from .qseries import _mul_pairs, euler_transform
@@ -56,23 +57,8 @@ class CycPoly:
         u.coeffs[k % D] = c
         return u
 
-    def copy(self) -> "CycPoly":
-        return CycPoly(self.D, self.coeffs)
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def add_shifted(self, other: "CycPoly", shift: int, scale: int = 1) -> None:
-        """In-place self += scale * x^shift * other (exponents mod D)."""
-        s = shift % self.D
-        oc = other.coeffs
-        rotated = oc[-s:] + oc[:-s] if s else oc  # rotated[j] = oc[(j - s) % D]
-        if scale == -1:
-            self.coeffs[:] = map(sub, self.coeffs, rotated)
-        else:
-            if scale != 1:
-                rotated = [scale * c for c in rotated]
-            self.coeffs[:] = map(add, self.coeffs, rotated)
 
     def __add__(self, other: "CycPoly") -> "CycPoly":
         self._check(other)
@@ -94,7 +80,8 @@ class CycPoly:
 
 
 def cyc_mul(u: CycPoly, v: CycPoly) -> CycPoly:
-    """Cyclic convolution (u*v)[k] = sum_{i+j=k mod D} u[i]v[j]."""
+    """Cyclic convolution (u*v)[k] = sum_{i+j=k mod D} u[i]v[j], D^2 products:
+    the tests' reference product, called by no library path."""
     u._check(v)
     D = u.D
     out = [0] * D
@@ -131,37 +118,27 @@ def trace(u: CycPoly) -> int:
     return sum(c * t for c, t in zip(u.coeffs, w) if c)
 
 
-@lru_cache(maxsize=None)
-def _gauss_cached(D: int) -> CycPoly:
-    from .characters import build_char_table
-
-    ct = build_char_table(D)
-    g = CycPoly(D)
-    for a in range(1, D):
-        g.coeffs[a] = ct.values[a]
-    return g
-
-
 def gauss_element(ct: CharTable) -> CycPoly:
     """The Gauss-sum element sum_a chi_D(a) x^a; evaluates to +sqrt(D)."""
-    return _gauss_cached(ct.D).copy()
+    return CycPoly(ct.D, ct.values)
 
 
 def project_to_quad(u: CycPoly, ct: CharTable) -> RingElem:
     """Project an element of the fixed field of H onto O_D.
 
     Uses alpha = trace(u)/phi(D) and beta = trace(u*g)/(D*phi(D)) with g the
-    Gauss-sum element (sign convention +sqrt(D), D = 1 mod 4).  Non-exact
-    division means u is not in Q(sqrt(D)): this is the correctness guard for
-    the whole exact pipeline, so it raises rather than rounding.
+    Gauss-sum element (sign convention +sqrt(D), D = 1 mod 4), in O(D):
+    trace(u*g) = D sum_i chi(i) u_i, as Tr(zeta^i sqrt(D)) = D chi(i) for the
+    primitive chi.  Non-exact division means u is not in Q(sqrt(D)): this is
+    the correctness guard for the whole exact pipeline, so it raises rather
+    than rounding.
     """
     if u.D != ct.D:
         raise ValueError(f"dimension mismatch: {u.D} vs {ct.D}")
     D = ct.D
     phi = euler_phi(D)
-    g = _gauss_cached(D)
     alpha2 = Fraction(2 * trace(u), phi)
-    beta2 = Fraction(2 * trace(cyc_mul(u, g)), D * phi)
+    beta2 = Fraction(2 * sum(c * x for c, x in zip(u.coeffs, ct.values) if c), phi)
     if alpha2.denominator != 1 or beta2.denominator != 1:
         raise ProjectionError(
             f"element not in Q(sqrt({D})): projection pair ({alpha2}, {beta2})"

@@ -7,12 +7,12 @@ Assembles, in the model ring Z[x]/(x^D - 1),
 
 where F_e(q,theta) = prod(1 - theta q^n), F_ord = 1/F_e, and Z collects the
 parts with chi_D(n) = 0 (for prime D this is exactly F_ord(q^D, 1)).  The
-theta = 1 factor uses the pentagonal expansion; the twisted F_e factors are
-multiplied out binomial by binomial, since the pentagonal monomial shortcut
-is a theta = 1 identity only; the twisted F_ord factors come from the
-length-distribution counts, each multiplied in by one Kronecker-substituted
-integer product (CycSeries.mul_dense).  Every assembled coefficient must
-project exactly onto O_D.  The results are the anti-bug cross-check for the
+twisted factors are sigma_a(G), x -> x^a, over the residues a, with G =
+F_e(q, zeta) F_ord(q, zeta^n0) for one non-residue n0 built from partition
+tables; a n0 runs over the non-residues as a does over the residues.  All
+are Kronecker-substituted integer products, phi(D)/2 + 1 of model-ring
+series (CycSeries.mul_dense).  Every assembled coefficient must project
+exactly onto O_D.  The results are the anti-bug cross-check for the
 Lambert-series recurrence in qseries: no divisor sums, no Lambert
 coefficients, no O_D arithmetic until the final projection; of qseries only
 the generic packing helpers _pack and _unpack are shared.
@@ -25,7 +25,12 @@ from operator import add
 
 from .characters import build_char_table
 from .cyclotomic import CycPoly, project_to_quad
-from .partitions import length_distribution, p_nr_table, pentagonal_int_series
+from .partitions import (
+    distinct_length_distribution,
+    length_distribution,
+    p_nr_table,
+    pentagonal_int_series,
+)
 from .qseries import _pack, _unpack
 from .quad_ring import RingElem
 
@@ -67,14 +72,6 @@ class CycSeries:
             out.append(CycPoly(D, row))
         return CycSeries(D, out)
 
-    def mul_binomial_inplace(self, zexp: int, gap: int) -> None:
-        """Multiply by (1 - zeta^zexp * q^gap) in place."""
-        coeffs = self.coeffs
-        for k in range(self.prec, gap - 1, -1):
-            src = coeffs[k - gap]
-            if not src.is_zero():
-                coeffs[k].add_shifted(src, zexp, -1)
-
 
 def _flatten(coeffs: list[CycPoly], D: int, N: int) -> list[int]:
     """Rows 0..N of coeffs as one slot list, each padded by D - 1 zeros."""
@@ -104,16 +101,20 @@ def _slot_bytes(u: list[int], v: list[int], N: int, D: int) -> int:
     return (bits + 7) // 8
 
 
-def _int_convolve(u, v, N: int) -> list[int]:
-    out = [0] * (N + 1)
-    for i, a in enumerate(u[: N + 1]):
-        if a == 0:
-            continue
-        for j in range(min(len(v), N + 1 - i)):
-            b = v[j]
-            if b:
-                out[i + j] += a * b
-    return out
+def _int_convolve(u: list[int], v: list[int], N: int) -> list[int]:
+    """The product of the integer series u and v up to q^N: one packed
+    integer product, its slots bounded as a model-ring product of D = 1."""
+    wb = _slot_bytes(u, v, N, 1)
+    return _unpack(_pack(u, wb) * _pack(v, wb), wb, 0, N + 1)
+
+
+def _twist(rows, a: int, D: int) -> CycSeries:
+    """sigma_a: x -> x^a applied to each row of model-ring coefficients, for
+    a unit a mod D: the entry at slot r moves to slot a r, so slot t takes
+    the entry at r = t / a."""
+    a_inv = pow(a, -1, D)
+    idx = [a_inv * t % D for t in range(D)]
+    return CycSeries(D, [CycPoly(D, map(row.__getitem__, idx)) for row in rows])
 
 
 def _chi_zero_series(D: int, N: int) -> list[int]:
@@ -143,20 +144,14 @@ def a_via_convolution(D: int, N: int) -> list[RingElem]:
     base = _int_convolve(base, _chi_zero_series(D, N), N)   # chi = 0 parts
     base = _int_convolve(base, pentagonal_int_series(N), N)  # F_e(q, 1)
 
+    # G = F_e(q, zeta) F_ord(q, zeta^n0); sigma_a(G) for a in qr covers every
+    # twisted factor once
+    f_e = _twist(distinct_length_distribution(D, N), 1, D)
+    G = f_e.mul_dense(_twist(length_distribution(D, N), ct.nr_list[0], D))
+    rows = [u.coeffs for u in G.coeffs]
     series = CycSeries.from_int_series(D, base)
-
     for a in ct.qr_list:
-        for n in range(1, N + 1):
-            series.mul_binomial_inplace(a, n)
-
-    c = length_distribution(D, N)
-    for b in ct.nr_list:
-        # count c[k][r] goes to zeta^(b r); b is a unit mod D, so residue t
-        # takes c[k][r] with r = t / b
-        b_inv = pow(b, -1, D)
-        idx = [b_inv * t % D for t in range(D)]
-        twisted = [CycPoly(D, map(row.__getitem__, idx)) for row in c]
-        series = series.mul_dense(CycSeries(D, twisted))
+        series = series.mul_dense(_twist(rows, a, D))
 
     return [project_to_quad(u, ct) for u in series.coeffs]
 

@@ -2,8 +2,9 @@
 
 Covers the ordinary partition numbers p(k) (Euler pentagonal recurrence),
 the generalized pentagonal expansion of prod(1 - theta q^n), partitions
-into quadratic non-residue parts, and the joint size/length-mod-D counts
-c[k][r] that realize the twisted counts p_ord(k, zeta_D^b).
+into quadratic non-residue parts, the joint size/length-mod-D counts
+c[k][r] that realize the twisted counts p_ord(k, zeta_D^b), and their signed
+distinct-parts analogue e[k][r], the coefficients of prod(1 - zeta_D^a q^n).
 """
 
 from __future__ import annotations
@@ -87,28 +88,56 @@ def p_nr_table(ct: CharTable, N: int) -> list[int]:
     return p
 
 
+def _parts_at_most(N: int):
+    """Yield m, P for m = 1..N, P[j] the partitions of j into parts <= m,
+    extended in place: P_m(j) = P_{m-1}(j) + P_m(j - m), O(N) per m."""
+    P = [1] + [0] * N
+    for m in range(1, N + 1):
+        for lo in range(m, N + 1, m):
+            P[lo : lo + m] = map(add, P[lo : lo + m], P[lo - m : lo])
+        yield m, P
+
+
 def length_distribution(D: int, N: int) -> list[list[int]]:
     """c[k][r] = number of partitions of k whose length is r mod D.
 
     Conjugation swaps length and largest part, and the partitions of k with
     largest part m are those of k - m into parts of size at most m.  So
-    c[k][m mod D] collects P_m(k - m) over m, where P_m counts partitions
-    into parts <= m and is extended one part size at a time: O(N^2)
-    additions whatever D is, and a table of (N+1) x D entries.
+    c[k][m mod D] collects P_m(k - m) over m: O(N^2) additions whatever D
+    is, and a table of (N+1) x D entries.
     """
     if D < 1:
         raise ValueError("modulus must be positive")
     c = [[0] * D for _ in range(N + 1)]
     c[0][0] = 1
-    P = [1] + [0] * N  # P[j] = partitions of j into parts <= m
-    for m in range(1, N + 1):
-        # P_m(j) = P_{m-1}(j) + P_m(j - m), one block of m orders at a time
-        for lo in range(m, N + 1, m):
-            P[lo : lo + m] = map(add, P[lo : lo + m], P[lo - m : lo])
+    for m, P in _parts_at_most(N):
         r = m % D
         for row, count in zip(c[m:], P):
             row[r] += count
     return c
+
+
+def distinct_length_distribution(D: int, N: int) -> list[list[int]]:
+    """e[k][r] = sum of (-1)^l over the partitions of k into l distinct parts
+    with l = r mod D: the coefficients of prod(1 - theta q^n), theta^D = 1.
+
+    Taking the staircase l, l-1, ..., 1 off such a partition and conjugating
+    leaves one into parts <= l, so e[k][l mod D] collects (-1)^l
+    P_l(k - l(l+1)/2) over the O(sqrt N) l with l(l+1)/2 <= N: O(N^1.5).
+    """
+    if D < 1:
+        raise ValueError("modulus must be positive")
+    e = [[0] * D for _ in range(N + 1)]
+    e[0][0] = 1
+    for l, P in _parts_at_most(N):
+        s = l * (l + 1) // 2
+        if s > N:
+            break
+        r = l % D
+        sign = -1 if l % 2 else 1
+        for row, count in zip(e[s:], P):
+            row[r] += sign * count
+    return e
 
 
 class PartitionTables(namedtuple("PartitionTables", "D N_max p p_nr c")):
@@ -122,13 +151,8 @@ def build_partition_tables(ct: CharTable, N: int) -> PartitionTables:
     p = p_table(N)
     pnr = p_nr_table(ct, N)
     c = length_distribution(ct.D, N)
-    for k in range(N + 1):
-        if sum(c[k]) != p[k]:
+    for k, row in enumerate(c):
+        if sum(row) != p[k]:
             raise AssertionError(f"length distribution row {k} does not sum to p({k})")
-    return PartitionTables(
-        D=ct.D,
-        N_max=N,
-        p=tuple(p),
-        p_nr=tuple(pnr),
-        c=tuple(tuple(row) for row in c),
-    )
+        c[k] = tuple(row)  # in place: the table is never held twice
+    return PartitionTables(D=ct.D, N_max=N, p=tuple(p), p_nr=tuple(pnr), c=tuple(c))

@@ -155,13 +155,15 @@ def _poly_step(A, B, fa, fb, n, D, sign):
 
 def _expand_linear_product(exponents, D):
     """Coefficients (as CycPoly) of prod_a (1 - x * zeta^a)."""
-    coeffs = [CycPoly.one(D)]
+    coeffs = [[1] + [0] * (D - 1)]
     for a in exponents:
-        coeffs.append(CycPoly(D))
+        coeffs.append([0] * D)
         # multiply by (1 - zeta^a x): new[i] = old[i] - zeta^a old[i-1]
         for i in range(len(coeffs) - 1, 0, -1):
-            coeffs[i].add_shifted(coeffs[i - 1], a, -1)
-    return coeffs
+            cur, prev = coeffs[i], coeffs[i - 1]
+            for j in range(D):
+                cur[(j + a) % D] -= prev[j]
+    return [CycPoly(D, c) for c in coeffs]
 
 
 @lru_cache(maxsize=None)

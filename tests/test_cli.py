@@ -202,7 +202,7 @@ class TestPartitionsMemory:
     budget, though its time model accepts it."""
 
     def test_large_table_refused_at_once(self, capsys):
-        D, N = 1001, 4000
+        D, N = 2001, 6000
         assert cli._partitions_s(D, N) <= cli.TIME_BUDGET_S
         assert cli._partitions_mb(D, N) > cli.MEMORY_BUDGET_MB
         start = time.perf_counter()
@@ -462,6 +462,30 @@ class TestGrid:
         if steps == "2":
             assert lines[2].startswith(f"{re_z},3,") and "inf" not in lines[2]
 
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("--im-min", "0.5", "--im-max", "-1"),
+            ("--im-min", "0.5", "--im-max", "0"),
+            ("--im-min", "0", "--im-max", "1"),
+            ("--im-min", "-0.5", "--im-max", "1"),
+            ("--im-min", "0.5", "--im-max", "nan"),
+            ("--im-min", "nan", "--im-max", "1"),
+            ("--im-min", "0.5", "--im-max", "inf"),
+            ("--re-min=-inf", "--im-min", "0.5", "--im-max", "1"),
+            ("--re-max", "nan", "--im-min", "0.5", "--im-max", "1"),
+        ],
+    )
+    def test_bad_bounds_are_a_usage_error(self, capsys, bounds):
+        """An Im bound at or below 0, or a bound that is not finite, is
+        refused before any row is printed."""
+        code, out, err = run_cli(
+            capsys, "grid", "--D", "5", *bounds, "--re-steps", "1", "--im-steps", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 class TestEntryPoint:
     def test_console_script_runs(self):

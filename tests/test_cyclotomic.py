@@ -1,11 +1,17 @@
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 from oracles import embed_mp, period_polynomials_by_product
 
 from hecke_eta import cyclotomic
-from hecke_eta.characters import CharTable, build_char_table, fundamental_discriminants
+from hecke_eta.characters import (
+    CharTable,
+    build_char_table,
+    euler_phi,
+    fundamental_discriminants,
+)
 from hecke_eta.cyclotomic import (
     CycPoly,
     ProjectionError,
@@ -60,23 +66,6 @@ class TestCycMul:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cyc_mul(CycPoly.one(5), CycPoly.one(7))
-
-
-class TestAddShifted:
-    @pytest.mark.parametrize("D", [1, 5, 21])
-    def test_matches_index_loop(self, D):
-        rng = random.Random(D)
-        for shift in (0, 1, D - 1, D, -3, 2 * D + 2):
-            for scale in (1, -1, 3, 0):
-                u = CycPoly(D, [rng.randrange(-(2**70), 2**70) for _ in range(D)])
-                v = CycPoly(D, [rng.randrange(-(2**70), 2**70) for _ in range(D)])
-                expected = list(u.coeffs)
-                for i in range(D):
-                    expected[(i + shift) % D] += scale * v.coeffs[i]
-                before = u.coeffs
-                u.add_shifted(v, shift, scale)
-                assert u.coeffs == expected
-                assert u.coeffs is before
 
 
 class TestTrace:
@@ -149,6 +138,32 @@ class TestProjection:
         ct = build_char_table(5)
         with pytest.raises(ProjectionError):
             project_to_quad(CycPoly.monomial(5, 1), ct)
+
+    @pytest.mark.parametrize("D", [5, 13, 101, 21, 105])
+    def test_matches_trace_of_gauss_product(self, D):
+        """The O(D) character sum against the product formula it replaced,
+        trace(u g) / (D phi(D)), on random fixed and unfixed u: the same
+        pair where it is exact, and ProjectionError where it is not."""
+        ct = build_char_table(D)
+        g = gauss_element(ct)
+        phi = euler_phi(D)
+        rng = random.Random(D)
+        raised = 0
+        for trial in range(12):
+            v = [rng.randrange(-(2**40), 2**40) for _ in range(D)]
+            u = CycPoly(D)
+            for h in ct.qr_list if trial % 2 else (1,):
+                for k in range(D):
+                    u.coeffs[h * k % D] += v[k]
+            a2 = Fraction(2 * trace(u), phi)
+            b2 = Fraction(2 * trace(cyc_mul(u, g)), D * phi)
+            if a2.denominator == b2.denominator == 1 and (a2 - b2) % 2 == 0:
+                assert project_to_quad(u, ct) == RingElem(int(a2), int(b2), D)
+            else:
+                raised += 1
+                with pytest.raises(ProjectionError):
+                    project_to_quad(u, ct)
+        assert raised > 0
 
     def test_projection_matches_numeric_on_random_fixed_elements(self):
         rng = random.Random(23)

@@ -4,7 +4,7 @@ import pytest
 from oracles import mul_dense_plain
 
 from hecke_eta import oracle, qseries
-from hecke_eta.characters import build_char_table
+from hecke_eta.characters import build_char_table, euler_phi
 from hecke_eta.cyclotomic import CycPoly, ProjectionError, project_to_quad
 from hecke_eta.golden import golden_coefficients
 from hecke_eta.oracle import CycSeries, a_via_convolution, compare_with_eta
@@ -54,40 +54,61 @@ class TestGaloisGuard:
         with pytest.raises(ProjectionError):
             project_to_quad(CycPoly.monomial(5, 2), ct)
 
-    def test_series_coefficients_are_orbit_constant_for_prime_d(self):
-        # direct check that intermediate oracle coefficients are fixed by
-        # the residue subgroup: coefficients constant on {0}, qr, nr orbits
-        D = 13
+    @staticmethod
+    def _assert_orbit_constant(monkeypatch, D, N):
+        """Every coefficient a_via_convolution assembles, the product of the
+        integer factors and sigma_a(G) over the residues a, is fixed by the
+        residue subgroup: constant on the qr and on the nr orbits (the units
+        mod D where chi is +1 and -1)."""
         ct = build_char_table(D)
-        from hecke_eta.oracle import (
-            _chi_zero_series,
-            _int_convolve,
-        )
-        from hecke_eta.partitions import length_distribution, p_nr_table, pentagonal_int_series
+        assembled = []
 
-        N = 8
-        pnr = p_nr_table(ct, N)
-        base = _int_convolve(pnr, pnr, N)
-        base = _int_convolve(base, _chi_zero_series(D, N), N)
-        base = _int_convolve(base, pentagonal_int_series(N), N)
-        series = CycSeries.from_int_series(D, base)
-        for a in ct.qr_list:
-            for n in range(1, N + 1):
-                series.mul_binomial_inplace(a, n)
-        c = length_distribution(D, N)
-        for b in ct.nr_list:
-            coeffs = []
-            for k in range(N + 1):
-                poly = CycPoly(D)
-                for r in range(D):
-                    if c[k][r]:
-                        poly.coeffs[b * r % D] += c[k][r]
-                coeffs.append(poly)
-            series = series.mul_dense(CycSeries(D, coeffs))
-        for u in series.coeffs:
+        # the projection is left out, so only the orbit check can fail
+        monkeypatch.setattr(oracle, "project_to_quad", lambda u, ct: assembled.append(u))
+        a_via_convolution(D, N)
+        assert len(assembled) == N + 1
+        for u in assembled:
             qr_vals = {u.coeffs[a % D] for a in ct.qr_list}
             nr_vals = {u.coeffs[b % D] for b in ct.nr_list}
             assert len(qr_vals) == 1 and len(nr_vals) == 1
+
+    def test_series_coefficients_are_orbit_constant_for_prime_d(self, monkeypatch):
+        self._assert_orbit_constant(monkeypatch, 13, 8)
+
+    def test_series_coefficients_are_orbit_constant_for_composite_d(self, monkeypatch):
+        self._assert_orbit_constant(monkeypatch, 21, 8)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("D, N", [(5, 12), (13, 6), (21, 5), (105, 2)])
+    def test_one_product_per_twisted_factor_pair(self, monkeypatch, D, N):
+        """phi(D)/2 + 1 Kronecker products, no other model-ring multiply."""
+        calls = []
+        mul_dense = CycSeries.mul_dense
+
+        def counted(self, other):
+            calls.append(1)
+            return mul_dense(self, other)
+
+        monkeypatch.setattr(CycSeries, "mul_dense", counted)
+        out = a_via_convolution(D, N)
+        assert len(calls) == euler_phi(D) // 2 + 1
+        assert out == list(qseries.eta_series(D, N).coeffs)
+
+    @pytest.mark.parametrize("N", [0, 1, 7, 60])
+    def test_int_convolve_matches_double_loop(self, N):
+        """Random signed operands, and equal extreme ones whose last slot
+        reaches the width bound (N + 1) max|u| max|v|; eight consecutive
+        widths cover every rounding of the bound to whole bytes."""
+        rng = random.Random(N)
+        for bits in range(60, 68):
+            M = 2**bits - 1
+            u = [rng.randrange(-M, M + 1) for _ in range(N + 1)]
+            v = [rng.randrange(-3, 4) for _ in range(N + 1)]
+            for f, g in ((u, v), ([-M] * (N + 1), [-M] * (N + 1))):
+                expected = [sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(N + 1)]
+                assert oracle._int_convolve(f, g, N) == expected
+        assert oracle._int_convolve(v, [0] * (N + 1), N) == [0] * (N + 1)
 
 
 def _random_series(rng, D, prec, bits, zero_rows=0.2):

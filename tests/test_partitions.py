@@ -13,6 +13,7 @@ from hecke_eta.characters import build_char_table
 from hecke_eta.partitions import (
     PentagonalTerm,
     build_partition_tables,
+    distinct_length_distribution,
     length_distribution,
     p_nr_table,
     p_table,
@@ -108,6 +109,32 @@ class TestLengthDistribution:
     @pytest.mark.parametrize("D, N", [(1, 40), (2, 40), (5, 120), (13, 90), (21, 60), (101, 130), (7, 0)])
     def test_against_dp_over_part_sizes(self, D, N):
         assert length_distribution(D, N) == length_distribution_by_parts(D, N)
+
+
+class TestDistinctLengthDistribution:
+    @pytest.mark.parametrize("D", [1, 5, 21])
+    def test_against_enumeration(self, D):
+        N = 25
+        e = distinct_length_distribution(D, N)
+        assert len(e) == N + 1
+        for k in range(N + 1):
+            signed = [0] * D
+            for lam in enumerate_partitions(k):
+                if len(set(lam)) == len(lam):
+                    signed[len(lam) % D] += (-1) ** len(lam)
+            assert e[k] == signed
+
+    def test_row_sums_are_the_pentagonal_series(self):
+        # theta = 1: prod(1 - q^n), Euler's pentagonal number theorem
+        N = 500
+        assert [sum(row) for row in distinct_length_distribution(7, N)] == (
+            pentagonal_int_series(N)
+        )
+
+    def test_order_zero_and_bad_modulus(self):
+        assert distinct_length_distribution(5, 0) == [[1, 0, 0, 0, 0]]
+        with pytest.raises(ValueError):
+            distinct_length_distribution(0, 3)
 
 
 class TestTables:
