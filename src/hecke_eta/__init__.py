@@ -17,8 +17,8 @@ _EXPORTS_BY_MODULE = {
         "CharTable", "CharacterError", "build_char_table", "is_fundamental", "kronecker",
     ),
     "cyclotomic": (
-        "CycPoly", "PeriodPair", "ProjectionError", "cyc_mul", "gauss_element",
-        "period_polynomials", "project_to_quad", "trace",
+        "PeriodPair", "ProjectionError", "cyc_mul", "gauss_element", "period_polynomials",
+        "project_to_quad", "trace",
     ),
     "lseries": ("LValueRecord", "l_minus_one", "l_prime_zero"),
     "partitions": (

@@ -80,6 +80,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _json_float(x: float) -> float | None:
+    """x, or None (JSON null) for an infinite or undefined x, which JSON
+    cannot spell."""
+    return x if math.isfinite(x) else None
+
+
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
@@ -96,7 +102,7 @@ def _print_rows(D: int, coeffs, fmt: str) -> None:
         if fmt == "csv":
             print(f"{D},{n},{c.num_a},{c.num_b},{_fmt(real)}")
         else:
-            print(json.dumps({"D": D, "N": n, **c.to_json_dict(), "real": real}))
+            print(json.dumps({"D": D, "N": n, **c.to_json_dict(), "real": _json_float(real)}))
 
 
 def cmd_coeffs(args) -> int:
@@ -192,6 +198,10 @@ def _residual(check, D: int, z: complex, nmax: int) -> float:
 def cmd_verify_modularity(args) -> int:
     from . import analytic
 
+    if args.samples < 1 or args.nmax < 1:
+        return _usage_error("--samples and --nmax must be >= 1")
+    if not 0 < args.tol < math.inf:
+        return _usage_error("--tol must be a positive finite number")
     if _numeric_s(args.D, 4 * args.samples, args.nmax) > TIME_BUDGET_S:
         return _usage_error("--samples and --nmax exceed the time budget")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
@@ -240,13 +250,19 @@ def _partitions_mb(D: int, N: int) -> float:
     """Predicted peak RSS in MB: the interpreter, the character table and
     the (N + 1) x D counts, ints up to about 3.7 sqrt(N) bits wide held in
     row tuples while the rows are written one at a time, 20 + 0.6 sqrt(N)
-    bytes per count.  An upper bound on 17 end-to-end runs, D 5..900001, N
-    0..16000, over-predicting by 1.08x to 3.7x (D > N leaves most counts
-    zero); in MB measured/predicted by (D, N): (1001, 3000) 159/189, (1001,
-    4000) 229/262, (1001, 5000) 299/343, (1001, 6000) 369/429, (101, 6000)
-    57/70, (101, 12000) 114/134, (101, 16000) 158/185, (301, 10000) 235/271,
-    (5, 16000) 35/38, (10001, 1000) 113/421."""
-    return 30 + 6e-5 * D + D * (N + 1) * (20 + 0.6 * math.sqrt(N + 1)) / 1e6
+    bytes per count; a count c[k][r] with k < r is always zero, a shared
+    small int that costs only its 8-byte tuple slot.  An upper bound on 16
+    end-to-end runs, D 5..900001, N 0..16000, over-predicting by 1.04x to
+    1.64x; in MB measured/predicted by (D, N): (1001, 3000) 159/166, (1001,
+    4000) 229/237, (1001, 5000) 299/315, (1001, 6000) 369/400, (101, 6000)
+    57/70, (101, 12000) 114/134, (101, 16000) 158/185, (301, 10000) 235/268,
+    (5, 16000) 35/38, (5001, 2000) 179/188, (2001, 500) 27/41, (10001, 100)
+    24/39, (10001, 1000) 113/126, (100001, 10) 32/45, (100001, 100) 100/117,
+    (900001, 0) 70/91."""
+    m = min(N + 1, D)
+    zeros = m * (D - 1) - m * (m - 1) // 2  # c[k][r] for k < r < D
+    per_count = 20 + 0.6 * math.sqrt(N + 1)
+    return 30 + 6e-5 * D + ((D * (N + 1) - zeros) * per_count + 8 * zeros) / 1e6
 
 
 def cmd_oracle_check(args) -> int:
@@ -428,9 +444,9 @@ def cmd_growth(args) -> int:
                     "D": args.D,
                     "N_max": args.N,
                     "window": [lo, hi],
-                    "slope": slope,
-                    "intercept": intercept,
-                    "fitted_C": slope,
+                    "slope": _json_float(slope),
+                    "intercept": _json_float(intercept),
+                    "fitted_C": _json_float(slope),
                     "excluded_zero": excluded,
                     "pairs": [[x, y] for x, y in pairs],
                 }
@@ -443,8 +459,8 @@ def cmd_grid(args) -> int:
     bounds = (args.re_min, args.re_max, args.im_min, args.im_max)
     if not all(map(math.isfinite, bounds)) or min(args.im_min, args.im_max) <= 0:
         return _usage_error("grid bounds must be finite, --im-min and --im-max positive")
-    if args.re_steps < 1 or args.im_steps < 1:
-        return _usage_error("step counts must be >= 1")
+    if args.re_steps < 1 or args.im_steps < 1 or args.nmax < 1:
+        return _usage_error("step counts and --nmax must be >= 1")
     # The lowest point of the grid: Im z >= lo, and Im(-1/z) >= lo / (X^2 + hi^2).
     lo, hi = sorted((args.im_min, args.im_max))
     height = lo / max(1.0, max(args.re_min**2, args.re_max**2) + hi**2)

@@ -1,12 +1,14 @@
 """Exact arithmetic in the model ring Z[x]/(x^D - 1) for Z[zeta_D], and the
 period polynomials.
 
+A model-ring element is a plain list of D integers, entry r standing for
+zeta_D^r, and every function here reads D as the length of the list.
 Working modulo x^D - 1 instead of the cyclotomic polynomial keeps
 multiplication a plain cyclic convolution; the redundancy (for D prime the
 all-ones vector maps to zero) is absorbed by the trace functional, which is
-well defined on images.  The model ring, the trace, the Gauss-sum element
-and the projection of fixed-field elements onto O_D serve the convolution
-oracle, which multiplies whole series of model-ring elements by Kronecker
+well defined on images.  The trace, the Gauss-sum element and the
+projection of fixed-field elements onto O_D serve the convolution oracle,
+which multiplies whole series of model-ring elements by Kronecker
 substitution and twists them by x -> x^a; the projection is O(D), a trace
 and one character sum.  cyc_mul, one cyclic convolution of D^2 products, is
 the tests' reference product and is called by no library path.  The period
@@ -30,74 +32,25 @@ class ProjectionError(ValueError):
     """Element is not (recognizably) in Q(sqrt(D))."""
 
 
-class CycPoly:
-    """Integer vector of length D; index k stands for zeta_D^k."""
-
-    __slots__ = ("D", "coeffs")
-
-    def __init__(self, D: int, coeffs=None):
-        self.D = D
-        if coeffs is None:
-            self.coeffs = [0] * D
-        else:
-            coeffs = list(coeffs)
-            if len(coeffs) != D:
-                raise ValueError(f"need exactly {D} coefficients, got {len(coeffs)}")
-            self.coeffs = coeffs
-
-    @classmethod
-    def one(cls, D: int) -> "CycPoly":
-        u = cls(D)
-        u.coeffs[0] = 1
-        return u
-
-    @classmethod
-    def monomial(cls, D: int, k: int, c: int = 1) -> "CycPoly":
-        u = cls(D)
-        u.coeffs[k % D] = c
-        return u
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other: "CycPoly") -> "CycPoly":
-        self._check(other)
-        return CycPoly(self.D, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def _check(self, other: "CycPoly") -> None:
-        if self.D != other.D:
-            raise ValueError(f"dimension mismatch: D={self.D} vs D={other.D}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CycPoly)
-            and self.D == other.D
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"CycPoly(D={self.D}, {self.coeffs})"
-
-
-def cyc_mul(u: CycPoly, v: CycPoly) -> CycPoly:
+def cyc_mul(u: list[int], v: list[int]) -> list[int]:
     """Cyclic convolution (u*v)[k] = sum_{i+j=k mod D} u[i]v[j], D^2 products:
     the tests' reference product, called by no library path."""
-    u._check(v)
-    D = u.D
+    D = len(u)
+    if len(v) != D:
+        raise ValueError(f"dimension mismatch: D={D} vs D={len(v)}")
     out = [0] * D
-    uc, vc = u.coeffs, v.coeffs
     for i in range(D):
-        a = uc[i]
+        a = u[i]
         if a == 0:
             continue
         for j in range(D):
-            b = vc[j]
+            b = v[j]
             if b:
                 k = i + j
                 if k >= D:
                     k -= D
                 out[k] += a * b
-    return CycPoly(D, out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -112,18 +65,19 @@ def _trace_weights(D: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def trace(u: CycPoly) -> int:
-    """Field trace of the image of u in Q(zeta_D), extended Z-linearly."""
-    w = _trace_weights(u.D)
-    return sum(c * t for c, t in zip(u.coeffs, w) if c)
+def trace(u: list[int]) -> int:
+    """Field trace of the image of u in Q(zeta_D), D = len(u), extended
+    Z-linearly."""
+    w = _trace_weights(len(u))
+    return sum(c * t for c, t in zip(u, w) if c)
 
 
-def gauss_element(ct: CharTable) -> CycPoly:
+def gauss_element(ct: CharTable) -> list[int]:
     """The Gauss-sum element sum_a chi_D(a) x^a; evaluates to +sqrt(D)."""
-    return CycPoly(ct.D, ct.values)
+    return list(ct.values)
 
 
-def project_to_quad(u: CycPoly, ct: CharTable) -> RingElem:
+def project_to_quad(u: list[int], ct: CharTable) -> RingElem:
     """Project an element of the fixed field of H onto O_D.
 
     Uses alpha = trace(u)/phi(D) and beta = trace(u*g)/(D*phi(D)) with g the
@@ -133,12 +87,12 @@ def project_to_quad(u: CycPoly, ct: CharTable) -> RingElem:
     the correctness guard for the whole exact pipeline, so it raises rather
     than rounding.
     """
-    if u.D != ct.D:
-        raise ValueError(f"dimension mismatch: {u.D} vs {ct.D}")
+    if len(u) != ct.D:
+        raise ValueError(f"dimension mismatch: {len(u)} vs {ct.D}")
     D = ct.D
     phi = euler_phi(D)
     alpha2 = Fraction(2 * trace(u), phi)
-    beta2 = Fraction(2 * sum(c * x for c, x in zip(u.coeffs, ct.values) if c), phi)
+    beta2 = Fraction(2 * sum(c * x for c, x in zip(u, ct.values) if c), phi)
     if alpha2.denominator != 1 or beta2.denominator != 1:
         raise ProjectionError(
             f"element not in Q(sqrt({D})): projection pair ({alpha2}, {beta2})"

@@ -11,11 +11,12 @@ twisted factors are sigma_a(G), x -> x^a, over the residues a, with G =
 F_e(q, zeta) F_ord(q, zeta^n0) for one non-residue n0 built from partition
 tables; a n0 runs over the non-residues as a does over the residues.  All
 are Kronecker-substituted integer products, phi(D)/2 + 1 of model-ring
-series (CycSeries.mul_dense).  Every assembled coefficient must project
-exactly onto O_D.  The results are the anti-bug cross-check for the
-Lambert-series recurrence in qseries: no divisor sums, no Lambert
-coefficients, no O_D arithmetic until the final projection; of qseries only
-the generic packing helpers _pack and _unpack are shared.
+series (CycSeries.mul_dense), whose rows are plain lists of D integers as
+in cyclotomic.  Every assembled coefficient must project exactly onto O_D.
+The results are the anti-bug cross-check for the Lambert-series recurrence
+in qseries: no divisor sums, no Lambert coefficients, no O_D arithmetic
+until the final projection; of qseries only the generic packed product
+_convolve is shared.
 """
 
 from __future__ import annotations
@@ -24,30 +25,27 @@ from math import gcd
 from operator import add
 
 from .characters import build_char_table
-from .cyclotomic import CycPoly, project_to_quad
+from .cyclotomic import project_to_quad
 from .partitions import (
     distinct_length_distribution,
     length_distribution,
     p_nr_table,
     pentagonal_int_series,
 )
-from .qseries import _pack, _unpack
+from .qseries import _convolve
 from .quad_ring import RingElem
 
 
 class CycSeries:
-    """Truncated q-series with CycPoly coefficients (one per q-power)."""
+    """Truncated q-series over the model ring: row k, a list of D integers,
+    is the coefficient of q^k."""
 
     __slots__ = ("D", "prec", "coeffs")
 
-    def __init__(self, D: int, coeffs: list[CycPoly]):
+    def __init__(self, D: int, coeffs: list[list[int]]):
         self.D = D
         self.coeffs = coeffs
         self.prec = len(coeffs) - 1
-
-    @classmethod
-    def from_int_series(cls, D: int, ints) -> "CycSeries":
-        return cls(D, [CycPoly.monomial(D, 0, c) for c in ints])
 
     def mul_dense(self, other: "CycSeries") -> "CycSeries":
         """Truncated product, by Kronecker substitution: one integer product.
@@ -56,56 +54,31 @@ class CycSeries:
         model-ring coefficients of a q-power followed by D - 1 zeros, so the
         linear product of two rows (degree at most 2D - 2) stays inside its
         row.  Row k of the product is then the unreduced sum of the row
-        products of q-powers i + j = k, and folding slot r + D onto slot r
-        reduces it mod x^D - 1.
+        products of q-powers i + j = k, at most (prec + 1) D products per
+        slot, and folding slot r + D onto slot r reduces it mod x^D - 1.
         """
         D, N = self.D, self.prec
         stride = 2 * D - 1
-        u = _flatten(self.coeffs, D, N)
-        v = _flatten(other.coeffs, D, N)
-        wb = _slot_bytes(u, v, N, D)
-        slots = _unpack(_pack(u, wb) * _pack(v, wb), wb, 0, (N + 1) * stride)
+        size = (N + 1) * stride
+        slots = _convolve(
+            _flatten(self.coeffs, D, N), _flatten(other.coeffs, D, N), (N + 1) * D, size
+        )
         out = []
-        for o in range(0, (N + 1) * stride, stride):
+        for o in range(0, size, stride):
             row = list(map(add, slots[o : o + D - 1], slots[o + D : o + stride]))
             row.append(slots[o + D - 1])
-            out.append(CycPoly(D, row))
+            out.append(row)
         return CycSeries(D, out)
 
 
-def _flatten(coeffs: list[CycPoly], D: int, N: int) -> list[int]:
-    """Rows 0..N of coeffs as one slot list, each padded by D - 1 zeros."""
+def _flatten(rows: list[list[int]], D: int, N: int) -> list[int]:
+    """Rows 0..N as one slot list, each padded by D - 1 zeros."""
     pad = [0] * (D - 1)
     out = []
-    for c in coeffs[: N + 1]:
-        out += c.coeffs
+    for row in rows[: N + 1]:
+        out += row
         out += pad
     return out
-
-
-def _slot_bytes(u: list[int], v: list[int], N: int, D: int) -> int:
-    """Byte width of a Kronecker slot that holds every unfolded slot of the
-    product of the flattened operands u and v, truncated to N + 1 rows.
-
-    Slot t of product row k sums u_i[s] v_j[t - s] over the at most N + 1
-    row pairs i + j = k and the at most D offsets s, so
-    |slot| <= (N + 1) D max|u| max|v|; that is below 2^(w-1) when w covers
-    the bit lengths of (N + 1) D, max|u| and max|v| plus a sign bit.
-    """
-    bits = (
-        ((N + 1) * D).bit_length()
-        + max(max(u), -min(u)).bit_length()
-        + max(max(v), -min(v)).bit_length()
-        + 1
-    )
-    return (bits + 7) // 8
-
-
-def _int_convolve(u: list[int], v: list[int], N: int) -> list[int]:
-    """The product of the integer series u and v up to q^N: one packed
-    integer product, its slots bounded as a model-ring product of D = 1."""
-    wb = _slot_bytes(u, v, N, 1)
-    return _unpack(_pack(u, wb) * _pack(v, wb), wb, 0, N + 1)
 
 
 def _twist(rows, a: int, D: int) -> CycSeries:
@@ -114,7 +87,7 @@ def _twist(rows, a: int, D: int) -> CycSeries:
     the entry at r = t / a."""
     a_inv = pow(a, -1, D)
     idx = [a_inv * t % D for t in range(D)]
-    return CycSeries(D, [CycPoly(D, map(row.__getitem__, idx)) for row in rows])
+    return CycSeries(D, [list(map(row.__getitem__, idx)) for row in rows])
 
 
 def _chi_zero_series(D: int, N: int) -> list[int]:
@@ -140,18 +113,18 @@ def a_via_convolution(D: int, N: int) -> list[RingElem]:
         raise ValueError("order must be >= 0")
 
     pnr = p_nr_table(ct, N)
-    base = _int_convolve(pnr, pnr, N)                       # F_NR^2
-    base = _int_convolve(base, _chi_zero_series(D, N), N)   # chi = 0 parts
-    base = _int_convolve(base, pentagonal_int_series(N), N)  # F_e(q, 1)
+    base = _convolve(pnr, pnr, N + 1, N + 1)                       # F_NR^2
+    base = _convolve(base, _chi_zero_series(D, N), N + 1, N + 1)   # chi = 0 parts
+    base = _convolve(base, pentagonal_int_series(N), N + 1, N + 1)  # F_e(q, 1)
 
     # G = F_e(q, zeta) F_ord(q, zeta^n0); sigma_a(G) for a in qr covers every
     # twisted factor once
-    f_e = _twist(distinct_length_distribution(D, N), 1, D)
+    f_e = CycSeries(D, distinct_length_distribution(D, N))
     G = f_e.mul_dense(_twist(length_distribution(D, N), ct.nr_list[0], D))
-    rows = [u.coeffs for u in G.coeffs]
-    series = CycSeries.from_int_series(D, base)
+    pad = [0] * (D - 1)
+    series = CycSeries(D, [[c, *pad] for c in base])
     for a in ct.qr_list:
-        series = series.mul_dense(_twist(rows, a, D))
+        series = series.mul_dense(_twist(G.coeffs, a, D))
 
     return [project_to_quad(u, ct) for u in series.coeffs]
 

@@ -18,7 +18,9 @@ ones; blocks of coefficients too wide for that to pay use dot products.
 It runs on plain numerator pairs, not RingElem objects, and also expands
 the period polynomials; every division by k must be exact, so a wrong
 b(k), character value or sign convention for sqrt(D) raises RingError
-instead of returning coefficients.
+instead of returning coefficients.  The Kronecker slot format has one owner
+here: _bound_bytes sizes the slots of both the pair product and _convolve,
+the plain packed product that the convolution oracle multiplies with.
 """
 
 from __future__ import annotations
@@ -90,24 +92,26 @@ def _halve(n: int) -> int:
     return q
 
 
+def _bound_bytes(*bounds: int) -> int:
+    """Byte width of a Kronecker slot that holds every integer of magnitude
+    at most the product of the nonnegative bounds: that product is below
+    2^(w-1) when w covers their bit lengths plus a sign bit."""
+    return (sum(b.bit_length() for b in bounds) + 8) // 8
+
+
+def _max_abs(*seqs) -> int:
+    return max(max(max(s), -min(s)) for s in seqs)
+
+
 def _slot_bytes(P, Q, A, B, D: int) -> int:
     """Byte width of a Kronecker slot that holds every coefficient of
     X = P A + D Q B and Y = P B + Q A, for nonempty P, Q of one length and
     A, B of one length.
 
     A coefficient sums at most n = min(len P, len A) products, so
-    |X_k| <= n max|P,Q| max|A,B| (1 + D) and |Y_k| <= 2 n max|P,Q| max|A,B|;
-    both are below 2^(w-1) when w covers the bit lengths of n, max|P,Q|,
-    max|A,B| and D + 1 plus a sign bit.
+    |X_k| <= n max|P,Q| max|A,B| (1 + D) and |Y_k| <= 2 n max|P,Q| max|A,B|.
     """
-    bits = (
-        min(len(P), len(A)).bit_length()
-        + max(max(P), -min(P), max(Q), -min(Q)).bit_length()
-        + max(max(A), -min(A), max(B), -min(B)).bit_length()
-        + (D + 1).bit_length()
-        + 1
-    )
-    return (bits + 7) // 8
+    return _bound_bytes(min(len(P), len(A)), _max_abs(P, Q), _max_abs(A, B), D + 1)
 
 
 def _bias(wb: int, n: int) -> int:
@@ -135,6 +139,14 @@ def _unpack(z: int, wb: int, lo: int, hi: int) -> list[int]:
         int.from_bytes(data[i : i + wb], "little") - half
         for i in range(wb * lo, wb * hi, wb)
     ]
+
+
+def _convolve(u, v, terms: int, hi: int) -> list[int]:
+    """Slots 0..hi-1 of the linear product of the nonempty integer sequences
+    u and v, no slot of which sums more than `terms` products u_i v_j: pack,
+    one integer product, unpack."""
+    wb = _bound_bytes(terms, _max_abs(u), _max_abs(v))
+    return _unpack(_pack(u, wb) * _pack(v, wb), wb, 0, hi)
 
 
 def _pair_product(P, Q, A, B, D: int, lo: int, hi: int, wb: int):

@@ -14,7 +14,7 @@ from operator import mul
 import mpmath
 
 from hecke_eta.characters import build_char_table
-from hecke_eta.cyclotomic import CycPoly, cyc_mul, project_to_quad
+from hecke_eta.cyclotomic import cyc_mul, project_to_quad
 from hecke_eta.oracle import CycSeries
 
 
@@ -127,14 +127,14 @@ def mul_dense_plain(f, g):
     cyclic convolution (cyclotomic.cyc_mul) per pair of nonzero coefficients
     i + j <= prec."""
     N = f.prec
-    out = [CycPoly(f.D) for _ in range(N + 1)]
+    out = [[0] * f.D for _ in range(N + 1)]
     for i, ci in enumerate(f.coeffs):
-        if ci.is_zero():
+        if not any(ci):
             continue
         for j in range(N + 1 - i):
             cj = g.coeffs[j]
-            if not cj.is_zero():
-                out[i + j] = out[i + j] + cyc_mul(ci, cj)
+            if any(cj):
+                out[i + j] = [a + b for a, b in zip(out[i + j], cyc_mul(ci, cj))]
     return CycSeries(f.D, out)
 
 
@@ -154,7 +154,7 @@ def _poly_step(A, B, fa, fb, n, D, sign):
 
 
 def _expand_linear_product(exponents, D):
-    """Coefficients (as CycPoly) of prod_a (1 - x * zeta^a)."""
+    """Coefficients (as model-ring lists) of prod_a (1 - x * zeta^a)."""
     coeffs = [[1] + [0] * (D - 1)]
     for a in exponents:
         coeffs.append([0] * D)
@@ -163,7 +163,7 @@ def _expand_linear_product(exponents, D):
             cur, prev = coeffs[i], coeffs[i - 1]
             for j in range(D):
                 cur[(j + a) % D] -= prev[j]
-    return [CycPoly(D, c) for c in coeffs]
+    return coeffs
 
 
 @lru_cache(maxsize=None)

@@ -148,6 +148,101 @@ class TestSmallCommands:
         assert lines[5] == "worst residual inf over 5 points (tol 1e-06)"
 
 
+class TestNumericInput:
+    """Sample counts, truncations and tolerances that mean nothing are
+    refused before any point is evaluated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-modularity", "--D", "5", "--samples", "0"),
+            ("verify-modularity", "--D", "5", "--samples", "-3"),
+            ("verify-modularity", "--D", "5", "--nmax", "0"),
+            ("verify-modularity", "--D", "5", "--nmax", "-3"),
+            ("verify-modularity", "--D", "5", "--tol", "0"),
+            ("verify-modularity", "--D", "5", "--tol=-1e-6"),
+            ("verify-modularity", "--D", "5", "--tol", "nan"),
+            ("verify-modularity", "--D", "5", "--tol", "inf"),
+            ("grid", "--D", "5", "--nmax", "0"),
+            ("grid", "--D", "5", "--nmax", "-3"),
+        ],
+    )
+    def test_refused_with_empty_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-modularity", "--D", "5", "--samples", "1", "--nmax", "1", "--tol", "1e300"),
+            ("grid", "--D", "5", "--re-steps", "1", "--im-steps", "1", "--nmax", "1"),
+        ],
+    )
+    def test_smallest_values_accepted(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(out.splitlines()) == 2
+
+
+def _strict_loads(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Every JSON-emitting command writes strict JSON: a value that is
+    undefined or past the float range reads null."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeffs", "--D", "5", "--N", "8", "--format", "json"),
+            ("delta5", "--N", "8", "--format", "json"),
+            ("growth", "--D", "5", "--N", "8", "--format", "json"),
+            ("partitions", "--D", "5", "--N", "8"),
+            ("lvalues", "--D", "5"),
+            ("periods", "--D", "13"),
+            ("chars", "--D", "13"),
+            ("signs", "--D", "5", "--N", "8"),
+        ],
+    )
+    def test_every_record_parses_strictly(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.endswith("\n")
+        for line in out.splitlines():
+            _strict_loads(line)
+
+    def test_undefined_fit_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, "growth", "--D", "5", "--N", "1", "--format", "json")
+        assert code == 0
+        rec = _strict_loads(out)
+        assert rec["slope"] is rec["intercept"] is rec["fitted_C"] is None
+        assert len(rec["pairs"]) == 1
+
+    def test_real_past_the_float_range_is_null(self, capsys, monkeypatch):
+        big = [RingElem(2**1100, 2**1100, 5), RingElem(-(2**1100), -(2**1100), 5)]
+        monkeypatch.setattr(
+            "hecke_eta.qseries.eta_series", lambda D, N: SimpleNamespace(coeffs=[None, *big])
+        )
+        code, out, _ = run_cli(capsys, "coeffs", "--D", "5", "--N", "2", "--format", "json")
+        assert code == 0
+        recs = [_strict_loads(line) for line in out.splitlines()]
+        assert [(r["N"], r["real"]) for r in recs] == [(1, None), (2, None)]
+        assert recs[0] == {"D": 5, "N": 1, **big[0].to_json_dict(), "real": None}
+        # the CSV column keeps its inf
+        code, out, _ = run_cli(capsys, "coeffs", "--D", "5", "--N", "2")
+        assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["inf", "-inf"]
+        code, out, _ = run_cli(capsys, "growth", "--D", "5", "--N", "2", "--format", "json")
+        assert all(y > 709 for _, y in _strict_loads(out)["pairs"])
+
+
 CAPPED_COMMANDS = [("coeffs", "--D", "5"), ("signs", "--D", "5"), ("growth", "--D", "5"), ("delta5",)]
 
 
@@ -215,6 +310,19 @@ class TestPartitionsMemory:
     def test_benchmark_ranges_stay_accepted(self):
         for D in fundamental_discriminants(101):
             assert cli._partitions_mb(D, 400) <= cli.MEMORY_BUDGET_MB
+
+    def test_model_bounds_the_measured_peaks(self):
+        """Peak RSS in MB of end-to-end runs (os.wait4, 2-vCPU x86-64,
+        Python 3.11): the model stays above each and within 2x of it, also
+        where D > N leaves most counts zero."""
+        measured = {
+            (1001, 3000): 159, (1001, 4000): 229, (1001, 5000): 299, (1001, 6000): 369,
+            (101, 6000): 57, (101, 12000): 114, (101, 16000): 158, (301, 10000): 235,
+            (5, 16000): 35, (5001, 2000): 179, (2001, 500): 27, (10001, 100): 24,
+            (10001, 1000): 113, (100001, 10): 32, (100001, 100): 100, (900001, 0): 70,
+        }
+        for (D, N), mb in measured.items():
+            assert mb <= cli._partitions_mb(D, N) <= 2 * mb, (D, N)
 
 
 class TestSeriesBudget:
