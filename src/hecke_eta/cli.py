@@ -30,16 +30,17 @@ ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 # oracle-check, partitions, verify-modularity, grid, coeffs, signs and growth
 # refuse, with exit 2, any input whose predicted run time exceeds
 # TIME_BUDGET_S.  The models were fitted to end-to-end runs on a 2-vCPU
-# x86-64 machine with Python 3.11 (oracle-check: 43 runs, D 5..5009, N
-# 1..4000, up to 94 s; partitions: the 35 of 53 runs, D 5..900001, N
-# 0..20000, that took at least 1 s, up to 51 s; the character-table term:
-# `chars` at D up to 10^5; the numeric model: 27 runs, D 5..2000001, nmax
-# 1..100000, up to 36 s; the series model: 23 runs of coeffs, D 5..3999997, N
-# 1..17000, up to 67 s, where signs and growth cost the same) and scaled so
-# that none of those runs took longer than predicted, with a 1.2x margin in
-# oracle-check and partitions, whose repeated runs vary by that much; they
-# over-predict by up to 2.9x, 2.2x (where the table, not the character
-# table, dominates), 9x (where the points spread in height) and 1.9x.
+# x86-64 machine with Python 3.11 (oracle-check: the 45 runs, D 5..100049,
+# N 1..5000, that took at least 1 s, up to 157 s and 93 MB; partitions: the
+# 35 of 53 runs, D 5..900001, N 0..20000, that took at least 1 s, up to 51
+# s; the character-table term: `chars` at D up to 10^5; the numeric model:
+# 27 runs, D 5..2000001, nmax 1..100000, up to 36 s; the series model: 23
+# runs of coeffs, D 5..3999997, N 1..17000, up to 67 s, where signs and
+# growth cost the same) and scaled so that none of those runs took longer
+# than predicted, with a 1.2x margin in oracle-check and partitions, whose
+# repeated runs vary by that much; they over-predict by up to 2.9x, 2.2x
+# (where the table, not the character table, dominates), 9x (where the
+# points spread in height) and 1.9x.
 TIME_BUDGET_S = 60
 
 # partitions also refuses input whose predicted peak RSS (_partitions_mb)
@@ -60,8 +61,8 @@ MEMORY_BUDGET_MB = 500
 # 354 MB.  Memory grows with D too, so these caps are the largest D measured.
 # verify-modularity at one sample took 31 s at D = 2000001.  Above the caps of
 # oracle-check and partitions their cost models refuse every input anyway:
-# the oracle-check model accepts no D above 4845 (3 * 5 * 17 * 19, 22 s at
-# N = 1; the largest prime it accepts, 3709, took 27 s there).
+# the oracle-check model accepts no D above 88577 (101 * 877, 43 s and 86 MB
+# at N = 1; the largest prime it accepts, 88513, took 43 s there).
 D_CAP = {
     "coeffs": 4_000_000,
     "signs": 4_000_000,
@@ -72,7 +73,7 @@ D_CAP = {
     "lvalues": 1_000_000,
     "partitions": 1_000_000,
     "periods": 20_000,
-    "oracle-check": 4_845,
+    "oracle-check": 88_577,
 }
 
 
@@ -230,11 +231,14 @@ def _series_s(D: int, N: int) -> float:
 
 
 def _oracle_check_s(D: int, N: int) -> float:
-    """Predicted seconds: phi(D)/2 + 1 Kronecker products of (N + 1)(2D - 1)
-    slots, on coefficients that grow with N.  It bounds the runs since the
-    binomial passes went, in s measured/predicted by (D, N): (5, 2900)
-    15/58, (1009, 3) 9.2/12.4, (1009, 7) 40/56, (4845, 1) 36/53."""
-    return 5e-8 * euler_phi(D) * D**1.36 * (N + 1) ** 2.17
+    """Predicted seconds: about 2 log2(phi(D)/2) Kronecker products of (N +
+    1)(2D - 1) slots, on coefficients that grow with N, faster the more
+    residues the norm multiplies, hence the exponent of N + 1 that grows
+    with log D.  In s measured/predicted by (D, N): (5, 5000) 34/60, (13,
+    2000) 63/84, (41, 800) 121/151, (101, 400) 125/221, (293, 20) 0.86/1.8,
+    (293, 80) 24/46, (1009, 40) 72/93, (4845, 10) 39/54, (10001, 10)
+    157/194, (30005, 3) 44/76, (88577, 1) 43/60, (100049, 1) 39/73."""
+    return 2.1e-7 * D**1.53 * (N + 1) ** (1.84 + 0.097 * math.log(D))
 
 
 def _partitions_s(D: int, N: int) -> float:

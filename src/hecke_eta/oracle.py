@@ -9,10 +9,13 @@ where F_e(q,theta) = prod(1 - theta q^n), F_ord = 1/F_e, and Z collects the
 parts with chi_D(n) = 0 (for prime D this is exactly F_ord(q^D, 1)).  The
 twisted factors are sigma_a(G), x -> x^a, over the residues a, with G =
 F_e(q, zeta) F_ord(q, zeta^n0) for one non-residue n0 built from partition
-tables; a n0 runs over the non-residues as a does over the residues.  All
-are Kronecker-substituted integer products, phi(D)/2 + 1 of model-ring
-series (CycSeries.mul_dense), whose rows are plain lists of D integers as
-in cyclotomic.  Every assembled coefficient must project exactly onto O_D.
+tables; a n0 runs over the non-residues as a does over the residues.  The
+residues are a subgroup, so their product is a norm, built by doubling
+along a chain of subgroups in at most 2 log2(phi(D)/2) products.  All are
+Kronecker-substituted integer products: those of model-ring series
+(CycSeries.mul_dense), whose rows are plain lists of D integers as in
+cyclotomic, and one by the integer factors at row stride D.  Every
+assembled coefficient must project exactly onto O_D.
 The results are the anti-bug cross-check for the Lambert-series recurrence
 in qseries: no divisor sums, no Lambert coefficients, no O_D arithmetic
 until the final projection; of qseries only the generic packed product
@@ -90,6 +93,51 @@ def _twist(rows, a: int, D: int) -> CycSeries:
     return CycSeries(D, [list(map(row.__getitem__, idx)) for row in rows])
 
 
+def _norm(G: CycSeries, H: list[int]) -> CycSeries:
+    """prod over h in H of sigma_h(G), for a subgroup H of the units mod D.
+
+    sigma_a sigma_b = sigma_ab, so the product is built along a chain of
+    subgroups S of H, holding P = prod over s in S of sigma_s(G).  For g in H
+    outside S, with k the least exponent that puts g^k in S, the cosets g^j S
+    (j < k) make up the subgroup generated by S and g, and P becomes
+    prod_{j<k} sigma_{g^j}(P) by doubling along the bits of k: R_e, the
+    product over j < e, gives R_2e = R_e sigma_{g^e}(R_e) and R_{e+1} =
+    R_e sigma_{g^e}(P).  That is floor(log2 k) + popcount(k) - 1 products
+    per step and at most 2 log2 |H| in all, against |H| - 1 one by one.
+    """
+    D = G.D
+    S, P = {1}, G
+    for g in H:
+        if g in S:
+            continue
+        powers = [1]  # g^j for j < k
+        while (x := powers[-1] * g % D) not in S:
+            powers.append(x)
+        R, e = P, 1
+        for bit in bin(len(powers))[3:]:
+            R = R.mul_dense(_twist(R.coeffs, powers[e], D))
+            e *= 2
+            if bit == "1":
+                R = R.mul_dense(_twist(P.coeffs, powers[e], D))
+                e += 1
+        S = {s * x % D for s in S for x in powers}
+        P = R
+    return P
+
+
+def _times_int_series(rows: list[list[int]], base: list[int], D: int) -> list[list[int]]:
+    """Rows 0..N of a model-ring series times the integer series base, of
+    the same length, by one integer product: base has no zeta part, so
+    spread at row stride D it meets every slot of the unpadded rows alone,
+    and no slot sums more than N + 1 products."""
+    N = len(rows) - 1
+    spread = [0] * (N * D + 1)
+    spread[::D] = base
+    size = (N + 1) * D
+    slots = _convolve([c for row in rows for c in row], spread, N + 1, size)
+    return [slots[o : o + D] for o in range(0, size, D)]
+
+
 def _chi_zero_series(D: int, N: int) -> list[int]:
     """prod over n <= N with gcd(n, D) > 1 of (1 - q^n)^{-1}.
 
@@ -121,12 +169,8 @@ def a_via_convolution(D: int, N: int) -> list[RingElem]:
     # twisted factor once
     f_e = CycSeries(D, distinct_length_distribution(D, N))
     G = f_e.mul_dense(_twist(length_distribution(D, N), ct.nr_list[0], D))
-    pad = [0] * (D - 1)
-    series = CycSeries(D, [[c, *pad] for c in base])
-    for a in ct.qr_list:
-        series = series.mul_dense(_twist(G.coeffs, a, D))
-
-    return [project_to_quad(u, ct) for u in series.coeffs]
+    rows = _times_int_series(_norm(G, ct.qr_list).coeffs, base, D)
+    return [project_to_quad(u, ct) for u in rows]
 
 
 def compare_with_eta(D: int, N: int):

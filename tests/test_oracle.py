@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -82,7 +83,9 @@ class TestGaloisGuard:
 class TestAssembly:
     @pytest.mark.parametrize("D, N", [(5, 12), (13, 6), (21, 5), (105, 2)])
     def test_one_product_per_twisted_factor_pair(self, monkeypatch, D, N):
-        """phi(D)/2 + 1 Kronecker products, no other model-ring multiply."""
+        """The phi(D)/2 twisted factor pairs take one model-ring product for
+        G and floor(log2 k) + popcount(k) - 1 per step of the subgroup chain
+        (k = 2; 6; 6; 12 then 2), at most 1 + 2 log2(phi(D)/2) in all."""
         calls = []
         mul_dense = CycSeries.mul_dense
 
@@ -92,7 +95,8 @@ class TestAssembly:
 
         monkeypatch.setattr(CycSeries, "mul_dense", counted)
         out = a_via_convolution(D, N)
-        assert len(calls) == euler_phi(D) // 2 + 1
+        assert len(calls) == {5: 2, 13: 4, 21: 4, 105: 6}[D]
+        assert len(calls) <= 1 + 2 * math.log2(euler_phi(D) // 2)
         assert out == list(qseries.eta_series(D, N).coeffs)
 
     @pytest.mark.parametrize("N", [0, 1, 7, 60])
@@ -160,6 +164,63 @@ class TestPackedProduct:
         zero = _constant_series(13, 9, 0)
         assert f.mul_dense(zero).coeffs == zero.coeffs
         assert zero.mul_dense(f).coeffs == zero.coeffs
+
+
+def _sigma(f, a):
+    """x -> x^a on every row: the entry at slot r moves to slot a r mod D."""
+    rows = []
+    for row in f.coeffs:
+        out = [0] * f.D
+        for r, c in enumerate(row):
+            out[a * r % f.D] = c
+        rows.append(out)
+    return CycSeries(f.D, rows)
+
+
+class TestNorm:
+    """oracle._norm, the product of sigma_h(G) over the residues h by doubling
+    along a subgroup chain, against the factors multiplied in one by one by
+    the double loop in tests/oracles.py; and the stride-D product by the
+    integer factors against a plain double loop."""
+
+    @pytest.mark.parametrize("D, prec", [(5, 6), (13, 4), (21, 3), (105, 1), (221, 0)])
+    def test_matches_sequential_product(self, D, prec):
+        # 13: one step, k = 6 with an odd half; 105: H is not cyclic
+        rng = random.Random(D)
+        residues = build_char_table(D).qr_list
+        for bits in (1, 40):
+            G = _random_series(rng, D, prec, bits, zero_rows=0.1)
+            expected = G
+            for a in residues[1:]:
+                expected = mul_dense_plain(expected, _sigma(G, a))
+            assert oracle._norm(G, residues).coeffs == expected.coeffs
+
+    @staticmethod
+    def _times_int_series_plain(rows, base):
+        N, D = len(rows) - 1, len(rows[0])
+        return [
+            [sum(rows[i][r] * base[k - i] for i in range(k + 1)) for r in range(D)]
+            for k in range(N + 1)
+        ]
+
+    @pytest.mark.parametrize("D, N", [(5, 0), (5, 9), (13, 3), (21, 1)])
+    def test_times_int_series_random(self, D, N):
+        rng = random.Random(D + N)
+        rows = _random_series(rng, D, N, 300).coeffs
+        base = [rng.randrange(-(2**64), 2**64) for _ in range(N + 1)]
+        assert oracle._times_int_series(rows, base, D) == self._times_int_series_plain(rows, base)
+
+    @pytest.mark.parametrize("D, N", [(5, 0), (5, 12), (13, 4), (21, 1)])
+    @pytest.mark.parametrize("bits", range(296, 304))
+    def test_times_int_series_extreme_slots(self, D, N, bits):
+        """Every coefficient at -(2^bits - 1) on one side and at either sign
+        on the other, so the last row reaches the width bound (N + 1) max|u|
+        max|v| in magnitude; eight consecutive widths cover every rounding
+        of the bound to whole bytes."""
+        M = 2**bits - 1
+        rows = _constant_series(D, N, -M).coeffs
+        for base in ([-M] * (N + 1), [M] * (N + 1)):
+            assert oracle._times_int_series(rows, base, D) == self._times_int_series_plain(rows, base)
 
 
 class TestIndependence:

@@ -248,13 +248,15 @@ class TestThreeRoutes:
     def test_recurrence_matches_product(self, D, N):
         assert _pairs(eta_series(D, N)) == eta_pairs_by_product(D, N)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
-        D=st.sampled_from(fundamental_discriminants(101)),
+        D=st.sampled_from(fundamental_discriminants(300)),
         N=st.integers(min_value=1, max_value=20),
     )
     @example(D=33, N=20)
     @example(D=101, N=20)
+    @example(D=105, N=20)
+    @example(D=293, N=20)
     def test_recurrence_matches_convolution(self, D, N):
         assert list(eta_series(D, N).coeffs) == a_via_convolution(D, N)
 
