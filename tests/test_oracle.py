@@ -85,7 +85,8 @@ class TestAssembly:
     def test_one_product_per_twisted_factor_pair(self, monkeypatch, D, N):
         """The phi(D)/2 twisted factor pairs take one model-ring product for
         G and floor(log2 k) + popcount(k) - 1 per step of the subgroup chain
-        (k = 2; 6; 6; 12 then 2), at most 1 + 2 log2(phi(D)/2) in all."""
+        (k = 2; 3 then 2; 3 then 2; 12 then 2), at most 1 + 2 log2(phi(D)/2)
+        in all."""
         calls = []
         mul_dense = CycSeries.mul_dense
 
@@ -185,7 +186,8 @@ class TestNorm:
 
     @pytest.mark.parametrize("D, prec", [(5, 6), (13, 4), (21, 3), (105, 1), (221, 0)])
     def test_matches_sequential_product(self, D, prec):
-        # 13: one step, k = 6 with an odd half; 105: H is not cyclic
+        # chain steps k: 13 and 21 take 3 (odd) then 2; 105 (H not cyclic)
+        # 12 then 2; 221 12 then 8
         rng = random.Random(D)
         residues = build_char_table(D).qr_list
         for bits in (1, 40):
