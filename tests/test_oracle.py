@@ -190,8 +190,8 @@ class TestNorm:
         # 12 then 2; 221 12 then 8
         rng = random.Random(D)
         residues = build_char_table(D).qr_list
-        for bits in (1, 40):
-            G = _random_series(rng, D, prec, bits, zero_rows=0.1)
+        for bits in (1, 12):
+            G = _random_series(rng, D, prec, bits, zero_rows=0)
             expected = G
             for a in residues[1:]:
                 expected = mul_dense_plain(expected, _sigma(G, a))
