@@ -26,8 +26,7 @@ _EXPORTS_BY_MODULE = {
         "p_table", "pentagonal_terms",
     ),
     "qseries": (
-        "QSeries", "SeriesError", "delta5_series", "eta_series", "series_mul", "series_pow",
-        "tau5_values",
+        "QSeries", "SeriesError", "delta5_series", "eta_series", "series_pow", "tau5_values",
     ),
     "oracle": ("CycSeries", "a_via_convolution"),
     "analytic": (

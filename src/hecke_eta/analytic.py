@@ -267,21 +267,6 @@ def _pair_mul(x: Pair, y: Pair, D: int) -> Pair:
     return (x[0] * y[0] + D * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _mat_mul(m1, m2, D: int):
-    a = tuple(
-        tuple(
-            _add(_pair_mul(m1[i][0], m2[0][j], D), _pair_mul(m1[i][1], m2[1][j], D))
-            for j in range(2)
-        )
-        for i in range(2)
-    )
-    return a
-
-
-def _add(x: Pair, y: Pair) -> Pair:
-    return (x[0] + y[0], x[1] + y[1])
-
-
 class GroupWord(namedtuple("GroupWord", "D ks mat")):
     """Word T^{k_1} S T^{k_2} S ... S T^{k_l} with its symbolic matrix.
 
@@ -308,29 +293,25 @@ class GroupWord(namedtuple("GroupWord", "D ks mat")):
 
 
 def word_matrix(ks, D: int = 5) -> GroupWord:
-    """Multiply out the word symbolically in Z[sqrt(D)]."""
+    """Multiply out the word symbolically in Z[sqrt(D)].
+
+    Start from T^{k_1} = (1, k_1 sqrt(D); 0, 1) and multiply by S T^k =
+    (0, -1; 1, k sqrt(D)) on the right for each later k, which maps the
+    columns (c0, c1) to (c1, k sqrt(D) c1 - c0); (u, v) k sqrt(D) is
+    (k D v, k u).
+    """
     ks = tuple(int(k) for k in ks)
     if not ks:
         raise ValueError("word must be nonempty")
-    s_mat = (((0, 0), (-1, 0)), ((1, 0), (0, 0)))
-
-    def t_mat(k: int):
-        return (((1, 0), (0, k)), ((0, 0), (1, 0)))
-
-    m = t_mat(ks[0])
+    c0 = ((1, 0), (0, 0))
+    c1 = ((0, ks[0]), (1, 0))
     for k in ks[1:]:
-        m = _mat_mul(m, s_mat, D)
-        m = _mat_mul(m, t_mat(k), D)
-    det = _sub(
-        _pair_mul(m[0][0], m[1][1], D), _pair_mul(m[0][1], m[1][0], D)
-    )
+        c0, c1 = c1, tuple((k * D * v - u0, k * u - v0) for (u, v), (u0, v0) in zip(c1, c0))
+    (a, b), (c, d) = _pair_mul(c0[0], c1[1], D), _pair_mul(c1[0], c0[1], D)
+    det = (a - c, b - d)
     if det != (1, 0):
         raise AssertionError(f"word determinant {det} != 1")
-    return GroupWord(D=D, ks=ks, mat=m)
-
-
-def _sub(x: Pair, y: Pair) -> Pair:
-    return (x[0] - y[0], x[1] - y[1])
+    return GroupWord(D=D, ks=ks, mat=((c0[0], c1[0]), (c0[1], c1[1])))
 
 
 def predicted_u(w: GroupWord) -> int:

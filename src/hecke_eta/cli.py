@@ -33,15 +33,21 @@ ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 # x86-64 machine with Python 3.11 (oracle-check: the 45 runs, D 5..100049,
 # N 1..5000, that took at least 1 s, up to 157 s and 93 MB; partitions: the
 # 35 of 53 runs, D 5..900001, N 0..20000, that took at least 1 s, up to 51
-# s; the character-table term: `chars` at D up to 10^5; the numeric model:
-# 27 runs, D 5..2000001, nmax 1..100000, up to 36 s; the series model: 23
-# runs of coeffs, D 5..3999997, N 1..17000, up to 67 s, where signs and
-# growth cost the same) and scaled so that none of those runs took longer
-# than predicted, with a 1.2x margin in oracle-check and partitions, whose
-# repeated runs vary by that much; they over-predict by up to 2.9x, 2.2x
-# (where the table, not the character table, dominates), 9x (where the
+# s, and 20 runs at D 30005..999997, N 0..300, up to 4.3 s; the numeric
+# model: 27 runs, D 5..2000001, nmax 1..100000, up to 36 s; the series
+# model: 23 runs of coeffs, D 5..3999997, N 1..17000, up to 67 s, where
+# signs and growth cost the same) and scaled so that none of those runs took
+# longer than predicted, with a 1.2x margin in oracle-check and partitions,
+# whose repeated runs vary by that much; they over-predict by up to 2.9x,
+# 2.4x (where the table, not the character table, dominates), 9x (where the
 # points spread in height) and 1.9x.
 TIME_BUDGET_S = 60
+
+# Seconds per unit of D of the character table and the other O(D) work of
+# coeffs, signs, growth and partitions, charged by _series_s and
+# _partitions_s: `coeffs --D 3999997 --N 1` took 16 s (predicted 18.8 s) and
+# `partitions --D 999997 --N 0` 3.2 s (4.7 s).
+CHAR_TABLE_S_PER_D = 4.7e-6
 
 # partitions also refuses input whose predicted peak RSS (_partitions_mb)
 # exceeds this, since its time model admits tables of several GB.
@@ -59,10 +65,12 @@ MEMORY_BUDGET_MB = 500
 # D = 1000001 and 18 s at 4000001, where it held 354 MB; coeffs, signs and
 # growth at N = 1 took 16 s and 202 MB there, and grid at one point 33 s and
 # 354 MB.  Memory grows with D too, so these caps are the largest D measured.
-# verify-modularity at one sample took 31 s at D = 2000001.  Above the caps of
-# oracle-check and partitions their cost models refuse every input anyway:
-# the oracle-check model accepts no D above 88577 (101 * 877, 43 s and 86 MB
-# at N = 1; the largest prime it accepts, 88513, took 43 s there).
+# verify-modularity at one sample took 31 s at D = 2000001.  partitions took
+# 3.2 s and 76 MB at D = 999997, N = 0, and 4.3 s and 230 MB at N = 20; its
+# cost model accepts the cap, which is the binding limit.  Above the cap of
+# oracle-check its cost model refuses every input anyway: it accepts no D
+# above 88577 (101 * 877, 43 s and 86 MB at N = 1; the largest prime it
+# accepts, 88513, took 43 s there).
 D_CAP = {
     "coeffs": 4_000_000,
     "signs": 4_000_000,
@@ -227,7 +235,7 @@ def _series_s(D: int, N: int) -> float:
     """Predicted seconds of coeffs, signs or growth: the O(D) character
     table, then the kernel on coefficients whose width grows with N and,
     up to D of about 10^5, with D."""
-    return 4.7e-6 * D + 1.45e-9 * N**2.4 * min(D, 100_000) ** 0.3
+    return CHAR_TABLE_S_PER_D * D + 1.45e-9 * N**2.4 * min(D, 100_000) ** 0.3
 
 
 def _oracle_check_s(D: int, N: int) -> float:
@@ -244,10 +252,9 @@ def _oracle_check_s(D: int, N: int) -> float:
 def _partitions_s(D: int, N: int) -> float:
     """Predicted seconds: the O(N^2) additions of the length distribution,
     the (N + 1) x D table of counts about sqrt(N) digits wide, and the
-    character table, charged O(D^1.5) as first fitted (it over-predicts
-    17x at D = 900001).  At D = 5 the first refused order is 18481; N =
-    20000 took 51 s end to end."""
-    return 1.75e-7 * (N + 1) ** 2 + 1.8e-8 * D * (N + 1) ** 1.5 + 7e-8 * D**1.5
+    character table at CHAR_TABLE_S_PER_D.  At D = 5 the first refused
+    order is 18481; N = 20000 took 51 s end to end."""
+    return 1.75e-7 * (N + 1) ** 2 + 1.8e-8 * D * (N + 1) ** 1.5 + CHAR_TABLE_S_PER_D * D
 
 
 def _partitions_mb(D: int, N: int) -> float:
@@ -592,16 +599,6 @@ def main(argv=None) -> int:
         if D is not None and _series_s(D, args.N) > TIME_BUDGET_S:
             return _usage_error("--D and --N exceed the time budget")
     return args.func(args)
-
-
-def __getattr__(name: str):
-    # cli.MAX_ORDER, without importing qseries for the commands that do not
-    # run it.
-    if name == "MAX_ORDER":
-        from .qseries import MAX_ORDER
-
-        return MAX_ORDER
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ MAX_ORDER = 16_000
 
 
 class SeriesError(ValueError):
-    """Incompatible operands or an order out of range."""
+    """A non-positive exponent or an order out of range."""
 
 
 class QSeries:
@@ -59,9 +59,6 @@ class QSeries:
         self.prec = len(self.coeffs) - 1
         self.valuation = Fraction(valuation)
 
-    def _pairs(self) -> tuple[list[int], list[int]]:
-        return [c.num_a for c in self.coeffs], [c.num_b for c in self.coeffs]
-
     def __eq__(self, other):
         return (
             isinstance(other, QSeries)
@@ -76,13 +73,6 @@ class QSeries:
             f"QSeries(D={self.D}, v={self.valuation}, prec={self.prec}, "
             f"[{head}, ...])"
         )
-
-
-def _check_compat(f: QSeries, g: QSeries) -> None:
-    if f.D != g.D:
-        raise SeriesError(f"discriminant mismatch: D={f.D} vs D={g.D}")
-    if f.prec != g.prec:
-        raise SeriesError(f"precision mismatch: {f.prec} vs {g.prec}")
 
 
 def _halve(n: int) -> int:
@@ -181,28 +171,21 @@ def _mul_pairs(A1, B1, A2, B2, D: int, N: int) -> tuple[list[int], list[int]]:
     return [_halve(a) for a in A], [_halve(b) for b in B]
 
 
-def series_mul(f: QSeries, g: QSeries) -> QSeries:
-    """Exact truncated product; valuations add."""
-    _check_compat(f, g)
-    A1, B1 = f._pairs()
-    A2, B2 = g._pairs()
-    A, B = _mul_pairs(A1, B1, A2, B2, f.D, f.prec)
-    return QSeries(f.D, A, B, f.valuation + g.valuation)
-
-
 def series_pow(f: QSeries, k: int) -> QSeries:
-    """f**k for positive integer k, by binary powering."""
+    """f**k for positive integer k, by binary powering on numerator pairs;
+    the valuation is k times f's."""
     if k < 1:
         raise SeriesError("series_pow needs a positive integer exponent")
+    D, N, valuation = f.D, f.prec, k * f.valuation
+    base = [c.num_a for c in f.coeffs], [c.num_b for c in f.coeffs]
     result = None
-    base = f
     while k:
         if k & 1:
-            result = base if result is None else series_mul(result, base)
+            result = base if result is None else _mul_pairs(*result, *base, D, N)
         k >>= 1
         if k:
-            base = series_mul(base, base)
-    return result
+            base = _mul_pairs(*base, *base, D, N)
+    return QSeries(D, *result, valuation)
 
 
 def _divisor_sums(chi, D: int, N: int) -> tuple[list[int], list[int]]:

@@ -1,9 +1,11 @@
-"""Exact arithmetic in the ring of integers O_D = Z[(1+sqrt(D))/2].
+"""Elements of the ring of integers O_D = Z[(1+sqrt(D))/2] at the API edge.
 
-Elements are stored as numerator pairs (a, b) over the fixed denominator 2,
-so the value is (a + b*sqrt(D))/2.  Closure of O_D for D = 1 mod 4 is
-equivalent to the single invariant a = b (mod 2), which every operation
-checks.  Each element carries its discriminant D as a plain int.
+An element is stored as a numerator pair (a, b) over the fixed denominator
+2, so the value is (a + b*sqrt(D))/2.  Membership of O_D for D = 1 mod 4 is
+the single invariant a = b (mod 2), which the constructor checks.  Each
+element carries its discriminant D as a plain int.  The library computes on
+plain numerator-pair integer lists (qseries); RingElem is the checked value
+those results are handed out as, compared, embedded and printed.
 """
 
 from __future__ import annotations
@@ -12,15 +14,15 @@ import math
 
 
 class RingError(ValueError):
-    """Invalid discriminant or ring element, or an operation mixing two D."""
+    """Invalid discriminant or ring element, or an inexact division in a
+    computation on numerator pairs."""
 
 
 class RingElem:
     """Element (a + b*sqrt(D))/2 of O_D with a = b (mod 2).
 
-    Supports +, -, *, unary -, == and mixes with plain ints (promoted to
-    (2n + 0*sqrt(D))/2).  All arithmetic is exact; mixing elements from
-    different discriminants raises RingError.
+    A checked value: the constructor rejects an invalid D or pair, and two
+    elements are equal when their D and numerator pairs are.
     """
 
     __slots__ = ("num_a", "num_b", "D")
@@ -36,72 +38,14 @@ class RingElem:
         self.num_b = num_b
         self.D = D
 
-    @classmethod
-    def from_int(cls, n: int, D: int) -> "RingElem":
-        return cls(2 * n, 0, D)
-
-    def _coerce(self, other) -> "RingElem":
-        if isinstance(other, RingElem):
-            if other.D != self.D:
-                raise RingError(f"discriminant mismatch: D={self.D} vs D={other.D}")
-            return other
-        if isinstance(other, int):
-            return RingElem(2 * other, 0, self.D)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RingElem(self.num_a + o.num_a, self.num_b + o.num_b, self.D)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RingElem(-self.num_a, -self.num_b, self.D)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RingElem(self.num_a - o.num_a, self.num_b - o.num_b, self.D)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        D = self.D
-        # ((a1+b1 sqrtD)/2)*((a2+b2 sqrtD)/2): numerator pair over 4, provably even.
-        na = self.num_a * o.num_a + D * self.num_b * o.num_b
-        nb = self.num_a * o.num_b + self.num_b * o.num_a
-        qa, ra = divmod(na, 2)
-        qb, rb = divmod(nb, 2)
-        if ra or rb:
-            raise RingError("internal corruption: product numerator not divisible by 2")
-        return RingElem(qa, qb, self.D)
-
-    __rmul__ = __mul__
-
     def conj(self) -> "RingElem":
         """Galois conjugate sqrt(D) -> -sqrt(D)."""
         return RingElem(self.num_a, -self.num_b, self.D)
 
-    def norm(self) -> int:
-        """Field norm x * conj(x) = (a^2 - D*b^2)/4, exact since a = b (mod 2)."""
-        return (self.num_a * self.num_a - self.D * self.num_b * self.num_b) // 4
-
     def is_zero(self) -> bool:
         return self.num_a == 0 and self.num_b == 0
 
-    def is_one(self) -> bool:
-        return self.num_a == 2 and self.num_b == 0
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.num_a == 2 * other and self.num_b == 0
         if not isinstance(other, RingElem):
             return NotImplemented
         return (

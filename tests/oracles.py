@@ -2,8 +2,9 @@
 
 Deliberately naive routes (enumeration, two-variable DP, the period
 polynomials and the eta product multiplied out factor by factor, exactly
-and numerically, the oracle's series product by cyclic convolutions) that
-share no code with the library paths they check.
+and numerically, the oracle's series product by cyclic convolutions, group
+words as plain matrix products) that share no code with the library paths
+they check.
 """
 
 import cmath
@@ -202,6 +203,31 @@ def eta_pairs_by_product(D, N):
         _poly_step(A, B, fpa, fpb, n, D, 1)
         _poly_step(A, B, fma, fmb, n, D, -1)
     return list(zip(A, B))
+
+
+def word_matrix_by_generators(ks, D):
+    """T^{k_1} S T^{k_2} S ... S T^{k_l} as a plain product of 2x2 matrices
+    over Z[sqrt(D)], entries (u, v) meaning u + v sqrt(D), with
+    T^k = (1, k sqrt(D); 0, 1) and S = (0, -1; 1, 0)."""
+
+    def mul(x, y):
+        return (x[0] * y[0] + D * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def matmul(m, n):
+        return tuple(
+            tuple(
+                tuple(p + q for p, q in zip(mul(m[i][0], n[0][j]), mul(m[i][1], n[1][j])))
+                for j in range(2)
+            )
+            for i in range(2)
+        )
+
+    S = (((0, 0), (-1, 0)), ((1, 0), (0, 0)))
+    m = None
+    for k in ks:
+        T = (((1, 0), (0, k)), ((0, 0), (1, 0)))
+        m = T if m is None else matmul(matmul(m, S), T)
+    return m
 
 
 def log_eta_tail_direct(D, z, n_max):

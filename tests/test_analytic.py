@@ -1,8 +1,9 @@
 import cmath
 import math
+import random
 
 import pytest
-from oracles import log_eta_tail_direct, phi_sharp_direct
+from oracles import log_eta_tail_direct, phi_sharp_direct, word_matrix_by_generators
 
 from hecke_eta import analytic
 from hecke_eta.analytic import (
@@ -164,6 +165,13 @@ class TestWords:
         w = word_matrix([1, 1], 5)
         assert w.mat == (((0, 1), (4, 0)), ((1, 0), (0, 1)))
         assert predicted_u(w) == 2
+
+    @pytest.mark.parametrize("D", [5, 13, 17])
+    def test_matrix_matches_generator_product(self, D):
+        rng = random.Random(D)
+        for _ in range(300):
+            ks = [rng.randint(-4, 4) for _ in range(rng.randint(1, 10))]
+            assert word_matrix(ks, D).mat == word_matrix_by_generators(ks, D), ks
 
     def test_identity_like_word(self):
         w = word_matrix([0], 5)

@@ -10,12 +10,11 @@ from hecke_eta.characters import build_char_table, fundamental_discriminants
 from hecke_eta.cyclotomic import _trace_weights
 from hecke_eta.golden import COEFF_TABLE, TAU5_TABLE
 from hecke_eta.oracle import a_via_convolution
-from hecke_eta.quad_ring import RingError
+from hecke_eta.quad_ring import RingElem, RingError
 from hecke_eta.qseries import (
     SeriesError,
     delta5_series,
     eta_series,
-    series_mul,
     series_pow,
     tau5_values,
 )
@@ -28,21 +27,24 @@ class TestSeriesOps:
 
     def test_pow_matches_repeated_mul(self):
         f = eta_series(13, 12)
-        assert series_pow(f, 3) == series_mul(series_mul(f, f), f)
-
-    def test_mixed_precision_rejected(self):
-        with pytest.raises(SeriesError):
-            series_mul(eta_series(5, 4), eta_series(5, 5))
-
-    def test_mixed_context_rejected(self):
-        with pytest.raises(SeriesError):
-            series_mul(eta_series(5, 4), eta_series(13, 4))
+        A = [c.num_a for c in f.coeffs]
+        B = [c.num_b for c in f.coeffs]
+        A2, B2 = mul_pairs_plain(A, B, A, B, 13, 12)
+        A3, B3 = mul_pairs_plain(A2, B2, A, B, 13, 12)
+        cube = series_pow(f, 3)
+        assert [(c.num_a, c.num_b) for c in cube.coeffs] == list(zip(A3, B3))
+        assert cube.D == 13 and cube.prec == 12
 
     def test_valuations_add(self):
         f = eta_series(5, 8)
         assert f.valuation == Fraction(1, 5)
-        assert series_mul(f, f).valuation == Fraction(2, 5)
+        assert series_pow(f, 2).valuation == Fraction(2, 5)
         assert series_pow(f, 5).valuation == 1
+
+    def test_nonpositive_exponent_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(SeriesError):
+                series_pow(eta_series(5, 4), k)
 
 
 class TestEtaSeries:
@@ -64,7 +66,7 @@ class TestEtaSeries:
 
     def test_constant_term_is_one(self):
         for D in (5, 13, 17, 21):
-            assert eta_series(D, 5).coeffs[0].is_one()
+            assert eta_series(D, 5).coeffs[0] == RingElem(2, 0, D)
 
     def test_valuation_metadata(self):
         assert eta_series(5, 2).valuation == Fraction(1, 5)
