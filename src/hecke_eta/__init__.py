@@ -17,13 +17,13 @@ _EXPORTS_BY_MODULE = {
         "CharTable", "CharacterError", "build_char_table", "is_fundamental", "kronecker",
     ),
     "cyclotomic": (
-        "PeriodPair", "ProjectionError", "cyc_mul", "gauss_element", "period_polynomials",
-        "project_to_quad", "trace",
+        "PeriodPair", "ProjectionError", "cyc_mul", "period_polynomials", "project_to_quad",
+        "trace",
     ),
     "lseries": ("LValueRecord", "l_minus_one", "l_prime_zero"),
     "partitions": (
         "PartitionTables", "build_partition_tables", "length_distribution", "p_nr_table",
-        "p_table", "pentagonal_terms",
+        "p_table",
     ),
     "qseries": (
         "QSeries", "SeriesError", "delta5_series", "eta_series", "series_pow", "tau5_values",

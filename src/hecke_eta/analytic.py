@@ -355,18 +355,20 @@ def adapted_point(w: GroupWord) -> complex:
     return complex(-d / c, t / c)
 
 
-def check_u_gamma(
-    w: GroupWord,
-    z: complex | None = None,
-    n_max: int = 300,
-    min_height: float = 1e-7,
-) -> float:
+# check_u_gamma truncates at no fewer than U_GAMMA_N_MAX factors and refuses
+# a point, z or gamma z, lower than U_GAMMA_MIN_HEIGHT.
+U_GAMMA_N_MAX = 300
+U_GAMMA_MIN_HEIGHT = 1e-7
+
+
+def check_u_gamma(w: GroupWord, z: complex | None = None) -> float:
     """Residual |eta_5(gamma z)/eta_5(z) - exp(2 pi i u/5)|.
 
-    With z = None an adapted, well-conditioned point is chosen and n_max is
-    raised so the truncation tail stays below the 1e-4 scale even for
-    contracting words.  An explicit z raises ConditioningError when z or
-    gamma z sits too close to the real axis for any reasonable truncation.
+    With z = None an adapted, well-conditioned point is chosen.  The
+    truncation is raised from U_GAMMA_N_MAX so the tail stays below the 1e-4
+    scale even for contracting words.  An explicit z raises
+    ConditioningError when z or gamma z sits too close to the real axis for
+    any reasonable truncation.
     """
     u = predicted_u(w)
     if z is None:
@@ -374,32 +376,19 @@ def check_u_gamma(
     z = _require_upper(z)
     gz = w.apply(z)
     h = min(z.imag, gz.imag)
-    if h < min_height:
+    if h < U_GAMMA_MIN_HEIGHT:
         raise ConditioningError(
-            f"evaluation height {h:.2e} below {min_height:.0e}; |cz+d| too small"
+            f"evaluation height {h:.2e} below {U_GAMMA_MIN_HEIGHT:.0e}; |cz+d| too small"
         )
     # tail of log eta is below ~(phi(D)+1) |q|^{n}/(1-|q|); force exponent 22
     n_needed = int(22 * math.sqrt(5) / (2 * math.pi * h)) + 1
-    n_eff = max(n_max, min(n_needed, 2_000_000))
+    n_eff = max(U_GAMMA_N_MAX, min(n_needed, 2_000_000))
     log_ratio = (
         2j * math.pi * _eta_data(5).v * (gz - z) / math.sqrt(5)
         + log_eta_tail(5, gz, n_eff)
         - log_eta_tail(5, z, n_eff)
     )
     return abs(cmath.exp(log_ratio) - cmath.exp(2j * math.pi * u / 5))
-
-
-def random_words(
-    count: int, max_len: int = 6, k_range: int = 2, seed: int = 31415
-) -> list[GroupWord]:
-    """Deterministic sample of words with entries |k_i| <= k_range."""
-    rng = random.Random(seed)
-    words = []
-    for _ in range(count):
-        ell = rng.randint(1, max_len)
-        ks = [rng.randint(-k_range, k_range) for _ in range(ell)]
-        words.append(word_matrix(ks, 5))
-    return words
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def build_char_table(D: int) -> CharTable:
         raise CharacterError(f"sum chi(n) != 0 for D={D}")
     if sum(n * values[n % D] for n in range(1, D + 1)) != 0:
         raise CharacterError(f"sum n*chi(n) != 0 for D={D}")
-    phi = sum(1 for n in range(1, D + 1) if gcd(n, D) == 1)
+    phi = euler_phi(D)
     if len(qr) != phi // 2 or len(nr) != phi // 2:
         raise CharacterError(f"residue lists have wrong cardinality for D={D}")
     return CharTable(D=D, values=values, qr_list=qr, nr_list=nr)
@@ -124,11 +124,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for _, e in factors):
         return 0
     return (-1) ** len(factors)
-
-
-def squares_mod(D: int) -> set[int]:
-    """Brute-force set {a^2 mod D : gcd(a, D) = 1}, for cross-checking."""
-    return {a * a % D for a in range(1, D) if gcd(a, D) == 1}
 
 
 def fundamental_discriminants(limit: int) -> list[int]:

@@ -6,14 +6,15 @@ zeta_D^r, and every function here reads D as the length of the list.
 Working modulo x^D - 1 instead of the cyclotomic polynomial keeps
 multiplication a plain cyclic convolution; the redundancy (for D prime the
 all-ones vector maps to zero) is absorbed by the trace functional, which is
-well defined on images.  The trace, the Gauss-sum element and the
-projection of fixed-field elements onto O_D serve the convolution oracle,
-which multiplies whole series of model-ring elements by Kronecker
-substitution and twists them by x -> x^a; the projection is O(D), a trace
-and one character sum.  cyc_mul, one cyclic convolution of D^2 products, is
-the tests' reference product and is called by no library path.  The period
-polynomials f_plus / f_minus never enter the model ring: their coefficients
-in O_D follow from closed-form power sums.
+well defined on images.  The trace and the projection of fixed-field
+elements onto O_D serve the convolution oracle, which multiplies whole
+series of model-ring elements by Kronecker substitution and twists them by
+x -> x^a; the projection is O(D), a trace and one character sum.  cyc_mul,
+one cyclic convolution of D^2 products, is the tests' reference product and
+is called by no library path.  The period polynomials f_plus / f_minus
+never enter the model ring: their coefficients in O_D follow from
+closed-form power sums, and their product is checked against Phi_D, built
+from integer Euler factors in partitions.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import lru_cache
 from math import gcd
 
 from .characters import CharTable, euler_phi, moebius
+from .partitions import _euler_product
 from .qseries import _mul_pairs, euler_transform
 from .quad_ring import RingElem
 
@@ -72,20 +74,15 @@ def trace(u: list[int]) -> int:
     return sum(c * t for c, t in zip(u, w) if c)
 
 
-def gauss_element(ct: CharTable) -> list[int]:
-    """The Gauss-sum element sum_a chi_D(a) x^a; evaluates to +sqrt(D)."""
-    return list(ct.values)
-
-
 def project_to_quad(u: list[int], ct: CharTable) -> RingElem:
     """Project an element of the fixed field of H onto O_D.
 
-    Uses alpha = trace(u)/phi(D) and beta = trace(u*g)/(D*phi(D)) with g the
-    Gauss-sum element (sign convention +sqrt(D), D = 1 mod 4), in O(D):
-    trace(u*g) = D sum_i chi(i) u_i, as Tr(zeta^i sqrt(D)) = D chi(i) for the
-    primitive chi.  Non-exact division means u is not in Q(sqrt(D)): this is
-    the correctness guard for the whole exact pipeline, so it raises rather
-    than rounding.
+    Uses alpha = trace(u)/phi(D) and beta = trace(u*g)/(D*phi(D)) with g =
+    sum_a chi_D(a) x^a the Gauss-sum element (sign convention +sqrt(D),
+    D = 1 mod 4), in O(D): trace(u*g) = D sum_i chi(i) u_i, as
+    Tr(zeta^i sqrt(D)) = D chi(i) for the primitive chi.  Non-exact division
+    means u is not in Q(sqrt(D)): this is the correctness guard for the whole
+    exact pipeline, so it raises rather than rounding.
     """
     if len(u) != ct.D:
         raise ValueError(f"dimension mismatch: {len(u)} vs {ct.D}")
@@ -166,20 +163,8 @@ def _cyclotomic_coeffs(D: int) -> list[int]:
 
     The product of (1 - zeta^a x) over all units a mod D, so f_plus * f_minus
     must equal it.  Built from integers alone, and independent of the power
-    sums behind the period polynomials: each factor is applied as a power
-    series truncated past the degree phi(D), multiplying where mu = 1 and
-    dividing where mu = -1.
+    sums behind the period polynomials: one product of Euler factors from
+    partitions, truncated past the degree phi(D).
     """
-    n = euler_phi(D) + 1
-    c = [1] + [0] * (n - 1)
-    for d in range(1, n):
-        if D % d:
-            continue
-        mu = moebius(D // d)
-        if mu == 1:
-            for k in range(n - 1, d - 1, -1):
-                c[k] -= c[k - d]
-        elif mu == -1:
-            for k in range(d, n):
-                c[k] += c[k - d]
-    return c
+    n = euler_phi(D)
+    return _euler_product(((d, moebius(D // d)) for d in range(1, n + 1) if D % d == 0), n)

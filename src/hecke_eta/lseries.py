@@ -59,20 +59,3 @@ def l_prime_zero(ct: CharTable, digits: int = 30):
                 total += c * mpmath.loggamma(mpmath.mpf(a) / D)
         return +total
 
-
-def l_function_hurwitz(ct: CharTable, s, digits: int = 30):
-    """L(s, chi_D) via the Hurwitz-zeta decomposition, for cross-checks.
-
-    Independent of the log-Gamma route: finite differences of this function
-    at s = 0 must reproduce l_prime_zero.
-    """
-    import mpmath
-    D = ct.D
-    with mpmath.workdps(digits + 10):
-        s = mpmath.mpf(s)
-        total = mpmath.mpf(0)
-        for a in range(1, D):
-            c = ct.values[a]
-            if c:
-                total += c * mpmath.zeta(s, mpmath.mpf(a) / D)
-        return +(mpmath.power(D, -s) * total)

@@ -2,20 +2,22 @@
 
 Assembles, in the model ring Z[x]/(x^D - 1),
 
-    F_NR(q,D)^2 * F_e(q,1) * Z(q) * prod_{a in qr} F_e(q, zeta^a)
-                                  * prod_{b in nr} F_ord(q, zeta^b),
+    Phi(q) * prod_{a in qr} F_e(q, zeta^a) * prod_{b in nr} F_ord(q, zeta^b),
 
-where F_e(q,theta) = prod(1 - theta q^n), F_ord = 1/F_e, and Z collects the
-parts with chi_D(n) = 0 (for prime D this is exactly F_ord(q^D, 1)).  The
-twisted factors are sigma_a(G), x -> x^a, over the residues a, with G =
-F_e(q, zeta) F_ord(q, zeta^n0) for one non-residue n0 built from partition
-tables; a n0 runs over the non-residues as a does over the residues.  The
-residues are a subgroup, so their product is a norm, built by doubling
-along a chain of subgroups in at most 2 log2(phi(D)/2) products.  All are
+where F_e(q,theta) = prod(1 - theta q^n), F_ord = 1/F_e, and the integer
+base Phi = prod (1 - q^n)^{chi_D(n)} is the untwisted half of the paper's
+eta_D = q^m Phi Phi#.  Phi is one product of Euler factors from partitions;
+it equals F_NR(q,D)^2 F_e(q,1) Z(q), with F_NR the partitions into
+non-residue parts and Z those into parts with chi_D(n) = 0.  The twisted
+factors are sigma_a(G), x -> x^a, over the residues a, with G = F_e(q, zeta)
+F_ord(q, zeta^n0) for one non-residue n0 built from partition tables; a n0
+runs over the non-residues as a does over the residues.  The residues are a
+subgroup, so their product is a norm, built by doubling along a chain of
+subgroups in at most 2 log2(phi(D)/2) products.  All are
 Kronecker-substituted integer products: those of model-ring series
 (CycSeries.mul_dense), whose rows are plain lists of D integers as in
-cyclotomic, and one by the integer factors at row stride D.  Every
-assembled coefficient must project exactly onto O_D.
+cyclotomic, and one by Phi at row stride D.  Every assembled coefficient
+must project exactly onto O_D.
 The results are the anti-bug cross-check for the Lambert-series recurrence
 in qseries: no divisor sums, no Lambert coefficients, no O_D arithmetic
 until the final projection; of qseries only the generic packed product
@@ -24,17 +26,11 @@ _convolve is shared.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import add
 
 from .characters import build_char_table
 from .cyclotomic import project_to_quad
-from .partitions import (
-    distinct_length_distribution,
-    length_distribution,
-    p_nr_table,
-    pentagonal_int_series,
-)
+from .partitions import _euler_product, distinct_length_distribution, length_distribution
 from .qseries import _convolve
 from .quad_ring import RingElem
 
@@ -138,21 +134,6 @@ def _times_int_series(rows: list[list[int]], base: list[int], D: int) -> list[li
     return [slots[o : o + D] for o in range(0, size, D)]
 
 
-def _chi_zero_series(D: int, N: int) -> list[int]:
-    """prod over n <= N with gcd(n, D) > 1 of (1 - q^n)^{-1}.
-
-    For prime D these n are the multiples of D and the series is
-    F_ord(q^D, 1); the gcd form keeps composite squarefree D correct.
-    """
-    out = [0] * (N + 1)
-    out[0] = 1
-    for part in range(1, N + 1):
-        if gcd(part, D) > 1:
-            for k in range(part, N + 1):
-                out[k] += out[k - part]
-    return out
-
-
 def a_via_convolution(D: int, N: int) -> list[RingElem]:
     """a_D(0..N) via the partition-convolution route, fully independent of
     the direct q-series product."""
@@ -160,10 +141,7 @@ def a_via_convolution(D: int, N: int) -> list[RingElem]:
     if N < 0:
         raise ValueError("order must be >= 0")
 
-    pnr = p_nr_table(ct, N)
-    base = _convolve(pnr, pnr, N + 1, N + 1)                       # F_NR^2
-    base = _convolve(base, _chi_zero_series(D, N), N + 1, N + 1)   # chi = 0 parts
-    base = _convolve(base, pentagonal_int_series(N), N + 1, N + 1)  # F_e(q, 1)
+    base = _euler_product(((n, ct.values[n % D]) for n in range(1, N + 1)), N)
 
     # G = F_e(q, zeta) F_ord(q, zeta^n0); sigma_a(G) for a in qr covers every
     # twisted factor once

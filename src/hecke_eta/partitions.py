@@ -1,100 +1,93 @@
 """Partition-theoretic data behind the coefficient formula.
 
-Covers the ordinary partition numbers p(k) (Euler pentagonal recurrence),
-the generalized pentagonal expansion of prod(1 - theta q^n), partitions
-into quadratic non-residue parts, the joint size/length-mod-D counts
-c[k][r] that realize the twisted counts p_ord(k, zeta_D^b), and their signed
-distinct-parts analogue e[k][r], the coefficients of prod(1 - zeta_D^a q^n).
+Owns the Euler factors (1 - q^d)^{+-1}: one in-place slice step
+(_euler_step) builds every product of them in the package, the partitions
+into quadratic non-residue parts here, the oracle's integer base
+Phi = prod (1 - q^n)^{chi(n)} and the cyclotomic polynomial Phi_D in
+cyclotomic.  Also covers the generalized pentagonal expansion of
+prod(1 - q^n) and the ordinary partition numbers p(k) as its inverse, the
+joint size/length-mod-D counts c[k][r] that realize the twisted counts
+p_ord(k, zeta_D^b), and their signed distinct-parts analogue e[k][r], the
+coefficients of prod(1 - zeta_D^a q^n).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add
+from operator import add, sub
 
 from .characters import CharTable
 
 
-class PentagonalTerm(namedtuple("PentagonalTerm", "k g sign theta_power")):
-    """One term of prod(1 - theta q^n) = sum sign * theta^theta_power * q^g."""
+def _euler_step(P: list[int], d: int, e: int) -> None:
+    """Multiply the truncated series P in place by (1 - q^d)^e, e in {-1, 0, 1}.
 
-    __slots__ = ()
+    Slice blocks of length d: dividing, P[k] += P[k - d] runs upwards so each
+    block adds the block below it already updated; multiplying, P[k] -= P[k - d]
+    runs downwards so each block subtracts the block below it not yet updated.
+    O(N) additions in O(N / d) slice steps.
+    """
+    if e == -1:
+        for lo in range(d, len(P), d):
+            P[lo : lo + d] = map(add, P[lo : lo + d], P[lo - d : lo])
+    elif e == 1:
+        for lo in reversed(range(d, len(P), d)):
+            P[lo : lo + d] = map(sub, P[lo : lo + d], P[lo - d : lo])
+
+
+def _euler_product(factors, N: int) -> list[int]:
+    """prod (1 - q^d)^e over the pairs (d, e) of factors, e in {-1, 0, 1},
+    truncated at q^N; a factor with d > N is 1 there."""
+    P = [1] + [0] * N
+    for d, e in factors:
+        _euler_step(P, d, e)
+    return P
+
+
+def pentagonal_int_series(K: int) -> list[int]:
+    """Coefficients of prod_{n>=1}(1 - q^n) up to q^K: by Euler's pentagonal
+    number theorem, (-1)^j at the generalized pentagonal numbers
+    g(j) = j(3j - 1)/2 and g(-j) = g(j) + j, j >= 1, and 1 at q^0."""
+    out = [1] + [0] * K
+    j = 1
+    while (g := j * (3 * j - 1) // 2) <= K:
+        sign = -1 if j % 2 else 1
+        out[g] = sign
+        if g + j <= K:
+            out[g + j] = sign
+        j += 1
+    return out
 
 
 def p_table(N: int) -> list[int]:
-    """p(0..N) by the pentagonal recurrence, exact."""
+    """p(0..N), exact, by inverting the pentagonal series: p E = 1 gives
+    p(k) = -sum E_g p(k - g) over the O(sqrt k) nonzero E_g, 0 < g <= k."""
     if N < 0:
         raise ValueError("order must be >= 0")
-    p = [0] * (N + 1)
-    p[0] = 1
+    terms = [(g, -c) for g, c in enumerate(pentagonal_int_series(N)) if c][1:]
+    p = [1] + [0] * N
     for k in range(1, N + 1):
         total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            if g1 > k:
+        for g, s in terms:
+            if g > k:
                 break
-            sign = 1 if j % 2 == 1 else -1
-            total += sign * p[k - g1]
-            g2 = j * (3 * j + 1) // 2
-            if g2 <= k:
-                total += sign * p[k - g2]
-            j += 1
+            total += s * p[k - g]
         p[k] = total
     return p
 
 
-def pentagonal_terms(K: int) -> list[PentagonalTerm]:
-    """All generalized pentagonal terms with exponent g(k) <= K.
-
-    Encodes p_e(k, theta): sign (-1)^k with theta-power 3k-1 for k > 0 and
-    -3k for k <= 0.  Sorted by (g, k) for deterministic output.
-    """
-    terms = []
-    k = 0
-    while True:
-        g = k * (3 * k - 1) // 2
-        if k > 0 and g > K:
-            break
-        if g <= K:
-            if k > 0:
-                terms.append(PentagonalTerm(k, g, (-1) ** k, 3 * k - 1))
-            else:
-                terms.append(PentagonalTerm(k, g, (-1) ** (-k), -3 * k))
-        if k <= 0:
-            k = -k + 1
-        else:
-            k = -k
-    terms.sort(key=lambda t: (t.g, t.k))
-    return terms
-
-
-def pentagonal_int_series(K: int) -> list[int]:
-    """Coefficients of prod_{n>=1}(1 - q^n) up to q^K (theta = 1)."""
-    out = [0] * (K + 1)
-    for t in pentagonal_terms(K):
-        out[t.g] += t.sign
-    return out
-
-
 def p_nr_table(ct: CharTable, N: int) -> list[int]:
     """Partitions of 0..N into parts n with chi_D(n) = -1."""
-    p = [0] * (N + 1)
-    p[0] = 1
-    for part in range(1, N + 1):
-        if ct.values[part % ct.D] == -1:
-            for k in range(part, N + 1):
-                p[k] += p[k - part]
-    return p
+    values, D = ct.values, ct.D
+    return _euler_product(((n, -1) for n in range(1, N + 1) if values[n % D] == -1), N)
 
 
 def _parts_at_most(N: int):
     """Yield m, P for m = 1..N, P[j] the partitions of j into parts <= m,
-    extended in place: P_m(j) = P_{m-1}(j) + P_m(j - m), O(N) per m."""
+    extended in place by the factor 1/(1 - q^m): O(N) per m."""
     P = [1] + [0] * N
     for m in range(1, N + 1):
-        for lo in range(m, N + 1, m):
-            P[lo : lo + m] = map(add, P[lo : lo + m], P[lo - m : lo])
+        _euler_step(P, m, -1)
         yield m, P
 
 

@@ -1,19 +1,23 @@
 """Independent brute-force oracles used only by the tests.
 
-Deliberately naive routes (enumeration, two-variable DP, the period
-polynomials and the eta product multiplied out factor by factor, exactly
-and numerically, the oracle's series product by cyclic convolutions, group
-words as plain matrix products) that share no code with the library paths
-they check.
+Deliberately naive routes (enumeration, two-variable DP, products of Euler
+factors as schoolbook series products, the period polynomials and the eta
+product multiplied out factor by factor, exactly and numerically, the
+oracle's series product by cyclic convolutions, group words as plain matrix
+products, L(s, chi) by the Hurwitz zeta function) that share no code with
+the library paths they check, and the deterministic samples the tests draw.
 """
 
 import cmath
 import math
+import random
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 import mpmath
 
+from hecke_eta.analytic import word_matrix
 from hecke_eta.characters import build_char_table
 from hecke_eta.cyclotomic import cyc_mul, project_to_quad
 from hecke_eta.oracle import CycSeries
@@ -54,6 +58,56 @@ def length_distribution_by_parts(D, N):
             for r in range(D):
                 row[r] += prev[r - 1]
     return c
+
+
+def euler_product_plain(factors, N):
+    """prod (1 - q^d)^e over the pairs (d, e), e in {-1, 0, 1}, truncated at
+    q^N: each factor written out as a series (1 - q^d, or the geometric
+    series of q^d) and multiplied in by the schoolbook product."""
+    P = [1] + [0] * N
+    for d, e in factors:
+        if e == 0:
+            continue
+        f = [0] * (N + 1)
+        f[0] = 1
+        if e == 1:
+            if d <= N:
+                f[d] = -1
+        else:
+            f[::d] = [1] * len(f[::d])
+        P = [sum(P[i] * f[k - i] for i in range(k + 1)) for k in range(N + 1)]
+    return P
+
+
+def squares_mod(D):
+    """Brute-force set {a^2 mod D : gcd(a, D) = 1}."""
+    return {a * a % D for a in range(1, D) if gcd(a, D) == 1}
+
+
+def l_function_hurwitz(ct, s, digits=30):
+    """L(s, chi_D) = D^-s sum_a chi(a) zeta(s, a/D), the Hurwitz-zeta
+    decomposition: independent of lseries' log-Gamma route, so finite
+    differences of it at s = 0 must reproduce l_prime_zero."""
+    D = ct.D
+    with mpmath.workdps(digits + 10):
+        s = mpmath.mpf(s)
+        total = mpmath.mpf(0)
+        for a in range(1, D):
+            c = ct.values[a]
+            if c:
+                total += c * mpmath.zeta(s, mpmath.mpf(a) / D)
+        return +(mpmath.power(D, -s) * total)
+
+
+def random_words(count, max_len=6, k_range=2, seed=31415):
+    """Deterministic sample of D = 5 group words with entries |k_i| <= k_range."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        ell = rng.randint(1, max_len)
+        ks = [rng.randint(-k_range, k_range) for _ in range(ell)]
+        words.append(word_matrix(ks, 5))
+    return words
 
 
 def _count_with_allowed(k, max_part, allowed):

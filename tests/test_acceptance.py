@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 
-from oracles import count_partitions_with_parts
+from oracles import count_partitions_with_parts, random_words
 
 from hecke_eta import analytic
 from hecke_eta.characters import build_char_table, fundamental_discriminants
@@ -154,7 +154,7 @@ def test_criterion_06_phi_relation(capsys):
 
 
 def test_criterion_07_multiplier_law(capsys):
-    words = analytic.random_words(100, max_len=6, k_range=2, seed=424242)
+    words = random_words(100, max_len=6, k_range=2, seed=424242)
     exact_ok = all(analytic.predicted_u(w) == sum(w.ks) % 5 for w in words)
     worst = max(analytic.check_u_gamma(w) for w in words)
     ok = exact_ok and worst < 1e-4

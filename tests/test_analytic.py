@@ -3,7 +3,12 @@ import math
 import random
 
 import pytest
-from oracles import log_eta_tail_direct, phi_sharp_direct, word_matrix_by_generators
+from oracles import (
+    log_eta_tail_direct,
+    phi_sharp_direct,
+    random_words,
+    word_matrix_by_generators,
+)
 
 from hecke_eta import analytic
 from hecke_eta.analytic import (
@@ -15,7 +20,6 @@ from hecke_eta.analytic import (
     envelope_constants,
     eval_eta_numeric,
     predicted_u,
-    random_words,
     sample_half_plane_points,
     check_phi_relation,
     word_matrix,

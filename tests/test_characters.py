@@ -2,6 +2,7 @@ import random
 from math import gcd, isqrt
 
 import pytest
+from oracles import squares_mod
 
 from hecke_eta import characters
 from hecke_eta.characters import (
@@ -12,7 +13,6 @@ from hecke_eta.characters import (
     is_fundamental,
     kronecker,
     moebius,
-    squares_mod,
 )
 
 

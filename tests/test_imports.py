@@ -89,7 +89,7 @@ LAYERS = {
     "signs": EXACT,
     "growth": EXACT,
     "verify-table": EXACT | {"golden"},
-    "periods": EXACT | {"cyclotomic"},
+    "periods": EXACT | {"cyclotomic", "partitions"},
     "oracle-check": EXACT | {"cyclotomic", "oracle", "partitions"},
     "partitions": BASE | {"partitions"},
     "verify-modularity": NUMERIC,
@@ -177,10 +177,9 @@ EXPORTS = {
     "SeriesError", "a_via_convolution", "bound_envelope", "build_char_table",
     "build_partition_tables", "check_inversion", "check_phi_relation", "check_translation",
     "check_u_gamma", "cyc_mul", "delta5_series", "embed_real", "envelope_constants",
-    "eta_series", "eval_eta_numeric", "gauss_element", "is_fundamental", "kronecker",
-    "l_minus_one", "l_prime_zero", "length_distribution", "p_nr_table", "p_table",
-    "pentagonal_terms", "period_polynomials", "predicted_u", "project_to_quad", "series_pow",
-    "tau5_values", "trace", "word_matrix",
+    "eta_series", "eval_eta_numeric", "is_fundamental", "kronecker", "l_minus_one",
+    "l_prime_zero", "length_distribution", "p_nr_table", "p_table", "period_polynomials",
+    "predicted_u", "project_to_quad", "series_pow", "tau5_values", "trace", "word_matrix",
 }
 
 

@@ -2,13 +2,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from oracles import l_function_hurwitz
 
 from hecke_eta.characters import CharacterError, build_char_table, fundamental_discriminants
-from hecke_eta.lseries import (
-    l_function_hurwitz,
-    l_minus_one,
-    l_prime_zero,
-)
+from hecke_eta.lseries import l_minus_one, l_prime_zero
 
 
 class TestLMinusOne:

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from oracles import mul_dense_plain
+from oracles import euler_product_plain, mul_dense_plain
 
 from hecke_eta import oracle, qseries
 from hecke_eta.characters import build_char_table, euler_phi
@@ -99,6 +99,46 @@ class TestAssembly:
         assert len(calls) == {5: 2, 13: 4, 21: 4, 105: 6}[D]
         assert len(calls) <= 1 + 2 * math.log2(euler_phi(D) // 2)
         assert out == list(qseries.eta_series(D, N).coeffs)
+
+    @staticmethod
+    def _base(monkeypatch, D, N):
+        """The integer series a_via_convolution multiplies the twisted
+        product by."""
+        seen = []
+        times_int_series = oracle._times_int_series
+
+        def recorded(rows, base, D):
+            seen.append(base)
+            return times_int_series(rows, base, D)
+
+        monkeypatch.setattr(oracle, "_times_int_series", recorded)
+        a_via_convolution(D, N)
+        (base,) = seen
+        return base
+
+    @pytest.mark.parametrize("D, N", [(5, 60), (13, 40), (21, 30), (105, 12)])
+    def test_base_is_phi(self, monkeypatch, D, N):
+        """The base is Phi = prod (1 - q^n)^{chi(n)}, for prime and composite D."""
+        chi = build_char_table(D).values
+        phi = euler_product_plain([(n, chi[n % D]) for n in range(1, N + 1)], N)
+        assert self._base(monkeypatch, D, N) == phi
+
+    def test_base_is_the_rogers_ramanujan_quotient(self, monkeypatch):
+        """At D = 5, Phi = H/G with the Rogers-Ramanujan sums
+        G = sum q^{n^2}/(q;q)_n and H = sum q^{n^2+n}/(q;q)_n."""
+        N = 80
+        G = [0] * (N + 1)
+        H = [0] * (N + 1)
+        inv = [1] + [0] * N  # 1/(q;q)_n, partitions into parts <= n
+        for n in range(N + 1):
+            if n:
+                for k in range(n, N + 1):
+                    inv[k] += inv[k - n]
+            for shift, out in ((n * n, G), (n * n + n, H)):
+                for k in range(N + 1 - shift):
+                    out[k + shift] += inv[k]
+        base = self._base(monkeypatch, 5, N)
+        assert [sum(base[i] * G[k - i] for i in range(k + 1)) for k in range(N + 1)] == H
 
     @pytest.mark.parametrize("N", [0, 1, 7, 60])
     def test_int_convolve_matches_double_loop(self, N):

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -6,20 +7,37 @@ from oracles import (
     count_partitions_with_parts,
     dp_partition_counts,
     enumerate_partitions,
+    euler_product_plain,
     length_distribution_by_parts,
 )
 
 from hecke_eta.characters import build_char_table
 from hecke_eta.partitions import (
-    PentagonalTerm,
+    _euler_product,
     build_partition_tables,
     distinct_length_distribution,
     length_distribution,
     p_nr_table,
     p_table,
     pentagonal_int_series,
-    pentagonal_terms,
 )
+
+
+class TestEulerProduct:
+    @pytest.mark.parametrize("N", [0, 1, 2, 9, 40])
+    def test_random_factor_lists(self, N):
+        """Both signs, repeated d and d > N, against the factor-by-factor
+        schoolbook product."""
+        rng = random.Random(N)
+        for _ in range(20):
+            factors = [
+                (rng.randint(1, N + 3), rng.choice((-1, 0, 1))) for _ in range(rng.randint(0, 12))
+            ]
+            assert _euler_product(factors, N) == euler_product_plain(factors, N)
+
+    def test_empty_product_and_order_zero(self):
+        assert _euler_product([], 4) == [1, 0, 0, 0, 0]
+        assert _euler_product([(1, 1), (1, -1), (2, -1)], 0) == [1]
 
 
 class TestPTable:
@@ -40,20 +58,27 @@ class TestPTable:
         with pytest.raises(ValueError):
             p_table(-1)
 
+    def test_orders_zero_and_one(self):
+        assert p_table(0) == [1]
+        assert p_table(1) == [1, 1]
+
 
 class TestPentagonal:
-    def test_term_examples(self):
-        terms = {t.k: t for t in pentagonal_terms(30)}
-        assert terms[1] == PentagonalTerm(1, 1, -1, 2)
-        assert terms[-1] == PentagonalTerm(-1, 2, -1, 3)
-        assert terms[2] == PentagonalTerm(2, 5, 1, 5)
-        assert terms[0] == PentagonalTerm(0, 0, 1, 0)
+    def test_first_orders(self):
+        assert pentagonal_int_series(0) == [1]
+        assert pentagonal_int_series(1) == [1, -1]
+        assert pentagonal_int_series(2) == [1, -1, -1]
 
-    def test_all_exponents_within_bound_and_sorted(self):
-        terms = pentagonal_terms(100)
-        gs = [t.g for t in terms]
-        assert gs == sorted(gs)
-        assert all(0 <= g <= 100 for g in gs)
+    def test_terms_at_the_generalized_pentagonal_numbers(self):
+        """(-1)^j at j(3j - 1)/2 for every integer j, those up to K and no
+        others, the series K + 1 long."""
+        for K in range(60):
+            expected = [0] * (K + 1)
+            for j in range(-K - 1, K + 2):
+                g = j * (3 * j - 1) // 2
+                if g <= K:
+                    expected[g] = -1 if j % 2 else 1
+            assert pentagonal_int_series(K) == expected
 
     def test_euler_identity_to_500(self):
         # prod (1 - q^n) computed by sequential binomial multiplication
