@@ -33,6 +33,7 @@ import cmath
 import math
 import random
 from collections import namedtuple
+from decimal import Context, Decimal, getcontext, localcontext
 from functools import lru_cache
 
 from .characters import CharTable, build_char_table, euler_phi, prime_factors
@@ -201,48 +202,77 @@ def sample_half_plane_points(
     ]
 
 
-def _log_phi_sharp(ct: CharTable, y: float, n_max: int, digits: int):
-    """log Phi#(i/y) truncated at n_max, in mpmath at `digits` + 10 digits.
+def _decimal_pi() -> Decimal:
+    """pi to the precision of the current decimal context, by Machin's
+    formula pi = 16 arctan(1/5) - 4 arctan(1/239) on integers scaled by
+    10^(prec + 10); each truncated term is off by less than one unit."""
+    scale = getcontext().prec + 10
+    one = 10**scale
+
+    def arctan_inv(x: int) -> int:
+        total = term = one // x
+        k = 1
+        while term:
+            term //= x * x
+            k += 2
+            total += -(term // k) if k % 4 == 3 else term // k
+        return total
+
+    return Decimal(4 * (4 * arctan_inv(5) - arctan_inv(239))).scaleb(-scale)
+
+
+def _log_phi_sharp(ct: CharTable, y: float, n_max: int, digits: int) -> Decimal:
+    """log Phi#(i/y) truncated at n_max, a Decimal at `digits` + 10 digits.
 
     This is the twisted series of log_eta_tail with n0 = 0 on the real
-    q = exp(-2 pi / (y sqrt(D))), summed until its tail bound is below
-    10^-(digits+8).
+    r = exp(-2 pi / (y sqrt(D))),
+
+        -sqrt(D) sum_{m>=1} (chi(m)/m) r^m (1 - r^{m n_max}) / (1 - r^m),
+
+    summed until its tail bound is below 10^-(digits+8), with r^m and
+    r^{m n_max} as running products.  1 - r^m loses about -log10(L) digits
+    to cancellation, L = -log r, so the working precision adds as many.
     """
-    import mpmath
     D = ct.D
     L = 2 * math.pi / (y * math.sqrt(D))
     log_eps = -(digits + 8) * math.log(10)
     M = math.ceil(max(0.0, _series_ratio(L, 0, math.sqrt(D), log_eps) - 1))
-    with mpmath.workdps(digits + 10):
-        sqrtD = mpmath.sqrt(D)
-        L = 2 * mpmath.pi / (y * sqrtD)
-        total = mpmath.mpf(0)
+    guard = math.ceil(max(0.0, -math.log10(L)))
+    with localcontext(Context(prec=digits + 10 + guard)):
+        sqrt_d = Decimal(D).sqrt()
+        r = (-2 * _decimal_pi() / (Decimal(y) * sqrt_d)).exp()
+        r_n = r**n_max
+        total = Decimal(0)
+        rm = rmn = Decimal(1)
         for m in range(1, M + 1):
+            rm *= r
+            rmn *= r_n
             c = ct.values[m % D]
             if c:
-                x = m * L
-                total += c * mpmath.exp(-x) * mpmath.expm1(-n_max * x) / (m * mpmath.expm1(-x))
-        return -sqrtD * total
+                total += c * rm * (1 - rmn) / (m * (1 - rm))
+        return -sqrt_d * total
 
 
 def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> float:
     """Residual of the Phi-sharp / Phi relation on the imaginary axis.
 
     Computes |Phi#(i/y) - exp(L'(0,chi) + y pi L(-1,chi)/sqrt(D)) Phi(iy)|
-    with both products truncated at n_max, in mpmath at `digits` digits:
-    Phi as its direct product, Phi# by the twisted series (_log_phi_sharp).
+    with both products truncated at n_max, in `decimal` at `digits` + 10
+    digits, where every quantity is real: Phi as its direct product over
+    running powers of q = exp(-2 pi y / sqrt(D)), Phi# by the twisted series
+    (_log_phi_sharp).
     """
-    import mpmath
     if y <= 0:
         raise ValueError("need y > 0")
     ct = build_char_table(D)
     rec = l_minus_one(ct)
-    lp = l_prime_zero(ct, digits)
-    with mpmath.workdps(digits + 10):
-        sqrtD = mpmath.sqrt(D)
-        q1 = mpmath.exp(-2 * mpmath.pi * y / sqrtD)
-        phi = mpmath.mpf(1)
-        qn = mpmath.mpf(1)
+    prec = digits + 10
+    lp = l_prime_zero(ct, prec)
+    with localcontext(Context(prec=prec)):
+        sqrt_d = Decimal(D).sqrt()
+        y_pi = Decimal(y) * _decimal_pi()
+        q1 = (-2 * y_pi / sqrt_d).exp()
+        phi = qn = Decimal(1)
         for n in range(1, n_max + 1):
             qn *= q1
             e = ct.values[n % D]
@@ -250,9 +280,9 @@ def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> 
                 phi *= 1 - qn
             elif e == -1:
                 phi /= 1 - qn
-        phi_sharp = mpmath.exp(_log_phi_sharp(ct, y, n_max, digits))
-        lval = mpmath.mpf(rec.l_minus_one.numerator) / rec.l_minus_one.denominator
-        factor = mpmath.exp(lp + y * mpmath.pi * lval / sqrtD)
+        phi_sharp = _log_phi_sharp(ct, y, n_max, digits).exp()
+        lval = Decimal(rec.l_minus_one.numerator) / rec.l_minus_one.denominator
+        factor = (lp + y_pi * lval / sqrt_d).exp()
         return float(abs(phi_sharp - factor * phi))
 
 

@@ -39,8 +39,9 @@ ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 # signs and growth cost the same) and scaled so that none of those runs took
 # longer than predicted, with a 1.2x margin in oracle-check and partitions,
 # whose repeated runs vary by that much; they over-predict by up to 2.9x,
-# 2.4x (where the table, not the character table, dominates), 9x (where the
-# points spread in height) and 1.9x.
+# 2.4x (where the table, not the character table, dominates), 9x (where
+# verify-modularity's samples spread in height; grids, charged at the height
+# of each point, by 1.2x to 1.8x from 1 s up) and 1.9x.
 TIME_BUDGET_S = 60
 
 # Seconds per unit of D of the character table and the other O(D) work of
@@ -60,9 +61,10 @@ MEMORY_BUDGET_MB = 500
 # D = 10009, 4-11 s at six random primes in 12000..20000, 13 s and 33 MB at
 # 20021, 14 s at 22697, 31 s at 25033, 37 s at 33013 and 145 s at 40009,
 # where the coefficients are twice as wide as at 33013; the cap keeps a 4x
-# margin for that spread.  lvalues, one 50-digit log-Gamma per residue, took
-# 20 s at D = 400001 and 53 s at 1000001.  chars, linear in D, took 3.9 s at
-# D = 1000001 and 18 s at 4000001, where it held 354 MB; coeffs, signs and
+# margin for that spread.  lvalues, the character table and two O(D) sums,
+# took 4.3 s at D = 1000001, 8.3 s at 2000001, and 18 s and 200 MB at 3999997
+# and at the prime 3999949.  chars, linear in D, took 3.9 s at D = 1000001
+# and 18 s at 4000001, where it held 354 MB; coeffs, signs and
 # growth at N = 1 took 16 s and 202 MB there, and grid at one point 33 s and
 # 354 MB.  Memory grows with D too, so these caps are the largest D measured.
 # verify-modularity at one sample took 31 s at D = 2000001.  partitions took
@@ -78,7 +80,7 @@ D_CAP = {
     "chars": 4_000_000,
     "grid": 4_000_000,
     "verify-modularity": 2_000_000,
-    "lvalues": 1_000_000,
+    "lvalues": 4_000_000,
     "partitions": 1_000_000,
     "periods": 20_000,
     "oracle-check": 88_577,
@@ -151,6 +153,14 @@ def cmd_verify_table(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# Predicted seconds of one truncated product besides its logs (_product_s):
+# the call, the split and its share of the printed row.  `grid --D 5
+# --re-steps 300 --im-steps 300 --nmax 1`, 180000 products of one log each,
+# took 4.8 s end to end.  No product costs less, which bounds a grid's point
+# count before its heights are summed.
+PRODUCT_BASE_S = 3e-5
+
+
 def _product_s(D: int, nmax: int, height: float) -> float:
     """Predicted seconds of one truncated product at Im z = height: up to
     nmax untwisted logs, then the split that analytic._split chooses from
@@ -168,31 +178,53 @@ def _product_s(D: int, nmax: int, height: float) -> float:
     n0, M = analytic._split(L, nmax, phi, math.sqrt(D))
     if L > 0:
         nmax = min(nmax, math.ceil(-math.log(1e-320) / L))
-    return 1e-5 + 9e-7 * nmax + 4e-7 * (min(n0, nmax) * (phi + 6) + analytic._TERM_COST * M)
+    return PRODUCT_BASE_S + 9e-7 * nmax + 4e-7 * (min(n0, nmax) * (phi + 6) + analytic._TERM_COST * M)
 
 
-def _numeric_s(D: int, evaluations: int, nmax: int, height: float | None = None) -> float:
-    """Predicted seconds of `evaluations` truncated products at D, each
-    charged as at `height`, the lowest Im of the points evaluated, plus the
-    per-D data (character table, roots of unity), built once.
+def _numeric_s(D: int, nmax: int, heights: dict[float, int]) -> float:
+    """Predicted seconds of heights[h] truncated products at Im z = h for
+    each h, plus the per-D data (character table, roots of unity), built
+    once.
 
-    height=None stands for verify-modularity: each sample z, with Im z in
-    [0.5, 1.5] and |Re z| <= sqrt(D)/2, is evaluated at z (twice) and
-    z + sqrt(D), at height 0.5 or more, and at -1/z, whose height is at
-    least 0.5 / (D/4 + 2.25).  An upper bound on 27 end-to-end runs
-    (verify-modularity and grid, D 5..2000001, nmax 1..100000, 0.1 s to
-    36 s), which it over-predicts by 1.4x to 9x, most where the points
-    spread in height, as samples and grids do: verify-modularity --D 101
-    took 1.3 s at 950 samples (predicted 3.5 s) and 32 s at 16000 (58 s);
-    grid --D 5 --re-min 3 --re-max 3 --im-min 0.0005 --im-max 0.001 with
-    20 x 15 points at --nmax 100000 took 35 s (57 s).
+    An upper bound on 27 end-to-end runs (verify-modularity and grid, D
+    5..2000001, nmax 1..100000, 0.1 s to 36 s), which it over-predicts by
+    up to 9x where verify-modularity's samples spread in height:
+    verify-modularity --D 101 took 1.3 s at 950 samples (predicted 3.5 s)
+    and 32 s at 16000 (58 s).  Grids, charged at the height of each point,
+    are predicted within 1.2x to 1.8x from 1 s up: grid --D 5 --re-min 3
+    --re-max 3 --im-min 0.0005 --im-max 0.001 with 20 x 15 points at
+    --nmax 100000 took 32 s (56 s), and grid --D 1001 over -30..30 x
+    0.05..3 at 30 x 20 points 11 s (13 s).  Below a second, interpreter
+    start-up, which no term charges, can exceed the prediction.
     """
-    if height is None:
-        low = 0.5 / (D / 4 + 2.25)
-        product_s = (_product_s(D, nmax, low) + 3 * _product_s(D, nmax, 0.5)) / 4
-    else:
-        product_s = _product_s(D, nmax, height)
-    return 6e-6 * D + evaluations * product_s
+    return 6e-6 * D + sum(n * _product_s(D, nmax, h) for h, n in heights.items())
+
+
+def _modularity_heights(D: int, samples: int) -> dict[float, int]:
+    """The heights verify-modularity is charged at: each sample z, with Im z
+    in [0.5, 1.5] and |Re z| <= sqrt(D)/2, is evaluated at z (twice) and
+    z + sqrt(D), at height 0.5 or more, and at -1/z, whose height is at
+    least 0.5 / (D/4 + 2.25)."""
+    return {0.5 / (D / 4 + 2.25): samples, 0.5: 3 * samples}
+
+
+def _axis(lo: float, hi: float, steps: int) -> list[float]:
+    """steps evenly spaced values from lo to hi, as grid prints them."""
+    return [lo + (hi - lo) * i / max(1, steps - 1) for i in range(steps)]
+
+
+def _grid_heights(res: list[float], ims: list[float]) -> dict[float, int]:
+    """The heights of grid's products, at every z = re + i im and at -1/z,
+    whose height is im / |z|^2.  Each is rounded down to a multiple of 1/32
+    of its binade, which charges no product less (_product_s falls as the
+    height grows) and leaves few distinct heights to charge."""
+    counts: dict[float, int] = {}
+    for im in ims:
+        for h, n in ((im, len(res)), *((im / (re * re + im * im), 1) for re in res)):
+            m, e = math.frexp(h)
+            h = math.ldexp(math.floor(m * 32) / 32, e)
+            counts[h] = counts.get(h, 0) + n
+    return counts
 
 
 def _residual(check, D: int, z: complex, nmax: int) -> float:
@@ -211,7 +243,7 @@ def cmd_verify_modularity(args) -> int:
         return _usage_error("--samples and --nmax must be >= 1")
     if not 0 < args.tol < math.inf:
         return _usage_error("--tol must be a positive finite number")
-    if _numeric_s(args.D, 4 * args.samples, args.nmax) > TIME_BUDGET_S:
+    if _numeric_s(args.D, args.nmax, _modularity_heights(args.D, args.samples)) > TIME_BUDGET_S:
         return _usage_error("--samples and --nmax exceed the time budget")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
     worst = 0.0
@@ -415,10 +447,11 @@ def cmd_growth(args) -> int:
         if v < math.inf:
             y = math.log(v)
         else:  # past the float range: the log of the exact midpoint n / 2^k
-            import mpmath
+            from decimal import Context, Decimal, localcontext
+
             num, k = embed_midpoint(c)
-            with mpmath.workdps(30):
-                y = float(mpmath.log(mpmath.ldexp(abs(num), -k)))
+            with localcontext(Context(prec=30)):
+                y = float(Decimal(abs(num)).ln() - k * Decimal(2).ln())
         pairs.append((x, y))
         if lo <= n <= hi:
             xs.append(x)
@@ -472,19 +505,19 @@ def cmd_grid(args) -> int:
         return _usage_error("grid bounds must be finite, --im-min and --im-max positive")
     if args.re_steps < 1 or args.im_steps < 1 or args.nmax < 1:
         return _usage_error("step counts and --nmax must be >= 1")
-    # The lowest point of the grid: Im z >= lo, and Im(-1/z) >= lo / (X^2 + hi^2).
-    lo, hi = sorted((args.im_min, args.im_max))
-    height = lo / max(1.0, max(args.re_min**2, args.re_max**2) + hi**2)
-    if _numeric_s(args.D, 2 * args.re_steps * args.im_steps, args.nmax, height) > TIME_BUDGET_S:
+    # The point count first, so that the heights summed next are few enough.
+    if 2 * args.re_steps * args.im_steps * PRODUCT_BASE_S > TIME_BUDGET_S:
+        return _usage_error("grid size and --nmax exceed the time budget")
+    res = _axis(args.re_min, args.re_max, args.re_steps)
+    ims = _axis(args.im_min, args.im_max, args.im_steps)
+    if _numeric_s(args.D, args.nmax, _grid_heights(res, ims)) > TIME_BUDGET_S:
         return _usage_error("grid size and --nmax exceed the time budget")
     from . import analytic
 
     print("re,im,re_eta,im_eta,re_eta_inv,im_eta_inv")
     overflows = 0
-    for i in range(args.im_steps):
-        im = args.im_min + (args.im_max - args.im_min) * i / max(1, args.im_steps - 1)
-        for j in range(args.re_steps):
-            re = args.re_min + (args.re_max - args.re_min) * j / max(1, args.re_steps - 1)
+    for im in ims:
+        for re in res:
             z = complex(re, im)
             cols = [_fmt(re), _fmt(im)]
             for w in (z, -1 / z):

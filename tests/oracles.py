@@ -4,8 +4,9 @@ Deliberately naive routes (enumeration, two-variable DP, products of Euler
 factors as schoolbook series products, the period polynomials and the eta
 product multiplied out factor by factor, exactly and numerically, the
 oracle's series product by cyclic convolutions, group words as plain matrix
-products, L(s, chi) by the Hurwitz zeta function) that share no code with
-the library paths they check, and the deterministic samples the tests draw.
+products, L(s, chi) by the Hurwitz zeta function and L'(0, chi) by
+log-Gamma) that share no code with the library paths they check, and the
+deterministic samples the tests draw.
 """
 
 import cmath
@@ -84,9 +85,23 @@ def squares_mod(D):
     return {a * a % D for a in range(1, D) if gcd(a, D) == 1}
 
 
+def l_prime_zero_loggamma(ct, digits=30):
+    """L'(0, chi_D) = sum_{a=1}^{D-1} chi_D(a) log Gamma(a/D), the log-Gamma
+    formula for even primitive characters, in mpmath at digits + 10 digits:
+    independent of lseries' class number route."""
+    D = ct.D
+    with mpmath.workdps(digits + 10):
+        total = mpmath.mpf(0)
+        for a in range(1, D):
+            c = ct.values[a]
+            if c:
+                total += c * mpmath.loggamma(mpmath.mpf(a) / D)
+        return +total
+
+
 def l_function_hurwitz(ct, s, digits=30):
     """L(s, chi_D) = D^-s sum_a chi(a) zeta(s, a/D), the Hurwitz-zeta
-    decomposition: independent of lseries' log-Gamma route, so finite
+    decomposition: independent of lseries' class number route, so finite
     differences of it at s = 0 must reproduce l_prime_zero."""
     D = ct.D
     with mpmath.workdps(digits + 10):

@@ -120,7 +120,7 @@ class TestAgainstDirectProduct:
             got = analytic._log_phi_sharp(ct, y, n_max, 30)
             ref = phi_sharp_direct(D, y, n_max, 30)
             with mpmath.workdps(40):
-                assert abs(mpmath.exp(got) / ref - 1) < mpmath.mpf(10) ** -30
+                assert abs(mpmath.exp(mpmath.mpf(str(got))) / ref - 1) < mpmath.mpf(10) ** -30
 
 
 class TestModularLaws:
@@ -150,13 +150,19 @@ class TestPhiRelation:
     def test_residuals(self, D, y):
         assert check_phi_relation(D, y, 400, 30) < 1e-8
 
+    @pytest.mark.parametrize("digits", [30, 60])
+    @pytest.mark.parametrize("y", [0.5, 2.0])
+    @pytest.mark.parametrize("D", [5, 13, 29])
+    def test_residual_below_requested_digits(self, D, y, digits):
+        assert check_phi_relation(D, y, 400, digits) < 10.0**-digits
+
     def test_mirrored_pair(self):
         # y and 1/y probe the same identity from both sides
         assert check_phi_relation(5, 2.0, 400, 30) < 1e-8
         assert check_phi_relation(5, 0.5, 400, 30) < 1e-8
 
     def test_self_consistency_of_l_prime_value(self):
-        # the log-Gamma value of L'(0, chi_5) closes the identity at y = 1
+        # the class number value of L'(0, chi_5) closes the identity at y = 1
         assert check_phi_relation(5, 1.0, 400, 30) < 1e-10
 
     def test_rejects_bad_y(self):

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
@@ -382,13 +384,22 @@ class TestNumericBudget:
 
     @pytest.mark.parametrize("command, D", [("verify-modularity", 101), ("grid", 17)])
     def test_first_refused_size_exits_at_once(self, capsys, command, D):
-        """The smallest sample count (grid: row count) over budget, default --nmax."""
-        per_unit = 4 if command == "verify-modularity" else 2 * 20
-        k = 1
-        while cli._numeric_s(D, per_unit * k, 300) <= cli.TIME_BUDGET_S:
-            k += 1
-        size = ["--samples", str(k)] if command == "verify-modularity" else [
-            "--re-steps", "20", "--im-steps", str(k)]
+        """The smallest sample count (grid: row count of 20 columns) over
+        budget, default --nmax, found by bisection."""
+        if command == "verify-modularity":
+            def predicted(k):
+                return cli._numeric_s(D, 300, cli._modularity_heights(D, k))
+        else:
+            def predicted(k):
+                return cli._numeric_s(D, 300, _default_grid_heights(20, k))
+        lo, hi = 0, 1
+        while predicted(hi) <= cli.TIME_BUDGET_S:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if predicted(mid) <= cli.TIME_BUDGET_S else (lo, mid)
+        size = ["--samples", str(hi)] if command == "verify-modularity" else [
+            "--re-steps", "20", "--im-steps", str(hi)]
         start = time.perf_counter()
         code, out, err = run_cli(capsys, command, "--D", str(D), *size)
         assert time.perf_counter() - start < 5
@@ -396,18 +407,48 @@ class TestNumericBudget:
         assert out == ""
         assert "time budget" in err
 
+    def test_point_count_refused_before_the_heights(self, capsys, monkeypatch):
+        """A grid whose points alone, at PRODUCT_BASE_S a product, exceed the
+        budget is refused before its axes are built."""
+        monkeypatch.setattr(cli, "_axis", None)
+        steps = str(int(cli.TIME_BUDGET_S / cli.PRODUCT_BASE_S) // 2 + 1)
+        code, out, err = run_cli(capsys, "grid", "--D", "5", "--re-steps", steps, "--im-steps", "1")
+        assert code == 2
+        assert out == ""
+        assert "time budget" in err
+
     def test_benchmark_ranges_stay_accepted(self):
         for D in fundamental_discriminants(101):
-            assert cli._numeric_s(D, 4 * 20, 300) <= cli.TIME_BUDGET_S
+            assert cli._numeric_s(D, 300, cli._modularity_heights(D, 20)) <= cli.TIME_BUDGET_S
         for D in (5, 13, 17):
-            assert cli._numeric_s(D, 2 * 20 * 6, 300) <= cli.TIME_BUDGET_S
+            assert cli._numeric_s(D, 300, _default_grid_heights(20, 6)) <= cli.TIME_BUDGET_S
 
     def test_model_follows_the_split(self):
         """950 samples at D = 101 took 1.3 s end to end; charging every point
         the direct product (nmax phi(D) logs) refused them."""
-        assert cli._numeric_s(101, 4 * 950, 300) <= cli.TIME_BUDGET_S / 10
-        low, high = (cli._numeric_s(101, 1000, 300, h) for h in (1e-4, 1.0))
+        assert cli._numeric_s(101, 300, cli._modularity_heights(101, 950)) <= cli.TIME_BUDGET_S / 10
+        low, high = (cli._numeric_s(101, 300, {h: 1000}) for h in (1e-4, 1.0))
         assert high < low
+
+    def test_grid_charged_at_its_heights(self):
+        """grid --D 1001 --re-steps 10 --im-steps 10 took 0.5 s end to end;
+        charged at its lowest height, Im(-1/z) at z = -6 + 0.1i, every
+        product was predicted at 4.5 s."""
+        argv = ["grid", "--D", "1001", "--re-steps", "10", "--im-steps", "10"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hecke_eta.cli", *argv], capture_output=True, env=env
+        )
+        took = time.perf_counter() - start
+        assert proc.returncode == 0
+        predicted = cli._numeric_s(1001, 300, _default_grid_heights(10, 10))
+        assert took / 3 <= predicted <= 3 * took
+
+
+def _default_grid_heights(re_steps, im_steps):
+    """The heights grid is charged at over its default bounds."""
+    return cli._grid_heights(cli._axis(-6.0, 6.0, re_steps), cli._axis(0.1, 1.1, im_steps))
 
 
 def _first_fundamental_above(n):

@@ -1,6 +1,6 @@
 """Every module imports cleanly when it is the first one imported, each
-command loads only the layers it runs, and only the commands that compute in
-arbitrary precision load mpmath.
+command loads only the layers it runs, and no command or library call loads
+mpmath, which only the tests' reference routes use.
 
 The package's ``__init__`` imports its modules in one fixed order, which can
 hide an import cycle that another entry point (``python -m hecke_eta.cli``,
@@ -75,6 +75,7 @@ COMMANDS = [
     "signs --D 13 --N 30",
     "growth --D 5 --N 30",
     "grid --D 5 --re-steps 2 --im-steps 2",
+    "lvalues --D 5",
 ]
 
 
@@ -119,7 +120,7 @@ def test_every_command_is_probed():
     from hecke_eta import cli
 
     commands = set(cli._build_parser()._subparsers._group_actions[0].choices)
-    assert commands == {argv.split()[0] for argv in COMMANDS} | {"lvalues"}
+    assert commands == {argv.split()[0] for argv in COMMANDS}
     assert set(LAYERS) == commands
 
 
@@ -128,11 +129,7 @@ def test_command_does_not_load_mpmath(argv):
     assert run_cli_probe(argv) == [0, False]
 
 
-def test_lvalues_loads_mpmath():
-    assert run_cli_probe("lvalues --D 5") == [0, True]
-
-
-@pytest.mark.parametrize("argv", [*COMMANDS, "lvalues --D 5"])
+@pytest.mark.parametrize("argv", COMMANDS)
 def test_command_loads_only_its_layers(argv):
     code, _, modules, heavy = probe_cli(argv)
     assert code == 0
@@ -146,28 +143,32 @@ before = set(sys.modules)
 import hecke_eta
 on_import = sorted(m for m in sys.modules if m.startswith("hecke_eta."))
 residual = hecke_eta.check_u_gamma(hecke_eta.word_matrix([1, -1, 2], 5))
+phi_residual = hecke_eta.check_phi_relation(13, 0.7)
 print(json.dumps([
     on_import,
     sorted(m for m in sys.modules if m.startswith("hecke_eta.")),
     bool({"dataclasses", "inspect"} & (set(sys.modules) - before)),
-    residual,
+    "mpmath" in sys.modules,
+    [residual, phi_residual],
 ]))
 """
 
 
 def test_library_call_loads_only_its_layers():
-    """The package import loads no layer; check_u_gamma loads the numeric
-    layer and what it reads (the character table, L(-1)), not the exact
-    kernel, the oracle or the partition tables."""
+    """The package import loads no layer; check_u_gamma and
+    check_phi_relation load the numeric layer and what it reads (the
+    character table, the L-values), not the exact kernel, the oracle, the
+    partition tables or mpmath."""
     proc = subprocess.run(
         [sys.executable, "-c", LIB_PROBE], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    on_import, modules, heavy, residual = json.loads(proc.stdout)
+    on_import, modules, heavy, mpmath_loaded, residuals = json.loads(proc.stdout)
     assert on_import == []
     assert modules == ["hecke_eta.analytic", "hecke_eta.characters", "hecke_eta.lseries"]
     assert not heavy
-    assert residual < 1e-8
+    assert not mpmath_loaded
+    assert max(residuals) < 1e-8
 
 
 # The names the package exports.

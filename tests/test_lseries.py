@@ -1,11 +1,14 @@
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import l_function_hurwitz
+from oracles import l_function_hurwitz, l_prime_zero_loggamma
 
+from hecke_eta import lseries
 from hecke_eta.characters import CharacterError, build_char_table, fundamental_discriminants
-from hecke_eta.lseries import l_minus_one, l_prime_zero
+from hecke_eta.lseries import LValueError, l_minus_one, l_prime_zero
 
 
 class TestLMinusOne:
@@ -48,7 +51,7 @@ class TestLPrimeZero:
         # central difference of the Hurwitz-zeta continuation at s = 0
         for D in (5, 13):
             ct = build_char_table(D)
-            direct = l_prime_zero(ct, digits=40)
+            direct = mpmath.mpf(str(l_prime_zero(ct, digits=40)))
             with mpmath.workdps(50):
                 h = mpmath.mpf(10) ** -10
                 fd = (
@@ -69,4 +72,47 @@ class TestLPrimeZero:
         ct = build_char_table(5)
         a = l_prime_zero(ct, digits=20)
         b = l_prime_zero(ct, digits=45)
-        assert abs(a - b) < mpmath.mpf(10) ** -18
+        assert isinstance(a, Decimal)
+        assert len(a.as_tuple().digits) == 20
+        assert abs(a - b) < Decimal("1e-18")
+
+    def test_matches_log_gamma_reference(self):
+        for D in fundamental_discriminants(300):
+            ct = build_char_table(D)
+            ref = l_prime_zero_loggamma(ct, digits=50)
+            with mpmath.workdps(60):
+                assert abs(mpmath.mpf(str(l_prime_zero(ct, 50))) - ref) < mpmath.mpf(10) ** -45
+
+    @pytest.mark.parametrize(
+        "D, unit", [(5, (1, 1)), (13, (3, 1)), (21, (5, 1)), (61, (39, 5)), (109, (261, 25))]
+    )
+    def test_fundamental_unit(self, D, unit):
+        assert lseries._fundamental_unit(D) == unit
+
+    @pytest.mark.parametrize("D, h", [(229, 3), (257, 3), (401, 5), (577, 7), (1129, 9)])
+    def test_class_number(self, D, h):
+        t, u = lseries._fundamental_unit(D)
+        log_eps = math.log((t + u * math.sqrt(D)) / 2)
+        assert lseries._class_number(build_char_table(D), log_eps) == h
+
+    def test_corrupted_unit_raises(self, monkeypatch):
+        t, u = lseries._fundamental_unit(229)
+        monkeypatch.setattr(lseries, "_fundamental_unit", lambda D: (t + 2, u))
+        with pytest.raises(LValueError, match="not a unit"):
+            l_prime_zero(build_char_table(229))
+
+    def test_unit_that_is_not_fundamental_raises(self, monkeypatch):
+        # eps^2 passes the norm check, but h(229) = 3 is odd, so the quotient
+        # by log eps^2 is 3/2
+        t, u = lseries._fundamental_unit(229)
+        square = ((t * t + 229 * u * u) // 2, t * u)
+        monkeypatch.setattr(lseries, "_fundamental_unit", lambda D: square)
+        with pytest.raises(LValueError, match="class number"):
+            l_prime_zero(build_char_table(229))
+
+    def test_corrupted_character_table_raises(self):
+        ct = build_char_table(229)
+        values = list(ct.values)
+        values[2] = values[229 - 2] = -values[2]
+        with pytest.raises(LValueError, match="class number"):
+            l_prime_zero(ct._replace(values=tuple(values)))
