@@ -1,15 +1,17 @@
-"""The primitive real character chi_D = (./D) and residue classification mod D.
+"""The primitive real character chi_D = (./D).
 
 For a fundamental discriminant D = 1 mod 4 (squarefree, D >= 5) the
 Kronecker symbol (n/D) coincides with the Jacobi symbol, is even, completely
 multiplicative and has conductor exactly D.  CharTable tabulates one period
-together with the sorted lists of quadratic residues / non-residues.
+as the product of the Legendre symbols (n/p) of the primes p | D.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain, repeat
 from math import gcd
+from operator import mul
 
 
 class CharacterError(ValueError):
@@ -66,22 +68,29 @@ def _jacobi(n: int, D: int) -> int:
     return result if m == 1 else 0
 
 
-class CharTable(namedtuple("CharTable", "D values qr_list nr_list")):
-    """One period of chi_D plus residue / non-residue lists.
+class CharTable(namedtuple("CharTable", "D values")):
+    """One period of chi_D: values[n] = chi_D(n mod D), a tuple of ints.
 
-    values[n] = chi_D(n mod D), a tuple of ints; qr_list and nr_list are the
-    sorted tuples of a in [1, D] with chi_D(a) = +1 / -1, each of length
-    phi(D)/2.
+    The residues and non-residues are the units a in [1, D) with
+    values[a] = +1 and -1, phi(D)/2 of each.
     """
 
     __slots__ = ()
 
-    def chi(self, n: int) -> int:
-        return self.values[n % self.D]
+
+def _legendre_row(p: int) -> list[int]:
+    """One period of the Legendre symbol (./p) for an odd prime p: 0 at 0,
+    1 at the nonzero squares a^2 mod p (a < p/2) and -1 at the other units."""
+    row = [-1] * p
+    row[0] = 0
+    for a in range(1, (p + 1) // 2):
+        row[a * a % p] = 1
+    return row
 
 
 def build_char_table(D: int) -> CharTable:
-    """Tabulate chi_D and check the character invariants.
+    """Tabulate chi_D as the product of the Legendre rows of the primes
+    p | D, each repeated D/p times, and check the character invariants.
 
     Raises CharacterError for non-fundamental D, either up front or via an
     invariant failure (balance, evenness, cardinality).
@@ -90,9 +99,12 @@ def build_char_table(D: int) -> CharTable:
         raise CharacterError(
             f"D={D} rejected: need D = 1 mod 4, D >= 5, squarefree"
         )
-    values = tuple(_jacobi(n, D) for n in range(D))
-    qr = tuple(a for a in range(1, D + 1) if values[a % D] == 1)
-    nr = tuple(a for a in range(1, D + 1) if values[a % D] == -1)
+    # at most two D-length sequences live at once: the product so far (the
+    # row itself at prime D) and the next one
+    values = repeat(1, D)
+    for p, _ in prime_factors(D):
+        row = _legendre_row(p)
+        values = tuple(map(mul, values, chain.from_iterable(repeat(row, D // p))))
 
     if values[1 % D] != 1:
         raise CharacterError("chi(1) != 1")
@@ -105,10 +117,10 @@ def build_char_table(D: int) -> CharTable:
         raise CharacterError(f"sum chi(n) != 0 for D={D}")
     if sum(n * values[n % D] for n in range(1, D + 1)) != 0:
         raise CharacterError(f"sum n*chi(n) != 0 for D={D}")
-    phi = euler_phi(D)
-    if len(qr) != phi // 2 or len(nr) != phi // 2:
-        raise CharacterError(f"residue lists have wrong cardinality for D={D}")
-    return CharTable(D=D, values=values, qr_list=qr, nr_list=nr)
+    half = euler_phi(D) // 2
+    if values.count(1) != half or values.count(-1) != half:
+        raise CharacterError(f"chi is not +1 and -1 phi(D)/2 times each for D={D}")
+    return CharTable(D=D, values=values)
 
 
 def euler_phi(n: int) -> int:

@@ -46,9 +46,10 @@ TIME_BUDGET_S = 60
 
 # Seconds per unit of D of the character table and the other O(D) work of
 # coeffs, signs, growth and partitions, charged by _series_s and
-# _partitions_s: `coeffs --D 3999997 --N 1` took 16 s (predicted 18.8 s) and
-# `partitions --D 999997 --N 0` 3.2 s (4.7 s).
-CHAR_TABLE_S_PER_D = 4.7e-6
+# _partitions_s: in three runs each, `coeffs --N 1` took at most 0.95 s at
+# D = 1000001 (predicted 1.2 s), 4.1 s at 3999949 and 3.5 s at 3999997 (4.8
+# s), and `partitions --D 999997 --N 0` 0.90 s (1.2 s).
+CHAR_TABLE_S_PER_D = 1.2e-6
 
 # partitions also refuses input whose predicted peak RSS (_partitions_mb)
 # exceeds this, since its time model admits tables of several GB.
@@ -62,13 +63,13 @@ MEMORY_BUDGET_MB = 500
 # 20021, 14 s at 22697, 31 s at 25033, 37 s at 33013 and 145 s at 40009,
 # where the coefficients are twice as wide as at 33013; the cap keeps a 4x
 # margin for that spread.  lvalues, the character table and two O(D) sums,
-# took 4.3 s at D = 1000001, 8.3 s at 2000001, and 18 s and 200 MB at 3999997
-# and at the prime 3999949.  chars, linear in D, took 3.9 s at D = 1000001
-# and 18 s at 4000001, where it held 354 MB; coeffs, signs and
-# growth at N = 1 took 16 s and 202 MB there, and grid at one point 33 s and
-# 354 MB.  Memory grows with D too, so these caps are the largest D measured.
+# took 1.2 s at D = 1000001, and 4.7 s and 78 MB at 3999997 and 5.1 s at the
+# prime 3999949.  chars, linear in D, took 1.2 s at D = 1000001 and 4.7 s at
+# 3999949, where it held 294 MB; coeffs, signs and growth at N = 1 took
+# 4.1 s and 78 MB there, and grid at one point 16 s and 229 MB at 3999997.
+# Memory grows with D too, so these caps are the largest D measured.
 # verify-modularity at one sample took 31 s at D = 2000001.  partitions took
-# 3.2 s and 76 MB at D = 999997, N = 0, and 4.3 s and 230 MB at N = 20; its
+# 0.90 s and 41 MB at D = 999997, N = 0, and 4.6 s and 201 MB at N = 20; its
 # cost model accepts the cap, which is the binding limit.  Above the cap of
 # oracle-check its cost model refuses every input anyway: it accepts no D
 # above 88577 (101 * 877, 43 s and 86 MB at N = 1; the largest prime it
@@ -387,12 +388,12 @@ def cmd_periods(args) -> int:
 def cmd_chars(args) -> int:
     import json
 
-    ct = build_char_table(args.D)
+    values = build_char_table(args.D).values
     out = {
         "D": args.D,
-        "values": list(ct.values),
-        "qr": list(ct.qr_list),
-        "nr": list(ct.nr_list),
+        "values": values,
+        "qr": [a for a in range(1, args.D) if values[a] == 1],
+        "nr": [a for a in range(1, args.D) if values[a] == -1],
     }
     print(json.dumps(out))
     return 0

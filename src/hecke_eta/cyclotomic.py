@@ -137,8 +137,9 @@ def _expand_period(ct: CharTable, sign: int, h: int) -> tuple[list[int], list[in
 def period_polynomials(ct: CharTable) -> PeriodPair:
     """f_plus and f_minus with coefficients in O_D, from their power sums."""
     D = ct.D
-    fp = _expand_period(ct, 1, len(ct.qr_list))
-    fm = _expand_period(ct, -1, len(ct.nr_list))
+    h = euler_phi(D) // 2
+    fp = _expand_period(ct, 1, h)
+    fm = _expand_period(ct, -1, h)
     _check_period_invariants(fp, fm, D)
     f_plus, f_minus = (tuple(RingElem(a, b, D) for a, b in zip(*f)) for f in (fp, fm))
     return PeriodPair(D, f_plus, f_minus)

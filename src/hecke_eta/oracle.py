@@ -146,8 +146,10 @@ def a_via_convolution(D: int, N: int) -> list[RingElem]:
     # G = F_e(q, zeta) F_ord(q, zeta^n0); sigma_a(G) for a in qr covers every
     # twisted factor once
     f_e = CycSeries(D, distinct_length_distribution(D, N))
-    G = f_e.mul_dense(_twist(length_distribution(D, N), ct.nr_list[0], D))
-    rows = _times_int_series(_norm(G, ct.qr_list).coeffs, base, D)
+    n0 = ct.values.index(-1)
+    G = f_e.mul_dense(_twist(length_distribution(D, N), n0, D))
+    qr = [a for a in range(1, D) if ct.values[a] == 1]
+    rows = _times_int_series(_norm(G, qr).coeffs, base, D)
     return [project_to_quad(u, ct) for u in rows]
 
 

@@ -85,6 +85,12 @@ def squares_mod(D):
     return {a * a % D for a in range(1, D) if gcd(a, D) == 1}
 
 
+def residues(ct, sign):
+    """The units a in [1, D), ascending, with chi_D(a) = sign: the quadratic
+    residues for sign = 1, the non-residues for sign = -1."""
+    return tuple(a for a in range(1, ct.D) if ct.values[a] == sign)
+
+
 def l_prime_zero_loggamma(ct, digits=30):
     """L'(0, chi_D) = sum_{a=1}^{D-1} chi_D(a) log Gamma(a/D), the log-Gamma
     formula for even primitive characters, in mpmath at digits + 10 digits:
@@ -242,8 +248,8 @@ def period_polynomials_by_product(D):
     the model ring Z[x]/(x^D - 1) and every coefficient projected onto O_D."""
     ct = build_char_table(D)
     return tuple(
-        tuple(project_to_quad(c, ct) for c in _expand_linear_product(residues, D))
-        for residues in (ct.qr_list, ct.nr_list)
+        tuple(project_to_quad(c, ct) for c in _expand_linear_product(residues(ct, sign), D))
+        for sign in (1, -1)
     )
 
 

@@ -40,17 +40,26 @@ class TestEvalEta:
         z = complex(0, 1)
         assert eval_eta_numeric(5, z, 300) == eval_eta_numeric(5, -1 / z, 300)
 
-    def test_matches_exact_coefficients(self):
-        # truncated product vs exact Fourier series, both at the same point
-        z = complex(0.2, 1.1)
-        series = eta_series(5, 60)
-        q = cmath.exp(2j * math.pi * z / math.sqrt(5))
+    @pytest.mark.parametrize(
+        "D, z",
+        [
+            (5, 0.2 + 1.1j), (5, -1.3 + 0.7j), (13, 0.3 + 1.2j), (13, 1.5 + 0.9j),
+            (21, 0.5 + 1.4j), (21, -2 + 1.6j), (105, 0.4 + 3j), (105, -3 + 2.5j),
+        ],
+    )
+    def test_matches_exact_coefficients(self, D, z):
+        # truncated product vs exact Fourier series, both at the same point,
+        # for prime and composite D; the conjugated coefficients (sqrt(D)
+        # flipped) miss by a relative 0.2 to 50 at these points
+        series = eta_series(D, 150)
+        q = cmath.exp(2j * math.pi * z / math.sqrt(D))
         v = float(series.valuation)
         total = 0
         for k, c in enumerate(series.coeffs):
             total += complex(embed_real(c)) * q**k
-        total *= cmath.exp(2j * math.pi * v * z / math.sqrt(5))
-        assert abs(total - eval_eta_numeric(5, z, 300)) < 1e-12
+        total *= cmath.exp(2j * math.pi * v * z / math.sqrt(D))
+        numeric = eval_eta_numeric(D, z, 300)
+        assert abs(total - numeric) < 1e-12 * abs(numeric)
 
     def test_truncation_stability_doubling(self):
         for D in (5, 13):

@@ -2,7 +2,7 @@ import random
 from math import gcd, isqrt
 
 import pytest
-from oracles import squares_mod
+from oracles import residues, squares_mod
 
 from hecke_eta import characters
 from hecke_eta.characters import (
@@ -88,16 +88,16 @@ class TestCharTable:
     def test_d5(self):
         ct = build_char_table(5)
         assert ct.values == (0, 1, -1, -1, 1)
-        assert ct.qr_list == (1, 4)
-        assert ct.nr_list == (2, 3)
+        assert residues(ct, 1) == (1, 4)
+        assert residues(ct, -1) == (2, 3)
 
     def test_d13_residues(self):
         ct = build_char_table(13)
-        assert ct.qr_list == (1, 3, 4, 9, 10, 12)
+        assert residues(ct, 1) == (1, 3, 4, 9, 10, 12)
 
     def test_d17_cardinality(self):
         ct = build_char_table(17)
-        assert len(ct.qr_list) == 8 == euler_phi(17) // 2
+        assert len(residues(ct, 1)) == 8 == euler_phi(17) // 2
 
     def test_checks_the_discriminant_once(self, monkeypatch):
         expected = tuple(kronecker(n, 101) for n in range(101))
@@ -121,8 +121,8 @@ class TestCharTable:
             ct = build_char_table(D)
             assert sum(ct.values) == 0
             assert ct.values[D - 1] == 1
-            assert sum(n * ct.chi(n) for n in range(1, D + 1)) == 0
-            assert len(ct.qr_list) == len(ct.nr_list) == euler_phi(D) // 2
+            assert sum(n * ct.values[n % D] for n in range(1, D + 1)) == 0
+            assert len(residues(ct, 1)) == len(residues(ct, -1)) == euler_phi(D) // 2
 
     def test_complete_multiplicativity_small_d_exhaustive(self):
         for D in fundamental_discriminants(101):
@@ -139,6 +139,41 @@ class TestCharTable:
                 m = rng.randrange(D)
                 n = rng.randrange(D)
                 assert ct.values[m * n % D] == ct.values[m] * ct.values[n]
+
+    @pytest.mark.parametrize(
+        "Ds", [fundamental_discriminants(3000), [5005, 85085, 100049]], ids=["to3000", "large"]
+    )
+    def test_equals_the_jacobi_row(self, Ds):
+        # the Legendre product against the reciprocity loop, at every n;
+        # 85085 = 5 * 7 * 11 * 13 * 17
+        for D in Ds:
+            assert build_char_table(D).values == tuple(characters._jacobi(n, D) for n in range(D))
+
+    def test_equals_the_jacobi_symbol_sampled_at_1000001(self):
+        D = 1000001  # 101 * 9901
+        values = build_char_table(D).values
+        rng = random.Random(1000001)
+        for n in (rng.randrange(D) for _ in range(20000)):
+            assert values[n] == characters._jacobi(n, D)
+
+    @pytest.mark.parametrize("D", [5, 13, 65, 1105])
+    def test_flipped_unit_pair_in_every_row_is_rejected(self, monkeypatch, D):
+        """Each row of period p gets the pair a, p - a flipped.  Every p | D is
+        1 mod 4 here, so chi_p(a) = chi_p(-a), every row's sum turns +-4 and
+        sum chi(n) over a period, their product, is no longer 0.  (For p = 3
+        mod 4 the pair has opposite signs, and a flipped row stays odd and
+        balanced, which none of the guards can see.)"""
+        legendre_row = characters._legendre_row
+
+        def flipped(p):
+            row = legendre_row(p)
+            a = (p - 1) // 2
+            row[a], row[p - a] = -row[a], -row[p - a]
+            return row
+
+        monkeypatch.setattr(characters, "_legendre_row", flipped)
+        with pytest.raises(CharacterError):
+            build_char_table(D)
 
     def test_zero_exactly_on_non_coprime(self):
         ct = build_char_table(21)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from oracles import euler_product_plain, mul_dense_plain
+from oracles import euler_product_plain, mul_dense_plain, residues
 
 from hecke_eta import oracle, qseries
 from hecke_eta.characters import build_char_table, euler_phi
@@ -68,9 +68,10 @@ class TestGaloisGuard:
         monkeypatch.setattr(oracle, "project_to_quad", lambda u, ct: assembled.append(u))
         a_via_convolution(D, N)
         assert len(assembled) == N + 1
+        qr, nr = residues(ct, 1), residues(ct, -1)
         for u in assembled:
-            qr_vals = {u[a % D] for a in ct.qr_list}
-            nr_vals = {u[b % D] for b in ct.nr_list}
+            qr_vals = {u[a] for a in qr}
+            nr_vals = {u[b] for b in nr}
             assert len(qr_vals) == 1 and len(nr_vals) == 1
 
     def test_series_coefficients_are_orbit_constant_for_prime_d(self, monkeypatch):
@@ -229,13 +230,13 @@ class TestNorm:
         # chain steps k: 13 and 21 take 3 (odd) then 2; 105 (H not cyclic)
         # 12 then 2; 221 12 then 8
         rng = random.Random(D)
-        residues = build_char_table(D).qr_list
+        qr = residues(build_char_table(D), 1)
         for bits in (1, 12):
             G = _random_series(rng, D, prec, bits, zero_rows=0)
             expected = G
-            for a in residues[1:]:
+            for a in qr[1:]:
                 expected = mul_dense_plain(expected, _sigma(G, a))
-            assert oracle._norm(G, residues).coeffs == expected.coeffs
+            assert oracle._norm(G, qr).coeffs == expected.coeffs
 
     @staticmethod
     def _times_int_series_plain(rows, base):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import eta_pairs_by_product, euler_transform_plain, mul_pairs_plain
 
 from hecke_eta import qseries
-from hecke_eta.characters import build_char_table, fundamental_discriminants
+from hecke_eta.characters import build_char_table, euler_phi, fundamental_discriminants
 from hecke_eta.cyclotomic import _trace_weights
 from hecke_eta.golden import COEFF_TABLE, TAU5_TABLE
 from hecke_eta.oracle import a_via_convolution
@@ -135,7 +135,7 @@ class TestOnlineKernel:
     def test_period_inputs_match_plain(self, D, sign):
         ct = build_char_table(D)
         c = _trace_weights(D)
-        h = len(ct.qr_list)
+        h = euler_phi(D) // 2
         ms = range(1, h + 2)
         P = [-c[m % D] for m in ms]
         Q = [-sign * ct.values[m % D] for m in ms]
