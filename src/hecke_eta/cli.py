@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import compress, islice, repeat
+from operator import eq
 
 from .characters import build_char_table, euler_phi, is_fundamental
 from .quad_ring import canonical_str, embed_midpoint, embed_real
@@ -46,9 +48,9 @@ TIME_BUDGET_S = 60
 
 # Seconds per unit of D of the character table and the other O(D) work of
 # coeffs, signs, growth and partitions, charged by _series_s and
-# _partitions_s: in three runs each, `coeffs --N 1` took at most 0.95 s at
-# D = 1000001 (predicted 1.2 s), 4.1 s at 3999949 and 3.5 s at 3999997 (4.8
-# s), and `partitions --D 999997 --N 0` 0.90 s (1.2 s).
+# _partitions_s: in three runs each, `coeffs --N 1` took at most 0.81 s at
+# D = 1000001 (predicted 1.2 s), 3.8 s at 3999949 and 2.8 s at 3999997 (4.8
+# s), and `partitions --D 999997 --N 0` 0.63 s (1.2 s).
 CHAR_TABLE_S_PER_D = 1.2e-6
 
 # partitions also refuses input whose predicted peak RSS (_partitions_mb)
@@ -57,18 +59,17 @@ MEMORY_BUDGET_MB = 500
 
 # Largest --D of each command, checked before the discriminant's trial
 # division, measured end to end on the same machine with the least work the
-# command accepts.  periods, three transforms of length phi(D)/2 on
-# coefficients whose width varies with D, is slowest at prime D: 6.3 s at
-# D = 10009, 4-11 s at six random primes in 12000..20000, 13 s and 33 MB at
-# 20021, 14 s at 22697, 31 s at 25033, 37 s at 33013 and 145 s at 40009,
-# where the coefficients are twice as wide as at 33013; the cap keeps a 4x
-# margin for that spread.  lvalues, the character table and two O(D) sums,
-# took 1.2 s at D = 1000001, and 4.7 s and 78 MB at 3999997 and 5.1 s at the
-# prime 3999949.  chars, linear in D, took 1.2 s at D = 1000001 and 4.7 s at
-# 3999949, where it held 294 MB; coeffs, signs and growth at N = 1 took
-# 4.1 s and 78 MB there, and grid at one point 16 s and 229 MB at 3999997.
-# Memory grows with D too, so these caps are the largest D measured.
-# verify-modularity at one sample took 31 s at D = 2000001.  partitions took
+# command accepts; memory grows with D too, so these caps are the largest D
+# measured.  periods, one transform of length phi(D)/2 on coefficients whose
+# width varies with D, is slowest at prime D: 2.2-3.1 s at D = 10009, 3-7 s
+# at six random primes in 13000..20000, and past the cap 6.0 s at 20021,
+# 7.9 s at 22697, 18 s at 25033, 20 s at 33013 and 72 s and 70 MB at 40009,
+# where the coefficients are twice as wide as at 33013; the cap keeps an 8x
+# margin for that spread.  lvalues (the character table and two O(D) sums)
+# and chars took 0.7-1.1 s at D = 1000001, and 3.8-5.1 s and 77 MB at
+# 3999949 and 3999997; coeffs, signs and growth at N = 1 took up to 3.8 s
+# and 77 MB there, grid at one point 16 s and 229 MB at 3999997, and
+# verify-modularity at one sample 31 s at D = 2000001.  partitions took
 # 0.90 s and 41 MB at D = 999997, N = 0, and 4.6 s and 201 MB at N = 20; its
 # cost model accepts the cap, which is the binding limit.  Above the cap of
 # oracle-check its cost model refuses every input anyway: it accepts no D
@@ -388,14 +389,20 @@ def cmd_periods(args) -> int:
 def cmd_chars(args) -> int:
     import json
 
-    values = build_char_table(args.D).values
-    out = {
-        "D": args.D,
-        "values": values,
-        "qr": [a for a in range(1, args.D) if values[a] == 1],
-        "nr": [a for a in range(1, args.D) if values[a] == -1],
-    }
-    print(json.dumps(out))
+    D = args.D
+    values = build_char_table(D).values
+    units = {s: compress(range(D), map(eq, values, repeat(s))) for s in (1, -1)}
+    # 2^16 entries at a time, so that neither the qr/nr lists nor the text is whole
+    write = sys.stdout.write
+    write(f'{{"D": {D}')
+    for name, ints in (("values", iter(values)), ("qr", units[1]), ("nr", units[-1])):
+        write(f', "{name}": [')
+        sep = ""
+        while block := list(islice(ints, 1 << 16)):
+            write(sep + json.dumps(block)[1:-1])
+            sep = ", "
+        write("]")
+    write("}\n")
     return 0
 
 

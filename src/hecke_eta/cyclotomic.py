@@ -12,21 +12,20 @@ series of model-ring elements by Kronecker substitution and twists them by
 x -> x^a; the projection is O(D), a trace and one character sum.  cyc_mul,
 one cyclic convolution of D^2 products, is the tests' reference product and
 is called by no library path.  The period polynomials f_plus / f_minus
-never enter the model ring: their coefficients in O_D follow from
-closed-form power sums, and their product is checked against Phi_D, built
-from integer Euler factors in partitions.
+never enter the model ring: f_plus is expanded once in O_D from its
+closed-form power sums, f_minus is its conjugate, and their product, the
+norm (A^2 - D B^2)/4 of f_plus = (A + B sqrt(D))/2, is checked against
+Phi_D, built from integer Euler factors in partitions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
 
-from .characters import CharTable, euler_phi, moebius
+from .characters import CharTable, _prime_row_product, euler_phi, moebius
 from .partitions import _euler_product
-from .qseries import _mul_pairs, euler_transform
+from .qseries import _convolve, euler_transform
 from .quad_ring import RingElem
 
 
@@ -55,16 +54,11 @@ def cyc_mul(u: list[int], v: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _trace_weights(D: int) -> tuple[int, ...]:
-    """T(k) = trace of zeta_D^k from Q(zeta_D) to Q, for squarefree D."""
-    phi = euler_phi(D)
-    out = []
-    for k in range(D):
-        g = gcd(k, D)
-        d = D // g
-        out.append(moebius(d) * phi // euler_phi(d))
-    return tuple(out)
+    """T(k) = trace of zeta_D^k from Q(zeta_D) to Q, for squarefree odd D:
+    the Ramanujan sum c_D(k), the product over p | D of c_p(k), which is
+    p - 1 where p | k and -1 elsewhere.  O(D) at C speed, so not cached."""
+    return _prime_row_product(D, lambda p: [p - 1] + [-1] * (p - 1))
 
 
 def trace(u: list[int]) -> int:
@@ -106,57 +100,47 @@ class PeriodPair(namedtuple("PeriodPair", "D f_plus f_minus")):
     """f_plus = prod_{a in qr}(1 - zeta^a x), f_minus the nr analogue.
 
     Coefficients are tuples of O_D elements (RingElem), constant terms
-    exactly 1, and coefficientwise conjugation swaps the two polynomials.
+    exactly 1; f_minus is the coefficientwise conjugate of f_plus.
     """
 
     __slots__ = ()
 
 
-def _expand_period(ct: CharTable, sign: int, h: int) -> tuple[list[int], list[int]]:
-    """Numerator pairs (A, B) of prod (1 - zeta^a x) over the h residues a
-    with chi(a) = sign.
+def _expand_period(ct: CharTable, h: int) -> tuple[list[int], list[int]]:
+    """Numerator pairs (A, B) of f_plus = prod (1 - zeta^a x) over the h
+    residues a.
 
     Its logarithm is -sum_m p(m) x^m / m with the power sums
-    p(m) = sum_a zeta^{am} = (c_D(m) + sign chi(m) sqrt(D))/2, since
-    1_{chi = sign} = (1 + sign chi)/2 on units, c_D(m) = sum_{units} zeta^{am}
-    is the Ramanujan sum (the trace weight of zeta^m) and the Gauss sum gives
+    p(m) = sum_a zeta^{am} = (c_D(m) + chi(m) sqrt(D))/2, since
+    1_{chi = 1} = (1 + chi)/2 on units, c_D(m) = sum_{units} zeta^{am} is
+    the Ramanujan sum (the trace weight of zeta^m) and the Gauss sum gives
     sum_a chi(a) zeta^{am} = chi(m) sqrt(D).  A wrong power sum breaks an
     exact division in euler_transform or leaves coefficient h+1 nonzero.
     """
     D = ct.D
     c = _trace_weights(D)
     ms = range(1, h + 2)
-    A, B = euler_transform(
-        [-c[m % D] for m in ms], [-sign * ct.values[m % D] for m in ms], D, h + 1
-    )
+    A, B = euler_transform([-c[m % D] for m in ms], [-ct.values[m % D] for m in ms], D, h + 1)
     if A[h + 1] or B[h + 1]:
         raise ProjectionError(f"period polynomial of D={D} has degree above {h}")
     return A[:-1], B[:-1]
 
 
 def period_polynomials(ct: CharTable) -> PeriodPair:
-    """f_plus and f_minus with coefficients in O_D, from their power sums."""
+    """f_plus from its power sums, f_minus = (A, -B) as its conjugate, and
+    the guards on both: constant term 1 and f_plus * f_minus = Phi_D, read
+    as A*A - D B*B = 4 Phi_D on the numerator pairs."""
     D = ct.D
     h = euler_phi(D) // 2
-    fp = _expand_period(ct, 1, h)
-    fm = _expand_period(ct, -1, h)
-    _check_period_invariants(fp, fm, D)
-    f_plus, f_minus = (tuple(RingElem(a, b, D) for a, b in zip(*f)) for f in (fp, fm))
-    return PeriodPair(D, f_plus, f_minus)
-
-
-def _check_period_invariants(fp, fm, D: int) -> None:
-    """The guards on the numerator pairs (A, B) of f_plus and f_minus."""
-    (pa, pb), (ma, mb) = fp, fm
-    if (pa[0], pb[0], ma[0], mb[0]) != (2, 0, 2, 0):
+    A, B = _expand_period(ct, h)
+    if A[0] != 2 or B[0] != 0:
         raise ProjectionError("period polynomial constant term is not 1")
-    if ma != pa or mb != [-b for b in pb]:
-        raise ProjectionError("conjugation does not swap f_plus and f_minus")
-    A, B = _mul_pairs(pa, pb, ma, mb, D, len(pa) + len(ma) - 2)
-    if any(B):
-        raise ProjectionError("f_plus * f_minus has a nonzero sqrt(D) part")
-    if A != [2 * c for c in _cyclotomic_coeffs(D)]:
+    AA, BB = (_convolve(u, u, h + 1, 2 * h + 1) for u in (A, B))
+    if [a - D * b for a, b in zip(AA, BB)] != [4 * c for c in _cyclotomic_coeffs(D)]:
         raise ProjectionError("f_plus * f_minus is not the cyclotomic polynomial Phi_D")
+    f_plus = tuple(RingElem(a, b, D) for a, b in zip(A, B))
+    f_minus = tuple(RingElem(a, -b, D) for a, b in zip(A, B))
+    return PeriodPair(D, f_plus, f_minus)
 
 
 def _cyclotomic_coeffs(D: int) -> list[int]:

@@ -19,7 +19,7 @@ from operator import mul
 import mpmath
 
 from hecke_eta.analytic import word_matrix
-from hecke_eta.characters import build_char_table
+from hecke_eta.characters import build_char_table, euler_phi, moebius
 from hecke_eta.cyclotomic import cyc_mul, project_to_quad
 from hecke_eta.oracle import CycSeries
 
@@ -78,6 +78,24 @@ def euler_product_plain(factors, N):
             f[::d] = [1] * len(f[::d])
         P = [sum(P[i] * f[k - i] for i in range(k + 1)) for k in range(N + 1)]
     return P
+
+
+def jacobi(n, D):
+    """Jacobi symbol (n/D) for odd D > 0 by the reciprocity loop, O(log^2 D),
+    with no factorisation: the reference for the character table."""
+    a = n % D
+    m = D
+    result = 1
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                result = -result
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            result = -result
+        a %= m
+    return result if m == 1 else 0
 
 
 def squares_mod(D):
@@ -240,6 +258,21 @@ def _expand_linear_product(exponents, D):
             for j in range(D):
                 cur[(j + a) % D] -= prev[j]
     return coeffs
+
+
+def trace_weights_by_moebius(D):
+    """Tr(zeta_D^k) = mu(d) phi(D) / phi(d), d = D / gcd(k, D), for k in
+    [0, D) and squarefree D: the Ramanujan sums by the classical formula,
+    one value per divisor d."""
+    phi = euler_phi(D)
+    by_d = {}
+    out = []
+    for k in range(D):
+        d = D // gcd(k, D)
+        if d not in by_d:
+            by_d[d] = moebius(d) * phi // euler_phi(d)
+        out.append(by_d[d])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

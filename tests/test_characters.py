@@ -2,7 +2,7 @@ import random
 from math import gcd, isqrt
 
 import pytest
-from oracles import residues, squares_mod
+from oracles import jacobi, residues, squares_mod
 
 from hecke_eta import characters
 from hecke_eta.characters import (
@@ -147,14 +147,14 @@ class TestCharTable:
         # the Legendre product against the reciprocity loop, at every n;
         # 85085 = 5 * 7 * 11 * 13 * 17
         for D in Ds:
-            assert build_char_table(D).values == tuple(characters._jacobi(n, D) for n in range(D))
+            assert build_char_table(D).values == tuple(jacobi(n, D) for n in range(D))
 
     def test_equals_the_jacobi_symbol_sampled_at_1000001(self):
         D = 1000001  # 101 * 9901
         values = build_char_table(D).values
         rng = random.Random(1000001)
         for n in (rng.randrange(D) for _ in range(20000)):
-            assert values[n] == characters._jacobi(n, D)
+            assert values[n] == jacobi(n, D)
 
     @pytest.mark.parametrize("D", [5, 13, 65, 1105])
     def test_flipped_unit_pair_in_every_row_is_rejected(self, monkeypatch, D):
@@ -174,6 +174,23 @@ class TestCharTable:
         monkeypatch.setattr(characters, "_legendre_row", flipped)
         with pytest.raises(CharacterError):
             build_char_table(D)
+
+    def test_flipped_pair_in_a_row_of_p_3_mod_4_is_rejected(self, monkeypatch):
+        """The row of 7 flipped at 3 and 4 stays odd and balanced, and the
+        table of 1001 = 7 * 11 * 13 built from it passes every invariant
+        of chi_D but multiplicativity (240 of its entries are wrong); the
+        check of each row against a primitive root sees it."""
+        legendre_row = characters._legendre_row
+
+        def flipped(p):
+            row = legendre_row(p)
+            if p == 7:
+                row[3], row[4] = -row[3], -row[4]
+            return row
+
+        monkeypatch.setattr(characters, "_legendre_row", flipped)
+        with pytest.raises(CharacterError, match="row of p=7"):
+            build_char_table(1001)
 
     def test_zero_exactly_on_non_coprime(self):
         ct = build_char_table(21)

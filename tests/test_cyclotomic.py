@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import embed_mp, period_polynomials_by_product, residues
+from oracles import embed_mp, period_polynomials_by_product, residues, trace_weights_by_moebius
 
 from hecke_eta import cyclotomic
 from hecke_eta.characters import (
@@ -81,6 +81,17 @@ class TestCycMul:
 
 
 class TestTrace:
+    @pytest.mark.parametrize(
+        "Ds",
+        [fundamental_discriminants(3000), [5005, 85085, 100049]],
+        ids=["to_3000", "5005_85085_100049"],
+    )
+    def test_weights_match_the_moebius_formula(self, Ds):
+        """The product of prime rows against mu(d) phi(D)/phi(d), at prime D
+        and at D with two, three (5005) and five (85085) primes."""
+        for D in Ds:
+            assert cyclotomic._trace_weights(D) == trace_weights_by_moebius(D)
+
     def test_examples(self):
         assert trace(monomial(5, 0)) == 4
         assert trace(monomial(5, 1)) == -1
@@ -279,7 +290,21 @@ class TestPeriodPolynomials:
     def test_dropped_residue_breaks_the_degree(self, D):
         ct = build_char_table(D)
         with pytest.raises(ProjectionError, match="degree"):
-            cyclotomic._expand_period(ct, 1, euler_phi(D) // 2 - 1)
+            cyclotomic._expand_period(ct, euler_phi(D) // 2 - 1)
+
+    def test_one_expansion(self, monkeypatch):
+        """f_minus is the conjugate of f_plus, not a second expansion."""
+        calls = []
+        expand = cyclotomic.euler_transform
+
+        def counted(*args):
+            calls.append(args[2:])
+            return expand(*args)
+
+        monkeypatch.setattr(cyclotomic, "euler_transform", counted)
+        pair = period_polynomials(build_char_table(101))
+        assert calls == [(101, 51)]
+        assert pair.f_minus == tuple(c.conj() for c in pair.f_plus)
 
 
 class TestPeriodGuards:
@@ -287,46 +312,24 @@ class TestPeriodGuards:
 
     @staticmethod
     def corrupted(monkeypatch, corrupt):
-        """period_polynomials at D = 13 with corrupt(sign, A, B) applied in
-        place to the numerator pairs of f_plus (sign 1) and f_minus (-1)."""
+        """period_polynomials at D = 13 with corrupt(A, B) applied in place
+        to the numerator pairs of f_plus."""
         expand = cyclotomic._expand_period
 
-        def patched(ct, sign, h):
-            A, B = expand(ct, sign, h)
-            corrupt(sign, A, B)
+        def patched(ct, h):
+            A, B = expand(ct, h)
+            corrupt(A, B)
             return A, B
 
         monkeypatch.setattr(cyclotomic, "_expand_period", patched)
         return period_polynomials(build_char_table(13))
 
     def test_constant_term(self, monkeypatch):
-        def corrupt(sign, A, B):
+        def corrupt(A, B):
             A[0] = 4
 
         with pytest.raises(ProjectionError, match="constant term is not 1"):
             self.corrupted(monkeypatch, corrupt)
-
-    def test_conjugation(self, monkeypatch):
-        def corrupt(sign, A, B):
-            if sign == -1:
-                A[1] += 2
-
-        with pytest.raises(ProjectionError, match="conjugation does not swap"):
-            self.corrupted(monkeypatch, corrupt)
-
-    def test_sqrt_d_part_of_the_product(self, monkeypatch):
-        """While conjugation swaps f_plus and f_minus their product is its own
-        conjugate, so this guard is reached by corrupting the product."""
-        mul_pairs = cyclotomic._mul_pairs
-
-        def corrupt_product(*args):
-            A, B = mul_pairs(*args)
-            B[1] += 2
-            return A, B
-
-        monkeypatch.setattr(cyclotomic, "_mul_pairs", corrupt_product)
-        with pytest.raises(ProjectionError, match="nonzero sqrt\\(D\\) part"):
-            period_polynomials(build_char_table(13))
 
     def test_product_is_phi_d(self, monkeypatch):
         """A corruption of the trace weights that keeps every division exact,
