@@ -13,9 +13,7 @@ from importlib import import_module
 
 _EXPORTS_BY_MODULE = {
     "quad_ring": ("RingElem", "RingError", "embed_real"),
-    "characters": (
-        "CharTable", "CharacterError", "build_char_table", "is_fundamental", "kronecker",
-    ),
+    "characters": ("CharacterError", "build_char_table", "is_fundamental"),
     "cyclotomic": (
         "PeriodPair", "ProjectionError", "cyc_mul", "period_polynomials", "project_to_quad",
         "trace",
@@ -25,9 +23,7 @@ _EXPORTS_BY_MODULE = {
         "PartitionTables", "build_partition_tables", "length_distribution", "p_nr_table",
         "p_table",
     ),
-    "qseries": (
-        "QSeries", "SeriesError", "delta5_series", "eta_series", "series_pow", "tau5_values",
-    ),
+    "qseries": ("QSeries", "SeriesError", "eta_series", "series_pow", "tau5_values"),
     "oracle": ("CycSeries", "a_via_convolution"),
     "analytic": (
         "GroupWord", "bound_envelope", "check_inversion", "check_translation", "check_u_gamma",

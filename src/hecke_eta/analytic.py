@@ -36,7 +36,7 @@ from collections import namedtuple
 from decimal import Context, Decimal, getcontext, localcontext
 from functools import lru_cache
 
-from .characters import CharTable, build_char_table, euler_phi, prime_factors
+from .characters import build_char_table, euler_phi, prime_factors
 from .lseries import l_minus_one, l_prime_zero
 
 
@@ -49,6 +49,12 @@ def _require_upper(z: complex) -> complex:
     if not z.imag > 0:
         raise ValueError(f"point {z} is not in the upper half-plane")
     return z
+
+
+def _q_rounds_to_one(D: int, height: float) -> bool:
+    """Whether |q| = exp(-2 pi height / sqrt(D)) rounds to 1, where no
+    truncation of the product converges and no tail bound holds."""
+    return math.exp(-2 * math.pi * height / math.sqrt(D)) == 1
 
 
 # The twisted series stops once the bound on its remaining terms, in the log
@@ -65,12 +71,11 @@ class _EtaData:
     """The per-D data of the numeric evaluation; built once per D by _eta_data."""
 
     def __init__(self, D: int):
-        ct = build_char_table(D)
         self.D = D
-        self.chi = ct.values
+        self.chi = build_char_table(D)
         self.sqrt_d = math.sqrt(D)
         self.phi = euler_phi(D)
-        self.v = float(l_minus_one(ct).m_exponent)
+        self.v = float(l_minus_one(self.chi).m_exponent)
         self._roots = None
 
     def roots(self) -> tuple[list[complex], list[complex]]:
@@ -109,8 +114,6 @@ def _split(L: float, N: int, phi: int, sqrt_d: float) -> tuple[int, int]:
     """(n0, M): direct twisted factors for n <= n0 and M series terms for the
     rest, minimising n0 * phi + _TERM_COST * M over 0, N and the two n0 next
     to the continuous optimum n0 + 1 = sqrt(_TERM_COST * M(0) / phi)."""
-    if not L > 0:  # Im z underflowed: |q| rounds to 1 and no bound holds
-        return N, 0
     best = (N * phi, N, 0.0)
     opt = math.sqrt(_TERM_COST * _series_ratio(L, 0, sqrt_d, _LOG_EPS) / phi)
     c = int(min(N, opt))
@@ -134,8 +137,11 @@ def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
     """log of the truncated product part of eta_D (no q^v prefactor).
 
     The character table comes with the per-D data, which is built once per D.
+    Raises ConditioningError where |q| rounds to 1 (_q_rounds_to_one).
     """
     z = _require_upper(z)
+    if _q_rounds_to_one(D, z.imag):
+        raise ConditioningError(f"|q| rounds to 1 at z = {z}: Im z is too small for D={D}")
     data = _eta_data(D)
     chi = data.chi
     t = 2j * math.pi * z / data.sqrt_d
@@ -221,8 +227,9 @@ def _decimal_pi() -> Decimal:
     return Decimal(4 * (4 * arctan_inv(5) - arctan_inv(239))).scaleb(-scale)
 
 
-def _log_phi_sharp(ct: CharTable, y: float, n_max: int, digits: int) -> Decimal:
-    """log Phi#(i/y) truncated at n_max, a Decimal at `digits` + 10 digits.
+def _log_phi_sharp(chi, y: float, n_max: int, digits: int) -> Decimal:
+    """log Phi#(i/y) truncated at n_max, a Decimal at `digits` + 10 digits,
+    for the row chi of build_char_table, D = len(chi).
 
     This is the twisted series of log_eta_tail with n0 = 0 on the real
     r = exp(-2 pi / (y sqrt(D))),
@@ -233,7 +240,7 @@ def _log_phi_sharp(ct: CharTable, y: float, n_max: int, digits: int) -> Decimal:
     r^{m n_max} as running products.  1 - r^m loses about -log10(L) digits
     to cancellation, L = -log r, so the working precision adds as many.
     """
-    D = ct.D
+    D = len(chi)
     L = 2 * math.pi / (y * math.sqrt(D))
     log_eps = -(digits + 8) * math.log(10)
     M = math.ceil(max(0.0, _series_ratio(L, 0, math.sqrt(D), log_eps) - 1))
@@ -247,7 +254,7 @@ def _log_phi_sharp(ct: CharTable, y: float, n_max: int, digits: int) -> Decimal:
         for m in range(1, M + 1):
             rm *= r
             rmn *= r_n
-            c = ct.values[m % D]
+            c = chi[m % D]
             if c:
                 total += c * rm * (1 - rmn) / (m * (1 - rm))
         return -sqrt_d * total
@@ -264,10 +271,10 @@ def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> 
     """
     if y <= 0:
         raise ValueError("need y > 0")
-    ct = build_char_table(D)
-    rec = l_minus_one(ct)
+    chi = build_char_table(D)
+    rec = l_minus_one(chi)
     prec = digits + 10
-    lp = l_prime_zero(ct, prec)
+    lp = l_prime_zero(chi, prec)
     with localcontext(Context(prec=prec)):
         sqrt_d = Decimal(D).sqrt()
         y_pi = Decimal(y) * _decimal_pi()
@@ -275,12 +282,12 @@ def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> 
         phi = qn = Decimal(1)
         for n in range(1, n_max + 1):
             qn *= q1
-            e = ct.values[n % D]
+            e = chi[n % D]
             if e == 1:
                 phi *= 1 - qn
             elif e == -1:
                 phi /= 1 - qn
-        phi_sharp = _log_phi_sharp(ct, y, n_max, digits).exp()
+        phi_sharp = _log_phi_sharp(chi, y, n_max, digits).exp()
         lval = Decimal(rec.l_minus_one.numerator) / rec.l_minus_one.denominator
         factor = (lp + y_pi * lval / sqrt_d).exp()
         return float(abs(phi_sharp - factor * phi))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import eq
 
 from .characters import build_char_table, euler_phi, is_fundamental
@@ -178,8 +178,7 @@ def _product_s(D: int, nmax: int, height: float) -> float:
     phi = euler_phi(D)
     L = 2 * math.pi * height / math.sqrt(D)
     n0, M = analytic._split(L, nmax, phi, math.sqrt(D))
-    if L > 0:
-        nmax = min(nmax, math.ceil(-math.log(1e-320) / L))
+    nmax = min(nmax, math.ceil(-math.log(1e-320) / L))
     return PRODUCT_BASE_S + 9e-7 * nmax + 4e-7 * (min(n0, nmax) * (phi + 6) + analytic._TERM_COST * M)
 
 
@@ -215,14 +214,20 @@ def _axis(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / max(1, steps - 1) for i in range(steps)]
 
 
+def _inverse_heights(res: list[float], im: float):
+    """Im(-1/z) at z = re + i im for each re, by complex division as grid
+    evaluates -1/z: im / |z|^2 would overflow or underflow first."""
+    return ((-1 / complex(re, im)).imag for re in res)
+
+
 def _grid_heights(res: list[float], ims: list[float]) -> dict[float, int]:
-    """The heights of grid's products, at every z = re + i im and at -1/z,
-    whose height is im / |z|^2.  Each is rounded down to a multiple of 1/32
-    of its binade, which charges no product less (_product_s falls as the
-    height grows) and leaves few distinct heights to charge."""
+    """The heights of grid's products, at every z = re + i im and at -1/z.
+    Each is rounded down to a multiple of 1/32 of its binade, which charges
+    no product less (_product_s falls as the height grows) and leaves few
+    distinct heights to charge."""
     counts: dict[float, int] = {}
     for im in ims:
-        for h, n in ((im, len(res)), *((im / (re * re + im * im), 1) for re in res)):
+        for h, n in ((im, len(res)), *((h, 1) for h in _inverse_heights(res, im))):
             m, e = math.frexp(h)
             h = math.ldexp(math.floor(m * 32) / 32, e)
             counts[h] = counts.get(h, 0) + n
@@ -340,8 +345,7 @@ def cmd_partitions(args) -> int:
 
     from .partitions import build_partition_tables
 
-    ct = build_char_table(args.D)
-    tables = build_partition_tables(ct, args.N)
+    tables = build_partition_tables(build_char_table(args.D), args.N)
     head = json.dumps({"D": tables.D, "N_max": tables.N_max, "p": tables.p, "p_nr": tables.p_nr})
     # one row of c at a time, so the table is never held as one text
     write = sys.stdout.write
@@ -357,10 +361,10 @@ def cmd_lvalues(args) -> int:
 
     from .lseries import l_minus_one, l_prime_zero
 
-    ct = build_char_table(args.D)
-    rec = l_minus_one(ct)
+    chi = build_char_table(args.D)
+    rec = l_minus_one(chi)
     m = rec.m_exponent
-    lp = l_prime_zero(ct, L_PRIME_DIGITS)
+    lp = l_prime_zero(chi, L_PRIME_DIGITS)
     out = {
         "S_chi": rec.S_chi,
         "L_minus_1": str(rec.l_minus_one),
@@ -390,7 +394,7 @@ def cmd_chars(args) -> int:
     import json
 
     D = args.D
-    values = build_char_table(D).values
+    values = build_char_table(D)
     units = {s: compress(range(D), map(eq, values, repeat(s))) for s in (1, -1)}
     # 2^16 entries at a time, so that neither the qr/nr lists nor the text is whole
     write = sys.stdout.write
@@ -518,10 +522,16 @@ def cmd_grid(args) -> int:
         return _usage_error("grid size and --nmax exceed the time budget")
     res = _axis(args.re_min, args.re_max, args.re_steps)
     ims = _axis(args.im_min, args.im_max, args.im_steps)
-    if _numeric_s(args.D, args.nmax, _grid_heights(res, ims)) > TIME_BUDGET_S:
-        return _usage_error("grid size and --nmax exceed the time budget")
+    if not all(map(math.isfinite, res + ims)):
+        return _usage_error("grid axis values must be finite")
     from . import analytic
 
+    # |q| falls as the height grows, so the lowest point, z or -1/z, decides
+    lowest = min(chain(ims, *(_inverse_heights(res, im) for im in ims)))
+    if analytic._q_rounds_to_one(args.D, lowest):
+        return _usage_error("grid points too close to the real axis: |q| rounds to 1")
+    if _numeric_s(args.D, args.nmax, _grid_heights(res, ims)) > TIME_BUDGET_S:
+        return _usage_error("grid size and --nmax exceed the time budget")
     print("re,im,re_eta,im_eta,re_eta_inv,im_eta_inv")
     overflows = 0
     for im in ims:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .characters import CharTable, _prime_row_product, euler_phi, moebius
+from .characters import _prime_row_product, euler_phi, moebius
 from .partitions import _euler_product
 from .qseries import _convolve, euler_transform
 from .quad_ring import RingElem
@@ -68,8 +68,9 @@ def trace(u: list[int]) -> int:
     return sum(c * t for c, t in zip(u, w) if c)
 
 
-def project_to_quad(u: list[int], ct: CharTable) -> RingElem:
-    """Project an element of the fixed field of H onto O_D.
+def project_to_quad(u: list[int], chi) -> RingElem:
+    """Project an element of the fixed field of H onto O_D, with chi the
+    row of build_char_table (D = len(chi) = len(u)).
 
     Uses alpha = trace(u)/phi(D) and beta = trace(u*g)/(D*phi(D)) with g =
     sum_a chi_D(a) x^a the Gauss-sum element (sign convention +sqrt(D),
@@ -78,12 +79,12 @@ def project_to_quad(u: list[int], ct: CharTable) -> RingElem:
     means u is not in Q(sqrt(D)): this is the correctness guard for the whole
     exact pipeline, so it raises rather than rounding.
     """
-    if len(u) != ct.D:
-        raise ValueError(f"dimension mismatch: {len(u)} vs {ct.D}")
-    D = ct.D
+    D = len(chi)
+    if len(u) != D:
+        raise ValueError(f"dimension mismatch: {len(u)} vs {D}")
     phi = euler_phi(D)
     alpha2 = Fraction(2 * trace(u), phi)
-    beta2 = Fraction(2 * sum(c * x for c, x in zip(u, ct.values) if c), phi)
+    beta2 = Fraction(2 * sum(c * x for c, x in zip(u, chi) if c), phi)
     if alpha2.denominator != 1 or beta2.denominator != 1:
         raise ProjectionError(
             f"element not in Q(sqrt({D})): projection pair ({alpha2}, {beta2})"
@@ -106,7 +107,7 @@ class PeriodPair(namedtuple("PeriodPair", "D f_plus f_minus")):
     __slots__ = ()
 
 
-def _expand_period(ct: CharTable, h: int) -> tuple[list[int], list[int]]:
+def _expand_period(chi, h: int) -> tuple[list[int], list[int]]:
     """Numerator pairs (A, B) of f_plus = prod (1 - zeta^a x) over the h
     residues a.
 
@@ -117,22 +118,23 @@ def _expand_period(ct: CharTable, h: int) -> tuple[list[int], list[int]]:
     sum_a chi(a) zeta^{am} = chi(m) sqrt(D).  A wrong power sum breaks an
     exact division in euler_transform or leaves coefficient h+1 nonzero.
     """
-    D = ct.D
+    D = len(chi)
     c = _trace_weights(D)
     ms = range(1, h + 2)
-    A, B = euler_transform([-c[m % D] for m in ms], [-ct.values[m % D] for m in ms], D, h + 1)
+    A, B = euler_transform([-c[m % D] for m in ms], [-chi[m % D] for m in ms], D, h + 1)
     if A[h + 1] or B[h + 1]:
         raise ProjectionError(f"period polynomial of D={D} has degree above {h}")
     return A[:-1], B[:-1]
 
 
-def period_polynomials(ct: CharTable) -> PeriodPair:
+def period_polynomials(chi) -> PeriodPair:
     """f_plus from its power sums, f_minus = (A, -B) as its conjugate, and
     the guards on both: constant term 1 and f_plus * f_minus = Phi_D, read
-    as A*A - D B*B = 4 Phi_D on the numerator pairs."""
-    D = ct.D
+    as A*A - D B*B = 4 Phi_D on the numerator pairs.  chi is the row of
+    build_char_table, D = len(chi)."""
+    D = len(chi)
     h = euler_phi(D) // 2
-    A, B = _expand_period(ct, h)
+    A, B = _expand_period(chi, h)
     if A[0] != 2 or B[0] != 0:
         raise ProjectionError("period polynomial constant term is not 1")
     AA, BB = (_convolve(u, u, h + 1, 2 * h + 1) for u in (A, B))

@@ -16,8 +16,6 @@ from collections import namedtuple
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
-from .characters import CharTable
-
 
 class LValueError(ValueError):
     """L-value invariant failed (bad discriminant or character bug)."""
@@ -30,10 +28,11 @@ class LValueRecord(namedtuple("LValueRecord", "D S_chi l_minus_one m_exponent"))
     __slots__ = ()
 
 
-def l_minus_one(ct: CharTable) -> LValueRecord:
-    """Exact L(-1, chi_D) = -S/(2D) with its structural invariants checked."""
-    D = ct.D
-    S = sum(n * n * ct.values[n % D] for n in range(1, D + 1))
+def l_minus_one(chi) -> LValueRecord:
+    """Exact L(-1, chi_D) = -S/(2D) from the row chi of build_char_table,
+    D = len(chi), with its structural invariants checked."""
+    D = len(chi)
+    S = sum(n * n * chi[n % D] for n in range(1, D + 1))
     l = Fraction(-S, 2 * D)
     m = -l / 2
     if D == 5:
@@ -74,11 +73,10 @@ def _fundamental_unit(D: int) -> tuple[int, int]:
             return 2 * p - q, q
 
 
-def _class_number(ct: CharTable, log_eps: float) -> int:
+def _class_number(chi, log_eps: float) -> int:
     """h(D) = -sum_{0<a<D/2} chi(a) log(2 sin(pi a/D)) / log eps_D, rounded;
     LValueError unless the quotient lies within 1e-6 of an integer >= 1."""
-    D = ct.D
-    chi = ct.values
+    D = len(chi)
     s = -math.fsum(
         chi[a] * math.log(2 * math.sin(math.pi * a / D)) for a in range(1, (D + 1) // 2) if chi[a]
     )
@@ -89,21 +87,21 @@ def _class_number(ct: CharTable, log_eps: float) -> int:
     return h
 
 
-def l_prime_zero(ct: CharTable, digits: int = 30) -> Decimal:
+def l_prime_zero(chi, digits: int = 30) -> Decimal:
     """L'(0, chi_D) = h(D) log eps_D as a Decimal to `digits` significant
-    digits.
+    digits, from the row chi of build_char_table, D = len(chi).
 
     The unit is checked exactly (t^2 - D u^2 = +-4) and the class number
     by the closeness of its float quotient to an integer; either failure
     raises LValueError.
     """
-    D = ct.D
+    D = len(chi)
     t, u = _fundamental_unit(D)
     if t * t - D * u * u not in (4, -4):
         raise LValueError(f"(t + u sqrt({D}))/2 is not a unit: t^2 - D u^2 is not +-4")
     with localcontext(Context(prec=digits + 10)):
         log_eps = ((Decimal(t) + Decimal(u) * Decimal(D).sqrt()) / 2).ln()
-        h = _class_number(ct, float(log_eps))
+        h = _class_number(chi, float(log_eps))
         value = h * log_eps
     with localcontext(Context(prec=digits)):
         return +value

@@ -137,20 +137,20 @@ def _times_int_series(rows: list[list[int]], base: list[int], D: int) -> list[li
 def a_via_convolution(D: int, N: int) -> list[RingElem]:
     """a_D(0..N) via the partition-convolution route, fully independent of
     the direct q-series product."""
-    ct = build_char_table(D)
+    chi = build_char_table(D)
     if N < 0:
         raise ValueError("order must be >= 0")
 
-    base = _euler_product(((n, ct.values[n % D]) for n in range(1, N + 1)), N)
+    base = _euler_product(((n, chi[n % D]) for n in range(1, N + 1)), N)
 
     # G = F_e(q, zeta) F_ord(q, zeta^n0); sigma_a(G) for a in qr covers every
     # twisted factor once
     f_e = CycSeries(D, distinct_length_distribution(D, N))
-    n0 = ct.values.index(-1)
+    n0 = chi.index(-1)
     G = f_e.mul_dense(_twist(length_distribution(D, N), n0, D))
-    qr = [a for a in range(1, D) if ct.values[a] == 1]
+    qr = [a for a in range(1, D) if chi[a] == 1]
     rows = _times_int_series(_norm(G, qr).coeffs, base, D)
-    return [project_to_quad(u, ct) for u in rows]
+    return [project_to_quad(u, chi) for u in rows]
 
 
 def compare_with_eta(D: int, N: int):

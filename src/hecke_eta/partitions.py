@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import add, sub
 
-from .characters import CharTable
-
 
 def _euler_step(P: list[int], d: int, e: int) -> None:
     """Multiply the truncated series P in place by (1 - q^d)^e, e in {-1, 0, 1}.
@@ -76,10 +74,11 @@ def p_table(N: int) -> list[int]:
     return p
 
 
-def p_nr_table(ct: CharTable, N: int) -> list[int]:
-    """Partitions of 0..N into parts n with chi_D(n) = -1."""
-    values, D = ct.values, ct.D
-    return _euler_product(((n, -1) for n in range(1, N + 1) if values[n % D] == -1), N)
+def p_nr_table(chi, N: int) -> list[int]:
+    """Partitions of 0..N into parts n with chi_D(n) = -1, chi the row of
+    build_char_table, D = len(chi)."""
+    D = len(chi)
+    return _euler_product(((n, -1) for n in range(1, N + 1) if chi[n % D] == -1), N)
 
 
 def _parts_at_most(N: int):
@@ -140,12 +139,13 @@ class PartitionTables(namedtuple("PartitionTables", "D N_max p p_nr c")):
     __slots__ = ()
 
 
-def build_partition_tables(ct: CharTable, N: int) -> PartitionTables:
+def build_partition_tables(chi, N: int) -> PartitionTables:
+    D = len(chi)
     p = p_table(N)
-    pnr = p_nr_table(ct, N)
-    c = length_distribution(ct.D, N)
+    pnr = p_nr_table(chi, N)
+    c = length_distribution(D, N)
     for k, row in enumerate(c):
         if sum(row) != p[k]:
             raise AssertionError(f"length distribution row {k} does not sum to p({k})")
         c[k] = tuple(row)  # in place: the table is never held twice
-    return PartitionTables(D=ct.D, N_max=N, p=tuple(p), p_nr=tuple(pnr), c=tuple(c))
+    return PartitionTables(D=D, N_max=N, p=tuple(p), p_nr=tuple(pnr), c=tuple(c))

@@ -1,7 +1,9 @@
 """Truncated power series over O_D and the exact eta-analogue coefficients.
 
-A QSeries carries coefficients a(0..N) in O_D plus an exact rational
-valuation v, and stands for q^v * sum a(k) q^k in q = exp(2 pi i z/sqrt(D)).
+A QSeries is a plain tuple (D, coeffs, valuation) that stands for
+q^v * sum a(k) q^k in q = exp(2 pi i z/sqrt(D)): coefficients a(0..N) in
+O_D and an exact rational valuation v.  eta_series gives a_D, and
+tau5_values the coefficients tau_5 of eta_5**5.
 
 The eta kernel never expands the product.  By the Gauss sum
 sum_a chi(a) zeta^{ar} = chi(r) sqrt(D), the logarithmic derivative of
@@ -25,7 +27,7 @@ the plain packed product that the convolution oracle multiplies with.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import namedtuple
 from operator import mul
 
 from .characters import build_char_table
@@ -44,35 +46,16 @@ class SeriesError(ValueError):
     """A non-positive exponent or an order out of range."""
 
 
-class QSeries:
-    """Truncated series over O_D with rational valuation metadata.
+class QSeries(namedtuple("QSeries", "D coeffs valuation")):
+    """q^valuation * sum coeffs[k] q^k: coeffs a tuple of RingElem, the
+    valuation a Fraction."""
 
-    Built from numerator pairs: coefficient k is (A[k] + B[k] sqrt(D))/2.
-    The coefficients are exposed as a tuple of RingElem.
-    """
+    __slots__ = ()
 
-    __slots__ = ("D", "prec", "coeffs", "valuation")
 
-    def __init__(self, D: int, A, B, valuation=Fraction(0)):
-        self.D = D
-        self.coeffs = tuple([RingElem(a, b, D) for a, b in zip(A, B, strict=True)])
-        self.prec = len(self.coeffs) - 1
-        self.valuation = Fraction(valuation)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QSeries)
-            and self.D == other.D
-            and self.valuation == other.valuation
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:4])
-        return (
-            f"QSeries(D={self.D}, v={self.valuation}, prec={self.prec}, "
-            f"[{head}, ...])"
-        )
+def _series(D: int, A, B, valuation) -> QSeries:
+    """The QSeries whose coefficient k is (A[k] + B[k] sqrt(D))/2."""
+    return QSeries(D, tuple([RingElem(a, b, D) for a, b in zip(A, B, strict=True)]), valuation)
 
 
 def _halve(n: int) -> int:
@@ -176,7 +159,7 @@ def series_pow(f: QSeries, k: int) -> QSeries:
     the valuation is k times f's."""
     if k < 1:
         raise SeriesError("series_pow needs a positive integer exponent")
-    D, N, valuation = f.D, f.prec, k * f.valuation
+    D, N, valuation = f.D, len(f.coeffs) - 1, k * f.valuation
     base = [c.num_a for c in f.coeffs], [c.num_b for c in f.coeffs]
     result = None
     while k:
@@ -185,7 +168,7 @@ def series_pow(f: QSeries, k: int) -> QSeries:
         k >>= 1
         if k:
             base = _mul_pairs(*base, *base, D, N)
-    return QSeries(D, *result, valuation)
+    return _series(D, *result, valuation)
 
 
 def _divisor_sums(chi, D: int, N: int) -> tuple[list[int], list[int]]:
@@ -319,11 +302,11 @@ def _eta_power(D: int, N: int, r: int) -> QSeries:
         raise SeriesError("order must be >= 1")
     if N > MAX_ORDER:
         raise SeriesError(f"order {N} exceeds capacity limit {MAX_ORDER}")
-    ct = build_char_table(D)
-    s1, s2 = _divisor_sums(ct.values, D, N)
+    chi = build_char_table(D)
+    s1, s2 = _divisor_sums(chi, D, N)
     A, B = euler_transform([-2 * r * x for x in s1], [-2 * r * x for x in s2], D, N)
-    m = l_minus_one(ct).m_exponent
-    return QSeries(D, A, B, r * m)
+    m = l_minus_one(chi).m_exponent
+    return _series(D, A, B, r * m)
 
 
 def eta_series(D: int, N: int) -> QSeries:
@@ -340,15 +323,11 @@ def eta_series(D: int, N: int) -> QSeries:
     return _eta_power(D, N, 1)
 
 
-def delta5_series(N: int) -> QSeries:
-    """eta_5**5 by the same recurrence with b scaled by 5: valuation 1,
-    coefficient k is tau_5(k+1)."""
-    return _eta_power(5, N, 5)
-
-
 def tau5_values(n_max: int) -> dict[int, RingElem]:
-    """tau_5(1..n_max) as a dict keyed by the q-exponent N."""
+    """tau_5(1..n_max) as a dict keyed by the q-exponent N: eta_5**5 has
+    valuation 1, so its coefficient k, by the recurrence of eta_series with
+    b scaled by 5, is tau_5(k+1)."""
     if n_max < 1:
         raise SeriesError("need n_max >= 1")
-    ds = delta5_series(n_max - 1) if n_max > 1 else delta5_series(1)
-    return {n: ds.coeffs[n - 1] for n in range(1, n_max + 1)}
+    coeffs = _eta_power(5, max(n_max - 1, 1), 5).coeffs
+    return {n: coeffs[n - 1] for n in range(1, n_max + 1)}

@@ -103,36 +103,36 @@ def squares_mod(D):
     return {a * a % D for a in range(1, D) if gcd(a, D) == 1}
 
 
-def residues(ct, sign):
-    """The units a in [1, D), ascending, with chi_D(a) = sign: the quadratic
-    residues for sign = 1, the non-residues for sign = -1."""
-    return tuple(a for a in range(1, ct.D) if ct.values[a] == sign)
+def residues(chi, sign):
+    """The units a in [1, D), D = len(chi), ascending, with chi_D(a) = sign:
+    the quadratic residues for sign = 1, the non-residues for sign = -1."""
+    return tuple(a for a in range(1, len(chi)) if chi[a] == sign)
 
 
-def l_prime_zero_loggamma(ct, digits=30):
+def l_prime_zero_loggamma(chi, digits=30):
     """L'(0, chi_D) = sum_{a=1}^{D-1} chi_D(a) log Gamma(a/D), the log-Gamma
     formula for even primitive characters, in mpmath at digits + 10 digits:
     independent of lseries' class number route."""
-    D = ct.D
+    D = len(chi)
     with mpmath.workdps(digits + 10):
         total = mpmath.mpf(0)
         for a in range(1, D):
-            c = ct.values[a]
+            c = chi[a]
             if c:
                 total += c * mpmath.loggamma(mpmath.mpf(a) / D)
         return +total
 
 
-def l_function_hurwitz(ct, s, digits=30):
+def l_function_hurwitz(chi, s, digits=30):
     """L(s, chi_D) = D^-s sum_a chi(a) zeta(s, a/D), the Hurwitz-zeta
     decomposition: independent of lseries' class number route, so finite
     differences of it at s = 0 must reproduce l_prime_zero."""
-    D = ct.D
+    D = len(chi)
     with mpmath.workdps(digits + 10):
         s = mpmath.mpf(s)
         total = mpmath.mpf(0)
         for a in range(1, D):
-            c = ct.values[a]
+            c = chi[a]
             if c:
                 total += c * mpmath.zeta(s, mpmath.mpf(a) / D)
         return +(mpmath.power(D, -s) * total)
@@ -279,9 +279,9 @@ def trace_weights_by_moebius(D):
 def period_polynomials_by_product(D):
     """(f_plus, f_minus) as tuples of RingElem: each product multiplied out in
     the model ring Z[x]/(x^D - 1) and every coefficient projected onto O_D."""
-    ct = build_char_table(D)
+    chi = build_char_table(D)
     return tuple(
-        tuple(project_to_quad(c, ct) for c in _expand_linear_product(residues(ct, sign), D))
+        tuple(project_to_quad(c, chi) for c in _expand_linear_product(residues(chi, sign), D))
         for sign in (1, -1)
     )
 
@@ -290,7 +290,7 @@ def eta_pairs_by_product(D, N):
     """a_D(0..N) as numerator pairs (A, B), a = (A + B sqrt(D))/2, from the
     product prod_{n<=N} (1-q^n)^{chi(n)} f_plus(q^n) / f_minus(q^n) with the
     reference period polynomials f_plus/f_minus, one factor at a time."""
-    ct = build_char_table(D)
+    chi = build_char_table(D)
     f_plus, f_minus = period_polynomials_by_product(D)
     fpa = [c.num_a for c in f_plus]
     fpb = [c.num_b for c in f_plus]
@@ -299,7 +299,7 @@ def eta_pairs_by_product(D, N):
     A = [2] + [0] * N
     B = [0] * (N + 1)
     for n in range(1, N + 1):
-        e = ct.values[n % D]
+        e = chi[n % D]
         if e == 1:
             for k in range(N, n - 1, -1):
                 A[k] -= A[k - n]
@@ -343,7 +343,7 @@ def log_eta_tail_direct(D, z, n_max):
     factor (1 - q^n)^chi(n) and (1 - zeta^a q^n)^chi(a), n <= n_max: the
     direct product that analytic.log_eta_tail sums in closed form past its
     split point."""
-    chi = build_char_table(D).values
+    chi = build_char_table(D)
     zetas = [cmath.exp(2j * math.pi * a / D) for a in range(D)]
     q = cmath.exp(2j * math.pi * z / math.sqrt(D))
     total = 0.0 + 0.0j
@@ -366,7 +366,7 @@ def phi_sharp_direct(D, y, n_max, digits):
     """Phi#(i/y) truncated at n_max as the direct mpmath product
     prod_{n<=n_max} prod_a (1 - zeta^a q^n)^chi(a), q = exp(-2 pi/(y sqrt D)),
     at digits + 10 working digits."""
-    chi = build_char_table(D).values
+    chi = build_char_table(D)
     with mpmath.workdps(digits + 10):
         q = mpmath.exp(-2 * mpmath.pi / (y * mpmath.sqrt(D)))
         zetas = [mpmath.exp(2j * mpmath.pi * a / D) for a in range(D)]

@@ -211,7 +211,7 @@ def test_criterion_09_partition_identities(capsys):
     for D in (5, 13):
         ct = build_char_table(D)
         pnr = p_nr_table(ct, 40)
-        allowed = tuple(n for n in range(1, 41) if ct.values[n % D] == -1)
+        allowed = tuple(n for n in range(1, 41) if ct[n % D] == -1)
         for k in range(41):
             if pnr[k] != count_partitions_with_parts(k, allowed):
                 pnr_ok = False

@@ -124,9 +124,9 @@ class TestAgainstDirectProduct:
     def test_phi_sharp(self, D, n_max):
         import mpmath
 
-        ct = build_char_table(D)
+        chi = build_char_table(D)
         for y in (0.5, 2.0):
-            got = analytic._log_phi_sharp(ct, y, n_max, 30)
+            got = analytic._log_phi_sharp(chi, y, n_max, 30)
             ref = phi_sharp_direct(D, y, n_max, 30)
             with mpmath.workdps(40):
                 assert abs(mpmath.exp(mpmath.mpf(str(got))) / ref - 1) < mpmath.mpf(10) ** -30
@@ -231,6 +231,14 @@ class TestWords:
         w = word_matrix([2, 2, 2, 2, 2, 2], 5)
         with pytest.raises(ConditioningError):
             check_u_gamma(w, complex(0.0, 1e-9))
+
+    @pytest.mark.parametrize("z", [1e-17j, complex(-6, 1e-300)])
+    def test_conditioning_error_where_q_rounds_to_one(self, z):
+        """No truncation converges at |q| = 1: the evaluation refuses instead
+        of taking log(1 - q) at q = 1 or summing a product that does not
+        converge."""
+        with pytest.raises(ConditioningError, match="rounds to 1"):
+            eval_eta_numeric(5, z)
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):

@@ -11,40 +11,8 @@ from hecke_eta.characters import (
     euler_phi,
     fundamental_discriminants,
     is_fundamental,
-    kronecker,
     moebius,
 )
-
-
-class TestKronecker:
-    def test_examples(self):
-        assert kronecker(2, 5) == -1
-        assert kronecker(1, 13) == 1
-        assert kronecker(4, 17) == 1
-
-    def test_periodicity(self):
-        for n in range(-20, 40):
-            assert kronecker(n, 13) == kronecker(n % 13, 13)
-
-    def test_invalid_modulus(self):
-        with pytest.raises(CharacterError):
-            kronecker(2, 9)
-        with pytest.raises(CharacterError):
-            kronecker(2, 7)
-
-    def test_against_square_enumeration_for_primes(self):
-        primes = [D for D in fundamental_discriminants(200) if euler_phi(D) == D - 1]
-        assert primes[:3] == [5, 13, 17]
-        for D in primes:
-            squares = squares_mod(D)
-            for n in range(D):
-                if n % D == 0:
-                    expected = 0
-                elif n in squares:
-                    expected = 1
-                else:
-                    expected = -1
-                assert kronecker(n, D) == expected
 
 
 class TestIsFundamental:
@@ -86,21 +54,19 @@ class TestFactorisationHelpers:
 
 class TestCharTable:
     def test_d5(self):
-        ct = build_char_table(5)
-        assert ct.values == (0, 1, -1, -1, 1)
-        assert residues(ct, 1) == (1, 4)
-        assert residues(ct, -1) == (2, 3)
+        chi = build_char_table(5)
+        assert chi == (0, 1, -1, -1, 1)
+        assert residues(chi, 1) == (1, 4)
+        assert residues(chi, -1) == (2, 3)
 
     def test_d13_residues(self):
-        ct = build_char_table(13)
-        assert residues(ct, 1) == (1, 3, 4, 9, 10, 12)
+        assert residues(build_char_table(13), 1) == (1, 3, 4, 9, 10, 12)
 
     def test_d17_cardinality(self):
-        ct = build_char_table(17)
-        assert len(residues(ct, 1)) == 8 == euler_phi(17) // 2
+        assert len(residues(build_char_table(17), 1)) == 8 == euler_phi(17) // 2
 
     def test_checks_the_discriminant_once(self, monkeypatch):
-        expected = tuple(kronecker(n, 101) for n in range(101))
+        expected = tuple(jacobi(n, 101) for n in range(101))
         calls = []
 
         def counted(D):
@@ -108,7 +74,7 @@ class TestCharTable:
             return is_fundamental(D)
 
         monkeypatch.setattr(characters, "is_fundamental", counted)
-        assert build_char_table(101).values == expected
+        assert build_char_table(101) == expected
         assert calls == [101]
 
     def test_rejects_non_fundamental(self):
@@ -118,27 +84,28 @@ class TestCharTable:
 
     def test_balance_and_evenness_up_to_500(self):
         for D in fundamental_discriminants(500):
-            ct = build_char_table(D)
-            assert sum(ct.values) == 0
-            assert ct.values[D - 1] == 1
-            assert sum(n * ct.values[n % D] for n in range(1, D + 1)) == 0
-            assert len(residues(ct, 1)) == len(residues(ct, -1)) == euler_phi(D) // 2
+            chi = build_char_table(D)
+            assert len(chi) == D
+            assert sum(chi) == 0
+            assert chi[D - 1] == 1
+            assert sum(n * chi[n % D] for n in range(1, D + 1)) == 0
+            assert len(residues(chi, 1)) == len(residues(chi, -1)) == euler_phi(D) // 2
 
     def test_complete_multiplicativity_small_d_exhaustive(self):
         for D in fundamental_discriminants(101):
-            ct = build_char_table(D)
+            chi = build_char_table(D)
             for m in range(D):
                 for n in range(D):
-                    assert ct.values[m * n % D] == ct.values[m] * ct.values[n]
+                    assert chi[m * n % D] == chi[m] * chi[n]
 
     def test_complete_multiplicativity_sampled_to_1000(self):
         rng = random.Random(12345)
         for D in fundamental_discriminants(1000):
-            ct = build_char_table(D)
+            chi = build_char_table(D)
             for _ in range(200):
                 m = rng.randrange(D)
                 n = rng.randrange(D)
-                assert ct.values[m * n % D] == ct.values[m] * ct.values[n]
+                assert chi[m * n % D] == chi[m] * chi[n]
 
     @pytest.mark.parametrize(
         "Ds", [fundamental_discriminants(3000), [5005, 85085, 100049]], ids=["to3000", "large"]
@@ -147,11 +114,11 @@ class TestCharTable:
         # the Legendre product against the reciprocity loop, at every n;
         # 85085 = 5 * 7 * 11 * 13 * 17
         for D in Ds:
-            assert build_char_table(D).values == tuple(jacobi(n, D) for n in range(D))
+            assert build_char_table(D) == tuple(jacobi(n, D) for n in range(D))
 
     def test_equals_the_jacobi_symbol_sampled_at_1000001(self):
         D = 1000001  # 101 * 9901
-        values = build_char_table(D).values
+        values = build_char_table(D)
         rng = random.Random(1000001)
         for n in (rng.randrange(D) for _ in range(20000)):
             assert values[n] == jacobi(n, D)
@@ -193,6 +160,93 @@ class TestCharTable:
             build_char_table(1001)
 
     def test_zero_exactly_on_non_coprime(self):
-        ct = build_char_table(21)
+        chi = build_char_table(21)
         for n in range(21):
-            assert (ct.values[n] == 0) == (gcd(n, 21) > 1)
+            assert (chi[n] == 0) == (gcd(n, 21) > 1)
+
+    def test_against_square_enumeration_for_primes(self):
+        primes = [D for D in fundamental_discriminants(200) if euler_phi(D) == D - 1]
+        assert primes[:3] == [5, 13, 17]
+        for D in primes:
+            squares = squares_mod(D)
+            expected = tuple(0 if n == 0 else 1 if n in squares else -1 for n in range(D))
+            assert build_char_table(D) == expected
+
+
+def _residue_pair(chi, sign):
+    """The least unit a > 1 with chi(a) = sign, and -a: neither is +-1."""
+    a = next(a for a in range(2, len(chi) - 1) if chi[a] == sign)
+    return a, len(chi) - a
+
+
+class TestCharTableGuards:
+    """Each invariant checked after the product of the Legendre rows, reached
+    alone: the product's output is corrupted so that this guard, and no
+    guard before it, fails."""
+
+    D = 21  # 3 * 7
+
+    def _build(self, monkeypatch, corrupt):
+        product = characters._prime_row_product
+
+        def corrupted(D, row_of):
+            chi = list(product(D, row_of))
+            corrupt(chi)
+            return tuple(chi)
+
+        monkeypatch.setattr(characters, "_prime_row_product", corrupted)
+        return build_char_table(self.D)
+
+    def test_chi_of_one(self, monkeypatch):
+        def negate(chi):
+            chi[:] = [-c for c in chi]
+
+        with pytest.raises(CharacterError, match=r"chi\(1\) != 1"):
+            self._build(monkeypatch, negate)
+
+    @pytest.mark.parametrize("swap", [True, False], ids=["swapped", "unit_zeroed"])
+    def test_zero_pattern(self, monkeypatch, swap):
+        """A 0 swapped from the multiple 3 of p = 3 to a residue keeps the
+        count of zeros, and only chi[::3] sees it; a residue set to 0 keeps
+        every chi[::p] zero, and only the count sees it."""
+
+        def corrupt(chi):
+            a, _ = _residue_pair(chi, 1)
+            chi[3], chi[a] = (chi[a] if swap else 0), 0
+
+        with pytest.raises(CharacterError, match="zero pattern"):
+            self._build(monkeypatch, corrupt)
+
+    def test_evenness(self, monkeypatch):
+        def swap_minus_one_with_a_non_residue(chi):
+            b, _ = _residue_pair(chi, -1)
+            chi[-1], chi[b] = chi[b], chi[-1]
+
+        with pytest.raises(CharacterError, match="not even"):
+            self._build(monkeypatch, swap_minus_one_with_a_non_residue)
+
+    def test_balance(self, monkeypatch):
+        def flip_a_non_residue_pair(chi):
+            for b in _residue_pair(chi, -1):
+                chi[b] = 1
+
+        with pytest.raises(CharacterError, match=r"sum chi\(n\) != 0"):
+            self._build(monkeypatch, flip_a_non_residue_pair)
+
+    def test_first_moment(self, monkeypatch):
+        def swap_a_residue_and_a_non_residue(chi):
+            a, _ = _residue_pair(chi, 1)
+            b, _ = _residue_pair(chi, -1)
+            chi[a], chi[b] = chi[b], chi[a]
+
+        with pytest.raises(CharacterError, match=r"sum n\*chi\(n\) != 0"):
+            self._build(monkeypatch, swap_a_residue_and_a_non_residue)
+
+    def test_cardinality(self, monkeypatch):
+        def double_a_pair_of_each_sign(chi):
+            for sign in (1, -1):
+                for a in _residue_pair(chi, sign):
+                    chi[a] = 2 * sign
+
+        with pytest.raises(CharacterError, match=r"phi\(D\)/2 times"):
+            self._build(monkeypatch, double_a_pair_of_each_sign)

@@ -626,11 +626,21 @@ class TestGrid:
             ("--im-min", "0.5", "--im-max", "inf"),
             ("--re-min=-inf", "--im-min", "0.5", "--im-max", "1"),
             ("--re-max", "nan", "--im-min", "0.5", "--im-max", "1"),
+            # the Re axis overflows to inf and nan between finite bounds
+            ("--re-min=1e308", "--re-max=-1e308", "--im-min", "0.5", "--im-max", "1"),
+            # Im(-1/z) underflows to 0
+            ("--re-min", "1e308", "--re-max", "1e308", "--im-min", "0.5", "--im-max", "1"),
+            # |q| rounds to 1 at z, then at -1/z
+            ("--re-min", "0", "--re-max", "0", "--im-min", "1e-300", "--im-max", "1e-300"),
+            ("--re-min=-6", "--re-max=-6", "--im-min", "1e-300", "--im-max", "1e-300"),
+            ("--re-min", "0", "--re-max", "0", "--im-min", "1e-17", "--im-max", "1e-17"),
+            ("--re-min", "0", "--re-max", "0", "--im-min", "1e200", "--im-max", "1e200"),
         ],
     )
     def test_bad_bounds_are_a_usage_error(self, capsys, bounds):
-        """An Im bound at or below 0, or a bound that is not finite, is
-        refused before any row is printed."""
+        """An Im bound at or below 0, a bound or axis value that is not
+        finite, or a point, z or -1/z, at which |q| rounds to 1 is refused
+        before any row is printed."""
         code, out, err = run_cli(
             capsys, "grid", "--D", "5", *bounds, "--re-steps", "1", "--im-steps", "2",
         )

@@ -50,38 +50,38 @@ class TestLPrimeZero:
     def test_finite_difference_oracle(self):
         # central difference of the Hurwitz-zeta continuation at s = 0
         for D in (5, 13):
-            ct = build_char_table(D)
-            direct = mpmath.mpf(str(l_prime_zero(ct, digits=40)))
+            chi = build_char_table(D)
+            direct = mpmath.mpf(str(l_prime_zero(chi, digits=40)))
             with mpmath.workdps(50):
                 h = mpmath.mpf(10) ** -10
                 fd = (
-                    l_function_hurwitz(ct, h, digits=40)
-                    - l_function_hurwitz(ct, -h, digits=40)
+                    l_function_hurwitz(chi, h, digits=40)
+                    - l_function_hurwitz(chi, -h, digits=40)
                 ) / (2 * h)
                 assert abs(direct - fd) < mpmath.mpf(10) ** -12
 
     def test_l_at_zero_vanishes_for_even_character(self):
         # sanity on the same continuation: L(0, chi_D) = 0 for even chi
         for D in (5, 17):
-            ct = build_char_table(D)
+            chi = build_char_table(D)
             with mpmath.workdps(40):
-                val = l_function_hurwitz(ct, mpmath.mpf(10) ** -25, digits=30)
+                val = l_function_hurwitz(chi, mpmath.mpf(10) ** -25, digits=30)
                 assert abs(val) < mpmath.mpf(10) ** -20
 
     def test_requested_digits(self):
-        ct = build_char_table(5)
-        a = l_prime_zero(ct, digits=20)
-        b = l_prime_zero(ct, digits=45)
+        chi = build_char_table(5)
+        a = l_prime_zero(chi, digits=20)
+        b = l_prime_zero(chi, digits=45)
         assert isinstance(a, Decimal)
         assert len(a.as_tuple().digits) == 20
         assert abs(a - b) < Decimal("1e-18")
 
     def test_matches_log_gamma_reference(self):
         for D in fundamental_discriminants(300):
-            ct = build_char_table(D)
-            ref = l_prime_zero_loggamma(ct, digits=50)
+            chi = build_char_table(D)
+            ref = l_prime_zero_loggamma(chi, digits=50)
             with mpmath.workdps(60):
-                assert abs(mpmath.mpf(str(l_prime_zero(ct, 50))) - ref) < mpmath.mpf(10) ** -45
+                assert abs(mpmath.mpf(str(l_prime_zero(chi, 50))) - ref) < mpmath.mpf(10) ** -45
 
     @pytest.mark.parametrize(
         "D, unit", [(5, (1, 1)), (13, (3, 1)), (21, (5, 1)), (61, (39, 5)), (109, (261, 25))]
@@ -111,8 +111,8 @@ class TestLPrimeZero:
             l_prime_zero(build_char_table(229))
 
     def test_corrupted_character_table_raises(self):
-        ct = build_char_table(229)
-        values = list(ct.values)
+        chi = build_char_table(229)
+        values = list(chi)
         values[2] = values[229 - 2] = -values[2]
         with pytest.raises(LValueError, match="class number"):
-            l_prime_zero(ct._replace(values=tuple(values)))
+            l_prime_zero(tuple(values))

@@ -51,9 +51,9 @@ class TestConvolutionOracle:
 
 class TestGaloisGuard:
     def test_unfixed_element_is_rejected(self):
-        ct = build_char_table(5)
+        chi = build_char_table(5)
         with pytest.raises(ProjectionError):
-            project_to_quad([0, 0, 1, 0, 0], ct)
+            project_to_quad([0, 0, 1, 0, 0], chi)
 
     @staticmethod
     def _assert_orbit_constant(monkeypatch, D, N):
@@ -61,14 +61,14 @@ class TestGaloisGuard:
         integer factors and sigma_a(G) over the residues a, is fixed by the
         residue subgroup: constant on the qr and on the nr orbits (the units
         mod D where chi is +1 and -1)."""
-        ct = build_char_table(D)
+        chi = build_char_table(D)
         assembled = []
 
         # the projection is left out, so only the orbit check can fail
-        monkeypatch.setattr(oracle, "project_to_quad", lambda u, ct: assembled.append(u))
+        monkeypatch.setattr(oracle, "project_to_quad", lambda u, chi: assembled.append(u))
         a_via_convolution(D, N)
         assert len(assembled) == N + 1
-        qr, nr = residues(ct, 1), residues(ct, -1)
+        qr, nr = residues(chi, 1), residues(chi, -1)
         for u in assembled:
             qr_vals = {u[a] for a in qr}
             nr_vals = {u[b] for b in nr}
@@ -120,7 +120,7 @@ class TestAssembly:
     @pytest.mark.parametrize("D, N", [(5, 60), (13, 40), (21, 30), (105, 12)])
     def test_base_is_phi(self, monkeypatch, D, N):
         """The base is Phi = prod (1 - q^n)^{chi(n)}, for prime and composite D."""
-        chi = build_char_table(D).values
+        chi = build_char_table(D)
         phi = euler_product_plain([(n, chi[n % D]) for n in range(1, N + 1)], N)
         assert self._base(monkeypatch, D, N) == phi
 

@@ -93,18 +93,18 @@ class TestPentagonal:
 
 class TestPnr:
     def test_examples_d5(self):
-        ct = build_char_table(5)
-        pnr = p_nr_table(ct, 10)
+        chi = build_char_table(5)
+        pnr = p_nr_table(chi, 10)
         assert pnr[0] == 1
         assert pnr[4] == 1  # 2+2
         assert pnr[5] == 1  # 3+2
 
     def test_brute_force_match(self):
         for D in (5, 13):
-            ct = build_char_table(D)
-            pnr = p_nr_table(ct, 40)
+            chi = build_char_table(D)
+            pnr = p_nr_table(chi, 40)
             allowed = tuple(
-                n for n in range(1, 41) if ct.values[n % D] == -1
+                n for n in range(1, 41) if chi[n % D] == -1
             )
             for k in range(41):
                 assert pnr[k] == count_partitions_with_parts(k, allowed)
@@ -164,7 +164,7 @@ class TestDistinctLengthDistribution:
 
 class TestTables:
     def test_build_partition_tables(self):
-        ct = build_char_table(5)
-        t = build_partition_tables(ct, 30)
+        chi = build_char_table(5)
+        t = build_partition_tables(chi, 30)
         assert t.p[0] == 1 and t.p_nr[0] == 1 and t.c[0][0] == 1
         assert all(sum(row) == pk for row, pk in zip(t.c, t.p))

@@ -11,13 +11,7 @@ from hecke_eta.cyclotomic import _trace_weights
 from hecke_eta.golden import COEFF_TABLE, TAU5_TABLE
 from hecke_eta.oracle import a_via_convolution
 from hecke_eta.quad_ring import RingElem, RingError
-from hecke_eta.qseries import (
-    SeriesError,
-    delta5_series,
-    eta_series,
-    series_pow,
-    tau5_values,
-)
+from hecke_eta.qseries import SeriesError, eta_series, series_pow, tau5_values
 
 
 class TestSeriesOps:
@@ -33,7 +27,7 @@ class TestSeriesOps:
         A3, B3 = mul_pairs_plain(A2, B2, A, B, 13, 12)
         cube = series_pow(f, 3)
         assert [(c.num_a, c.num_b) for c in cube.coeffs] == list(zip(A3, B3))
-        assert cube.D == 13 and cube.prec == 12
+        assert cube.D == 13 and len(cube.coeffs) - 1 == 12
 
     def test_valuations_add(self):
         f = eta_series(5, 8)
@@ -108,7 +102,7 @@ class TestEtaSeries:
 
 def _lambert_inputs(D, N, r):
     """P, Q of eta_D**r to order N, as _eta_power passes them."""
-    s1, s2 = qseries._divisor_sums(build_char_table(D).values, D, N)
+    s1, s2 = qseries._divisor_sums(build_char_table(D), D, N)
     return [-2 * r * x for x in s1], [-2 * r * x for x in s2]
 
 
@@ -133,12 +127,12 @@ class TestOnlineKernel:
     @given(D=st.sampled_from(fundamental_discriminants(300)), sign=st.sampled_from([1, -1]))
     @example(D=293, sign=-1)
     def test_period_inputs_match_plain(self, D, sign):
-        ct = build_char_table(D)
+        chi = build_char_table(D)
         c = _trace_weights(D)
         h = euler_phi(D) // 2
         ms = range(1, h + 2)
         P = [-c[m % D] for m in ms]
-        Q = [-sign * ct.values[m % D] for m in ms]
+        Q = [-sign * chi[m % D] for m in ms]
         assert qseries.euler_transform(P, Q, D, h + 1) == euler_transform_plain(P, Q, D, h + 1)
 
     @pytest.mark.parametrize("D, N, r", [(100049, 400, 1), (5, 200, 10**60)])
@@ -276,7 +270,6 @@ class TestDelta5:
             assert (taus[n].num_a, taus[n].num_b) == pair
 
     def test_delta_is_fifth_power(self):
-        ds = delta5_series(60)
         direct = series_pow(eta_series(5, 60), 5)
-        assert ds == direct
-        assert ds.valuation == 1
+        assert list(tau5_values(61).values()) == list(direct.coeffs)
+        assert direct.valuation == 1
