@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain, compress, islice, repeat
+from collections import Counter
+from itertools import compress, islice, repeat
 from operator import eq
 
 from .characters import build_char_table, euler_phi, is_fundamental
@@ -41,9 +42,9 @@ ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 # signs and growth cost the same) and scaled so that none of those runs took
 # longer than predicted, with a 1.2x margin in oracle-check and partitions,
 # whose repeated runs vary by that much; they over-predict by up to 2.9x,
-# 2.4x (where the table, not the character table, dominates), 9x (where
-# verify-modularity's samples spread in height; grids, charged at the height
-# of each point, by 1.2x to 1.8x from 1 s up) and 1.9x.
+# 2.4x (where the table, not the character table, dominates), 2.6x (both
+# numeric commands, charged at the height of each evaluated point, from 1 s
+# up and --nmax up to 10^5; more at larger --nmax, see _numeric_s) and 1.9x.
 TIME_BUDGET_S = 60
 
 # Seconds per unit of D of the character table and the other O(D) work of
@@ -158,80 +159,78 @@ def cmd_verify_table(args) -> int:
 # Predicted seconds of one truncated product besides its logs (_product_s):
 # the call, the split and its share of the printed row.  `grid --D 5
 # --re-steps 300 --im-steps 300 --nmax 1`, 180000 products of one log each,
-# took 4.8 s end to end.  No product costs less, which bounds a grid's point
-# count before its heights are summed.
+# took 4.8 s end to end.  No product costs less, which bounds the product
+# count of verify-modularity and grid before their points are built.
 PRODUCT_BASE_S = 3e-5
 
 
 def _product_s(D: int, nmax: int, height: float) -> float:
     """Predicted seconds of one truncated product at Im z = height: up to
     nmax untwisted logs, then the split that analytic._split chooses from
-    |q| = exp(-2 pi height / sqrt(D)), n0 direct twisted factors of phi(D)
-    logs each and M series terms.  Both parts fall as the height grows, and
-    the loop stops where |q|^n underflows 1e-320.  Per unit: 0.9 us an
-    untwisted log, 0.4 us a twisted one, six more of those per direct
-    factor (the loop over the roots) and _TERM_COST of them per series
-    term."""
+    |q| = exp(-L), L = 2 pi height / sqrt(D), n0 direct twisted factors of
+    phi(D) logs each and M series terms.  Both parts fall as the height
+    grows.  The loop stops where |q|^n underflows 1e-320 only for L above
+    about 4e-4; below, q^n can stall at a few thousand units of 2^-1074.
+    Per unit: 0.9 us an untwisted log, 0.4 us a twisted one, six more of
+    those per direct factor (the loop over the roots) and _TERM_COST of
+    them per series term."""
     from . import analytic
 
     nmax = max(nmax, 0)
     phi = euler_phi(D)
     L = 2 * math.pi * height / math.sqrt(D)
     n0, M = analytic._split(L, nmax, phi, math.sqrt(D))
-    nmax = min(nmax, math.ceil(-math.log(1e-320) / L))
+    if L >= 1e-3:
+        nmax = min(nmax, math.ceil(-math.log(1e-320) / L))
     return PRODUCT_BASE_S + 9e-7 * nmax + 4e-7 * (min(n0, nmax) * (phi + 6) + analytic._TERM_COST * M)
 
 
-def _numeric_s(D: int, nmax: int, heights: dict[float, int]) -> float:
-    """Predicted seconds of heights[h] truncated products at Im z = h for
-    each h, plus the per-D data (character table, roots of unity), built
-    once.
-
-    An upper bound on 27 end-to-end runs (verify-modularity and grid, D
-    5..2000001, nmax 1..100000, 0.1 s to 36 s), which it over-predicts by
-    up to 9x where verify-modularity's samples spread in height:
-    verify-modularity --D 101 took 1.3 s at 950 samples (predicted 3.5 s)
-    and 32 s at 16000 (58 s).  Grids, charged at the height of each point,
-    are predicted within 1.2x to 1.8x from 1 s up: grid --D 5 --re-min 3
-    --re-max 3 --im-min 0.0005 --im-max 0.001 with 20 x 15 points at
-    --nmax 100000 took 32 s (56 s), and grid --D 1001 over -30..30 x
-    0.05..3 at 30 x 20 points 11 s (13 s).  Below a second, interpreter
-    start-up, which no term charges, can exceed the prediction.
-    """
-    return 6e-6 * D + sum(n * _product_s(D, nmax, h) for h, n in heights.items())
+def _height_bin(h: float) -> float:
+    """h rounded down to a multiple of 1/32 of its binade, the height a
+    product at h is charged at: that charges no product less (_product_s
+    falls as the height grows) and leaves few distinct heights to charge."""
+    m, e = math.frexp(h)
+    return math.ldexp(math.floor(m * 32) / 32, e)
 
 
-def _modularity_heights(D: int, samples: int) -> dict[float, int]:
-    """The heights verify-modularity is charged at: each sample z, with Im z
-    in [0.5, 1.5] and |Re z| <= sqrt(D)/2, is evaluated at z (twice) and
-    z + sqrt(D), at height 0.5 or more, and at -1/z, whose height is at
-    least 0.5 / (D/4 + 2.25)."""
-    return {0.5 / (D / 4 + 2.25): samples, 0.5: 3 * samples}
+def _numeric_s(D: int, nmax: int, heights) -> float:
+    """Predicted seconds of one product at _height_bin(h) for each height h
+    of a point the command evaluates, plus the per-D data (character table,
+    roots of unity), built once.
+
+    An upper bound on end-to-end runs, D 5..1425237, nmax 1..10^7, up to
+    50 s.  At --nmax 300 verify-modularity took 1.0 to 1.5 s at --D 101
+    --samples 950 (predicted 2.3 s), 21 to 22 s at 16000 (38 s) and 38 s
+    at 25035, the most accepted (60 s), and 27 s at --D 1001 --samples 4634
+    (60 s): 1.4x to 2.5x.  grid --D 5 --re-min 3 --re-max 3 --im-min 0.0005
+    --im-max 0.001 at 20 x 15 points and --nmax 100000 took 32 to 37 s (56
+    s), and grid --D 1001 over -30..30 x 0.05..3 at 30 x 20 points 9 to 11
+    s (13 s): 1.2x to 1.8x from 1 s up.  Where L < 1e-3 charges all nmax logs
+    it reaches 8x: verify-modularity --D 2193 --samples 20 --nmax 10^7 took
+    7.6 s (59 s).  Below a second, start-up, which no term charges, can
+    exceed the prediction."""
+    counts = Counter(map(_height_bin, heights))
+    return 6e-6 * D + sum(n * _product_s(D, nmax, h) for h, n in counts.items())
+
+
+def _numeric_refusal(D: int, nmax: int, what: str, heights) -> str | None:
+    """Why the products at the heights that heights() iterates (twice, so
+    that no list is held) are refused, or None: |q| rounds to 1 at the
+    exact lowest height, or _numeric_s exceeds the budget.  Both numeric
+    commands refuse before this, and before they build any point, a product
+    count over the budget at PRODUCT_BASE_S each."""
+    from . import analytic
+
+    if analytic._q_rounds_to_one(D, min(heights())):
+        return "points too close to the real axis: |q| rounds to 1"
+    if _numeric_s(D, nmax, heights()) > TIME_BUDGET_S:
+        return f"{what} exceed the time budget"
+    return None
 
 
 def _axis(lo: float, hi: float, steps: int) -> list[float]:
     """steps evenly spaced values from lo to hi, as grid prints them."""
     return [lo + (hi - lo) * i / max(1, steps - 1) for i in range(steps)]
-
-
-def _inverse_heights(res: list[float], im: float):
-    """Im(-1/z) at z = re + i im for each re, by complex division as grid
-    evaluates -1/z: im / |z|^2 would overflow or underflow first."""
-    return ((-1 / complex(re, im)).imag for re in res)
-
-
-def _grid_heights(res: list[float], ims: list[float]) -> dict[float, int]:
-    """The heights of grid's products, at every z = re + i im and at -1/z.
-    Each is rounded down to a multiple of 1/32 of its binade, which charges
-    no product less (_product_s falls as the height grows) and leaves few
-    distinct heights to charge."""
-    counts: dict[float, int] = {}
-    for im in ims:
-        for h, n in ((im, len(res)), *((h, 1) for h in _inverse_heights(res, im))):
-            m, e = math.frexp(h)
-            h = math.ldexp(math.floor(m * 32) / 32, e)
-            counts[h] = counts.get(h, 0) + n
-    return counts
 
 
 def _residual(check, D: int, z: complex, nmax: int) -> float:
@@ -250,9 +249,15 @@ def cmd_verify_modularity(args) -> int:
         return _usage_error("--samples and --nmax must be >= 1")
     if not 0 < args.tol < math.inf:
         return _usage_error("--tol must be a positive finite number")
-    if _numeric_s(args.D, args.nmax, _modularity_heights(args.D, args.samples)) > TIME_BUDGET_S:
+    if 4 * args.samples * PRODUCT_BASE_S > TIME_BUDGET_S:
         return _usage_error("--samples and --nmax exceed the time budget")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
+    # check_inversion evaluates -1/z and z, check_translation z + sqrt(D) and z
+    def heights():
+        return (h for z in points for h in ((-1 / z).imag, z.imag, z.imag, z.imag))
+
+    if refusal := _numeric_refusal(args.D, args.nmax, "--samples and --nmax", heights):
+        return _usage_error(refusal)
     worst = 0.0
     failures = 0
     for z in points:
@@ -517,7 +522,6 @@ def cmd_grid(args) -> int:
         return _usage_error("grid bounds must be finite, --im-min and --im-max positive")
     if args.re_steps < 1 or args.im_steps < 1 or args.nmax < 1:
         return _usage_error("step counts and --nmax must be >= 1")
-    # The point count first, so that the heights summed next are few enough.
     if 2 * args.re_steps * args.im_steps * PRODUCT_BASE_S > TIME_BUDGET_S:
         return _usage_error("grid size and --nmax exceed the time budget")
     res = _axis(args.re_min, args.re_max, args.re_steps)
@@ -526,12 +530,12 @@ def cmd_grid(args) -> int:
         return _usage_error("grid axis values must be finite")
     from . import analytic
 
-    # |q| falls as the height grows, so the lowest point, z or -1/z, decides
-    lowest = min(chain(ims, *(_inverse_heights(res, im) for im in ims)))
-    if analytic._q_rounds_to_one(args.D, lowest):
-        return _usage_error("grid points too close to the real axis: |q| rounds to 1")
-    if _numeric_s(args.D, args.nmax, _grid_heights(res, ims)) > TIME_BUDGET_S:
-        return _usage_error("grid size and --nmax exceed the time budget")
+    # z and -1/z, by complex division: im / |z|^2 would overflow or underflow first
+    def heights():
+        return (h for im in ims for re in res for h in (im, (-1 / complex(re, im)).imag))
+
+    if refusal := _numeric_refusal(args.D, args.nmax, "grid size and --nmax", heights):
+        return _usage_error(refusal)
     print("re,im,re_eta,im_eta,re_eta_inv,im_eta_inv")
     overflows = 0
     for im in ims:

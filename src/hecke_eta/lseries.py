@@ -30,7 +30,8 @@ class LValueRecord(namedtuple("LValueRecord", "D S_chi l_minus_one m_exponent"))
 
 def l_minus_one(chi) -> LValueRecord:
     """Exact L(-1, chi_D) = -S/(2D) from the row chi of build_char_table,
-    D = len(chi), with its structural invariants checked."""
+    D = len(chi), checked to be -2/5 at D = 5 (m = 1/5) and a negative even
+    integer 2k above, so that S = -4Dk and m = -k > 0."""
     D = len(chi)
     S = sum(n * n * chi[n % D] for n in range(1, D + 1))
     l = Fraction(-S, 2 * D)
@@ -38,15 +39,8 @@ def l_minus_one(chi) -> LValueRecord:
     if D == 5:
         if l != Fraction(-2, 5):
             raise LValueError(f"L(-1, chi_5) = {l}, expected -2/5")
-    else:
-        if l.denominator != 1 or l >= 0 or l % 2 != 0:
-            raise LValueError(
-                f"L(-1, chi_{D}) = {l} is not a negative even integer"
-            )
-        if S % (4 * D) != 0:
-            raise LValueError(f"S(chi_{D}) = {S} is not divisible by 4D")
-    if m <= 0:
-        raise LValueError(f"valuation exponent m = {m} must be positive")
+    elif l.denominator != 1 or l >= 0 or l % 2 != 0:
+        raise LValueError(f"L(-1, chi_{D}) = {l} is not a negative even integer")
     return LValueRecord(D=D, S_chi=S, l_minus_one=l, m_exponent=m)
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import mpmath
 import pytest
 from oracles import embed_mp
 
-from hecke_eta import cli
+from hecke_eta import analytic, cli
 from hecke_eta.characters import fundamental_discriminants, is_fundamental
 from hecke_eta.qseries import MAX_ORDER
 from hecke_eta.quad_ring import RingElem
@@ -385,10 +386,10 @@ class TestNumericBudget:
     @pytest.mark.parametrize("command, D", [("verify-modularity", 101), ("grid", 17)])
     def test_first_refused_size_exits_at_once(self, capsys, command, D):
         """The smallest sample count (grid: row count of 20 columns) over
-        budget, default --nmax, found by bisection."""
+        budget, default --nmax and --seed, found by bisection."""
         if command == "verify-modularity":
             def predicted(k):
-                return cli._numeric_s(D, 300, cli._modularity_heights(D, k))
+                return cli._numeric_s(D, 300, _sample_heights(D, k))
         else:
             def predicted(k):
                 return cli._numeric_s(D, 300, _default_grid_heights(20, k))
@@ -417,38 +418,129 @@ class TestNumericBudget:
         assert out == ""
         assert "time budget" in err
 
+    def test_sample_count_refused_before_sampling(self, capsys, monkeypatch):
+        """verify-modularity makes four products a sample; a sample count
+        whose products alone exceed the budget is refused before any point
+        is drawn."""
+        monkeypatch.setattr(analytic, "sample_half_plane_points", None)
+        samples = str(int(cli.TIME_BUDGET_S / cli.PRODUCT_BASE_S) // 4 + 1)
+        code, out, err = run_cli(capsys, "verify-modularity", "--D", "5", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "time budget" in err
+
     def test_benchmark_ranges_stay_accepted(self):
+        """Twenty samples of any seed, charged at the lowest heights a sample
+        can have, and the benchmark's grids."""
         for D in fundamental_discriminants(101):
-            assert cli._numeric_s(D, 300, cli._modularity_heights(D, 20)) <= cli.TIME_BUDGET_S
+            lowest = [0.5 / (D / 4 + 2.25), 0.5, 0.5, 0.5] * 20
+            assert cli._numeric_s(D, 300, lowest) <= cli.TIME_BUDGET_S
         for D in (5, 13, 17):
             assert cli._numeric_s(D, 300, _default_grid_heights(20, 6)) <= cli.TIME_BUDGET_S
 
     def test_model_follows_the_split(self):
-        """950 samples at D = 101 took 1.3 s end to end; charging every point
-        the direct product (nmax phi(D) logs) refused them."""
-        assert cli._numeric_s(101, 300, cli._modularity_heights(101, 950)) <= cli.TIME_BUDGET_S / 10
-        low, high = (cli._numeric_s(101, 300, {h: 1000}) for h in (1e-4, 1.0))
+        """950 samples at D = 101 took 1.0 to 1.5 s end to end; charging every
+        point the direct product (nmax phi(D) logs) refused them."""
+        assert cli._numeric_s(101, 300, _sample_heights(101, 950)) <= cli.TIME_BUDGET_S / 10
+        low, high = (cli._numeric_s(101, 300, [h] * 1000) for h in (1e-4, 1.0))
         assert high < low
+
+    def test_stalling_product_charged_to_nmax(self):
+        """grid --D 5 at the one point 7.12e-5 i with --nmax 30000000 took
+        14.6 s end to end: there |q| = exp(-2e-4), q^n stalls above 1e-320
+        and the loop runs to nmax.  Charged up to where |q|^n falls below
+        1e-320, it was predicted at 3.4 s."""
+        assert cli._product_s(5, 3 * 10**7, 7.12e-5) >= 9e-7 * 3 * 10**7
 
     def test_grid_charged_at_its_heights(self):
         """grid --D 1001 --re-steps 10 --im-steps 10 took 0.5 s end to end;
         charged at its lowest height, Im(-1/z) at z = -6 + 0.1i, every
         product was predicted at 4.5 s."""
-        argv = ["grid", "--D", "1001", "--re-steps", "10", "--im-steps", "10"]
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "hecke_eta.cli", *argv], capture_output=True, env=env
-        )
-        took = time.perf_counter() - start
+        took, proc = _run_timed("grid", "--D", "1001", "--re-steps", "10", "--im-steps", "10")
         assert proc.returncode == 0
         predicted = cli._numeric_s(1001, 300, _default_grid_heights(10, 10))
         assert took / 3 <= predicted <= 3 * took
 
+    def test_verify_modularity_charged_at_its_heights(self):
+        """verify-modularity --D 1001 --samples 200 took 1.0 to 1.4 s end to
+        end; charged at the lowest heights any sample can have, it was
+        predicted at 6.2 s."""
+        took, proc = _run_timed("verify-modularity", "--D", "1001", "--samples", "200")
+        assert proc.stdout.endswith(b"over 200 points (tol 1e-06)\n")
+        predicted = cli._numeric_s(1001, 300, _sample_heights(1001, 200))
+        assert took / 3 <= predicted <= 3 * took
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-modularity", "--D", "13", "--samples", "3"),
+            ("grid", "--D", "5", "--re-min", "-2", "--re-max", "3", "--re-steps", "3",
+             "--im-steps", "2"),
+        ],
+    )
+    def test_charged_at_the_evaluated_heights(self, capsys, monkeypatch, argv):
+        """The multiset of binned heights that the command evaluates equals
+        the one it is charged at."""
+        evaluate, charge = analytic.eval_eta_numeric, cli._numeric_s
+        evaluated, charged = [], []
+
+        def recorded_evaluate(D, w, n_max=300):
+            evaluated.append(complex(w).imag)
+            return evaluate(D, w, n_max)
+
+        def recorded_charge(D, nmax, heights):
+            charged.extend(heights)
+            return charge(D, nmax, charged)
+
+        monkeypatch.setattr(analytic, "eval_eta_numeric", recorded_evaluate)
+        monkeypatch.setattr(cli, "_numeric_s", recorded_charge)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1) and out
+        assert evaluated
+        assert Counter(map(cli._height_bin, evaluated)) == Counter(map(cli._height_bin, charged))
+
+    @pytest.mark.parametrize(
+        "argv", [("verify-modularity", "--samples", "1"), ("grid", "--re-steps", "1", "--im-steps", "1")]
+    )
+    def test_least_work_at_the_cap_is_accepted(self, capsys, monkeypatch, argv):
+        """One sample or one point at --nmax 1, at the largest fundamental D
+        under the command's cap, is charged within the budget and runs (the
+        evaluation itself is stubbed out here)."""
+        D = cli.D_CAP[argv[0]]
+        while not is_fundamental(D):
+            D -= 1
+        charge, charges = cli._numeric_s, []
+
+        def recorded_charge(D, nmax, heights):
+            charges.append(charge(D, nmax, heights))
+            return charges[-1]
+
+        monkeypatch.setattr(cli, "_numeric_s", recorded_charge)
+        monkeypatch.setattr(analytic, "eval_eta_numeric", lambda D, w, n_max=300: 1j)
+        code, out, _ = run_cli(capsys, *argv, "--D", str(D), "--nmax", "1")
+        assert code == 0 and out
+        assert len(charges) == 1 and charges[0] <= cli.TIME_BUDGET_S
+
+
+def _run_timed(*argv):
+    """(seconds, completed process) of one end-to-end run of the CLI."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "hecke_eta.cli", *argv], capture_output=True, env=env)
+    return time.perf_counter() - start, proc
+
+
+def _sample_heights(D, samples):
+    """The heights verify-modularity evaluates at its samples z at the
+    default seed: -1/z, then z three times (z + sqrt(D) has the height of z)."""
+    points = analytic.sample_half_plane_points(D, samples)
+    return [h for z in points for h in ((-1 / z).imag, z.imag, z.imag, z.imag)]
+
 
 def _default_grid_heights(re_steps, im_steps):
-    """The heights grid is charged at over its default bounds."""
-    return cli._grid_heights(cli._axis(-6.0, 6.0, re_steps), cli._axis(0.1, 1.1, im_steps))
+    """The heights grid evaluates over its default bounds: each z and -1/z."""
+    res, ims = cli._axis(-6.0, 6.0, re_steps), cli._axis(0.1, 1.1, im_steps)
+    return [h for im in ims for re in res for h in (im, (-1 / complex(re, im)).imag)]
 
 
 def _first_fundamental_above(n):

@@ -41,6 +41,13 @@ class TestLMinusOne:
             assert rec.S_chi % (4 * D) == 0
             assert rec.m_exponent > 0
 
+    @pytest.mark.parametrize("D, match", [(5, "expected -2/5"), (13, "not a negative even integer")])
+    def test_corrupted_character_table_raises(self, D, match):
+        chi = list(build_char_table(D))
+        chi[2] = chi[D - 2] = -chi[2]
+        with pytest.raises(LValueError, match=match):
+            l_minus_one(tuple(chi))
+
     def test_invalid_modulus_rejected_upstream(self):
         with pytest.raises(CharacterError):
             build_char_table(8)
