@@ -218,18 +218,12 @@ class TestCharTableGuards:
             self._build(monkeypatch, corrupt)
 
     def test_evenness(self, monkeypatch):
-        """chi(-1) swapped with a non-residue, or a residue a != +-1 swapped
-        with a non-residue b != -a: either keeps the zero pattern and the
-        balance, and breaks chi(n) = chi(D - n)."""
-        for minus_one in (True, False):
+        def swap_minus_one_with_a_non_residue(chi):
+            b, _ = _residue_pair(chi, -1)
+            chi[-1], chi[b] = chi[b], chi[-1]
 
-            def swap(chi):
-                a = len(chi) - 1 if minus_one else _residue_pair(chi, 1)[0]
-                b, _ = _residue_pair(chi, -1)
-                chi[a], chi[b] = chi[b], chi[a]
-
-            with monkeypatch.context() as m, pytest.raises(CharacterError, match="not even"):
-                self._build(m, swap)
+        with pytest.raises(CharacterError, match="not even"):
+            self._build(monkeypatch, swap_minus_one_with_a_non_residue)
 
     def test_balance(self, monkeypatch):
         def flip_a_non_residue_pair(chi):
@@ -238,6 +232,23 @@ class TestCharTableGuards:
 
         with pytest.raises(CharacterError, match=r"sum chi\(n\) != 0"):
             self._build(monkeypatch, flip_a_non_residue_pair)
+
+    def test_first_moment(self, monkeypatch):
+        """A residue a != +-1 swapped with a non-residue b != -a keeps the zero
+        pattern and the balance and moves sum n chi(n) off 0.  With chi(0) = 0
+        and the balance, evenness implies sum n chi(n) = 0, so the evenness
+        guard refuses the row."""
+        moments = []
+
+        def swap_a_residue_and_a_non_residue(chi):
+            a, _ = _residue_pair(chi, 1)
+            b, _ = _residue_pair(chi, -1)
+            chi[a], chi[b] = chi[b], chi[a]
+            moments.append(sum(n * c for n, c in enumerate(chi)))
+
+        with pytest.raises(CharacterError, match="not even"):
+            self._build(monkeypatch, swap_a_residue_and_a_non_residue)
+        assert moments and moments[0] != 0
 
     def test_cardinality(self, monkeypatch):
         def double_a_pair_of_each_sign(chi):
