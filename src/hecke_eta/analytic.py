@@ -12,9 +12,10 @@ the D = 5 valuation 1/5.  The product part
     prod_{n<=N} (1 - q^n)^chi(n) prod_{a mod D} (1 - zeta^a q^n)^chi(a)
 
 is summed as principal logs (each factor 1 - w has Re > 0 for |w| < 1) and
-exponentiated once, so near-real-axis points cannot overflow midway.  The
-untwisted half takes one log per n.  The twisted half takes phi(D) logs
-per n only up to a split point n0; for n0 < n <= N the Gauss sum
+exponentiated once, so near-real-axis points cannot overflow midway.  Up
+to the count of n <= N with |q|^n >= 1e-320, the untwisted half takes one
+log per n and the twisted half phi(D) logs per n up to a split point n0;
+for n0 < n <= N the Gauss sum
 sum_a chi(a) zeta^{am} = chi(m) sqrt(D) and a geometric sum over n give the
 same logs in closed form,
 
@@ -34,7 +35,7 @@ import math
 import random
 from collections import namedtuple
 from decimal import Context, Decimal, getcontext, localcontext
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .characters import build_char_table, euler_phi, prime_factors
 from .lseries import l_minus_one, l_prime_zero
@@ -61,6 +62,10 @@ def _q_rounds_to_one(D: int, height: float) -> bool:
 # of the product, is below 2^-60.
 _LOG_EPS = -60 * math.log(2)
 
+# Direct factors stop after the last n with |q|^n = exp(-nL) >= 1e-320: a later
+# one can move only a log below ~1e-304 in size, where |q| < 1e-304 and q^2 = 0.
+_LOG_FLOOR = 320 * math.log(10)
+
 # Cost of one twisted-series term (two expm1 and one exp) in units of one log
 # of the direct product, which weighs the split between the two: 3.6 us
 # against 0.36 us on a 2-vCPU x86-64 machine with Python 3.11.
@@ -76,18 +81,16 @@ class _EtaData:
         self.sqrt_d = math.sqrt(D)
         self.phi = euler_phi(D)
         self.v = float(l_minus_one(self.chi).m_exponent)
-        self._roots = None
 
+    @cached_property
     def roots(self) -> tuple[list[complex], list[complex]]:
         """zeta^a for the residues and for the non-residues a mod D, built on
         first use: only points whose split has n0 > 0 need them."""
-        if self._roots is None:
-            zetas = [cmath.exp(2j * math.pi * a / self.D) for a in range(self.D)]
-            self._roots = (
-                [w for w, e in zip(zetas, self.chi) if e == 1],
-                [w for w, e in zip(zetas, self.chi) if e == -1],
-            )
-        return self._roots
+        zetas = [cmath.exp(2j * math.pi * a / self.D) for a in range(self.D)]
+        return (
+            [w for w, e in zip(zetas, self.chi) if e == 1],
+            [w for w, e in zip(zetas, self.chi) if e == -1],
+        )
 
 
 _eta_data = lru_cache(maxsize=16)(_EtaData)
@@ -110,10 +113,12 @@ def _series_ratio(L: float, n0: int, sqrt_d: float, log_eps: float) -> float:
     return k / ((n0 + 1) * L)
 
 
-def _split(L: float, N: int, phi: int, sqrt_d: float) -> tuple[int, int]:
-    """(n0, M): direct twisted factors for n <= n0 and M series terms for the
-    rest, minimising n0 * phi + _TERM_COST * M over 0, N and the two n0 next
-    to the continuous optimum n0 + 1 = sqrt(_TERM_COST * M(0) / phi)."""
+def _split(L: float, N: int, phi: int, sqrt_d: float) -> tuple[int, int, int]:
+    """(count, n0, M) at |q| = exp(-L): direct factors for n <= count =
+    min(N, floor(_LOG_FLOOR / L)), twisted only for n <= n0, and M series
+    terms for n0 < n <= N; n0 minimises n0 * phi + _TERM_COST * M over 0, N
+    and the two n0 next to the optimum n0 + 1 = sqrt(_TERM_COST * M(0) / phi)."""
+    count = int(min(N, _LOG_FLOOR // L))
     best = (N * phi, N, 0.0)
     opt = math.sqrt(_TERM_COST * _series_ratio(L, 0, sqrt_d, _LOG_EPS) / phi)
     c = int(min(N, opt))
@@ -121,7 +126,7 @@ def _split(L: float, N: int, phi: int, sqrt_d: float) -> tuple[int, int]:
         if 0 <= n0 < N:
             m = max(0.0, _series_ratio(L, n0, sqrt_d, _LOG_EPS) - 1)
             best = min(best, (n0 * phi + _TERM_COST * m, n0, m))
-    return best[1], math.ceil(best[2])
+    return count, best[1], math.ceil(best[2])
 
 
 def _expm1(w: complex) -> complex:
@@ -134,7 +139,7 @@ def _expm1(w: complex) -> complex:
 
 
 def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
-    """log of the truncated product part of eta_D (no q^v prefactor).
+    """log of the truncated product part of eta_D (no q^v prefactor), by _split.
 
     The character table comes with the per-D data, which is built once per D.
     Raises ConditioningError where |q| rounds to 1 (_q_rounds_to_one).
@@ -146,14 +151,12 @@ def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
     chi = data.chi
     t = 2j * math.pi * z / data.sqrt_d
     q = cmath.exp(t)
-    n0, M = _split(-t.real, n_max, data.phi, data.sqrt_d)
-    plus, minus = data.roots() if n0 else ([], [])
+    count, n0, M = _split(-t.real, n_max, data.phi, data.sqrt_d)
+    plus, minus = data.roots if n0 else ([], [])
     total = 0.0 + 0.0j
     qn = 1.0 + 0.0j
-    for n in range(1, n_max + 1):
+    for n in range(1, count + 1):
         qn *= q
-        if abs(qn) < 1e-320:
-            break
         e = chi[n % D]
         if e:
             total += e * cmath.log(1 - qn)
@@ -196,8 +199,11 @@ def check_translation(D: int, z: complex, n_max: int = 300) -> float:
     )
 
 
+SAMPLE_IM_RANGE = (0.5, 1.5)  # the heights sample_half_plane_points draws
+
+
 def sample_half_plane_points(
-    D: int, count: int, seed: int = 20240901, im_range=(0.5, 1.5)
+    D: int, count: int, seed: int = 20240901, im_range=SAMPLE_IM_RANGE
 ) -> list[complex]:
     """Deterministic pseudo-random sample with |re| <= sqrt(D)/2."""
     rng = random.Random(seed * 1_000_003 + D)

@@ -42,9 +42,8 @@ ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 # signs and growth cost the same) and scaled so that none of those runs took
 # longer than predicted, with a 1.2x margin in oracle-check and partitions,
 # whose repeated runs vary by that much; they over-predict by up to 2.9x,
-# 2.4x (where the table, not the character table, dominates), 2.6x (both
-# numeric commands, charged at the height of each evaluated point, from 1 s
-# up and --nmax up to 10^5; more at larger --nmax, see _numeric_s) and 1.9x.
+# 2.4x (where the table, not the character table, dominates), 2.7x (both
+# numeric commands from 1 s up at --nmax up to 10^5, 4.3x at 10^7) and 1.9x.
 TIME_BUDGET_S = 60
 
 # Seconds per unit of D of the character table and the other O(D) work of
@@ -159,30 +158,22 @@ def cmd_verify_table(args) -> int:
 # Predicted seconds of one truncated product besides its logs (_product_s):
 # the call, the split and its share of the printed row.  `grid --D 5
 # --re-steps 300 --im-steps 300 --nmax 1`, 180000 products of one log each,
-# took 4.8 s end to end.  No product costs less, which bounds the product
-# count of verify-modularity and grid before their points are built.
+# took 4.8 s end to end.  No product costs less, which bounds the point count
+# of grid before its points are built.
 PRODUCT_BASE_S = 3e-5
+NUMERIC_DATA_S_PER_D = 6e-6
 
 
 def _product_s(D: int, nmax: int, height: float) -> float:
-    """Predicted seconds of one truncated product at Im z = height: up to
-    nmax untwisted logs, then the split that analytic._split chooses from
-    |q| = exp(-L), L = 2 pi height / sqrt(D), n0 direct twisted factors of
-    phi(D) logs each and M series terms.  Both parts fall as the height
-    grows.  The loop stops where |q|^n underflows 1e-320 only for L above
-    about 4e-4; below, q^n can stall at a few thousand units of 2^-1074.
-    Per unit: 0.9 us an untwisted log, 0.4 us a twisted one, six more of
-    those per direct factor (the loop over the roots) and _TERM_COST of
-    them per series term."""
+    """Predicted seconds of one truncated product at Im z = height, by the
+    plan (count, n0, M) of analytic._split at L = 2 pi height / sqrt(D):
+    count untwisted logs at 0.9 us, and min(n0, count) direct twisted factors
+    of phi(D) + 6 logs and M series terms of _TERM_COST logs at 0.4 us."""
     from . import analytic
 
-    nmax = max(nmax, 0)
     phi = euler_phi(D)
-    L = 2 * math.pi * height / math.sqrt(D)
-    n0, M = analytic._split(L, nmax, phi, math.sqrt(D))
-    if L >= 1e-3:
-        nmax = min(nmax, math.ceil(-math.log(1e-320) / L))
-    return PRODUCT_BASE_S + 9e-7 * nmax + 4e-7 * (min(n0, nmax) * (phi + 6) + analytic._TERM_COST * M)
+    count, n0, M = analytic._split(2 * math.pi * height / math.sqrt(D), nmax, phi, math.sqrt(D))
+    return PRODUCT_BASE_S + 9e-7 * count + 4e-7 * (min(n0, count) * (phi + 6) + analytic._TERM_COST * M)
 
 
 def _height_bin(h: float) -> float:
@@ -195,30 +186,33 @@ def _height_bin(h: float) -> float:
 
 def _numeric_s(D: int, nmax: int, heights) -> float:
     """Predicted seconds of one product at _height_bin(h) for each height h
-    of a point the command evaluates, plus the per-D data (character table,
-    roots of unity), built once.
+    of a point the command evaluates, plus NUMERIC_DATA_S_PER_D a unit of D
+    for the per-D data (character table, roots of unity), built once.
 
-    An upper bound on end-to-end runs, D 5..1425237, nmax 1..10^7, up to
-    50 s.  At --nmax 300 verify-modularity took 1.0 to 1.5 s at --D 101
-    --samples 950 (predicted 2.3 s), 21 to 22 s at 16000 (38 s) and 38 s
-    at 25035, the most accepted (60 s), and 27 s at --D 1001 --samples 4634
-    (60 s): 1.4x to 2.5x.  grid --D 5 --re-min 3 --re-max 3 --im-min 0.0005
-    --im-max 0.001 at 20 x 15 points and --nmax 100000 took 32 to 37 s (56
-    s), and grid --D 1001 over -30..30 x 0.05..3 at 30 x 20 points 9 to 11
-    s (13 s): 1.2x to 1.8x from 1 s up.  Where L < 1e-3 charges all nmax logs
-    it reaches 8x: verify-modularity --D 2193 --samples 20 --nmax 10^7 took
-    7.6 s (59 s).  Below a second, start-up, which no term charges, can
-    exceed the prediction."""
+    An upper bound on end-to-end runs, D 5..1425237, nmax 1..3 * 10^7, up
+    to 50 s (listed in ROADMAP.md): from 1 s up it over-predicts by 1.6x to
+    2.7x at --nmax up to 10^5 (verify-modularity --D 5 --samples 50113, the
+    most accepted, took 22-24 s) and by 2.5x to 4.3x at 10^7 and above.
+    Start-up, which no term charges, can exceed a prediction below a second."""
     counts = Counter(map(_height_bin, heights))
-    return 6e-6 * D + sum(n * _product_s(D, nmax, h) for h, n in counts.items())
+    return NUMERIC_DATA_S_PER_D * D + sum(n * _product_s(D, nmax, h) for h, n in counts.items())
+
+
+def _samples_floor_s(D: int, nmax: int, samples: int) -> float:
+    """A lower bound on _numeric_s of `samples` samples, each charged at the
+    greatest heights one in analytic.SAMPLE_IM_RANGE = (lo, hi) can have:
+    Im z <= hi and Im(-1/z) <= 1 / Im z <= 1 / lo."""
+    from . import analytic
+
+    lo, hi = analytic.SAMPLE_IM_RANGE
+    one = 3 * _product_s(D, nmax, hi) + _product_s(D, nmax, 1 / lo)
+    return NUMERIC_DATA_S_PER_D * D + samples * one
 
 
 def _numeric_refusal(D: int, nmax: int, what: str, heights) -> str | None:
     """Why the products at the heights that heights() iterates (twice, so
     that no list is held) are refused, or None: |q| rounds to 1 at the
-    exact lowest height, or _numeric_s exceeds the budget.  Both numeric
-    commands refuse before this, and before they build any point, a product
-    count over the budget at PRODUCT_BASE_S each."""
+    exact lowest height, or _numeric_s exceeds the budget."""
     from . import analytic
 
     if analytic._q_rounds_to_one(D, min(heights())):
@@ -249,7 +243,7 @@ def cmd_verify_modularity(args) -> int:
         return _usage_error("--samples and --nmax must be >= 1")
     if not 0 < args.tol < math.inf:
         return _usage_error("--tol must be a positive finite number")
-    if 4 * args.samples * PRODUCT_BASE_S > TIME_BUDGET_S:
+    if _samples_floor_s(args.D, args.nmax, args.samples) > TIME_BUDGET_S:
         return _usage_error("--samples and --nmax exceed the time budget")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
     # check_inversion evaluates -1/z and z, check_translation z + sqrt(D) and z

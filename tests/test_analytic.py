@@ -74,7 +74,7 @@ NMAXES = (1, 50, 300, 3000)
 
 def _split_kind(D, z, n_max):
     data = analytic._eta_data(D)
-    n0, _ = analytic._split(2 * math.pi * z.imag / data.sqrt_d, n_max, data.phi, data.sqrt_d)
+    _, n0, _ = analytic._split(2 * math.pi * z.imag / data.sqrt_d, n_max, data.phi, data.sqrt_d)
     return "direct" if n0 == n_max else ("series" if n0 == 0 else "mixed")
 
 
@@ -105,6 +105,15 @@ class TestAgainstDirectProduct:
         for z in sample_half_plane_points(D, 2, seed=n_max, im_range=(0.01, 1.5)):
             for w in (z, -1 / z, z + math.sqrt(D)):
                 self._assert_agrees(D, w, n_max)
+
+    @pytest.mark.parametrize("ratio", [0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0])
+    @pytest.mark.parametrize("D", [5, 13, 1001])
+    def test_at_the_log_floor(self, D, ratio):
+        """Heights where L = 2 pi Im z / sqrt(D) is ratio times
+        analytic._LOG_FLOOR, where the untwisted count is 2, 1 or 0."""
+        height = ratio * analytic._LOG_FLOOR * math.sqrt(D) / (2 * math.pi)
+        for re in (0.0, -0.0, 0.3):
+            self._assert_agrees(D, complex(re, height), 3)
 
     def test_series_alone_where_phi_is_large(self):
         """At D = 1001 (phi = 480) and height 3 the split takes the series

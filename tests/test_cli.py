@@ -419,21 +419,43 @@ class TestNumericBudget:
         assert "time budget" in err
 
     def test_sample_count_refused_before_sampling(self, capsys, monkeypatch):
-        """verify-modularity makes four products a sample; a sample count
-        whose products alone exceed the budget is refused before any point
-        is drawn."""
+        """verify-modularity makes four products a sample; the least sample
+        count whose lower bound (_samples_floor_s) exceeds the budget is
+        refused before any point is drawn."""
         monkeypatch.setattr(analytic, "sample_half_plane_points", None)
-        samples = str(int(cli.TIME_BUDGET_S / cli.PRODUCT_BASE_S) // 4 + 1)
-        code, out, err = run_cli(capsys, "verify-modularity", "--D", "5", "--samples", samples)
+        per_d = cli._samples_floor_s(5, 300, 0)
+        per_sample = cli._samples_floor_s(5, 300, 1) - per_d
+        samples = int((cli.TIME_BUDGET_S - per_d) / per_sample) + 1
+        assert cli._samples_floor_s(5, 300, samples - 1) <= cli.TIME_BUDGET_S
+        code, out, err = run_cli(capsys, "verify-modularity", "--D", "5", "--samples", str(samples))
         assert code == 2
         assert out == ""
         assert "time budget" in err
 
+    def test_large_sample_count_refused_in_a_second(self, capsys):
+        """Refused by the per-sample bound, before any point is drawn."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify-modularity", "--D", "5", "--samples", "499999")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "time budget" in err
+
+    @pytest.mark.parametrize("nmax", [1, 300, 10**5])
+    def test_sample_floor_is_a_lower_bound(self, nmax):
+        """The bound charged before sampling never exceeds the charge of the
+        seeded samples it stands for, but for the rounding of two sums that,
+        where every product costs the same, add equal terms in another order."""
+        for D in [*fundamental_discriminants(101), 1001, 2000001]:
+            for samples in (1, 20):
+                charged = cli._numeric_s(D, nmax, _sample_heights(D, samples))
+                assert cli._samples_floor_s(D, nmax, samples) <= charged * (1 + 1e-12), (D, samples)
+
     def test_benchmark_ranges_stay_accepted(self):
         """Twenty samples of any seed, charged at the lowest heights a sample
         can have, and the benchmark's grids."""
+        lo, hi = analytic.SAMPLE_IM_RANGE
         for D in fundamental_discriminants(101):
-            lowest = [0.5 / (D / 4 + 2.25), 0.5, 0.5, 0.5] * 20
+            lowest = [lo / (D / 4 + hi**2), lo, lo, lo] * 20
             assert cli._numeric_s(D, 300, lowest) <= cli.TIME_BUDGET_S
         for D in (5, 13, 17):
             assert cli._numeric_s(D, 300, _default_grid_heights(20, 6)) <= cli.TIME_BUDGET_S
@@ -445,12 +467,15 @@ class TestNumericBudget:
         low, high = (cli._numeric_s(101, 300, [h] * 1000) for h in (1e-4, 1.0))
         assert high < low
 
-    def test_stalling_product_charged_to_nmax(self):
-        """grid --D 5 at the one point 7.12e-5 i with --nmax 30000000 took
-        14.6 s end to end: there |q| = exp(-2e-4), q^n stalls above 1e-320
-        and the loop runs to nmax.  Charged up to where |q|^n falls below
-        1e-320, it was predicted at 3.4 s."""
-        assert cli._product_s(5, 3 * 10**7, 7.12e-5) >= 9e-7 * 3 * 10**7
+    def test_low_product_charged_to_its_count(self):
+        """At 7.12e-5 i, D = 5, |q| = exp(-2e-4), where q^n stalls in the
+        subnormal range above 1e-320, the product takes the closed-form count
+        of untwisted logs, not all 3 * 10^7, and is charged that count."""
+        start = time.perf_counter()
+        analytic.eval_eta_numeric(5, 7.12e-5j, 3 * 10**7)
+        took = time.perf_counter() - start
+        assert took < 5
+        assert took <= cli._product_s(5, 3 * 10**7, 7.12e-5) <= 5
 
     def test_grid_charged_at_its_heights(self):
         """grid --D 1001 --re-steps 10 --im-steps 10 took 0.5 s end to end;
@@ -532,7 +557,8 @@ def _run_timed(*argv):
 
 def _sample_heights(D, samples):
     """The heights verify-modularity evaluates at its samples z at the
-    default seed: -1/z, then z three times (z + sqrt(D) has the height of z)."""
+    default seed and analytic.SAMPLE_IM_RANGE: -1/z, then z three times
+    (z + sqrt(D) has the height of z)."""
     points = analytic.sample_half_plane_points(D, samples)
     return [h for z in points for h in ((-1 / z).imag, z.imag, z.imag, z.imag)]
 
