@@ -277,13 +277,19 @@ def _series_s(D: int, N: int) -> float:
 
 
 def _oracle_check_s(D: int, N: int) -> float:
-    """Predicted seconds: about 2 log2(phi(D)/2) Kronecker products of (N +
-    1)(2D - 1) slots, on coefficients that grow with N, faster the more
-    residues the norm multiplies, hence the exponent of N + 1 that grows
-    with log D.  In s measured/predicted by (D, N): (5, 5000) 34/60, (13,
-    2000) 63/84, (41, 800) 121/151, (101, 400) 125/221, (293, 20) 0.86/1.8,
-    (293, 80) 24/46, (1009, 40) 72/93, (4845, 10) 39/54, (10001, 10)
-    157/194, (30005, 3) 44/76, (88577, 1) 43/60, (100049, 1) 39/73."""
+    """Predicted seconds: about 2 log2(phi(D)/2) model-ring products, each
+    two Kronecker products of (N + 1) D slots, on coefficients that grow
+    with N, faster the more residues the norm multiplies, hence the
+    exponent of N + 1 that grows with log D.  It was fitted to single
+    products of (N + 1)(2D - 1) zero-padded slots, so it over-predicts the
+    two-point products 1.6-3.8x: end to end with the time budget (and at
+    D = 100049 the D cap) lifted, in s
+    measured/predicted by (D, N): (5, 5000) 31/60, (13, 2000) 40/84,
+    (41, 800) 55/151, (101, 400) 59/221, (293, 20) 0.51-0.74/1.8,
+    (293, 80) 10-14/46, (1009, 40) 39/93, (4845, 10) 25/54, (10001, 10)
+    119/194, (30005, 3) 38/76, (88577, 1) 33/60, (100049, 1) 40/73.  The
+    constant stays, as D_CAP["oracle-check"] rests on it: past the cap the
+    prediction at N = 1 exceeds the budget."""
     return 2.1e-7 * D**1.53 * (N + 1) ** (1.84 + 0.097 * math.log(D))
 
 

@@ -14,25 +14,25 @@ F_ord(q, zeta^n0) for one non-residue n0 built from partition tables; a n0
 runs over the non-residues as a does over the residues.  The residues are a
 subgroup, so their product is a norm, built by doubling along a chain of
 subgroups in at most 2 log2(phi(D)/2) products.  All are
-Kronecker-substituted integer products: those of model-ring series
-(CycSeries.mul_dense), whose rows are plain lists of D integers as in
-cyclotomic, and one by Phi at row stride D.  Every assembled coefficient
-must project exactly onto O_D.
+Kronecker-substituted integer products on rows packed at stride D with no
+padding: those of model-ring series (CycSeries.mul_dense), whose rows are
+plain lists of D integers as in cyclotomic, take two half-length products at
++-y and split the row products by parity; the one by Phi packs Phi with
+slots D times as wide.  Every assembled coefficient must project exactly
+onto O_D.
 The results are the anti-bug cross-check for the Lambert-series recurrence
 in qseries: no divisor sums, no Lambert coefficients, no O_D arithmetic
-until the final projection; of qseries only the generic packed product
-_convolve is shared.
+until the final projection; of qseries only the generic slot helpers
+(_bound_bytes, _max_abs, _bias, _pack, _unpack) are shared.
 """
 
 from __future__ import annotations
 
-from operator import add
-
 from .characters import build_char_table
 from .cyclotomic import project_to_quad
 from .partitions import _euler_product, distinct_length_distribution, length_distribution
-from .qseries import _convolve
-from .quad_ring import RingElem
+from .qseries import _bias, _bound_bytes, _max_abs, _pack, _unpack
+from .quad_ring import RingElem, RingError
 
 
 class CycSeries:
@@ -47,37 +47,85 @@ class CycSeries:
         self.prec = len(coeffs) - 1
 
     def mul_dense(self, other: "CycSeries") -> "CycSeries":
-        """Truncated product, by Kronecker substitution: one integer product.
+        """Truncated product, by Kronecker substitution at the two points y
+        and -y, y = 2^(8 wb D).
 
-        Each operand is flattened into prec + 1 rows of 2D - 1 slots, the D
-        model-ring coefficients of a q-power followed by D - 1 zeros, so the
-        linear product of two rows (degree at most 2D - 2) stays inside its
-        row.  Row k of the product is then the unreduced sum of the row
-        products of q-powers i + j = k, at most (prec + 1) D products per
-        slot, and folding slot r + D onto slot r reduces it mod x^D - 1.
+        An operand packs as U(y) = sum_i u_i(X) y^i, X = 2^(8 wb): its prec + 1
+        rows of D slots at stride D, with no padding.  The row product
+        c_k = sum_{i+j=k} u_i v_j has degree up to 2D - 2 in X; lo_k is its
+        slots 0..D-1 and hi_k its slots D..2D-2, so c_k = lo_k + y hi_k.  Row
+        k of W+ = U(y) V(y) is then lo_k + hi_{k-1}, and row k of
+        W- = U(-y) V(-y) is (-1)^k (lo_k - hi_{k-1}); W+ + W- holds 2 lo_k in
+        its even rows and 2 hi_{k-1} in its odd ones, W+ - W- the other way
+        round.  Both sums are halved slot by slot, and an odd slot raises
+        RingError, as does a nonzero slot where hi must be zero: all of
+        hi_{-1}, and slot D - 1 of each hi_k, which would be degree 2D - 1.
+        Row k of the product, c_k mod x^D - 1, is lo_k + hi_k: the rows of
+        lo and hi are picked from the two halves by parity and added as
+        integers, so only the (prec + 1) D result slots are unpacked.  A slot
+        of W+ or W- sums at most (prec + 1) D products u_i[s] v_j[t], and so
+        does a result slot, so every slot stays below the width bound
+        2 (prec + 1) D max|u| max|v| of the sums.
         """
         D, N = self.D, self.prec
-        stride = 2 * D - 1
-        size = (N + 1) * stride
-        slots = _convolve(
-            _flatten(self.coeffs, D, N), _flatten(other.coeffs, D, N), (N + 1) * D, size
-        )
-        out = []
-        for o in range(0, size, stride):
-            row = list(map(add, slots[o : o + D - 1], slots[o + D : o + stride]))
-            row.append(slots[o + D - 1])
-            out.append(row)
-        return CycSeries(D, out)
+        u, v = self.coeffs, other.coeffs[: N + 1]
+        n = (N + 1) * D
+        wb = _bound_bytes(2 * n, _max_abs(*u), _max_abs(*v))
+        row_bits = 8 * wb * D
+        even = _even_rows(wb * D, N + 2)
+        u_pos, u_neg = _pack_pm(u, wb, even)
+        v_pos, v_neg = _pack_pm(v, wb, even)
+        # each big integer is dropped once used, so that few are live at once
+        w_pos = u_pos * v_pos
+        del u_pos, v_pos
+        w_neg = u_neg * v_neg
+        del u_neg, v_neg
+        # rows 0..N + 1 of both sums, every slot biased by 2^(8 wb - 1)
+        lift = _bias(wb, n + D)
+        mask = (1 << (row_bits * (N + 2))) - 1
+        s_even = (w_pos + w_neg + lift) & mask
+        s_odd = (w_pos - w_neg + lift) & mask
+        del w_pos, w_neg
+        if (s_even | s_odd) & (lift >> (8 * wb - 1)):
+            raise RingError("internal corruption: odd slot in a two-point product")
+        # halved: no set bit crosses a slot, and each bias halves with its slot
+        s_even >>= 1
+        s_odd >>= 1
+        odd = mask ^ even
+        lo = (s_even & even) | (s_odd & odd)  # row k: lo_k
+        hi = (s_even & odd) | (s_odd & even)  # row k: hi_{k-1}
+        del s_even, s_odd
+        zero = _known_zero(wb, D, N + 2)
+        if hi & zero != (lift >> 1) & zero:
+            raise RingError("internal corruption: a two-point product fills a slot past 2D - 2")
+        # the two half biases make one; row N + 1 of lo lies above the n
+        # slots that _unpack keeps
+        slots = _unpack(lo + (hi >> row_bits) - _bias(wb, n), wb, 0, n)
+        return CycSeries(D, [slots[o : o + D] for o in range(0, n, D)])
 
 
-def _flatten(rows: list[list[int]], D: int, N: int) -> list[int]:
-    """Rows 0..N as one slot list, each padded by D - 1 zeros."""
-    pad = [0] * (D - 1)
-    out = []
-    for row in rows[: N + 1]:
-        out += row
-        out += pad
-    return out
+def _even_rows(row_bytes: int, rows: int) -> int:
+    """All ones on the even rows of row_bytes bytes each, of rows rows."""
+    ones = b"\xff" * row_bytes
+    return int.from_bytes((ones + bytes(row_bytes)) * (rows // 2) + ones * (rows % 2), "little")
+
+
+def _known_zero(wb: int, D: int, rows: int) -> int:
+    """All ones on the slots of hi_{k-1}, k = 0..rows-1, that are zero in
+    every product: all of hi_{-1}, and slot D - 1 of the others, as a row
+    product has no slot 2D - 1."""
+    ones = b"\xff" * wb
+    return int.from_bytes(ones * D + (bytes(wb * (D - 1)) + ones) * (rows - 1), "little")
+
+
+def _pack_pm(rows: list[list[int]], wb: int, even: int) -> tuple[int, int]:
+    """U(y) and U(-y) for rows of slots of wb bytes, with even from
+    _even_rows: U(-y) = 2E - U(y), where E, the even rows alone, is the
+    biased U(y) masked to its even rows."""
+    u = _pack([c for row in rows for c in row], wb)
+    bias = _bias(wb, len(rows) * len(rows[0]))
+    e = ((u + bias) & even) - (bias & even)
+    return u, 2 * e - u
 
 
 def _twist(rows, a: int, D: int) -> CycSeries:
@@ -124,14 +172,13 @@ def _norm(G: CycSeries, H: list[int]) -> CycSeries:
 def _times_int_series(rows: list[list[int]], base: list[int], D: int) -> list[list[int]]:
     """Rows 0..N of a model-ring series times the integer series base, of
     the same length, by one integer product: base has no zeta part, so
-    spread at row stride D it meets every slot of the unpadded rows alone,
-    and no slot sums more than N + 1 products."""
-    N = len(rows) - 1
-    spread = [0] * (N * D + 1)
-    spread[::D] = base
-    size = (N + 1) * D
-    slots = _convolve([c for row in rows for c in row], spread, N + 1, size)
-    return [slots[o : o + D] for o in range(0, size, D)]
+    packed with slots D times as wide it sits at row stride D, meets every
+    slot of the unpadded rows alone, and no slot sums more than N + 1
+    products."""
+    n = len(rows) * D
+    wb = _bound_bytes(len(rows), _max_abs(*rows), _max_abs(base))
+    slots = _unpack(_pack([c for row in rows for c in row], wb) * _pack(base, wb * D), wb, 0, n)
+    return [slots[o : o + D] for o in range(0, n, D)]
 
 
 def a_via_convolution(D: int, N: int) -> list[RingElem]:

@@ -9,7 +9,7 @@ from hecke_eta.characters import build_char_table, euler_phi
 from hecke_eta.cyclotomic import ProjectionError, project_to_quad
 from hecke_eta.golden import golden_coefficients
 from hecke_eta.oracle import CycSeries, a_via_convolution, compare_with_eta
-from hecke_eta.quad_ring import RingElem
+from hecke_eta.quad_ring import RingElem, RingError
 
 
 class TestConvolutionOracle:
@@ -173,8 +173,8 @@ def _constant_series(D, prec, value):
 
 
 class TestPackedProduct:
-    """CycSeries.mul_dense (one Kronecker product) against the double loop of
-    cyclic convolutions in tests/oracles.py."""
+    """CycSeries.mul_dense (Kronecker substitution at y and -y) against the
+    double loop of cyclic convolutions in tests/oracles.py, and its guards."""
 
     @pytest.mark.parametrize(
         "D, prec",
@@ -188,13 +188,20 @@ class TestPackedProduct:
             g = _random_series(rng, D, prec, rng.choice((1, 20, 300)))
             assert f.mul_dense(g).coeffs == mul_dense_plain(f, g).coeffs
 
-    @pytest.mark.parametrize("D, prec", [(5, 0), (5, 12), (13, 4), (21, 1), (33, 2)])
+    @pytest.mark.parametrize(
+        "D, prec",
+        [(5, 0), (5, 11), (5, 12), (13, 0), (13, 3), (13, 4), (21, 0), (21, 1), (21, 2),
+         (33, 0), (33, 1), (33, 2), (41, 0), (41, 3), (41, 4)],
+    )
     @pytest.mark.parametrize("bits", range(296, 304))
     def test_extreme_slots(self, D, prec, bits):
         """Every coefficient at -(2^bits - 1) on one side and both signs on
-        the other, so the last row's middle slot reaches the width bound
-        (prec + 1) D max|u| max|v| in magnitude; eight consecutive widths
-        cover every rounding of the bound to whole bytes."""
+        the other, so lo_prec, the last row's slots 0..D-1 of the row
+        product, reaches (prec + 1) D max|u| max|v| in its last slot, and
+        twice that, the width bound, in the sum W+ + W- or W+ - W- that
+        holds it: which one is set by the parity of prec, so both an odd and
+        an even row count are covered.  Eight consecutive widths cover
+        every rounding of the bound to whole bytes."""
         M = 2**bits - 1
         f = _constant_series(D, prec, -M)
         for g in (_constant_series(D, prec, -M), _constant_series(D, prec, M)):
@@ -206,6 +213,63 @@ class TestPackedProduct:
         zero = _constant_series(13, 9, 0)
         assert f.mul_dense(zero).coeffs == zero.coeffs
         assert zero.mul_dense(f).coeffs == zero.coeffs
+
+    @pytest.mark.parametrize("point", [0, 1])
+    @pytest.mark.parametrize("D, prec", [(5, 0), (13, 3), (21, 4)])
+    def test_point_product_off_by_one_raises(self, monkeypatch, D, prec, point):
+        """W+ (point 0) or W- (point 1) one too large in one slot: that slot
+        is odd in both W+ + W- and W+ - W-, so the halving refuses it, in
+        the first row, a middle one and the last row read (prec + 1),
+        instead of returning rows."""
+        rng = random.Random(D + prec)
+        f = _random_series(rng, D, prec, 64, zero_rows=0)
+        g = _random_series(rng, D, prec, 64, zero_rows=0)
+        pack_pm = oracle._pack_pm
+
+        class OffByOne(int):
+            def __mul__(self, other):
+                return int(self) * other + self.off
+
+        for slot in (0, (prec + 1) * D // 2, (prec + 2) * D - 1):
+
+            def corrupted(rows, wb, even):
+                packed = list(pack_pm(rows, wb, even))
+                if rows is f.coeffs:  # the left factor of both point products
+                    packed[point] = OffByOne(packed[point])
+                    packed[point].off = 1 << (8 * wb * slot)
+                return tuple(packed)
+
+            monkeypatch.setattr(oracle, "_pack_pm", corrupted)
+            with pytest.raises(RingError, match="odd slot"):
+                f.mul_dense(g)
+
+    @pytest.mark.parametrize("D, N, raises", [(5, 8, True), (13, 12, True), (13, 6, False), (21, 5, False)])
+    def test_minus_point_packed_as_plus_point_fails(self, monkeypatch, D, N, raises):
+        """With U(-y) packed as U(y), W- = W+: every slot of the two sums is
+        even, so the halving passes, but the odd rows of hi are then rows of
+        W+ and fill slot D - 1, which no row product reaches, so a product
+        of dense rows raises, and so does the oracle where its first product
+        reaches that slot.  Where it does not (its rows count parts, fewer
+        than D - 1 at small N), the rows it returns are zero at every odd
+        q-power, so they take the same value at y and -y and the later
+        products are right for their wrong operands; the projection accepts
+        the result, and the coefficients differ from the kernel's."""
+        pack_pm = oracle._pack_pm
+
+        def plus_twice(rows, wb, even):
+            u_pos, _ = pack_pm(rows, wb, even)
+            return u_pos, u_pos
+
+        monkeypatch.setattr(oracle, "_pack_pm", plus_twice)
+        rng = random.Random(D + N)
+        f = _random_series(rng, D, N, 64, zero_rows=0)
+        with pytest.raises(RingError, match="past 2D - 2"):
+            f.mul_dense(_random_series(rng, D, N, 64, zero_rows=0))
+        if raises:
+            with pytest.raises(RingError, match="past 2D - 2"):
+                a_via_convolution(D, N)
+        else:
+            assert a_via_convolution(D, N) != list(qseries.eta_series(D, N).coeffs)
 
 
 def _sigma(f, a):
