@@ -15,16 +15,15 @@ _EXPORTS_BY_MODULE = {
     "quad_ring": ("RingElem", "RingError", "embed_real"),
     "characters": ("CharacterError", "build_char_table", "is_fundamental"),
     "cyclotomic": (
-        "PeriodPair", "ProjectionError", "cyc_mul", "period_polynomials", "project_to_quad",
-        "trace",
+        "PeriodPair", "ProjectionError", "period_polynomials", "project_to_quad", "trace",
     ),
     "lseries": ("LValueRecord", "l_minus_one", "l_prime_zero"),
     "partitions": (
         "PartitionTables", "build_partition_tables", "length_distribution", "p_nr_table",
         "p_table",
     ),
-    "qseries": ("QSeries", "SeriesError", "eta_series", "series_pow", "tau5_values"),
-    "oracle": ("CycSeries", "a_via_convolution"),
+    "qseries": ("QSeries", "SeriesError", "eta_series", "tau5_values"),
+    "oracle": ("a_via_convolution",),
     "analytic": (
         "GroupWord", "bound_envelope", "check_inversion", "check_translation", "check_u_gamma",
         "envelope_constants", "eval_eta_numeric", "predicted_u", "check_phi_relation",

@@ -123,8 +123,3 @@ def moebius(n: int) -> int:
     if any(e > 1 for _, e in factors):
         return 0
     return (-1) ** len(factors)
-
-
-def fundamental_discriminants(limit: int) -> list[int]:
-    """All fundamental D = 1 mod 4 with 5 <= D <= limit, ascending."""
-    return [D for D in range(5, limit + 1, 4) if is_fundamental(D)]

@@ -15,17 +15,17 @@ is called by no library path.  The period polynomials f_plus / f_minus
 never enter the model ring: f_plus is expanded once in O_D from its
 closed-form power sums, f_minus is its conjugate, and their product, the
 norm (A^2 - D B^2)/4 of f_plus = (A + B sqrt(D))/2, is checked against
-Phi_D, built from integer Euler factors in partitions.
+Phi_D, built from integer Euler factors in partitions, as one identity of
+packed integers.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .characters import _prime_row_product, euler_phi, moebius
 from .partitions import _euler_product
-from .qseries import _convolve, euler_transform
+from .qseries import _bound_bytes, _max_abs, _pack, _slot_bytes, euler_transform
 from .quad_ring import RingElem
 
 
@@ -75,21 +75,21 @@ def project_to_quad(u: list[int], chi) -> RingElem:
     Uses alpha = trace(u)/phi(D) and beta = trace(u*g)/(D*phi(D)) with g =
     sum_a chi_D(a) x^a the Gauss-sum element (sign convention +sqrt(D),
     D = 1 mod 4), in O(D): trace(u*g) = D sum_i chi(i) u_i, as
-    Tr(zeta^i sqrt(D)) = D chi(i) for the primitive chi.  Non-exact division
-    means u is not in Q(sqrt(D)): this is the correctness guard for the whole
-    exact pipeline, so it raises rather than rounding.
+    Tr(zeta^i sqrt(D)) = D chi(i) for the primitive chi.  The numerator pair
+    (2 alpha, 2 beta) is those two sums divided by phi(D)/2.  Non-exact
+    division means u is not in Q(sqrt(D)): this is the correctness guard for
+    the whole exact pipeline, so it raises rather than rounding.
     """
     D = len(chi)
     if len(u) != D:
         raise ValueError(f"dimension mismatch: {len(u)} vs {D}")
-    phi = euler_phi(D)
-    alpha2 = Fraction(2 * trace(u), phi)
-    beta2 = Fraction(2 * sum(c * x for c, x in zip(u, chi) if c), phi)
-    if alpha2.denominator != 1 or beta2.denominator != 1:
+    half = euler_phi(D) // 2
+    a, rem_a = divmod(trace(u), half)
+    b, rem_b = divmod(sum(c * x for c, x in zip(u, chi) if c), half)
+    if rem_a or rem_b:
         raise ProjectionError(
-            f"element not in Q(sqrt({D})): projection pair ({alpha2}, {beta2})"
+            f"element not in Q(sqrt({D})): trace sums not divisible by phi(D)/2 = {half}"
         )
-    a, b = int(alpha2), int(beta2)
     if (a - b) % 2 != 0:
         raise ProjectionError(
             f"element not in O_{D}: numerator pair ({a}, {b}) breaks parity"
@@ -130,15 +130,20 @@ def _expand_period(chi, h: int) -> tuple[list[int], list[int]]:
 def period_polynomials(chi) -> PeriodPair:
     """f_plus from its power sums, f_minus = (A, -B) as its conjugate, and
     the guards on both: constant term 1 and f_plus * f_minus = Phi_D, read
-    as A*A - D B*B = 4 Phi_D on the numerator pairs.  chi is the row of
-    build_char_table, D = len(chi)."""
+    as A*A - D B*B = 4 Phi_D on the numerator pairs and checked as one
+    integer identity at x = 2^(8 wb): slots of wb bytes hold every
+    coefficient of both sides (the bound of _slot_bytes) below half the
+    base, so pa^2 - D pb^2 equals the packed 4 Phi_D exactly when the
+    coefficients agree.  chi is the row of build_char_table, D = len(chi)."""
     D = len(chi)
     h = euler_phi(D) // 2
     A, B = _expand_period(chi, h)
     if A[0] != 2 or B[0] != 0:
         raise ProjectionError("period polynomial constant term is not 1")
-    AA, BB = (_convolve(u, u, h + 1, 2 * h + 1) for u in (A, B))
-    if [a - D * b for a, b in zip(AA, BB)] != [4 * c for c in _cyclotomic_coeffs(D)]:
+    norm = [4 * c for c in _cyclotomic_coeffs(D)]
+    wb = max(_slot_bytes(A, B, A, B, D), _bound_bytes(_max_abs(norm)))
+    pa, pb = _pack(A, wb), _pack(B, wb)
+    if pa * pa - D * (pb * pb) != _pack(norm, wb):
         raise ProjectionError("f_plus * f_minus is not the cyclotomic polynomial Phi_D")
     f_plus = tuple(RingElem(a, b, D) for a, b in zip(A, B))
     f_minus = tuple(RingElem(a, -b, D) for a, b in zip(A, B))

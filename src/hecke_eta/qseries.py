@@ -21,8 +21,8 @@ It runs on plain numerator pairs, not RingElem objects, and also expands
 the period polynomials; every division by k must be exact, so a wrong
 b(k), character value or sign convention for sqrt(D) raises RingError
 instead of returning coefficients.  The Kronecker slot format has one owner
-here: _bound_bytes sizes the slots of both the pair product and _convolve,
-the plain packed product that the convolution oracle multiplies with.
+here (_bound_bytes, _pack, _unpack) and _pair_product is its one packed
+product; the oracle and the period-polynomial norm check pack with it too.
 """
 
 from __future__ import annotations
@@ -112,14 +112,6 @@ def _unpack(z: int, wb: int, lo: int, hi: int) -> list[int]:
         int.from_bytes(data[i : i + wb], "little") - half
         for i in range(wb * lo, wb * hi, wb)
     ]
-
-
-def _convolve(u, v, terms: int, hi: int) -> list[int]:
-    """Slots 0..hi-1 of the linear product of the nonempty integer sequences
-    u and v, no slot of which sums more than `terms` products u_i v_j: pack,
-    one integer product, unpack."""
-    wb = _bound_bytes(terms, _max_abs(u), _max_abs(v))
-    return _unpack(_pack(u, wb) * _pack(v, wb), wb, 0, hi)
 
 
 def _pair_product(P, Q, A, B, D: int, lo: int, hi: int, wb: int):

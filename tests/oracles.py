@@ -19,7 +19,7 @@ from operator import mul
 import mpmath
 
 from hecke_eta.analytic import word_matrix
-from hecke_eta.characters import build_char_table, euler_phi, moebius
+from hecke_eta.characters import build_char_table, euler_phi, is_fundamental, moebius
 from hecke_eta.cyclotomic import cyc_mul, project_to_quad
 from hecke_eta.oracle import CycSeries
 
@@ -78,6 +78,12 @@ def euler_product_plain(factors, N):
             f[::d] = [1] * len(f[::d])
         P = [sum(P[i] * f[k - i] for i in range(k + 1)) for k in range(N + 1)]
     return P
+
+
+def fundamental_discriminants(limit):
+    """All fundamental D = 1 mod 4 with 5 <= D <= limit, ascending: the
+    discriminants the tests sweep."""
+    return [D for D in range(5, limit + 1, 4) if is_fundamental(D)]
 
 
 def jacobi(n, D):

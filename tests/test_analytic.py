@@ -4,6 +4,7 @@ import random
 
 import pytest
 from oracles import (
+    fundamental_discriminants,
     log_eta_tail_direct,
     phi_sharp_direct,
     random_words,
@@ -24,7 +25,7 @@ from hecke_eta.analytic import (
     check_phi_relation,
     word_matrix,
 )
-from hecke_eta.characters import build_char_table, fundamental_discriminants
+from hecke_eta.characters import build_char_table
 from hecke_eta.qseries import eta_series
 from hecke_eta.quad_ring import embed_real
 

@@ -2,14 +2,13 @@ import random
 from math import gcd, isqrt
 
 import pytest
-from oracles import jacobi, residues, squares_mod
+from oracles import fundamental_discriminants, jacobi, residues, squares_mod
 
 from hecke_eta import characters
 from hecke_eta.characters import (
     CharacterError,
     build_char_table,
     euler_phi,
-    fundamental_discriminants,
     is_fundamental,
     moebius,
 )

@@ -9,10 +9,10 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from oracles import embed_mp
+from oracles import embed_mp, fundamental_discriminants
 
 from hecke_eta import analytic, cli
-from hecke_eta.characters import fundamental_discriminants, is_fundamental
+from hecke_eta.characters import is_fundamental
 from hecke_eta.qseries import MAX_ORDER
 from hecke_eta.quad_ring import RingElem
 

@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import embed_mp, period_polynomials_by_product, residues, trace_weights_by_moebius
+from oracles import (
+    embed_mp,
+    fundamental_discriminants,
+    period_polynomials_by_product,
+    residues,
+    trace_weights_by_moebius,
+)
 
 from hecke_eta import cyclotomic
-from hecke_eta.characters import build_char_table, euler_phi, fundamental_discriminants
+from hecke_eta.characters import build_char_table, euler_phi
 from hecke_eta.cyclotomic import (
     ProjectionError,
     cyc_mul,
@@ -346,3 +352,75 @@ class TestPeriodGuards:
         assert len(phi_105) == 49
         assert [k for k, c in enumerate(phi_105) if abs(c) > 1] == [7, 41]
         assert phi_105[7] == phi_105[41] == -2
+
+
+class TestNormIdentity:
+    """The norm guard compares pa^2 - D pb^2 with the packed 4 Phi_D as one
+    integer, pa and pb being A and B packed at one slot width: a change of
+    one coefficient, or of which sequence is A, must move it off the target."""
+
+    @staticmethod
+    def corrupted(monkeypatch, D, corrupt):
+        """period_polynomials at D with corrupt(A, B, h) applied in place to
+        the numerator pairs of f_plus."""
+        expand = cyclotomic._expand_period
+
+        def patched(chi, h):
+            A, B = expand(chi, h)
+            corrupt(A, B, h)
+            return A, B
+
+        monkeypatch.setattr(cyclotomic, "_expand_period", patched)
+        return period_polynomials(build_char_table(D))
+
+    @pytest.mark.parametrize("D", [13, 21, 105])
+    @pytest.mark.parametrize("step", [1, -1])
+    @pytest.mark.parametrize("at", ["B[h]", "A[h//2]"])
+    def test_one_coefficient_off_by_one(self, monkeypatch, D, at, step):
+        def corrupt(A, B, h):
+            seq, k = (B, h) if at == "B[h]" else (A, h // 2)
+            seq[k] += step
+
+        with pytest.raises(ProjectionError, match="not the cyclotomic polynomial"):
+            self.corrupted(monkeypatch, D, corrupt)
+
+    @pytest.mark.parametrize("D", [13, 21, 105])
+    def test_a_and_b_swapped(self, monkeypatch, D):
+        """Swapped past the constant term, which the constant-term guard
+        would refuse first."""
+
+        def corrupt(A, B, h):
+            A[1:], B[1:] = B[1:], A[1:]
+
+        with pytest.raises(ProjectionError, match="not the cyclotomic polynomial"):
+            self.corrupted(monkeypatch, D, corrupt)
+
+    @pytest.mark.parametrize("D", [5, 21, 105, 1365])
+    def test_width_bounds_both_sides(self, monkeypatch, D):
+        """The one slot width of the check keeps every coefficient of
+        A*A - D B*B (by a double loop) and of 4 Phi_D below half the base,
+        where equal packed integers mean equal coefficients; so it does for
+        any A, B of the same length and largest magnitude M, whose
+        coefficients are at most len(A) M^2 (1 + D)."""
+        widths = []
+        pack = cyclotomic._pack
+
+        def spy(seq, wb):
+            widths.append(wb)
+            return pack(seq, wb)
+
+        monkeypatch.setattr(cyclotomic, "_pack", spy)
+        pair = period_polynomials(build_char_table(D))
+        A = [c.num_a for c in pair.f_plus]
+        B = [c.num_b for c in pair.f_plus]
+        norm = [0] * (2 * len(A) - 1)
+        for i in range(len(A)):
+            for j in range(len(A)):
+                norm[i + j] += A[i] * A[j] - D * B[i] * B[j]
+        target = [4 * c for c in cyclotomic._cyclotomic_coeffs(D)]
+        assert norm == target
+        assert len(widths) == 3 and len(set(widths)) == 1
+        half_base = 2 ** (8 * widths[0] - 1)
+        assert max(map(abs, norm + target)) < half_base
+        M = max(map(abs, A + B))
+        assert len(A) * M * M * (1 + D) < half_base

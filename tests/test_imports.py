@@ -173,14 +173,13 @@ def test_library_call_loads_only_its_layers():
 
 # The names the package exports.
 EXPORTS = {
-    "CharacterError", "CycSeries", "GroupWord", "LValueRecord", "PartitionTables",
-    "PeriodPair", "ProjectionError", "QSeries", "RingElem", "RingError", "SeriesError",
-    "a_via_convolution", "bound_envelope", "build_char_table", "build_partition_tables",
-    "check_inversion", "check_phi_relation", "check_translation", "check_u_gamma", "cyc_mul",
-    "embed_real", "envelope_constants", "eta_series", "eval_eta_numeric", "is_fundamental",
-    "l_minus_one", "l_prime_zero", "length_distribution", "p_nr_table", "p_table",
-    "period_polynomials", "predicted_u", "project_to_quad", "series_pow", "tau5_values",
-    "trace", "word_matrix",
+    "CharacterError", "GroupWord", "LValueRecord", "PartitionTables", "PeriodPair",
+    "ProjectionError", "QSeries", "RingElem", "RingError", "SeriesError", "a_via_convolution",
+    "bound_envelope", "build_char_table", "build_partition_tables", "check_inversion",
+    "check_phi_relation", "check_translation", "check_u_gamma", "embed_real", "envelope_constants",
+    "eta_series", "eval_eta_numeric", "is_fundamental", "l_minus_one", "l_prime_zero",
+    "length_distribution", "p_nr_table", "p_table", "period_polynomials", "predicted_u",
+    "project_to_quad", "tau5_values", "trace", "word_matrix",
 }
 
 

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import l_function_hurwitz, l_prime_zero_loggamma
+from oracles import fundamental_discriminants, l_function_hurwitz, l_prime_zero_loggamma
 
 from hecke_eta import lseries
-from hecke_eta.characters import CharacterError, build_char_table, fundamental_discriminants
+from hecke_eta.characters import CharacterError, build_char_table
 from hecke_eta.lseries import LValueError, l_minus_one, l_prime_zero
 
 

@@ -141,21 +141,6 @@ class TestAssembly:
         base = self._base(monkeypatch, 5, N)
         assert [sum(base[i] * G[k - i] for i in range(k + 1)) for k in range(N + 1)] == H
 
-    @pytest.mark.parametrize("N", [0, 1, 7, 60])
-    def test_int_convolve_matches_double_loop(self, N):
-        """Random signed operands, and equal extreme ones whose last slot
-        reaches the width bound (N + 1) max|u| max|v|; eight consecutive
-        widths cover every rounding of the bound to whole bytes."""
-        rng = random.Random(N)
-        for bits in range(60, 68):
-            M = 2**bits - 1
-            u = [rng.randrange(-M, M + 1) for _ in range(N + 1)]
-            v = [rng.randrange(-3, 4) for _ in range(N + 1)]
-            for f, g in ((u, v), ([-M] * (N + 1), [-M] * (N + 1))):
-                expected = [sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(N + 1)]
-                assert qseries._convolve(f, g, N + 1, N + 1) == expected
-        assert qseries._convolve(v, [0] * (N + 1), N + 1, N + 1) == [0] * (N + 1)
-
 
 def _random_series(rng, D, prec, bits, zero_rows=0.2):
     """Signed coefficients below 2^bits, about a zero_rows share of rows zero."""

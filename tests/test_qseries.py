@@ -3,10 +3,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import eta_pairs_by_product, euler_transform_plain, mul_pairs_plain
+from oracles import (
+    eta_pairs_by_product,
+    euler_transform_plain,
+    fundamental_discriminants,
+    mul_pairs_plain,
+)
 
 from hecke_eta import qseries
-from hecke_eta.characters import build_char_table, euler_phi, fundamental_discriminants
+from hecke_eta.characters import build_char_table, euler_phi
 from hecke_eta.cyclotomic import _trace_weights
 from hecke_eta.golden import COEFF_TABLE, TAU5_TABLE
 from hecke_eta.oracle import a_via_convolution

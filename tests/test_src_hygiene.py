@@ -1,14 +1,24 @@
-"""Every name a module under src/ imports is used in the scope that imports it.
+"""Every name a module under src/ imports is used in the scope that imports it,
+and every function or class it defines at the top level is reached from src.
 
 An import left behind when the code that used it is deleted still loads its
 module and still reads as a dependency, so each is reported by module, line
 and name.  Names listed in a module's __all__ count as used (re-exports).
+
+A definition that only the tests call is test code living in the library, so
+each top-level function and class must be named by src code outside its own
+body, be exported by the package, or be a benchmark tracer target (those are
+read from benchmarks/tracer.py as text, as test_trace_targets reads them).
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from test_trace_targets import _targets
+
+import hecke_eta
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hecke_eta"
 
@@ -73,3 +83,62 @@ def test_detects_an_unused_import():
 def test_a_use_in_another_function_does_not_count():
     source = "def f():\n    import json\n    return 0\ndef g(json):\n    return json\n"
     assert unused_imports(source) == [(2, "json")]
+
+
+def _names(tree) -> Counter:
+    """How often each name is read or bound in code under tree, as a plain
+    name or as an attribute; docstrings and other strings do not count."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_definitions(sources, kept=frozenset()) -> list[tuple[str, str]]:
+    """(module, name) for each function or class defined at the top level of
+    the sources (module name -> source text) that no code in them names
+    outside the definition itself, unless (module, name) is kept or the name
+    is a dunder (a protocol hook such as a module's __getattr__)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    unreferenced = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if (module, name) in kept or (name.startswith("__") and name.endswith("__")):
+                continue
+            if used[name] == _names(node)[name]:
+                unreferenced.append((module, name))
+    return sorted(unreferenced)
+
+
+def test_every_definition_is_reached_from_src():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    exported = {
+        (getattr(hecke_eta, name).__module__.rpartition(".")[2], name)
+        for name in hecke_eta.__all__
+    }
+    traced = {(module, path.split(".")[0]) for module, path in _targets()}
+    assert unreferenced_definitions(sources, exported | traced) == []
+
+
+def test_detects_an_unreferenced_definition():
+    sources = {
+        "a": (
+            "def used():\n    return 0\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "class Kept:\n    pass\n"
+            "def __getattr__(name):\n    return name\n"
+        ),
+        "b": (
+            "from .a import used\n"
+            "from . import a\n"
+            "x = used() + a.attr()\n"
+            "def attr():\n    \"\"\"Calls recursive.\"\"\"\n"
+        ),
+    }
+    assert unreferenced_definitions(sources, {("a", "Kept")}) == [("a", "recursive")]
+    assert unreferenced_definitions(sources) == [("a", "Kept"), ("a", "recursive")]
