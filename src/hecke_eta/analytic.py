@@ -28,8 +28,6 @@ The per-D data (character table, q^v exponent, phi(D), roots of unity) is
 built once per D.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import random

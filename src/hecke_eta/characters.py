@@ -8,8 +8,6 @@ one period of it, chi[n] = chi_D(n mod D), as the product of their rows: a
 checked tuple of ints whose length is D, which every reader takes as chi.
 """
 
-from __future__ import annotations
-
 from itertools import chain, islice, repeat
 from operator import eq, mul, neg
 

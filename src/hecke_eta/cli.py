@@ -8,17 +8,17 @@ digits, and the exact numerator pair always accompanies any real column.
 
 Every --D command needs the discriminant check, so characters and quad_ring
 are imported here; each command imports the layers it runs, and json, when
-it runs, so that a call loads only what it uses.
+it runs, so that a call loads only what it uses.  The grammar is one table,
+COMMANDS, which reads a canonical command line directly; argparse is loaded,
+and built from it, only for help, usage errors and abbreviated options.
 """
 
-from __future__ import annotations
-
-import argparse
 import math
 import sys
 from collections import Counter
 from itertools import compress, islice, repeat
 from operator import eq
+from types import SimpleNamespace
 
 from .characters import build_char_table, euler_phi, is_fundamental
 from .quad_ring import canonical_str, embed_midpoint, embed_real
@@ -553,7 +553,44 @@ def cmd_grid(args) -> int:
     return 0 if overflows == 0 else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The options most commands share: flag -> add_argument keywords.
+_D = {"--D": {"type": int, "required": True}}
+_N = {"--N": {"type": int, "required": True}}
+_FORMAT = {"--format": {"choices": ("csv", "json"), "default": "csv"}}
+
+# The grammar: each command's handler, help string and options, in the order
+# --help lists them.  _parse_canonical reads it; _build_parser renders it.
+COMMANDS = {
+    "coeffs": (cmd_coeffs, "exact coefficients a_D(1..N)", _D | _N | _FORMAT),
+    "delta5": (cmd_delta5, "tau_5(1..N) of the fifth-power series", _N | _FORMAT),
+    "verify-table": (cmd_verify_table, "recompute all golden coefficients", {}),
+    "verify-modularity": (cmd_verify_modularity, "inversion/translation residuals", _D | {
+        "--samples": {"type": int, "default": 20}, "--nmax": {"type": int, "default": 300},
+        "--tol": {"type": float, "default": 1e-6}, "--seed": {"type": int, "default": 20240901},
+    }),
+    "oracle-check": (cmd_oracle_check, "convolution oracle vs the exact kernel", _D | _N),
+    "partitions": (cmd_partitions, "p, p_nr and length-distribution tables", _D | _N),
+    "lvalues": (cmd_lvalues, "S_chi, exact L(-1), m, numeric L'(0)", _D),
+    "periods": (cmd_periods, "period polynomial coefficients", _D),
+    "chars": (cmd_chars, "character value row and residue lists", _D),
+    "signs": (cmd_signs, "sign pattern of the embedded coefficients", _D | _N),
+    "growth": (cmd_growth, "(sqrt N, log|a_D(N)|) data and fit", _D | _N | {
+        "--window-min": {"type": int, "default": None},
+        "--window-max": {"type": int, "default": None},
+    } | _FORMAT),
+    "grid": (cmd_grid, "contour grid of eta(z) and eta(-1/z)", {
+        "--D": {"type": int, "default": 5},
+        "--re-min": {"type": float, "default": -6.0}, "--re-max": {"type": float, "default": 6.0},
+        "--im-min": {"type": float, "default": 0.1}, "--im-max": {"type": float, "default": 1.1},
+        "--re-steps": {"type": int, "default": 60}, "--im-steps": {"type": int, "default": 20},
+        "--nmax": {"type": int, "default": 300},
+    }),
+}
+
+
+def _build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hecke-eta",
         description="Eta analogues for Hecke groups H(sqrt(D)): exact "
@@ -561,80 +598,43 @@ def _build_parser() -> argparse.ArgumentParser:
         "verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", help="exact coefficients a_D(1..N)")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("delta5", help="tau_5(1..N) of the fifth-power series")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_delta5)
-
-    p = sub.add_parser("verify-table", help="recompute all golden coefficients")
-    p.set_defaults(func=cmd_verify_table)
-
-    p = sub.add_parser("verify-modularity", help="inversion/translation residuals")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--nmax", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=20240901)
-    p.set_defaults(func=cmd_verify_modularity)
-
-    p = sub.add_parser("oracle-check", help="convolution oracle vs the exact kernel")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.set_defaults(func=cmd_oracle_check)
-
-    p = sub.add_parser("partitions", help="p, p_nr and length-distribution tables")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.set_defaults(func=cmd_partitions)
-
-    p = sub.add_parser("lvalues", help="S_chi, exact L(-1), m, numeric L'(0)")
-    p.add_argument("--D", type=int, required=True)
-    p.set_defaults(func=cmd_lvalues)
-
-    p = sub.add_parser("periods", help="period polynomial coefficients")
-    p.add_argument("--D", type=int, required=True)
-    p.set_defaults(func=cmd_periods)
-
-    p = sub.add_parser("chars", help="character value row and residue lists")
-    p.add_argument("--D", type=int, required=True)
-    p.set_defaults(func=cmd_chars)
-
-    p = sub.add_parser("signs", help="sign pattern of the embedded coefficients")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.set_defaults(func=cmd_signs)
-
-    p = sub.add_parser("growth", help="(sqrt N, log|a_D(N)|) data and fit")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--window-min", type=int, default=None)
-    p.add_argument("--window-max", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("grid", help="contour grid of eta(z) and eta(-1/z)")
-    p.add_argument("--D", type=int, default=5)
-    p.add_argument("--re-min", type=float, default=-6.0)
-    p.add_argument("--re-max", type=float, default=6.0)
-    p.add_argument("--im-min", type=float, default=0.1)
-    p.add_argument("--im-max", type=float, default=1.1)
-    p.add_argument("--re-steps", type=int, default=60)
-    p.add_argument("--im-steps", type=int, default=20)
-    p.add_argument("--nmax", type=int, default=300)
-    p.set_defaults(func=cmd_grid)
-
+    for name, (func, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_canonical(argv) -> SimpleNamespace | None:
+    """_build_parser().parse_args(argv) if argv is [command, flag, value, ...]
+    with each flag an option of the command in full and once, each value not
+    beginning with "-" and of its option's type and choices, and each
+    required option given; else None, and argparse parses argv."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        kw = options.get(flag)
+        if kw is None or flag in given or text.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+    if any(kw.get("required") and flag not in given for flag, kw in options.items()):
+        return None
+    values = {f[2:].replace("-", "_"): given.get(f, kw.get("default")) for f, kw in options.items()}
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_canonical(argv) or _build_parser().parse_args(argv)
     D = getattr(args, "D", None)
     if D is not None:
         cap = D_CAP[args.command]

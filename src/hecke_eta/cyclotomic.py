@@ -19,8 +19,6 @@ Phi_D, built from integer Euler factors in partitions, as one identity of
 packed integers.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .characters import _prime_row_product, euler_phi, moebius

@@ -6,8 +6,6 @@ leading coefficients tau_5(N) of the fifth power of the D = 5 series.
 Hermetic on purpose: verification never fetches anything.
 """
 
-from __future__ import annotations
-
 from .quad_ring import RingElem
 
 # {D: {N: (a, b)}} with value (a + b*sqrt(D))/2

@@ -9,8 +9,6 @@ fundamental unit and h(D) the class number, both integers; the value is a
 `decimal.Decimal` to the requested digits.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from decimal import Context, Decimal, localcontext

@@ -26,8 +26,6 @@ until the final projection; of qseries only the generic slot helpers
 (_bound_bytes, _max_abs, _bias, _pack, _unpack) are shared.
 """
 
-from __future__ import annotations
-
 from .characters import build_char_table
 from .cyclotomic import project_to_quad
 from .partitions import _euler_product, distinct_length_distribution, length_distribution

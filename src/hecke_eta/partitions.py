@@ -11,8 +11,6 @@ p_ord(k, zeta_D^b), and their signed distinct-parts analogue e[k][r], the
 coefficients of prod(1 - zeta_D^a q^n).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from operator import add, sub
 

@@ -25,8 +25,6 @@ here (_bound_bytes, _pack, _unpack) and _pair_product is its one packed
 product; the oracle and the period-polynomial norm check pack with it too.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from operator import mul
 

@@ -8,8 +8,6 @@ plain numerator-pair integer lists (qseries); RingElem is the checked value
 those results are handed out as, compared, embedded and printed.
 """
 
-from __future__ import annotations
-
 import math
 
 

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import embed_mp, fundamental_discriminants
 
 from hecke_eta import analytic, cli
@@ -776,3 +777,130 @@ class TestEntryPoint:
         assert proc.returncode == 0
         rec = json.loads(proc.stdout)
         assert rec["D"] == 13
+
+
+def _fields(args):
+    """A namespace's attributes by repr, so that nan equals nan and 5 differs
+    from 5.0."""
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+# Option values: ints, floats as repr spells them (nan, inf, 1e-05, ...), the
+# choices of --format and one that is not, negative values and text that no
+# type converts.
+VALUES = st.one_of(
+    st.integers(-3, 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "1e-3", "-1e-3", "csv", "json", "xml", "", "five", "5.0", " 7", "1_0"]),
+)
+
+
+def _valid_values(keywords):
+    """Values that an option with these add_argument keywords accepts, so
+    that more drawn command lines are canonical; none for an unknown flag."""
+    if keywords is None:
+        return st.nothing()
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if keywords["type"] is int:
+        return st.integers(0, 10**6).map(str)
+    return st.floats(min_value=0).map(repr)
+
+
+class TestCanonicalParse:
+    """cli._parse_canonical reads a canonical command line from cli.COMMANDS
+    exactly as the argparse parser built from the same table does, and
+    leaves every other command line to argparse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_direct_parse_matches_argparse(self, data):
+        command = data.draw(st.sampled_from(sorted(cli.COMMANDS)))
+        options = cli.COMMANDS[command][2]
+        if data.draw(st.booleans()):  # the required options and some others, in any order
+            flags = [f for f, kw in options.items() if kw.get("required") or data.draw(st.booleans())]
+            chosen = data.draw(st.permutations(flags))
+        else:  # any flags, with repeats, omissions and an unknown one
+            chosen = data.draw(st.lists(st.sampled_from([*options, "--bogus"]), max_size=4))
+        argv = [command]
+        for flag in chosen:
+            valid = _valid_values(options.get(flag))
+            argv += [flag, data.draw(st.one_of(valid, valid, valid, VALUES))]  # mostly valid
+        args = cli._parse_canonical(argv)
+        if args is not None:
+            assert _fields(args) == _fields(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    @pytest.mark.parametrize("optional", [False, True])
+    def test_canonical_line_is_read_directly(self, command, optional):
+        argv = [command]
+        for flag, keywords in cli.COMMANDS[command][2].items():
+            if optional or keywords.get("required"):
+                argv += [flag, keywords["choices"][-1] if "choices" in keywords else "7"]
+        args = cli._parse_canonical(argv)
+        assert args is not None
+        assert _fields(args) == _fields(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--D", "5", "--N", "3", "--form", "json"],
+            ["coeffs", "--D=5", "--N", "3", "--format", "json"],
+            ["coeffs", "--D", "5", "--N", "3", "--format", "csv", "--format", "json"],
+        ],
+    )
+    def test_non_canonical_line_runs_through_argparse(self, capsys, monkeypatch, argv):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+        assert cli._parse_canonical(argv) is None
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, built) == (0, [1])
+        canonical = run_cli(capsys, "coeffs", "--D", "5", "--N", "3", "--format", "json")
+        assert canonical == (0, out, "")
+        assert built == [1]  # the canonical line built no parser
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--D", "5", "--N", "3", "--format", "xml"],
+            ["coeffs", "--D", "five", "--N", "3"],
+            ["coeffs", "--D", "5", "--N", "3", "--format"],
+            ["coeffs", "--D", "5"],
+            ["coeffs", "--D", "5", "--N", "3", "--bogus", "1"],
+            ["nope", "--D", "5"],
+        ],
+    )
+    def test_usage_error_is_left_to_argparse(self, capsys, argv):
+        assert cli._parse_canonical(argv) is None
+        with pytest.raises(SystemExit) as exit_usage:
+            cli.main(argv)
+        assert exit_usage.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: hecke-eta")
+
+    def test_negative_value_is_left_to_argparse(self, capsys):
+        """argparse reads -0.001 as a value but -1e-3, which its negative
+        number pattern does not match, as an option; --re-min=-1e-3 passes."""
+        for argv in (["grid", "--re-min", "-1e-3"], ["grid", "--re-min", "-0.001"]):
+            assert cli._parse_canonical(argv) is None
+        parser = cli._build_parser()
+        assert parser.parse_args(["grid", "--re-min", "-0.001"]).re_min == -1e-3
+        assert parser.parse_args(["grid", "--re-min=-1e-3"]).re_min == -1e-3
+        with pytest.raises(SystemExit) as exit_usage:
+            cli.main(["grid", "--re-min", "-1e-3"])
+        assert exit_usage.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --re-min: expected one argument\n")
+
+    def test_help_and_empty_argv_exit_as_argparse(self, capsys):
+        for argv in (["coeffs", "-h"], []):
+            assert cli._parse_canonical(argv) is None
+        with pytest.raises(SystemExit) as exit_help:
+            cli.main(["coeffs", "-h"])
+        out = capsys.readouterr().out
+        assert exit_help.value.code == 0
+        assert out.startswith("usage: hecke-eta coeffs [-h] --D D --N N [--format {csv,json}]\n")
+        with pytest.raises(SystemExit) as exit_empty:
+            cli.main([])
+        err = capsys.readouterr().err
+        assert exit_empty.value.code == 2
+        assert err.endswith("hecke-eta: error: the following arguments are required: command\n")

@@ -46,8 +46,10 @@ def test_module_imports_first(module):
     assert proc.returncode == 0, proc.stderr
 
 
-# Prints [exit code, mpmath loaded, the hecke_eta modules loaded, whether
-# dataclasses or inspect were loaded after the probe's own imports].
+# Prints [exit code, mpmath loaded, the hecke_eta modules loaded, whether a
+# heavy module (dataclasses, inspect, or argparse with gettext and locale,
+# which only help and usage errors need) was loaded after the probe's own
+# imports].
 CLI_PROBE = """
 import contextlib, io, json, sys
 before = set(sys.modules)
@@ -58,7 +60,7 @@ print(json.dumps([
     code,
     "mpmath" in sys.modules,
     sorted(m for m in sys.modules if m.startswith("hecke_eta.")),
-    bool({"dataclasses", "inspect"} & (set(sys.modules) - before)),
+    bool({"dataclasses", "inspect", "argparse", "gettext", "locale"} & (set(sys.modules) - before)),
 ]))
 """
 
@@ -119,7 +121,7 @@ def run_cli_probe(argv):
 def test_every_command_is_probed():
     from hecke_eta import cli
 
-    commands = set(cli._build_parser()._subparsers._group_actions[0].choices)
+    commands = set(cli.COMMANDS)
     assert commands == {argv.split()[0] for argv in COMMANDS}
     assert set(LAYERS) == commands
 
@@ -135,6 +137,13 @@ def test_command_loads_only_its_layers(argv):
     assert code == 0
     assert modules == sorted(f"hecke_eta.{m}" for m in LAYERS[argv.split()[0]])
     assert not heavy
+
+
+def test_abbreviated_option_still_runs():
+    """An abbreviation is left to argparse, which loads and still runs it."""
+    code, _, _, heavy = probe_cli("coeffs --D 5 --N 3 --form json")
+    assert code == 0
+    assert heavy
 
 
 LIB_PROBE = """
