@@ -12,20 +12,24 @@ the D = 5 valuation 1/5.  The product part
     prod_{n<=N} (1 - q^n)^chi(n) prod_{a mod D} (1 - zeta^a q^n)^chi(a)
 
 is summed as principal logs (each factor 1 - w has Re > 0 for |w| < 1) and
-exponentiated once, so near-real-axis points cannot overflow midway.  Up
-to the count of n <= N with |q|^n >= 1e-320, the untwisted half takes one
-log per n and the twisted half phi(D) logs per n up to a split point n0;
-for n0 < n <= N the Gauss sum
-sum_a chi(a) zeta^{am} = chi(m) sqrt(D) and a geometric sum over n give the
-same logs in closed form,
+exponentiated once, so near-real-axis points cannot overflow midway.  Each
+half takes direct logs up to its own split point and a closed form past it,
+to N exactly; direct factors stop at the count of n <= N with
+|q|^n >= 1e-320.  The twisted half takes phi(D) logs per n up to n0; for
+n0 < n <= N the Gauss sum sum_a chi(a) zeta^{am} = chi(m) sqrt(D) and a
+geometric sum over n give the same logs in closed form,
 
-    -sqrt(D) sum_{m>=1} (chi(m)/m) q^{m(n0+1)} (1 - q^{m(N-n0)}) / (1 - q^m),
+    -sqrt(D) sum_{m>=1} (chi(m)/m) q^{m(n0+1)} (1 - q^{m(N-n0)}) / (1 - q^m).
 
-summed until a bound on the remaining terms is below 2^-60.  The split is
-chosen per point from |q|, N and phi(D) to minimise the work; n0 = N is
-the plain product, so no point costs more than phi(D) + 1 logs per n.
-The per-D data (character table, q^v exponent, phi(D), roots of unity) is
-built once per D.
+The untwisted half takes one log per n up to nu; for nu < n <= N it is
+-sum_{m>=1} S_m(q^m)/m with S_m(x) = sum_{nu<n<=N} chi(n) x^n, which the
+periodicity of chi and chi summing to 0 over a period give in closed form
+from two polynomials of degree below D (_untwisted_series).  Both series
+are summed until a bound on the remaining terms is below 2^-60.  Each split
+is chosen per point from |q|, N and D to minimise the work; n0 = N and
+nu = count are the plain product, so no point costs more than phi(D) + 1
+logs per n.  The per-D data (character table, q^v exponent, phi(D), roots
+of unity) is built once per D.
 """
 
 import cmath
@@ -34,6 +38,7 @@ import random
 from collections import namedtuple
 from decimal import Context, Decimal, getcontext, localcontext
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .characters import build_char_table, euler_phi, prime_factors
 from .lseries import l_minus_one, l_prime_zero
@@ -56,8 +61,8 @@ def _q_rounds_to_one(D: int, height: float) -> bool:
     return math.exp(-2 * math.pi * height / math.sqrt(D)) == 1
 
 
-# The twisted series stops once the bound on its remaining terms, in the log
-# of the product, is below 2^-60.
+# Each series stops once the bound on its remaining terms, in the log of the
+# product, is below 2^-60.
 _LOG_EPS = -60 * math.log(2)
 
 # Direct factors stop after the last n with |q|^n = exp(-nL) >= 1e-320: a later
@@ -68,6 +73,13 @@ _LOG_FLOOR = 320 * math.log(10)
 # of the direct product, which weighs the split between the two: 3.6 us
 # against 0.36 us on a 2-vCPU x86-64 machine with Python 3.11.
 _TERM_COST = 10
+
+# Cost of one untwisted-series term besides its Horner steps (three expm1 and
+# one exp) in units of one direct untwisted factor (a step of q^n, and a log
+# where chi(n) != 0), which weighs that half's split: on the same machine a
+# term took 2.5-2.8 us plus 0.09 us a Horner step, against 0.21-0.31 us a
+# factor, at D from 5 to 1001 (_untwisted_term_cost).
+_UNTWISTED_TERM_COST = 10
 
 
 class _EtaData:
@@ -94,16 +106,17 @@ class _EtaData:
 _eta_data = lru_cache(maxsize=16)(_EtaData)
 
 
-def _series_ratio(L: float, n0: int, sqrt_d: float, log_eps: float) -> float:
-    """A real M + 1 from which the twisted series' tail is below exp(log_eps).
+def _series_ratio(L: float, n0: int, scale: float, log_eps: float) -> float:
+    """A real M + 1 from which a series' tail is below exp(log_eps).
 
-    With r = |q| = exp(-L), the terms after M, times sqrt(D), are bounded by
-    2 sqrt(D) r^{(M+1)(n0+1)} / ((M+1)(1-r)(1-r^{n0+1})); the value returned
-    makes the factor r^{(M+1)(n0+1)} alone bring that below the target.  It
-    may be inf where L underflows.
+    With r = |q| = exp(-L), the terms after M are bounded by
+    scale r^{(M+1)(n0+1)} / ((M+1)(1-r)(1-r^{n0+1})): the twisted series,
+    times sqrt(D), with scale = 2 sqrt(D), and the untwisted one with
+    scale = 1.  The value returned makes the factor r^{(M+1)(n0+1)} alone
+    bring that below the target.  It may be inf where L underflows.
     """
     k = (
-        math.log(2 * sqrt_d)
+        math.log(scale)
         - math.log(-math.expm1(-L))
         - math.log(-math.expm1(-(n0 + 1) * L))
         - log_eps
@@ -111,20 +124,49 @@ def _series_ratio(L: float, n0: int, sqrt_d: float, log_eps: float) -> float:
     return k / ((n0 + 1) * L)
 
 
-def _split(L: float, N: int, phi: int, sqrt_d: float) -> tuple[int, int, int]:
-    """(count, n0, M) at |q| = exp(-L): direct factors for n <= count =
-    min(N, floor(_LOG_FLOOR / L)), twisted only for n <= n0, and M series
-    terms for n0 < n <= N; n0 minimises n0 * phi + _TERM_COST * M over 0, N
-    and the two n0 next to the optimum n0 + 1 = sqrt(_TERM_COST * M(0) / phi)."""
-    count = int(min(N, _LOG_FLOOR // L))
-    best = (N * phi, N, 0.0)
-    opt = math.sqrt(_TERM_COST * _series_ratio(L, 0, sqrt_d, _LOG_EPS) / phi)
-    c = int(min(N, opt))
+def _cheapest(L: float, stop: int, per_n: float, per_term: float, scale: float) -> tuple[int, int]:
+    """(n0, M): direct factors for n <= n0 at per_n each and M series terms,
+    bound by scale (_series_ratio), at per_term each for n0 < n; n0 minimises
+    n0 * per_n + per_term * M over stop, where no series is taken, 0 and the
+    two n0 next to the optimum n0 + 1 = sqrt(per_term * M(0) / per_n)."""
+    best = (stop * per_n, stop, 0.0)
+    first = _series_ratio(L, 0, scale, _LOG_EPS)
+    c = int(min(stop, math.sqrt(per_term * first / per_n)))
     for n0 in {0, c - 1, c}:
-        if 0 <= n0 < N:
-            m = max(0.0, _series_ratio(L, n0, sqrt_d, _LOG_EPS) - 1)
-            best = min(best, (n0 * phi + _TERM_COST * m, n0, m))
-    return count, best[1], math.ceil(best[2])
+        if 0 <= n0 < stop:
+            m = max(0.0, (_series_ratio(L, n0, scale, _LOG_EPS) if n0 else first) - 1)
+            best = min(best, (n0 * per_n + per_term * m, n0, m))
+    return best[1], math.ceil(best[2])
+
+
+def _split(L: float, N: int, phi: int, sqrt_d: float) -> tuple[int, int, int]:
+    """(count, n0, M) at |q| = exp(-L) for the twisted half: direct factors
+    for n <= min(n0, count), count = min(N, floor(_LOG_FLOOR / L)), and M
+    Gauss-sum series terms for n0 < n <= N, n0 minimising
+    n0 * phi + _TERM_COST * M (_cheapest).  The untwisted half splits at its
+    own point, _untwisted_split(L, count, D)."""
+    count = int(min(N, _LOG_FLOOR // L))
+    n0, M = _cheapest(L, N, phi, _TERM_COST, 2 * sqrt_d)
+    return count, n0, M
+
+
+def _untwisted_term_cost(D: int) -> float:
+    """Cost of one untwisted-series term in units of one direct untwisted
+    factor: _UNTWISTED_TERM_COST, and two Horner passes of D - 1 + r < 2D
+    steps, 3D/2 on average, at a third of a factor each."""
+    return _UNTWISTED_TERM_COST + D / 2
+
+
+def _untwisted_split(L: float, count: int, D: int) -> tuple[int, int]:
+    """(nu, M) at |q| = exp(-L) for the untwisted half: direct factors for
+    n <= nu and M series terms (_untwisted_series) for nu < n <= N, where
+    nu = count takes no series; nu minimises nu + _untwisted_term_cost(D) * M
+    (_cheapest), and is count at once where one term costs as much as all
+    count factors."""
+    cost = _untwisted_term_cost(D)
+    if count <= cost:
+        return count, 0
+    return _cheapest(L, count, 1, cost, 1.0)
 
 
 def _expm1(w: complex) -> complex:
@@ -136,11 +178,49 @@ def _expm1(w: complex) -> complex:
     )
 
 
-def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
-    """log of the truncated product part of eta_D (no q^v prefactor), by _split.
+def _untwisted_series(chi, t: complex, nu: int, N: int, M: int) -> complex:
+    """sum_{m<=M} S_m(q^m) / m with q = exp(t), S_m(x) = sum_{nu<n<=N} chi(n) x^n,
+    so that sum_{nu<n<=N} chi(n) log(1 - q^n) is minus it, in closed form.
 
-    The character table comes with the per-D data, which is built once per D.
-    Raises ConditioningError where |q| rounds to 1 (_q_rounds_to_one).
+    With s = nu + 1, N - nu = J D + r and R(x) = sum_{i<D} C_i x^i, where
+    C_i = chi(s) + ... + chi(s+i): chi sums to 0 over a period, so C_{D-1} = 0
+    and sum_{i<D} chi(s+i) x^i = (1 - x) R(x), and
+
+        S_m(x) = x^s [(1-x) R(x) (1-x^{JD}) / (1-x^D) + x^{JD} sum_{i<r} chi(s+i) x^i],
+
+    each 1 - x^k taken as -_expm1(k m t), and x and x^{JD} as 1 plus those,
+    so nothing cancels where x is close to a D-th root of unity.
+    """
+    D = len(chi)
+    s = nu + 1
+    J, r = divmod(N - nu, D)
+    period = [chi[(s + i) % D] for i in range(D)]
+    sums = list(accumulate(period))[-2::-1]
+    head = period[r - 1 :: -1] if r else []
+    JD = J * D
+    total = 0.0 + 0.0j
+    for m in range(1, M + 1):
+        w = m * t
+        e1, eJ = _expm1(w), _expm1(JD * w)
+        x = 1 + e1
+        rx = px = 0.0 + 0.0j
+        for c in sums:
+            rx = rx * x + c
+        for c in head:
+            px = px * x + c
+        total += cmath.exp(s * w) * ((1 + eJ) * px - e1 * rx * eJ / _expm1(D * w)) / m
+    return total
+
+
+def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
+    """log of the truncated product part of eta_D (no q^v prefactor).
+
+    The twisted half takes direct factors for n <= min(n0, count) and the
+    Gauss-sum series past n0 (_split); the untwisted half takes direct
+    factors for n <= nu and its own series past nu (_untwisted_split).  Both
+    series run to n_max exactly.  The character table comes with the per-D
+    data, which is built once per D.  Raises ConditioningError where |q|
+    rounds to 1 (_q_rounds_to_one).
     """
     z = _require_upper(z)
     if _q_rounds_to_one(D, z.imag):
@@ -149,15 +229,18 @@ def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
     chi = data.chi
     t = 2j * math.pi * z / data.sqrt_d
     q = cmath.exp(t)
-    count, n0, M = _split(-t.real, n_max, data.phi, data.sqrt_d)
+    L = -t.real
+    count, n0, M = _split(L, n_max, data.phi, data.sqrt_d)
+    nu, M_u = _untwisted_split(L, count, D)
     plus, minus = data.roots if n0 else ([], [])
     total = 0.0 + 0.0j
     qn = 1.0 + 0.0j
-    for n in range(1, count + 1):
+    for n in range(1, max(nu, min(n0, count)) + 1):
         qn *= q
-        e = chi[n % D]
-        if e:
-            total += e * cmath.log(1 - qn)
+        if n <= nu:
+            e = chi[n % D]
+            if e:
+                total += e * cmath.log(1 - qn)
         if n <= n0:
             total += sum(cmath.log(1 - w * qn) for w in plus)
             total -= sum(cmath.log(1 - w * qn) for w in minus)
@@ -167,7 +250,10 @@ def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
         if c:
             w = m * t
             series += c / m * cmath.exp((n0 + 1) * w) * _expm1((n_max - n0) * w) / _expm1(w)
-    return total - data.sqrt_d * series
+    total -= data.sqrt_d * series
+    if nu < count:
+        total -= _untwisted_series(chi, t, nu, n_max, M_u)
+    return total
 
 
 def eval_eta_numeric(D: int, z: complex, n_max: int = 300) -> complex:
@@ -184,16 +270,18 @@ def check_inversion(D: int, z: complex, n_max: int = 300) -> float:
     return abs(eval_eta_numeric(D, -1 / z, n_max) - eval_eta_numeric(D, z, n_max))
 
 
-def check_translation(D: int, z: complex, n_max: int = 300) -> float:
-    """Residual |eta_D(z + sqrt(D)) - u * eta_D(z)|.
+def _translation_u(D: int) -> complex | float:
+    """u of the translation law eta_D(z + sqrt(D)) = u * eta_D(z):
+    exp(2 pi i / 5) for D = 5 and 1 for D > 5."""
+    return cmath.exp(2j * math.pi / 5) if D == 5 else 1.0
 
-    u = exp(2 pi i / 5) for D = 5 and u = 1 for D > 5.
-    """
+
+def check_translation(D: int, z: complex, n_max: int = 300) -> float:
+    """Residual |eta_D(z + sqrt(D)) - u * eta_D(z)|, u = _translation_u(D)."""
     z = _require_upper(z)
-    u = cmath.exp(2j * math.pi / 5) if D == 5 else 1.0
     return abs(
         eval_eta_numeric(D, z + math.sqrt(D), n_max)
-        - u * eval_eta_numeric(D, z, n_max)
+        - _translation_u(D) * eval_eta_numeric(D, z, n_max)
     )
 
 
@@ -247,7 +335,7 @@ def _log_phi_sharp(chi, y: float, n_max: int, digits: int) -> Decimal:
     D = len(chi)
     L = 2 * math.pi / (y * math.sqrt(D))
     log_eps = -(digits + 8) * math.log(10)
-    M = math.ceil(max(0.0, _series_ratio(L, 0, math.sqrt(D), log_eps) - 1))
+    M = math.ceil(max(0.0, _series_ratio(L, 0, 2 * math.sqrt(D), log_eps) - 1))
     guard = math.ceil(max(0.0, -math.log10(L)))
     with localcontext(Context(prec=digits + 10 + guard)):
         sqrt_d = Decimal(D).sqrt()

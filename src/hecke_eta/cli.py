@@ -37,13 +37,14 @@ ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
 # N 1..5000, that took at least 1 s, up to 157 s and 93 MB; partitions: the
 # 35 of 53 runs, D 5..900001, N 0..20000, that took at least 1 s, up to 51
 # s, and 20 runs at D 30005..999997, N 0..300, up to 4.3 s; the numeric
-# model: 27 runs, D 5..2000001, nmax 1..100000, up to 36 s; the series
-# model: 23 runs of coeffs, D 5..3999997, N 1..17000, up to 67 s, where
-# signs and growth cost the same) and scaled so that none of those runs took
-# longer than predicted, with a 1.2x margin in oracle-check and partitions,
-# whose repeated runs vary by that much; they over-predict by up to 2.9x,
-# 2.4x (where the table, not the character table, dominates), 2.7x (both
-# numeric commands from 1 s up at --nmax up to 10^5, 4.3x at 10^7) and 1.9x.
+# model: the 17 runs listed in ROADMAP.md, D 5..1425237, nmax 1..3 * 10^7,
+# up to 58 s; the series model: 23 runs of coeffs, D 5..3999997, N
+# 1..17000, up to 67 s, where signs and growth cost the same) and scaled so
+# that none of those runs took longer than predicted, with a 1.2x margin in
+# oracle-check and partitions, whose repeated runs vary by that much; they
+# over-predict by up to 2.9x, 2.4x (where the table, not the character
+# table, dominates), 2.5x (both numeric commands from 1 s up, at every
+# --nmax) and 1.9x.
 TIME_BUDGET_S = 60
 
 # Seconds per unit of D of the character table and the other O(D) work of
@@ -156,24 +157,30 @@ def cmd_verify_table(args) -> int:
 
 
 # Predicted seconds of one truncated product besides its logs (_product_s):
-# the call, the split and its share of the printed row.  `grid --D 5
+# the call, the splits and its share of the printed row.  `grid --D 5
 # --re-steps 300 --im-steps 300 --nmax 1`, 180000 products of one log each,
-# took 4.8 s end to end.  No product costs less, which bounds the point count
-# of grid before its points are built.
+# took 4.8 s end to end, and 4.9-5.5 s in five re-timed runs.  No product
+# costs less, which bounds the point count of grid before its points are
+# built.
 PRODUCT_BASE_S = 3e-5
 NUMERIC_DATA_S_PER_D = 6e-6
 
 
 def _product_s(D: int, nmax: int, height: float) -> float:
     """Predicted seconds of one truncated product at Im z = height, by the
-    plan (count, n0, M) of analytic._split at L = 2 pi height / sqrt(D):
-    count untwisted logs at 0.9 us, and min(n0, count) direct twisted factors
-    of phi(D) + 6 logs and M series terms of _TERM_COST logs at 0.4 us."""
+    plans of analytic._split and _untwisted_split at L = 2 pi height /
+    sqrt(D): nu direct untwisted factors and M_u untwisted-series terms of
+    _untwisted_term_cost(D) factors at 0.9 us, and min(n0, count) direct
+    twisted factors of phi(D) + 6 logs and M series terms of _TERM_COST logs
+    at 0.4 us."""
     from . import analytic
 
     phi = euler_phi(D)
-    count, n0, M = analytic._split(2 * math.pi * height / math.sqrt(D), nmax, phi, math.sqrt(D))
-    return PRODUCT_BASE_S + 9e-7 * count + 4e-7 * (min(n0, count) * (phi + 6) + analytic._TERM_COST * M)
+    L = 2 * math.pi * height / math.sqrt(D)
+    count, n0, M = analytic._split(L, nmax, phi, math.sqrt(D))
+    nu, M_u = analytic._untwisted_split(L, count, D)
+    untwisted = nu + analytic._untwisted_term_cost(D) * M_u
+    return PRODUCT_BASE_S + 9e-7 * untwisted + 4e-7 * (min(n0, count) * (phi + 6) + analytic._TERM_COST * M)
 
 
 def _height_bin(h: float) -> float:
@@ -190,10 +197,12 @@ def _numeric_s(D: int, nmax: int, heights) -> float:
     for the per-D data (character table, roots of unity), built once.
 
     An upper bound on end-to-end runs, D 5..1425237, nmax 1..3 * 10^7, up
-    to 50 s (listed in ROADMAP.md): from 1 s up it over-predicts by 1.6x to
-    2.7x at --nmax up to 10^5 (verify-modularity --D 5 --samples 50113, the
-    most accepted, took 22-24 s) and by 2.5x to 4.3x at 10^7 and above.
-    Start-up, which no term charges, can exceed a prediction below a second."""
+    to 58 s (listed in ROADMAP.md): from 1 s up it over-predicts by 1.04x
+    to 2.5x, at every --nmax alike.  The least margin is at D = 5, where a
+    product is mostly its fixed cost: verify-modularity --D 5 --samples
+    236175, the most accepted, took 43-58 s against 60 s, the slowest run on
+    a loaded machine.  Start-up, which no term charges, can exceed a
+    prediction below a second."""
     counts = Counter(map(_height_bin, heights))
     return NUMERIC_DATA_S_PER_D * D + sum(n * _product_s(D, nmax, h) for h, n in counts.items())
 
@@ -205,7 +214,7 @@ def _samples_floor_s(D: int, nmax: int, samples: int) -> float:
     from . import analytic
 
     lo, hi = analytic.SAMPLE_IM_RANGE
-    one = 3 * _product_s(D, nmax, hi) + _product_s(D, nmax, 1 / lo)
+    one = 2 * _product_s(D, nmax, hi) + _product_s(D, nmax, 1 / lo)
     return NUMERIC_DATA_S_PER_D * D + samples * one
 
 
@@ -227,13 +236,25 @@ def _axis(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / max(1, steps - 1) for i in range(steps)]
 
 
-def _residual(check, D: int, z: complex, nmax: int) -> float:
-    """A law-check residual; inf where the truncated product overflows the
-    float range, which then reads as a failed point."""
-    try:
-        return check(D, z, nmax)
-    except OverflowError:
-        return math.inf
+def _law_residuals(D: int, z: complex, nmax: int) -> tuple[float, float]:
+    """The residuals of analytic.check_inversion and check_translation at z,
+    |eta(-1/z) - eta(z)| and |eta(z + sqrt(D)) - u * eta(z)|, from one
+    evaluation of eta_D(z); inf in each whose truncated product overflows
+    the float range, which then reads as a failed point."""
+    from . import analytic
+
+    def eta(w: complex) -> complex | None:
+        try:
+            return analytic.eval_eta_numeric(D, w, nmax)
+        except OverflowError:
+            return None
+
+    at_z, inv, tra = eta(z), eta(-1 / z), eta(z + math.sqrt(D))
+    u = analytic._translation_u(D)
+    return (
+        math.inf if at_z is None or inv is None else abs(inv - at_z),
+        math.inf if at_z is None or tra is None else abs(tra - u * at_z),
+    )
 
 
 def cmd_verify_modularity(args) -> int:
@@ -246,17 +267,16 @@ def cmd_verify_modularity(args) -> int:
     if _samples_floor_s(args.D, args.nmax, args.samples) > TIME_BUDGET_S:
         return _usage_error("--samples and --nmax exceed the time budget")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
-    # check_inversion evaluates -1/z and z, check_translation z + sqrt(D) and z
+    # _law_residuals evaluates z, -1/z and z + sqrt(D)
     def heights():
-        return (h for z in points for h in ((-1 / z).imag, z.imag, z.imag, z.imag))
+        return (h for z in points for h in ((-1 / z).imag, z.imag, z.imag))
 
     if refusal := _numeric_refusal(args.D, args.nmax, "--samples and --nmax", heights):
         return _usage_error(refusal)
     worst = 0.0
     failures = 0
     for z in points:
-        r_inv = _residual(analytic.check_inversion, args.D, z, args.nmax)
-        r_tra = _residual(analytic.check_translation, args.D, z, args.nmax)
+        r_inv, r_tra = _law_residuals(args.D, z, args.nmax)
         worst = max(worst, r_inv, r_tra)
         ok = r_inv < args.tol and r_tra < args.tol
         if not ok:

@@ -79,6 +79,19 @@ def _split_kind(D, z, n_max):
     return "direct" if n0 == n_max else ("series" if n0 == 0 else "mixed")
 
 
+def _plans(D, z, n_max):
+    """The truncation plans (count, n0, M) and (nu, M_u) of log_eta_tail at z."""
+    data = analytic._eta_data(D)
+    L = 2 * math.pi * z.imag / data.sqrt_d
+    count, n0, M = analytic._split(L, n_max, data.phi, data.sqrt_d)
+    return (count, n0, M), analytic._untwisted_split(L, count, D)
+
+
+def _untwisted_kind(D, z, n_max):
+    (count, _, _), (nu, M_u) = _plans(D, z, n_max)
+    return "direct" if nu == count else ("series" if nu == 0 and M_u else "mixed")
+
+
 class TestAgainstDirectProduct:
     """The split evaluation equals the direct product at the same truncation
     (tests/oracles.py) to 1e-10 relative, compared as exp of the log
@@ -128,6 +141,38 @@ class TestAgainstDirectProduct:
         z = complex(0.3, 1.0)
         kinds = {_split_kind(5, z, 1), _split_kind(5, z, 300), _split_kind(1001, 3 * z, 300)}
         assert kinds == {"direct", "mixed", "series"}
+
+    @pytest.mark.parametrize(
+        "D, height, n_max",
+        [
+            (5, 1e-3, 10**5), (5, 1e-3, 3000), (5, 0.01, 1000), (5, 0.1, 3000),
+            (13, 1e-3, 10**5), (13, 1e-3, 3000), (13, 0.03, 300), (65, 0.01, 1000),
+            (65, 0.1, 3000), (101, 0.03, 1000), (101, 0.1, 3000), (1001, 0.05, 3000),
+        ],
+    )
+    def test_untwisted_series_near_the_axis(self, D, height, n_max):
+        """Points where the untwisted half takes its series: at a random Re z
+        and at arg q = 2 pi k / D, where q^m passes close to the D-th roots of
+        unity.  Where n_max L is below about 20, |q|^{n_max} is not negligible,
+        so the last, partial period of the series shows."""
+        rng = random.Random(D * n_max)
+        for re in (rng.uniform(-1, 1) * math.sqrt(D) / 2, rng.randrange(1, D) / math.sqrt(D)):
+            z = complex(re, height)
+            assert _untwisted_kind(D, z, n_max) == "mixed"
+            self._assert_agrees(D, z, n_max)
+
+    def test_all_three_untwisted_plans_are_covered(self):
+        """nu = count takes no untwisted series, nu = 0 takes it for every n;
+        the series alone is cheapest only where one term nearly meets the
+        2^-60 target, as at D = 5, height 14.4."""
+        plans = {
+            (5, 1.0j, 1): "direct",
+            (5, 0.3 + 1.0j, 300): "mixed",
+            (5, 0.3 + 14.4j, 300): "series",
+        }
+        for (D, z, n_max), kind in plans.items():
+            assert _untwisted_kind(D, z, n_max) == kind
+            self._assert_agrees(D, z, n_max)
 
     @pytest.mark.parametrize("n_max", [1, 50, 400])
     @pytest.mark.parametrize("D", [5, 21, 29])
@@ -227,6 +272,21 @@ class TestWords:
                 m01[0] * m10[1] + m01[1] * m10[0]
             )
             assert (det_u, det_v) == (1, 0)
+
+    def test_deepest_seed_word_plan_is_small(self):
+        """The word whose two heights need n_eff = 2 * 10^6 takes fewer than
+        10^5 log-equivalents (direct logs, and series terms at their cost),
+        where the direct untwisted product alone took 2 * 10^6 logs a height."""
+        w = word_matrix([-1, -3, -2, -1, 3, -1, 3, 3, 3, 3], 5)
+        z = analytic.adapted_point(w)
+        phi, cost = 4, 0.0
+        for h in (z.imag, w.apply(z).imag):
+            assert int(22 * math.sqrt(5) / (2 * math.pi * h)) + 1 > 2_000_000
+            (count, n0, M), (nu, M_u) = _plans(5, complex(0, h), 2_000_000)
+            assert count == 2_000_000
+            cost += min(n0, count) * phi + analytic._TERM_COST * M
+            cost += nu + analytic._untwisted_term_cost(5) * M_u
+        assert cost < 10**5
 
     def test_numeric_multiplier_on_random_words(self):
         for w in random_words(25, max_len=6, k_range=2, seed=13):

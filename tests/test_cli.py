@@ -139,6 +139,20 @@ class TestSmallCommands:
         assert code == 0
         assert out.count("PASS") == 3
 
+    @pytest.mark.parametrize("D", [5, 13, 101])
+    def test_verify_modularity_residuals_are_the_law_checks(self, capsys, D):
+        """eta(z) is evaluated once a sample, and each printed residual is
+        still the formatted check_inversion and check_translation value."""
+        _, out, _ = run_cli(capsys, "verify-modularity", "--D", str(D), "--samples", "6")
+        points = analytic.sample_half_plane_points(D, 6)
+        lines = out.splitlines()[:-1]
+        assert len(lines) == len(points)
+        for z, line in zip(points, lines):
+            assert line.endswith(
+                f"+{z.imag:.17g}i inversion={analytic.check_inversion(D, z, 300):.3e} "
+                f"translation={analytic.check_translation(D, z, 300):.3e}"
+            )
+
     def test_verify_modularity_overflow_is_a_failed_point(self, capsys):
         """At D = 1001 the fifth default sample overflows the float range in
         eta(-1/z): that point fails with residual inf, the rest still print."""
@@ -371,7 +385,7 @@ class TestNumericBudget:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("grid", "--D", "5", "--im-min", "1e-6", "--im-max", "1e-6", "--re-steps", "1",
+            ("grid", "--D", "5", "--im-min", "1e-12", "--im-max", "1e-12", "--re-steps", "1",
              "--im-steps", "1", "--nmax", "100000000"),
             ("verify-modularity", "--D", "5", "--samples", "100000000"),
         ],
@@ -420,7 +434,7 @@ class TestNumericBudget:
         assert "time budget" in err
 
     def test_sample_count_refused_before_sampling(self, capsys, monkeypatch):
-        """verify-modularity makes four products a sample; the least sample
+        """verify-modularity makes three products a sample; the least sample
         count whose lower bound (_samples_floor_s) exceeds the budget is
         refused before any point is drawn."""
         monkeypatch.setattr(analytic, "sample_half_plane_points", None)
@@ -558,10 +572,10 @@ def _run_timed(*argv):
 
 def _sample_heights(D, samples):
     """The heights verify-modularity evaluates at its samples z at the
-    default seed and analytic.SAMPLE_IM_RANGE: -1/z, then z three times
-    (z + sqrt(D) has the height of z)."""
+    default seed and analytic.SAMPLE_IM_RANGE: -1/z, then z twice (z + sqrt(D)
+    has the height of z)."""
     points = analytic.sample_half_plane_points(D, samples)
-    return [h for z in points for h in ((-1 / z).imag, z.imag, z.imag, z.imag)]
+    return [h for z in points for h in ((-1 / z).imag, z.imag, z.imag)]
 
 
 def _default_grid_heights(re_steps, im_steps):
