@@ -14,8 +14,7 @@ the D = 5 valuation 1/5.  The product part
 is summed as principal logs (each factor 1 - w has Re > 0 for |w| < 1) and
 exponentiated once, so near-real-axis points cannot overflow midway.  Each
 half takes direct logs up to its own split point and a closed form past it,
-to N exactly; direct factors stop at the count of n <= N with
-|q|^n >= 1e-320.  The twisted half takes phi(D) logs per n up to n0; for
+to N exactly.  The twisted half takes phi(D) logs per n up to n0; for
 n0 < n <= N the Gauss sum sum_a chi(a) zeta^{am} = chi(m) sqrt(D) and a
 geometric sum over n give the same logs in closed form,
 
@@ -24,12 +23,14 @@ geometric sum over n give the same logs in closed form,
 The untwisted half takes one log per n up to nu; for nu < n <= N it is
 -sum_{m>=1} S_m(q^m)/m with S_m(x) = sum_{nu<n<=N} chi(n) x^n, which the
 periodicity of chi and chi summing to 0 over a period give in closed form
-from two polynomials of degree below D (_untwisted_series).  Both series
-are summed until a bound on the remaining terms is below 2^-60.  Each split
-is chosen per point from |q|, N and D to minimise the work; n0 = N and
-nu = count are the plain product, so no point costs more than phi(D) + 1
-logs per n.  The per-D data (character table, q^v exponent, phi(D), roots
-of unity) is built once per D.
+from two polynomials of degree below D (_untwisted_series).  One rule
+truncates both halves: what a plan leaves out, series terms or direct
+factors, is bounded below 2^-60 in the log of the product.  Each split is
+chosen per point from |q|, N and D to minimise the work (_plan); a plan
+without series is the plain product, stopped where its dropped factors
+meet that bound, so no point costs more than phi(D) + 1 logs per n.  The
+per-D data (character table, q^v exponent, phi(D), roots of unity) is
+built once per D.
 """
 
 import cmath
@@ -61,13 +62,9 @@ def _q_rounds_to_one(D: int, height: float) -> bool:
     return math.exp(-2 * math.pi * height / math.sqrt(D)) == 1
 
 
-# Each series stops once the bound on its remaining terms, in the log of the
-# product, is below 2^-60.
+# Each series, and the direct product where it takes no series, stops once the
+# bound on what it leaves out, in the log of the product, is below 2^-60.
 _LOG_EPS = -60 * math.log(2)
-
-# Direct factors stop after the last n with |q|^n = exp(-nL) >= 1e-320: a later
-# one can move only a log below ~1e-304 in size, where |q| < 1e-304 and q^2 = 0.
-_LOG_FLOOR = 320 * math.log(10)
 
 # Cost of one twisted-series term (two expm1 and one exp) in units of one log
 # of the direct product, which weighs the split between the two: 3.6 us
@@ -124,30 +121,28 @@ def _series_ratio(L: float, n0: int, scale: float, log_eps: float) -> float:
     return k / ((n0 + 1) * L)
 
 
-def _cheapest(L: float, stop: int, per_n: float, per_term: float, scale: float) -> tuple[int, int]:
+def _cheapest(L: float, N: int, per_n: float, per_term: float, scale: float) -> tuple[int, int]:
     """(n0, M): direct factors for n <= n0 at per_n each and M series terms,
-    bound by scale (_series_ratio), at per_term each for n0 < n; n0 minimises
-    n0 * per_n + per_term * M over stop, where no series is taken, 0 and the
-    two n0 next to the optimum n0 + 1 = sqrt(per_term * M(0) / per_n)."""
-    best = (stop * per_n, stop, 0.0)
+    bound by scale (_series_ratio), at per_term each for n0 < n <= N.
+
+    Without a series the product stops at stop = min(N, ceil(M(0)) - 1),
+    the least n0 past which the dropped factors, the whole series from
+    n0 + 1, are below the target.  That plan is taken at once where it costs
+    no more than one term; else n0 minimises n0 * per_n + per_term * M over
+    stop, 0 and the two n0 next to the optimum
+    n0 + 1 = sqrt(per_term * M(0) / per_n).
+    """
     first = _series_ratio(L, 0, scale, _LOG_EPS)
+    stop = math.ceil(min(first, N + 1)) - 1
+    if stop * per_n <= per_term:
+        return stop, 0
+    best = (stop * per_n, stop, 0.0)
     c = int(min(stop, math.sqrt(per_term * first / per_n)))
     for n0 in {0, c - 1, c}:
         if 0 <= n0 < stop:
             m = max(0.0, (_series_ratio(L, n0, scale, _LOG_EPS) if n0 else first) - 1)
             best = min(best, (n0 * per_n + per_term * m, n0, m))
     return best[1], math.ceil(best[2])
-
-
-def _split(L: float, N: int, phi: int, sqrt_d: float) -> tuple[int, int, int]:
-    """(count, n0, M) at |q| = exp(-L) for the twisted half: direct factors
-    for n <= min(n0, count), count = min(N, floor(_LOG_FLOOR / L)), and M
-    Gauss-sum series terms for n0 < n <= N, n0 minimising
-    n0 * phi + _TERM_COST * M (_cheapest).  The untwisted half splits at its
-    own point, _untwisted_split(L, count, D)."""
-    count = int(min(N, _LOG_FLOOR // L))
-    n0, M = _cheapest(L, N, phi, _TERM_COST, 2 * sqrt_d)
-    return count, n0, M
 
 
 def _untwisted_term_cost(D: int) -> float:
@@ -157,16 +152,15 @@ def _untwisted_term_cost(D: int) -> float:
     return _UNTWISTED_TERM_COST + D / 2
 
 
-def _untwisted_split(L: float, count: int, D: int) -> tuple[int, int]:
-    """(nu, M) at |q| = exp(-L) for the untwisted half: direct factors for
-    n <= nu and M series terms (_untwisted_series) for nu < n <= N, where
-    nu = count takes no series; nu minimises nu + _untwisted_term_cost(D) * M
-    (_cheapest), and is count at once where one term costs as much as all
-    count factors."""
-    cost = _untwisted_term_cost(D)
-    if count <= cost:
-        return count, 0
-    return _cheapest(L, count, 1, cost, 1.0)
+def _plan(L: float, N: int, D: int, phi: int) -> tuple[int, int, int, int]:
+    """(n0, M, nu, M_u) at |q| = exp(-L), truncation N, by _cheapest: the
+    twisted half takes direct factors for n <= n0 at phi(D) logs each and M
+    Gauss-sum series terms for n0 < n <= N at _TERM_COST; the untwisted half
+    takes direct factors for n <= nu and M_u series terms (_untwisted_series)
+    for nu < n <= N at _untwisted_term_cost(D)."""
+    n0, M = _cheapest(L, N, phi, _TERM_COST, 2 * math.sqrt(D))
+    nu, M_u = _cheapest(L, N, 1, _untwisted_term_cost(D), 1.0)
+    return n0, M, nu, M_u
 
 
 def _expm1(w: complex) -> complex:
@@ -215,12 +209,11 @@ def _untwisted_series(chi, t: complex, nu: int, N: int, M: int) -> complex:
 def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
     """log of the truncated product part of eta_D (no q^v prefactor).
 
-    The twisted half takes direct factors for n <= min(n0, count) and the
-    Gauss-sum series past n0 (_split); the untwisted half takes direct
-    factors for n <= nu and its own series past nu (_untwisted_split).  Both
-    series run to n_max exactly.  The character table comes with the per-D
-    data, which is built once per D.  Raises ConditioningError where |q|
-    rounds to 1 (_q_rounds_to_one).
+    The twisted half takes direct factors for n <= n0 and the Gauss-sum
+    series past n0; the untwisted half takes direct factors for n <= nu and
+    its own series past nu (_plan).  Both series run to n_max exactly.  The
+    character table comes with the per-D data, which is built once per D.
+    Raises ConditioningError where |q| rounds to 1 (_q_rounds_to_one).
     """
     z = _require_upper(z)
     if _q_rounds_to_one(D, z.imag):
@@ -230,12 +223,11 @@ def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
     t = 2j * math.pi * z / data.sqrt_d
     q = cmath.exp(t)
     L = -t.real
-    count, n0, M = _split(L, n_max, data.phi, data.sqrt_d)
-    nu, M_u = _untwisted_split(L, count, D)
+    n0, M, nu, M_u = _plan(L, n_max, D, data.phi)
     plus, minus = data.roots if n0 else ([], [])
     total = 0.0 + 0.0j
     qn = 1.0 + 0.0j
-    for n in range(1, max(nu, min(n0, count)) + 1):
+    for n in range(1, max(nu, n0) + 1):
         qn *= q
         if n <= nu:
             e = chi[n % D]
@@ -251,7 +243,7 @@ def log_eta_tail(D: int, z: complex, n_max: int) -> complex:
             w = m * t
             series += c / m * cmath.exp((n0 + 1) * w) * _expm1((n_max - n0) * w) / _expm1(w)
     total -= data.sqrt_d * series
-    if nu < count:
+    if M_u:
         total -= _untwisted_series(chi, t, nu, n_max, M_u)
     return total
 
@@ -484,18 +476,17 @@ def adapted_point(w: GroupWord) -> complex:
     return complex(-d / c, t / c)
 
 
-# check_u_gamma truncates at no fewer than U_GAMMA_N_MAX factors and refuses
-# a point, z or gamma z, lower than U_GAMMA_MIN_HEIGHT.
-U_GAMMA_N_MAX = 300
+# check_u_gamma refuses a point, z or gamma z, lower than U_GAMMA_MIN_HEIGHT.
 U_GAMMA_MIN_HEIGHT = 1e-7
 
 
 def check_u_gamma(w: GroupWord, z: complex | None = None) -> float:
     """Residual |eta_5(gamma z)/eta_5(z) - exp(2 pi i u/5)|.
 
-    With z = None an adapted, well-conditioned point is chosen.  The
-    truncation is raised from U_GAMMA_N_MAX so the tail stays below the 1e-4
-    scale even for contracting words.  An explicit z raises
+    With z = None an adapted, well-conditioned point is chosen.  Both
+    products are truncated where the twisted half's dropped factors at the
+    lower point, bounded by its series (_series_ratio), are below 2^-60;
+    the untwisted half's bound is smaller, and at the higher point both are.  An explicit z raises
     ConditioningError when z or gamma z sits too close to the real axis for
     any reasonable truncation.
     """
@@ -509,9 +500,8 @@ def check_u_gamma(w: GroupWord, z: complex | None = None) -> float:
         raise ConditioningError(
             f"evaluation height {h:.2e} below {U_GAMMA_MIN_HEIGHT:.0e}; |cz+d| too small"
         )
-    # tail of log eta is below ~(phi(D)+1) |q|^{n}/(1-|q|); force exponent 22
-    n_needed = int(22 * math.sqrt(5) / (2 * math.pi * h)) + 1
-    n_eff = max(U_GAMMA_N_MAX, min(n_needed, 2_000_000))
+    L = 2 * math.pi * h / math.sqrt(5)
+    n_eff = math.ceil(_series_ratio(L, 0, 2 * math.sqrt(5), _LOG_EPS)) - 1
     log_ratio = (
         2j * math.pi * _eta_data(5).v * (gz - z) / math.sqrt(5)
         + log_eta_tail(5, gz, n_eff)

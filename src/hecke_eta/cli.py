@@ -168,19 +168,16 @@ NUMERIC_DATA_S_PER_D = 6e-6
 
 def _product_s(D: int, nmax: int, height: float) -> float:
     """Predicted seconds of one truncated product at Im z = height, by the
-    plans of analytic._split and _untwisted_split at L = 2 pi height /
-    sqrt(D): nu direct untwisted factors and M_u untwisted-series terms of
-    _untwisted_term_cost(D) factors at 0.9 us, and min(n0, count) direct
-    twisted factors of phi(D) + 6 logs and M series terms of _TERM_COST logs
-    at 0.4 us."""
+    plan of analytic._plan at L = 2 pi height / sqrt(D): nu direct untwisted
+    factors and M_u untwisted-series terms of _untwisted_term_cost(D) factors
+    at 0.9 us, and n0 direct twisted factors of phi(D) + 6 logs and M series
+    terms of _TERM_COST logs at 0.4 us."""
     from . import analytic
 
     phi = euler_phi(D)
-    L = 2 * math.pi * height / math.sqrt(D)
-    count, n0, M = analytic._split(L, nmax, phi, math.sqrt(D))
-    nu, M_u = analytic._untwisted_split(L, count, D)
+    n0, M, nu, M_u = analytic._plan(2 * math.pi * height / math.sqrt(D), nmax, D, phi)
     untwisted = nu + analytic._untwisted_term_cost(D) * M_u
-    return PRODUCT_BASE_S + 9e-7 * untwisted + 4e-7 * (min(n0, count) * (phi + 6) + analytic._TERM_COST * M)
+    return PRODUCT_BASE_S + 9e-7 * untwisted + 4e-7 * (n0 * (phi + 6) + analytic._TERM_COST * M)
 
 
 def _height_bin(h: float) -> float:
@@ -200,9 +197,10 @@ def _numeric_s(D: int, nmax: int, heights) -> float:
     to 58 s (listed in ROADMAP.md): from 1 s up it over-predicts by 1.04x
     to 2.5x, at every --nmax alike.  The least margin is at D = 5, where a
     product is mostly its fixed cost: verify-modularity --D 5 --samples
-    236175, the most accepted, took 43-58 s against 60 s, the slowest run on
-    a loaded machine.  Start-up, which no term charges, can exceed a
-    prediction below a second."""
+    238898, the most accepted at --nmax 300, took 27-36 s against 60 s, and
+    43-58 s at 236175 samples on a loaded machine (the most accepted at
+    D = 101 and 1001 took 29-36 and 25-36 s).  Start-up, which no term
+    charges, can exceed a prediction below a second."""
     counts = Counter(map(_height_bin, heights))
     return NUMERIC_DATA_S_PER_D * D + sum(n * _product_s(D, nmax, h) for h, n in counts.items())
 
@@ -627,17 +625,19 @@ def _build_parser() -> "argparse.ArgumentParser":
 
 
 def _parse_canonical(argv) -> SimpleNamespace | None:
-    """_build_parser().parse_args(argv) if argv is [command, flag, value, ...]
-    with each flag an option of the command in full and once, each value not
-    beginning with "-" and of its option's type and choices, and each
-    required option given; else None, and argparse parses argv."""
+    """The namespace of _build_parser() for argv if argv is [command, flag,
+    value, ...] with each flag an option of the command in full and once,
+    each value of its option's type and choices, and each required option
+    given; else None, and argparse parses argv.  A value is read as argparse
+    reads --flag=value, so -1e-3, which argparse alone takes for an option,
+    is a value here."""
     if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
         return None
     func, _, options = COMMANDS[argv[0]]
     given = {}
     for flag, text in zip(argv[1::2], argv[2::2]):
         kw = options.get(flag)
-        if kw is None or flag in given or text.startswith("-"):
+        if kw is None or flag in given:
             return None
         try:
             value = kw.get("type", str)(text)

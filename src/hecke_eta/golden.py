@@ -113,9 +113,6 @@ TAU5_TABLE: dict[int, tuple[int, int]] = {
     7: (20565, 6965),
 }
 
-# The displayed-but-misindexed coefficient: equals tau_5(7), not tau_5(6).
-TAU5_DISPLAY_VARIANT: tuple[int, tuple[int, int]] = (6, (20565, 6965))
-
 
 def golden_coefficients() -> list[tuple[int, int, RingElem]]:
     """All (D, N, value) coefficient entries, ordered by (D, N)."""

@@ -23,6 +23,10 @@ from hecke_eta.characters import build_char_table, euler_phi, is_fundamental, mo
 from hecke_eta.cyclotomic import cyc_mul, project_to_quad
 from hecke_eta.oracle import CycSeries
 
+# The displayed-but-misindexed coefficient: equals tau_5(7), not tau_5(6)
+# (see the tau_5 table in hecke_eta/golden.py).
+TAU5_DISPLAY_VARIANT: tuple[int, tuple[int, int]] = (6, (20565, 6965))
+
 
 def enumerate_partitions(k, max_part=None):
     """Yield all partitions of k as weakly decreasing tuples."""

@@ -10,12 +10,17 @@ import subprocess
 import sys
 import time
 
-from oracles import count_partitions_with_parts, fundamental_discriminants, random_words
+from oracles import (
+    TAU5_DISPLAY_VARIANT,
+    count_partitions_with_parts,
+    fundamental_discriminants,
+    random_words,
+)
 
 from hecke_eta import analytic
 from hecke_eta.characters import build_char_table
 from hecke_eta.cli import main as cli_main
-from hecke_eta.golden import TAU5_DISPLAY_VARIANT, TAU5_TABLE
+from hecke_eta.golden import TAU5_TABLE
 from hecke_eta.lseries import l_minus_one
 from hecke_eta.oracle import compare_with_eta
 from hecke_eta.partitions import (

@@ -73,23 +73,24 @@ class TestEvalEta:
 NMAXES = (1, 50, 300, 3000)
 
 
-def _split_kind(D, z, n_max):
-    data = analytic._eta_data(D)
-    _, n0, _ = analytic._split(2 * math.pi * z.imag / data.sqrt_d, n_max, data.phi, data.sqrt_d)
-    return "direct" if n0 == n_max else ("series" if n0 == 0 else "mixed")
-
-
 def _plans(D, z, n_max):
-    """The truncation plans (count, n0, M) and (nu, M_u) of log_eta_tail at z."""
+    """The truncation plan (n0, M, nu, M_u) of log_eta_tail at z."""
     data = analytic._eta_data(D)
-    L = 2 * math.pi * z.imag / data.sqrt_d
-    count, n0, M = analytic._split(L, n_max, data.phi, data.sqrt_d)
-    return (count, n0, M), analytic._untwisted_split(L, count, D)
+    return analytic._plan(2 * math.pi * z.imag / data.sqrt_d, n_max, D, data.phi)
+
+
+def _kind(n, terms):
+    return "direct" if terms == 0 else ("series" if n == 0 else "mixed")
+
+
+def _split_kind(D, z, n_max):
+    n0, M, _, _ = _plans(D, z, n_max)
+    return _kind(n0, M)
 
 
 def _untwisted_kind(D, z, n_max):
-    (count, _, _), (nu, M_u) = _plans(D, z, n_max)
-    return "direct" if nu == count else ("series" if nu == 0 and M_u else "mixed")
+    _, _, nu, M_u = _plans(D, z, n_max)
+    return _kind(nu, M_u)
 
 
 class TestAgainstDirectProduct:
@@ -123,11 +124,23 @@ class TestAgainstDirectProduct:
     @pytest.mark.parametrize("ratio", [0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0])
     @pytest.mark.parametrize("D", [5, 13, 1001])
     def test_at_the_log_floor(self, D, ratio):
-        """Heights where L = 2 pi Im z / sqrt(D) is ratio times
-        analytic._LOG_FLOOR, where the untwisted count is 2, 1 or 0."""
-        height = ratio * analytic._LOG_FLOOR * math.sqrt(D) / (2 * math.pi)
-        for re in (0.0, -0.0, 0.3):
-            self._assert_agrees(D, complex(re, height), 3)
+        """Heights where L = 2 pi Im z / sqrt(D) is ratio times L1, the L at
+        which a half's direct product stops at n = 1 (M(0) = 1 in
+        _series_ratio, every later factor below the 2^-60 floor), so that the
+        stop is 2, 1 or 0: for the untwisted half (scale 1), whose plan then
+        takes the direct product, and for the twisted one (scale 2 sqrt(D)).
+        At ratio 1 itself the stop is 0 or 1 by rounding."""
+        stops = {0.5: 2, 1 - 1e-12: 1, 1 + 1e-12: 0, 2.0: 0}
+        data = analytic._eta_data(D)
+        for scale in (1.0, 2 * data.sqrt_d):
+            L = 45.0
+            for _ in range(5):  # L1 = L1 * M(0) at L1, a fixed point reached at once
+                L *= analytic._series_ratio(L, 0, scale, analytic._LOG_EPS)
+            L *= ratio
+            if scale == 1.0 and ratio in stops:
+                assert analytic._plan(L, 3, D, data.phi)[2:] == (stops[ratio], 0)
+            for re in (0.0, -0.0, 0.3):
+                self._assert_agrees(D, complex(re, L * data.sqrt_d / (2 * math.pi)), 3)
 
     def test_series_alone_where_phi_is_large(self):
         """At D = 1001 (phi = 480) and height 3 the split takes the series
@@ -161,18 +174,40 @@ class TestAgainstDirectProduct:
             assert _untwisted_kind(D, z, n_max) == "mixed"
             self._assert_agrees(D, z, n_max)
 
-    def test_all_three_untwisted_plans_are_covered(self):
-        """nu = count takes no untwisted series, nu = 0 takes it for every n;
-        the series alone is cheapest only where one term nearly meets the
-        2^-60 target, as at D = 5, height 14.4."""
+    def test_both_untwisted_plans_are_covered(self):
+        """M_u = 0 takes no untwisted series, 0 < nu with M_u > 0 takes it past
+        nu.  The series alone (nu = 0) is never chosen: it costs at least
+        12.5 (M(0) - 1) against ceil(M(0)) - 1 direct factors, so it is
+        cheaper only where M(0) < 1.09, and there the direct product stops at
+        one factor at most, which the plan takes at once: at D = 5, height
+        14.4, one direct factor meets the target."""
         plans = {
             (5, 1.0j, 1): "direct",
             (5, 0.3 + 1.0j, 300): "mixed",
-            (5, 0.3 + 14.4j, 300): "series",
+            (5, 0.3 + 14.4j, 300): "direct",
         }
         for (D, z, n_max), kind in plans.items():
             assert _untwisted_kind(D, z, n_max) == kind
             self._assert_agrees(D, z, n_max)
+        for D in (5, 13, 101, 1001):
+            for k in range(-24, 9):
+                for n_max in (1, 300, 10**5):
+                    assert _untwisted_kind(D, complex(0, 2.0**k), n_max) != "series"
+
+    def test_every_plan_drops_less_than_the_target(self):
+        """What a plan leaves out, the series terms past M or, without a
+        series, the factors past its stop n < N, is bounded (_series_ratio)
+        below 2^-60, in both halves, over D, L and N."""
+        for D in (5, 13, 21, 101, 1001, 100049):
+            data = analytic._eta_data(D)
+            for k in range(-70, 8):
+                L = 2.0 ** (k / 3)
+                for N in (1, 3, 50, 300, 3000, 10**5, 10**7):
+                    n0, M, nu, M_u = analytic._plan(L, N, D, data.phi)
+                    for n, terms, scale in ((n0, M, 2 * data.sqrt_d), (nu, M_u, 1.0)):
+                        assert 0 <= n <= N
+                        ratio = analytic._series_ratio(L, n, scale, analytic._LOG_EPS)
+                        assert n == N or terms + 1 >= ratio, (D, L, N, n, terms)
 
     @pytest.mark.parametrize("n_max", [1, 50, 400])
     @pytest.mark.parametrize("D", [5, 21, 29])
@@ -234,6 +269,17 @@ class TestPhiRelation:
             check_phi_relation(5, -1.0)
 
 
+# The deepest word of the numeric benchmark's seed 1, at heights near 3.3e-6.
+SEED_WORD = [-1, -3, -2, -1, 3, -1, 3, 3, 3, 3]
+
+
+def _u_gamma_truncation(z, gz):
+    """check_u_gamma's truncation: the least n past which the twisted half's
+    dropped factors at the lower point are below 2^-60."""
+    L = 2 * math.pi * min(z.imag, gz.imag) / math.sqrt(5)
+    return math.ceil(analytic._series_ratio(L, 0, 2 * math.sqrt(5), analytic._LOG_EPS)) - 1
+
+
 class TestWords:
     def test_base_case_matrix(self):
         w = word_matrix([1, 1], 5)
@@ -274,19 +320,36 @@ class TestWords:
             assert (det_u, det_v) == (1, 0)
 
     def test_deepest_seed_word_plan_is_small(self):
-        """The word whose two heights need n_eff = 2 * 10^6 takes fewer than
-        10^5 log-equivalents (direct logs, and series terms at their cost),
-        where the direct untwisted product alone took 2 * 10^6 logs a height."""
-        w = word_matrix([-1, -3, -2, -1, 3, -1, 3, 3, 3, 3], 5)
+        """The deepest seed word is truncated at its own tail, n_eff > 7 * 10^6
+        factors, and takes fewer than 10^5 log-equivalents (direct logs, and
+        series terms at their cost) over both heights, where the direct
+        product alone would take n_eff logs a height."""
+        w = word_matrix(SEED_WORD, 5)
         z = analytic.adapted_point(w)
-        phi, cost = 4, 0.0
-        for h in (z.imag, w.apply(z).imag):
-            assert int(22 * math.sqrt(5) / (2 * math.pi * h)) + 1 > 2_000_000
-            (count, n0, M), (nu, M_u) = _plans(5, complex(0, h), 2_000_000)
-            assert count == 2_000_000
-            cost += min(n0, count) * phi + analytic._TERM_COST * M
-            cost += nu + analytic._untwisted_term_cost(5) * M_u
+        gz = w.apply(z)
+        n_eff = _u_gamma_truncation(z, gz)
+        assert n_eff > 7 * 10**6
+        cost = 0.0
+        for h in (z.imag, gz.imag):
+            n0, M, nu, M_u = _plans(5, complex(0, h), n_eff)
+            cost += n0 * 4 + analytic._TERM_COST * M + nu + analytic._untwisted_term_cost(5) * M_u
         assert cost < 10**5
+
+    def test_u_gamma_truncation_is_converged(self):
+        """check_u_gamma equals the same ratio evaluated at twice its
+        truncation to within 1e-12, on the deepest seed word and 25 random
+        words."""
+        for w in [word_matrix(SEED_WORD, 5), *random_words(25, max_len=10, k_range=3, seed=29)]:
+            z = analytic.adapted_point(w)
+            gz = w.apply(z)
+            n = 2 * _u_gamma_truncation(z, gz)
+            log_ratio = (
+                2j * math.pi * analytic._eta_data(5).v * (gz - z) / math.sqrt(5)
+                + analytic.log_eta_tail(5, gz, n)
+                - analytic.log_eta_tail(5, z, n)
+            )
+            doubled = abs(cmath.exp(log_ratio) - cmath.exp(2j * math.pi * predicted_u(w) / 5))
+            assert abs(check_u_gamma(w) - doubled) < 1e-12, w.ks
 
     def test_numeric_multiplier_on_random_words(self):
         for w in random_words(25, max_len=6, k_range=2, seed=13):

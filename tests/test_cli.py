@@ -483,9 +483,9 @@ class TestNumericBudget:
         assert high < low
 
     def test_low_product_charged_to_its_count(self):
-        """At 7.12e-5 i, D = 5, |q| = exp(-2e-4), where q^n stalls in the
-        subnormal range above 1e-320, the product takes the closed-form count
-        of untwisted logs, not all 3 * 10^7, and is charged that count."""
+        """At 7.12e-5 i, D = 5, |q| = exp(-2e-4), the product takes the logs
+        of its plan, which stops where the dropped factors are below 2^-60,
+        not all 3 * 10^7, and is charged that plan."""
         start = time.perf_counter()
         analytic.eval_eta_numeric(5, 7.12e-5j, 3 * 10**7)
         took = time.perf_counter() - start
@@ -823,8 +823,9 @@ def _valid_values(keywords):
 
 class TestCanonicalParse:
     """cli._parse_canonical reads a canonical command line from cli.COMMANDS
-    exactly as the argparse parser built from the same table does, and
-    leaves every other command line to argparse."""
+    exactly as the argparse parser built from the same table reads it with
+    each value attached to its flag (--flag=value), and leaves every other
+    command line to argparse."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -842,7 +843,8 @@ class TestCanonicalParse:
             argv += [flag, data.draw(st.one_of(valid, valid, valid, VALUES))]  # mostly valid
         args = cli._parse_canonical(argv)
         if args is not None:
-            assert _fields(args) == _fields(cli._build_parser().parse_args(argv))
+            attached = [command, *(f"{f}={v}" for f, v in zip(argv[1::2], argv[2::2]))]
+            assert _fields(args) == _fields(cli._build_parser().parse_args(attached))
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     @pytest.mark.parametrize("optional", [False, True])
@@ -892,16 +894,26 @@ class TestCanonicalParse:
         assert exit_usage.value.code == 2
         assert capsys.readouterr().err.startswith("usage: hecke-eta")
 
-    def test_negative_value_is_left_to_argparse(self, capsys):
-        """argparse reads -0.001 as a value but -1e-3, which its negative
-        number pattern does not match, as an option; --re-min=-1e-3 passes."""
-        for argv in (["grid", "--re-min", "-1e-3"], ["grid", "--re-min", "-0.001"]):
-            assert cli._parse_canonical(argv) is None
-        parser = cli._build_parser()
-        assert parser.parse_args(["grid", "--re-min", "-0.001"]).re_min == -1e-3
-        assert parser.parse_args(["grid", "--re-min=-1e-3"]).re_min == -1e-3
+    def test_negative_value_is_read_directly(self, capsys):
+        """-1e-3, which argparse's negative number pattern does not match, is
+        read as a value, as argparse reads --re-min=-1e-3; -inf and -nan reach
+        grid's own range check.  After an abbreviated flag argparse still
+        takes -1e-3 for an option."""
+        for text in ("-1e-3", "-0.001"):
+            assert cli._parse_canonical(["grid", "--re-min", text]).re_min == -1e-3
+        assert cli._build_parser().parse_args(["grid", "--re-min=-1e-3"]).re_min == -1e-3
+        code, out, _ = run_cli(
+            capsys, "grid", "--re-min", "-1e-3", "--re-max", "1e-3", "--re-steps", "2", "--im-steps", "1"
+        )
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == ["re", "-0.001", "0.001"]
+        for text in ("-inf", "-nan"):
+            code, out, err = run_cli(capsys, "grid", "--re-min", text)
+            assert (code, out) == (2, "")
+            assert "grid bounds must be finite" in err
+        assert cli._parse_canonical(["grid", "--re-mi", "-1e-3"]) is None
         with pytest.raises(SystemExit) as exit_usage:
-            cli.main(["grid", "--re-min", "-1e-3"])
+            cli.main(["grid", "--re-mi", "-1e-3"])
         assert exit_usage.value.code == 2
         assert capsys.readouterr().err.endswith("error: argument --re-min: expected one argument\n")
 

@@ -1,6 +1,7 @@
+from oracles import TAU5_DISPLAY_VARIANT
+
 from hecke_eta.golden import (
     COEFF_TABLE,
-    TAU5_DISPLAY_VARIANT,
     TAU5_TABLE,
     golden_coefficients,
     golden_tau5,

@@ -1,14 +1,16 @@
 """Every name a module under src/ imports is used in the scope that imports it,
-and every function or class it defines at the top level is reached from src.
+and every function, class or name it defines at the top level is reached from
+src.
 
 An import left behind when the code that used it is deleted still loads its
 module and still reads as a dependency, so each is reported by module, line
 and name.  Names listed in a module's __all__ count as used (re-exports).
 
-A definition that only the tests call is test code living in the library, so
-each top-level function and class must be named by src code outside its own
-body, be exported by the package, or be a benchmark tracer target (those are
-read from benchmarks/tracer.py as text, as test_trace_targets reads them).
+A definition that only the tests read is test code living in the library, so
+each top-level function, class and assigned name must be named by src code
+outside its own definition, be exported by the package, or be a benchmark
+tracer target (those are read from benchmarks/tracer.py as text, as
+test_trace_targets reads them).
 """
 
 import ast
@@ -95,23 +97,36 @@ def _names(tree) -> Counter:
     )
 
 
+def _defined_names(node) -> list[str]:
+    """The names a top-level statement defines: a function's or a class's,
+    or each plain name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
 def unreferenced_definitions(sources, kept=frozenset()) -> list[tuple[str, str]]:
-    """(module, name) for each function or class defined at the top level of
-    the sources (module name -> source text) that no code in them names
-    outside the definition itself, unless (module, name) is kept or the name
-    is a dunder (a protocol hook such as a module's __getattr__)."""
+    """(module, name) for each function, class or assigned name defined at
+    the top level of the sources (module name -> source text) that no code in
+    them names outside the definition itself, unless (module, name) is kept
+    or the name is a dunder (a protocol hook such as a module's __getattr__,
+    or __all__)."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = sum((_names(tree) for tree in trees.values()), Counter())
     unreferenced = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if (module, name) in kept or (name.startswith("__") and name.endswith("__")):
-                continue
-            if used[name] == _names(node)[name]:
-                unreferenced.append((module, name))
+            for name in _defined_names(node):
+                if (module, name) in kept or (name.startswith("__") and name.endswith("__")):
+                    continue
+                if used[name] == _names(node)[name]:
+                    unreferenced.append((module, name))
     return sorted(unreferenced)
 
 
@@ -132,13 +147,18 @@ def test_detects_an_unreferenced_definition():
             "def recursive(n):\n    return recursive(n - 1)\n"
             "class Kept:\n    pass\n"
             "def __getattr__(name):\n    return name\n"
+            "__all__ = ['used']\n"
+            "LIMIT: int = 3\n"
+            "LEFT, OVER = 1, 2\n"
         ),
         "b": (
             "from .a import used\n"
             "from . import a\n"
-            "x = used() + a.attr()\n"
-            "def attr():\n    \"\"\"Calls recursive.\"\"\"\n"
+            "x = used() + a.attr() + a.LIMIT + OVER\n"
+            "def attr():\n    \"\"\"Calls recursive; reads LEFT.\"\"\"\n"
         ),
     }
-    assert unreferenced_definitions(sources, {("a", "Kept")}) == [("a", "recursive")]
-    assert unreferenced_definitions(sources) == [("a", "Kept"), ("a", "recursive")]
+    assert unreferenced_definitions(sources, {("a", "Kept"), ("b", "x")}) == [
+        ("a", "LEFT"), ("a", "recursive")
+    ]
+    assert unreferenced_definitions(sources) == [("a", "Kept"), ("a", "LEFT"), ("a", "recursive"), ("b", "x")]
