@@ -486,9 +486,9 @@ def check_u_gamma(w: GroupWord, z: complex | None = None) -> float:
     With z = None an adapted, well-conditioned point is chosen.  Both
     products are truncated where the twisted half's dropped factors at the
     lower point, bounded by its series (_series_ratio), are below 2^-60;
-    the untwisted half's bound is smaller, and at the higher point both are.  An explicit z raises
-    ConditioningError when z or gamma z sits too close to the real axis for
-    any reasonable truncation.
+    the untwisted half's bound is smaller, and at the higher point both
+    are.  An explicit z raises ConditioningError when z or gamma z sits too
+    close to the real axis for any reasonable truncation.
     """
     u = predicted_u(w)
     if z is None:

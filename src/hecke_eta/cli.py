@@ -26,25 +26,21 @@ from .quad_ring import canonical_str, embed_midpoint, embed_real
 # Precision of L'(0) in `lvalues`; the printed float carries 17 digits.
 L_PRIME_DIGITS = 50
 
-# Commands whose --N is checked against 1 <= N <= MAX_ORDER and, where they
-# take --D, against the series cost model _series_s.
-ORDER_CAPPED = ("coeffs", "delta5", "signs", "growth")
-
-# oracle-check, partitions, verify-modularity, grid, coeffs, signs and growth
-# refuse, with exit 2, any input whose predicted run time exceeds
+# oracle-check, partitions, verify-modularity, grid, coeffs, delta5, signs
+# and growth refuse, with exit 2, any input whose predicted run time exceeds
 # TIME_BUDGET_S.  The models were fitted to end-to-end runs on a 2-vCPU
-# x86-64 machine with Python 3.11 (oracle-check: the 45 runs, D 5..100049,
-# N 1..5000, that took at least 1 s, up to 157 s and 93 MB; partitions: the
-# 35 of 53 runs, D 5..900001, N 0..20000, that took at least 1 s, up to 51
-# s, and 20 runs at D 30005..999997, N 0..300, up to 4.3 s; the numeric
-# model: the 17 runs listed in ROADMAP.md, D 5..1425237, nmax 1..3 * 10^7,
-# up to 58 s; the series model: 23 runs of coeffs, D 5..3999997, N
-# 1..17000, up to 67 s, where signs and growth cost the same) and scaled so
-# that none of those runs took longer than predicted, with a 1.2x margin in
-# oracle-check and partitions, whose repeated runs vary by that much; they
-# over-predict by up to 2.9x, 2.4x (where the table, not the character
-# table, dominates), 2.5x (both numeric commands from 1 s up, at every
-# --nmax) and 1.9x.
+# x86-64 machine with Python 3.11 (oracle-check: the 45 runs, D 5..100049, N
+# 1..5000, that took at least 1 s, up to 157 s and 93 MB; partitions: the 35
+# of 53 runs, D 5..900001, N 0..20000, that took at least 1 s, up to 51 s,
+# and 20 runs at D 30005..999997, N 0..300, up to 4.3 s; the numeric model:
+# the 17 runs, D 5..1425237, nmax 1..3 * 10^7, up to 58 s, that CHANGES.md
+# lists where the untwisted half became a closed-form sum; the series model:
+# 23 runs of coeffs, D 5..3999997, N 1..17000, up to 67 s, where signs and
+# growth cost the same) and scaled so that none of those runs took longer
+# than predicted, with a 1.2x margin in oracle-check and partitions, whose
+# repeated runs vary by that much; they over-predict by up to 2.9x, 2.4x
+# (where the table, not the character table, dominates), 2.5x (both numeric
+# commands from 1 s up, at every --nmax) and 1.9x.
 TIME_BUDGET_S = 60
 
 # Seconds per unit of D of the character table and the other O(D) work of
@@ -193,14 +189,14 @@ def _numeric_s(D: int, nmax: int, heights) -> float:
     of a point the command evaluates, plus NUMERIC_DATA_S_PER_D a unit of D
     for the per-D data (character table, roots of unity), built once.
 
-    An upper bound on end-to-end runs, D 5..1425237, nmax 1..3 * 10^7, up
-    to 58 s (listed in ROADMAP.md): from 1 s up it over-predicts by 1.04x
-    to 2.5x, at every --nmax alike.  The least margin is at D = 5, where a
-    product is mostly its fixed cost: verify-modularity --D 5 --samples
-    238898, the most accepted at --nmax 300, took 27-36 s against 60 s, and
-    43-58 s at 236175 samples on a loaded machine (the most accepted at
-    D = 101 and 1001 took 29-36 and 25-36 s).  Start-up, which no term
-    charges, can exceed a prediction below a second."""
+    An upper bound on end-to-end runs (see TIME_BUDGET_S): from 1 s up it
+    over-predicts by 1.04x to 2.5x, at every --nmax alike.  The least
+    margin is at D = 5, where a product is mostly its fixed cost:
+    verify-modularity --D 5 --samples 238898, the most accepted at --nmax
+    300, took 27-36 s against 60 s, and 43-58 s at 236175 samples on a
+    loaded machine (the most accepted at D = 101 and 1001 took 29-36 and
+    25-36 s).  Start-up, which no term charges, can exceed a prediction
+    below a second."""
     counts = Counter(map(_height_bin, heights))
     return NUMERIC_DATA_S_PER_D * D + sum(n * _product_s(D, nmax, h) for h, n in counts.items())
 
@@ -258,10 +254,6 @@ def _law_residuals(D: int, z: complex, nmax: int) -> tuple[float, float]:
 def cmd_verify_modularity(args) -> int:
     from . import analytic
 
-    if args.samples < 1 or args.nmax < 1:
-        return _usage_error("--samples and --nmax must be >= 1")
-    if not 0 < args.tol < math.inf:
-        return _usage_error("--tol must be a positive finite number")
     if _samples_floor_s(args.D, args.nmax, args.samples) > TIME_BUDGET_S:
         return _usage_error("--samples and --nmax exceed the time budget")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
@@ -285,6 +277,15 @@ def cmd_verify_modularity(args) -> int:
         )
     print(f"worst residual {worst:.3e} over {len(points)} points (tol {args.tol:g})")
     return 0 if failures == 0 else 1
+
+
+# The commands that _series_s charges, by a factor for their cost over coeffs
+# at the same D and N.  delta5 runs at D = 5 on eta_5^5, whose coefficients
+# are wider: it took 24 s at N = 12000, 44 s at 16000, 54 s at 17000, 58 s at
+# 18000 and 71 s at 20000 (48 MB at 16000), and re-timed 28.7 s at 16000,
+# 3.1x coeffs --D 5, which the model over-predicts 3.1x; 2 (at most 2.07
+# keeps every N <= 16000) accepts N <= 16250, 26-34 s and 41 MB there.
+SERIES_WIDTH = {"coeffs": 1, "signs": 1, "growth": 1, "delta5": 2.0}
 
 
 def _series_s(D: int, N: int) -> float:
@@ -339,7 +340,7 @@ def _partitions_mb(D: int, N: int) -> float:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.N < 1 or _oracle_check_s(args.D, args.N) > TIME_BUDGET_S:
+    if _oracle_check_s(args.D, args.N) > TIME_BUDGET_S:
         return _usage_error("--N out of range for the convolution oracle")
     from .oracle import compare_with_eta
 
@@ -359,8 +360,7 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_partitions(args) -> int:
     if (
-        args.N < 0
-        or _partitions_s(args.D, args.N) > TIME_BUDGET_S
+        _partitions_s(args.D, args.N) > TIME_BUDGET_S
         or _partitions_mb(args.D, args.N) > MEMORY_BUDGET_MB
     ):
         return _usage_error("--N out of range for the partition tables")
@@ -535,11 +535,6 @@ def cmd_growth(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    bounds = (args.re_min, args.re_max, args.im_min, args.im_max)
-    if not all(map(math.isfinite, bounds)) or min(args.im_min, args.im_max) <= 0:
-        return _usage_error("grid bounds must be finite, --im-min and --im-max positive")
-    if args.re_steps < 1 or args.im_steps < 1 or args.nmax < 1:
-        return _usage_error("step counts and --nmax must be >= 1")
     if 2 * args.re_steps * args.im_steps * PRODUCT_BASE_S > TIME_BUDGET_S:
         return _usage_error("grid size and --nmax exceed the time budget")
     res = _axis(args.re_min, args.re_max, args.re_steps)
@@ -571,9 +566,27 @@ def cmd_grid(args) -> int:
     return 0 if overflows == 0 else 1
 
 
+def _ranged(convert, lo, hi):
+    """An option type: convert(text), refused with ValueError, which argparse
+    reports as an invalid value, unless lo <= value <= hi (never nan)."""
+    def value(text):
+        if lo <= (x := convert(text)) <= hi:
+            return x
+        raise ValueError(f"{text!r} is outside [{lo!r}, {hi!r}]")
+
+    value.__name__ = f"{convert.__name__} in [{lo!r}, {hi!r}]"
+    return value
+
+
+# Each option's range is its type.  A count stops at 2^53, below which every
+# integer is exact as a float, so that no cost model that charges it overflows.
+_COUNT = _ranged(int, 1, 2**53)
+_REAL = _ranged(float, -sys.float_info.max, sys.float_info.max)
+_POS = _ranged(float, math.ulp(0.0), sys.float_info.max)
+
 # The options most commands share: flag -> add_argument keywords.
 _D = {"--D": {"type": int, "required": True}}
-_N = {"--N": {"type": int, "required": True}}
+_N = {"--N": {"type": _COUNT, "required": True}}
 _FORMAT = {"--format": {"choices": ("csv", "json"), "default": "csv"}}
 
 # The grammar: each command's handler, help string and options, in the order
@@ -583,25 +596,29 @@ COMMANDS = {
     "delta5": (cmd_delta5, "tau_5(1..N) of the fifth-power series", _N | _FORMAT),
     "verify-table": (cmd_verify_table, "recompute all golden coefficients", {}),
     "verify-modularity": (cmd_verify_modularity, "inversion/translation residuals", _D | {
-        "--samples": {"type": int, "default": 20}, "--nmax": {"type": int, "default": 300},
-        "--tol": {"type": float, "default": 1e-6}, "--seed": {"type": int, "default": 20240901},
+        "--samples": {"type": _COUNT, "default": 20}, "--nmax": {"type": _COUNT, "default": 300},
+        "--tol": {"type": _POS, "default": 1e-6},
+        "--seed": {"type": _ranged(int, -(2**53), 2**53), "default": 20240901},
     }),
     "oracle-check": (cmd_oracle_check, "convolution oracle vs the exact kernel", _D | _N),
-    "partitions": (cmd_partitions, "p, p_nr and length-distribution tables", _D | _N),
+    "partitions": (cmd_partitions, "p, p_nr and length-distribution tables", _D | {
+        "--N": {"type": _ranged(int, 0, 2**53), "required": True},
+    }),
     "lvalues": (cmd_lvalues, "S_chi, exact L(-1), m, numeric L'(0)", _D),
     "periods": (cmd_periods, "period polynomial coefficients", _D),
     "chars": (cmd_chars, "character value row and residue lists", _D),
     "signs": (cmd_signs, "sign pattern of the embedded coefficients", _D | _N),
     "growth": (cmd_growth, "(sqrt N, log|a_D(N)|) data and fit", _D | _N | {
-        "--window-min": {"type": int, "default": None},
-        "--window-max": {"type": int, "default": None},
+        "--window-min": {"type": _COUNT, "default": None},
+        "--window-max": {"type": _COUNT, "default": None},
     } | _FORMAT),
     "grid": (cmd_grid, "contour grid of eta(z) and eta(-1/z)", {
         "--D": {"type": int, "default": 5},
-        "--re-min": {"type": float, "default": -6.0}, "--re-max": {"type": float, "default": 6.0},
-        "--im-min": {"type": float, "default": 0.1}, "--im-max": {"type": float, "default": 1.1},
-        "--re-steps": {"type": int, "default": 60}, "--im-steps": {"type": int, "default": 20},
-        "--nmax": {"type": int, "default": 300},
+        "--re-min": {"type": _REAL, "default": -6.0}, "--re-max": {"type": _REAL, "default": 6.0},
+        "--im-min": {"type": _POS, "default": 0.1}, "--im-max": {"type": _POS, "default": 1.1},
+        "--re-steps": {"type": _COUNT, "default": 60},
+        "--im-steps": {"type": _COUNT, "default": 20},
+        "--nmax": {"type": _COUNT, "default": 300},
     }),
 }
 
@@ -627,10 +644,10 @@ def _build_parser() -> "argparse.ArgumentParser":
 def _parse_canonical(argv) -> SimpleNamespace | None:
     """The namespace of _build_parser() for argv if argv is [command, flag,
     value, ...] with each flag an option of the command in full and once,
-    each value of its option's type and choices, and each required option
-    given; else None, and argparse parses argv.  A value is read as argparse
-    reads --flag=value, so -1e-3, which argparse alone takes for an option,
-    is a value here."""
+    each value of its option's type, which checks its range, and choices,
+    and each required option given; else None, and argparse parses argv.
+    A value is read as argparse reads --flag=value, so -1e-3, which
+    argparse alone takes for an option, is a value here."""
     if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
         return None
     func, _, options = COMMANDS[argv[0]]
@@ -661,18 +678,10 @@ def main(argv=None) -> int:
         if D > cap:
             return _usage_error(f"--D exceeds the limit {cap} of {args.command}")
         if not is_fundamental(D):
-            return _usage_error(
-                f"D={D} is not fundamental (need D = 1 mod 4, squarefree, >= 5)"
-            )
-    if args.command in ORDER_CAPPED:
-        from .qseries import MAX_ORDER
-
-        if args.N < 1:
-            return _usage_error("--N must be >= 1")
-        if args.N > MAX_ORDER:
-            return _usage_error(f"--N exceeds capacity limit {MAX_ORDER}")
-        if D is not None and _series_s(D, args.N) > TIME_BUDGET_S:
-            return _usage_error("--D and --N exceed the time budget")
+            return _usage_error(f"D={D} is not fundamental (need D = 1 mod 4, squarefree, >= 5)")
+    width = SERIES_WIDTH.get(args.command)
+    if width and width * _series_s(D or 5, args.N) > TIME_BUDGET_S:
+        return _usage_error("--N exceeds the time budget")
     return args.func(args)
 
 

@@ -32,16 +32,8 @@ from .characters import build_char_table
 from .lseries import l_minus_one
 from .quad_ring import RingElem, RingError
 
-# Largest order the CLI accepts, from the measured cost of its most expensive
-# order-capped command, `hecke-eta delta5` (tau_5 has larger coefficients
-# than a_D), end to end on a 2-vCPU x86-64 machine with Python 3.11: 24 s at
-# N = 12000, 44 s at 16000, 54 s at 17000, 58 s at 18000 and 71 s at 20000,
-# with a peak RSS of 48 MB at 16000; `coeffs --D 5 --N 17000` took 18 s.
-MAX_ORDER = 16_000
-
-
 class SeriesError(ValueError):
-    """A non-positive exponent or an order out of range."""
+    """A non-positive exponent or order."""
 
 
 class QSeries(namedtuple("QSeries", "D coeffs valuation")):
@@ -290,8 +282,6 @@ def _eta_power(D: int, N: int, r: int) -> QSeries:
     """
     if N < 1:
         raise SeriesError("order must be >= 1")
-    if N > MAX_ORDER:
-        raise SeriesError(f"order {N} exceeds capacity limit {MAX_ORDER}")
     chi = build_char_table(D)
     s1, s2 = _divisor_sums(chi, D, N)
     A, B = euler_transform([-2 * r * x for x in s1], [-2 * r * x for x in s2], D, N)

@@ -69,6 +69,12 @@ class TestEvalEta:
                 b = eval_eta_numeric(D, z, 600)
                 assert abs(a - b) < 1e-12
 
+    def test_largest_cli_truncation_is_converged(self):
+        """2^53, the largest --nmax the CLI accepts, evaluates without
+        overflow and to the same float as 10^7: both stop at the tail."""
+        z = 0.3 + 0.9j
+        assert eval_eta_numeric(5, z, 2**53) == eval_eta_numeric(5, z, 10**7)
+
 
 NMAXES = (1, 50, 300, 3000)
 

@@ -14,12 +14,16 @@ from oracles import embed_mp, fundamental_discriminants
 
 from hecke_eta import analytic, cli
 from hecke_eta.characters import is_fundamental
-from hecke_eta.qseries import MAX_ORDER
 from hecke_eta.quad_ring import RingElem
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    """Exit code, stdout and stderr of one command line, argparse's usage
+    errors (SystemExit) included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exit_usage:
+        code = exit_usage.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -187,10 +191,12 @@ class TestNumericInput:
         ],
     )
     def test_refused_with_empty_stdout(self, capsys, argv):
+        """By the option's range, which argparse reports."""
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith(f"usage: hecke-eta {argv[0]} ")
+        assert f"error: argument {argv[3].split('=')[0]}: invalid " in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -265,25 +271,95 @@ class TestStrictJson:
 CAPPED_COMMANDS = [("coeffs", "--D", "5"), ("signs", "--D", "5"), ("growth", "--D", "5"), ("delta5",)]
 
 
+def _integer_flags():
+    """(command, flag) for every option of cli.COMMANDS that reads an int."""
+    return [
+        (command, flag)
+        for command, (_, _, options) in cli.COMMANDS.items()
+        for flag, keywords in options.items()
+        if "type" in keywords and isinstance(keywords["type"]("7"), int)
+    ]
+
+
+def _line_with(command, flag, text):
+    """A command line that sets flag to text and each other required option
+    to 5."""
+    argv = [command, flag, text]
+    for other, keywords in cli.COMMANDS[command][2].items():
+        if keywords.get("required") and other != flag:
+            argv += [other, "5"]
+    return argv
+
+
+class TestIntegerRange:
+    """Every integer option stops at 2^53 in magnitude, below which every
+    integer is exact as a float, so no cost model or numeric truncation
+    that reads it overflows."""
+
+    @pytest.mark.parametrize("value", [2**53 + 1, 10**400, -(10**400)])
+    @pytest.mark.parametrize("command, flag", _integer_flags())
+    def test_past_the_range_exits_2(self, capsys, command, flag, value):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *_line_with(command, flag, str(value)))
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("command, flag", _integer_flags())
+    def test_largest_value_runs_or_is_refused(self, capsys, command, flag):
+        """At 2^53 the option is read directly, and the command runs or its
+        cost model refuses the line at once."""
+        argv = _line_with(command, flag, str(2**53))
+        assert cli._parse_canonical(argv) is not None
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code in (0, 1, 2)
+        assert code != 2 or out == ""
+
+
+def _first_refused_order(command, D=5):
+    """The least N that the series model refuses for command at D (delta5
+    runs at D = 5)."""
+    width = cli.SERIES_WIDTH[command]
+    N = 1
+    while width * cli._series_s(D, N) <= cli.TIME_BUDGET_S:
+        N += 1
+    return N
+
+
 class TestOrderCap:
+    """The series model is the only limit on --N above 1, for delta5 too."""
+
     @pytest.mark.parametrize(
         "argv",
-        [(*cmd, "--N", str(N)) for N in (MAX_ORDER + 1, 0) for cmd in CAPPED_COMMANDS],
+        [(*cmd, "--N", str(_first_refused_order(cmd[0]))) for cmd in CAPPED_COMMANDS]
+        + [(*cmd, "--N", "0") for cmd in CAPPED_COMMANDS],
     )
     def test_one_past_the_cap_is_refused_at_once(self, capsys, argv):
-        """N one past either end of 1..MAX_ORDER exits 2 before any work."""
+        """N one past either end of the accepted orders, 0 and the first N
+        that the model refuses, exits 2 before any work."""
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 5
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        if argv[-1] == "0":
+            assert "error: argument --N: invalid " in err
+        else:
+            assert err == "error: --N exceeds the time budget\n"
 
     def test_delta5_far_past_the_cap_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "delta5", "--N", "300000")
         assert code == 2
         assert out == ""
-        assert "capacity limit" in err
+        assert "time budget" in err
+
+    def test_delta5_charge_accepts_every_order_to_16000(self):
+        """delta5 accepted every N <= 16000 when 16000 was its order cap,
+        and the model alone still does."""
+        width = cli.SERIES_WIDTH["delta5"]
+        assert all(width * cli._series_s(5, N) <= cli.TIME_BUDGET_S for N in range(1, 16001))
 
 
 class TestCostLimits:
@@ -345,8 +421,8 @@ class TestPartitionsMemory:
 
 
 class TestSeriesBudget:
-    """coeffs, signs and growth refuse (D, N) predicted to exceed the time
-    budget, though D and N each lie inside their caps."""
+    """coeffs, signs, growth and delta5 refuse (D, N) predicted to exceed
+    the time budget, though D lies inside its cap."""
 
     @pytest.mark.parametrize("command", ["coeffs", "signs", "growth"])
     def test_large_D_and_N_refused_at_once(self, capsys, command):
@@ -357,25 +433,27 @@ class TestSeriesBudget:
         assert out == ""
         assert "time budget" in err
 
-    @pytest.mark.parametrize("D", [1001, 3999997])
+    @pytest.mark.parametrize("D", [5, 13, 29, 1001, 3999997])
     def test_first_refused_order_exits_at_once(self, capsys, D):
-        N = 1
-        while cli._series_s(D, N) <= cli.TIME_BUDGET_S:
-            N += 1
-        assert N <= MAX_ORDER
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "coeffs", "--D", str(D), "--N", str(N))
-        assert time.perf_counter() - start < 5
-        assert code == 2
-        assert out == ""
-        assert "time budget" in err
+        """The first N that the model refuses exits 2 at once: at D = 5, 13
+        and 29 it lies past 16000, the order cap that the model replaced."""
+        N = _first_refused_order("coeffs", D)
+        if D in (5, 13, 29):
+            assert N > 16001
+        for command in ("coeffs", "signs", "growth"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, command, "--D", str(D), "--N", str(N))
+            assert time.perf_counter() - start < 5
+            assert code == 2
+            assert out == ""
+            assert "time budget" in err
 
     def test_benchmark_ranges_stay_accepted(self):
         for D in (5, 13, 17, 21):
             assert cli._series_s(D, 1000) <= cli.TIME_BUDGET_S
         for D in fundamental_discriminants(200):
             assert cli._series_s(D, 100) <= cli.TIME_BUDGET_S
-        assert cli._series_s(5, MAX_ORDER) <= cli.TIME_BUDGET_S
+        assert cli._series_s(5, 16000) <= cli.TIME_BUDGET_S
         assert cli._series_s(cli.D_CAP["coeffs"], 1) <= cli.TIME_BUDGET_S
 
 
@@ -771,15 +849,17 @@ class TestGrid:
         ],
     )
     def test_bad_bounds_are_a_usage_error(self, capsys, bounds):
-        """An Im bound at or below 0, a bound or axis value that is not
-        finite, or a point, z or -1/z, at which |q| rounds to 1 is refused
-        before any row is printed."""
+        """An Im bound at or below 0 or a bound that is not finite, by the
+        option's range, which argparse reports; an axis value that is not
+        finite, or a point, z or -1/z, at which |q| rounds to 1, by grid:
+        all before any row is printed."""
         code, out, err = run_cli(
             capsys, "grid", "--D", "5", *bounds, "--re-steps", "1", "--im-steps", "2",
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith(("error: ", "usage: hecke-eta grid "))
+        assert err.splitlines()[-1].startswith(("error: ", "hecke-eta grid: error: argument --"))
 
 class TestEntryPoint:
     def test_console_script_runs(self):
@@ -816,7 +896,7 @@ def _valid_values(keywords):
         return st.nothing()
     if "choices" in keywords:
         return st.sampled_from(keywords["choices"])
-    if keywords["type"] is int:
+    if isinstance(keywords["type"]("7"), int):  # int, or a range of ints
         return st.integers(0, 10**6).map(str)
     return st.floats(min_value=0).map(repr)
 
@@ -896,9 +976,10 @@ class TestCanonicalParse:
 
     def test_negative_value_is_read_directly(self, capsys):
         """-1e-3, which argparse's negative number pattern does not match, is
-        read as a value, as argparse reads --re-min=-1e-3; -inf and -nan reach
-        grid's own range check.  After an abbreviated flag argparse still
-        takes -1e-3 for an option."""
+        read as a value, as argparse reads --re-min=-1e-3; -inf and -nan are
+        outside --re-min's range, so argparse parses the line and takes them
+        for options.  After an abbreviated flag argparse still takes -1e-3
+        for an option."""
         for text in ("-1e-3", "-0.001"):
             assert cli._parse_canonical(["grid", "--re-min", text]).re_min == -1e-3
         assert cli._build_parser().parse_args(["grid", "--re-min=-1e-3"]).re_min == -1e-3
@@ -908,9 +989,10 @@ class TestCanonicalParse:
         assert code == 0
         assert [line.split(",")[0] for line in out.splitlines()] == ["re", "-0.001", "0.001"]
         for text in ("-inf", "-nan"):
+            assert cli._parse_canonical(["grid", "--re-min", text]) is None
             code, out, err = run_cli(capsys, "grid", "--re-min", text)
             assert (code, out) == (2, "")
-            assert "grid bounds must be finite" in err
+            assert err.endswith("error: argument --re-min: expected one argument\n")
         assert cli._parse_canonical(["grid", "--re-mi", "-1e-3"]) is None
         with pytest.raises(SystemExit) as exit_usage:
             cli.main(["grid", "--re-mi", "-1e-3"])

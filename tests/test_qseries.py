@@ -89,7 +89,22 @@ class TestEtaSeries:
         with pytest.raises(SeriesError):
             eta_series(5, 0)
         with pytest.raises(SeriesError):
-            eta_series(5, qseries.MAX_ORDER + 1)
+            eta_series(5, -1)
+        with pytest.raises(SeriesError):
+            tau5_values(0)
+
+    def test_no_order_cap(self, monkeypatch):
+        """An order past 16000, the limit the CLI once set here, reaches the
+        kernel: the CLI's cost model alone bounds the order."""
+
+        def kernel(P, Q, D, N):
+            raise LookupError(N)
+
+        monkeypatch.setattr(qseries, "euler_transform", kernel)
+        with pytest.raises(LookupError, match="16001"):
+            eta_series(5, 16001)
+        with pytest.raises(LookupError, match="16001"):
+            tau5_values(16002)
 
     def test_guard_fires_on_a_wrong_divisor_sum(self, monkeypatch):
         # a(3) would pick up b'(3)/3 = 1/3: the division by k = 3 is inexact
