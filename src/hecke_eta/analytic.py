@@ -30,19 +30,19 @@ chosen per point from |q|, N and D to minimise the work (_plan); a plan
 without series is the plain product, stopped where its dropped factors
 meet that bound, so no point costs more than phi(D) + 1 logs per n.  The
 per-D data (character table, q^v exponent, phi(D), roots of unity) is
-built once per D.
+built once per D.  Only check_phi_relation computes in `decimal`, which it
+and its helpers import when they run.
 """
 
 import cmath
 import math
 import random
 from collections import namedtuple
-from decimal import Context, Decimal, getcontext, localcontext
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .characters import build_char_table, euler_phi, prime_factors
-from .lseries import l_minus_one, l_prime_zero
+from .lseries import l_prime_zero, m_exponent
 
 
 class ConditioningError(ValueError):
@@ -87,7 +87,8 @@ class _EtaData:
         self.chi = build_char_table(D)
         self.sqrt_d = math.sqrt(D)
         self.phi = euler_phi(D)
-        self.v = float(l_minus_one(self.chi).m_exponent)
+        num, den = m_exponent(self.chi)
+        self.v = num / den
 
     @cached_property
     def roots(self) -> tuple[list[complex], list[complex]]:
@@ -292,10 +293,12 @@ def sample_half_plane_points(
     ]
 
 
-def _decimal_pi() -> Decimal:
+def _decimal_pi() -> "decimal.Decimal":
     """pi to the precision of the current decimal context, by Machin's
     formula pi = 16 arctan(1/5) - 4 arctan(1/239) on integers scaled by
     10^(prec + 10); each truncated term is off by less than one unit."""
+    from decimal import Decimal, getcontext
+
     scale = getcontext().prec + 10
     one = 10**scale
 
@@ -311,7 +314,7 @@ def _decimal_pi() -> Decimal:
     return Decimal(4 * (4 * arctan_inv(5) - arctan_inv(239))).scaleb(-scale)
 
 
-def _log_phi_sharp(chi, y: float, n_max: int, digits: int) -> Decimal:
+def _log_phi_sharp(chi, y: float, n_max: int, digits: int) -> "decimal.Decimal":
     """log Phi#(i/y) truncated at n_max, a Decimal at `digits` + 10 digits,
     for the row chi of build_char_table, D = len(chi).
 
@@ -324,6 +327,8 @@ def _log_phi_sharp(chi, y: float, n_max: int, digits: int) -> Decimal:
     r^{m n_max} as running products.  1 - r^m loses about -log10(L) digits
     to cancellation, L = -log r, so the working precision adds as many.
     """
+    from decimal import Context, Decimal, localcontext
+
     D = len(chi)
     L = 2 * math.pi / (y * math.sqrt(D))
     log_eps = -(digits + 8) * math.log(10)
@@ -353,10 +358,12 @@ def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> 
     running powers of q = exp(-2 pi y / sqrt(D)), Phi# by the twisted series
     (_log_phi_sharp).
     """
+    from decimal import Context, Decimal, localcontext
+
     if y <= 0:
         raise ValueError("need y > 0")
     chi = build_char_table(D)
-    rec = l_minus_one(chi)
+    num, den = m_exponent(chi)
     prec = digits + 10
     lp = l_prime_zero(chi, prec)
     with localcontext(Context(prec=prec)):
@@ -372,7 +379,7 @@ def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> 
             elif e == -1:
                 phi /= 1 - qn
         phi_sharp = _log_phi_sharp(chi, y, n_max, digits).exp()
-        lval = Decimal(rec.l_minus_one.numerator) / rec.l_minus_one.denominator
+        lval = Decimal(-2 * num) / den  # L(-1, chi) = -2m
         factor = (lp + y_pi * lval / sqrt_d).exp()
         return float(abs(phi_sharp - factor * phi))
 

@@ -8,15 +8,18 @@ digits, and the exact numerator pair always accompanies any real column.
 
 Every --D command needs the discriminant check, so characters and quad_ring
 are imported here; each command imports the layers it runs, and json, when
-it runs, so that a call loads only what it uses.  The grammar is one table,
-COMMANDS, which reads a canonical command line directly; argparse is loaded,
-and built from it, only for help, usage errors and abbreviated options.
+it runs, so that a call loads only what it uses: only lvalues, and growth
+past the float range, load decimal, and only lvalues fractions.  The grammar
+is one table, COMMANDS, which reads a canonical command line directly;
+argparse is loaded, and built from it, only for help, usage errors and
+abbreviated options.  Rows are written in blocks (_write_rows), one write
+call per block, not one print per row.
 """
 
 import math
 import sys
 from collections import Counter
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import eq
 from types import SimpleNamespace
 
@@ -101,18 +104,48 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
+# Rows go to stdout a block at a time, one write call per block: at most
+# ROW_BLOCK rows, fewer once the block holds ROW_BLOCK_CHARS characters, so
+# that the text held stays small.  Where stdout is unbuffered
+# (PYTHONUNBUFFERED) each write is a system call, and print makes two a line.
+ROW_BLOCK = 256
+ROW_BLOCK_CHARS = 1 << 16
+
+
+def _write_rows(rows, sep: str = "\n", end: str = "\n") -> None:
+    """Write the rows (strings) joined by sep and then end, nothing if there
+    are none, a block at a time."""
+    write = sys.stdout.write
+    block = []
+    size = 0
+    lead = ""
+    for row in rows:
+        if len(block) == ROW_BLOCK or size >= ROW_BLOCK_CHARS:
+            write(lead + sep.join(block))
+            lead = sep
+            block = []
+            size = 0
+        block.append(row)
+        size += len(row)
+    if block:
+        write(lead + sep.join(block) + end)
+
+
 def _print_rows(D: int, coeffs, fmt: str) -> None:
     """One record per coefficient a(1), a(2), ...: exact pair and real value."""
     if fmt == "csv":
-        print("D,N,num_a,num_b,real")
-    else:
-        import json
-    for n, c in enumerate(coeffs, start=1):
-        real = embed_real(c)
-        if fmt == "csv":
-            print(f"{D},{n},{c.num_a},{c.num_b},{_fmt(real)}")
-        else:
-            print(json.dumps({"D": D, "N": n, **c.to_json_dict(), "real": _json_float(real)}))
+        rows = (
+            f"{D},{n},{c.num_a},{c.num_b},{_fmt(embed_real(c))}"
+            for n, c in enumerate(coeffs, start=1)
+        )
+        _write_rows(chain(["D,N,num_a,num_b,real"], rows))
+        return
+    import json
+
+    _write_rows(
+        json.dumps({"D": D, "N": n, **c.to_json_dict(), "real": _json_float(embed_real(c))})
+        for n, c in enumerate(coeffs, start=1)
+    )
 
 
 def cmd_coeffs(args) -> int:
@@ -141,14 +174,16 @@ def cmd_verify_table(args) -> int:
     checks = [(f"a_{D}({N})", series[D].coeffs[N], expected) for D, N, expected in entries]
     checks += [(f"tau_5({N})", taus[N], expected) for N, expected in tau_entries]
     failures = 0
+    lines = []
     for label, actual, expected in checks:
         ok = actual == expected
         line = f"{'PASS' if ok else 'FAIL'} {label} = {canonical_str(actual)}"
         if not ok:
             failures += 1
             line += f" expected {canonical_str(expected)}"
-        print(line)
-    print(f"{len(checks) - failures}/{len(checks)} entries verified")
+        lines.append(line)
+    lines.append(f"{len(checks) - failures}/{len(checks)} entries verified")
+    _write_rows(lines)
     return 0 if failures == 0 else 1
 
 
@@ -263,19 +298,24 @@ def cmd_verify_modularity(args) -> int:
 
     if refusal := _numeric_refusal(args.D, args.nmax, "--samples and --nmax", heights):
         return _usage_error(refusal)
-    worst = 0.0
     failures = 0
-    for z in points:
-        r_inv, r_tra = _law_residuals(args.D, z, args.nmax)
-        worst = max(worst, r_inv, r_tra)
-        ok = r_inv < args.tol and r_tra < args.tol
-        if not ok:
-            failures += 1
-        print(
-            f"{'PASS' if ok else 'FAIL'} z={_fmt(z.real)}+{_fmt(z.imag)}i "
-            f"inversion={r_inv:.3e} translation={r_tra:.3e}"
-        )
-    print(f"worst residual {worst:.3e} over {len(points)} points (tol {args.tol:g})")
+
+    def rows():
+        nonlocal failures
+        worst = 0.0
+        for z in points:
+            r_inv, r_tra = _law_residuals(args.D, z, args.nmax)
+            worst = max(worst, r_inv, r_tra)
+            ok = r_inv < args.tol and r_tra < args.tol
+            if not ok:
+                failures += 1
+            yield (
+                f"{'PASS' if ok else 'FAIL'} z={_fmt(z.real)}+{_fmt(z.imag)}i "
+                f"inversion={r_inv:.3e} translation={r_tra:.3e}"
+            )
+        yield f"worst residual {worst:.3e} over {len(points)} points (tol {args.tol:g})"
+
+    _write_rows(rows())
     return 0 if failures == 0 else 1
 
 
@@ -370,12 +410,10 @@ def cmd_partitions(args) -> int:
 
     tables = build_partition_tables(build_char_table(args.D), args.N)
     head = json.dumps({"D": tables.D, "N_max": tables.N_max, "p": tables.p, "p_nr": tables.p_nr})
-    # one row of c at a time, so the table is never held as one text
-    write = sys.stdout.write
-    write(head[:-1] + ', "c": [')
-    for k, row in enumerate(tables.c):
-        write(", " + json.dumps(row) if k else json.dumps(row))
-    write("]}\n")
+    # a block of rows of c at a time, so the table is never held as one text
+    sys.stdout.write(head[:-1] + ', "c": [')
+    _write_rows(map(json.dumps, tables.c), ", ", "")
+    sys.stdout.write("]}\n")
     return 0
 
 
@@ -504,16 +542,15 @@ def cmd_growth(args) -> int:
         slope = float("nan")
         intercept = float("nan")
     if args.format == "csv":
-        print(
+        head = [
             f"# D={args.D} N_max={args.N} window={lo}..{hi} "
             f"slope={_fmt(slope)} intercept={_fmt(intercept)} "
             f"fitted_C={_fmt(slope)}"
-        )
+        ]
         if excluded:
-            print(f"# excluded zero coefficients at N = {excluded}")
-        print("sqrt_N,log_abs_a")
-        for x, y in pairs:
-            print(f"{_fmt(x)},{_fmt(y)}")
+            head.append(f"# excluded zero coefficients at N = {excluded}")
+        head.append("sqrt_N,log_abs_a")
+        _write_rows(chain(head, (f"{_fmt(x)},{_fmt(y)}" for x, y in pairs)))
     else:
         import json
 
@@ -549,20 +586,25 @@ def cmd_grid(args) -> int:
 
     if refusal := _numeric_refusal(args.D, args.nmax, "grid size and --nmax", heights):
         return _usage_error(refusal)
-    print("re,im,re_eta,im_eta,re_eta_inv,im_eta_inv")
     overflows = 0
-    for im in ims:
-        for re in res:
-            z = complex(re, im)
-            cols = [_fmt(re), _fmt(im)]
-            for w in (z, -1 / z):
-                try:
-                    eta = analytic.eval_eta_numeric(args.D, w, args.nmax)
-                    cols += [_fmt(eta.real), _fmt(eta.imag)]
-                except OverflowError:  # past the float range: both columns read inf
-                    overflows += 1
-                    cols += ["inf", "inf"]
-            print(",".join(cols))
+
+    def rows():
+        nonlocal overflows
+        yield "re,im,re_eta,im_eta,re_eta_inv,im_eta_inv"
+        for im in ims:
+            for re in res:
+                z = complex(re, im)
+                cols = [_fmt(re), _fmt(im)]
+                for w in (z, -1 / z):
+                    try:
+                        eta = analytic.eval_eta_numeric(args.D, w, args.nmax)
+                        cols += [_fmt(eta.real), _fmt(eta.imag)]
+                    except OverflowError:  # past the float range: both columns read inf
+                        overflows += 1
+                        cols += ["inf", "inf"]
+                yield ",".join(cols)
+
+    _write_rows(rows())
     return 0 if overflows == 0 else 1
 
 
@@ -669,9 +711,32 @@ def _parse_canonical(argv) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=func, **values)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_numbers(argv) -> list[str]:
+    """argv for argparse, with each number that begins with - and follows a
+    flag of the command in full joined to it as flag=number.  argparse takes
+    such a text as -1e-6 or -inf for an option; joined, it reads it as the
+    flag's value, as _parse_canonical does, and reports its type or range."""
+    options = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else {}
+    out = []
+    for text in argv:
+        if out and out[-1] in options and text.startswith("-") and _is_number(text):
+            out[-1] += "=" + text
+        else:
+            out.append(text)
+    return out
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_canonical(argv) or _build_parser().parse_args(argv)
+    args = _parse_canonical(argv) or _build_parser().parse_args(_attach_negative_numbers(argv))
     D = getattr(args, "D", None)
     if D is not None:
         cap = D_CAP[args.command]

@@ -2,17 +2,20 @@
 
 L(-1, chi_D) comes from the closed finite sum -S/(2D) with
 S = sum_{n=1}^{D} n^2 chi_D(n); for D > 5 it is a negative even integer
-(equivalently 4D | S), for D = 5 it equals -2/5.  L'(0, chi_D) comes from
-Dirichlet's class number formula for the real quadratic field,
-L'(0, chi_D) = h(D) log eps_D, with eps_D = (t + u sqrt(D))/2 the
-fundamental unit and h(D) the class number, both integers; the value is a
-`decimal.Decimal` to the requested digits.
+(equivalently S > 0 and 4D | S), for D = 5 it equals -2/5.  The q^m
+exponent m = -L(-1, chi_D)/2 = S/(4D) is checked from S alone and returned
+as an integer pair (m_exponent), which is all the exact kernel and the
+numeric layer read; l_minus_one gives the same data as Fractions.
+L'(0, chi_D) comes from Dirichlet's class number formula for the real
+quadratic field, L'(0, chi_D) = h(D) log eps_D, with eps_D = (t + u sqrt(D))/2
+the fundamental unit and h(D) the class number, both integers; the value is
+a `decimal.Decimal` to the requested digits.  `fractions` and `decimal` are
+imported by the two functions that make a Fraction or a Decimal, so a caller
+of m_exponent alone loads neither.
 """
 
 import math
 from collections import namedtuple
-from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 
 
 class LValueError(ValueError):
@@ -26,20 +29,42 @@ class LValueRecord(namedtuple("LValueRecord", "D S_chi l_minus_one m_exponent"))
     __slots__ = ()
 
 
+def _char_sum(chi) -> int:
+    """S = sum_{n=1}^{D} n^2 chi(n) for the row chi, D = len(chi)."""
+    D = len(chi)
+    return sum(n * n * chi[n % D] for n in range(1, D + 1))
+
+
+def _checked_m(D: int, S: int) -> tuple[int, int]:
+    """m = S/(4D) as (numerator, denominator) in lowest terms, after the
+    check that L(-1) = -S/(2D) is -2/5 at D = 5 (S = 4, m = 1/5) and a
+    negative even integer above (S > 0 and 4D | S, m a positive integer)."""
+    if D == 5:
+        if S != 4:
+            raise LValueError(f"L(-1, chi_5) = -{S}/10, expected -2/5")
+        return 1, 5
+    if S <= 0 or S % (4 * D):
+        raise LValueError(f"L(-1, chi_{D}) = -{S}/{2 * D} is not a negative even integer")
+    return S // (4 * D), 1
+
+
+def m_exponent(chi) -> tuple[int, int]:
+    """The q^m exponent m = -L(-1, chi_D)/2 of eta_D as an exact pair
+    (numerator, denominator), from the row chi of build_char_table,
+    D = len(chi), with the checks of l_minus_one."""
+    return _checked_m(len(chi), _char_sum(chi))
+
+
 def l_minus_one(chi) -> LValueRecord:
     """Exact L(-1, chi_D) = -S/(2D) from the row chi of build_char_table,
     D = len(chi), checked to be -2/5 at D = 5 (m = 1/5) and a negative even
     integer 2k above, so that S = -4Dk and m = -k > 0."""
+    from fractions import Fraction
+
     D = len(chi)
-    S = sum(n * n * chi[n % D] for n in range(1, D + 1))
-    l = Fraction(-S, 2 * D)
-    m = -l / 2
-    if D == 5:
-        if l != Fraction(-2, 5):
-            raise LValueError(f"L(-1, chi_5) = {l}, expected -2/5")
-    elif l.denominator != 1 or l >= 0 or l % 2 != 0:
-        raise LValueError(f"L(-1, chi_{D}) = {l} is not a negative even integer")
-    return LValueRecord(D=D, S_chi=S, l_minus_one=l, m_exponent=m)
+    S = _char_sum(chi)
+    m = Fraction(*_checked_m(D, S))
+    return LValueRecord(D=D, S_chi=S, l_minus_one=-2 * m, m_exponent=m)
 
 
 def _fundamental_unit(D: int) -> tuple[int, int]:
@@ -79,7 +104,7 @@ def _class_number(chi, log_eps: float) -> int:
     return h
 
 
-def l_prime_zero(chi, digits: int = 30) -> Decimal:
+def l_prime_zero(chi, digits: int = 30) -> "decimal.Decimal":
     """L'(0, chi_D) = h(D) log eps_D as a Decimal to `digits` significant
     digits, from the row chi of build_char_table, D = len(chi).
 
@@ -87,6 +112,8 @@ def l_prime_zero(chi, digits: int = 30) -> Decimal:
     by the closeness of its float quotient to an integer; either failure
     raises LValueError.
     """
+    from decimal import Context, Decimal, localcontext
+
     D = len(chi)
     t, u = _fundamental_unit(D)
     if t * t - D * u * u not in (4, -4):

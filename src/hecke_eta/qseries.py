@@ -1,9 +1,11 @@
 """Truncated power series over O_D and the exact eta-analogue coefficients.
 
-A QSeries is a plain tuple (D, coeffs, valuation) that stands for
+A QSeries is a plain tuple (D, coeffs, valuation_pair) that stands for
 q^v * sum a(k) q^k in q = exp(2 pi i z/sqrt(D)): coefficients a(0..N) in
-O_D and an exact rational valuation v.  eta_series gives a_D, and
-tau5_values the coefficients tau_5 of eta_5**5.
+O_D and an exact rational valuation v, held as an integer pair and read as
+a Fraction (the valuation property), which loads `fractions` only when it
+is read.  eta_series gives a_D, and tau5_values the coefficients tau_5 of
+eta_5**5.
 
 The eta kernel never expands the product.  By the Gauss sum
 sum_a chi(a) zeta^{ar} = chi(r) sqrt(D), the logarithmic derivative of
@@ -26,26 +28,41 @@ product; the oracle and the period-polynomial norm check pack with it too.
 """
 
 from collections import namedtuple
+from math import gcd
 from operator import mul
 
 from .characters import build_char_table
-from .lseries import l_minus_one
+from .lseries import m_exponent
 from .quad_ring import RingElem, RingError
 
 class SeriesError(ValueError):
     """A non-positive exponent or order."""
 
 
-class QSeries(namedtuple("QSeries", "D coeffs valuation")):
+class QSeries(namedtuple("QSeries", "D coeffs valuation_pair")):
     """q^valuation * sum coeffs[k] q^k: coeffs a tuple of RingElem, the
-    valuation a Fraction."""
+    valuation held as a pair (numerator, denominator) in lowest terms and
+    read as a Fraction."""
 
     __slots__ = ()
 
+    @property
+    def valuation(self) -> "fractions.Fraction":
+        from fractions import Fraction
 
-def _series(D: int, A, B, valuation) -> QSeries:
+        return Fraction(*self.valuation_pair)
+
+
+def _series(D: int, A, B, valuation_pair) -> QSeries:
     """The QSeries whose coefficient k is (A[k] + B[k] sqrt(D))/2."""
-    return QSeries(D, tuple([RingElem(a, b, D) for a, b in zip(A, B, strict=True)]), valuation)
+    return QSeries(D, tuple([RingElem(a, b, D) for a, b in zip(A, B, strict=True)]), valuation_pair)
+
+
+def _times(r: int, pair: tuple[int, int]) -> tuple[int, int]:
+    """r times the rational (numerator, denominator), in lowest terms."""
+    num, den = r * pair[0], pair[1]
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _halve(n: int) -> int:
@@ -141,7 +158,7 @@ def series_pow(f: QSeries, k: int) -> QSeries:
     the valuation is k times f's."""
     if k < 1:
         raise SeriesError("series_pow needs a positive integer exponent")
-    D, N, valuation = f.D, len(f.coeffs) - 1, k * f.valuation
+    D, N, valuation_pair = f.D, len(f.coeffs) - 1, _times(k, f.valuation_pair)
     base = [c.num_a for c in f.coeffs], [c.num_b for c in f.coeffs]
     result = None
     while k:
@@ -150,7 +167,7 @@ def series_pow(f: QSeries, k: int) -> QSeries:
         k >>= 1
         if k:
             base = _mul_pairs(*base, *base, D, N)
-    return _series(D, *result, valuation)
+    return _series(D, *result, valuation_pair)
 
 
 def _divisor_sums(chi, D: int, N: int) -> tuple[list[int], list[int]]:
@@ -285,8 +302,7 @@ def _eta_power(D: int, N: int, r: int) -> QSeries:
     chi = build_char_table(D)
     s1, s2 = _divisor_sums(chi, D, N)
     A, B = euler_transform([-2 * r * x for x in s1], [-2 * r * x for x in s2], D, N)
-    m = l_minus_one(chi).m_exponent
-    return _series(D, A, B, r * m)
+    return _series(D, A, B, _times(r, m_exponent(chi)))
 
 
 def eta_series(D: int, N: int) -> QSeries:

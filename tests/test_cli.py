@@ -184,6 +184,7 @@ class TestNumericInput:
             ("verify-modularity", "--D", "5", "--nmax", "-3"),
             ("verify-modularity", "--D", "5", "--tol", "0"),
             ("verify-modularity", "--D", "5", "--tol=-1e-6"),
+            ("verify-modularity", "--D", "5", "--tol", "-1e-6"),
             ("verify-modularity", "--D", "5", "--tol", "nan"),
             ("verify-modularity", "--D", "5", "--tol", "inf"),
             ("grid", "--D", "5", "--nmax", "0"),
@@ -873,6 +874,87 @@ class TestEntryPoint:
         assert rec["D"] == 13
 
 
+class _CountingStdout:
+    """A stdout stand-in that counts its write calls."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# Every command that prints rows, all but verify-table with more rows than
+# one block holds.
+ROW_COMMANDS = [
+    ("coeffs", "--D", "5", "--N", "600"),
+    ("coeffs", "--D", "13", "--N", "300", "--format", "json"),
+    ("delta5", "--N", "300"),
+    ("delta5", "--N", "300", "--format", "json"),
+    ("growth", "--D", "5", "--N", "600", "--format", "csv"),
+    ("verify-modularity", "--D", "5", "--samples", "300", "--nmax", "50"),
+    ("grid", "--re-steps", "20", "--im-steps", "15", "--nmax", "50"),
+    ("verify-table",),
+    ("partitions", "--D", "5", "--N", "300"),
+]
+
+
+class TestRowOutput:
+    """Rows are written a block at a time (cli._write_rows), with the same
+    bytes as one print per row."""
+
+    @pytest.mark.parametrize("argv", ROW_COMMANDS, ids=lambda argv: " ".join(argv))
+    def test_stdout_is_the_same_buffered_and_unbuffered(self, argv):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        outs = []
+        for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hecke_eta.cli", *argv],
+                capture_output=True,
+                env={**env, **extra},
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
+    def test_coeffs_writes_one_call_per_block(self, monkeypatch):
+        out = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["coeffs", "--D", "5", "--N", "2000"]) == 0
+        text = "".join(out.parts)
+        rows = 2001  # the header and a(1..2000)
+        assert text.count("\n") == rows and text.endswith("\n")
+        assert len(out.parts) <= -(-rows // cli.ROW_BLOCK) + 2
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
+    def test_rows_joined_as_printed(self, monkeypatch, count):
+        out = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        rows = [str(i) for i in range(count)]
+        cli._write_rows(iter(rows))
+        assert "".join(out.parts) == "".join(row + "\n" for row in rows)
+        assert len(out.parts) == -(-count // cli.ROW_BLOCK)
+        out.parts.clear()
+        cli._write_rows(iter(rows), ", ", "]")
+        assert "".join(out.parts) == (", ".join(rows) + "]" if rows else "")
+
+    def test_long_rows_end_a_block_early(self, monkeypatch):
+        """A block ends once it holds ROW_BLOCK_CHARS characters, so the text
+        held stays near that size however long the rows are."""
+        out = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        rows = ["x" * (cli.ROW_BLOCK_CHARS // 2)] * 6 + ["y"]
+        cli._write_rows(rows)
+        assert "".join(out.parts) == "".join(row + "\n" for row in rows)
+        assert len(out.parts) == 4
+        assert max(map(len, out.parts)) <= cli.ROW_BLOCK_CHARS + 2
+
+
 def _fields(args):
     """A namespace's attributes by repr, so that nan equals nan and 5 differs
     from 5.0."""
@@ -977,9 +1059,9 @@ class TestCanonicalParse:
     def test_negative_value_is_read_directly(self, capsys):
         """-1e-3, which argparse's negative number pattern does not match, is
         read as a value, as argparse reads --re-min=-1e-3; -inf and -nan are
-        outside --re-min's range, so argparse parses the line and takes them
-        for options.  After an abbreviated flag argparse still takes -1e-3
-        for an option."""
+        outside --re-min's range, so argparse parses the line, and reads them
+        as values too, which it reports with the range.  After an abbreviated
+        flag argparse still takes -1e-3 for an option."""
         for text in ("-1e-3", "-0.001"):
             assert cli._parse_canonical(["grid", "--re-min", text]).re_min == -1e-3
         assert cli._build_parser().parse_args(["grid", "--re-min=-1e-3"]).re_min == -1e-3
@@ -992,7 +1074,10 @@ class TestCanonicalParse:
             assert cli._parse_canonical(["grid", "--re-min", text]) is None
             code, out, err = run_cli(capsys, "grid", "--re-min", text)
             assert (code, out) == (2, "")
-            assert err.endswith("error: argument --re-min: expected one argument\n")
+            assert err.endswith(
+                "error: argument --re-min: invalid float in "
+                f"[-1.7976931348623157e+308, 1.7976931348623157e+308] value: '{text}'\n"
+            )
         assert cli._parse_canonical(["grid", "--re-mi", "-1e-3"]) is None
         with pytest.raises(SystemExit) as exit_usage:
             cli.main(["grid", "--re-mi", "-1e-3"])

@@ -1,6 +1,7 @@
 """Every module imports cleanly when it is the first one imported, each
 command loads only the layers it runs, and no command or library call loads
-mpmath, which only the tests' reference routes use.
+mpmath, which only the tests' reference routes use, or decimal and
+fractions (with numbers) unless it makes a Decimal or a Fraction.
 
 The package's ``__init__`` imports its modules in one fixed order, which can
 hide an import cycle that another entry point (``python -m hecke_eta.cli``,
@@ -46,11 +47,15 @@ def test_module_imports_first(module):
     assert proc.returncode == 0, proc.stderr
 
 
-# Prints [exit code, mpmath loaded, the hecke_eta modules loaded, whether a
-# heavy module (dataclasses, inspect, or argparse with gettext and locale,
-# which only help and usage errors need) was loaded after the probe's own
-# imports].
-CLI_PROBE = """
+# Modules no command needs: dataclasses, inspect, and argparse with gettext
+# and locale, which only help and usage errors need.
+HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+# Modules that only a call making a Decimal or a Fraction needs.
+NUMBER_TYPES = {"decimal", "fractions", "numbers"}
+
+# Prints [exit code, mpmath loaded, the hecke_eta modules loaded, the modules
+# of HEAVY | NUMBER_TYPES loaded after the probe's own imports].
+CLI_PROBE = f"""
 import contextlib, io, json, sys
 before = set(sys.modules)
 from hecke_eta import cli
@@ -60,7 +65,7 @@ print(json.dumps([
     code,
     "mpmath" in sys.modules,
     sorted(m for m in sys.modules if m.startswith("hecke_eta.")),
-    bool({"dataclasses", "inspect", "argparse", "gettext", "locale"} & (set(sys.modules) - before)),
+    sorted(set({sorted(HEAVY | NUMBER_TYPES)!r}) & (set(sys.modules) - before)),
 ]))
 """
 
@@ -133,31 +138,36 @@ def test_command_does_not_load_mpmath(argv):
 
 @pytest.mark.parametrize("argv", COMMANDS)
 def test_command_loads_only_its_layers(argv):
-    code, _, modules, heavy = probe_cli(argv)
+    """Only lvalues, which prints the Fractions L(-1) and m and the Decimal
+    L'(0), may load decimal, fractions and numbers."""
+    code, _, modules, loaded = probe_cli(argv)
     assert code == 0
     assert modules == sorted(f"hecke_eta.{m}" for m in LAYERS[argv.split()[0]])
-    assert not heavy
+    allowed = NUMBER_TYPES if argv.startswith("lvalues ") else set()
+    assert set(loaded) <= allowed
 
 
 def test_abbreviated_option_still_runs():
     """An abbreviation is left to argparse, which loads and still runs it."""
-    code, _, _, heavy = probe_cli("coeffs --D 5 --N 3 --form json")
+    code, _, _, loaded = probe_cli("coeffs --D 5 --N 3 --form json")
     assert code == 0
-    assert heavy
+    assert "argparse" in loaded
 
 
-LIB_PROBE = """
+LIB_PROBE = f"""
 import json, sys
 before = set(sys.modules)
 import hecke_eta
 on_import = sorted(m for m in sys.modules if m.startswith("hecke_eta."))
 residual = hecke_eta.check_u_gamma(hecke_eta.word_matrix([1, -1, 2], 5))
+number_types = sorted(set({sorted(NUMBER_TYPES)!r}) & (set(sys.modules) - before))
 phi_residual = hecke_eta.check_phi_relation(13, 0.7)
 print(json.dumps([
     on_import,
     sorted(m for m in sys.modules if m.startswith("hecke_eta.")),
-    bool({"dataclasses", "inspect"} & (set(sys.modules) - before)),
+    bool({{"dataclasses", "inspect"}} & (set(sys.modules) - before)),
     "mpmath" in sys.modules,
+    number_types,
     [residual, phi_residual],
 ]))
 """
@@ -167,16 +177,19 @@ def test_library_call_loads_only_its_layers():
     """The package import loads no layer; check_u_gamma and
     check_phi_relation load the numeric layer and what it reads (the
     character table, the L-values), not the exact kernel, the oracle, the
-    partition tables or mpmath."""
+    partition tables or mpmath.  check_u_gamma alone loads no decimal,
+    fractions or numbers; check_phi_relation, which computes in decimal,
+    may."""
     proc = subprocess.run(
         [sys.executable, "-c", LIB_PROBE], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    on_import, modules, heavy, mpmath_loaded, residuals = json.loads(proc.stdout)
+    on_import, modules, heavy, mpmath_loaded, number_types, residuals = json.loads(proc.stdout)
     assert on_import == []
     assert modules == ["hecke_eta.analytic", "hecke_eta.characters", "hecke_eta.lseries"]
     assert not heavy
     assert not mpmath_loaded
+    assert number_types == []
     assert max(residuals) < 1e-8
 
 

@@ -47,6 +47,37 @@ class TestLMinusOne:
         chi[2] = chi[D - 2] = -chi[2]
         with pytest.raises(LValueError, match=match):
             l_minus_one(tuple(chi))
+        with pytest.raises(LValueError, match=match):
+            lseries.m_exponent(tuple(chi))
+
+    def test_m_exponent_pair_matches_the_fraction(self):
+        for D in fundamental_discriminants(1000):
+            chi = build_char_table(D)
+            num, den = lseries.m_exponent(chi)
+            assert Fraction(num, den) == l_minus_one(chi).m_exponent
+            assert math.gcd(num, den) == 1
+
+    @pytest.mark.parametrize(
+        "D, S, match",
+        [
+            (5, 9, "expected -2/5"),
+            (5, -4, "expected -2/5"),
+            (13, 26, "not a negative even integer"),
+            (13, -52, "not a negative even integer"),
+            (13, 0, "not a negative even integer"),
+            (17, 136 + 4, "not a negative even integer"),
+        ],
+    )
+    def test_m_exponent_refuses_a_wrong_character_sum(self, D, S, match):
+        """A synthetic row whose sum S = sum n^2 chi(n) is off: not 4 at
+        D = 5, not a positive multiple of 4D above."""
+        chi = [0] * D
+        chi[1] = S  # only n = 1 contributes to the sum
+        assert lseries._char_sum(chi) == S
+        with pytest.raises(LValueError, match=match):
+            lseries.m_exponent(chi)
+        with pytest.raises(LValueError, match=match):
+            l_minus_one(chi)
 
     def test_invalid_modulus_rejected_upstream(self):
         with pytest.raises(CharacterError):

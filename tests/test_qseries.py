@@ -40,6 +40,14 @@ class TestSeriesOps:
         assert series_pow(f, 2).valuation == Fraction(2, 5)
         assert series_pow(f, 5).valuation == 1
 
+    def test_valuation_pair_is_in_lowest_terms(self):
+        """The valuation is held as an integer pair and read as a Fraction."""
+        f = eta_series(5, 4)
+        assert f.valuation_pair == (1, 5)
+        assert [series_pow(f, k).valuation_pair for k in (2, 5, 10)] == [(2, 5), (1, 1), (2, 1)]
+        assert series_pow(eta_series(17, 4), 3).valuation_pair == (6, 1)
+        assert type(f.valuation) is Fraction
+
     def test_nonpositive_exponent_rejected(self):
         for k in (0, -1):
             with pytest.raises(SeriesError):
