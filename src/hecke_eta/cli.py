@@ -8,8 +8,10 @@ digits, and the exact numerator pair always accompanies any real column.
 
 Every --D command needs the discriminant check, so characters and quad_ring
 are imported here; each command imports the layers it runs, and json, when
-it runs, so that a call loads only what it uses: only lvalues, and growth
-past the float range, load decimal, and only lvalues fractions.  The grammar
+it runs, so that a call loads only what it uses.  No command loads decimal
+or fractions: lvalues prints L(-1) and m from lseries.m_exponent's integer
+pair, and L'(0), like growth the log of a coefficient past the float range,
+from one integer fixed-point log (lseries.log_fixed).  The grammar
 is one table, COMMANDS, which reads a canonical command line directly;
 argparse is loaded, and built from it, only for help, usage errors and
 abbreviated options.  Rows are written in blocks (_write_rows), one write
@@ -26,8 +28,12 @@ from types import SimpleNamespace
 from .characters import build_char_table, euler_phi, is_fundamental
 from .quad_ring import canonical_str, embed_midpoint, embed_real
 
-# Precision of L'(0) in `lvalues`; the printed float carries 17 digits.
-L_PRIME_DIGITS = 50
+# L'(0) in `lvalues` and the log of a coefficient past the float range in
+# `growth` are ints in units of 2^-LOG_BITS (lseries.log_fixed), printed as
+# their correctly rounded quotient by 2^LOG_BITS.  That float is the exact
+# value's unless this lies within a few 2^-LOG_BITS of a rounding boundary of
+# a double; 166 bits are the 50 digits of the Decimal L'(0) this replaced.
+LOG_BITS = 166
 
 # oracle-check, partitions, verify-modularity, grid, coeffs, delta5, signs
 # and growth refuse, with exit 2, any input whose predicted run time exceeds
@@ -420,17 +426,16 @@ def cmd_partitions(args) -> int:
 def cmd_lvalues(args) -> int:
     import json
 
-    from .lseries import l_minus_one, l_prime_zero
+    from .lseries import l_prime_zero_fixed, m_exponent
 
     chi = build_char_table(args.D)
-    rec = l_minus_one(chi)
-    m = rec.m_exponent
-    lp = l_prime_zero(chi, L_PRIME_DIGITS)
+    num, den = m_exponent(chi)  # m = S/(4D), an integer but at D = 5 (1/5)
+    lp = l_prime_zero_fixed(chi, LOG_BITS)
     out = {
-        "S_chi": rec.S_chi,
-        "L_minus_1": str(rec.l_minus_one),
-        "m": int(m) if m.denominator == 1 else str(m),
-        "L_prime_0": float(lp),
+        "S_chi": 4 * args.D * num // den,
+        "L_minus_1": str(-2 * num) if den == 1 else f"{-2 * num}/{den}",
+        "m": num if den == 1 else f"{num}/{den}",
+        "L_prime_0": lp / (1 << LOG_BITS),
     }
     print(json.dumps(out))
     return 0
@@ -505,6 +510,7 @@ def cmd_growth(args) -> int:
     hi = args.window_max if args.window_max is not None else args.N
     if not 1 <= lo <= hi <= args.N:
         return _usage_error("fit window must satisfy 1 <= min <= max <= N")
+    from .lseries import log_fixed
     from .qseries import eta_series
 
     pairs = []
@@ -520,11 +526,8 @@ def cmd_growth(args) -> int:
         if v < math.inf:
             y = math.log(v)
         else:  # past the float range: the log of the exact midpoint n / 2^k
-            from decimal import Context, Decimal, localcontext
-
             num, k = embed_midpoint(c)
-            with localcontext(Context(prec=30)):
-                y = float(Decimal(abs(num)).ln() - k * Decimal(2).ln())
+            y = log_fixed(abs(num), k, LOG_BITS) / (1 << LOG_BITS)
         pairs.append((x, y))
         if lo <= n <= hi:
             xs.append(x)

@@ -4,14 +4,16 @@ L(-1, chi_D) comes from the closed finite sum -S/(2D) with
 S = sum_{n=1}^{D} n^2 chi_D(n); for D > 5 it is a negative even integer
 (equivalently S > 0 and 4D | S), for D = 5 it equals -2/5.  The q^m
 exponent m = -L(-1, chi_D)/2 = S/(4D) is checked from S alone and returned
-as an integer pair (m_exponent), which is all the exact kernel and the
-numeric layer read; l_minus_one gives the same data as Fractions.
+as an integer pair (m_exponent), which is all the exact kernel, the numeric
+layer and `lvalues` read; l_minus_one gives the same data as Fractions.
 L'(0, chi_D) comes from Dirichlet's class number formula for the real
 quadratic field, L'(0, chi_D) = h(D) log eps_D, with eps_D = (t + u sqrt(D))/2
-the fundamental unit and h(D) the class number, both integers; the value is
-a `decimal.Decimal` to the requested digits.  `fractions` and `decimal` are
-imported by the two functions that make a Fraction or a Decimal, so a caller
-of m_exponent alone loads neither.
+the fundamental unit and h(D) the class number, both integers.  The log is
+one integer fixed-point natural log (log_fixed), so l_prime_zero_fixed gives
+the value as an int in units of 2^-bits; l_prime_zero builds a
+`decimal.Decimal` to the requested digits from it.  `fractions` and
+`decimal` are imported by the two functions that make a Fraction or a
+Decimal, so no other caller loads either.
 """
 
 import math
@@ -90,6 +92,48 @@ def _fundamental_unit(D: int) -> tuple[int, int]:
             return 2 * p - q, q
 
 
+def _atanh2(z: int, p: int, cut: int) -> int:
+    """2 atanh(z / 2^p) in units of 2^-p, for 0 <= z < 2^p / 3: the terms
+    z^(2j+1) / (2j+1) down to the first below `cut` units, so the tail left,
+    its terms shrinking by z^2 < 1/9, is under 9/8 cut; the floors lose under
+    3 units a term."""
+    z2 = z * z >> p
+    total = 0
+    j = 1
+    while (term := z // j) >= cut:
+        total += term
+        z = z * z2 >> p
+        j += 2
+    return 2 * total
+
+
+def log_fixed(v: int, s: int, bits: int) -> int:
+    """ln(v / 2^s) in units of 2^-bits, within one unit, for ints v >= 1 and
+    bits >= 0.
+
+    v / 2^s = 2^e x with x in [1, 2), so ln(v / 2^s) = e ln 2 + 2 atanh(z)
+    with z = (x - 1)/(x + 1) in [0, 1/3), and ln 2 = 2 atanh(1/3).  Both
+    series are summed on ints in units of 2^-p, p = bits + g: the g guard
+    bits keep the floors of both (the ln 2 series taken e times) under 0.3
+    of an output unit, each tail is cut below 0.08 of one, and the final
+    rounding adds a half.
+    """
+    if v < 1:
+        raise ValueError(f"log of {v}, which is not positive")
+    n = v.bit_length() - 1
+    e = n - s
+    eb = abs(e).bit_length()
+    g = 8 + eb + (bits + eb).bit_length()
+    p = bits + g
+    one = 1 << p
+    x = v << p - n if p >= n else v >> n - p  # x / 2^p in [1, 2)
+    cut = 1 << g - 5
+    total = _atanh2(((x - one) << p) // (x + one), p, cut)
+    if e:
+        total += e * _atanh2(one // 3, p, cut >> eb)
+    return total + (1 << g - 1) >> g
+
+
 def _class_number(chi, log_eps: float) -> int:
     """h(D) = -sum_{0<a<D/2} chi(a) log(2 sin(pi a/D)) / log eps_D, rounded;
     LValueError unless the quotient lies within 1e-6 of an integer >= 1."""
@@ -104,23 +148,37 @@ def _class_number(chi, log_eps: float) -> int:
     return h
 
 
-def l_prime_zero(chi, digits: int = 30) -> "decimal.Decimal":
-    """L'(0, chi_D) = h(D) log eps_D as a Decimal to `digits` significant
-    digits, from the row chi of build_char_table, D = len(chi).
+def l_prime_zero_fixed(chi, bits: int) -> int:
+    """L'(0, chi_D) = h(D) log eps_D in units of 2^-bits, within 2 h(D)
+    units, from the row chi of build_char_table, D = len(chi).
 
     The unit is checked exactly (t^2 - D u^2 = +-4) and the class number
     by the closeness of its float quotient to an integer; either failure
     raises LValueError.
     """
-    from decimal import Context, Decimal, localcontext
-
     D = len(chi)
     t, u = _fundamental_unit(D)
     if t * t - D * u * u not in (4, -4):
         raise LValueError(f"(t + u sqrt({D}))/2 is not a unit: t^2 - D u^2 is not +-4")
-    with localcontext(Context(prec=digits + 10)):
-        log_eps = ((Decimal(t) + Decimal(u) * Decimal(D).sqrt()) / 2).ln()
-        h = _class_number(chi, float(log_eps))
-        value = h * log_eps
-    with localcontext(Context(prec=digits)):
-        return +value
+    # 2^k (t + u sqrt(D)) less under one unit, so its log is off by < 2^-k
+    k = bits + 4
+    log_eps = log_fixed((t << k) + math.isqrt(u * u * D << 2 * k), k + 1, bits)
+    h = _class_number(chi, log_eps / (1 << bits))
+    return h * log_eps
+
+
+def l_prime_zero(chi, digits: int = 30) -> "decimal.Decimal":
+    """L'(0, chi_D) = h(D) log eps_D as a Decimal to `digits` significant
+    digits, from the row chi of build_char_table, D = len(chi): the value
+    of l_prime_zero_fixed at digits + 10 digits' worth of bits, correctly
+    rounded.  TypeError unless digits is an int, ValueError unless it is at
+    least 1, and LValueError as l_prime_zero_fixed.
+    """
+    if not isinstance(digits, int):
+        raise TypeError(f"digits must be an int, not {type(digits).__name__}")
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, not {digits}")
+    from decimal import Context, Decimal
+
+    bits = (digits + 10) * 3322 // 1000 + 1  # log2(10) < 3.322
+    return Context(prec=digits).divide(Decimal(l_prime_zero_fixed(chi, bits)), 1 << bits)

@@ -6,18 +6,21 @@ product multiplied out factor by factor, exactly and numerically, the
 oracle's series product by cyclic convolutions, group words as plain matrix
 products, L(s, chi) by the Hurwitz zeta function and L'(0, chi) by
 log-Gamma) that share no code with the library paths they check, and the
-deterministic samples the tests draw.
+deterministic samples the tests draw.  One reference does share code:
+L'(0, chi) by Decimal.ln, which checks lseries' fixed-point log alone.
 """
 
 import cmath
 import math
 import random
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from math import gcd
 from operator import mul
 
 import mpmath
 
+from hecke_eta import lseries
 from hecke_eta.analytic import word_matrix
 from hecke_eta.characters import build_char_table, euler_phi, is_fundamental, moebius
 from hecke_eta.cyclotomic import cyc_mul, project_to_quad
@@ -131,6 +134,21 @@ def l_prime_zero_loggamma(chi, digits=30):
             if c:
                 total += c * mpmath.loggamma(mpmath.mpf(a) / D)
         return +total
+
+
+def l_prime_zero_decimal(chi, digits=30):
+    """L'(0, chi_D) = h(D) log eps_D as a Decimal to `digits` digits, with
+    log eps_D by Decimal.ln at digits + 10 digits.  The unit and the class
+    number are lseries' own, so this checks the integer fixed-point log of
+    lseries.l_prime_zero and nothing else; l_prime_zero_loggamma is the
+    independent route."""
+    D = len(chi)
+    t, u = lseries._fundamental_unit(D)
+    with localcontext(Context(prec=digits + 10)):
+        log_eps = ((Decimal(t) + Decimal(u) * Decimal(D).sqrt()) / 2).ln()
+        value = lseries._class_number(chi, float(log_eps)) * log_eps
+    with localcontext(Context(prec=digits)):
+        return +value
 
 
 def l_function_hurwitz(chi, s, digits=30):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,11 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import embed_mp, fundamental_discriminants
+from oracles import embed_mp, fundamental_discriminants, l_prime_zero_decimal
 
-from hecke_eta import analytic, cli
-from hecke_eta.characters import is_fundamental
-from hecke_eta.quad_ring import RingElem
+from hecke_eta import analytic, cli, qseries
+from hecke_eta.characters import build_char_table, is_fundamental
+from hecke_eta.quad_ring import RingElem, embed_midpoint, embed_real
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,14 @@ class TestVerifyTable:
         assert "expected (22-8*sqrt(5))/2" in out
 
 
+LVALUES_LINES = {
+    1000001: '{"S_chi": 126218110217984, "L_minus_1": "-63108992", "m": 31554496, '
+    '"L_prime_0": 714.484854696947}\n',
+    3999997: '{"S_chi": 2898103906420440, "L_minus_1": "-362263260", "m": 181131630, '
+    '"L_prime_0": 1022.8802773618297}\n',
+}
+
+
 class TestLValues:
     def test_d17(self, capsys):
         code, out, _ = run_cli(capsys, "lvalues", "--D", "17")
@@ -96,6 +105,17 @@ class TestLValues:
         assert rec["L_minus_1"] == "-2/5"
         assert rec["m"] == "1/5"
         assert rec["S_chi"] == 4
+
+    def test_l_prime_0_is_the_float_of_the_decimal_ln_reference(self, capsys):
+        for D in fundamental_discriminants(2000):
+            _, out, _ = run_cli(capsys, "lvalues", "--D", str(D))
+            ref = l_prime_zero_decimal(build_char_table(D), 50)
+            assert json.loads(out)["L_prime_0"] == float(ref), D
+
+    @pytest.mark.parametrize("D", sorted(LVALUES_LINES))
+    def test_pinned_output_at_large_d(self, capsys, D):
+        """The lines the Decimal.ln route printed."""
+        assert run_cli(capsys, "lvalues", "--D", str(D)) == (0, LVALUES_LINES[D], "")
 
 
 class TestSmallCommands:
@@ -742,6 +762,24 @@ class TestSigns:
         assert rec["sign_changes"][:3] == [2, 3, 4]
 
 
+# growth --D 1000001 --N 460 --format csv: the rows N = 449..460, whose
+# coefficients lie past the float range.
+GROWTH_ROWS_PAST_FLOAT_RANGE = [
+    "21.189620100417091,711.33849199428323",
+    "21.213203435596427,712.24092418799944",
+    "21.236760581595302,710.78007523229883",
+    "21.2602916254693,713.86590461406956",
+    "21.283796653792763,714.89036598334042",
+    "21.307275752662516,714.19456670637067",
+    "21.330729007701542,716.36535089875963",
+    "21.354156504062622,717.51474049681599",
+    "21.377558326431949,717.20944352109461",
+    "21.400934559032695,718.83423468874093",
+    "21.42428528562855,720.11592257441521",
+    "21.447610589527216,720.07075938217088",
+]
+
+
 class TestGrowth:
     def test_csv_shape_and_fit(self, capsys):
         code, out, _ = run_cli(capsys, "growth", "--D", "5", "--N", "60")
@@ -781,6 +819,30 @@ class TestGrowth:
         ys = [y for _, y in json.loads(out)["pairs"]]
         assert ys == [float(mpmath.log(abs(embed_mp(x)))) for x in big]
         assert all(y > 709 for y in ys)
+
+    def test_rows_past_the_float_range(self, capsys, monkeypatch):
+        """At D = 1000001, |a(N)| first passes the largest float at N = 449.
+        Those rows' logs are mpmath's log of embed_midpoint's n / 2^k, and
+        are the lines the Decimal.ln route printed."""
+        series = []
+
+        def keep(D, N, eta_series=qseries.eta_series):
+            series.append(eta_series(D, N))
+            return series[-1]
+
+        monkeypatch.setattr(qseries, "eta_series", keep)
+        code, out, _ = run_cli(capsys, "growth", "--D", "1000001", "--N", "460", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert float(lines[-13].split(",")[1]) < math.log(sys.float_info.max)  # N = 448
+        rows = lines[-12:]
+        assert rows == GROWTH_ROWS_PAST_FLOAT_RANGE
+        with mpmath.workdps(80):
+            for n, row in enumerate(rows, start=449):
+                c = series[0].coeffs[n]
+                assert math.isinf(embed_real(c))
+                num, k = embed_midpoint(c)
+                assert float(row.split(",")[1]) == float(mpmath.log(abs(num)) - k * mpmath.log(2))
 
 
 class TestGrid:

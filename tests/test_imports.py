@@ -1,7 +1,8 @@
 """Every module imports cleanly when it is the first one imported, each
-command loads only the layers it runs, and no command or library call loads
-mpmath, which only the tests' reference routes use, or decimal and
-fractions (with numbers) unless it makes a Decimal or a Fraction.
+command loads only the layers it runs, no command or library call loads
+mpmath, which only the tests' reference routes use, no command loads
+decimal, fractions or numbers, and no library call does unless it makes a
+Decimal or a Fraction.
 
 The package's ``__init__`` imports its modules in one fixed order, which can
 hide an import cycle that another entry point (``python -m hecke_eta.cli``,
@@ -81,6 +82,8 @@ COMMANDS = [
     "chars --D 5",
     "signs --D 13 --N 30",
     "growth --D 5 --N 30",
+    # the first row past the float range: |a(449)| at D = 1000001
+    "growth --D 1000001 --N 449",
     "grid --D 5 --re-steps 2 --im-steps 2",
     "lvalues --D 5",
 ]
@@ -138,13 +141,12 @@ def test_command_does_not_load_mpmath(argv):
 
 @pytest.mark.parametrize("argv", COMMANDS)
 def test_command_loads_only_its_layers(argv):
-    """Only lvalues, which prints the Fractions L(-1) and m and the Decimal
-    L'(0), may load decimal, fractions and numbers."""
+    """No command loads a module of HEAVY or NUMBER_TYPES: lvalues prints
+    L(-1), m and L'(0), and growth logs past the float range, from ints."""
     code, _, modules, loaded = probe_cli(argv)
     assert code == 0
     assert modules == sorted(f"hecke_eta.{m}" for m in LAYERS[argv.split()[0]])
-    allowed = NUMBER_TYPES if argv.startswith("lvalues ") else set()
-    assert set(loaded) <= allowed
+    assert loaded == []
 
 
 def test_abbreviated_option_still_runs():

@@ -1,10 +1,17 @@
+import inspect
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import fundamental_discriminants, l_function_hurwitz, l_prime_zero_loggamma
+from oracles import (
+    fundamental_discriminants,
+    l_function_hurwitz,
+    l_prime_zero_decimal,
+    l_prime_zero_loggamma,
+)
 
 from hecke_eta import lseries
 from hecke_eta.characters import CharacterError, build_char_table
@@ -114,6 +121,27 @@ class TestLPrimeZero:
         assert len(a.as_tuple().digits) == 20
         assert abs(a - b) < Decimal("1e-18")
 
+    @pytest.mark.parametrize("digits", [20, 45, 50, 60])
+    def test_matches_the_decimal_ln_reference(self, digits):
+        """The fixed-point route gives the Decimal that Decimal.ln gave, at
+        the digits lvalues used (50) and check_phi_relation asks for."""
+        for D in fundamental_discriminants(500):
+            chi = build_char_table(D)
+            assert l_prime_zero(chi, digits) == l_prime_zero_decimal(chi, digits), D
+
+    @pytest.mark.parametrize("digits", [0, -3])
+    def test_digits_below_one_raise_value_error(self, digits):
+        with pytest.raises(ValueError, match="digits"):
+            l_prime_zero(build_char_table(5), digits)
+
+    @pytest.mark.parametrize("digits", [2.0, "3", None])
+    def test_digits_not_an_int_raise_type_error(self, digits):
+        with pytest.raises(TypeError, match="digits"):
+            l_prime_zero(build_char_table(5), digits)
+
+    def test_one_digit(self):
+        assert l_prime_zero(build_char_table(5), 1) == Decimal("0.5")
+
     def test_matches_log_gamma_reference(self):
         for D in fundamental_discriminants(300):
             chi = build_char_table(D)
@@ -154,3 +182,85 @@ class TestLPrimeZero:
         values[2] = values[229 - 2] = -values[2]
         with pytest.raises(LValueError, match="class number"):
             l_prime_zero(tuple(values))
+
+
+# Output units of the fixed-point log in these tests: mpmath's 80 digits
+# (266 bits) leave every reference within 2^-40 of a unit, the largest value
+# (about 7 * 10^4, the log of a 10^5-bit v) included.
+LOG_BITS = 200
+
+
+def _log_cases():
+    """(v, s): powers of two, v = 2^s +- 1 (logs near 0), one bit below and
+    above each power of two at s = 0 (x near 2 and near 1), and 10^5-bit v
+    at s = 0 and s = 10^5 (e about 10^5, and near 0)."""
+    cases = [(1, 0), (1 << 40, 40), (1 << 300, 3), (1, 500)]
+    for s in range(1, 140, 3):
+        cases += [((1 << s) - 1, s), ((1 << s) + 1, s)]
+    for L in range(1, 140):
+        cases += [((1 << L) - 1, 0), (1 << L, 0), ((1 << L) + 1, 0)]
+    big = random.Random(5).getrandbits(10**5) | 1 << (10**5 - 1)
+    return cases + [(big, 0), (big, 10**5), ((1 << 10**5) - 1, 0), ((1 << 10**5) + 1, 10**5)]
+
+
+LOG_CASES = _log_cases()
+
+
+def _worst_log_error(log_fixed, bits=LOG_BITS):
+    """The largest |log_fixed(v, s, bits) - 2^bits ln(v / 2^s)| over
+    LOG_CASES, against mpmath at 80 digits, in output units."""
+    worst = 0
+    with mpmath.workdps(80):
+        for v, s in LOG_CASES:
+            exact = (mpmath.log(v) - s * mpmath.log(2)) * mpmath.mpf(2) ** bits
+            worst = max(worst, abs(log_fixed(v, s, bits) - exact))
+    return worst
+
+
+def _mutant(old, new):
+    """lseries.log_fixed built from lseries' source with `old` replaced by
+    `new` (each must appear once)."""
+    source = inspect.getsource(lseries)
+    assert source.count(old) == 1, old
+    namespace = {"__name__": "lseries_mutant"}
+    exec(compile(source.replace(old, new), "lseries_mutant", "exec"), namespace)
+    return namespace["log_fixed"]
+
+
+class TestLogFixed:
+    def test_within_one_unit_of_mpmath(self):
+        assert _worst_log_error(lseries.log_fixed) < 1
+
+    @pytest.mark.parametrize("s", [0, 1, 7, 200])
+    @pytest.mark.parametrize("bits", [0, LOG_BITS])
+    def test_power_of_two_at_its_own_scale_is_zero(self, s, bits):
+        assert lseries.log_fixed(1 << s, s, bits) == 0
+
+    @pytest.mark.parametrize("bits", [0, 1, 2, 10, 53, 64])
+    def test_few_bits(self, bits):
+        """The guard bits are set from bits and e, so short outputs hold the
+        one-unit bound too."""
+        assert _worst_log_error(lseries.log_fixed, bits) < 1
+
+    @pytest.mark.parametrize("v", [0, -1, -(1 << 70)])
+    def test_non_positive_argument_raises(self, v):
+        with pytest.raises(ValueError, match="not positive"):
+            lseries.log_fixed(v, 0, 10)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # ln 2 from a double instead of 2 atanh(1/3)
+            ("e * _atanh2(one // 3, p, cut >> eb)", "e * int(math.log(2) * one)"),
+            # the exponent off by one
+            ("    e = n - s\n", "    e = n - s + 1\n"),
+            # each series cut one term short
+            (
+                "while (term := z // j) >= cut:",
+                "while (term := z // j) >= cut and (z * z2 >> p) // (j + 2) >= cut:",
+            ),
+        ],
+        ids=["wrong-ln2", "exponent-off-by-one", "series-one-term-short"],
+    )
+    def test_mutant_fails(self, old, new):
+        assert _worst_log_error(_mutant(old, new)) >= 1
