@@ -30,8 +30,9 @@ chosen per point from |q|, N and D to minimise the work (_plan); a plan
 without series is the plain product, stopped where its dropped factors
 meet that bound, so no point costs more than phi(D) + 1 logs per n.  The
 per-D data (character table, q^v exponent, phi(D), roots of unity) is
-built once per D.  Only check_phi_relation computes in `decimal`, which it
-and its helpers import when they run.
+built once per D.  check_phi_relation needs more than a float: it computes
+on ints in binary fixed point, with lseries' exp, log and pi, and takes y
+exactly, so no routine here loads `decimal`.
 """
 
 import cmath
@@ -42,7 +43,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .characters import build_char_table, euler_phi, prime_factors
-from .lseries import l_prime_zero, m_exponent
+from .lseries import exp_fixed, l_prime_zero_fixed, log_fixed, m_exponent, pi_fixed
 
 
 class ConditioningError(ValueError):
@@ -287,101 +288,82 @@ def sample_half_plane_points(
     """Deterministic pseudo-random sample with |re| <= sqrt(D)/2."""
     rng = random.Random(seed * 1_000_003 + D)
     half = math.sqrt(D) / 2
-    return [
-        complex(rng.uniform(-half, half), rng.uniform(*im_range))
-        for _ in range(count)
-    ]
+    return [complex(rng.uniform(-half, half), rng.uniform(*im_range)) for _ in range(count)]
 
 
-def _decimal_pi() -> "decimal.Decimal":
-    """pi to the precision of the current decimal context, by Machin's
-    formula pi = 16 arctan(1/5) - 4 arctan(1/239) on integers scaled by
-    10^(prec + 10); each truncated term is off by less than one unit."""
-    from decimal import Decimal, getcontext
+def _phi_sides(chi, y: float, n_max: int, bits: int) -> tuple[int, int, int]:
+    """log Phi#(i/y), log Phi(iy) and L'(0,chi) + y pi L(-1,chi)/sqrt(D) in
+    units of 2^-bits, both products truncated at n_max, for the row chi of
+    build_char_table, D = len(chi), and y > 0 taken exactly: the relation
+    says that the first is the sum of the other two.
 
-    scale = getcontext().prec + 10
-    one = 10**scale
-
-    def arctan_inv(x: int) -> int:
-        total = term = one // x
-        k = 1
-        while term:
-            term //= x * x
-            k += 2
-            total += -(term // k) if k % 4 == 3 else term // k
-        return total
-
-    return Decimal(4 * (4 * arctan_inv(5) - arctan_inv(239))).scaleb(-scale)
-
-
-def _log_phi_sharp(chi, y: float, n_max: int, digits: int) -> "decimal.Decimal":
-    """log Phi#(i/y) truncated at n_max, a Decimal at `digits` + 10 digits,
-    for the row chi of build_char_table, D = len(chi).
-
-    This is the twisted series of log_eta_tail with n0 = 0 on the real
-    r = exp(-2 pi / (y sqrt(D))),
+    Phi is its direct product over running powers of q = exp(-L),
+    L = 2 pi y / sqrt(D), its factors with chi = 1 and with chi = -1
+    multiplied apart, each product held as v / 2^s with v cut to p + 1 bits
+    after each factor, so that it keeps its relative precision however small
+    it gets, and each product's log taken once (log_fixed).  log Phi#
+    is the twisted series of log_eta_tail with n0 = 0 on r = exp(-L'),
+    L' = 2 pi / (y sqrt(D)),
 
         -sqrt(D) sum_{m>=1} (chi(m)/m) r^m (1 - r^{m n_max}) / (1 - r^m),
 
-    summed until its tail bound is below 10^-(digits+8), with r^m and
-    r^{m n_max} as running products.  1 - r^m loses about -log10(L) digits
-    to cancellation, L = -log r, so the working precision adds as many.
+    summed until its tail bound is below 2^-bits, with r^m and r^{m n_max} as
+    running products.  All runs on ints in units of 2^-p.  The floors leave
+    q^n off by about 1/L units and r^m by 1/L', which 1 - q^n and 1 - r^m
+    magnify by 1/(nL) and 1/(mL'): p - bits includes twice the bits of
+    1/min(L, L') for that cancellation.  The cuts lose under 2^-p of each
+    product a factor, and the series adds up sqrt(D) M errors: the g guard
+    bits cover those.
     """
-    from decimal import Context, Decimal, localcontext
-
     D = len(chi)
-    L = 2 * math.pi / (y * math.sqrt(D))
-    log_eps = -(digits + 8) * math.log(10)
-    M = math.ceil(max(0.0, _series_ratio(L, 0, 2 * math.sqrt(D), log_eps) - 1))
-    guard = math.ceil(max(0.0, -math.log10(L)))
-    with localcontext(Context(prec=digits + 10 + guard)):
-        sqrt_d = Decimal(D).sqrt()
-        r = (-2 * _decimal_pi() / (Decimal(y) * sqrt_d)).exp()
-        r_n = r**n_max
-        total = Decimal(0)
-        rm = rmn = Decimal(1)
-        for m in range(1, M + 1):
-            rm *= r
-            rmn *= r_n
-            c = chi[m % D]
-            if c:
-                total += c * rm * (1 - rmn) / (m * (1 - rm))
-        return -sqrt_d * total
+    a, b = y.as_integer_ratio()
+    L, L_sharp = 2 * math.pi * y / math.sqrt(D), 2 * math.pi / (y * math.sqrt(D))
+    M = math.ceil(max(0.0, _series_ratio(L_sharp, 0, 2 * math.sqrt(D), -bits * math.log(2)) - 1))
+    g = 8 + (n_max * D * M).bit_length()
+    p = bits + g + 2 * max(0, math.ceil(-math.log2(min(L, L_sharp))))
+    one = 1 << p
+    sqrt_d = math.isqrt(D << 2 * p)
+    pi = pi_fixed(p)
+    y_pi = a * pi * sqrt_d // (b * D << p)  # y pi / sqrt(D)
+    q = exp_fixed(-2 * y_pi, p)
+    t = (2 * b * pi << p) // (a * sqrt_d)  # L'
+    r, r_n = exp_fixed(-t, p), exp_fixed(-n_max * t, p)
+    qn = one
+    prods = {1: (one, p), -1: (one, p)}
+    for n in range(1, n_max + 1):
+        qn = qn * q >> p
+        if e := chi[n % D]:
+            v, s = prods[e]
+            v *= one - qn
+            cut = v.bit_length() - p - 1
+            prods[e] = v >> cut, s + p - cut
+    total = 0
+    rm = rmn = one
+    for m in range(1, M + 1):
+        rm = rm * r >> p
+        rmn = rmn * r_n >> p
+        if c := chi[m % D]:
+            total += c * (rm * (one - rmn) // (m * (one - rm)))
+    num, den = m_exponent(chi)
+    factor = l_prime_zero_fixed(chi, p) - 2 * num * y_pi // den  # L(-1, chi) = -2m
+    log_sharp = -(sqrt_d * total >> 2 * p - bits)
+    return log_sharp, log_fixed(*prods[1], bits) - log_fixed(*prods[-1], bits), factor >> p - bits
 
 
 def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> float:
     """Residual of the Phi-sharp / Phi relation on the imaginary axis.
 
     Computes |Phi#(i/y) - exp(L'(0,chi) + y pi L(-1,chi)/sqrt(D)) Phi(iy)|
-    with both products truncated at n_max, in `decimal` at `digits` + 10
-    digits, where every quantity is real: Phi as its direct product over
-    running powers of q = exp(-2 pi y / sqrt(D)), Phi# by the twisted series
-    (_log_phi_sharp).
+    with both products truncated at n_max and y taken exactly, on ints in
+    units of 2^-F, F = ceil((digits + 10) log2(10)), where every quantity is
+    real: both sides from their logs (_phi_sides), each exponentiated once.
     """
-    from decimal import Context, Decimal, localcontext
-
-    if y <= 0:
-        raise ValueError("need y > 0")
-    chi = build_char_table(D)
-    num, den = m_exponent(chi)
-    prec = digits + 10
-    lp = l_prime_zero(chi, prec)
-    with localcontext(Context(prec=prec)):
-        sqrt_d = Decimal(D).sqrt()
-        y_pi = Decimal(y) * _decimal_pi()
-        q1 = (-2 * y_pi / sqrt_d).exp()
-        phi = qn = Decimal(1)
-        for n in range(1, n_max + 1):
-            qn *= q1
-            e = chi[n % D]
-            if e == 1:
-                phi *= 1 - qn
-            elif e == -1:
-                phi /= 1 - qn
-        phi_sharp = _log_phi_sharp(chi, y, n_max, digits).exp()
-        lval = Decimal(-2 * num) / den  # L(-1, chi) = -2m
-        factor = (lp + y_pi * lval / sqrt_d).exp()
-        return float(abs(phi_sharp - factor * phi))
+    if not 0 < y < math.inf:
+        raise ValueError(f"need a finite y > 0, not {y!r}")
+    bits = math.ceil((digits + 10) * math.log2(10))
+    log_sharp, log_phi, log_factor = _phi_sides(build_char_table(D), y, n_max, bits)
+    diff = exp_fixed(log_sharp, bits) - exp_fixed(log_phi + log_factor, bits)
+    return abs(diff) / (1 << bits)
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +390,7 @@ class GroupWord(namedtuple("GroupWord", "D ks mat")):
     def entry_floats(self) -> tuple[float, float, float, float]:
         s = math.sqrt(self.D)
         (m00, m01), (m10, m11) = self.mat
-        return (
-            m00[0] + m00[1] * s,
-            m01[0] + m01[1] * s,
-            m10[0] + m10[1] * s,
-            m11[0] + m11[1] * s,
-        )
+        return tuple(u + v * s for u, v in (m00, m01, m10, m11))
 
     def apply(self, z: complex) -> complex:
         a, b, c, d = self.entry_floats()
@@ -464,9 +441,7 @@ def predicted_u(w: GroupWord) -> int:
         a, b, c, d = m00[0], m01[1], m10[1], m11[0]
         u = a * (b - c) % 5
     if u != sum(w.ks) % 5:
-        raise AssertionError(
-            f"multiplier {u} disagrees with exponent sum {sum(w.ks) % 5}"
-        )
+        raise AssertionError(f"multiplier {u} disagrees with exponent sum {sum(w.ks) % 5}")
     return u
 
 

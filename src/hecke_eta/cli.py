@@ -2,9 +2,10 @@
 
 Subcommands: coeffs, delta5, verify-table, verify-modularity, oracle-check,
 partitions, lvalues, periods, chars, signs, growth, grid.  Exit codes:
-0 success, 1 verification failure, 2 usage error.  Output is deterministic
-for fixed flags: stable ordering, floats printed with 17 significant
-digits, and the exact numerator pair always accompanies any real column.
+0 success, 1 verification failure, 2 usage error, 141 stdout closed before
+the output was written (STDOUT_CLOSED).  Output is deterministic for fixed
+flags: stable ordering, floats printed with 17 significant digits, and the
+exact numerator pair always accompanies any real column.
 
 Every --D command needs the discriminant check, so characters and quad_ring
 are imported here; each command imports the layers it runs, and json, when
@@ -19,6 +20,7 @@ call per block, not one print per row.
 """
 
 import math
+import os
 import sys
 from collections import Counter
 from itertools import chain, compress, islice, repeat
@@ -103,6 +105,9 @@ def _json_float(x: float) -> float | None:
     """x, or None (JSON null) for an infinite or undefined x, which JSON
     cannot spell."""
     return x if math.isfinite(x) else None
+
+
+STDOUT_CLOSED = 141  # exit code when stdout closes early: 128 + SIGPIPE, as a shell reports
 
 
 def _usage_error(msg: str) -> int:
@@ -491,17 +496,11 @@ def cmd_signs(args) -> int:
             if prev != 0 and s != prev:
                 changes.append(n)
             prev = s
-    print(
-        json.dumps(
-            {
-                "D": args.D,
-                "N_max": args.N,
-                "signs": signs,
-                "sign_changes": changes,
-                "count": len(changes),
-            }
-        )
-    )
+    out = {
+        "D": args.D, "N_max": args.N, "signs": signs, "sign_changes": changes,
+        "count": len(changes),
+    }
+    print(json.dumps(out))
     return 0
 
 
@@ -542,8 +541,7 @@ def cmd_growth(args) -> int:
         slope = (k * sxy - sx * sy) / denom
         intercept = (sy - slope * sx) / k
     else:
-        slope = float("nan")
-        intercept = float("nan")
+        slope = intercept = math.nan
     if args.format == "csv":
         head = [
             f"# D={args.D} N_max={args.N} window={lo}..{hi} "
@@ -557,20 +555,12 @@ def cmd_growth(args) -> int:
     else:
         import json
 
-        print(
-            json.dumps(
-                {
-                    "D": args.D,
-                    "N_max": args.N,
-                    "window": [lo, hi],
-                    "slope": _json_float(slope),
-                    "intercept": _json_float(intercept),
-                    "fitted_C": _json_float(slope),
-                    "excluded_zero": excluded,
-                    "pairs": [[x, y] for x, y in pairs],
-                }
-            )
-        )
+        out = {
+            "D": args.D, "N_max": args.N, "window": [lo, hi], "slope": _json_float(slope),
+            "intercept": _json_float(intercept), "fitted_C": _json_float(slope),
+            "excluded_zero": excluded, "pairs": [[x, y] for x, y in pairs],
+        }
+        print(json.dumps(out))
     return 0
 
 
@@ -750,7 +740,13 @@ def main(argv=None) -> int:
     width = SERIES_WIDTH.get(args.command)
     if width and width * _series_s(D or 5, args.N) > TIME_BUDGET_S:
         return _usage_error("--N exceeds the time budget")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early (| head): devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return STDOUT_CLOSED
+    return code
 
 
 if __name__ == "__main__":

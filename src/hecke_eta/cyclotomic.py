@@ -89,9 +89,7 @@ def project_to_quad(u: list[int], chi) -> RingElem:
             f"element not in Q(sqrt({D})): trace sums not divisible by phi(D)/2 = {half}"
         )
     if (a - b) % 2 != 0:
-        raise ProjectionError(
-            f"element not in O_{D}: numerator pair ({a}, {b}) breaks parity"
-        )
+        raise ProjectionError(f"element not in O_{D}: numerator pair ({a}, {b}) breaks parity")
     return RingElem(a, b, D)
 
 

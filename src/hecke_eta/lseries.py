@@ -11,9 +11,11 @@ quadratic field, L'(0, chi_D) = h(D) log eps_D, with eps_D = (t + u sqrt(D))/2
 the fundamental unit and h(D) the class number, both integers.  The log is
 one integer fixed-point natural log (log_fixed), so l_prime_zero_fixed gives
 the value as an int in units of 2^-bits; l_prime_zero builds a
-`decimal.Decimal` to the requested digits from it.  `fractions` and
-`decimal` are imported by the two functions that make a Fraction or a
-Decimal, so no other caller loads either.
+`decimal.Decimal` to the requested digits from it.  exp_fixed and pi_fixed
+serve analytic.check_phi_relation; all three sum one odd series
+(_odd_series, atanh or arctan by its sign).  `fractions` and `decimal` are
+imported only by l_minus_one and l_prime_zero, the API's Fraction and
+Decimal edge, so no other caller loads them.
 """
 
 import math
@@ -92,19 +94,19 @@ def _fundamental_unit(D: int) -> tuple[int, int]:
             return 2 * p - q, q
 
 
-def _atanh2(z: int, p: int, cut: int) -> int:
-    """2 atanh(z / 2^p) in units of 2^-p, for 0 <= z < 2^p / 3: the terms
-    z^(2j+1) / (2j+1) down to the first below `cut` units, so the tail left,
-    its terms shrinking by z^2 < 1/9, is under 9/8 cut; the floors lose under
-    3 units a term."""
-    z2 = z * z >> p
+def _odd_series(z: int, p: int, cut: int, sign: int = 1) -> int:
+    """atanh(z / 2^p) (sign 1) or arctan(z / 2^p) (sign -1) in units of 2^-p,
+    for 0 <= z < 2^p / 3: the terms sign^j z^(2j+1) / (2j+1) down to the first
+    below `cut` units, so the tail left, its terms shrinking by z^2 < 1/9, is
+    under 9/8 cut; the floors lose under 3 units a term."""
+    z2 = sign * (z * z >> p)
     total = 0
     j = 1
-    while (term := z // j) >= cut:
+    while abs(term := z // j) >= cut:
         total += term
         z = z * z2 >> p
         j += 2
-    return 2 * total
+    return total
 
 
 def log_fixed(v: int, s: int, bits: int) -> int:
@@ -128,10 +130,46 @@ def log_fixed(v: int, s: int, bits: int) -> int:
     one = 1 << p
     x = v << p - n if p >= n else v >> n - p  # x / 2^p in [1, 2)
     cut = 1 << g - 5
-    total = _atanh2(((x - one) << p) // (x + one), p, cut)
+    total = 2 * _odd_series(((x - one) << p) // (x + one), p, cut)
     if e:
-        total += e * _atanh2(one // 3, p, cut >> eb)
+        total += e * 2 * _odd_series(one // 3, p, cut >> eb)
     return total + (1 << g - 1) >> g
+
+
+def exp_fixed(x: int, bits: int) -> int:
+    """exp(x / 2^bits) in units of 2^-bits, within one unit plus 2^-bits of
+    the value, for ints x and bits >= 0.
+
+    x / 2^bits = k ln 2 + r with r in [0, ln 2), so exp = 2^k e^r, with
+    ln 2 = 2 atanh(1/3) and the Taylor series of e^r, its terms shrinking by
+    r / j < 0.7, summed on ints in units of 2^-p, p = bits + g: the g guard
+    bits keep the floors of both (ln 2 taken k times) under 0.1 of an output
+    unit relative to the value, and each tail under 0.08 of one.
+    """
+    kb = (abs(x) >> bits).bit_length() + 1  # |k| < 2^kb
+    g = 8 + kb + (bits + kb).bit_length()
+    p = bits + g
+    one = 1 << p
+    cut = 1 << g - 5
+    k, r = divmod(x << g, 2 * _odd_series(one // 3, p, cut >> kb))
+    total = term = one
+    j = 1
+    while (term := (term * r >> p) // j) >= cut:
+        total += term
+        j += 1
+    s = g - k
+    return total << -s if s <= 0 else (total >> s - 1) + 1 >> 1
+
+
+def pi_fixed(bits: int) -> int:
+    """pi in units of 2^-bits, within one unit, for bits >= 0: Machin's
+    pi = 16 arctan(1/5) - 4 arctan(1/239), summed on ints in units of 2^-p,
+    p = bits + g, to the last nonzero term; the g guard bits keep the floors,
+    under 3 units a term, and the tails under 0.2 of an output unit."""
+    g = 8 + (bits + 8).bit_length()
+    p = bits + g
+    pi = 16 * _odd_series((1 << p) // 5, p, 1, -1) - 4 * _odd_series((1 << p) // 239, p, 1, -1)
+    return pi + (1 << g - 1) >> g
 
 
 def _class_number(chi, log_eps: float) -> int:

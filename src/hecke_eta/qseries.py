@@ -198,18 +198,17 @@ def euler_transform(P, Q, D: int, N: int) -> tuple[list[int], list[int]]:
     means a wrong b(j), character value or sign convention for sqrt(D), and
     raises RingError.
 
-    The sums are accumulated online, divide and conquer: once a(l..m-1) are
-    known, their whole contribution to the sums of k in [m, r) is added in
-    one block step (_block), so the cost is that of O(log N) levels of
-    polynomial products instead of O(N^2) scalar ones.
+    The sums are accumulated online, divide and conquer, in A[k] and B[k]
+    themselves until a(k) replaces them: once a(l..m-1) are known, their
+    whole contribution to the sums of k in [m, r) is added in one block step
+    (_block), so the cost is that of O(log N) levels of polynomial products
+    instead of O(N^2) scalar ones.  P and Q are copied only to pad or cut
+    them to length N.
     """
-    P = list(P[:N]) + [0] * (N - len(P))
-    Q = list(Q[:N]) + [0] * (N - len(Q))
+    P, Q = (x if len(x) == N else list(x[:N]) + [0] * (N - len(x)) for x in (P, Q))
     A = [2] + [0] * N
     B = [0] * (N + 1)
-    X = [0] * (N + 1)
-    Y = [0] * (N + 1)
-    _solve(P, Q, [D * x for x in Q], D, A, B, X, Y, 0, N + 1)
+    _solve(P, Q, D, A, B, 0, N + 1)
     return A, B
 
 
@@ -217,39 +216,35 @@ def euler_transform(P, Q, D: int, N: int) -> tuple[list[int], list[int]]:
 _LEAF = 48
 
 
-def _solve(P, Q, DQ, D, A, B, X, Y, l: int, r: int) -> None:
-    """Fill A, B on [l, r), given that X[k], Y[k] for k in [l, r) already
-    hold the contributions of every a(i) with i < l."""
+def _solve(P, Q, D, A, B, l: int, r: int) -> None:
+    """Solve a(k) for k in [l, r), given that A[k], B[k] for k in [l, r)
+    already hold the sums over every a(i) with i < l."""
     if r - l <= _LEAF:
-        _leaf(P, Q, DQ, A, B, X, Y, l, r)
+        _leaf(P, Q, D, A, B, l, r)
         return
     m = (l + r) // 2
-    _solve(P, Q, DQ, D, A, B, X, Y, l, m)
-    _block(P, Q, DQ, D, A, B, X, Y, l, m, r)
-    _solve(P, Q, DQ, D, A, B, X, Y, m, r)
+    _solve(P, Q, D, A, B, l, m)
+    _block(P, Q, D, A, B, l, m, r)
+    _solve(P, Q, D, A, B, m, r)
 
 
-def _leaf(P, Q, DQ, A, B, X, Y, l: int, r: int) -> None:
-    """The plain recurrence on [l, r), starting from the sums in X, Y."""
+def _leaf(P, Q, D, A, B, l: int, r: int) -> None:
+    """The plain recurrence on [l, r), from the sums in A[k], B[k]."""
     for k in range(max(l, 1), r):
         ra = A[l:k]
         rb = B[l:k]
         ra.reverse()
         rb.reverse()
-        ta, rem_a = divmod(
-            X[k] + sum(map(mul, P, ra)) + sum(map(mul, DQ, rb)), 2 * k
-        )
-        tb, rem_b = divmod(
-            Y[k] + sum(map(mul, P, rb)) + sum(map(mul, Q, ra)), 2 * k
-        )
+        ta, rem_a = divmod(A[k] + sum(map(mul, P, ra)) + D * sum(map(mul, Q, rb)), 2 * k)
+        tb, rem_b = divmod(B[k] + sum(map(mul, P, rb)) + sum(map(mul, Q, ra)), 2 * k)
         if rem_a or rem_b:
             raise RingError(f"inexact division by {k} in euler_transform")
         A[k] = ta
         B[k] = tb
 
 
-def _block(P, Q, DQ, D, A, B, X, Y, l: int, m: int, r: int) -> None:
-    """Add the contribution of a(l..m-1) to X[k], Y[k] for k in [m, r).
+def _block(P, Q, D, A, B, l: int, m: int, r: int) -> None:
+    """Add the contribution of a(l..m-1) to the sums A[k], B[k], k in [m, r).
 
     That is the middle of the product of a(l..m-1) with b(1..r-l-1): by
     Kronecker substitution when the block is long enough for its slot
@@ -263,15 +258,16 @@ def _block(P, Q, DQ, D, A, B, X, Y, l: int, m: int, r: int) -> None:
     if _kronecker_pays(m - l, wb):
         xs, ys = _pair_product(p, q, a, b, D, m - l - 1, r - l - 1, wb)
         for k, x, y in zip(range(m, r), xs, ys):
-            X[k] += x
-            Y[k] += y
+            A[k] += x
+            B[k] += y
         return
     a.reverse()
     b.reverse()
     for k in range(m, r):
         pk = P[k - m : k - l]
-        X[k] += sum(map(mul, pk, a)) + sum(map(mul, DQ[k - m : k - l], b))
-        Y[k] += sum(map(mul, pk, b)) + sum(map(mul, Q[k - m : k - l], a))
+        qk = Q[k - m : k - l]
+        A[k] += sum(map(mul, pk, a)) + D * sum(map(mul, qk, b))
+        B[k] += sum(map(mul, pk, b)) + sum(map(mul, qk, a))
 
 
 def _kronecker_pays(n: int, wb: int) -> bool:
@@ -301,7 +297,10 @@ def _eta_power(D: int, N: int, r: int) -> QSeries:
         raise SeriesError("order must be >= 1")
     chi = build_char_table(D)
     s1, s2 = _divisor_sums(chi, D, N)
-    A, B = euler_transform([-2 * r * x for x in s1], [-2 * r * x for x in s2], D, N)
+    for s in (s1, s2):
+        for i in range(N):
+            s[i] *= -2 * r
+    A, B = euler_transform(s1, s2, D, N)
     return _series(D, A, B, _times(r, m_exponent(chi)))
 
 

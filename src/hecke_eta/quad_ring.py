@@ -29,9 +29,7 @@ class RingElem:
         if D < 5 or D % 4 != 1:
             raise RingError(f"D={D} is not a discriminant = 1 mod 4, >= 5")
         if (num_a - num_b) % 2 != 0:
-            raise RingError(
-                f"parity violation: ({num_a} + {num_b}*sqrt({D}))/2 is not in O_D"
-            )
+            raise RingError(f"parity violation: ({num_a} + {num_b}*sqrt({D}))/2 is not in O_D")
         self.num_a = num_a
         self.num_b = num_b
         self.D = D
@@ -46,11 +44,7 @@ class RingElem:
     def __eq__(self, other):
         if not isinstance(other, RingElem):
             return NotImplemented
-        return (
-            self.D == other.D
-            and self.num_a == other.num_a
-            and self.num_b == other.num_b
-        )
+        return self.D == other.D and self.num_a == other.num_a and self.num_b == other.num_b
 
     def __hash__(self):
         return hash((self.D, self.num_a, self.num_b))

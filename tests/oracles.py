@@ -6,14 +6,15 @@ product multiplied out factor by factor, exactly and numerically, the
 oracle's series product by cyclic convolutions, group words as plain matrix
 products, L(s, chi) by the Hurwitz zeta function and L'(0, chi) by
 log-Gamma) that share no code with the library paths they check, and the
-deterministic samples the tests draw.  One reference does share code:
-L'(0, chi) by Decimal.ln, which checks lseries' fixed-point log alone.
+deterministic samples the tests draw.  Two references share code: L'(0, chi)
+by Decimal.ln, which checks lseries' fixed-point log alone, and the Phi#/Phi
+relation's three logs in `decimal`, which check analytic's fixed point.
 """
 
 import cmath
 import math
 import random
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from functools import lru_cache
 from math import gcd
 from operator import mul
@@ -408,3 +409,68 @@ def phi_sharp_direct(D, y, n_max, digits):
                 elif chi[a] == -1:
                     value /= 1 - zetas[a] * qn
         return value
+
+
+def _decimal_pi():
+    """pi to the precision of the current decimal context, by Machin's
+    formula pi = 16 arctan(1/5) - 4 arctan(1/239) on integers scaled by
+    10^(prec + 10); each truncated term is off by less than one unit."""
+    scale = getcontext().prec + 10
+    one = 10**scale
+
+    def arctan_inv(x):
+        total = term = one // x
+        k = 1
+        while term:
+            term //= x * x
+            k += 2
+            total += -(term // k) if k % 4 == 3 else term // k
+        return total
+
+    return Decimal(4 * (4 * arctan_inv(5) - arctan_inv(239))).scaleb(-scale)
+
+
+def phi_relation_decimal(D, y, n_max, digits):
+    """(log Phi#(i/y), log Phi(iy), L'(0,chi) + y pi L(-1,chi)/sqrt(D)) as
+    Decimals, both products truncated at n_max: the route of
+    analytic._phi_sides in `decimal` at digits + 10 digits.  Phi is its direct
+    product, and log Phi# the twisted series with n0 = 0, summed until its
+    tail bound is below 10^-(digits+8), with -log10(L) more digits against
+    the cancellation in 1 - r^m.  L'(0) is lseries.l_prime_zero, whose
+    integer log test_lseries checks against Decimal.ln and log-Gamma."""
+    from hecke_eta.analytic import _series_ratio
+
+    chi = build_char_table(D)
+    num, den = lseries.m_exponent(chi)
+    prec = digits + 10
+    lp = lseries.l_prime_zero(chi, prec)
+    L = 2 * math.pi / (y * math.sqrt(D))
+    log_eps = -(digits + 8) * math.log(10)
+    M = math.ceil(max(0.0, _series_ratio(L, 0, 2 * math.sqrt(D), log_eps) - 1))
+    guard = math.ceil(max(0.0, -math.log10(L)))
+    with localcontext(Context(prec=prec + guard)):
+        sqrt_d = Decimal(D).sqrt()
+        r = (-2 * _decimal_pi() / (Decimal(y) * sqrt_d)).exp()
+        r_n = r**n_max
+        total = Decimal(0)
+        rm = rmn = Decimal(1)
+        for m in range(1, M + 1):
+            rm *= r
+            rmn *= r_n
+            c = chi[m % D]
+            if c:
+                total += c * rm * (1 - rmn) / (m * (1 - rm))
+        log_sharp = -sqrt_d * total
+    with localcontext(Context(prec=prec)):
+        sqrt_d = Decimal(D).sqrt()
+        y_pi = Decimal(y) * _decimal_pi()
+        q1 = (-2 * y_pi / sqrt_d).exp()
+        phi = qn = Decimal(1)
+        for n in range(1, n_max + 1):
+            qn *= q1
+            e = chi[n % D]
+            if e == 1:
+                phi *= 1 - qn
+            elif e == -1:
+                phi /= 1 - qn
+        return +log_sharp, phi.ln(), lp + y_pi * Decimal(-2 * num) / den / sqrt_d

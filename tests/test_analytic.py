@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     fundamental_discriminants,
     log_eta_tail_direct,
+    phi_relation_decimal,
     phi_sharp_direct,
     random_words,
     word_matrix_by_generators,
@@ -221,11 +222,13 @@ class TestAgainstDirectProduct:
         import mpmath
 
         chi = build_char_table(D)
+        bits = math.ceil(40 * math.log2(10))
         for y in (0.5, 2.0):
-            got = analytic._log_phi_sharp(chi, y, n_max, 30)
+            got = analytic._phi_sides(chi, y, n_max, bits)[0]
             ref = phi_sharp_direct(D, y, n_max, 30)
             with mpmath.workdps(40):
-                assert abs(mpmath.exp(mpmath.mpf(str(got))) / ref - 1) < mpmath.mpf(10) ** -30
+                got = mpmath.mpf(got) / mpmath.mpf(2) ** bits
+                assert abs(mpmath.exp(got) / ref - 1) < mpmath.mpf(10) ** -30
 
 
 class TestModularLaws:
@@ -273,6 +276,46 @@ class TestPhiRelation:
     def test_rejects_bad_y(self):
         with pytest.raises(ValueError):
             check_phi_relation(5, -1.0)
+
+    @pytest.mark.parametrize("y", [math.inf, math.nan])
+    def test_rejects_a_y_that_is_not_finite(self, y):
+        with pytest.raises(ValueError, match="finite y > 0"):
+            check_phi_relation(5, y)
+
+    @pytest.mark.parametrize("digits", [30, 60])
+    @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("D", [5, 13, 17, 21, 29])
+    def test_sides_match_the_decimal_route(self, D, y, digits):
+        _assert_sides_match_decimal(D, y, digits)
+
+    @pytest.mark.parametrize("y", [1e-3, 0.05])
+    @pytest.mark.parametrize("D", [5, 29])
+    def test_small_products_keep_their_precision(self, D, y):
+        """At small y the factors 1 - q^n are near nL and their products
+        fall to 10^-40 and below; held as v / 2^s they keep the digits that
+        the Decimal route keeps."""
+        _assert_sides_match_decimal(D, y, 30)
+
+    def test_takes_y_exactly(self):
+        """y = 0.7 enters as the double's exact ratio of ints, as Decimal(y)
+        took it, not as 7/10 (off by 10^-17); an int y is the same ratio as
+        its float."""
+        _assert_sides_match_decimal(13, 0.7, 30)
+        assert check_phi_relation(13, 1) == check_phi_relation(13, 1.0)
+
+
+def _assert_sides_match_decimal(D, y, digits):
+    """log Phi#, log Phi and the factor's log, in integer fixed point at the
+    F bits check_phi_relation uses, equal the Decimal route's to 10^-digits."""
+    import mpmath
+
+    bits = math.ceil((digits + 10) * math.log2(10))
+    got = analytic._phi_sides(build_char_table(D), y, 400, bits)
+    ref = phi_relation_decimal(D, y, 400, digits)
+    with mpmath.workdps(digits + 20):
+        for g, r in zip(got, ref, strict=True):
+            error = mpmath.mpf(g) / mpmath.mpf(2) ** bits - mpmath.mpf(str(r))
+            assert abs(error) < mpmath.mpf(10) ** -digits, (D, y, digits)
 
 
 # The deepest word of the numeric benchmark's seed 1, at heights near 3.3e-6.

@@ -935,6 +935,31 @@ class TestEntryPoint:
         rec = json.loads(proc.stdout)
         assert rec["D"] == 13
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["-m", "hecke_eta.cli"],
+            ["-c", "import sys; from hecke_eta.cli import main; sys.exit(main())"],
+        ],
+        ids=["module", "console-script"],
+    )
+    def test_closed_stdout_exits_quietly(self, entry, unbuffered):
+        """A reader that closes the pipe after one line (| head -1) ends the
+        run with STDOUT_CLOSED and nothing on stderr: no BrokenPipeError
+        traceback, and not exit 1, the code of a verification failure.  The
+        rows (about 200 kB) overfill the pipe, so a write meets the closed end."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env["PYTHONUNBUFFERED"] = unbuffered
+        argv = [sys.executable, *entry, "coeffs", "--D", "5", "--N", "3000"]
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with subprocess.Popen(argv, env=env, **pipes) as proc:
+            assert proc.stdout.readline() == b"D,N,num_a,num_b,real\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == cli.STDOUT_CLOSED == 141
+        assert err == b""
+
 
 class _CountingStdout:
     """A stdout stand-in that counts its write calls."""

@@ -162,8 +162,8 @@ before = set(sys.modules)
 import hecke_eta
 on_import = sorted(m for m in sys.modules if m.startswith("hecke_eta."))
 residual = hecke_eta.check_u_gamma(hecke_eta.word_matrix([1, -1, 2], 5))
-number_types = sorted(set({sorted(NUMBER_TYPES)!r}) & (set(sys.modules) - before))
 phi_residual = hecke_eta.check_phi_relation(13, 0.7)
+number_types = sorted(set({sorted(NUMBER_TYPES)!r}) & (set(sys.modules) - before))
 print(json.dumps([
     on_import,
     sorted(m for m in sys.modules if m.startswith("hecke_eta.")),
@@ -179,9 +179,8 @@ def test_library_call_loads_only_its_layers():
     """The package import loads no layer; check_u_gamma and
     check_phi_relation load the numeric layer and what it reads (the
     character table, the L-values), not the exact kernel, the oracle, the
-    partition tables or mpmath.  check_u_gamma alone loads no decimal,
-    fractions or numbers; check_phi_relation, which computes in decimal,
-    may."""
+    partition tables or mpmath, and neither loads decimal, fractions or
+    numbers: check_phi_relation computes in integer fixed point."""
     proc = subprocess.run(
         [sys.executable, "-c", LIB_PROBE], capture_output=True, text=True, timeout=60
     )

@@ -124,7 +124,7 @@ class TestLPrimeZero:
     @pytest.mark.parametrize("digits", [20, 45, 50, 60])
     def test_matches_the_decimal_ln_reference(self, digits):
         """The fixed-point route gives the Decimal that Decimal.ln gave, at
-        the digits lvalues used (50) and check_phi_relation asks for."""
+        the digits lvalues used (50) among others."""
         for D in fundamental_discriminants(500):
             chi = build_char_table(D)
             assert l_prime_zero(chi, digits) == l_prime_zero_decimal(chi, digits), D
@@ -217,14 +217,14 @@ def _worst_log_error(log_fixed, bits=LOG_BITS):
     return worst
 
 
-def _mutant(old, new):
-    """lseries.log_fixed built from lseries' source with `old` replaced by
-    `new` (each must appear once)."""
+def _mutant(old, new, name="log_fixed"):
+    """lseries' function `name` built from lseries' source with `old`
+    replaced by `new` (each must appear once)."""
     source = inspect.getsource(lseries)
     assert source.count(old) == 1, old
     namespace = {"__name__": "lseries_mutant"}
     exec(compile(source.replace(old, new), "lseries_mutant", "exec"), namespace)
-    return namespace["log_fixed"]
+    return namespace[name]
 
 
 class TestLogFixed:
@@ -251,16 +251,91 @@ class TestLogFixed:
         "old, new",
         [
             # ln 2 from a double instead of 2 atanh(1/3)
-            ("e * _atanh2(one // 3, p, cut >> eb)", "e * int(math.log(2) * one)"),
+            ("e * 2 * _odd_series(one // 3, p, cut >> eb)", "e * int(math.log(2) * one)"),
             # the exponent off by one
             ("    e = n - s\n", "    e = n - s + 1\n"),
             # each series cut one term short
             (
-                "while (term := z // j) >= cut:",
-                "while (term := z // j) >= cut and (z * z2 >> p) // (j + 2) >= cut:",
+                "while abs(term := z // j) >= cut:",
+                "while abs(term := z // j) >= cut and abs((z * z2 >> p) // (j + 2)) >= cut:",
             ),
         ],
         ids=["wrong-ln2", "exponent-off-by-one", "series-one-term-short"],
     )
     def test_mutant_fails(self, old, new):
         assert _worst_log_error(_mutant(old, new)) >= 1
+
+
+def _exp_cases(bits):
+    """x in units of 2^-bits: 0 and one unit either side, whole numbers from
+    -1000 to 10^5 (k up to 1.4 * 10^5), seeded draws in (-50, 50), and small
+    x (r near 0, where the Taylor terms shrink fastest)."""
+    one = 1 << bits
+    rng = random.Random(11)
+    cases = [0, 1, -1, one, -one, 3 * one, -7 * one, 1000 * one, -1000 * one, 10**5 * one]
+    cases += [rng.randrange(-50 * one, 50 * one) for _ in range(80)]
+    return cases + [rng.randrange(1, 1 << max(1, bits - s)) for s in range(0, 60, 3)]
+
+
+def _worst_exp_error(exp_fixed, bits=LOG_BITS):
+    """The largest |exp_fixed(x, bits) - 2^bits V| / (1 + V), V = exp(x / 2^bits),
+    over _exp_cases, against mpmath at 80 digits: below 1 is within one unit
+    plus 2^-bits of the value."""
+    worst = 0
+    with mpmath.workdps(80):
+        for x in _exp_cases(bits):
+            value = mpmath.exp(mpmath.mpf(x) / mpmath.mpf(2) ** bits)
+            error = exp_fixed(x, bits) - value * mpmath.mpf(2) ** bits
+            worst = max(worst, abs(error) / (1 + value))
+    return worst
+
+
+class TestExpFixed:
+    def test_within_one_unit_of_mpmath(self):
+        assert _worst_exp_error(lseries.exp_fixed) < 1
+
+    @pytest.mark.parametrize("bits", [0, 1, 2, 10, 53, 64])
+    def test_few_bits(self, bits):
+        assert _worst_exp_error(lseries.exp_fixed, bits) < 1
+
+    @pytest.mark.parametrize("bits", [0, 7, LOG_BITS])
+    def test_zero_is_one(self, bits):
+        assert lseries.exp_fixed(0, bits) == 1 << bits
+
+    def test_inverts_log_fixed(self):
+        """A log within one unit is v within v units; exp adds 1 + v more."""
+        for v in (1, 3, 10**6, (1 << 100) + 1):
+            x = lseries.log_fixed(v, 0, LOG_BITS)
+            assert abs(lseries.exp_fixed(x, LOG_BITS) - (v << LOG_BITS)) <= 2 * v + 1
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # ln 2 from a double instead of 2 atanh(1/3)
+            ("2 * _odd_series(one // 3, p, cut >> kb)", "int(math.log(2) * one)"),
+            # e^r scaled by 2^(k + 1) instead of 2^k
+            ("    s = g - k\n", "    s = g - k - 1\n"),
+            # the Taylor series cut one term short
+            (
+                "while (term := (term * r >> p) // j) >= cut:",
+                "while (term := (term * r >> p) // j) >= cut and (term * r >> p) // (j + 1) >= cut:",
+            ),
+        ],
+        ids=["wrong-ln2", "k-off-by-one", "series-one-term-short"],
+    )
+    def test_mutant_fails(self, old, new):
+        assert _worst_exp_error(_mutant(old, new, "exp_fixed")) >= 1
+
+
+class TestPiFixed:
+    @pytest.mark.parametrize("bits", [0, 1, 2, 10, 53, 64, LOG_BITS])
+    def test_within_one_unit_of_mpmath(self, bits):
+        with mpmath.workdps(80):
+            assert abs(lseries.pi_fixed(bits) - mpmath.pi * mpmath.mpf(2) ** bits) < 1
+
+    def test_mutant_fails(self):
+        """arctan summed with the sign of atanh is off by far more."""
+        arctan = "_odd_series((1 << p) // 5, p, 1, -1)"
+        pi_fixed = _mutant(arctan, arctan.replace("-1)", "1)"), "pi_fixed")
+        with mpmath.workdps(80):
+            assert abs(pi_fixed(LOG_BITS) - mpmath.pi * mpmath.mpf(2) ** LOG_BITS) >= 1
