@@ -1,9 +1,11 @@
 """Floating-point evaluation of the eta analogues and the law checks.
 
 Evaluates the truncated products on the upper half-plane, measures the
-residuals of the inversion/translation laws and of the Phi / Phi-sharp
-modular relation, verifies the fifth-root-of-unity multiplier on words of
-the D = 5 Hecke group, and computes the coefficient-growth envelope.
+residuals of the inversion/translation laws, by one route (law_residuals,
+one evaluation at each of law_points: z, -1/z and z + sqrt(D)), and of the
+Phi / Phi-sharp modular relation, verifies the fifth-root-of-unity
+multiplier on words of the D = 5 Hecke group, and computes the
+coefficient-growth envelope.
 
 The fractional q^v prefactor is always exp(2 pi i v z / sqrt(D)) computed
 from z itself, never a power of q, which removes the branch ambiguity for
@@ -258,37 +260,51 @@ def eval_eta_numeric(D: int, z: complex, n_max: int = 300) -> complex:
     return cmath.exp(pref + log_eta_tail(D, z, n_max))
 
 
-def check_inversion(D: int, z: complex, n_max: int = 300) -> float:
-    """Residual |eta_D(-1/z) - eta_D(z)|."""
+def law_points(D: int, z: complex) -> tuple[complex, complex, complex]:
+    """The points a law check evaluates: z, -1/z and z + sqrt(D)."""
     z = _require_upper(z)
-    return abs(eval_eta_numeric(D, -1 / z, n_max) - eval_eta_numeric(D, z, n_max))
+    return z, -1 / z, z + math.sqrt(D)
 
 
-def _translation_u(D: int) -> complex | float:
-    """u of the translation law eta_D(z + sqrt(D)) = u * eta_D(z):
-    exp(2 pi i / 5) for D = 5 and 1 for D > 5."""
-    return cmath.exp(2j * math.pi / 5) if D == 5 else 1.0
+def law_residuals(D: int, z: complex, n_max: int = 300) -> tuple[float, float]:
+    """|eta_D(-1/z) - eta_D(z)| and |eta_D(z + sqrt(D)) - u * eta_D(z)|, with
+    u = exp(2 pi i / 5) for D = 5 and 1 for D > 5, from one evaluation at
+    each of law_points(D, z); inf in each law whose truncated product
+    overflows the float range, which then reads as a failed law."""
+
+    def eta(w: complex) -> complex | None:
+        try:
+            return eval_eta_numeric(D, w, n_max)
+        except OverflowError:
+            return None
+
+    at_z, inv, tra = map(eta, law_points(D, z))
+    u = cmath.exp(2j * math.pi / 5) if D == 5 else 1.0
+    return (
+        math.inf if at_z is None or inv is None else abs(inv - at_z),
+        math.inf if at_z is None or tra is None else abs(tra - u * at_z),
+    )
+
+
+def check_inversion(D: int, z: complex, n_max: int = 300) -> float:
+    """Residual |eta_D(-1/z) - eta_D(z)|, inf past the float range (law_residuals)."""
+    return law_residuals(D, z, n_max)[0]
 
 
 def check_translation(D: int, z: complex, n_max: int = 300) -> float:
-    """Residual |eta_D(z + sqrt(D)) - u * eta_D(z)|, u = _translation_u(D)."""
-    z = _require_upper(z)
-    return abs(
-        eval_eta_numeric(D, z + math.sqrt(D), n_max)
-        - _translation_u(D) * eval_eta_numeric(D, z, n_max)
-    )
+    """Residual |eta_D(z + sqrt(D)) - u * eta_D(z)|, inf past the float range
+    (law_residuals)."""
+    return law_residuals(D, z, n_max)[1]
 
 
 SAMPLE_IM_RANGE = (0.5, 1.5)  # the heights sample_half_plane_points draws
 
 
-def sample_half_plane_points(
-    D: int, count: int, seed: int = 20240901, im_range=SAMPLE_IM_RANGE
-) -> list[complex]:
+def sample_half_plane_points(D: int, count: int, seed: int = 20240901) -> list[complex]:
     """Deterministic pseudo-random sample with |re| <= sqrt(D)/2."""
     rng = random.Random(seed * 1_000_003 + D)
     half = math.sqrt(D) / 2
-    return [complex(rng.uniform(-half, half), rng.uniform(*im_range)) for _ in range(count)]
+    return [complex(rng.uniform(-half, half), rng.uniform(*SAMPLE_IM_RANGE)) for _ in range(count)]
 
 
 def _phi_sides(chi, y: float, n_max: int, bits: int) -> tuple[int, int, int]:

@@ -12,11 +12,13 @@ are imported here; each command imports the layers it runs, and json, when
 it runs, so that a call loads only what it uses.  No command loads decimal
 or fractions: lvalues prints L(-1) and m from lseries.m_exponent's integer
 pair, and L'(0), like growth the log of a coefficient past the float range,
-from one integer fixed-point log (lseries.log_fixed).  The grammar
-is one table, COMMANDS, which reads a canonical command line directly;
-argparse is loaded, and built from it, only for help, usage errors and
-abbreviated options.  Rows are written in blocks (_write_rows), one write
-call per block, not one print per row.
+from one integer fixed-point log (lseries.log_fixed).  verify-modularity
+prints analytic.law_residuals at each sample and charges its cost at the
+heights of analytic.law_points, the points those residuals evaluate.  The
+grammar is one table, COMMANDS, which reads a canonical command line
+directly; argparse is loaded, and built from it, only for help, usage errors
+and abbreviated options.  Rows are written in blocks (_write_rows), one
+write call per block, not one print per row.
 """
 
 import math
@@ -276,36 +278,15 @@ def _axis(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / max(1, steps - 1) for i in range(steps)]
 
 
-def _law_residuals(D: int, z: complex, nmax: int) -> tuple[float, float]:
-    """The residuals of analytic.check_inversion and check_translation at z,
-    |eta(-1/z) - eta(z)| and |eta(z + sqrt(D)) - u * eta(z)|, from one
-    evaluation of eta_D(z); inf in each whose truncated product overflows
-    the float range, which then reads as a failed point."""
-    from . import analytic
-
-    def eta(w: complex) -> complex | None:
-        try:
-            return analytic.eval_eta_numeric(D, w, nmax)
-        except OverflowError:
-            return None
-
-    at_z, inv, tra = eta(z), eta(-1 / z), eta(z + math.sqrt(D))
-    u = analytic._translation_u(D)
-    return (
-        math.inf if at_z is None or inv is None else abs(inv - at_z),
-        math.inf if at_z is None or tra is None else abs(tra - u * at_z),
-    )
-
-
 def cmd_verify_modularity(args) -> int:
     from . import analytic
 
     if _samples_floor_s(args.D, args.nmax, args.samples) > TIME_BUDGET_S:
         return _usage_error("--samples and --nmax exceed the time budget")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
-    # _law_residuals evaluates z, -1/z and z + sqrt(D)
+
     def heights():
-        return (h for z in points for h in ((-1 / z).imag, z.imag, z.imag))
+        return (w.imag for z in points for w in analytic.law_points(args.D, z))
 
     if refusal := _numeric_refusal(args.D, args.nmax, "--samples and --nmax", heights):
         return _usage_error(refusal)
@@ -315,7 +296,7 @@ def cmd_verify_modularity(args) -> int:
         nonlocal failures
         worst = 0.0
         for z in points:
-            r_inv, r_tra = _law_residuals(args.D, z, args.nmax)
+            r_inv, r_tra = analytic.law_residuals(args.D, z, args.nmax)
             worst = max(worst, r_inv, r_tra)
             ok = r_inv < args.tol and r_tra < args.tol
             if not ok:

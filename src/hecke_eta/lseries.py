@@ -13,13 +13,15 @@ one integer fixed-point natural log (log_fixed), so l_prime_zero_fixed gives
 the value as an int in units of 2^-bits; l_prime_zero builds a
 `decimal.Decimal` to the requested digits from it.  exp_fixed and pi_fixed
 serve analytic.check_phi_relation; all three sum one odd series
-(_odd_series, atanh or arctan by its sign).  `fractions` and `decimal` are
+(_odd_series, atanh or arctan by its sign), and ln 2 (_ln2) and pi
+(pi_fixed) are computed once per precision.  `fractions` and `decimal` are
 imported only by l_minus_one and l_prime_zero, the API's Fraction and
 Decimal edge, so no other caller loads them.
 """
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 
 class LValueError(ValueError):
@@ -109,6 +111,14 @@ def _odd_series(z: int, p: int, cut: int, sign: int = 1) -> int:
     return total
 
 
+@lru_cache(maxsize=32)
+def _ln2(p: int, cut: int) -> int:
+    """ln 2 = 2 atanh(1/3) in units of 2^-p, its series cut below `cut`
+    units (_odd_series), computed once per (p, cut): log_fixed and exp_fixed
+    ask for it at the same few precisions call after call."""
+    return 2 * _odd_series((1 << p) // 3, p, cut)
+
+
 def log_fixed(v: int, s: int, bits: int) -> int:
     """ln(v / 2^s) in units of 2^-bits, within one unit, for ints v >= 1 and
     bits >= 0.
@@ -132,7 +142,7 @@ def log_fixed(v: int, s: int, bits: int) -> int:
     cut = 1 << g - 5
     total = 2 * _odd_series(((x - one) << p) // (x + one), p, cut)
     if e:
-        total += e * 2 * _odd_series(one // 3, p, cut >> eb)
+        total += e * _ln2(p, cut >> eb)
     return total + (1 << g - 1) >> g
 
 
@@ -151,7 +161,7 @@ def exp_fixed(x: int, bits: int) -> int:
     p = bits + g
     one = 1 << p
     cut = 1 << g - 5
-    k, r = divmod(x << g, 2 * _odd_series(one // 3, p, cut >> kb))
+    k, r = divmod(x << g, _ln2(p, cut >> kb))
     total = term = one
     j = 1
     while (term := (term * r >> p) // j) >= cut:
@@ -161,11 +171,13 @@ def exp_fixed(x: int, bits: int) -> int:
     return total << -s if s <= 0 else (total >> s - 1) + 1 >> 1
 
 
+@lru_cache(maxsize=16)
 def pi_fixed(bits: int) -> int:
-    """pi in units of 2^-bits, within one unit, for bits >= 0: Machin's
-    pi = 16 arctan(1/5) - 4 arctan(1/239), summed on ints in units of 2^-p,
-    p = bits + g, to the last nonzero term; the g guard bits keep the floors,
-    under 3 units a term, and the tails under 0.2 of an output unit."""
+    """pi in units of 2^-bits, within one unit, for bits >= 0, computed once
+    per bits: Machin's pi = 16 arctan(1/5) - 4 arctan(1/239), summed on ints
+    in units of 2^-p, p = bits + g, to the last nonzero term; the g guard
+    bits keep the floors, under 3 units a term, and the tails under 0.2 of an
+    output unit."""
     g = 8 + (bits + 8).bit_length()
     p = bits + g
     pi = 16 * _odd_series((1 << p) // 5, p, 1, -1) - 4 * _odd_series((1 << p) // 239, p, 1, -1)

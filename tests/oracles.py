@@ -178,6 +178,15 @@ def random_words(count, max_len=6, k_range=2, seed=31415):
     return words
 
 
+def half_plane_points(D, count, seed, im_range):
+    """analytic.sample_half_plane_points' draw, bit for bit, with Im z uniform
+    in im_range in place of analytic.SAMPLE_IM_RANGE: the same seed formula
+    and |re| <= sqrt(D)/2."""
+    rng = random.Random(seed * 1_000_003 + D)
+    half = math.sqrt(D) / 2
+    return [complex(rng.uniform(-half, half), rng.uniform(*im_range)) for _ in range(count)]
+
+
 def _count_with_allowed(k, max_part, allowed):
     if k == 0:
         return 1

@@ -5,6 +5,7 @@ import random
 import pytest
 from oracles import (
     fundamental_discriminants,
+    half_plane_points,
     log_eta_tail_direct,
     phi_relation_decimal,
     phi_sharp_direct,
@@ -117,14 +118,14 @@ class TestAgainstDirectProduct:
         D at one n_max of NMAXES in turn, composites included."""
         n_max = NMAXES[fundamental_discriminants(101).index(D) % len(NMAXES)]
         (z,) = sample_half_plane_points(D, 1, seed=D)
-        near = sample_half_plane_points(D, 1, seed=D, im_range=(0.01, 0.1))[0]
+        (near,) = half_plane_points(D, 1, D, (0.01, 0.1))
         for w in (z, -1 / z, z + math.sqrt(D), near):
             self._assert_agrees(D, w, n_max)
 
     @pytest.mark.parametrize("n_max", NMAXES)
     @pytest.mark.parametrize("D", [5, 33, 101])
     def test_every_truncation(self, D, n_max):
-        for z in sample_half_plane_points(D, 2, seed=n_max, im_range=(0.01, 1.5)):
+        for z in half_plane_points(D, 2, n_max, (0.01, 1.5)):
             for w in (z, -1 / z, z + math.sqrt(D)):
                 self._assert_agrees(D, w, n_max)
 
@@ -250,6 +251,32 @@ class TestModularLaws:
     def test_translation_trivial_multiplier(self, D):
         z = complex(-0.4, 1.5)
         assert check_translation(D, z, 300) < 1e-10
+
+    def test_overflow_reads_inf(self):
+        """At the fifth default sample of D = 1001, eta(-1/z) overflows the
+        float range: the inversion law reads inf, with no OverflowError, and
+        the translation law still reads the residual that verify-modularity
+        prints."""
+        z = complex(-13.360656428755041, 0.54500160987474144)
+        assert sample_half_plane_points(1001, 5)[4] == z
+        assert check_inversion(1001, z, 300) == math.inf
+        assert f"{check_translation(1001, z, 300):.3e}" == "9.614e-53"
+
+    @pytest.mark.parametrize("D", [5, 13, 1001])
+    def test_one_evaluation_a_law_point(self, D, monkeypatch):
+        """law_residuals evaluates eta_D once at each of law_points(D, z),
+        eta(z) included, which both laws share."""
+        calls = []
+
+        def spy(D_, w, n_max=300):
+            calls.append(w)
+            return eval_eta_numeric(D_, w, n_max)
+
+        monkeypatch.setattr(analytic, "eval_eta_numeric", spy)
+        for z in sample_half_plane_points(D, 5):
+            calls.clear()
+            analytic.law_residuals(D, z, 300)
+            assert calls == list(analytic.law_points(D, z))
 
 
 class TestPhiRelation:

@@ -227,6 +227,10 @@ def _mutant(old, new, name="log_fixed"):
     return namespace[name]
 
 
+# _ln2's body, which log_fixed and exp_fixed share, with ln 2 from a double
+WRONG_LN2 = ("2 * _odd_series((1 << p) // 3, p, cut)", "int(math.log(2) * (1 << p))")
+
+
 class TestLogFixed:
     def test_within_one_unit_of_mpmath(self):
         assert _worst_log_error(lseries.log_fixed) < 1
@@ -251,7 +255,7 @@ class TestLogFixed:
         "old, new",
         [
             # ln 2 from a double instead of 2 atanh(1/3)
-            ("e * 2 * _odd_series(one // 3, p, cut >> eb)", "e * int(math.log(2) * one)"),
+            WRONG_LN2,
             # the exponent off by one
             ("    e = n - s\n", "    e = n - s + 1\n"),
             # each series cut one term short
@@ -312,7 +316,7 @@ class TestExpFixed:
         "old, new",
         [
             # ln 2 from a double instead of 2 atanh(1/3)
-            ("2 * _odd_series(one // 3, p, cut >> kb)", "int(math.log(2) * one)"),
+            WRONG_LN2,
             # e^r scaled by 2^(k + 1) instead of 2^k
             ("    s = g - k\n", "    s = g - k - 1\n"),
             # the Taylor series cut one term short
