@@ -1,11 +1,11 @@
 """Floating-point evaluation of the eta analogues and the law checks.
 
-Evaluates the truncated products on the upper half-plane, measures the
-residuals of the inversion/translation laws, by one route (law_residuals,
-one evaluation at each of law_points: z, -1/z and z + sqrt(D)), and of the
-Phi / Phi-sharp modular relation, verifies the fifth-root-of-unity
-multiplier on words of the D = 5 Hecke group, and computes the
-coefficient-growth envelope.
+Evaluates the truncated products on the upper half-plane and prices them
+(product_s, numeric_s), measures the residuals of the inversion/translation
+laws, by one route (law_residuals, one evaluation at each of law_points: z,
+-1/z and z + sqrt(D)), and of the Phi / Phi-sharp modular relation,
+verifies the fifth-root-of-unity multiplier on words of the D = 5 Hecke
+group, and computes the coefficient-growth envelope.
 
 The fractional q^v prefactor is always exp(2 pi i v z / sqrt(D)) computed
 from z itself, never a power of q, which removes the branch ambiguity for
@@ -40,7 +40,7 @@ exactly, so no routine here loads `decimal`.
 import cmath
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
@@ -165,6 +165,55 @@ def _plan(L: float, N: int, D: int, phi: int) -> tuple[int, int, int, int]:
     n0, M = _cheapest(L, N, phi, _TERM_COST, 2 * math.sqrt(D))
     nu, M_u = _cheapest(L, N, 1, _untwisted_term_cost(D), 1.0)
     return n0, M, nu, M_u
+
+
+# Predicted seconds of one truncated product besides its logs (product_s):
+# the call, the splits and its share of the printed row.  `grid --D 5
+# --re-steps 300 --im-steps 300 --nmax 1`, 180000 products of one log each,
+# took 4.8 s end to end, and 4.9-5.5 s in five re-timed runs.  No product
+# costs less, which bounds grid's point count before its points are built.
+PRODUCT_BASE_S = 3e-5
+NUMERIC_DATA_S_PER_D = 6e-6
+
+
+def product_s(D: int, nmax: int, height: float) -> float:
+    """Predicted seconds of one truncated product at Im z = height, by its
+    plan (_plan) at L = 2 pi height / sqrt(D): nu direct untwisted factors
+    and M_u untwisted-series terms of _untwisted_term_cost(D) factors at
+    0.9 us, and n0 direct twisted factors of phi(D) + 6 logs and M series
+    terms of _TERM_COST logs at 0.4 us."""
+    phi = euler_phi(D)
+    n0, M, nu, M_u = _plan(2 * math.pi * height / math.sqrt(D), nmax, D, phi)
+    untwisted = nu + _untwisted_term_cost(D) * M_u
+    return PRODUCT_BASE_S + 9e-7 * untwisted + 4e-7 * (n0 * (phi + 6) + _TERM_COST * M)
+
+
+def _height_bin(h: float) -> float:
+    """h rounded down to a multiple of 1/32 of its binade, the height a
+    product at h is charged at, so that few distinct heights are charged;
+    down, as product_s mostly falls as the height grows."""
+    m, e = math.frexp(h)
+    return math.ldexp(math.floor(m * 32) / 32, e)
+
+
+def numeric_s(D: int, nmax: int, heights) -> float | None:
+    """Predicted seconds of one product at _height_bin(h) for each height h
+    that heights() iterates, plus NUMERIC_DATA_S_PER_D a unit of D for the
+    per-D data (character table, roots of unity); None where |q| rounds to 1
+    at the least height.  One walk bins and counts the heights; no bin
+    exceeds its height, so only where |q| rounds to 1 at the least bin does
+    a second walk find the exact least height.
+
+    An upper bound on end-to-end runs: from 1 s up it over-predicts by 1.04x
+    to 2.5x, at every --nmax alike.  The least margin is at D = 5, where a
+    product is mostly its fixed cost: verify-modularity --D 5 --samples
+    238898, the most accepted at --nmax 300, took 27-36 s against 60 s (43-58
+    s at 236175 samples on a loaded machine).  Start-up, which no term
+    charges, can exceed a prediction below a second."""
+    counts = Counter(map(_height_bin, heights()))
+    if _q_rounds_to_one(D, min(counts)) and _q_rounds_to_one(D, min(heights())):
+        return None
+    return NUMERIC_DATA_S_PER_D * D + sum(n * product_s(D, nmax, h) for h, n in counts.items())
 
 
 def _expm1(w: complex) -> complex:

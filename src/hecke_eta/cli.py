@@ -13,9 +13,9 @@ it runs, so that a call loads only what it uses.  No command loads decimal
 or fractions: lvalues prints L(-1) and m from lseries.m_exponent's integer
 pair, and L'(0), like growth the log of a coefficient past the float range,
 from one integer fixed-point log (lseries.log_fixed).  verify-modularity
-prints analytic.law_residuals at each sample and charges its cost at the
-heights of analytic.law_points, the points those residuals evaluate.  The
-grammar is one table, COMMANDS, which reads a canonical command line
+prints analytic.law_residuals at each sample; analytic.numeric_s charges it
+at the heights of analytic.law_points, the points those residuals evaluate.
+The grammar is one table, COMMANDS, which reads a canonical command line
 directly; argparse is loaded, and built from it, only for help, usage errors
 and abbreviated options.  Rows are written in blocks (_write_rows), one
 write call per block, not one print per row.
@@ -24,12 +24,11 @@ write call per block, not one print per row.
 import math
 import os
 import sys
-from collections import Counter
 from itertools import chain, compress, islice, repeat
 from operator import eq
 from types import SimpleNamespace
 
-from .characters import build_char_table, euler_phi, is_fundamental
+from .characters import build_char_table, is_fundamental
 from .quad_ring import canonical_str, embed_midpoint, embed_real
 
 # L'(0) in `lvalues` and the log of a coefficient past the float range in
@@ -200,77 +199,26 @@ def cmd_verify_table(args) -> int:
     return 0 if failures == 0 else 1
 
 
-# Predicted seconds of one truncated product besides its logs (_product_s):
-# the call, the splits and its share of the printed row.  `grid --D 5
-# --re-steps 300 --im-steps 300 --nmax 1`, 180000 products of one log each,
-# took 4.8 s end to end, and 4.9-5.5 s in five re-timed runs.  No product
-# costs less, which bounds the point count of grid before its points are
-# built.
-PRODUCT_BASE_S = 3e-5
-NUMERIC_DATA_S_PER_D = 6e-6
-
-
-def _product_s(D: int, nmax: int, height: float) -> float:
-    """Predicted seconds of one truncated product at Im z = height, by the
-    plan of analytic._plan at L = 2 pi height / sqrt(D): nu direct untwisted
-    factors and M_u untwisted-series terms of _untwisted_term_cost(D) factors
-    at 0.9 us, and n0 direct twisted factors of phi(D) + 6 logs and M series
-    terms of _TERM_COST logs at 0.4 us."""
-    from . import analytic
-
-    phi = euler_phi(D)
-    n0, M, nu, M_u = analytic._plan(2 * math.pi * height / math.sqrt(D), nmax, D, phi)
-    untwisted = nu + analytic._untwisted_term_cost(D) * M_u
-    return PRODUCT_BASE_S + 9e-7 * untwisted + 4e-7 * (n0 * (phi + 6) + analytic._TERM_COST * M)
-
-
-def _height_bin(h: float) -> float:
-    """h rounded down to a multiple of 1/32 of its binade, the height a
-    product at h is charged at: that charges no product less (_product_s
-    falls as the height grows) and leaves few distinct heights to charge."""
-    m, e = math.frexp(h)
-    return math.ldexp(math.floor(m * 32) / 32, e)
-
-
-def _numeric_s(D: int, nmax: int, heights) -> float:
-    """Predicted seconds of one product at _height_bin(h) for each height h
-    of a point the command evaluates, plus NUMERIC_DATA_S_PER_D a unit of D
-    for the per-D data (character table, roots of unity), built once.
-
-    An upper bound on end-to-end runs (see TIME_BUDGET_S): from 1 s up it
-    over-predicts by 1.04x to 2.5x, at every --nmax alike.  The least
-    margin is at D = 5, where a product is mostly its fixed cost:
-    verify-modularity --D 5 --samples 238898, the most accepted at --nmax
-    300, took 27-36 s against 60 s, and 43-58 s at 236175 samples on a
-    loaded machine (the most accepted at D = 101 and 1001 took 29-36 and
-    25-36 s).  Start-up, which no term charges, can exceed a prediction
-    below a second."""
-    counts = Counter(map(_height_bin, heights))
-    return NUMERIC_DATA_S_PER_D * D + sum(n * _product_s(D, nmax, h) for h, n in counts.items())
-
-
 def _samples_floor_s(D: int, nmax: int, samples: int) -> float:
-    """A lower bound on _numeric_s of `samples` samples, each charged at the
-    greatest heights one in analytic.SAMPLE_IM_RANGE = (lo, hi) can have:
-    Im z <= hi and Im(-1/z) <= 1 / Im z <= 1 / lo."""
+    """A lower bound on analytic.numeric_s of `samples` samples, each charged
+    at the greatest heights one in analytic.SAMPLE_IM_RANGE = (lo, hi) can
+    have: Im z <= hi and Im(-1/z) <= 1 / Im z <= 1 / lo.  It takes a
+    product's charge to fall as its height grows, which held against the
+    average charge of 200 samples at 68 fundamental D <= 1001 but not point
+    by point: analytic.product_s rises where a plan's split moves, by up to
+    21% at D = 101 between heights 1.109 and 1.122 (ROADMAP item 5)."""
     from . import analytic
 
     lo, hi = analytic.SAMPLE_IM_RANGE
-    one = 2 * _product_s(D, nmax, hi) + _product_s(D, nmax, 1 / lo)
-    return NUMERIC_DATA_S_PER_D * D + samples * one
+    one = 2 * analytic.product_s(D, nmax, hi) + analytic.product_s(D, nmax, 1 / lo)
+    return analytic.NUMERIC_DATA_S_PER_D * D + samples * one
 
 
-def _numeric_refusal(D: int, nmax: int, what: str, heights) -> str | None:
-    """Why the products at the heights that heights() iterates (twice, so
-    that no list is held) are refused, or None: |q| rounds to 1 at the
-    exact lowest height, or _numeric_s exceeds the budget."""
-    from . import analytic
-
-    if analytic._q_rounds_to_one(D, min(heights())):
+def _numeric_refusal(charge: float | None, what: str) -> str | None:
+    """Why products of this charge (analytic.numeric_s) are refused, or None."""
+    if charge is None:
         return "points too close to the real axis: |q| rounds to 1"
-    if _numeric_s(D, nmax, heights()) > TIME_BUDGET_S:
-        return f"{what} exceed the time budget"
-    return None
+    return f"{what} exceed the time budget" if charge > TIME_BUDGET_S else None
 
 
 def _axis(lo: float, hi: float, steps: int) -> list[float]:
@@ -288,7 +236,8 @@ def cmd_verify_modularity(args) -> int:
     def heights():
         return (w.imag for z in points for w in analytic.law_points(args.D, z))
 
-    if refusal := _numeric_refusal(args.D, args.nmax, "--samples and --nmax", heights):
+    charge = analytic.numeric_s(args.D, args.nmax, heights)
+    if refusal := _numeric_refusal(charge, "--samples and --nmax"):
         return _usage_error(refusal)
     failures = 0
 
@@ -546,19 +495,21 @@ def cmd_growth(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    if 2 * args.re_steps * args.im_steps * PRODUCT_BASE_S > TIME_BUDGET_S:
+    from . import analytic
+
+    if 2 * args.re_steps * args.im_steps * analytic.PRODUCT_BASE_S > TIME_BUDGET_S:
         return _usage_error("grid size and --nmax exceed the time budget")
     res = _axis(args.re_min, args.re_max, args.re_steps)
     ims = _axis(args.im_min, args.im_max, args.im_steps)
     if not all(map(math.isfinite, res + ims)):
         return _usage_error("grid axis values must be finite")
-    from . import analytic
 
     # z and -1/z, by complex division: im / |z|^2 would overflow or underflow first
     def heights():
         return (h for im in ims for re in res for h in (im, (-1 / complex(re, im)).imag))
 
-    if refusal := _numeric_refusal(args.D, args.nmax, "grid size and --nmax", heights):
+    charge = analytic.numeric_s(args.D, args.nmax, heights)
+    if refusal := _numeric_refusal(charge, "grid size and --nmax"):
         return _usage_error(refusal)
     overflows = 0
 

@@ -503,10 +503,10 @@ class TestNumericBudget:
         budget, default --nmax and --seed, found by bisection."""
         if command == "verify-modularity":
             def predicted(k):
-                return cli._numeric_s(D, 300, _sample_heights(D, k))
+                return analytic.numeric_s(D, 300, lambda: _sample_heights(D, k))
         else:
             def predicted(k):
-                return cli._numeric_s(D, 300, _default_grid_heights(20, k))
+                return analytic.numeric_s(D, 300, lambda: _default_grid_heights(20, k))
         lo, hi = 0, 1
         while predicted(hi) <= cli.TIME_BUDGET_S:
             lo, hi = hi, 2 * hi
@@ -526,7 +526,7 @@ class TestNumericBudget:
         """A grid whose points alone, at PRODUCT_BASE_S a product, exceed the
         budget is refused before its axes are built."""
         monkeypatch.setattr(cli, "_axis", None)
-        steps = str(int(cli.TIME_BUDGET_S / cli.PRODUCT_BASE_S) // 2 + 1)
+        steps = str(int(cli.TIME_BUDGET_S / analytic.PRODUCT_BASE_S) // 2 + 1)
         code, out, err = run_cli(capsys, "grid", "--D", "5", "--re-steps", steps, "--im-steps", "1")
         assert code == 2
         assert out == ""
@@ -561,7 +561,7 @@ class TestNumericBudget:
         where every product costs the same, add equal terms in another order."""
         for D in [*fundamental_discriminants(101), 1001, 2000001]:
             for samples in (1, 20):
-                charged = cli._numeric_s(D, nmax, _sample_heights(D, samples))
+                charged = analytic.numeric_s(D, nmax, lambda: _sample_heights(D, samples))
                 assert cli._samples_floor_s(D, nmax, samples) <= charged * (1 + 1e-12), (D, samples)
 
     def test_benchmark_ranges_stay_accepted(self):
@@ -570,15 +570,15 @@ class TestNumericBudget:
         lo, hi = analytic.SAMPLE_IM_RANGE
         for D in fundamental_discriminants(101):
             lowest = [lo / (D / 4 + hi**2), lo, lo, lo] * 20
-            assert cli._numeric_s(D, 300, lowest) <= cli.TIME_BUDGET_S
+            assert analytic.numeric_s(D, 300, lambda: lowest) <= cli.TIME_BUDGET_S
         for D in (5, 13, 17):
-            assert cli._numeric_s(D, 300, _default_grid_heights(20, 6)) <= cli.TIME_BUDGET_S
+            assert analytic.numeric_s(D, 300, lambda: _default_grid_heights(20, 6)) <= cli.TIME_BUDGET_S
 
     def test_model_follows_the_split(self):
         """950 samples at D = 101 took 1.0 to 1.5 s end to end; charging every
         point the direct product (nmax phi(D) logs) refused them."""
-        assert cli._numeric_s(101, 300, _sample_heights(101, 950)) <= cli.TIME_BUDGET_S / 10
-        low, high = (cli._numeric_s(101, 300, [h] * 1000) for h in (1e-4, 1.0))
+        assert analytic.numeric_s(101, 300, lambda: _sample_heights(101, 950)) <= cli.TIME_BUDGET_S / 10
+        low, high = (analytic.numeric_s(101, 300, lambda: [h] * 1000) for h in (1e-4, 1.0))
         assert high < low
 
     def test_low_product_charged_to_its_count(self):
@@ -589,7 +589,7 @@ class TestNumericBudget:
         analytic.eval_eta_numeric(5, 7.12e-5j, 3 * 10**7)
         took = time.perf_counter() - start
         assert took < 5
-        assert took <= cli._product_s(5, 3 * 10**7, 7.12e-5) <= 5
+        assert took <= analytic.product_s(5, 3 * 10**7, 7.12e-5) <= 5
 
     def test_grid_charged_at_its_heights(self):
         """grid --D 1001 --re-steps 10 --im-steps 10 took 0.5 s end to end;
@@ -597,7 +597,7 @@ class TestNumericBudget:
         product was predicted at 4.5 s."""
         took, proc = _run_timed("grid", "--D", "1001", "--re-steps", "10", "--im-steps", "10")
         assert proc.returncode == 0
-        predicted = cli._numeric_s(1001, 300, _default_grid_heights(10, 10))
+        predicted = analytic.numeric_s(1001, 300, lambda: _default_grid_heights(10, 10))
         assert took / 3 <= predicted <= 3 * took
 
     def test_verify_modularity_charged_at_its_heights(self):
@@ -606,7 +606,7 @@ class TestNumericBudget:
         predicted at 6.2 s."""
         took, proc = _run_timed("verify-modularity", "--D", "1001", "--samples", "200")
         assert proc.stdout.endswith(b"over 200 points (tol 1e-06)\n")
-        predicted = cli._numeric_s(1001, 300, _sample_heights(1001, 200))
+        predicted = analytic.numeric_s(1001, 300, lambda: _sample_heights(1001, 200))
         assert took / 3 <= predicted <= 3 * took
 
     @pytest.mark.parametrize(
@@ -620,7 +620,7 @@ class TestNumericBudget:
     def test_charged_at_the_evaluated_heights(self, capsys, monkeypatch, argv):
         """The multiset of binned heights that the command evaluates equals
         the one it is charged at."""
-        evaluate, charge = analytic.eval_eta_numeric, cli._numeric_s
+        evaluate, charge = analytic.eval_eta_numeric, analytic.numeric_s
         evaluated, charged = [], []
 
         def recorded_evaluate(D, w, n_max=300):
@@ -628,15 +628,15 @@ class TestNumericBudget:
             return evaluate(D, w, n_max)
 
         def recorded_charge(D, nmax, heights):
-            charged.extend(heights)
-            return charge(D, nmax, charged)
+            charged.extend(heights())
+            return charge(D, nmax, lambda: charged)
 
         monkeypatch.setattr(analytic, "eval_eta_numeric", recorded_evaluate)
-        monkeypatch.setattr(cli, "_numeric_s", recorded_charge)
+        monkeypatch.setattr(analytic, "numeric_s", recorded_charge)
         code, out, _ = run_cli(capsys, *argv)
         assert code in (0, 1) and out
         assert evaluated
-        assert Counter(map(cli._height_bin, evaluated)) == Counter(map(cli._height_bin, charged))
+        assert Counter(map(analytic._height_bin, evaluated)) == Counter(map(analytic._height_bin, charged))
 
     @pytest.mark.parametrize(
         "argv", [("verify-modularity", "--samples", "1"), ("grid", "--re-steps", "1", "--im-steps", "1")]
@@ -648,13 +648,13 @@ class TestNumericBudget:
         D = cli.D_CAP[argv[0]]
         while not is_fundamental(D):
             D -= 1
-        charge, charges = cli._numeric_s, []
+        charge, charges = analytic.numeric_s, []
 
         def recorded_charge(D, nmax, heights):
             charges.append(charge(D, nmax, heights))
             return charges[-1]
 
-        monkeypatch.setattr(cli, "_numeric_s", recorded_charge)
+        monkeypatch.setattr(analytic, "numeric_s", recorded_charge)
         monkeypatch.setattr(analytic, "eval_eta_numeric", lambda D, w, n_max=300: 1j)
         code, out, _ = run_cli(capsys, *argv, "--D", str(D), "--nmax", "1")
         assert code == 0 and out

@@ -1,6 +1,8 @@
 import gc
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
@@ -12,6 +14,7 @@ from oracles import (
 
 from hecke_eta import qseries
 from hecke_eta.characters import build_char_table, euler_phi
+from hecke_eta.lseries import m_exponent
 from hecke_eta.cyclotomic import _trace_weights
 from hecke_eta.golden import COEFF_TABLE, TAU5_TABLE
 from hecke_eta.oracle import a_via_convolution
@@ -301,3 +304,45 @@ class TestDelta5:
         direct = series_pow(eta_series(5, 60), 5)
         assert list(tau5_values(61).values()) == list(direct.coeffs)
         assert direct.valuation == 1
+
+
+def _z_i_residual(D, s1, s2):
+    """|sum_k (s1(k) + sqrt(D) s2(k)) e^{-2 pi k/sqrt(D)} - m| at 60 digits,
+    over k <= len(s1)."""
+    with mpmath.workdps(60):
+        sqrt_d = mpmath.sqrt(D)
+        r = mpmath.exp(-2 * mpmath.pi / sqrt_d)
+        total, rk = mpmath.mpf(0), mpmath.mpf(1)
+        for a, b in zip(s1, s2):
+            rk *= r
+            total += (a + sqrt_d * b) * rk
+        num, den = m_exponent(build_char_table(D))
+        return abs(total - mpmath.mpf(num) / den)
+
+
+class TestInversionAtI:
+    """The inversion law eta_D(-1/z) = eta_D(z) at z = i: its derivative
+    there makes the log-derivative m + sum_k b(k) q^k vanish at
+    q = e^{-2 pi/sqrt(D)}, so m = sum_k (s1(k) + sqrt(D) s2(k)) e^{-2 pi k/sqrt(D)}
+    with the Lambert inputs of the kernel (qseries._divisor_sums), an
+    identity that weighs the small k most.  The terms past K leave a tail of
+    at most a few 10^-57 (at D = 1001)."""
+
+    D_VALUES = (5, 13, 17, 21, 105, 1001)
+
+    @staticmethod
+    def _sums(D):
+        K = math.ceil(60 * math.log(10) * math.sqrt(D) / (2 * math.pi)) + 20
+        return qseries._divisor_sums(build_char_table(D), D, K)
+
+    @pytest.mark.parametrize("D", D_VALUES)
+    def test_divisor_sums_give_m(self, D):
+        assert _z_i_residual(D, *self._sums(D)) < 1e-55
+
+    @pytest.mark.parametrize("D", D_VALUES)
+    def test_mutants_miss(self, D):
+        """A flipped sqrt(D) half (0.29 at D = 5 up to 1980 at D = 1001) and
+        s2 replaced by s1 each miss m."""
+        s1, s2 = self._sums(D)
+        assert _z_i_residual(D, s1, [-b for b in s2]) > 1e-3
+        assert _z_i_residual(D, s1, s1) > 1e-3
