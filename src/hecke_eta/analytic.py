@@ -189,11 +189,11 @@ def product_s(D: int, nmax: int, height: float) -> float:
 
 
 def _height_bin(h: float) -> float:
-    """h rounded down to a multiple of 1/32 of its binade, the height a
-    product at h is charged at, so that few distinct heights are charged;
-    down, as product_s mostly falls as the height grows."""
+    """The height a product at h is charged at: h rounded down to a multiple
+    of 1/32 of its binade, so that few are charged (down, as product_s mostly
+    falls with height); inf as is, met only beside a least height at |q| = 1."""
     m, e = math.frexp(h)
-    return math.ldexp(math.floor(m * 32) / 32, e)
+    return math.ldexp(math.floor(m * 32) / 32, e) if math.isfinite(h) else h
 
 
 def numeric_s(D: int, nmax: int, heights) -> float | None:

@@ -906,6 +906,8 @@ class TestGrid:
             ("--re-min", "1e308", "--re-max", "1e308", "--im-min", "0.5", "--im-max", "1"),
             # |q| rounds to 1 at z, then at -1/z
             ("--re-min", "0", "--re-max", "0", "--im-min", "1e-300", "--im-max", "1e-300"),
+            # ... and Im(-1/z) overflows to inf
+            ("--re-min", "0", "--re-max", "0", "--im-min", "1e-310", "--im-max", "1e-310"),
             ("--re-min=-6", "--re-max=-6", "--im-min", "1e-300", "--im-max", "1e-300"),
             ("--re-min", "0", "--re-max", "0", "--im-min", "1e-17", "--im-max", "1e-17"),
             ("--re-min", "0", "--re-max", "0", "--im-min", "1e200", "--im-max", "1e200"),
