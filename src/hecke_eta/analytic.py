@@ -204,7 +204,9 @@ def numeric_s(D: int, nmax: int, heights) -> float | None:
     exceeds its height, so only where |q| rounds to 1 at the least bin does
     a second walk find the exact least height.
 
-    An upper bound on end-to-end runs: from 1 s up it over-predicts by 1.04x
+    Fitted to the 17 runs, D 5..1425237, nmax 1..3 * 10^7, up to 58 s, that
+    CHANGES.md lists where the untwisted half became a closed-form sum, and
+    an upper bound on end-to-end runs: from 1 s up it over-predicts by 1.04x
     to 2.5x, at every --nmax alike.  The least margin is at D = 5, where a
     product is mostly its fixed cost: verify-modularity --D 5 --samples
     238898, the most accepted at --nmax 300, took 27-36 s against 60 s (43-58
@@ -354,6 +356,19 @@ def sample_half_plane_points(D: int, count: int, seed: int = 20240901) -> list[c
     rng = random.Random(seed * 1_000_003 + D)
     half = math.sqrt(D) / 2
     return [complex(rng.uniform(-half, half), rng.uniform(*SAMPLE_IM_RANGE)) for _ in range(count)]
+
+
+def samples_floor_s(D: int, nmax: int, samples: int) -> float:
+    """A lower bound on numeric_s of `samples` samples, each charged at the
+    greatest heights the law_points of one in SAMPLE_IM_RANGE = (lo, hi)
+    can have: Im z <= hi and Im(-1/z) <= 1 / Im z <= 1 / lo.  It takes a
+    product's charge to fall as its height grows, which held against the
+    average charge of 200 samples at 68 fundamental D <= 1001 but not point
+    by point: product_s rises where a plan's split moves, by up to 21% at
+    D = 101 between heights 1.109 and 1.122 (ROADMAP item 5)."""
+    lo, hi = SAMPLE_IM_RANGE
+    one = 2 * product_s(D, nmax, hi) + product_s(D, nmax, 1 / lo)
+    return NUMERIC_DATA_S_PER_D * D + samples * one
 
 
 def _phi_sides(chi, y: float, n_max: int, bits: int) -> tuple[int, int, int]:

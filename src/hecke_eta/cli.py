@@ -12,13 +12,12 @@ are imported here; each command imports the layers it runs, and json, when
 it runs, so that a call loads only what it uses.  No command loads decimal
 or fractions: lvalues prints L(-1) and m from lseries.m_exponent's integer
 pair, and L'(0), like growth the log of a coefficient past the float range,
-from one integer fixed-point log (lseries.log_fixed).  verify-modularity
-prints analytic.law_residuals at each sample; analytic.numeric_s charges it
-at the heights of analytic.law_points, the points those residuals evaluate.
-The grammar is one table, COMMANDS, which reads a canonical command line
-directly; argparse is loaded, and built from it, only for help, usage errors
-and abbreviated options.  Rows are written in blocks (_write_rows), one
-write call per block, not one print per row.
+from one integer fixed-point log (lseries.log_fixed).  Each layer prices its
+own work; cli adds what every command pays (TIME_BUDGET_S).  The grammar is
+one table, COMMANDS, which reads a canonical command line directly;
+argparse is loaded, and built from it, only for help, usage errors and
+abbreviated options.  Rows are written in blocks (_write_rows), one write
+call per block, not one print per row.
 """
 
 import math
@@ -38,64 +37,22 @@ from .quad_ring import canonical_str, embed_midpoint, embed_real
 # a double; 166 bits are the 50 digits of the Decimal L'(0) this replaced.
 LOG_BITS = 166
 
-# oracle-check, partitions, verify-modularity, grid, coeffs, delta5, signs
-# and growth refuse, with exit 2, any input whose predicted run time exceeds
-# TIME_BUDGET_S.  The models were fitted to end-to-end runs on a 2-vCPU
-# x86-64 machine with Python 3.11 (oracle-check: the 45 runs, D 5..100049, N
-# 1..5000, that took at least 1 s, up to 157 s and 93 MB; partitions: the 35
-# of 53 runs, D 5..900001, N 0..20000, that took at least 1 s, up to 51 s,
-# and 20 runs at D 30005..999997, N 0..300, up to 4.3 s; the numeric model:
-# the 17 runs, D 5..1425237, nmax 1..3 * 10^7, up to 58 s, that CHANGES.md
-# lists where the untwisted half became a closed-form sum; the series model:
-# 23 runs of coeffs, D 5..3999997, N 1..17000, up to 67 s, where signs and
-# growth cost the same) and scaled so that none of those runs took longer
-# than predicted, with a 1.2x margin in oracle-check and partitions, whose
-# repeated runs vary by that much; they over-predict by up to 2.9x, 2.4x
-# (where the table, not the character table, dominates), 2.5x (both numeric
-# commands from 1 s up, at every --nmax) and 1.9x.
+# Input predicted to run longer than TIME_BUDGET_S is refused with exit 2.
+# Each layer prices its own work (oracle.compare_s, partitions.tables_s,
+# analytic.numeric_s, qseries.kernel_s) by a model fitted to the end-to-end
+# runs it lists (2-vCPU x86-64, Python 3.11), scaled so none took longer.
 TIME_BUDGET_S = 60
 
 # Seconds per unit of D of the character table and the other O(D) work of
-# coeffs, signs, growth and partitions, charged by _series_s and
-# _partitions_s: in three runs each, `coeffs --N 1` took at most 0.81 s at
-# D = 1000001 (predicted 1.2 s), 3.8 s at 3999949 and 2.8 s at 3999997 (4.8
-# s), and `partitions --D 999997 --N 0` 0.63 s (1.2 s).
+# coeffs, signs, growth and partitions, added to the layer's charge by
+# _series_s and _partitions_s: in three runs each, `coeffs --N 1` took at
+# most 0.81 s at D = 1000001 (predicted 1.2 s), 3.8 s at 3999949 and 2.8 s
+# at 3999997 (4.8 s), and `partitions --D 999997 --N 0` 0.63 s (1.2 s).
 CHAR_TABLE_S_PER_D = 1.2e-6
 
 # partitions also refuses input whose predicted peak RSS (_partitions_mb)
 # exceeds this, since its time model admits tables of several GB.
 MEMORY_BUDGET_MB = 500
-
-# Largest --D of each command, checked before the discriminant's trial
-# division, measured end to end on the same machine with the least work the
-# command accepts; memory grows with D too, so these caps are the largest D
-# measured.  periods, one transform of length phi(D)/2 on coefficients whose
-# width varies with D, is slowest at prime D: 2.2-3.1 s at D = 10009, 3-7 s
-# at six random primes in 13000..20000, and past the cap 6.0 s at 20021,
-# 7.9 s at 22697, 18 s at 25033, 20 s at 33013 and 72 s and 70 MB at 40009,
-# where the coefficients are twice as wide as at 33013; the cap keeps an 8x
-# margin for that spread.  lvalues (the character table and two O(D) sums)
-# and chars took 0.7-1.1 s at D = 1000001, and 3.8-5.1 s and 77 MB at
-# 3999949 and 3999997; coeffs, signs and growth at N = 1 took up to 3.8 s
-# and 77 MB there, grid at one point 16 s and 229 MB at 3999997, and
-# verify-modularity at one sample 31 s at D = 2000001.  partitions took
-# 0.90 s and 41 MB at D = 999997, N = 0, and 4.6 s and 201 MB at N = 20; its
-# cost model accepts the cap, which is the binding limit.  Above the cap of
-# oracle-check its cost model refuses every input anyway: it accepts no D
-# above 88577 (101 * 877, 43 s and 86 MB at N = 1; the largest prime it
-# accepts, 88513, took 43 s there).
-D_CAP = {
-    "coeffs": 4_000_000,
-    "signs": 4_000_000,
-    "growth": 4_000_000,
-    "chars": 4_000_000,
-    "grid": 4_000_000,
-    "verify-modularity": 2_000_000,
-    "lvalues": 4_000_000,
-    "partitions": 1_000_000,
-    "periods": 20_000,
-    "oracle-check": 88_577,
-}
 
 
 def _fmt(x: float) -> str:
@@ -199,21 +156,6 @@ def cmd_verify_table(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _samples_floor_s(D: int, nmax: int, samples: int) -> float:
-    """A lower bound on analytic.numeric_s of `samples` samples, each charged
-    at the greatest heights one in analytic.SAMPLE_IM_RANGE = (lo, hi) can
-    have: Im z <= hi and Im(-1/z) <= 1 / Im z <= 1 / lo.  It takes a
-    product's charge to fall as its height grows, which held against the
-    average charge of 200 samples at 68 fundamental D <= 1001 but not point
-    by point: analytic.product_s rises where a plan's split moves, by up to
-    21% at D = 101 between heights 1.109 and 1.122 (ROADMAP item 5)."""
-    from . import analytic
-
-    lo, hi = analytic.SAMPLE_IM_RANGE
-    one = 2 * analytic.product_s(D, nmax, hi) + analytic.product_s(D, nmax, 1 / lo)
-    return analytic.NUMERIC_DATA_S_PER_D * D + samples * one
-
-
 def _numeric_refusal(charge: float | None, what: str) -> str | None:
     """Why products of this charge (analytic.numeric_s) are refused, or None."""
     if charge is None:
@@ -229,7 +171,7 @@ def _axis(lo: float, hi: float, steps: int) -> list[float]:
 def cmd_verify_modularity(args) -> int:
     from . import analytic
 
-    if _samples_floor_s(args.D, args.nmax, args.samples) > TIME_BUDGET_S:
+    if analytic.samples_floor_s(args.D, args.nmax, args.samples) > TIME_BUDGET_S:
         return _usage_error("--samples and --nmax exceed the time budget")
     points = analytic.sample_half_plane_points(args.D, args.samples, seed=args.seed)
 
@@ -260,71 +202,29 @@ def cmd_verify_modularity(args) -> int:
     return 0 if failures == 0 else 1
 
 
-# The commands that _series_s charges, by a factor for their cost over coeffs
-# at the same D and N.  delta5 runs at D = 5 on eta_5^5, whose coefficients
-# are wider: it took 24 s at N = 12000, 44 s at 16000, 54 s at 17000, 58 s at
-# 18000 and 71 s at 20000 (48 MB at 16000), and re-timed 28.7 s at 16000,
-# 3.1x coeffs --D 5, which the model over-predicts 3.1x; 2 (at most 2.07
-# keeps every N <= 16000) accepts N <= 16250, 26-34 s and 41 MB there.
-SERIES_WIDTH = {"coeffs": 1, "signs": 1, "growth": 1, "delta5": 2.0}
-
-
 def _series_s(D: int, N: int) -> float:
-    """Predicted seconds of coeffs, signs or growth: the O(D) character
-    table, then the kernel on coefficients whose width grows with N and,
-    up to D of about 10^5, with D."""
-    return CHAR_TABLE_S_PER_D * D + 1.45e-9 * N**2.4 * min(D, 100_000) ** 0.3
+    from .qseries import kernel_s
 
-
-def _oracle_check_s(D: int, N: int) -> float:
-    """Predicted seconds: about 2 log2(phi(D)/2) model-ring products, each
-    two Kronecker products of (N + 1) D slots, on coefficients that grow
-    with N, faster the more residues the norm multiplies, hence the
-    exponent of N + 1 that grows with log D.  It was fitted to single
-    products of (N + 1)(2D - 1) zero-padded slots, so it over-predicts the
-    two-point products 1.6-3.8x: end to end with the time budget (and at
-    D = 100049 the D cap) lifted, in s
-    measured/predicted by (D, N): (5, 5000) 31/60, (13, 2000) 40/84,
-    (41, 800) 55/151, (101, 400) 59/221, (293, 20) 0.51-0.74/1.8,
-    (293, 80) 10-14/46, (1009, 40) 39/93, (4845, 10) 25/54, (10001, 10)
-    119/194, (30005, 3) 38/76, (88577, 1) 33/60, (100049, 1) 40/73.  The
-    constant stays, as D_CAP["oracle-check"] rests on it: past the cap the
-    prediction at N = 1 exceeds the budget."""
-    return 2.1e-7 * D**1.53 * (N + 1) ** (1.84 + 0.097 * math.log(D))
+    return CHAR_TABLE_S_PER_D * D + kernel_s(D, N)
 
 
 def _partitions_s(D: int, N: int) -> float:
-    """Predicted seconds: the O(N^2) additions of the length distribution,
-    the (N + 1) x D table of counts about sqrt(N) digits wide, and the
-    character table at CHAR_TABLE_S_PER_D.  At D = 5 the first refused
-    order is 18481; N = 20000 took 51 s end to end."""
-    return 1.75e-7 * (N + 1) ** 2 + 1.8e-8 * D * (N + 1) ** 1.5 + CHAR_TABLE_S_PER_D * D
+    from .partitions import tables_s
+
+    return tables_s(D, N) + CHAR_TABLE_S_PER_D * D
 
 
 def _partitions_mb(D: int, N: int) -> float:
-    """Predicted peak RSS in MB: the interpreter, the character table and
-    the (N + 1) x D counts, ints up to about 3.7 sqrt(N) bits wide held in
-    row tuples while the rows are written one at a time, 20 + 0.6 sqrt(N)
-    bytes per count; a count c[k][r] with k < r is always zero, a shared
-    small int that costs only its 8-byte tuple slot.  An upper bound on 16
-    end-to-end runs, D 5..900001, N 0..16000, over-predicting by 1.04x to
-    1.64x; in MB measured/predicted by (D, N): (1001, 3000) 159/166, (1001,
-    4000) 229/237, (1001, 5000) 299/315, (1001, 6000) 369/400, (101, 6000)
-    57/70, (101, 12000) 114/134, (101, 16000) 158/185, (301, 10000) 235/268,
-    (5, 16000) 35/38, (5001, 2000) 179/188, (2001, 500) 27/41, (10001, 100)
-    24/39, (10001, 1000) 113/126, (100001, 10) 32/45, (100001, 100) 100/117,
-    (900001, 0) 70/91."""
-    m = min(N + 1, D)
-    zeros = m * (D - 1) - m * (m - 1) // 2  # c[k][r] for k < r < D
-    per_count = 20 + 0.6 * math.sqrt(N + 1)
-    return 30 + 6e-5 * D + ((D * (N + 1) - zeros) * per_count + 8 * zeros) / 1e6
+    from .partitions import tables_mb
+
+    return 30 + 6e-5 * D + tables_mb(D, N)
 
 
 def cmd_oracle_check(args) -> int:
-    if _oracle_check_s(args.D, args.N) > TIME_BUDGET_S:
-        return _usage_error("--N out of range for the convolution oracle")
-    from .oracle import compare_with_eta
+    from .oracle import compare_s, compare_with_eta
 
+    if compare_s(args.D, args.N) > TIME_BUDGET_S:
+        return _usage_error("--N out of range for the convolution oracle")
     matches, mismatches = compare_with_eta(args.D, args.N)
     total = args.N + 1
     if mismatches:
@@ -556,29 +456,55 @@ _D = {"--D": {"type": int, "required": True}}
 _N = {"--N": {"type": _COUNT, "required": True}}
 _FORMAT = {"--format": {"choices": ("csv", "json"), "default": "csv"}}
 
-# The grammar: each command's handler, help string and options, in the order
-# --help lists them.  _parse_canonical reads it; _build_parser renders it.
+# The grammar: each command's handler, help string, options, largest --D and
+# factor in the series charge (_series_s), None where they do not apply, in
+# the order --help lists them.  _parse_canonical reads it; _build_parser
+# renders it.  Each --D cap is checked before the discriminant's trial
+# division, measured end to end (2-vCPU x86-64, Python 3.11) with the least
+# work the command accepts; memory grows with D too, so these caps are the
+# largest D measured.  periods, one transform of length phi(D)/2 on
+# coefficients whose width varies with D, is slowest at prime D: 2.2-3.1 s at
+# D = 10009, 3-7 s at six random primes in 13000..20000, and past the cap
+# 6.0 s at 20021, 7.9 s at 22697, 18 s at 25033, 20 s at 33013 and 72 s and
+# 70 MB at 40009, where the coefficients are twice as wide as at 33013; the
+# cap keeps an 8x margin for that spread.  lvalues (the character table and
+# two O(D) sums) and chars took 0.7-1.1 s at D = 1000001, and 3.8-5.1 s and
+# 77 MB at 3999949 and 3999997; coeffs, signs and growth at N = 1 took up to
+# 3.8 s and 77 MB there, grid at one point 16 s and 229 MB at 3999997, and
+# verify-modularity at one sample 31 s at D = 2000001.  partitions took
+# 0.90 s and 41 MB at D = 999997, N = 0, and 4.6 s and 201 MB at N = 20; its
+# cost model accepts the cap, which is the binding limit.  Above the cap of
+# oracle-check its cost model refuses every input anyway: it accepts no D
+# above 88577 (101 * 877, 43 s and 86 MB at N = 1; the largest prime it
+# accepts, 88513, took 43 s there).  The series factor is a command's cost
+# over coeffs at the same D and N; signs and growth cost the same.  delta5,
+# at D = 5 on the wider coefficients of eta_5^5, took 24 s at N = 12000, 44 s
+# at 16000, 54 s at 17000, 58 s at 18000 and 71 s at 20000 (48 MB at 16000),
+# and re-timed 28.7 s at 16000, 3.1x coeffs --D 5, which the model
+# over-predicts 3.1x; 2 (at most 2.07 keeps every N <= 16000) accepts
+# N <= 16250, 26-34 s and 41 MB there.
 COMMANDS = {
-    "coeffs": (cmd_coeffs, "exact coefficients a_D(1..N)", _D | _N | _FORMAT),
-    "delta5": (cmd_delta5, "tau_5(1..N) of the fifth-power series", _N | _FORMAT),
-    "verify-table": (cmd_verify_table, "recompute all golden coefficients", {}),
+    "coeffs": (cmd_coeffs, "exact coefficients a_D(1..N)", _D | _N | _FORMAT, 4_000_000, 1),
+    "delta5": (cmd_delta5, "tau_5(1..N) of the fifth-power series", _N | _FORMAT, None, 2.0),
+    "verify-table": (cmd_verify_table, "recompute all golden coefficients", {}, None, None),
     "verify-modularity": (cmd_verify_modularity, "inversion/translation residuals", _D | {
         "--samples": {"type": _COUNT, "default": 20}, "--nmax": {"type": _COUNT, "default": 300},
         "--tol": {"type": _POS, "default": 1e-6},
         "--seed": {"type": _ranged(int, -(2**53), 2**53), "default": 20240901},
-    }),
-    "oracle-check": (cmd_oracle_check, "convolution oracle vs the exact kernel", _D | _N),
+    }, 2_000_000, None),
+    "oracle-check": (
+        cmd_oracle_check, "convolution oracle vs the exact kernel", _D | _N, 88_577, None),
     "partitions": (cmd_partitions, "p, p_nr and length-distribution tables", _D | {
         "--N": {"type": _ranged(int, 0, 2**53), "required": True},
-    }),
-    "lvalues": (cmd_lvalues, "S_chi, exact L(-1), m, numeric L'(0)", _D),
-    "periods": (cmd_periods, "period polynomial coefficients", _D),
-    "chars": (cmd_chars, "character value row and residue lists", _D),
-    "signs": (cmd_signs, "sign pattern of the embedded coefficients", _D | _N),
+    }, 1_000_000, None),
+    "lvalues": (cmd_lvalues, "S_chi, exact L(-1), m, numeric L'(0)", _D, 4_000_000, None),
+    "periods": (cmd_periods, "period polynomial coefficients", _D, 20_000, None),
+    "chars": (cmd_chars, "character value row and residue lists", _D, 4_000_000, None),
+    "signs": (cmd_signs, "sign pattern of the embedded coefficients", _D | _N, 4_000_000, 1),
     "growth": (cmd_growth, "(sqrt N, log|a_D(N)|) data and fit", _D | _N | {
         "--window-min": {"type": _COUNT, "default": None},
         "--window-max": {"type": _COUNT, "default": None},
-    } | _FORMAT),
+    } | _FORMAT, 4_000_000, 1),
     "grid": (cmd_grid, "contour grid of eta(z) and eta(-1/z)", {
         "--D": {"type": int, "default": 5},
         "--re-min": {"type": _REAL, "default": -6.0}, "--re-max": {"type": _REAL, "default": 6.0},
@@ -586,7 +512,7 @@ COMMANDS = {
         "--re-steps": {"type": _COUNT, "default": 60},
         "--im-steps": {"type": _COUNT, "default": 20},
         "--nmax": {"type": _COUNT, "default": 300},
-    }),
+    }, 4_000_000, None),
 }
 
 
@@ -600,7 +526,7 @@ def _build_parser() -> "argparse.ArgumentParser":
         "verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, summary, options) in COMMANDS.items():
+    for name, (func, summary, options, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for flag, kw in options.items():
             p.add_argument(flag, **kw)
@@ -617,7 +543,7 @@ def _parse_canonical(argv) -> SimpleNamespace | None:
     argparse alone takes for an option, is a value here."""
     if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
         return None
-    func, _, options = COMMANDS[argv[0]]
+    func, _, options, _, _ = COMMANDS[argv[0]]
     given = {}
     for flag, text in zip(argv[1::2], argv[2::2]):
         kw = options.get(flag)
@@ -662,15 +588,14 @@ def _attach_negative_numbers(argv) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_canonical(argv) or _build_parser().parse_args(_attach_negative_numbers(argv))
+    *_, cap, factor = COMMANDS[args.command]
     D = getattr(args, "D", None)
     if D is not None:
-        cap = D_CAP[args.command]
         if D > cap:
             return _usage_error(f"--D exceeds the limit {cap} of {args.command}")
         if not is_fundamental(D):
             return _usage_error(f"D={D} is not fundamental (need D = 1 mod 4, squarefree, >= 5)")
-    width = SERIES_WIDTH.get(args.command)
-    if width and width * _series_s(D or 5, args.N) > TIME_BUDGET_S:
+    if factor and factor * _series_s(D or 5, args.N) > TIME_BUDGET_S:
         return _usage_error("--N exceeds the time budget")
     try:
         code = args.func(args)

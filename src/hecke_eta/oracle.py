@@ -26,6 +26,8 @@ until the final projection; of qseries only the generic slot helpers
 (_bound_bytes, _max_abs, _bias, _pack, _unpack) are shared.
 """
 
+from math import log
+
 from .characters import build_char_table
 from .cyclotomic import project_to_quad
 from .partitions import _euler_product, distinct_length_distribution, length_distribution
@@ -208,3 +210,21 @@ def compare_with_eta(D: int, N: int):
         (k, direct[k], conv[k]) for k in range(N + 1) if direct[k] != conv[k]
     ]
     return len(direct) - len(mismatches), mismatches
+
+
+def compare_s(D: int, N: int) -> float:
+    """Predicted seconds of compare_with_eta(D, N) end to end: about
+    2 log2(phi(D)/2) model-ring products, each two Kronecker products of
+    (N + 1) D slots, on coefficients that grow with N, faster the more
+    residues the norm multiplies, hence the exponent of N + 1 that grows
+    with log D.  It was fitted, with a 1.2x margin for the spread of
+    repeated runs, to the 45 runs, D 5..100049, N 1..5000, up to 157 s and
+    93 MB, that took at least 1 s as single products of (N + 1)(2D - 1)
+    zero-padded slots, so it over-predicts the two-point products 1.6-3.8x:
+    end to end with the time budget (and at D = 100049 the --D cap) lifted,
+    in s measured/predicted by (D, N): (5, 5000) 31/60, (13, 2000) 40/84,
+    (41, 800) 55/151, (101, 400) 59/221, (293, 20) 0.51-0.74/1.8, (293, 80)
+    10-14/46, (1009, 40) 39/93, (4845, 10) 25/54, (10001, 10) 119/194,
+    (30005, 3) 38/76, (88577, 1) 33/60, (100049, 1) 40/73.  The constant
+    stays: the --D cap of oracle-check rests on its refusing N = 1 past it."""
+    return 2.1e-7 * D**1.53 * (N + 1) ** (1.84 + 0.097 * log(D))

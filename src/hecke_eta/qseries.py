@@ -326,3 +326,11 @@ def tau5_values(n_max: int) -> dict[int, RingElem]:
         raise SeriesError("need n_max >= 1")
     coeffs = _eta_power(5, max(n_max - 1, 1), 5).coeffs
     return {n: coeffs[n - 1] for n in range(1, n_max + 1)}
+
+
+def kernel_s(D: int, N: int) -> float:
+    """Predicted seconds of eta_series(D, N) past its O(D) character table,
+    which the caller charges: the kernel on coefficients whose width grows
+    with N and, up to D of about 10^5, with D.  With that term it bounds 23
+    runs of `coeffs`, D 5..3999997, N 1..17000, up to 67 s, by up to 1.9x."""
+    return 1.45e-9 * N**2.4 * min(D, 100_000) ** 0.3

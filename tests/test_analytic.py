@@ -472,6 +472,10 @@ class TestEnvelope:
         assert bound_envelope(5, 0) == 0.0
         assert math.isfinite(bound_envelope(5, 0))
 
+    def test_envelope_rejects_a_negative_order(self):
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            bound_envelope(5, -1)
+
     def test_envelope_dominates_coefficients_to_100(self):
         for D in (5, 13, 17):
             series = eta_series(D, 100)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import embed_mp, fundamental_discriminants, l_prime_zero_decimal
 
-from hecke_eta import analytic, cli, qseries
+from hecke_eta import analytic, cli, oracle, partitions, qseries
 from hecke_eta.characters import build_char_table, is_fundamental
 from hecke_eta.quad_ring import RingElem, embed_midpoint, embed_real
 
@@ -156,6 +156,24 @@ class TestSmallCommands:
         assert code == 0
         assert "PASS 11/11" in out
 
+    def test_oracle_check_reports_the_first_divergence(self, capsys, monkeypatch):
+        """An oracle whose coefficient 3 is off by 2 in A fails the check
+        there, and the report shows both values."""
+        convolution = oracle.a_via_convolution
+
+        def off_by_two(D, N):
+            coeffs = convolution(D, N)
+            coeffs[3] = RingElem(coeffs[3].num_a + 2, coeffs[3].num_b, D)
+            return coeffs
+
+        monkeypatch.setattr(oracle, "a_via_convolution", off_by_two)
+        code, out, _ = run_cli(capsys, "oracle-check", "--D", "5", "--N", "5")
+        assert code == 1
+        assert out == (
+            "FAIL 5/6 coefficients match\n"
+            "first divergence at N=3: direct (0-4*sqrt(5))/2 vs oracle (2-4*sqrt(5))/2\n"
+        )
+
     def test_verify_modularity(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-modularity", "--D", "5", "--samples", "3"
@@ -231,6 +249,13 @@ class TestNumericInput:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    def test_dash_text_that_is_no_number_stays_an_option(self, capsys):
+        """-x is not joined to --tol as its value, so argparse finds --tol
+        without one."""
+        code, out, err = run_cli(capsys, "verify-modularity", "--D", "5", "--tol", "-x")
+        assert (code, out) == (2, "")
+        assert "argument --tol: expected one argument" in err
+
 
 def _strict_loads(text: str):
     """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
@@ -291,12 +316,16 @@ class TestStrictJson:
 
 CAPPED_COMMANDS = [("coeffs", "--D", "5"), ("signs", "--D", "5"), ("growth", "--D", "5"), ("delta5",)]
 
+# Each command's --D cap and factor in the series charge, from its row of cli.COMMANDS.
+D_CAP = {command: row[3] for command, row in cli.COMMANDS.items() if row[3] is not None}
+SERIES_FACTOR = {command: row[4] for command, row in cli.COMMANDS.items() if row[4] is not None}
+
 
 def _integer_flags():
     """(command, flag) for every option of cli.COMMANDS that reads an int."""
     return [
         (command, flag)
-        for command, (_, _, options) in cli.COMMANDS.items()
+        for command, (_, _, options, *_) in cli.COMMANDS.items()
         for flag, keywords in options.items()
         if "type" in keywords and isinstance(keywords["type"]("7"), int)
     ]
@@ -342,7 +371,7 @@ class TestIntegerRange:
 def _first_refused_order(command, D=5):
     """The least N that the series model refuses for command at D (delta5
     runs at D = 5)."""
-    width = cli.SERIES_WIDTH[command]
+    width = SERIES_FACTOR[command]
     N = 1
     while width * cli._series_s(D, N) <= cli.TIME_BUDGET_S:
         N += 1
@@ -379,7 +408,7 @@ class TestOrderCap:
     def test_delta5_charge_accepts_every_order_to_16000(self):
         """delta5 accepted every N <= 16000 when 16000 was its order cap,
         and the model alone still does."""
-        width = cli.SERIES_WIDTH["delta5"]
+        width = SERIES_FACTOR["delta5"]
         assert all(width * cli._series_s(5, N) <= cli.TIME_BUDGET_S for N in range(1, 16001))
 
 
@@ -390,7 +419,7 @@ class TestCostLimits:
         "command, D", [("oracle-check", 5), ("oracle-check", 41), ("partitions", 5), ("partitions", 101)]
     )
     def test_first_refused_order_exits_at_once(self, capsys, command, D):
-        predicted_s = {"oracle-check": cli._oracle_check_s, "partitions": cli._partitions_s}[command]
+        predicted_s = {"oracle-check": oracle.compare_s, "partitions": cli._partitions_s}[command]
         N = 1
         while predicted_s(D, N) <= cli.TIME_BUDGET_S:
             N += 1
@@ -403,7 +432,7 @@ class TestCostLimits:
 
     def test_benchmark_ranges_stay_accepted(self):
         for D in fundamental_discriminants(41):
-            assert cli._oracle_check_s(D, 80) <= cli.TIME_BUDGET_S
+            assert oracle.compare_s(D, 80) <= cli.TIME_BUDGET_S
         for D in fundamental_discriminants(101):
             assert cli._partitions_s(D, 400) <= cli.TIME_BUDGET_S
 
@@ -475,7 +504,52 @@ class TestSeriesBudget:
         for D in fundamental_discriminants(200):
             assert cli._series_s(D, 100) <= cli.TIME_BUDGET_S
         assert cli._series_s(5, 16000) <= cli.TIME_BUDGET_S
-        assert cli._series_s(cli.D_CAP["coeffs"], 1) <= cli.TIME_BUDGET_S
+        assert cli._series_s(D_CAP["coeffs"], 1) <= cli.TIME_BUDGET_S
+
+
+class _Reached(Exception):
+    """Raised by a stubbed layer: the command was accepted and began its work."""
+
+
+# The boundaries README states, each line with the refusal it prints, or
+# None where it is accepted.
+README_LIMITS = [
+    ("coeffs --D 5 --N 21691", None),
+    ("coeffs --D 5 --N 21692", "--N exceeds the time budget"),
+    ("delta5 --N 16250", None),
+    ("delta5 --N 16251", "--N exceeds the time budget"),
+    ("oracle-check --D 5 --N 5015", None),
+    ("oracle-check --D 5 --N 5016", "--N out of range for the convolution oracle"),
+    ("partitions --D 5 --N 18480", None),
+    ("partitions --D 5 --N 18481", "--N out of range for the partition tables"),
+    ("coeffs --D 100049 --N 3000", None),
+    ("coeffs --D 100049 --N 12000", "--N exceeds the time budget"),
+    ("verify-modularity --D 5 --samples 238898", None),
+    ("verify-modularity --D 5 --samples 238899", "--samples and --nmax exceed the time budget"),
+    ("verify-modularity --D 101 --samples 39642", None),
+    ("verify-modularity --D 101 --samples 39643", "--samples and --nmax exceed the time budget"),
+]
+
+
+@pytest.mark.parametrize("argv, refusal", README_LIMITS)
+def test_documented_limits(capsys, monkeypatch, argv, refusal):
+    """Each line README names is refused or accepted as it says.  The work
+    of each layer is stubbed to raise _Reached, so an accepted line stops
+    where that work would begin."""
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for layer, name in [
+        (qseries, "eta_series"), (qseries, "tau5_values"), (oracle, "compare_with_eta"),
+        (partitions, "build_partition_tables"), (analytic, "law_residuals"),
+    ]:
+        monkeypatch.setattr(layer, name, reached)
+    if refusal is None:
+        with pytest.raises(_Reached):
+            cli.main(argv.split())
+    else:
+        assert run_cli(capsys, *argv.split()) == (2, "", f"error: {refusal}\n")
 
 
 class TestNumericBudget:
@@ -534,13 +608,13 @@ class TestNumericBudget:
 
     def test_sample_count_refused_before_sampling(self, capsys, monkeypatch):
         """verify-modularity makes three products a sample; the least sample
-        count whose lower bound (_samples_floor_s) exceeds the budget is
+        count whose lower bound (analytic.samples_floor_s) exceeds the budget is
         refused before any point is drawn."""
         monkeypatch.setattr(analytic, "sample_half_plane_points", None)
-        per_d = cli._samples_floor_s(5, 300, 0)
-        per_sample = cli._samples_floor_s(5, 300, 1) - per_d
+        per_d = analytic.samples_floor_s(5, 300, 0)
+        per_sample = analytic.samples_floor_s(5, 300, 1) - per_d
         samples = int((cli.TIME_BUDGET_S - per_d) / per_sample) + 1
-        assert cli._samples_floor_s(5, 300, samples - 1) <= cli.TIME_BUDGET_S
+        assert analytic.samples_floor_s(5, 300, samples - 1) <= cli.TIME_BUDGET_S
         code, out, err = run_cli(capsys, "verify-modularity", "--D", "5", "--samples", str(samples))
         assert code == 2
         assert out == ""
@@ -562,7 +636,8 @@ class TestNumericBudget:
         for D in [*fundamental_discriminants(101), 1001, 2000001]:
             for samples in (1, 20):
                 charged = analytic.numeric_s(D, nmax, lambda: _sample_heights(D, samples))
-                assert cli._samples_floor_s(D, nmax, samples) <= charged * (1 + 1e-12), (D, samples)
+                floor = analytic.samples_floor_s(D, nmax, samples)
+                assert floor <= charged * (1 + 1e-12), (D, samples)
 
     def test_benchmark_ranges_stay_accepted(self):
         """Twenty samples of any seed, charged at the lowest heights a sample
@@ -645,7 +720,7 @@ class TestNumericBudget:
         """One sample or one point at --nmax 1, at the largest fundamental D
         under the command's cap, is charged within the budget and runs (the
         evaluation itself is stubbed out here)."""
-        D = cli.D_CAP[argv[0]]
+        D = D_CAP[argv[0]]
         while not is_fundamental(D):
             D -= 1
         charge, charges = analytic.numeric_s, []
@@ -708,12 +783,12 @@ class TestDiscriminantCap:
     """Every --D command refuses D above its measured limit before any work."""
 
     def test_every_command_with_D_is_capped(self):
-        assert set(cli.D_CAP) == {argv[0] for argv in SUBCOMMANDS_WITH_D}
+        assert set(D_CAP) == {argv[0] for argv in SUBCOMMANDS_WITH_D}
 
-    @pytest.mark.parametrize("command", sorted(cli.D_CAP))
+    @pytest.mark.parametrize("command", sorted(D_CAP))
     @pytest.mark.parametrize("past", ["first", "far"])
     def test_refused_at_once(self, capsys, command, past):
-        cap = cli.D_CAP[command]
+        cap = D_CAP[command]
         D = _first_fundamental_above(cap) if past == "first" else 10**30 + 1
         extra = next(argv[1:] for argv in SUBCOMMANDS_WITH_D if argv[0] == command)
         start = time.perf_counter()
@@ -724,17 +799,17 @@ class TestDiscriminantCap:
         assert f"exceeds the limit {cap}" in err
 
     def test_benchmark_ranges_stay_accepted(self):
-        for command in cli.D_CAP:
-            assert cli.D_CAP[command] >= 200
+        for command in D_CAP:
+            assert D_CAP[command] >= 200
 
     def test_cost_models_refuse_everything_above_their_caps(self):
         """The cap of oracle-check only stops the trial division; that of
         partitions is its binding limit, inside the time budget."""
-        cap = cli.D_CAP["oracle-check"]
+        cap = D_CAP["oracle-check"]
         for D in fundamental_discriminants(2 * cap):
             if D > cap:
-                assert cli._oracle_check_s(D, 1) > cli.TIME_BUDGET_S
-        assert cli._partitions_s(cli.D_CAP["partitions"], 0) <= cli.TIME_BUDGET_S
+                assert oracle.compare_s(D, 1) > cli.TIME_BUDGET_S
+        assert cli._partitions_s(D_CAP["partitions"], 0) <= cli.TIME_BUDGET_S
 
 
 class TestDiscriminantCheck:
@@ -801,6 +876,25 @@ class TestGrowth:
         assert rec["window"] == [10, 50]
         assert rec["fitted_C"] == rec["slope"]
         assert len(rec["pairs"]) == 50
+
+    def test_zero_coefficients_are_excluded(self, capsys, monkeypatch):
+        """A zero a(2) has no log: both formats list it as excluded."""
+        series = qseries.eta_series
+
+        def zero_at_two(D, N):
+            coeffs = list(series(D, N).coeffs)
+            coeffs[2] = RingElem(0, 0, D)
+            return SimpleNamespace(coeffs=coeffs)
+
+        monkeypatch.setattr(qseries, "eta_series", zero_at_two)
+        code, out, _ = run_cli(capsys, "growth", "--D", "5", "--N", "4")
+        assert code == 0
+        assert "# excluded zero coefficients at N = [2]" in out.splitlines()
+        assert len(out.splitlines()) == 6  # fit line, excluded line, header, three rows
+        code, out, _ = run_cli(capsys, "growth", "--D", "5", "--N", "4", "--format", "json")
+        assert code == 0
+        assert '"excluded_zero": [2]' in out
+        assert len(json.loads(out)["pairs"]) == 3
 
     def test_bad_window(self, capsys):
         code, _, err = run_cli(

@@ -17,6 +17,10 @@ class TestConvolutionOracle:
         assert a_via_convolution(5, 0) == [RingElem(2, 0, 5)]
         assert a_via_convolution(13, 0) == [RingElem(2, 0, 13)]
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            a_via_convolution(5, -1)
+
     def test_table_entries(self):
         conv = a_via_convolution(5, 1)
         assert conv[1] == RingElem(-2, -2, 5)

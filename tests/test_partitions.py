@@ -11,6 +11,7 @@ from oracles import (
     length_distribution_by_parts,
 )
 
+from hecke_eta import partitions
 from hecke_eta.characters import build_char_table
 from hecke_eta.partitions import (
     _euler_product,
@@ -135,6 +136,10 @@ class TestLengthDistribution:
     def test_against_dp_over_part_sizes(self, D, N):
         assert length_distribution(D, N) == length_distribution_by_parts(D, N)
 
+    def test_bad_modulus(self):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            length_distribution(0, 3)
+
 
 class TestDistinctLengthDistribution:
     @pytest.mark.parametrize("D", [1, 5, 21])
@@ -168,3 +173,17 @@ class TestTables:
         t = build_partition_tables(chi, 30)
         assert t.p[0] == 1 and t.p_nr[0] == 1 and t.c[0][0] == 1
         assert all(sum(row) == pk for row, pk in zip(t.c, t.p))
+
+    def test_row_that_misses_p_raises(self, monkeypatch):
+        """A length distribution whose row k does not sum to p(k) is refused,
+        not handed out."""
+        distribution = partitions.length_distribution
+
+        def miscounted(D, N):
+            c = distribution(D, N)
+            c[3][0] += 1
+            return c
+
+        monkeypatch.setattr(partitions, "length_distribution", miscounted)
+        with pytest.raises(AssertionError, match=r"row 3 does not sum to p\(3\)"):
+            build_partition_tables(build_char_table(5), 10)

@@ -104,6 +104,12 @@ class TestEtaSeries:
         with pytest.raises(SeriesError):
             tau5_values(0)
 
+    def test_odd_numerator_after_a_product_raises(self):
+        """Pairs outside O_D, (1 + 0 sqrt(5))/2 squared, leave an odd
+        numerator over 4, which _mul_pairs refuses to halve."""
+        with pytest.raises(RingError, match="odd numerator after convolution"):
+            qseries._mul_pairs([1], [0], [1], [0], 5, 0)
+
     def test_no_order_cap(self, monkeypatch):
         """An order past 16000, the limit the CLI once set here, reaches the
         kernel: the CLI's cost model alone bounds the order."""

@@ -142,3 +142,24 @@ class TestRepresentation:
 
     def test_json_dict(self):
         assert elem(7, 1).to_json_dict() == {"a": 7, "b": 1, "den": 2}
+
+    def test_str_and_repr(self):
+        assert str(elem(7, 1)) == "(7+1*sqrt(5))/2"
+        assert repr(elem(7, 1)) == "RingElem(7, 1, D=5)"
+        assert repr(elem(-2, 0, 13)) == "RingElem(-2, 0, D=13)"
+
+
+class TestEquality:
+    def test_equal_values_hash_alike(self):
+        x, y = elem(7, 1), elem(7, 1)
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert len({x, y, elem(1, 7), elem(7, 1, 13)}) == 3
+
+    def test_pair_and_discriminant_both_count(self):
+        assert elem(7, 1) != elem(1, 7)
+        assert elem(7, 1) != elem(7, 1, 13)
+
+    def test_other_types_are_not_equal(self):
+        x = elem(2, 0)
+        assert x.__eq__((2, 0)) is NotImplemented
+        assert x != (2, 0) and x != 1 and x != "(2+0*sqrt(5))/2"

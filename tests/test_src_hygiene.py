@@ -11,6 +11,10 @@ each top-level function, class and assigned name must be named by src code
 outside its own definition, be exported by the package, or be a benchmark
 tracer target (those are read from benchmarks/tracer.py as text, as
 test_trace_targets reads them).
+
+cli reads no _-prefixed name of another hecke_eta module, by import or as
+an attribute: each layer's plans and cost models stay behind its public
+names, so that none of them is priced or decided in cli.
 """
 
 import ast
@@ -162,3 +166,47 @@ def test_detects_an_unreferenced_definition():
         ("a", "LEFT"), ("a", "recursive")
     ]
     assert unreferenced_definitions(sources) == [("a", "Kept"), ("a", "LEFT"), ("a", "recursive"), ("b", "x")]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each _-prefixed name, dunders aside, that source
+    imports from a hecke_eta module or reads as an attribute of a hecke_eta
+    module it imports (from . import analytic; from hecke_eta import cli)."""
+    tree = ast.parse(source)
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "hecke_eta")
+    ]
+    modules = {
+        a.asname or a.name for n in imports if n.module in (None, "hecke_eta") for a in n.names
+    }
+    reads = [(n.lineno, a.name) for n in imports for a in n.names if _private(a.name)]
+    reads += [
+        (n.lineno, n.attr) for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id in modules and _private(n.attr)
+    ]
+    return sorted(reads)
+
+
+def test_cli_reads_no_private_name_of_a_layer():
+    assert private_reads((SRC / "cli.py").read_text()) == []
+
+
+def test_detects_a_private_read():
+    source = (
+        "from . import analytic\n"
+        "from .qseries import _halve, eta_series\n"
+        "from hecke_eta.oracle import _norm as norm\n"
+        "from .partitions import tables_s as _tables_s\n"
+        "def f(obj):\n"
+        "    from . import oracle as o\n"
+        "    return analytic._plan, analytic.product_s, o._twist, analytic.__name__, obj._x\n"
+    )
+    assert private_reads(source) == [(2, "_halve"), (3, "_norm"), (7, "_plan"), (7, "_twist")]
+
