@@ -321,11 +321,12 @@ def law_residuals(D: int, z: complex, n_max: int = 300) -> tuple[float, float]:
     """|eta_D(-1/z) - eta_D(z)| and |eta_D(z + sqrt(D)) - u * eta_D(z)|, with
     u = exp(2 pi i / 5) for D = 5 and 1 for D > 5, from one evaluation at
     each of law_points(D, z); inf in each law whose truncated product
-    overflows the float range, which then reads as a failed law."""
+    overflows the float range or underflows to exactly 0, where nothing is
+    compared, which then reads as a failed law."""
 
     def eta(w: complex) -> complex | None:
         try:
-            return eval_eta_numeric(D, w, n_max)
+            return eval_eta_numeric(D, w, n_max) or None
         except OverflowError:
             return None
 

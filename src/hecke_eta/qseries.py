@@ -16,9 +16,9 @@ eta_D is the Lambert series sum_k b(k) q^k with
 and the coefficients follow from the Euler-transform recurrence
 k a(k) = sum_{j<=k} b(j) a(k-j), whatever D is.  euler_transform evaluates
 it online, divide and conquer: a block of known a(i) reaches all later sums
-through one Kronecker-substituted integer product (_pair_product), so the
-cost is O(log N) levels of Karatsuba products instead of O(N^2) scalar
-ones; blocks of coefficients too wide for that to pay use dot products.
+through one Kronecker-substituted integer product (_block), so the cost is
+O(log N) levels of Karatsuba products instead of O(N^2) scalar ones, and
+the plain recurrence (_leaf) finishes every order no block product reaches.
 It runs on plain numerator pairs, not RingElem objects, and also expands
 the period polynomials; every division by k must be exact, so a wrong
 b(k), character value or sign convention for sqrt(D) raises RingError
@@ -202,10 +202,8 @@ def euler_transform(P, Q, D: int, N: int) -> tuple[list[int], list[int]]:
     themselves until a(k) replaces them: once a(l..m-1) are known, their
     whole contribution to the sums of k in [m, r) is added in one block step
     (_block), so the cost is that of O(log N) levels of polynomial products
-    instead of O(N^2) scalar ones.  P and Q are copied only to pad or cut
-    them to length N.
+    instead of O(N^2) scalar ones.  P and Q have length N.
     """
-    P, Q = (x if len(x) == N else list(x[:N]) + [0] * (N - len(x)) for x in (P, Q))
     A = [2] + [0] * N
     B = [0] * (N + 1)
     _solve(P, Q, D, A, B, 0, N + 1)
@@ -220,71 +218,67 @@ def _solve(P, Q, D, A, B, l: int, r: int) -> None:
     """Solve a(k) for k in [l, r), given that A[k], B[k] for k in [l, r)
     already hold the sums over every a(i) with i < l."""
     if r - l <= _LEAF:
-        _leaf(P, Q, D, A, B, l, r)
+        _leaf(P, Q, D, A, B, l, l, r)
         return
     m = (l + r) // 2
     _solve(P, Q, D, A, B, l, m)
-    _block(P, Q, D, A, B, l, m, r)
-    _solve(P, Q, D, A, B, m, r)
+    if _block(P, Q, D, A, B, l, m, r):
+        _solve(P, Q, D, A, B, m, r)
+    else:
+        _leaf(P, Q, D, A, B, l, m, r)
 
 
-def _leaf(P, Q, D, A, B, l: int, r: int) -> None:
-    """The plain recurrence on [l, r), from the sums in A[k], B[k]."""
-    for k in range(max(l, 1), r):
-        ra = A[l:k]
-        rb = B[l:k]
-        ra.reverse()
-        rb.reverse()
-        ta, rem_a = divmod(A[k] + sum(map(mul, P, ra)) + D * sum(map(mul, Q, rb)), 2 * k)
-        tb, rem_b = divmod(B[k] + sum(map(mul, P, rb)) + sum(map(mul, Q, ra)), 2 * k)
+def _leaf(P, Q, D, A, B, l: int, m: int, r: int) -> None:
+    """The plain recurrence on [m, r): the sums in A[k], B[k] over i < l, plus
+    a(l..k-1) summed from a(l) up, so that each sum widens with its terms."""
+    for k in range(max(m, 1), r):
+        p = P[: k - l][::-1]
+        q = Q[: k - l][::-1]
+        a = A[l:k]
+        b = B[l:k]
+        ta, rem_a = divmod(A[k] + sum(map(mul, p, a)) + D * sum(map(mul, q, b)), 2 * k)
+        tb, rem_b = divmod(B[k] + sum(map(mul, p, b)) + sum(map(mul, q, a)), 2 * k)
         if rem_a or rem_b:
             raise RingError(f"inexact division by {k} in euler_transform")
         A[k] = ta
         B[k] = tb
 
 
-def _block(P, Q, D, A, B, l: int, m: int, r: int) -> None:
-    """Add the contribution of a(l..m-1) to the sums A[k], B[k], k in [m, r).
-
-    That is the middle of the product of a(l..m-1) with b(1..r-l-1): by
-    Kronecker substitution when the block is long enough for its slot
-    width (_kronecker_pays), else by one dot product per k.
-    """
+def _block(P, Q, D, A, B, l: int, m: int, r: int) -> bool:
+    """Add the contribution of a(l..m-1) to the sums A[k], B[k], k in [m, r):
+    the middle of the product of a(l..m-1) with b(1..r-l-1), by one
+    Kronecker-substituted product.  Return False instead, changing nothing,
+    where the block is too short for its slot width (_kronecker_pays)."""
     a = A[l:m]
     b = B[l:m]
     p = P[: r - l - 1]
     q = Q[: r - l - 1]
     wb = _slot_bytes(p, q, a, b, D)
-    if _kronecker_pays(m - l, wb):
-        xs, ys = _pair_product(p, q, a, b, D, m - l - 1, r - l - 1, wb)
-        for k, x, y in zip(range(m, r), xs, ys):
-            A[k] += x
-            B[k] += y
-        return
-    a.reverse()
-    b.reverse()
-    for k in range(m, r):
-        pk = P[k - m : k - l]
-        qk = Q[k - m : k - l]
-        A[k] += sum(map(mul, pk, a)) + D * sum(map(mul, qk, b))
-        B[k] += sum(map(mul, pk, b)) + sum(map(mul, qk, a))
+    if not _kronecker_pays(m - l, wb):
+        return False
+    xs, ys = _pair_product(p, q, a, b, D, m - l - 1, r - l - 1, wb)
+    for k, x, y in zip(range(m, r), xs, ys):
+        A[k] += x
+        B[k] += y
+    return True
 
 
 def _kronecker_pays(n: int, wb: int) -> bool:
     """Whether a block of n known orders with slots of wb bytes is faster by
-    Kronecker substitution than by dot products.
+    Kronecker substitution than the plain recurrence on the right half.
 
     A dot product multiplies the narrow b(j) into each wide a(i) in linear
     time, while the integer product pads b(j) out to the slot and pays
     Karatsuba on the whole width, so the crossover grows with the width.
-    Measured on random blocks (b of 14 bits, 2-vCPU x86-64, Python 3.11):
-    Kronecker is faster from n = 8 at wb = 11, 10 at 19, 19 at 27, 23 at 35,
-    135 at 52, 260 at 68, 500 at 100 and 1050 at 132.  n >= wb^2 / 18 fits
-    the wide end and gives up at most 1.5x near the narrow crossovers; over
-    whole transforms it beat wb^2 / 9 and wb^2 / 36 (eta_5^5 at N = 4000:
-    1.63 s against 1.76 s and 1.84 s).
+    Measured against dot products on random blocks (b of 14 bits, 2-vCPU
+    x86-64, Python 3.11): Kronecker is faster from n = 8 at wb = 11, 10 at
+    19, 19 at 27, 23 at 35, 135 at 52, 260 at 68, 500 at 100 and 1050 at
+    132.  n >= wb^2 / 18 fits the wide end and gives up at most 1.5x near
+    the narrow crossovers; over whole transforms it beat wb^2 / 9 and
+    wb^2 / 36 (eta_5^5 at N = 4000, medians of 15 interleaved runs: 1.30 s
+    against 1.48 s and 1.40 s).
     """
-    return n >= max(8, wb * wb / 18)
+    return n >= wb * wb / 18
 
 
 def _eta_power(D: int, N: int, r: int) -> QSeries:

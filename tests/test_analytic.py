@@ -262,6 +262,14 @@ class TestModularLaws:
         assert check_inversion(1001, z, 300) == math.inf
         assert f"{check_translation(1001, z, 300):.3e}" == "9.614e-53"
 
+    def test_underflow_to_zero_reads_inf(self):
+        """At D = 10009, eta_D underflows to exactly 0 at every default
+        sample: both laws read inf, not the residual 0 between two zeros."""
+        for z in sample_half_plane_points(10009, 4):
+            assert eval_eta_numeric(10009, z, 300) == 0
+            assert check_inversion(10009, z, 300) == math.inf
+            assert check_translation(10009, z, 300) == math.inf
+
     @pytest.mark.parametrize("D", [5, 13, 1001])
     def test_one_evaluation_a_law_point(self, D, monkeypatch):
         """law_residuals evaluates eta_D once at each of law_points(D, z),

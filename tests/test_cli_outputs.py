@@ -4,7 +4,8 @@ Each canonical command line below carries the exit code of ``cli.main``,
 the SHA-256 and length in bytes of its stdout (UTF-8) and its stderr as
 text, recorded from the tree before the change under test.  Every line runs
 in-process, as ``test_cli.run_cli`` runs one.  The lines cover all twelve
-commands, both ``--format``s of ``coeffs``, ``delta5`` and ``growth``,
+commands, both ``--format``s of ``coeffs``, ``delta5`` and ``growth``, a
+``coeffs`` line whose kernel declines a block product (D = 100049, N = 79),
 verification failures (exit 1) and refusals (exit 2), each with empty
 stdout and its message on stderr.  Every refusal here is cli's own
 (``cli._usage_error``), not argparse's, so no text depends on the Python
@@ -33,6 +34,7 @@ DIGESTS = [
     ('coeffs --D 5 --N 30', 0, '63f535c2754ec9733d34460b6b87a02de6f7af6587d62aaf9d4d11af98a0e73f', 997, ''),
     ('coeffs --D 13 --N 10 --format json', 0, '6484ab838f0fe60bd4838e5a3cee4617743cce058eaaeeb0d4aebf6eda3d9dcc', 746, ''),
     ('coeffs --D 21 --N 40 --format csv', 0, '98fe46064ed9ec45de664a224d19e387fdd32877877d04a9caac83e9ebb283ad', 1552, ''),
+    ('coeffs --D 100049 --N 79', 0, '5cc7fa85b01a9f988841c84bf5dc025e97c206327b23c613eba7be1979759c21', 10941, ''),
     ('coeffs --D 5 --N 21692', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: --N exceeds the time budget\n'),
     ('coeffs --D 4000001 --N 1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: --D exceeds the limit 4000000 of coeffs\n'),
     ('coeffs --D 4 --N 3', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: D=4 is not fundamental (need D = 1 mod 4, squarefree, >= 5)\n'),
@@ -42,6 +44,7 @@ DIGESTS = [
     ('verify-modularity --D 5 --samples 3', 0, '4afba65bc633bdc87e5c969add85a5278721532002bd3c70bcfcb885506a9262', 321, ''),
     ('verify-modularity --D 13 --samples 4 --seed 7', 0, '17583add8f5a93e70e6b66bd066eb887da00fe50645a1a0392600ec2a82d18f5', 408, ''),
     ('verify-modularity --D 1001 --samples 5', 1, '2660609c4ab50f4993ee42c73644a35a6648d58e14b02e78f9d4faab5ef53f28', 491, ''),
+    ('verify-modularity --D 10009 --samples 4', 1, 'e4ce5efff21a405050fc3237d39a4167ca4d20f124d9b4f68caeab3280bf500e', 351, ''),
     ('verify-modularity --D 53 --samples 20', 1, 'dd79a1d9f0c3b79f1a8591824dd03253870d01d38362df37bd7a91cfa4b4dbf7', 1829, ''),
     ('verify-modularity --D 17 --samples 20 --nmax 600', 0, '88b5056fdc9e36f6384625d8b38cffa09dc47013593eb8b9ff8ec71eee3b1981', 1845, ''),
     ('verify-modularity --D 101 --samples 3 --nmax 3000 --tol 1e-9', 0, 'd2755c0d570940d3110f0db5c9ed0e15bebe9d772d8a1ef3eb2bf8d47c4bd9d6', 318, ''),

@@ -143,6 +143,16 @@ def _lambert_inputs(D, N, r):
     return [-2 * r * x for x in s1], [-2 * r * x for x in s2]
 
 
+def _period_inputs(D, sign):
+    """P, Q and N of the period polynomial of D, as cyclotomic passes them,
+    with the sign of its sqrt(D) part flipped for sign = -1."""
+    chi = build_char_table(D)
+    c = _trace_weights(D)
+    h = euler_phi(D) // 2
+    ms = range(1, h + 2)
+    return [-c[m % D] for m in ms], [-sign * chi[m % D] for m in ms], h + 1
+
+
 class TestOnlineKernel:
     """The divide-and-conquer kernel against the plain recurrence."""
 
@@ -164,13 +174,27 @@ class TestOnlineKernel:
     @given(D=st.sampled_from(fundamental_discriminants(300)), sign=st.sampled_from([1, -1]))
     @example(D=293, sign=-1)
     def test_period_inputs_match_plain(self, D, sign):
-        chi = build_char_table(D)
-        c = _trace_weights(D)
-        h = euler_phi(D) // 2
-        ms = range(1, h + 2)
-        P = [-c[m % D] for m in ms]
-        Q = [-sign * chi[m % D] for m in ms]
-        assert qseries.euler_transform(P, Q, D, h + 1) == euler_transform_plain(P, Q, D, h + 1)
+        P, Q, N = _period_inputs(D, sign)
+        assert qseries.euler_transform(P, Q, D, N) == euler_transform_plain(P, Q, D, N)
+
+    @pytest.mark.parametrize("pays", [False, True])
+    @pytest.mark.parametrize(
+        "D, N, r", [(5, 400, 1), (285, 400, 1), (5, 442, 5), (5, 200, 10**60), (100049, 400, 1)]
+    )
+    def test_either_route_alone_at_every_size(self, monkeypatch, pays, D, N, r):
+        """With every block declined, each right half is finished by the
+        plain recurrence from its range's start; with none declined, by
+        block products alone."""
+        monkeypatch.setattr(qseries, "_kronecker_pays", lambda n, wb: pays)
+        P, Q = _lambert_inputs(D, N, r)
+        assert qseries.euler_transform(P, Q, D, N) == euler_transform_plain(P, Q, D, N)
+
+    @pytest.mark.parametrize("pays", [False, True])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_either_route_alone_on_period_inputs(self, monkeypatch, pays, sign):
+        monkeypatch.setattr(qseries, "_kronecker_pays", lambda n, wb: pays)
+        P, Q, N = _period_inputs(293, sign)
+        assert qseries.euler_transform(P, Q, 293, N) == euler_transform_plain(P, Q, 293, N)
 
     @pytest.mark.parametrize("D, N, r", [(100049, 400, 1), (5, 200, 10**60)])
     def test_wide_coefficients_on_both_sides_of_the_cutoff(self, monkeypatch, D, N, r):
