@@ -14,10 +14,10 @@ or fractions: lvalues prints L(-1) and m from lseries.m_exponent's integer
 pair, and L'(0), like growth the log of a coefficient past the float range,
 from one integer fixed-point log (lseries.log_fixed).  Each layer prices its
 own work; cli adds what every command pays (TIME_BUDGET_S).  The grammar is
-one table, COMMANDS, which reads a canonical command line directly;
-argparse is loaded, and built from it, only for help, usage errors and
-abbreviated options.  Rows are written in blocks (_write_rows), one write
-call per block, not one print per row.
+one table, COMMANDS: _parse reads every command line from it and words its
+usage errors, and argparse is loaded, and built from it, only to print
+help.  Rows are written in blocks (_write_rows), one write call per block,
+not one print per row.
 """
 
 import math
@@ -434,7 +434,7 @@ def cmd_grid(args) -> int:
 
 
 def _ranged(convert, lo, hi):
-    """An option type: convert(text), refused with ValueError, which argparse
+    """An option type: convert(text), refused with ValueError, which _parse
     reports as an invalid value, unless lo <= value <= hi (never nan)."""
     def value(text):
         if lo <= (x := convert(text)) <= hi:
@@ -458,8 +458,8 @@ _FORMAT = {"--format": {"choices": ("csv", "json"), "default": "csv"}}
 
 # The grammar: each command's handler, help string, options, largest --D and
 # factor in the series charge (_series_s), None where they do not apply, in
-# the order --help lists them.  _parse_canonical reads it; _build_parser
-# renders it.  Each --D cap is checked before the discriminant's trial
+# the order --help lists them.  _parse reads it; _build_parser renders its
+# help.  Each --D cap is checked before the discriminant's trial
 # division, measured end to end (2-vCPU x86-64, Python 3.11) with the least
 # work the command accepts; memory grows with D too, so these caps are the
 # largest D measured.  periods, one transform of length phi(D)/2 on
@@ -534,60 +534,49 @@ def _build_parser() -> "argparse.ArgumentParser":
     return parser
 
 
-def _parse_canonical(argv) -> SimpleNamespace | None:
-    """The namespace of _build_parser() for argv if argv is [command, flag,
-    value, ...] with each flag an option of the command in full and once,
-    each value of its option's type, which checks its range, and choices,
-    and each required option given; else None, and argparse parses argv.
-    A value is read as argparse reads --flag=value, so -1e-3, which
-    argparse alone takes for an option, is a value here."""
-    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
-        return None
+def _parse(argv) -> SimpleNamespace | str:
+    """The namespace of argv, read from COMMANDS, or the text of its usage
+    error.  argv is [command, flag, value, ...], each flag an option of the
+    command, in full or cut to a prefix no other option shares, its value
+    after = or the next token, whatever that is (so -1e-3 is a value); a
+    repeated flag keeps its last value.  A value must be of its option's
+    type, which checks its range, and among its choices.  A help flag
+    anywhere has argparse, loaded for it alone, print the help of argv's
+    command, or of the program, and exit 0."""
+    if not {"-h", "--h", "--he", "--hel", "--help"}.isdisjoint(argv):
+        _build_parser().parse_args([argv[0], "--help"] if argv[0] in COMMANDS else ["--help"])
+    if not argv or argv[0] not in COMMANDS:
+        what = f"invalid command {argv[0]!r}" if argv else "no command"
+        return f"{what}: choose from {', '.join(COMMANDS)}"
     func, _, options, _, _ = COMMANDS[argv[0]]
     given = {}
-    for flag, text in zip(argv[1::2], argv[2::2]):
-        kw = options.get(flag)
-        if kw is None or flag in given:
-            return None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        flags = [name] if name in options else [
+            f for f in options if len(name) > 2 and f.startswith(name)]
+        if len(flags) != 1:
+            return (f"ambiguous option: {name} could match {', '.join(flags)}" if flags
+                    else f"unrecognized argument: {token}")
+        kw = options[flag := flags[0]]
+        if not eq and (text := next(tokens, None)) is None:
+            return f"argument {flag}: expected one argument"
         try:
-            value = kw.get("type", str)(text)
+            given[flag] = kw.get("type", str)(text)
         except (TypeError, ValueError):
-            return None
-        if "choices" in kw and value not in kw["choices"]:
-            return None
-        given[flag] = value
-    if any(kw.get("required") and flag not in given for flag, kw in options.items()):
-        return None
+            return f"argument {flag}: invalid {kw['type'].__name__} value: {text!r}"
+        if "choices" in kw and given[flag] not in kw["choices"]:
+            return f"argument {flag}: {text!r} is not one of {', '.join(kw['choices'])}"
+    if missing := [f for f, kw in options.items() if kw.get("required") and f not in given]:
+        return f"the following arguments are required: {', '.join(missing)}"
     values = {f[2:].replace("-", "_"): given.get(f, kw.get("default")) for f, kw in options.items()}
     return SimpleNamespace(command=argv[0], func=func, **values)
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _attach_negative_numbers(argv) -> list[str]:
-    """argv for argparse, with each number that begins with - and follows a
-    flag of the command in full joined to it as flag=number.  argparse takes
-    such a text as -1e-6 or -inf for an option; joined, it reads it as the
-    flag's value, as _parse_canonical does, and reports its type or range."""
-    options = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else {}
-    out = []
-    for text in argv:
-        if out and out[-1] in options and text.startswith("-") and _is_number(text):
-            out[-1] += "=" + text
-        else:
-            out.append(text)
-    return out
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parse_canonical(argv) or _build_parser().parse_args(_attach_negative_numbers(argv))
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, str):
+        return _usage_error(args)
     *_, cap, factor = COMMANDS[args.command]
     D = getattr(args, "D", None)
     if D is not None:

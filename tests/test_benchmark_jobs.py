@@ -25,9 +25,11 @@ def tool():
 
 
 def test_benchmark_jobs_are_canonical(tool):
-    """Every cli job of the four workloads, seeds 1 to 5, is read directly
-    from cli.COMMANDS, so that no benchmark job loads argparse, gettext or
-    locale, which the wide workload's peak RSS leaves out."""
+    """Every cli job of the four workloads, seeds 1 to 5, is a canonical
+    line, [command, flag, value, ...] with each flag of cli.COMMANDS in full
+    and once, that cli._parse reads, so that no benchmark job loads
+    argparse, gettext or locale, which the wide workload's peak RSS leaves
+    out, and each takes _parse's exact flag match."""
     generators, generate = tool.load_workloads()
     assert sorted(generators) == ["crosscheck", "deep", "numeric", "wide"]
     lines = {
@@ -36,8 +38,14 @@ def test_benchmark_jobs_are_canonical(tool):
         for workload in generators
     }
     assert all(lines.values())
-    assert [argv for argvs in lines.values() for argv in argvs
-            if cli._parse_canonical(argv) is None] == []
+
+    def canonical(argv):
+        flags = argv[1::2]
+        return (len(argv) % 2 == 1 and len(set(flags)) == len(flags)
+                and set(flags) <= set(cli.COMMANDS[argv[0]][2])
+                and not isinstance(cli._parse(argv), str))
+
+    assert [argv for argvs in lines.values() for argv in argvs if not canonical(argv)] == []
 
 
 def test_same_checkout_reads_no_difference(tool, monkeypatch, capsys):

@@ -1,29 +1,40 @@
 """CLI stdout, stderr and exit codes pinned: a change of output is a test failure.
 
-Each canonical command line below carries the exit code of ``cli.main``,
-the SHA-256 and length in bytes of its stdout (UTF-8) and its stderr as
-text, recorded from the tree before the change under test.  Every line runs
-in-process, as ``test_cli.run_cli`` runs one.  The lines cover all twelve
-commands, both ``--format``s of ``coeffs``, ``delta5`` and ``growth``, a
-``coeffs`` line whose kernel declines a block product (D = 100049, N = 79),
-verification failures (exit 1) and refusals (exit 2), each with empty
-stdout and its message on stderr.  Every refusal here is cli's own
-(``cli._usage_error``), not argparse's, so no text depends on the Python
-version.
+Each command line below carries the exit code of ``cli.main``, the SHA-256
+and length in bytes of its stdout (UTF-8) and its stderr as text, recorded
+from the tree before the change under test.  Every line runs in-process, as
+``test_cli.run_cli`` runs one.  The lines cover all twelve commands, both
+``--format``s of ``coeffs``, ``delta5`` and ``growth``, a ``coeffs`` line
+whose kernel declines a block product (D = 100049, N = 79), an abbreviated
+flag and ``--flag=value`` (SPELLINGS), verification failures (exit 1) and
+refusals (exit 2), each with empty stdout and one line on stderr.  Every
+refusal is cli's own (``cli._usage_error``), usage errors included, so no
+text depends on the Python version; help, which argparse formats, is left
+out.
 
-To re-record, check out the parent commit of the change, copy this file
-into its ``tests/``, and run there
+To re-record, run
 
-    PYTHONPATH=src python tests/test_cli_outputs.py
+    python tests/test_cli_outputs.py [CHECKOUT [LINE ...]]
 
-which prints the ``DIGESTS`` table for that tree; paste it over the one
-below.  A change that alters output on purpose names each changed class of
-line in CHANGES.md.
+which prints the ``DIGESTS`` rows of the given lines, all by default, run
+on the ``src/`` of CHECKOUT, this file's checkout by default; to record the
+table before a change, give a checkout of its parent commit, and paste the
+rows over the table below.  A change that alters output on purpose names
+each changed class of line in CHANGES.md.
 """
 
 import contextlib
 import hashlib
 import io
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+if __name__ == "__main__":  # the checkout's src/ first, before hecke_eta is imported
+    sys.path.insert(0, str(Path(sys.argv[1] if sys.argv[1:] else ROOT) / "src"))
 
 import pytest
 
@@ -38,6 +49,10 @@ DIGESTS = [
     ('coeffs --D 5 --N 21692', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: --N exceeds the time budget\n'),
     ('coeffs --D 4000001 --N 1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: --D exceeds the limit 4000000 of coeffs\n'),
     ('coeffs --D 4 --N 3', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: D=4 is not fundamental (need D = 1 mod 4, squarefree, >= 5)\n'),
+    ('coeffs --D 5 --N 3 --format json', 0, '0d1038bf39ab0870fbad4e5d3a96a3784b1cd08403e7e4ff40a39f4e3484ccee', 213, ''),
+    ('coeffs --D=5 --N 3 --form json', 0, '0d1038bf39ab0870fbad4e5d3a96a3784b1cd08403e7e4ff40a39f4e3484ccee', 213, ''),
+    ('coeffs --D 5', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: the following arguments are required: --N\n'),
+    ('coeffs --D 5 --N 3 --bogus 1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: unrecognized argument: --bogus\n'),
     ('delta5 --N 20', 0, '996cf3f921d43dce1fe249d34d0f4d1d881c908b1a41738a074b93b33b15345c', 745, ''),
     ('delta5 --N 12 --format json', 0, '2af1ac6f74e73d86f80be57df3808f8fb1dc94f2b735669896b0ae432486deda', 917, ''),
     ('verify-table', 0, '295fc50ede3b72548496f78db980bf1ea29d3728bdcc880ffaf96c551fa71dd7', 3027, ''),
@@ -50,6 +65,7 @@ DIGESTS = [
     ('verify-modularity --D 101 --samples 3 --nmax 3000 --tol 1e-9', 0, 'd2755c0d570940d3110f0db5c9ed0e15bebe9d772d8a1ef3eb2bf8d47c4bd9d6', 318, ''),
     ('verify-modularity --D 1001 --samples 5200', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: --samples and --nmax exceed the time budget\n'),
     ('verify-modularity --D 5 --samples 2000000', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: --samples and --nmax exceed the time budget\n'),
+    ('verify-modularity --D 5 --samples 0', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, "error: argument --samples: invalid int in [1, 9007199254740992] value: '0'\n"),
     ('oracle-check --D 5 --N 5', 0, '34835ff395dc3edbafe3376f03334260519a1aedad34e623fc20d8e4e9b949b4', 28, ''),
     ('oracle-check --D 5 --N 5016', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: --N out of range for the convolution oracle\n'),
     ('oracle-check --D 21 --N 8', 0, '6660254165e9fa00f02725e16bbe848e53898828f3940ad79614edd62bdac40a', 28, ''),
@@ -72,18 +88,25 @@ DIGESTS = [
     ('grid --D 13 --re-min -1 --re-max 1 --im-min 0.5 --im-max 1 --re-steps 3 --im-steps 2', 0, '4815c5fdd84106b20cd585d3cc31a26b69552cfda69dbf229813f91544232c59', 576, ''),
     ('grid --D 5 --re-steps 1000001 --im-steps 1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: grid size and --nmax exceed the time budget\n'),
     ('grid --D 5 --im-min 1e-300 --im-max 1e-300 --re-steps 1 --im-steps 1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: points too close to the real axis: |q| rounds to 1\n'),
+    ('grid --re-min -1e-3 --re-max 1e-3 --re-steps 2 --im-steps 1', 0, '7f6a88e7e19c170c0405596c57b8ee20a5b6b379a5fb8a816e8268db0f069347', 276, ''),
+    ('grid --re-mi -1e-3 --re-max 1e-3 --re-steps 2 --im-steps 1', 0, '7f6a88e7e19c170c0405596c57b8ee20a5b6b379a5fb8a816e8268db0f069347', 276, ''),
+    ('grid --re 1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 0, 'error: ambiguous option: --re could match --re-min, --re-max, --re-steps\n'),
 ]
 
 
+# Lines that are not canonical, and the canonical spelling of each.
+SPELLINGS = {
+    "grid --re-mi -1e-3 --re-max 1e-3 --re-steps 2 --im-steps 1":
+        "grid --re-min -1e-3 --re-max 1e-3 --re-steps 2 --im-steps 1",
+    "coeffs --D=5 --N 3 --form json": "coeffs --D 5 --N 3 --format json",
+}
+
+
 def run(argv: str) -> tuple[int, bytes, str]:
-    """Exit code, stdout and stderr of one command line, argparse's SystemExit
-    included."""
+    """Exit code, stdout and stderr of one command line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv.split())
-        except SystemExit as exit_usage:
-            code = exit_usage.code
+        code = cli.main(argv.split())
     return code, out.getvalue().encode(), err.getvalue()
 
 
@@ -106,7 +129,7 @@ def test_failures_and_refusals_are_pinned():
     empty = hashlib.sha256(b"").hexdigest()
     refusals = [(sha, size, err) for _, code, sha, size, err in DIGESTS if code == 2]
     assert all(sha == empty and size == 0 for sha, size, _ in refusals)
-    assert all(err.startswith("error: ") for *_, err in refusals)
+    assert all(err.startswith("error: ") and err.count("\n") == 1 for *_, err in refusals)
     assert all(err == "" for _, code, *_, err in DIGESTS if code != 2)
 
 
@@ -116,6 +139,37 @@ def test_stdout_and_exit_code_unchanged(argv, code, sha, size, err):
     assert digest(argv) == (argv, code, sha, size, err)
 
 
+def test_other_spellings_print_the_canonical_output():
+    """An abbreviated flag, a negative value after it and --flag=value print
+    what the canonical spelling of the line prints."""
+    rows = {argv: rest for argv, *rest in DIGESTS}
+    for other, canonical in SPELLINGS.items():
+        assert rows[other] == rows[canonical] and rows[other][0] == 0, other
+
+
+def record(checkout: Path, lines: list[str]) -> str:
+    """The rows that this file, run as a script, prints for these lines."""
+    done = subprocess.run(
+        [sys.executable, "-B", __file__, str(checkout), *lines],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+def test_rows_are_recorded_from_a_checkout(tmp_path):
+    """Run on this checkout, the script prints the pinned rows of the lines
+    it is given; run on a checkout whose cli words its refusals otherwise,
+    it prints that checkout's stderr."""
+    rows = [row for row in DIGESTS if row[0] in ("chars --D 5", "coeffs --D 4 --N 3", "grid --re 1")]
+    assert record(ROOT, [row[0] for row in rows]) == "".join(f"    {row!r},\n" for row in rows)
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "src" / "hecke_eta" / "cli.py"
+    source.write_text(source.read_text().replace('f"error: {msg}"', 'f"refused: {msg}"'))
+    argv, *pinned, err = rows[-1]
+    changed = (argv, *pinned, err.replace("error: ", "refused: "))
+    assert record(tmp_path, [argv]) == f"    {changed!r},\n"
+
+
 if __name__ == "__main__":
-    for argv, *_ in DIGESTS:
+    for argv in sys.argv[2:] or [argv for argv, *_ in DIGESTS]:
         print(f"    {digest(argv)!r},")

@@ -49,7 +49,7 @@ def test_module_imports_first(module):
 
 
 # Modules no command needs: dataclasses, inspect, and argparse with gettext
-# and locale, which only help and usage errors need.
+# and locale, which only help needs.
 HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 # Modules that only a call making a Decimal or a Fraction needs.
 NUMBER_TYPES = {"decimal", "fractions", "numbers"}
@@ -150,10 +150,17 @@ def test_command_loads_only_its_layers(argv):
 
 
 def test_abbreviated_option_still_runs():
-    """An abbreviation is left to argparse, which loads and still runs it."""
-    code, _, _, loaded = probe_cli("coeffs --D 5 --N 3 --form json")
-    assert code == 0
-    assert "argparse" in loaded
+    """An abbreviated flag and --flag=value run, and a missing and an
+    ambiguous flag exit 2, all read by cli itself: none loads a module of
+    HEAVY or NUMBER_TYPES, argparse included."""
+    for argv, code in [
+        ("coeffs --D 5 --N 3 --form json", 0),
+        ("coeffs --D=5 --N 3", 0),
+        ("coeffs --D 5", 2),
+        ("grid --re 1", 2),
+    ]:
+        assert probe_cli(argv)[0] == code, argv
+        assert probe_cli(argv)[3] == [], argv
 
 
 LIB_PROBE = f"""
