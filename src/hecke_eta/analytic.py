@@ -90,7 +90,7 @@ class _EtaData:
         self.chi = build_char_table(D)
         self.sqrt_d = math.sqrt(D)
         self.phi = euler_phi(D)
-        num, den = m_exponent(self.chi)
+        self.m = num, den = m_exponent(self.chi)
         self.v = num / den
 
     @cached_property
@@ -131,13 +131,13 @@ def _cheapest(L: float, N: int, per_n: float, per_term: float, scale: float) -> 
 
     Without a series the product stops at stop = min(N, ceil(M(0)) - 1),
     the least n0 past which the dropped factors, the whole series from
-    n0 + 1, are below the target.  That plan is taken at once where it costs
-    no more than one term; else n0 minimises n0 * per_n + per_term * M over
-    stop, 0 and the two n0 next to the optimum
-    n0 + 1 = sqrt(per_term * M(0) / per_n).
+    n0 + 1, are below the target; at L = inf, where M(0) = 0, at 0.  That
+    plan is taken at once where it costs no more than one term; else n0
+    minimises n0 * per_n + per_term * M over stop, 0 and the two n0 next to
+    the optimum n0 + 1 = sqrt(per_term * M(0) / per_n).
     """
     first = _series_ratio(L, 0, scale, _LOG_EPS)
-    stop = math.ceil(min(first, N + 1)) - 1
+    stop = max(0, math.ceil(min(first, N + 1)) - 1)
     if stop * per_n <= per_term:
         return stop, 0
     best = (stop * per_n, stop, 0.0)
@@ -319,10 +319,11 @@ def law_points(D: int, z: complex) -> tuple[complex, complex, complex]:
 
 def law_residuals(D: int, z: complex, n_max: int = 300) -> tuple[float, float]:
     """|eta_D(-1/z) - eta_D(z)| and |eta_D(z + sqrt(D)) - u * eta_D(z)|, with
-    u = exp(2 pi i / 5) for D = 5 and 1 for D > 5, from one evaluation at
-    each of law_points(D, z); inf in each law whose truncated product
-    overflows the float range or underflows to exactly 0, where nothing is
-    compared, which then reads as a failed law."""
+    u = e(m) = exp(2 pi i m), m = m_exponent (1/5 at D = 5, an integer and
+    u = 1 above), from one evaluation at each of law_points(D, z); inf in
+    each law whose truncated product overflows the float range or underflows
+    to exactly 0, where nothing is compared, which then reads as a failed
+    law."""
 
     def eta(w: complex) -> complex | None:
         try:
@@ -331,7 +332,8 @@ def law_residuals(D: int, z: complex, n_max: int = 300) -> tuple[float, float]:
             return None
 
     at_z, inv, tra = map(eta, law_points(D, z))
-    u = cmath.exp(2j * math.pi / 5) if D == 5 else 1.0
+    num, den = _eta_data(D).m
+    u = 1.0 if den == 1 else cmath.exp(2j * math.pi * num / den)
     return (
         math.inf if at_z is None or inv is None else abs(inv - at_z),
         math.inf if at_z is None or tra is None else abs(tra - u * at_z),

@@ -16,8 +16,8 @@ from one integer fixed-point log (lseries.log_fixed).  Each layer prices its
 own work; cli adds what every command pays (TIME_BUDGET_S).  The grammar is
 one table, COMMANDS: _parse reads every command line from it and words its
 usage errors, and argparse is loaded, and built from it, only to print
-help.  Rows are written in blocks (_write_rows), one write call per block,
-not one print per row.
+help.  Rows go to stdout's own buffer, which main turns on for the command,
+so that they reach an unbuffered stdout in a few large writes.
 """
 
 import math
@@ -73,31 +73,9 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-# Rows go to stdout a block at a time, one write call per block: at most
-# ROW_BLOCK rows, fewer once the block holds ROW_BLOCK_CHARS characters, so
-# that the text held stays small.  Where stdout is unbuffered
-# (PYTHONUNBUFFERED) each write is a system call, and print makes two a line.
-ROW_BLOCK = 256
-ROW_BLOCK_CHARS = 1 << 16
-
-
-def _write_rows(rows, sep: str = "\n", end: str = "\n") -> None:
-    """Write the rows (strings) joined by sep and then end, nothing if there
-    are none, a block at a time."""
-    write = sys.stdout.write
-    block = []
-    size = 0
-    lead = ""
-    for row in rows:
-        if len(block) == ROW_BLOCK or size >= ROW_BLOCK_CHARS:
-            write(lead + sep.join(block))
-            lead = sep
-            block = []
-            size = 0
-        block.append(row)
-        size += len(row)
-    if block:
-        write(lead + sep.join(block) + end)
+def _write_rows(rows) -> None:
+    """Write each row (a string) as one line."""
+    sys.stdout.writelines(row + "\n" for row in rows)
 
 
 def _print_rows(D: int, coeffs, fmt: str) -> None:
@@ -251,9 +229,10 @@ def cmd_partitions(args) -> int:
 
     tables = build_partition_tables(build_char_table(args.D), args.N)
     head = json.dumps({"D": tables.D, "N_max": tables.N_max, "p": tables.p, "p_nr": tables.p_nr})
-    # a block of rows of c at a time, so the table is never held as one text
-    sys.stdout.write(head[:-1] + ', "c": [')
-    _write_rows(map(json.dumps, tables.c), ", ", "")
+    # a row of c at a time, so the table is never held as one text
+    rows = map(json.dumps, tables.c)
+    sys.stdout.write(head[:-1] + ', "c": [' + next(rows, ""))
+    sys.stdout.writelines(", " + row for row in rows)
     sys.stdout.write("]}\n")
     return 0
 
@@ -587,6 +566,10 @@ def main(argv=None) -> int:
     if factor and factor * _series_s(D or 5, args.N) > TIME_BUDGET_S:
         return _usage_error("--N exceeds the time budget")
     try:
+        # where stdout is unbuffered (PYTHONUNBUFFERED) each write is a system
+        # call: its own buffer gathers them into chunks of 8 kB
+        if hasattr(sys.stdout, "reconfigure"):
+            sys.stdout.reconfigure(write_through=False, line_buffering=False)
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:  # stdout closed early (| head): devnull takes the flush at exit

@@ -217,6 +217,18 @@ class TestAgainstDirectProduct:
                         ratio = analytic._series_ratio(L, n, scale, analytic._LOG_EPS)
                         assert n == N or terms + 1 >= ratio, (D, L, N, n, terms)
 
+    @pytest.mark.parametrize("D", [5, 101, 1001])
+    def test_plan_at_an_infinite_height(self, D):
+        """Where L = 2 pi height / sqrt(D) is inf, from a height of about
+        2.9e307 on (where 2 pi height overflows), every factor is 1: the plan
+        takes no factor and no term (its stop read -1), and no product costs
+        less than PRODUCT_BASE_S (it read 2.5e-5 at D = 5 and below 0 from
+        D = 101)."""
+        data = analytic._eta_data(D)
+        assert analytic._plan(math.inf, 300, D, data.phi) == (0, 0, 0, 0)
+        for height in (1e300, 1e308, math.inf):
+            assert analytic.product_s(D, 300, height) >= analytic.PRODUCT_BASE_S
+
     @pytest.mark.parametrize("n_max", [1, 50, 400])
     @pytest.mark.parametrize("D", [5, 21, 29])
     def test_phi_sharp(self, D, n_max):

@@ -7,13 +7,15 @@ no bytecode under benchmarks/.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from hecke_eta import cli
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_jobs.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_jobs.py"
 
 
 @pytest.fixture
@@ -33,7 +35,7 @@ def test_benchmark_jobs_are_canonical(tool):
     generators, generate = tool.load_workloads()
     assert sorted(generators) == ["crosscheck", "deep", "numeric", "wide"]
     lines = {
-        workload: [job["cli"] for seed in range(1, 6) for job in generate(workload, seed, 25)
+        workload: [job["cli"] for seed in range(1, 6) for job in generate(workload, seed, tool.SECONDS)
                    if "cli" in job]
         for workload in generators
     }
@@ -66,6 +68,21 @@ def test_a_differing_job_is_listed(tool, monkeypatch, capsys):
     assert out[0] == 'tiny seed 3 job 0: stdout differ: {"cli": ["chars", "--D", "5"]}'
     assert out[-1] == "4 of 4 jobs differ"
     assert len(out) == 5
+
+
+def test_run_length_is_the_benchmarks(tool, monkeypatch, capsys):
+    """The tool lists the jobs of a run of BENCHMARK.json's run_seconds."""
+    lengths = []
+
+    def generate(workload, seed, seconds):
+        lengths.append(seconds)
+        return []
+
+    monkeypatch.setattr(tool, "load_workloads", lambda: ({"tiny": None}, generate))
+    assert tool.main([str(tool.ROOT), "1,2"]) == 0
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert lengths == [run_seconds] * 2 == [tool.SECONDS] * 2
+    assert capsys.readouterr().out == "0 of 0 jobs differ\n"
 
 
 def test_usage(tool, capsys):

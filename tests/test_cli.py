@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1097,22 +1099,40 @@ class TestEntryPoint:
         assert err == b""
 
 
-class _CountingStdout:
-    """A stdout stand-in that counts its write calls."""
+class _CountingRaw(io.RawIOBase):
+    """A raw stream that keeps each write it is given, one system call each
+    on a real file."""
 
     def __init__(self):
         self.parts = []
 
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.parts.append(bytes(data))
+        return len(data)
+
+
+class _UnbufferedStdout(io.TextIOWrapper):
+    """stdout as PYTHONUNBUFFERED makes it, a TextIOWrapper with write_through
+    over the raw stream, that also keeps the length of the longest string
+    written to it."""
+
+    def __init__(self):
+        super().__init__(_CountingRaw(), encoding="utf-8", write_through=True)
+        self.longest = 0
+
     def write(self, text):
-        self.parts.append(text)
-        return len(text)
-
-    def flush(self):
-        pass
+        self.longest = max(self.longest, len(text))
+        return super().write(text)
 
 
-# Every command that prints rows, all but verify-table with more rows than
-# one block holds.
+CHUNK = 8192  # the bytes a TextIOWrapper gathers before it writes them on
+
+
+# Every command that prints rows, all but verify-table with more than a
+# CHUNK of them.
 ROW_COMMANDS = [
     ("coeffs", "--D", "5", "--N", "600"),
     ("coeffs", "--D", "13", "--N", "300", "--format", "json"),
@@ -1127,8 +1147,8 @@ ROW_COMMANDS = [
 
 
 class TestRowOutput:
-    """Rows are written a block at a time (cli._write_rows), with the same
-    bytes as one print per row."""
+    """Rows go through stdout's own buffer, which main turns on, with the
+    same bytes as one print per row."""
 
     @pytest.mark.parametrize("argv", ROW_COMMANDS, ids=lambda argv: " ".join(argv))
     def test_stdout_is_the_same_buffered_and_unbuffered(self, argv):
@@ -1145,37 +1165,59 @@ class TestRowOutput:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
-    def test_coeffs_writes_one_call_per_block(self, monkeypatch):
-        out = _CountingStdout()
+    def test_coeffs_makes_few_raw_writes(self, monkeypatch):
+        """main turns on stdout's own buffer, so the rows reach an unbuffered
+        stdout in chunks of CHUNK bytes, not one write a row."""
+        out = _UnbufferedStdout()
         monkeypatch.setattr(sys, "stdout", out)
         assert cli.main(["coeffs", "--D", "5", "--N", "2000"]) == 0
-        text = "".join(out.parts)
+        data = b"".join(out.buffer.parts)
         rows = 2001  # the header and a(1..2000)
-        assert text.count("\n") == rows and text.endswith("\n")
-        assert len(out.parts) <= -(-rows // cli.ROW_BLOCK) + 2
+        assert data.count(b"\n") == rows and data.endswith(b"\n")
+        assert len(out.buffer.parts) <= -(-len(data) // CHUNK) + 2
 
     @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
     def test_rows_joined_as_printed(self, monkeypatch, count):
-        out = _CountingStdout()
+        out = io.StringIO()
         monkeypatch.setattr(sys, "stdout", out)
         rows = [str(i) for i in range(count)]
         cli._write_rows(iter(rows))
-        assert "".join(out.parts) == "".join(row + "\n" for row in rows)
-        assert len(out.parts) == -(-count // cli.ROW_BLOCK)
-        out.parts.clear()
-        cli._write_rows(iter(rows), ", ", "]")
-        assert "".join(out.parts) == (", ".join(rows) + "]" if rows else "")
+        assert out.getvalue() == "".join(row + "\n" for row in rows)
 
-    def test_long_rows_end_a_block_early(self, monkeypatch):
-        """A block ends once it holds ROW_BLOCK_CHARS characters, so the text
-        held stays near that size however long the rows are."""
-        out = _CountingStdout()
+    def test_partitions_raw_writes_stay_small(self, monkeypatch):
+        """cli writes the table a row at a time (the longest row holds 10082
+        characters; a block of rows held 67437), and no raw write holds more
+        than a chunk besides the longest string cli wrote."""
+        out = _UnbufferedStdout()
         monkeypatch.setattr(sys, "stdout", out)
-        rows = ["x" * (cli.ROW_BLOCK_CHARS // 2)] * 6 + ["y"]
-        cli._write_rows(rows)
-        assert "".join(out.parts) == "".join(row + "\n" for row in rows)
-        assert len(out.parts) == 4
-        assert max(map(len, out.parts)) <= cli.ROW_BLOCK_CHARS + 2
+        assert cli.main(["partitions", "--D", "101", "--N", "400"]) == 0
+        sizes = list(map(len, out.buffer.parts))
+        assert sum(sizes) > 50 * CHUNK
+        assert out.longest < 2 * CHUNK
+        assert max(sizes) <= CHUNK + out.longest
+        assert len(sizes) <= 2 * -(-sum(sizes) // CHUNK) + 2
+
+    @pytest.mark.parametrize(
+        "argv, buffered",
+        [
+            (["chars", "--D", "13"], True),
+            (["verify-modularity", "--D", "5", "--samples", "9999999"], True),
+            (["coeffs", "--D", "5"], False),
+            (["coeffs", "--D", "9", "--N", "3"], False),
+            (["coeffs", "--help"], False),
+        ],
+        ids=["command", "command-refusal", "parse-error", "not-fundamental", "help"],
+    )
+    def test_stdout_buffered_on_the_command_path_only(self, monkeypatch, argv, buffered):
+        """A command turns on stdout's own buffer before it runs; help and
+        the usage errors main finds leave stdout as it was."""
+        out = _UnbufferedStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        with pytest.raises(SystemExit) if "--help" in argv else nullcontext():
+            cli.main(argv)
+        assert out.write_through is not buffered
+        assert not out.line_buffering
 
 
 def _fields(args):

@@ -4,7 +4,8 @@ Usage: python3 tools/compare_jobs.py OTHER_CHECKOUT [SEEDS]
 
 SEEDS is a comma-separated list of seeds, 1,2 by default.  For each seed the
 job list of each of the four workloads is benchmarks/workloads.py's
-generate(workload, seed, 25), the list of a 25-second benchmark run.  Every
+generate(workload, seed, SECONDS), the list of a benchmark run of
+BENCHMARK.json's run_seconds (read, never written, here).  Every
 job runs as a fresh process through each checkout's own benchmarks/job.py,
 as benchmarks/run.py runs it: in the checkout's root, stdin closed and
 HECKE_ETA_DIGITS unset.  One line is printed for each job whose exit code,
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SECONDS = 25
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def load_workloads():
