@@ -4,8 +4,8 @@ Evaluates the truncated products on the upper half-plane and prices them
 (product_s, numeric_s), measures the residuals of the inversion/translation
 laws, by one route (law_residuals, one evaluation at each of law_points: z,
 -1/z and z + sqrt(D)), and of the Phi / Phi-sharp modular relation,
-verifies the fifth-root-of-unity multiplier on words of the D = 5 Hecke
-group, and computes the coefficient-growth envelope.
+verifies the multiplier e(m sum(k_i)) on Hecke-group words at every D,
+and computes the coefficient-growth envelope.
 
 The fractional q^v prefactor is always exp(2 pi i v z / sqrt(D)) computed
 from z itself, never a power of q, which removes the branch ambiguity for
@@ -44,7 +44,7 @@ from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .characters import build_char_table, euler_phi, prime_factors
+from .characters import build_char_table, euler_phi, is_fundamental, prime_factors
 from .lseries import exp_fixed, l_prime_zero_fixed, log_fixed, m_exponent, pi_fixed
 
 
@@ -92,6 +92,11 @@ class _EtaData:
         self.phi = euler_phi(D)
         self.m = num, den = m_exponent(self.chi)
         self.v = num / den
+
+    def multiplier(self, n: int) -> complex | float:
+        """e(m n) = exp(2 pi i m n); the float 1.0 where m n is an integer."""
+        num, den = self.m
+        return cmath.exp(2j * math.pi * r / den) if (r := num * n % den) else 1.0
 
     @cached_property
     def roots(self) -> tuple[list[complex], list[complex]]:
@@ -332,8 +337,7 @@ def law_residuals(D: int, z: complex, n_max: int = 300) -> tuple[float, float]:
             return None
 
     at_z, inv, tra = map(eta, law_points(D, z))
-    num, den = _eta_data(D).m
-    u = 1.0 if den == 1 else cmath.exp(2j * math.pi * num / den)
+    u = _eta_data(D).multiplier(1)
     return (
         math.inf if at_z is None or inv is None else abs(inv - at_z),
         math.inf if at_z is None or tra is None else abs(tra - u * at_z),
@@ -450,30 +454,28 @@ def check_phi_relation(D: int, y: float, n_max: int = 400, digits: int = 30) -> 
 
 
 # ---------------------------------------------------------------------------
-# Hecke-group words over Z[sqrt(D)] and the fifth-root multiplier law
-
-
-Pair = tuple[int, int]  # u + v*sqrt(D)
-
-
-def _pair_mul(x: Pair, y: Pair, D: int) -> Pair:
-    return (x[0] * y[0] + D * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+# Hecke-group words as integer matrices in tau = z/sqrt(D), and their multiplier
 
 
 class GroupWord(namedtuple("GroupWord", "D ks mat")):
-    """Word T^{k_1} S T^{k_2} S ... S T^{k_l} with its symbolic matrix.
+    """Word T^{k_1} S T^{k_2} S ... S T^{k_l} with its integer matrix in tau.
 
-    ks is the tuple of exponents; mat is ((m00, m01), (m10, m11)), whose
-    entries are pairs (u, v) meaning u + v*sqrt(D).  The determinant is
-    checked to be exactly 1 at construction (word_matrix).
+    ks is the tuple of exponents; mat is ((a, b), (c, d)), four ints: the
+    word acting on tau = z/sqrt(D), where T = (1, 1; 0, 1) and S is the
+    Fricke matrix W_D = (0, -1; D, 0), checked at construction to lie in
+    Gamma_0(D) for odd l and in W_D Gamma_0(D) for even l (word_matrix).
     """
 
     __slots__ = ()
 
     def entry_floats(self) -> tuple[float, float, float, float]:
-        s = math.sqrt(self.D)
-        (m00, m01), (m10, m11) = self.mat
-        return tuple(u + v * s for u, v in (m00, m01, m10, m11))
+        """The entries acting on z: (a, b sqrt(D), (c/D) sqrt(D), d) for odd
+        l and ((a/D) sqrt(D), b, c/D, (d/D) sqrt(D)) for even l."""
+        D, s = self.D, math.sqrt(self.D)
+        (a, b), (c, d) = self.mat
+        if len(self.ks) % 2:
+            return float(a), b * s, c // D * s, float(d)
+        return a // D * s, float(b), float(c // D), d // D * s
 
     def apply(self, z: complex) -> complex:
         a, b, c, d = self.entry_floats()
@@ -481,50 +483,42 @@ class GroupWord(namedtuple("GroupWord", "D ks mat")):
 
 
 def word_matrix(ks, D: int = 5) -> GroupWord:
-    """Multiply out the word symbolically in Z[sqrt(D)].
-
-    Start from T^{k_1} = (1, k_1 sqrt(D); 0, 1) and multiply by S T^k =
-    (0, -1; 1, k sqrt(D)) on the right for each later k, which maps the
-    columns (c0, c1) to (c1, k sqrt(D) c1 - c0); (u, v) k sqrt(D) is
-    (k D v, k u).
+    """Multiply out the word on ints in tau = z/sqrt(D): T^{k_1} = (1, k_1;
+    0, 1) times S T^k = (0, -1; D, D k) on the right for each later k, which
+    maps the columns (c0, c1) to (D c1, D k c1 - c0), over D^floor((l-1)/2).
+    Raises ValueError for a D that is not fundamental, and AssertionError
+    where the division leaves a remainder, the determinant is not 1 (odd l)
+    or D (even l), or D fails to divide c, or, for even l, a or d.
     """
     ks = tuple(int(k) for k in ks)
     if not ks:
         raise ValueError("word must be nonempty")
-    c0 = ((1, 0), (0, 0))
-    c1 = ((0, ks[0]), (1, 0))
+    if not is_fundamental(D):
+        raise ValueError(f"D = {D} is not a fundamental discriminant")
+    a, b, c, d = 1, ks[0], 0, 1
     for k in ks[1:]:
-        c0, c1 = c1, tuple((k * D * v - u0, k * u - v0) for (u, v), (u0, v0) in zip(c1, c0))
-    (a, b), (c, d) = _pair_mul(c0[0], c1[1], D), _pair_mul(c1[0], c0[1], D)
-    det = (a - c, b - d)
-    if det != (1, 0):
-        raise AssertionError(f"word determinant {det} != 1")
-    return GroupWord(D=D, ks=ks, mat=((c0[0], c1[0]), (c0[1], c1[1])))
+        a, b, c, d = D * b, D * k * b - a, D * d, D * k * d - c
+    odd, scale = len(ks) % 2, D ** ((len(ks) - 1) // 2)
+    rem = a % scale or b % scale or c % scale or d % scale
+    a, b, c, d = a // scale, b // scale, c // scale, d // scale
+    if rem or a * d - b * c != D ** (1 - odd) or c % D or not odd and (a % D or d % D):
+        raise AssertionError(f"word {ks} leaves W_D^{1 - odd} Gamma_0({D}): {((a, b), (c, d))}")
+    return GroupWord(D=D, ks=ks, mat=((a, b), (c, d)))
 
 
 def predicted_u(w: GroupWord) -> int:
-    """Fifth-root exponent u with eta_5(gamma z) = exp(2 pi i u/5) eta_5(z).
-
-    Even-length words have the form (a sqrt5, b; c, d sqrt5) and give
-    u = c(a+d) mod 5; odd-length words have the transposed shape and give
-    u = a(b-c) mod 5.  Both must agree with sum(k_i) mod 5, which is
-    asserted.
+    """Exponent u with eta_D(gamma z) = e(u/den) eta_D(z): num sum(k_i) mod
+    den for m = num/den, so sum(k_i) mod 5 at D = 5 and 0 above.  At D = 5
+    it must agree with u read from the matrix, with a', c', d' its entries
+    over 5: c'(a' + d') mod 5 for even-length words, a(b - c') for odd.
     """
-    if w.D != 5:
-        raise ValueError("the multiplier law is only established for D = 5")
-    (m00, m01), (m10, m11) = w.mat
-    if len(w.ks) % 2 == 0:
-        if m00[0] or m11[0] or m01[1] or m10[1]:
-            raise AssertionError(f"even word has unexpected matrix shape: {w.mat}")
-        a, b, c, d = m00[1], m01[0], m10[0], m11[1]
-        u = c * (a + d) % 5
-    else:
-        if m00[1] or m11[1] or m01[0] or m10[0]:
-            raise AssertionError(f"odd word has unexpected matrix shape: {w.mat}")
-        a, b, c, d = m00[0], m01[1], m10[1], m11[0]
-        u = a * (b - c) % 5
-    if u != sum(w.ks) % 5:
-        raise AssertionError(f"multiplier {u} disagrees with exponent sum {sum(w.ks) % 5}")
+    num, den = _eta_data(w.D).m
+    u = num * sum(w.ks) % den
+    if w.D == 5:
+        (a, b), (c, d) = w.mat
+        u_mat = c // 5 * (a // 5 + d // 5) % 5 if len(w.ks) % 2 == 0 else a * (b - c // 5) % 5
+        if u_mat != u:
+            raise AssertionError(f"multiplier {u_mat} disagrees with exponent sum {u}")
     return u
 
 
@@ -535,7 +529,7 @@ def adapted_point(w: GroupWord) -> complex:
     best a single test point can do; callers scale n_max accordingly.
     """
     a, b, c, d = w.entry_floats()
-    if abs(c) < 1e-9:
+    if w.mat[1][0] == 0:
         return complex(0.25, 0.9)
     t = 1.0 if c > 0 else -1.0
     return complex(-d / c, t / c)
@@ -546,7 +540,7 @@ U_GAMMA_MIN_HEIGHT = 1e-7
 
 
 def check_u_gamma(w: GroupWord, z: complex | None = None) -> float:
-    """Residual |eta_5(gamma z)/eta_5(z) - exp(2 pi i u/5)|.
+    """Residual |eta_D(gamma z)/eta_D(z) - e(m sum(k_i))|, D = w.D.
 
     With z = None an adapted, well-conditioned point is chosen.  Both
     products are truncated where the twisted half's dropped factors at the
@@ -555,7 +549,6 @@ def check_u_gamma(w: GroupWord, z: complex | None = None) -> float:
     are.  An explicit z raises ConditioningError when z or gamma z sits too
     close to the real axis for any reasonable truncation.
     """
-    u = predicted_u(w)
     if z is None:
         z = adapted_point(w)
     z = _require_upper(z)
@@ -565,14 +558,15 @@ def check_u_gamma(w: GroupWord, z: complex | None = None) -> float:
         raise ConditioningError(
             f"evaluation height {h:.2e} below {U_GAMMA_MIN_HEIGHT:.0e}; |cz+d| too small"
         )
-    L = 2 * math.pi * h / math.sqrt(5)
-    n_eff = math.ceil(_series_ratio(L, 0, 2 * math.sqrt(5), _LOG_EPS)) - 1
+    data = _eta_data(w.D)
+    L = 2 * math.pi * h / data.sqrt_d
+    n_eff = math.ceil(_series_ratio(L, 0, 2 * data.sqrt_d, _LOG_EPS)) - 1
     log_ratio = (
-        2j * math.pi * _eta_data(5).v * (gz - z) / math.sqrt(5)
-        + log_eta_tail(5, gz, n_eff)
-        - log_eta_tail(5, z, n_eff)
+        2j * math.pi * data.v * (gz - z) / data.sqrt_d
+        + log_eta_tail(w.D, gz, n_eff)
+        - log_eta_tail(w.D, z, n_eff)
     )
-    return abs(cmath.exp(log_ratio) - cmath.exp(2j * math.pi * u / 5))
+    return abs(cmath.exp(log_ratio) - data.multiplier(sum(w.ks)))
 
 
 # ---------------------------------------------------------------------------

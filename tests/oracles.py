@@ -167,14 +167,15 @@ def l_function_hurwitz(chi, s, digits=30):
         return +(mpmath.power(D, -s) * total)
 
 
-def random_words(count, max_len=6, k_range=2, seed=31415):
-    """Deterministic sample of D = 5 group words with entries |k_i| <= k_range."""
+def random_words(count, max_len=6, k_range=2, seed=31415, D=5):
+    """Deterministic sample of group words of H(sqrt(D)) with entries
+    |k_i| <= k_range; the draw does not depend on D."""
     rng = random.Random(seed)
     words = []
     for _ in range(count):
         ell = rng.randint(1, max_len)
         ks = [rng.randint(-k_range, k_range) for _ in range(ell)]
-        words.append(word_matrix(ks, 5))
+        words.append(word_matrix(ks, D))
     return words
 
 
@@ -352,28 +353,24 @@ def eta_pairs_by_product(D, N):
 
 
 def word_matrix_by_generators(ks, D):
-    """T^{k_1} S T^{k_2} S ... S T^{k_l} as a plain product of 2x2 matrices
-    over Z[sqrt(D)], entries (u, v) meaning u + v sqrt(D), with
-    T^k = (1, k sqrt(D); 0, 1) and S = (0, -1; 1, 0)."""
-
-    def mul(x, y):
-        return (x[0] * y[0] + D * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+    """T^{k_1} S T^{k_2} S ... S T^{k_l} in tau = z/sqrt(D) as a plain
+    product of integer 2x2 matrices, T^k = (1, k; 0, 1) and S = W_D =
+    (0, -1; D, 0), divided by D^floor((l - 1)/2), which leaves no
+    remainder."""
 
     def matmul(m, n):
         return tuple(
-            tuple(
-                tuple(p + q for p, q in zip(mul(m[i][0], n[0][j]), mul(m[i][1], n[1][j])))
-                for j in range(2)
-            )
-            for i in range(2)
+            tuple(sum(m[i][t] * n[t][j] for t in range(2)) for j in range(2)) for i in range(2)
         )
 
-    S = (((0, 0), (-1, 0)), ((1, 0), (0, 0)))
+    S = ((0, -1), (D, 0))
     m = None
     for k in ks:
-        T = (((1, 0), (0, k)), ((0, 0), (1, 0)))
+        T = ((1, k), (0, 1))
         m = T if m is None else matmul(matmul(m, S), T)
-    return m
+    scale = D ** ((len(ks) - 1) // 2)
+    assert all(x % scale == 0 for row in m for x in row)
+    return tuple(tuple(x // scale for x in row) for row in m)
 
 
 def log_eta_tail_direct(D, z, n_max):

@@ -379,7 +379,7 @@ def _u_gamma_truncation(z, gz):
 class TestWords:
     def test_base_case_matrix(self):
         w = word_matrix([1, 1], 5)
-        assert w.mat == (((0, 1), (4, 0)), ((1, 0), (0, 1)))
+        assert w.mat == ((5, 4), (5, 5))
         assert predicted_u(w) == 2
 
     @pytest.mark.parametrize("D", [5, 13, 17])
@@ -403,17 +403,25 @@ class TestWords:
         for w in random_words(1000, max_len=6, k_range=3, seed=99):
             assert predicted_u(w) == sum(w.ks) % 5
 
-    def test_determinant_is_one_symbolically(self):
-        # word_matrix asserts det = 1 internally; exercise a spread of words
+    def test_determinant_and_gamma0_shape(self):
+        """Odd-length words lie in Gamma_0(5): determinant 1 and 5 | c; even
+        ones in W_5 Gamma_0(5): determinant 5 and 5 divides a, c and d."""
         for w in random_words(200, max_len=5, k_range=4, seed=7):
-            (m00, m01), (m10, m11) = w.mat
-            det_u = m00[0] * m11[0] + 5 * m00[1] * m11[1] - (
-                m01[0] * m10[0] + 5 * m01[1] * m10[1]
-            )
-            det_v = m00[0] * m11[1] + m00[1] * m11[0] - (
-                m01[0] * m10[1] + m01[1] * m10[0]
-            )
-            assert (det_u, det_v) == (1, 0)
+            (a, b), (c, d) = w.mat
+            if len(w.ks) % 2:
+                assert (a * d - b * c, c % 5) == (1, 0), w.ks
+            else:
+                assert (a * d - b * c, a % 5, c % 5, d % 5) == (5, 0, 0, 0), w.ks
+
+    @pytest.mark.parametrize("D", [5, 13, 17, 21, 29, 33, 37, 101, 105, 1001])
+    def test_odd_words_have_d_plus_minus_one(self, D):
+        """Every odd-length word of H(sqrt(D)) has d = +-1 mod D, so it lies in
+        the part of Gamma_0(D) where chi(d) = 1 (ROADMAP item 19)."""
+        rng = random.Random(D)
+        for _ in range(60):
+            ks = [rng.randint(-3, 3) for _ in range(rng.randrange(1, 10, 2))]
+            d = word_matrix(ks, D).mat[1][1]
+            assert d % D in (1, D - 1), ks
 
     def test_deepest_seed_word_plan_is_small(self):
         """The deepest seed word is truncated at its own tail, n_eff > 7 * 10^6
@@ -451,10 +459,18 @@ class TestWords:
         for w in random_words(25, max_len=6, k_range=2, seed=13):
             assert check_u_gamma(w) < 1e-4
 
-    def test_unsupported_discriminant(self):
-        w = word_matrix([1, 1], 13)
-        with pytest.raises(ValueError):
-            predicted_u(w)
+    @pytest.mark.parametrize("D", [13, 17, 21, 29])
+    def test_multiplier_above_5(self, D):
+        """Above D = 5, m is an integer: the multiplier is 1 on every word,
+        and the ratio meets it to 1e-6 at the adapted point."""
+        for w in random_words(60, max_len=6, k_range=2, seed=D, D=D):
+            assert predicted_u(w) == 0
+            assert check_u_gamma(w) < 1e-6, w.ks
+
+    @pytest.mark.parametrize("D", [0, 1, 4, 9, 25])
+    def test_non_fundamental_discriminant_rejected(self, D):
+        with pytest.raises(ValueError, match="not a fundamental"):
+            word_matrix([1, 1], D)
 
     def test_conditioning_error_on_explicit_bad_point(self):
         w = word_matrix([2, 2, 2, 2, 2, 2], 5)

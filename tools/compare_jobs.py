@@ -8,15 +8,18 @@ generate(workload, seed, SECONDS), the list of a benchmark run of
 BENCHMARK.json's run_seconds (read, never written, here).  Every
 job runs as a fresh process through each checkout's own benchmarks/job.py,
 as benchmarks/run.py runs it: in the checkout's root, stdin closed and
-HECKE_ETA_DIGITS unset.  One line is printed for each job whose exit code,
-stdout or stderr differs, then a count; the exit code is 1 if any job
-differs, else 0.  Standard library only; no bytecode is written.
+HECKE_ETA_DIGITS unset.  The two checkouts' copies of a job run at once, as
+two processes, and the next job starts once both have ended.  One line is
+printed for each job whose exit code, stdout or stderr differs, then a
+count; the exit code is 1 if any job differs, else 0.  Standard library
+only; no bytecode is written.
 """
 
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,15 +55,17 @@ def main(argv: list[str]) -> int:
     seeds = [int(s) for s in argv[1].split(",")] if len(argv) == 2 else [1, 2]
     generators, generate = load_workloads()
     total = differ = 0
-    for seed in seeds:
-        for workload in generators:
-            for i, job in enumerate(generate(workload, seed, SECONDS)):
-                total += 1
-                ours, theirs = run_job(ROOT, job), run_job(other, job)
-                fields = [f for f, a, b in zip(("exit code", "stdout", "stderr"), ours, theirs) if a != b]
-                if fields:
-                    differ += 1
-                    print(f"{workload} seed {seed} job {i}: {', '.join(fields)} differ: {json.dumps(job)}")
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for seed in seeds:
+            for workload in generators:
+                for i, job in enumerate(generate(workload, seed, SECONDS)):
+                    total += 1
+                    theirs = pool.submit(run_job, other, job)
+                    ours, theirs = run_job(ROOT, job), theirs.result()
+                    fields = [f for f, a, b in zip(("exit code", "stdout", "stderr"), ours, theirs) if a != b]
+                    if fields:
+                        differ += 1
+                        print(f"{workload} seed {seed} job {i}: {', '.join(fields)} differ: {json.dumps(job)}")
     print(f"{differ} of {total} jobs differ")
     return 1 if differ else 0
 
