@@ -181,6 +181,11 @@ PRODUCT_BASE_S = 3e-5
 NUMERIC_DATA_S_PER_D = 6e-6
 
 
+def points_floor_s(count: int) -> float:
+    """A lower bound on numeric_s of `count` products: PRODUCT_BASE_S each."""
+    return count * PRODUCT_BASE_S
+
+
 def product_s(D: int, nmax: int, height: float) -> float:
     """Predicted seconds of one truncated product at Im z = height, by its
     plan (_plan) at L = 2 pi height / sqrt(D): nu direct untwisted factors
@@ -482,13 +487,15 @@ class GroupWord(namedtuple("GroupWord", "D ks mat")):
         return (a * z + b) / (c * z + d)
 
 
-def word_matrix(ks, D: int = 5) -> GroupWord:
+def word_matrix(ks, D: int) -> GroupWord:
     """Multiply out the word on ints in tau = z/sqrt(D): T^{k_1} = (1, k_1;
     0, 1) times S T^k = (0, -1; D, D k) on the right for each later k, which
-    maps the columns (c0, c1) to (D c1, D k c1 - c0), over D^floor((l-1)/2).
-    Raises ValueError for a D that is not fundamental, and AssertionError
-    where the division leaves a remainder, the determinant is not 1 (odd l)
-    or D (even l), or D fails to divide c, or, for even l, a or d.
+    maps the columns (c0, c1) to (D c1, D k c1 - c0), over D^h, h =
+    floor((l-1)/2).  Raises ValueError for a D that is not fundamental, and
+    AssertionError where the division leaves a remainder, the determinant
+    is not 1 (odd l) or D (even l), D fails to divide c, or, for even l, a
+    or d, or, mod D, a = d = (-1)^h (odd l) or c/D = -b = (-1)^h (even l)
+    fails: mod D, T^k = (1, *; 0, 1) and (S T^j)(S T^k)/D = (-1, *; 0, -1).
     """
     ks = tuple(int(k) for k in ks)
     if not ks:
@@ -498,11 +505,13 @@ def word_matrix(ks, D: int = 5) -> GroupWord:
     a, b, c, d = 1, ks[0], 0, 1
     for k in ks[1:]:
         a, b, c, d = D * b, D * k * b - a, D * d, D * k * d - c
-    odd, scale = len(ks) % 2, D ** ((len(ks) - 1) // 2)
-    rem = a % scale or b % scale or c % scale or d % scale
-    a, b, c, d = a // scale, b // scale, c // scale, d // scale
-    if rem or a * d - b * c != D ** (1 - odd) or c % D or not odd and (a % D or d % D):
-        raise AssertionError(f"word {ks} leaves W_D^{1 - odd} Gamma_0({D}): {((a, b), (c, d))}")
+    h, even = divmod(len(ks) - 1, 2)
+    rem = a % D**h or b % D**h or c % D**h or d % D**h
+    a, b, c, d = a // D**h, b // D**h, c // D**h, d // D**h
+    units = (c // D, -b) if even else (a, d)
+    if (rem or a * d - b * c != D**even or c % D or even and (a % D or d % D)
+            or any((u - (-1) ** h) % D for u in units)):
+        raise AssertionError(f"word {ks} leaves W_D^{even} Gamma_0({D}): {((a, b), (c, d))}")
     return GroupWord(D=D, ks=ks, mat=((a, b), (c, d)))
 
 

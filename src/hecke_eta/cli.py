@@ -12,12 +12,12 @@ are imported here; each command imports the layers it runs, and json, when
 it runs, so that a call loads only what it uses.  No command loads decimal
 or fractions: lvalues prints L(-1) and m from lseries.m_exponent's integer
 pair, and L'(0), like growth the log of a coefficient past the float range,
-from one integer fixed-point log (lseries.log_fixed).  Each layer prices its
-own work; cli adds what every command pays (TIME_BUDGET_S).  The grammar is
-one table, COMMANDS: _parse reads every command line from it and words its
-usage errors, and argparse is loaded, and built from it, only to print
-help.  Rows go to stdout's own buffer, which main turns on for the command,
-so that they reach an unbuffered stdout in a few large writes.
+from one integer fixed-point log (lseries.log_fixed).  Each layer prices a
+whole command; cli keeps only the budgets.  The grammar is one table,
+COMMANDS: _parse reads every command line from it and words its usage
+errors, and argparse is loaded, and built from it, only to print help.
+Rows go to stdout's own buffer, which main turns on for the command, so
+that they reach an unbuffered stdout in a few large writes.
 """
 
 import math
@@ -38,19 +38,12 @@ from .quad_ring import canonical_str, embed_midpoint, embed_real
 LOG_BITS = 166
 
 # Input predicted to run longer than TIME_BUDGET_S is refused with exit 2.
-# Each layer prices its own work (oracle.compare_s, partitions.tables_s,
+# Each layer prices a whole command (oracle.compare_s, partitions.tables_s,
 # analytic.numeric_s, qseries.kernel_s) by a model fitted to the end-to-end
 # runs it lists (2-vCPU x86-64, Python 3.11), scaled so none took longer.
 TIME_BUDGET_S = 60
 
-# Seconds per unit of D of the character table and the other O(D) work of
-# coeffs, signs, growth and partitions, added to the layer's charge by
-# _series_s and _partitions_s: in three runs each, `coeffs --N 1` took at
-# most 0.81 s at D = 1000001 (predicted 1.2 s), 3.8 s at 3999949 and 2.8 s
-# at 3999997 (4.8 s), and `partitions --D 999997 --N 0` 0.63 s (1.2 s).
-CHAR_TABLE_S_PER_D = 1.2e-6
-
-# partitions also refuses input whose predicted peak RSS (_partitions_mb)
+# partitions also refuses input whose predicted peak RSS (partitions.tables_mb)
 # exceeds this, since its time model admits tables of several GB.
 MEMORY_BUDGET_MB = 500
 
@@ -180,24 +173,6 @@ def cmd_verify_modularity(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _series_s(D: int, N: int) -> float:
-    from .qseries import kernel_s
-
-    return CHAR_TABLE_S_PER_D * D + kernel_s(D, N)
-
-
-def _partitions_s(D: int, N: int) -> float:
-    from .partitions import tables_s
-
-    return tables_s(D, N) + CHAR_TABLE_S_PER_D * D
-
-
-def _partitions_mb(D: int, N: int) -> float:
-    from .partitions import tables_mb
-
-    return 30 + 6e-5 * D + tables_mb(D, N)
-
-
 def cmd_oracle_check(args) -> int:
     from .oracle import compare_s, compare_with_eta
 
@@ -218,14 +193,11 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    if (
-        _partitions_s(args.D, args.N) > TIME_BUDGET_S
-        or _partitions_mb(args.D, args.N) > MEMORY_BUDGET_MB
-    ):
+    from .partitions import build_partition_tables, tables_mb, tables_s
+
+    if tables_s(args.D, args.N) > TIME_BUDGET_S or tables_mb(args.D, args.N) > MEMORY_BUDGET_MB:
         return _usage_error("--N out of range for the partition tables")
     import json
-
-    from .partitions import build_partition_tables
 
     tables = build_partition_tables(build_char_table(args.D), args.N)
     head = json.dumps({"D": tables.D, "N_max": tables.N_max, "p": tables.p, "p_nr": tables.p_nr})
@@ -376,7 +348,7 @@ def cmd_growth(args) -> int:
 def cmd_grid(args) -> int:
     from . import analytic
 
-    if 2 * args.re_steps * args.im_steps * analytic.PRODUCT_BASE_S > TIME_BUDGET_S:
+    if analytic.points_floor_s(2 * args.re_steps * args.im_steps) > TIME_BUDGET_S:
         return _usage_error("grid size and --nmax exceed the time budget")
     res = _axis(args.re_min, args.re_max, args.re_steps)
     ims = _axis(args.im_min, args.im_max, args.im_steps)
@@ -436,9 +408,9 @@ _N = {"--N": {"type": _COUNT, "required": True}}
 _FORMAT = {"--format": {"choices": ("csv", "json"), "default": "csv"}}
 
 # The grammar: each command's handler, help string, options, largest --D and
-# factor in the series charge (_series_s), None where they do not apply, in
-# the order --help lists them.  _parse reads it; _build_parser renders its
-# help.  Each --D cap is checked before the discriminant's trial
+# factor in the series charge (qseries.kernel_s), None where they do not
+# apply, in the order --help lists them.  _parse reads it; _build_parser
+# renders its help.  Each --D cap is checked before the discriminant's trial
 # division, measured end to end (2-vCPU x86-64, Python 3.11) with the least
 # work the command accepts; memory grows with D too, so these caps are the
 # largest D measured.  periods, one transform of length phi(D)/2 on
@@ -563,8 +535,11 @@ def main(argv=None) -> int:
             return _usage_error(f"--D exceeds the limit {cap} of {args.command}")
         if not is_fundamental(D):
             return _usage_error(f"D={D} is not fundamental (need D = 1 mod 4, squarefree, >= 5)")
-    if factor and factor * _series_s(D or 5, args.N) > TIME_BUDGET_S:
-        return _usage_error("--N exceeds the time budget")
+    if factor:
+        from .qseries import kernel_s
+
+        if factor * kernel_s(D or 5, args.N) > TIME_BUDGET_S:
+            return _usage_error("--N exceeds the time budget")
     try:
         # where stdout is unbuffered (PYTHONUNBUFFERED) each write is a system
         # call: its own buffer gathers them into chunks of 8 kB

@@ -15,6 +15,8 @@ from collections import namedtuple
 from math import sqrt
 from operator import add, sub
 
+from .characters import TABLE_S_PER_D
+
 
 def _euler_step(P: list[int], d: int, e: int) -> None:
     """Multiply the truncated series P in place by (1 - q^d)^e, e in {-1, 0, 1}.
@@ -151,31 +153,32 @@ def build_partition_tables(chi, N: int) -> PartitionTables:
 
 
 def tables_s(D: int, N: int) -> float:
-    """Predicted seconds of the tables to order N at modulus D, built and
-    written, past the O(D) character table, which the caller charges: the
-    O(N^2) additions of the length distribution and the (N + 1) x D counts
-    about sqrt(N) digits wide.  Fitted with that term, with a 1.2x margin
-    for the spread of repeated runs, to the 35 of 53 runs, D 5..900001,
-    N 0..20000, that took at least 1 s, up to 51 s, and 20 runs at
-    D 30005..999997, N 0..300, up to 4.3 s; it over-predicts them by up to
-    2.4x where the table, not the character table, dominates."""
-    return 1.75e-7 * (N + 1) ** 2 + 1.8e-8 * D * (N + 1) ** 1.5
+    """Predicted seconds of `partitions --D D --N N`, the tables to order N
+    at modulus D built and written: the O(N^2) additions of the length
+    distribution, the (N + 1) x D counts about sqrt(N) digits wide and the
+    O(D) character table.  Fitted, with a 1.2x margin for the spread of
+    repeated runs, to the 35 of 53 runs, D 5..900001, N 0..20000, that took
+    at least 1 s, up to 51 s, and 20 runs at D 30005..999997, N 0..300, up
+    to 4.3 s; it over-predicts them by up to 2.4x where the table, not the
+    character table, dominates."""
+    return 1.75e-7 * (N + 1) ** 2 + 1.8e-8 * D * (N + 1) ** 1.5 + TABLE_S_PER_D * D
 
 
 def tables_mb(D: int, N: int) -> float:
-    """Predicted MB of the (N + 1) x D counts, ints up to about 3.7 sqrt(N)
-    bits wide held in row tuples while the rows are written one at a time,
-    20 + 0.6 sqrt(N) bytes per count; a count c[k][r] with k < r is always
-    zero, a shared small int that costs only its 8-byte tuple slot.  With
-    the interpreter and the character table, which the caller charges, it
-    bounds 16 end-to-end runs, D 5..900001, N 0..16000, by 1.04x to 1.64x,
-    in MB measured/predicted by (D, N): (1001, 3000) 159/166, (1001, 4000)
-    229/237, (1001, 5000) 299/315, (1001, 6000) 369/400, (101, 6000) 57/70,
-    (101, 12000) 114/134, (101, 16000) 158/185, (301, 10000) 235/268,
-    (5, 16000) 35/38, (5001, 2000) 179/188, (2001, 500) 27/41, (10001, 100)
-    24/39, (10001, 1000) 113/126, (100001, 10) 32/45, (100001, 100)
-    100/117, (900001, 0) 70/91."""
+    """Predicted peak MB of `partitions --D D --N N`: 30 for the interpreter,
+    60 bytes a unit of D for the character table, and the (N + 1) x D
+    counts, ints up to about 3.7 sqrt(N) bits wide held in row tuples while
+    the rows are written one at a time, 20 + 0.6 sqrt(N) bytes per count; a
+    count c[k][r] with k < r is always zero, a shared small int that costs
+    only its 8-byte tuple slot.  It bounds 16 end-to-end runs, D 5..900001,
+    N 0..16000, by 1.04x to 1.64x, in MB measured/predicted by (D, N):
+    (1001, 3000) 159/166, (1001, 4000) 229/237, (1001, 5000) 299/315,
+    (1001, 6000) 369/400, (101, 6000) 57/70, (101, 12000) 114/134,
+    (101, 16000) 158/185, (301, 10000) 235/268, (5, 16000) 35/38,
+    (5001, 2000) 179/188, (2001, 500) 27/41, (10001, 100) 24/39,
+    (10001, 1000) 113/126, (100001, 10) 32/45, (100001, 100) 100/117,
+    (900001, 0) 70/91."""
     m = min(N + 1, D)
     zeros = m * (D - 1) - m * (m - 1) // 2  # c[k][r] for k < r < D
     per_count = 20 + 0.6 * sqrt(N + 1)
-    return ((D * (N + 1) - zeros) * per_count + 8 * zeros) / 1e6
+    return 30 + 6e-5 * D + ((D * (N + 1) - zeros) * per_count + 8 * zeros) / 1e6

@@ -31,7 +31,7 @@ from collections import namedtuple
 from math import gcd
 from operator import mul
 
-from .characters import build_char_table
+from .characters import TABLE_S_PER_D, build_char_table
 from .lseries import m_exponent
 from .quad_ring import RingElem, RingError
 
@@ -323,8 +323,8 @@ def tau5_values(n_max: int) -> dict[int, RingElem]:
 
 
 def kernel_s(D: int, N: int) -> float:
-    """Predicted seconds of eta_series(D, N) past its O(D) character table,
-    which the caller charges: the kernel on coefficients whose width grows
-    with N and, up to D of about 10^5, with D.  With that term it bounds 23
-    runs of `coeffs`, D 5..3999997, N 1..17000, up to 67 s, by up to 1.9x."""
-    return 1.45e-9 * N**2.4 * min(D, 100_000) ** 0.3
+    """Predicted seconds of `coeffs --D D --N N`: the O(D) character table,
+    and the kernel on coefficients whose width grows with N and, up to D of
+    about 10^5, with D.  It bounds 23 runs of `coeffs`, D 5..3999997,
+    N 1..17000, up to 67 s, by up to 1.9x."""
+    return TABLE_S_PER_D * D + 1.45e-9 * N**2.4 * min(D, 100_000) ** 0.3

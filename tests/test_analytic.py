@@ -415,13 +415,21 @@ class TestWords:
 
     @pytest.mark.parametrize("D", [5, 13, 17, 21, 29, 33, 37, 101, 105, 1001])
     def test_odd_words_have_d_plus_minus_one(self, D):
-        """Every odd-length word of H(sqrt(D)) has d = +-1 mod D, so it lies in
-        the part of Gamma_0(D) where chi(d) = 1 (ROADMAP item 19)."""
+        """In the generator product of a word of length l, with s =
+        (-1)^floor((l-1)/2): for odd l, a = d = s mod D, so the word lies in
+        the part of Gamma_0(D) where chi(d) = 1 (ROADMAP item 19); for even
+        l, c/D = -b = s mod D, as (S T^j)(S T^k)/D = (-1, *; 0, -1) and
+        T^k = (1, *; 0, 1) mod D.  word_matrix guards both."""
         rng = random.Random(D)
-        for _ in range(60):
-            ks = [rng.randint(-3, 3) for _ in range(rng.randrange(1, 10, 2))]
-            d = word_matrix(ks, D).mat[1][1]
-            assert d % D in (1, D - 1), ks
+        for _ in range(120):
+            ks = [rng.randint(-3, 3) for _ in range(rng.randint(1, 10))]
+            (a, b), (c, d) = word_matrix_by_generators(ks, D)
+            sign = (-1) ** ((len(ks) - 1) // 2)
+            if len(ks) % 2:
+                assert (a - sign) % D == (d - sign) % D == 0, ks
+            else:
+                assert (c // D - sign) % D == (b + sign) % D == 0, ks
+            assert word_matrix(ks, D).mat == ((a, b), (c, d)), ks
 
     def test_deepest_seed_word_plan_is_small(self):
         """The deepest seed word is truncated at its own tail, n_eff > 7 * 10^6

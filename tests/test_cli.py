@@ -379,7 +379,7 @@ def _first_refused_order(command, D=5):
     runs at D = 5)."""
     width = SERIES_FACTOR[command]
     N = 1
-    while width * cli._series_s(D, N) <= cli.TIME_BUDGET_S:
+    while width * qseries.kernel_s(D, N) <= cli.TIME_BUDGET_S:
         N += 1
     return N
 
@@ -415,7 +415,7 @@ class TestOrderCap:
         """delta5 accepted every N <= 16000 when 16000 was its order cap,
         and the model alone still does."""
         width = SERIES_FACTOR["delta5"]
-        assert all(width * cli._series_s(5, N) <= cli.TIME_BUDGET_S for N in range(1, 16001))
+        assert all(width * qseries.kernel_s(5, N) <= cli.TIME_BUDGET_S for N in range(1, 16001))
 
 
 class TestCostLimits:
@@ -425,7 +425,7 @@ class TestCostLimits:
         "command, D", [("oracle-check", 5), ("oracle-check", 41), ("partitions", 5), ("partitions", 101)]
     )
     def test_first_refused_order_exits_at_once(self, capsys, command, D):
-        predicted_s = {"oracle-check": oracle.compare_s, "partitions": cli._partitions_s}[command]
+        predicted_s = {"oracle-check": oracle.compare_s, "partitions": partitions.tables_s}[command]
         N = 1
         while predicted_s(D, N) <= cli.TIME_BUDGET_S:
             N += 1
@@ -440,7 +440,7 @@ class TestCostLimits:
         for D in fundamental_discriminants(41):
             assert oracle.compare_s(D, 80) <= cli.TIME_BUDGET_S
         for D in fundamental_discriminants(101):
-            assert cli._partitions_s(D, 400) <= cli.TIME_BUDGET_S
+            assert partitions.tables_s(D, 400) <= cli.TIME_BUDGET_S
 
 
 class TestPartitionsMemory:
@@ -449,8 +449,8 @@ class TestPartitionsMemory:
 
     def test_large_table_refused_at_once(self, capsys):
         D, N = 2001, 6000
-        assert cli._partitions_s(D, N) <= cli.TIME_BUDGET_S
-        assert cli._partitions_mb(D, N) > cli.MEMORY_BUDGET_MB
+        assert partitions.tables_s(D, N) <= cli.TIME_BUDGET_S
+        assert partitions.tables_mb(D, N) > cli.MEMORY_BUDGET_MB
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "partitions", "--D", str(D), "--N", str(N))
         assert time.perf_counter() - start < 5
@@ -460,7 +460,7 @@ class TestPartitionsMemory:
 
     def test_benchmark_ranges_stay_accepted(self):
         for D in fundamental_discriminants(101):
-            assert cli._partitions_mb(D, 400) <= cli.MEMORY_BUDGET_MB
+            assert partitions.tables_mb(D, 400) <= cli.MEMORY_BUDGET_MB
 
     def test_model_bounds_the_measured_peaks(self):
         """Peak RSS in MB of end-to-end runs (os.wait4, 2-vCPU x86-64,
@@ -473,7 +473,7 @@ class TestPartitionsMemory:
             (10001, 1000): 113, (100001, 10): 32, (100001, 100): 100, (900001, 0): 70,
         }
         for (D, N), mb in measured.items():
-            assert mb <= cli._partitions_mb(D, N) <= 2 * mb, (D, N)
+            assert mb <= partitions.tables_mb(D, N) <= 2 * mb, (D, N)
 
 
 class TestSeriesBudget:
@@ -506,11 +506,45 @@ class TestSeriesBudget:
 
     def test_benchmark_ranges_stay_accepted(self):
         for D in (5, 13, 17, 21):
-            assert cli._series_s(D, 1000) <= cli.TIME_BUDGET_S
+            assert qseries.kernel_s(D, 1000) <= cli.TIME_BUDGET_S
         for D in fundamental_discriminants(200):
-            assert cli._series_s(D, 100) <= cli.TIME_BUDGET_S
-        assert cli._series_s(5, 16000) <= cli.TIME_BUDGET_S
-        assert cli._series_s(D_CAP["coeffs"], 1) <= cli.TIME_BUDGET_S
+            assert qseries.kernel_s(D, 100) <= cli.TIME_BUDGET_S
+        assert qseries.kernel_s(5, 16000) <= cli.TIME_BUDGET_S
+        assert qseries.kernel_s(D_CAP["coeffs"], 1) <= cli.TIME_BUDGET_S
+
+
+class TestChargeValues:
+    """Each layer's charge, bit for bit, at the boundaries README states and
+    at D past 10^5, where the character table's O(D) term matters: the
+    sums keep the operand order of the charges they replaced, so no
+    admission moves."""
+
+    @pytest.mark.parametrize("D, N, charge", [
+        (5, 21691, "0x1.dff9fea5c6698p+5"),
+        (5, 21692, "0x1.e007972ddde2ap+5"),
+        (29, 17412, "0x1.dff869a87c87bp+5"),
+        (100049, 12000, "0x1.1adecc59dc843p+8"),
+        (3999997, 1, "0x1.3333244af6b80p+2"),
+    ])
+    def test_series(self, D, N, charge):
+        assert qseries.kernel_s(D, N).hex() == charge
+
+    @pytest.mark.parametrize("N, charge", [
+        (16250, "0x1.dffc039c67374p+5"), (16251, "0x1.e00e29a860a1bp+5"),
+    ])
+    def test_delta5(self, N, charge):
+        assert (SERIES_FACTOR["delta5"] * qseries.kernel_s(5, N)).hex() == charge
+
+    @pytest.mark.parametrize("D, N, seconds, mb", [
+        (5, 18480, "0x1.dff9abe1e2acbp+5", "0x1.3b13c593c582ep+5"),
+        (1001, 5000, "0x1.5801895760f6ep+3", "0x1.3b586cfa01a0fp+8"),
+        (999997, 0, "0x1.37ce9eb856370p+0", "0x1.87ffcdd35d09cp+6"),
+    ])
+    def test_partitions(self, D, N, seconds, mb):
+        assert (partitions.tables_s(D, N).hex(), partitions.tables_mb(D, N).hex()) == (seconds, mb)
+
+    def test_grid_floor(self):
+        assert analytic.points_floor_s(10**6).hex() == "0x1.e000000000000p+4"
 
 
 class _Reached(Exception):
@@ -603,8 +637,9 @@ class TestNumericBudget:
         assert "time budget" in err
 
     def test_point_count_refused_before_the_heights(self, capsys, monkeypatch):
-        """A grid whose points alone, at PRODUCT_BASE_S a product, exceed the
-        budget is refused before its axes are built."""
+        """A grid whose points alone, at PRODUCT_BASE_S a product
+        (analytic.points_floor_s), exceed the budget is refused before its
+        axes are built."""
         monkeypatch.setattr(cli, "_axis", None)
         steps = str(int(cli.TIME_BUDGET_S / analytic.PRODUCT_BASE_S) // 2 + 1)
         code, out, err = run_cli(capsys, "grid", "--D", "5", "--re-steps", steps, "--im-steps", "1")
@@ -823,7 +858,7 @@ class TestDiscriminantCap:
         for D in fundamental_discriminants(2 * cap):
             if D > cap:
                 assert oracle.compare_s(D, 1) > cli.TIME_BUDGET_S
-        assert cli._partitions_s(D_CAP["partitions"], 0) <= cli.TIME_BUDGET_S
+        assert partitions.tables_s(D_CAP["partitions"], 0) <= cli.TIME_BUDGET_S
 
 
 class TestDiscriminantCheck:

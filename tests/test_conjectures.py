@@ -9,13 +9,25 @@ ramified prime (3, sqrt(21)) above 3 at D = 21 when 3 | A.
 
 The Hauptmodul identities (ROADMAP item 20) check every coefficient of the
 kernel to order N at D = 5 and 13 against integer Euler products, exactly.
+
+eta_D has a law on all of Gamma_0(D) (ROADMAP item 19), also at the gamma
+with d mod D not +-1, which no word of H(sqrt(D)) reaches: modulo 2 pi i,
+log eta(gamma tau) = log eta(tau) where chi(d) = 1, and log eta(gamma tau) =
+2 L'(0, chi) - log eta(tau) where chi(d) = -1, so eta(gamma tau) eta(tau) =
+eps_D^(2h).  D = 5, whose second half carries a fifth root of unity, is left
+out.
 """
 
+import math
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from oracles import fundamental_discriminants
 
+from hecke_eta.analytic import log_eta_tail
+from hecke_eta.characters import build_char_table
+from hecke_eta.lseries import l_prime_zero_fixed, m_exponent
 from hecke_eta.partitions import _euler_product
 from hecke_eta.qseries import _eta_power, _mul_pairs, eta_series
 
@@ -107,6 +119,55 @@ def _mutated(X, name):
     return (A, B), n
 
 
+GAMMA0_DS = [13, 17, 21, 29, 37, 101]
+GAMMA0_NMAX = 20000
+GAMMA0_TOL = 1e-9
+
+
+def _gamma0_elements(D):
+    """Every (a, b, c, d) in Gamma_0(D) with c in {D, 2D}, 1 < d < c and
+    d mod D not +-1, with a = d^-1 mod c."""
+    for c in (D, 2 * D):
+        for d in range(2, c):
+            if gcd(d, c) == 1 and d % D not in (1, D - 1):
+                a = pow(d, -1, c)
+                yield a, (a * d - 1) // c, c, d
+
+
+@lru_cache(maxsize=None)
+def _gamma0_logs(D):
+    """(chi(d), log eta(gamma tau), log eta(tau)) for each gamma of
+    _gamma0_elements(D) and tau = (-d + s + i)/c, s in {0, 0.3, -0.2}, so
+    that c tau + d = s + i: log eta = 2 pi i m z / sqrt(D) +
+    log_eta_tail(D, z, GAMMA0_NMAX) at z = sqrt(D) tau."""
+    chi = build_char_table(D)
+    num, den = m_exponent(chi)
+
+    def log_eta(tau):
+        z = math.sqrt(D) * tau
+        return 2j * math.pi * num / den * z / math.sqrt(D) + log_eta_tail(D, z, GAMMA0_NMAX)
+
+    logs = []
+    for a, b, c, d in _gamma0_elements(D):
+        for s in (0, 0.3, -0.2):
+            tau = complex(s - d, 1) / c
+            logs.append((chi[d % D], log_eta((a * tau + b) / (c * tau + d)), log_eta(tau)))
+    return logs
+
+
+def _gamma0_worst(D, lp_factor=2, swap=False):
+    """The largest distance from 2 pi i Z, over _gamma0_logs(D), of
+    log eta(gamma tau) - log eta(tau) where chi(d) = 1, and of
+    log eta(gamma tau) + log eta(tau) - lp_factor L'(0, chi) where
+    chi(d) = -1, or where chi(d) = 1 with the cases swapped."""
+    lp = lp_factor * l_prime_zero_fixed(build_char_table(D), 64) / 2**64
+    worst = 0.0
+    for chi_d, log_g, log_t in _gamma0_logs(D):
+        x = log_g - log_t if chi_d == (-1 if swap else 1) else log_g + log_t - lp
+        worst = max(worst, abs(x - 2j * math.pi * round(x.imag / (2 * math.pi))))
+    return worst
+
+
 class TestConjectureReports:
     @pytest.mark.parametrize("D", [5, 13, 17, 21, 29, 33, 37, 57, 69, 101, 105, 1001])
     def test_odd_index_in_z_sqrt_d(self, D):
@@ -174,3 +235,19 @@ class TestHauptmodulIdentity:
     def test_mutation_is_caught_where_made(self, D, name):
         X, n = _mutated(_hauptmodul_x(D), name)
         assert _hauptmodul_violation(D, X) == n
+
+
+class TestGamma0Law:
+    @pytest.mark.parametrize("D", GAMMA0_DS)
+    def test_law_holds_off_the_hecke_group(self, D):
+        """Both halves of the law hold to GAMMA0_TOL at every gamma of
+        _gamma0_elements(D); it read at most 4.6e-11, at D = 101."""
+        assert {chi_d for chi_d, _, _ in _gamma0_logs(D)} == {1, -1}
+        assert _gamma0_worst(D) < GAMMA0_TOL
+
+    @pytest.mark.parametrize("lp_factor, swap", [(1, False), (2, True)], ids=["half_l_prime", "swap"])
+    @pytest.mark.parametrize("D", GAMMA0_DS)
+    def test_mutated_law_fails(self, D, lp_factor, swap):
+        """L'(0, chi) in place of 2 L'(0, chi), or the chi(d) cases swapped,
+        misses the law by far more than GAMMA0_TOL."""
+        assert _gamma0_worst(D, lp_factor, swap) > 1e3 * GAMMA0_TOL

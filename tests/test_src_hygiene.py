@@ -15,6 +15,12 @@ test_trace_targets reads them).
 cli reads no _-prefixed name of another hecke_eta module, by import or as
 an attribute: each layer's plans and cost models stay behind its public
 names, so that none of them is priced or decided in cli.
+
+cli has no cost model: it defines no top-level name that ends in _s or _mb
+or contains _PER_, and reads from another hecke_eta module no constant that
+ends in _S or contains _PER_.  Each layer's model (qseries.kernel_s,
+partitions.tables_s, ...) prices its whole command, and cli compares it with
+the budgets it keeps.
 """
 
 import ast
@@ -172,10 +178,10 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def private_reads(source: str) -> list[tuple[int, str]]:
-    """(line, name) for each _-prefixed name, dunders aside, that source
-    imports from a hecke_eta module or reads as an attribute of a hecke_eta
-    module it imports (from . import analytic; from hecke_eta import cli)."""
+def layer_reads(source: str, chosen) -> list[tuple[int, str]]:
+    """(line, name) for each name with chosen(name) that source imports from
+    a hecke_eta module or reads as an attribute of a hecke_eta module it
+    imports (from . import analytic; from hecke_eta import cli)."""
     tree = ast.parse(source)
     imports = [
         node for node in ast.walk(tree)
@@ -185,17 +191,17 @@ def private_reads(source: str) -> list[tuple[int, str]]:
     modules = {
         a.asname or a.name for n in imports if n.module in (None, "hecke_eta") for a in n.names
     }
-    reads = [(n.lineno, a.name) for n in imports for a in n.names if _private(a.name)]
+    reads = [(n.lineno, a.name) for n in imports for a in n.names if chosen(a.name)]
     reads += [
         (n.lineno, n.attr) for n in ast.walk(tree)
         if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
-        and n.value.id in modules and _private(n.attr)
+        and n.value.id in modules and chosen(n.attr)
     ]
     return sorted(reads)
 
 
 def test_cli_reads_no_private_name_of_a_layer():
-    assert private_reads((SRC / "cli.py").read_text()) == []
+    assert layer_reads((SRC / "cli.py").read_text(), _private) == []
 
 
 def test_detects_a_private_read():
@@ -208,5 +214,38 @@ def test_detects_a_private_read():
         "    from . import oracle as o\n"
         "    return analytic._plan, analytic.product_s, o._twist, analytic.__name__, obj._x\n"
     )
-    assert private_reads(source) == [(2, "_halve"), (3, "_norm"), (7, "_plan"), (7, "_twist")]
+    assert layer_reads(source, _private) == [(2, "_halve"), (3, "_norm"), (7, "_plan"), (7, "_twist")]
 
+
+
+def cost_models(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each top-level name source defines that ends in _s
+    or _mb or contains _PER_, and each constant it reads from a hecke_eta
+    module that ends in _S or contains _PER_."""
+    defined = [
+        (node.lineno, name) for node in ast.parse(source).body for name in _defined_names(node)
+        if name.endswith(("_s", "_mb")) or "_PER_" in name
+    ]
+    return sorted(defined + layer_reads(source, lambda name: name.endswith("_S") or "_PER_" in name))
+
+
+def test_cli_has_no_cost_model():
+    assert cost_models((SRC / "cli.py").read_text()) == []
+
+
+def test_detects_a_cost_model():
+    source = (
+        "from . import analytic\n"
+        "from .characters import TABLE_S_PER_D\n"
+        "LIMIT_PER_D = 2\n"
+        "TIME_BUDGET_S = 60\n"
+        "def _series_s(D, N):\n"
+        "    from .qseries import kernel_s\n"
+        "    return TABLE_S_PER_D * D + kernel_s(D, N)\n"
+        "def _partitions_mb(D, N):\n"
+        "    return analytic.points_floor_s(N) * analytic.PRODUCT_BASE_S\n"
+    )
+    assert cost_models(source) == [
+        (2, "TABLE_S_PER_D"), (3, "LIMIT_PER_D"), (5, "_series_s"), (8, "_partitions_mb"),
+        (9, "PRODUCT_BASE_S"),
+    ]
