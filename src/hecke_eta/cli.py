@@ -17,9 +17,12 @@ whole command; cli keeps only the budgets.  The grammar is one table,
 COMMANDS: _parse reads every command line from it and words its usage
 errors, and argparse is loaded, and built from it, only to print help.
 Rows go to stdout's own buffer, which main turns on for the command, so
-that they reach an unbuffered stdout in a few large writes.
+that they reach an unbuffered stdout in a few large writes.  Once a command
+has flushed its output, main freezes the garbage collector's heap, so that
+the interpreter exits without walking and freeing what start-up built.
 """
 
+import gc
 import math
 import os
 import sys
@@ -525,6 +528,8 @@ def _parse(argv) -> SimpleNamespace | str:
 
 
 def main(argv=None) -> int:
+    """Run argv (sys.argv[1:] by default) and return the exit code.  A command
+    that ran freezes the heap (gc.freeze), so that exit walks none of it."""
     args = _parse(sys.argv[1:] if argv is None else argv)
     if isinstance(args, str):
         return _usage_error(args)
@@ -547,6 +552,7 @@ def main(argv=None) -> int:
             sys.stdout.reconfigure(write_through=False, line_buffering=False)
         code = args.func(args)
         sys.stdout.flush()
+        gc.freeze()
     except BrokenPipeError:  # stdout closed early (| head): devnull takes the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return STDOUT_CLOSED

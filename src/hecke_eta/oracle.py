@@ -23,7 +23,7 @@ onto O_D.
 The results are the anti-bug cross-check for the Lambert-series recurrence
 in qseries: no divisor sums, no Lambert coefficients, no O_D arithmetic
 until the final projection; of qseries only the generic slot helpers
-(_bound_bytes, _max_abs, _bias, _pack, _unpack) are shared.
+(_conv_bytes, _max_abs, _bias, _pack, _unpack) are shared.
 """
 
 from math import log
@@ -31,7 +31,7 @@ from math import log
 from .characters import build_char_table
 from .cyclotomic import project_to_quad
 from .partitions import _euler_product, distinct_length_distribution, length_distribution
-from .qseries import _bias, _bound_bytes, _max_abs, _pack, _unpack
+from .qseries import _bias, _conv_bytes, _max_abs, _pack, _unpack
 from .quad_ring import RingElem, RingError
 
 
@@ -62,15 +62,18 @@ class CycSeries:
         hi_{-1}, and slot D - 1 of each hi_k, which would be degree 2D - 1.
         Row k of the product, c_k mod x^D - 1, is lo_k + hi_k: the rows of
         lo and hi are picked from the two halves by parity and added as
-        integers, so only the (prec + 1) D result slots are unpacked.  A slot
-        of W+ or W- sums at most (prec + 1) D products u_i[s] v_j[t], and so
-        does a result slot, so every slot stays below the width bound
-        2 (prec + 1) D max|u| max|v| of the sums.
+        integers, so only the (prec + 1) D result slots are unpacked.  Every
+        slot of lo_k, hi_k and lo_k + hi_k is at most
+        B_k = sum_{i+j=k} |u_i|_1 max|v_j|, as a slot of u_i meets at most one
+        of v_j in each.  Each slot of W+ + W- and W+ - W-, the only sums read,
+        holds 2 lo_k or 2 hi_{k-1} alone; their rows 0..prec + 1 are masked and
+        parity-checked, so the slots hold 2 B_k for k <= prec + 1 and the
+        operands (_conv_bytes), and slots above the mask only carry upward.
         """
         D, N = self.D, self.prec
         u, v = self.coeffs, other.coeffs[: N + 1]
         n = (N + 1) * D
-        wb = _bound_bytes(2 * n, _max_abs(*u), _max_abs(*v))
+        wb = _conv_bytes([2 * sum(map(abs, row)) for row in u], list(map(_max_abs, v)), N + 2)
         row_bits = 8 * wb * D
         even = _even_rows(wb * D, N + 2)
         u_pos, u_neg = _pack_pm(u, wb, even)
@@ -172,11 +175,11 @@ def _norm(G: CycSeries, H: list[int]) -> CycSeries:
 def _times_int_series(rows: list[list[int]], base: list[int], D: int) -> list[list[int]]:
     """Rows 0..N of a model-ring series times the integer series base, of
     the same length, by one integer product: base has no zeta part, so
-    packed with slots D times as wide it sits at row stride D, meets every
-    slot of the unpadded rows alone, and no slot sums more than N + 1
-    products."""
+    packed with slots D times as wide it sits at row stride D and meets
+    every slot of the unpadded rows alone.  Slot s of row k is at most
+    sum_{i+j=k} max|rows_i| |base_j|, and slots past row N only carry upward."""
     n = len(rows) * D
-    wb = _bound_bytes(len(rows), _max_abs(*rows), _max_abs(base))
+    wb = _conv_bytes(list(map(_max_abs, rows)), list(map(abs, base)), len(rows))
     slots = _unpack(_pack([c for row in rows for c in row], wb) * _pack(base, wb * D), wb, 0, n)
     return [slots[o : o + D] for o in range(0, n, D)]
 
@@ -220,11 +223,12 @@ def compare_s(D: int, N: int) -> float:
     with log D.  It was fitted, with a 1.2x margin for the spread of
     repeated runs, to the 45 runs, D 5..100049, N 1..5000, up to 157 s and
     93 MB, that took at least 1 s as single products of (N + 1)(2D - 1)
-    zero-padded slots, so it over-predicts the two-point products 1.6-3.8x:
-    end to end with the time budget (and at D = 100049 the --D cap) lifted,
-    in s measured/predicted by (D, N): (5, 5000) 31/60, (13, 2000) 40/84,
-    (41, 800) 55/151, (101, 400) 59/221, (293, 20) 0.51-0.74/1.8, (293, 80)
-    10-14/46, (1009, 40) 39/93, (4845, 10) 25/54, (10001, 10) 119/194,
-    (30005, 3) 38/76, (88577, 1) 33/60, (100049, 1) 40/73.  The constant
-    stays: the --D cap of oracle-check rests on its refusing N = 1 past it."""
+    zero-padded slots, so it over-predicts 3.9-9.3x the two-point products
+    with slots sized by the largest sum they keep: end to end with the time
+    budget (and above 88577 the --D cap) lifted, in s measured/predicted by
+    (D, N): (5, 5000) 15/60, (13, 2000) 15/84, (41, 800) 24/151, (101, 400)
+    24/221, (293, 20) 0.43/1.8, (293, 80) 4.9-5.2/46, (1009, 40) 13/93,
+    (4845, 10) 8.0/54, (10001, 10) 39/194, (30005, 3) 14/76, (88577, 1)
+    13/60, (100049, 1) 15/73.  The constant stays: the --D cap of
+    oracle-check rests on its refusing N = 1 past it."""
     return 2.1e-7 * D**1.53 * (N + 1) ** (1.84 + 0.097 * log(D))

@@ -23,8 +23,9 @@ It runs on plain numerator pairs, not RingElem objects, and also expands
 the period polynomials; every division by k must be exact, so a wrong
 b(k), character value or sign convention for sqrt(D) raises RingError
 instead of returning coefficients.  The Kronecker slot format has one owner
-here (_bound_bytes, _pack, _unpack) and _pair_product is its one packed
-product; the oracle and the period-polynomial norm check pack with it too.
+here (_bound_bytes, _conv_bytes, _pack, _unpack) and _pair_product is its
+one packed product; the oracle and the period-polynomial norm check pack
+with it too.
 """
 
 from collections import namedtuple
@@ -77,6 +78,14 @@ def _bound_bytes(*bounds: int) -> int:
     at most the product of the nonnegative bounds: that product is below
     2^(w-1) when w covers their bit lengths plus a sign bit."""
     return (sum(b.bit_length() for b in bounds) + 8) // 8
+
+
+def _conv_bytes(x, y, rows: int) -> int:
+    """Byte width of a Kronecker slot that holds every x_i, y_j and
+    sum_{i+j=k} x_i y_j, k < rows, for nonempty x, y of nonnegative ints:
+    the sums are the slots of one Kronecker product."""
+    wb = _bound_bytes(min(len(x), len(y)), max(x), max(y))
+    return _bound_bytes(max(*_unpack(_pack(x, wb) * _pack(y, wb), wb, 0, rows), *x, *y))
 
 
 def _max_abs(*seqs) -> int:
@@ -145,11 +154,15 @@ def _pair_product(P, Q, A, B, D: int, lo: int, hi: int, wb: int):
 
 def _mul_pairs(A1, B1, A2, B2, D: int, N: int) -> tuple[list[int], list[int]]:
     """Truncated product of two numerator-pair series (denominator 2); a
-    shorter operand reads as zero-padded."""
+    shorter operand reads as zero-padded.  Slot k <= N of X or Y is at most
+    sum_{i+j=k} (|A1_i| + D |B1_i|)(|A2_j| + |B2_j|); slots past N only carry
+    upward, out of the slots _unpack keeps."""
     A1, B1, A2, B2 = A1[: N + 1], B1[: N + 1], A2[: N + 1], B2[: N + 1]
     if not A1 or not A2:
         return [0] * (N + 1), [0] * (N + 1)
-    A, B = _pair_product(A1, B1, A2, B2, D, 0, N + 1, _slot_bytes(A1, B1, A2, B2, D))
+    x = [abs(a) + D * abs(b) for a, b in zip(A1, B1)]
+    wb = _conv_bytes(x, [abs(a) + abs(b) for a, b in zip(A2, B2)], N + 1)
+    A, B = _pair_product(A1, B1, A2, B2, D, 0, N + 1, wb)
     return [_halve(a) for a in A], [_halve(b) for b in B]
 
 

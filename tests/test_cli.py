@@ -1108,6 +1108,28 @@ class TestEntryPoint:
         rec = json.loads(proc.stdout)
         assert rec["D"] == 13
 
+    @pytest.mark.parametrize(
+        "argv, code", [(["chars", "--D", "5"], 0), (["coeffs", "--D", "5"], 2)], ids=["ran", "usage"]
+    )
+    def test_command_freezes_the_heap(self, argv, code):
+        """A command that ran leaves every object start-up and the command
+        built frozen, at least as many as the collector still tracks, so
+        that exit walks none of them; a usage error freezes nothing.  A fresh
+        interpreter, since an earlier test may have frozen this one's."""
+        script = (
+            "import gc, sys\nfrom hecke_eta.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, gc.get_freeze_count(), len(gc.get_objects()), file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        got, frozen, tracked = map(int, proc.stderr.split()[-3:])
+        assert got == code
+        if code == 0:
+            assert frozen >= tracked and frozen > 0
+        else:
+            assert frozen == 0 < tracked
+
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize(
         "entry",

@@ -185,15 +185,55 @@ class TestPackedProduct:
     @pytest.mark.parametrize("bits", range(296, 304))
     def test_extreme_slots(self, D, prec, bits):
         """Every coefficient at -(2^bits - 1) on one side and both signs on
-        the other, so lo_prec, the last row's slots 0..D-1 of the row
-        product, reaches (prec + 1) D max|u| max|v| in its last slot, and
-        twice that, the width bound, in the sum W+ + W- or W+ - W- that
-        holds it: which one is set by the parity of prec, so both an odd and
-        an even row count are covered.  Eight consecutive widths cover
-        every rounding of the bound to whole bytes."""
+        the other.  Then B_k, the slot bound sum_{i+j=k} |u_i|_1 max|v_j|,
+        is largest at k = prec, where lo_prec reaches it in its slot D - 1,
+        and 2 B_prec, the bound the width is taken from, is reached in the
+        sum W+ + W- or W+ - W- that holds lo_prec: which one is set by the
+        parity of prec, so both an odd and an even row count are covered.
+        Eight consecutive widths cover every rounding of the bound to whole
+        bytes."""
         M = 2**bits - 1
         f = _constant_series(D, prec, -M)
         for g in (_constant_series(D, prec, -M), _constant_series(D, prec, M)):
+            assert f.mul_dense(g).coeffs == mul_dense_plain(f, g).coeffs
+
+    @pytest.mark.parametrize("D, prec", [(5, 0), (5, 7), (13, 3), (41, 2)])
+    @pytest.mark.parametrize("bits", range(296, 304))
+    def test_slots_reach_the_bound_at_row_zero(self, D, prec, bits):
+        """Rows that shrink 2^16-fold from one to the next, so 2 B_0 is the
+        largest bound, reached by 2 lo_0 in slot D - 1 of W+ + W-.  Only u's
+        width steps with bits, so eight widths put the bound at every bit
+        of a byte."""
+        f = CycSeries(D, [[-((2**bits - 1) >> 16 * i)] * D for i in range(prec + 1)])
+        for sign in (1, -1):
+            g = CycSeries(D, [[sign * ((2**300 - 1) >> 16 * i)] * D for i in range(prec + 1)])
+            assert f.mul_dense(g).coeffs == mul_dense_plain(f, g).coeffs
+
+    @pytest.mark.parametrize("D, prec", [(5, 1), (5, 6), (13, 3), (41, 2)])
+    @pytest.mark.parametrize("bits", range(296, 304))
+    def test_slots_reach_the_bound_past_the_last_row(self, D, prec, bits):
+        """A big last row of u times a big row 1 of v: every other row is
+        ones, so B_{prec+1} is the largest bound by far, and lo_{prec+1},
+        which row prec + 1 of the masked sums holds but the product drops,
+        reaches it in slot D - 1 where row 1 is constant.  A width without
+        row prec + 1 overflows the slots of that row; where row 1 is random,
+        the carries make some slot odd for the parity check (constant rows
+        carry even amounts)."""
+        f = CycSeries(D, [[1] * D] * prec + [[-(2**bits - 1)] * D])
+        rng = random.Random(D + prec + bits)
+        randoms = [[rng.randrange(1 - 2**300, 2**300) for _ in range(D)] for _ in range(3)]
+        for row in [[2**300 - 1] * D, [1 - 2**300] * D, *randoms]:
+            g = CycSeries(D, [[1] * D, row] + [[1] * D] * (prec - 1))
+            assert f.mul_dense(g).coeffs == mul_dense_plain(f, g).coeffs
+
+    @pytest.mark.parametrize("D, prec", [(5, 2), (13, 5), (41, 3)])
+    def test_operands_wider_than_every_sum(self, D, prec):
+        """A big row meets only rows of the other side that are zero or past
+        row prec + 1, so max|u| or max|v| alone sets the width: with the
+        bound of the sums alone, the big row does not fit its slots."""
+        big = CycSeries(D, [[1] * D] * prec + [[-(2**300 - 1)] * D])
+        late = CycSeries(D, [[0] * D] * 2 + [[1] * D] * (prec - 1))
+        for f, g in ((big, late), (late, big)):
             assert f.mul_dense(g).coeffs == mul_dense_plain(f, g).coeffs
 
     def test_zero_operands(self):
@@ -310,12 +350,33 @@ class TestNorm:
     @pytest.mark.parametrize("bits", range(296, 304))
     def test_times_int_series_extreme_slots(self, D, N, bits):
         """Every coefficient at -(2^bits - 1) on one side and at either sign
-        on the other, so the last row reaches the width bound (N + 1) max|u|
-        max|v| in magnitude; eight consecutive widths cover every rounding
-        of the bound to whole bytes."""
+        on the other, so each slot of the last row reaches the largest
+        bound, sum_{i+j=N} max|rows_i| |base_j| = (N + 1) M^2, in magnitude;
+        eight consecutive widths cover every rounding of the bound to whole
+        bytes."""
         M = 2**bits - 1
         rows = _constant_series(D, N, -M).coeffs
         for base in ([-M] * (N + 1), [M] * (N + 1)):
+            assert oracle._times_int_series(rows, base, D) == self._times_int_series_plain(rows, base)
+
+    @pytest.mark.parametrize("D, N", [(5, 1), (5, 12), (13, 4)])
+    @pytest.mark.parametrize("bits", range(296, 304))
+    def test_times_int_series_bound_in_the_last_row(self, D, N, bits):
+        """Rows that are zero but for the last, times base that is zero but
+        for base_0: only row N holds a sum, and it reaches its bound."""
+        rows = [[0] * D] * N + [[-(2**bits - 1)] * D]
+        for base in ([2**300 - 1] + [0] * N, [1 - 2**300] + [0] * N):
+            assert oracle._times_int_series(rows, base, D) == self._times_int_series_plain(rows, base)
+
+    @pytest.mark.parametrize("D, N", [(5, 2), (13, 4)])
+    def test_times_int_series_operands_wider_than_every_sum(self, D, N):
+        """A big last row times base with base_0 = 0, and a big base_1 times
+        rows that are zero but for the last: no sum meets the big operand,
+        which alone sets the width."""
+        big = 2**300 - 1
+        cases = [([[1] * D] * N + [[-big] * D], [0] + [1] * N),
+                 ([[0] * D] * N + [[1] * D], [1, big] + [1] * (N - 1))]
+        for rows, base in cases:
             assert oracle._times_int_series(rows, base, D) == self._times_int_series_plain(rows, base)
 
 

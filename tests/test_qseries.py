@@ -271,6 +271,23 @@ class TestPairProduct:
             Y[lo:] + [0] * 4,
         )
 
+    @pytest.mark.parametrize("D", [5, 4_000_001])
+    @pytest.mark.parametrize("N", [0, 1, 6])
+    @pytest.mark.parametrize("pattern", [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0)])
+    @pytest.mark.parametrize("bits", range(196, 204))
+    def test_mul_pairs_reaches_its_slot_bound(self, D, N, pattern, bits):
+        """The last row of one factor times row 0 of the other, with one
+        numerator nonzero on each side: slot N of X or Y is then exactly
+        its bound sum_{i+j=N} (|A1_i| + D |B1_i|)(|A2_j| + |B2_j|), and every
+        earlier slot is zero.  Eight widths put the bound at every bit of a
+        byte; M is even, so the products halve."""
+        M = 2**bits - 2
+        a1, b1, a2, b2 = (M * p for p in pattern)
+        for sign in (1, -1):
+            A1, B1 = [0] * N + [sign * a1], [0] * N + [sign * b1]
+            A2, B2 = [a2] + [0] * N, [b2] + [0] * N
+            assert qseries._mul_pairs(A1, B1, A2, B2, D, N) == mul_pairs_plain(A1, B1, A2, B2, D, N)
+
     @settings(max_examples=50, deadline=None)
     @given(
         D=st.sampled_from([5, 13, 4_000_001]),
