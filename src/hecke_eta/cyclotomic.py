@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from .characters import _prime_row_product, euler_phi, moebius
 from .partitions import _euler_product
-from .qseries import _bound_bytes, _max_abs, _pack, _slot_bytes, euler_transform
+from .qseries import _bound_bytes, _norm_bytes, _pack, _pair_norms, euler_transform
 from .quad_ring import RingElem
 
 
@@ -128,7 +128,7 @@ def period_polynomials(chi) -> PeriodPair:
     the guards on both: constant term 1 and f_plus * f_minus = Phi_D, read
     as A*A - D B*B = 4 Phi_D on the numerator pairs and checked as one
     integer identity at x = 2^(8 wb): slots of wb bytes hold every
-    coefficient of both sides (the bound of _slot_bytes) below half the
+    coefficient of both sides (by the _pair_norms of A, B) below half the
     base, so pa^2 - D pb^2 equals the packed 4 Phi_D exactly when the
     coefficients agree.  chi is the row of build_char_table, D = len(chi)."""
     D = len(chi)
@@ -137,7 +137,7 @@ def period_polynomials(chi) -> PeriodPair:
     if A[0] != 2 or B[0] != 0:
         raise ProjectionError("period polynomial constant term is not 1")
     norm = [4 * c for c in _cyclotomic_coeffs(D)]
-    wb = max(_slot_bytes(A, B, A, B, D), _bound_bytes(_max_abs(norm)))
+    wb = max(_norm_bytes(*_pair_norms(A, B, A, B, D)), _bound_bytes(max(map(abs, norm))))
     pa, pb = _pack(A, wb), _pack(B, wb)
     if pa * pa - D * (pb * pb) != _pack(norm, wb):
         raise ProjectionError("f_plus * f_minus is not the cyclotomic polynomial Phi_D")

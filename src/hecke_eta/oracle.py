@@ -23,7 +23,7 @@ onto O_D.
 The results are the anti-bug cross-check for the Lambert-series recurrence
 in qseries: no divisor sums, no Lambert coefficients, no O_D arithmetic
 until the final projection; of qseries only the generic slot helpers
-(_conv_bytes, _max_abs, _bias, _pack, _unpack) are shared.
+(_conv_bytes, _bias, _pack, _unpack) are shared.
 """
 
 from math import log
@@ -31,7 +31,7 @@ from math import log
 from .characters import build_char_table
 from .cyclotomic import project_to_quad
 from .partitions import _euler_product, distinct_length_distribution, length_distribution
-from .qseries import _bias, _conv_bytes, _max_abs, _pack, _unpack
+from .qseries import _bias, _conv_bytes, _pack, _unpack
 from .quad_ring import RingElem, RingError
 
 
@@ -73,7 +73,8 @@ class CycSeries:
         D, N = self.D, self.prec
         u, v = self.coeffs, other.coeffs[: N + 1]
         n = (N + 1) * D
-        wb = _conv_bytes([2 * sum(map(abs, row)) for row in u], list(map(_max_abs, v)), N + 2)
+        norms = [2 * sum(map(abs, row)) for row in u]
+        wb = _conv_bytes(norms, [max(map(abs, row)) for row in v], N + 2)
         row_bits = 8 * wb * D
         even = _even_rows(wb * D, N + 2)
         u_pos, u_neg = _pack_pm(u, wb, even)
@@ -179,7 +180,7 @@ def _times_int_series(rows: list[list[int]], base: list[int], D: int) -> list[li
     every slot of the unpadded rows alone.  Slot s of row k is at most
     sum_{i+j=k} max|rows_i| |base_j|, and slots past row N only carry upward."""
     n = len(rows) * D
-    wb = _conv_bytes(list(map(_max_abs, rows)), list(map(abs, base)), len(rows))
+    wb = _conv_bytes([max(map(abs, row)) for row in rows], list(map(abs, base)), len(rows))
     slots = _unpack(_pack([c for row in rows for c in row], wb) * _pack(base, wb * D), wb, 0, n)
     return [slots[o : o + D] for o in range(0, n, D)]
 

@@ -23,9 +23,8 @@ It runs on plain numerator pairs, not RingElem objects, and also expands
 the period polynomials; every division by k must be exact, so a wrong
 b(k), character value or sign convention for sqrt(D) raises RingError
 instead of returning coefficients.  The Kronecker slot format has one owner
-here (_bound_bytes, _conv_bytes, _pack, _unpack) and _pair_product is its
-one packed product; the oracle and the period-polynomial norm check pack
-with it too.
+here (_pack, _unpack) and one slot bound, _norm_bytes, which _conv_bytes
+narrows to the sums kept; every packed product in the package sizes by them.
 """
 
 from collections import namedtuple
@@ -73,34 +72,32 @@ def _halve(n: int) -> int:
     return q
 
 
-def _bound_bytes(*bounds: int) -> int:
+def _bound_bytes(bound: int) -> int:
     """Byte width of a Kronecker slot that holds every integer of magnitude
-    at most the product of the nonnegative bounds: that product is below
-    2^(w-1) when w covers their bit lengths plus a sign bit."""
-    return (sum(b.bit_length() for b in bounds) + 8) // 8
+    at most bound >= 0: its bit length plus a sign bit."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _norm_bytes(x, y) -> int:
+    """Byte width of a Kronecker slot that holds every x_i, y_j and
+    sum_{i+j=k} x_i y_j, for nonempty x, y of nonnegative ints: each such sum
+    is at most max(x) sum(y) and sum(x) max(y)."""
+    mx, my = max(x), max(y)
+    return _bound_bytes(max(min(mx * sum(y), sum(x) * my), mx, my))
 
 
 def _conv_bytes(x, y, rows: int) -> int:
     """Byte width of a Kronecker slot that holds every x_i, y_j and
     sum_{i+j=k} x_i y_j, k < rows, for nonempty x, y of nonnegative ints:
-    the sums are the slots of one Kronecker product."""
-    wb = _bound_bytes(min(len(x), len(y)), max(x), max(y))
+    the sums are the slots of one Kronecker product, sized by _norm_bytes."""
+    wb = _norm_bytes(x, y)
     return _bound_bytes(max(*_unpack(_pack(x, wb) * _pack(y, wb), wb, 0, rows), *x, *y))
 
 
-def _max_abs(*seqs) -> int:
-    return max(max(max(s), -min(s)) for s in seqs)
-
-
-def _slot_bytes(P, Q, A, B, D: int) -> int:
-    """Byte width of a Kronecker slot that holds every coefficient of
-    X = P A + D Q B and Y = P B + Q A, for nonempty P, Q of one length and
-    A, B of one length.
-
-    A coefficient sums at most n = min(len P, len A) products, so
-    |X_k| <= n max|P,Q| max|A,B| (1 + D) and |Y_k| <= 2 n max|P,Q| max|A,B|.
-    """
-    return _bound_bytes(min(len(P), len(A)), _max_abs(P, Q), _max_abs(A, B), D + 1)
+def _pair_norms(P, Q, A, B, D: int) -> tuple[list[int], list[int]]:
+    """x_j = |P_j| + D |Q_j| and y_i = |A_i| + |B_i|, which bound the operands
+    and every coefficient of P A +- D Q B and P B + Q A by sum_{i+j=k} x_j y_i."""
+    return [abs(p) + D * abs(q) for p, q in zip(P, Q)], [abs(a) + abs(b) for a, b in zip(A, B)]
 
 
 def _bias(wb: int, n: int) -> int:
@@ -134,7 +131,7 @@ def _pair_product(P, Q, A, B, D: int, lo: int, hi: int, wb: int):
     """Coefficients lo..hi-1 of X = P A + D Q B and Y = P B + Q A, the
     numerator-pair product (P + Q sqrt(D))(A + B sqrt(D)) before halving.
 
-    Kronecker substitution with slots of wb bytes (from _slot_bytes): each
+    Kronecker substitution with slots of wb bytes (by _pair_norms): each
     operand becomes one integer, and three integer products PA, QB and
     (P + Q)(A + B) give both X and Y.  The packed operands are dropped once
     their sums are formed, and PA, QB once X and PA + QB are, so that only
@@ -154,14 +151,13 @@ def _pair_product(P, Q, A, B, D: int, lo: int, hi: int, wb: int):
 
 def _mul_pairs(A1, B1, A2, B2, D: int, N: int) -> tuple[list[int], list[int]]:
     """Truncated product of two numerator-pair series (denominator 2); a
-    shorter operand reads as zero-padded.  Slot k <= N of X or Y is at most
-    sum_{i+j=k} (|A1_i| + D |B1_i|)(|A2_j| + |B2_j|); slots past N only carry
-    upward, out of the slots _unpack keeps."""
+    shorter operand reads as zero-padded.  Slots past N, the largest sum of
+    _pair_norms that _conv_bytes sizes for, only carry upward, out of the
+    slots _unpack keeps."""
     A1, B1, A2, B2 = A1[: N + 1], B1[: N + 1], A2[: N + 1], B2[: N + 1]
     if not A1 or not A2:
         return [0] * (N + 1), [0] * (N + 1)
-    x = [abs(a) + D * abs(b) for a, b in zip(A1, B1)]
-    wb = _conv_bytes(x, [abs(a) + abs(b) for a, b in zip(A2, B2)], N + 1)
+    wb = _conv_bytes(*_pair_norms(A1, B1, A2, B2, D), N + 1)
     A, B = _pair_product(A1, B1, A2, B2, D, 0, N + 1, wb)
     return [_halve(a) for a in A], [_halve(b) for b in B]
 
@@ -266,7 +262,7 @@ def _block(P, Q, D, A, B, l: int, m: int, r: int) -> bool:
     b = B[l:m]
     p = P[: r - l - 1]
     q = Q[: r - l - 1]
-    wb = _slot_bytes(p, q, a, b, D)
+    wb = _norm_bytes(*_pair_norms(p, q, a, b, D))
     if not _kronecker_pays(m - l, wb):
         return False
     xs, ys = _pair_product(p, q, a, b, D, m - l - 1, r - l - 1, wb)

@@ -100,3 +100,40 @@ def test_runs_alternate_and_every_run_is_written(tool, monkeypatch, tmp_path, ca
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "seed 3 pair 0 (parent first): parent 0/37 failed, change 1/37 failed"
     assert len(lines) == 6 + len(END_TO_END)
+
+
+# PARENT's IQR is 1.75 / 11.25 = 15.6 % of its median
+WIDE = {**HIGHER, "bound": 0.15}
+
+
+@pytest.mark.parametrize("metric, verdict", [(HIGHER, "within"), (WIDE, "unresolved")])
+def test_spread_wider_than_the_bound_is_unresolved(tool, metric, verdict):
+    """An unchanged metric reads within a bound wider than the parent's
+    spread, and unresolved under a narrower one."""
+    (row,) = tool.summarize(_runs(PARENT, PARENT), [metric])
+    assert row["spread"] == pytest.approx(1.75 / 11.25)
+    assert row["verdict"] == verdict
+    assert f"bound {metric['bound']:.0%}: {verdict}, parent IQR 15.6% of median" in tool.report(row)
+
+
+@pytest.mark.parametrize("metric, step", [(WIDE, 3.1), ({**LOWER, "bound": 0.15}, -3.1)])
+def test_every_change_run_better_resolves_a_wide_spread(tool, metric, step):
+    """Past the parent's range (10.0 to 13.0) in the metric's direction,
+    every change run beats every parent run, and the verdict stands."""
+    (row,) = tool.summarize(_runs(PARENT, [p + step for p in PARENT]), [metric])
+    assert row["verdict"] == "within"
+
+
+def test_one_change_run_inside_the_parents_range_leaves_it_unresolved(tool):
+    change = [p + 3.1 for p in PARENT]
+    change[0] = 12.9  # below the parent's best run, 13.0
+    (row,) = tool.summarize(_runs(PARENT, change), [WIDE])
+    assert row["verdict"] == "unresolved"
+
+
+@pytest.mark.parametrize("metric", [HIGHER, WIDE])
+def test_worse_reads_worse_whatever_the_spread(tool, metric):
+    """A median worse by more than the bound reads WORSE, under a bound
+    wider and one narrower than the parent's spread."""
+    (row,) = tool.summarize(_runs(PARENT, [p * 0.7 for p in PARENT]), [metric])
+    assert row["verdict"] == "WORSE" and not row["within_bound"]

@@ -400,8 +400,9 @@ class TestNormIdentity:
         """The one slot width of the check keeps every coefficient of
         A*A - D B*B (by a double loop) and of 4 Phi_D below half the base,
         where equal packed integers mean equal coefficients; so it does for
-        any A, B of the same length and largest magnitude M, whose
-        coefficients are at most len(A) M^2 (1 + D)."""
+        any A, B with the same norms x_i = |A_i| + D |B_i| and
+        y_j = |A_j| + |B_j|, whose coefficients are at most
+        min(max x sum y, sum x max y)."""
         widths = []
         pack = cyclotomic._pack
 
@@ -422,5 +423,6 @@ class TestNormIdentity:
         assert len(widths) == 3 and len(set(widths)) == 1
         half_base = 2 ** (8 * widths[0] - 1)
         assert max(map(abs, norm + target)) < half_base
-        M = max(map(abs, A + B))
-        assert len(A) * M * M * (1 + D) < half_base
+        x = [abs(a) + D * abs(b) for a, b in zip(A, B)]
+        y = [abs(a) + abs(b) for a, b in zip(A, B)]
+        assert min(max(x) * sum(y), sum(x) * max(y)) < half_base

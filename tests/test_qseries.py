@@ -12,8 +12,9 @@ from oracles import (
     mul_pairs_plain,
 )
 
-from hecke_eta import qseries
+from hecke_eta import cyclotomic, oracle, qseries
 from hecke_eta.characters import build_char_table, euler_phi
+from hecke_eta.cli import main as cli_main
 from hecke_eta.lseries import m_exponent
 from hecke_eta.cyclotomic import _trace_weights
 from hecke_eta.golden import COEFF_TABLE, TAU5_TABLE
@@ -249,6 +250,9 @@ def _schoolbook(P, Q, A, B, D):
     return X, Y
 
 
+_SIGNED = st.one_of(st.integers(-(2**16), 2**16), st.integers(-(2**130), 2**130))
+
+
 class TestPairProduct:
     """The Kronecker block product at the edge of its slot bound."""
 
@@ -262,7 +266,7 @@ class TestPairProduct:
         P, Q = [sp * M] * n1, [sq * M] * n1
         A, B = [sa * M] * n2, [sb * M] * n2
         X, Y = _schoolbook(P, Q, A, B, D)
-        wb = qseries._slot_bytes(P, Q, A, B, D)
+        wb = qseries._norm_bytes(*qseries._pair_norms(P, Q, A, B, D))
         assert qseries._pair_product(P, Q, A, B, D, 0, n1 + n2 - 1, wb) == (X, Y)
         # a middle window, and slots past the product read as zero
         lo, hi = n1 // 2, n1 + n2 + 3
@@ -270,6 +274,60 @@ class TestPairProduct:
             X[lo:] + [0] * 4,
             Y[lo:] + [0] * 4,
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        D=st.sampled_from([5, 4_000_001]),
+        left=st.lists(st.tuples(_SIGNED, _SIGNED), min_size=1, max_size=20),
+        right=st.lists(st.tuples(_SIGNED, _SIGNED), min_size=1, max_size=20),
+        window=st.tuples(st.integers(0, 45), st.integers(0, 45)),
+    )
+    def test_norm_width_matches_schoolbook(self, D, left, right, window):
+        """Slots sized by _norm_bytes of the pair norms give every window
+        [lo, hi) of the product, zeros past its end."""
+        (P, Q), (A, B) = map(list, zip(*left)), map(list, zip(*right))
+        lo, hi = sorted(window)
+        X, Y = _schoolbook(P, Q, A, B, D)
+        wb = qseries._norm_bytes(*qseries._pair_norms(P, Q, A, B, D))
+        pad = [0] * hi
+        assert qseries._pair_product(P, Q, A, B, D, lo, hi, wb) == ((X + pad)[lo:hi], (Y + pad)[lo:hi])
+
+    @pytest.mark.parametrize("D", [5, 4_000_001])
+    @pytest.mark.parametrize("pattern", [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1)])
+    @pytest.mark.parametrize("flat", ["left", "right"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("bits", range(196, 204))
+    def test_largest_slot_meets_the_norm_bound(self, D, pattern, flat, sign, bits):
+        """One operand flat at M, the other 1, 2, 3: with one numerator
+        nonzero on each side, the middle slot of X or Y is exactly
+        +-min(max x sum y, sum x max y), in the orientation the flat side
+        picks, and no slot is larger.  Eight widths put that bound at every
+        bit of a byte, so a slot one byte narrower overflows."""
+        M = 2**bits - 1
+        flat_side, ramp = [M] * 3, [1, 2, 3]
+        left, right = (flat_side, ramp) if flat == "left" else (ramp, flat_side)
+        p, q, a, b = pattern
+        P, Q = [sign * p * c for c in left], [sign * q * c for c in left]
+        A, B = [a * c for c in right], [b * c for c in right]
+        X, Y = _schoolbook(P, Q, A, B, D)
+        x, y = qseries._pair_norms(P, Q, A, B, D)
+        bound = min(max(x) * sum(y), sum(x) * max(y))
+        # P meets A (or Q meets B) in X, P meets B in Y
+        assert max(map(abs, X + Y)) == bound == sign * (X if p == a else Y)[2]
+        wb = qseries._norm_bytes(x, y)
+        assert qseries._pair_product(P, Q, A, B, D, 0, 5, wb) == (X, Y)
+        assert qseries._pair_product(P, Q, A, B, D, 2, 3, wb) == (X[2:3], Y[2:3])
+
+    @pytest.mark.parametrize("zero", ["left", "right"])
+    def test_zero_operand(self, zero):
+        """All norms of one side are 0: the slot still holds the other
+        side's entries, and the product is zero."""
+        big = [2**200 - 1, -(2**200) + 1, 0]
+        ops = [[0, 0], [0, 0], big, big[::-1]]
+        P, Q, A, B = ops if zero == "left" else ops[2:] + ops[:2]
+        wb = qseries._norm_bytes(*qseries._pair_norms(P, Q, A, B, 5))
+        assert wb == 26
+        assert qseries._pair_product(P, Q, A, B, 5, 0, 4, wb) == ([0] * 4, [0] * 4)
 
     @pytest.mark.parametrize("D", [5, 4_000_001])
     @pytest.mark.parametrize("N", [0, 1, 6])
@@ -302,6 +360,46 @@ class TestPairProduct:
         A2 = [a + b % 2 - a % 2 for a, b in g]
         B2 = [b for _, b in g]
         assert qseries._mul_pairs(A1, B1, A2, B2, D, N) == mul_pairs_plain(A1, B1, A2, B2, D, N)
+
+
+class TestOneSlotBound:
+    """Every Kronecker slot width in src is one that _norm_bytes or
+    _conv_bytes returned: the oracle's integer base alone packs at D times
+    such a width, to sit at row stride D."""
+
+    @pytest.mark.parametrize(
+        "argv, stride",
+        [
+            (["coeffs", "--D", "13", "--N", "300"], 1),
+            (["periods", "--D", "101"], 1),
+            (["oracle-check", "--D", "21", "--N", "40"], 21),
+        ],
+    )
+    def test_every_pack_width_is_a_returned_bound(self, monkeypatch, capsys, argv, stride):
+        returned, packed = [], []
+        qseries_pack = qseries._pack
+
+        def record(fn):
+            def wrapped(*args):
+                returned.append(fn(*args))
+                return returned[-1]
+
+            return wrapped
+
+        def pack(seq, wb):
+            packed.append(wb)
+            return qseries_pack(seq, wb)
+
+        for module in (qseries, cyclotomic, oracle):
+            for name in ("_norm_bytes", "_conv_bytes"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, record(getattr(module, name)))
+            monkeypatch.setattr(module, "_pack", pack)
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert packed and returned
+        widths = set(returned)
+        assert {w for w in packed if w not in widths} <= {stride * w for w in widths}
 
 
 def _pairs(series):
@@ -393,3 +491,95 @@ class TestInversionAtI:
         s1, s2 = self._sums(D)
         assert _z_i_residual(D, s1, [-b for b in s2]) > 1e-3
         assert _z_i_residual(D, s1, s1) > 1e-3
+
+
+def _factor(k):
+    """(p, e) for each prime power p^e that exactly divides k."""
+    out, p = [], 2
+    while p * p <= k:
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(k, 1)] * (k > 1)
+
+
+def _prime_power_sums(p, e, c):
+    """(s1(p^e), s2(p^e)) in closed form for chi(p) = c: both are
+    sigma(p^e) where c = 1; s2 is the alternating sum p^e - p^(e-1) + ...
+    = (p^(e+1) + (-1)^e)/(p + 1) and s1 = (-1)^e s2 where c = -1; and where
+    p | D only d = 1 counts in s1 and d = p^e in s2."""
+    if c == 1:
+        s = (p ** (e + 1) - 1) // (p - 1)
+        return s, s
+    if c == -1:
+        s = (p ** (e + 1) + (-1) ** e) // (p + 1)
+        return (-1) ** e * s, s
+    return 1, p**e
+
+
+def _sums_by_closed_forms(D, K, forms):
+    """s1(k), s2(k) for k = 1..K as products of forms(p, e, chi(p)) over the
+    prime powers of k: both sums are multiplicative."""
+    chi = build_char_table(D)
+    s1, s2 = [], []
+    for k in range(1, K + 1):
+        a = b = 1
+        for p, e in _factor(k):
+            x, y = forms(p, e, chi[p % D])
+            a *= x
+            b *= y
+        s1.append(a)
+        s2.append(b)
+    return s1, s2
+
+
+def _sign(x, y, D):
+    """The sign of x + y sqrt(D), exactly, for non-square D: where x and y
+    differ in sign, the larger of x^2 and D y^2 decides."""
+    if x * y >= 0:
+        return (x > 0) - (x < 0) or (y > 0) - (y < 0)
+    return (x > 0) - (x < 0) if x * x > D * y * y else (y > 0) - (y < 0)
+
+
+class TestConjugatePositivity:
+    """sigma'(a_D(N)) > 0 for every N and D, sigma' the embedding that maps
+    sqrt(D) to -sqrt(D) (the proof is in README): sigma'(b(k)) =
+    sqrt(D) s2(k) - s1(k) >= (sqrt(D) - 1) s2(k) > 0, as s1 and s2 are
+    multiplicative with |s1| <= s2 at every prime power, and then
+    k a(k) = sum_j b(j) a(k - j), a(0) = 1, keeps every sigma'(a(k)) positive."""
+
+    CLOSED_D = (5, 13, 21, 105, 1001)
+    K_CLOSED = 2000
+    K_BOUND = 3000
+
+    @pytest.mark.parametrize("D", CLOSED_D)
+    def test_closed_forms_at_prime_powers(self, D):
+        chi = build_char_table(D)
+        # every case of chi(p) occurs at some p^2 <= K_CLOSED
+        assert {chi[p % D] for p in range(2, 45) if _factor(p) == [(p, 1)]} == {1, -1, 0}
+        closed = _sums_by_closed_forms(D, self.K_CLOSED, _prime_power_sums)
+        assert closed == qseries._divisor_sums(chi, D, self.K_CLOSED)
+
+    @pytest.mark.parametrize("D", CLOSED_D)
+    def test_closed_forms_need_the_ramified_case(self, D):
+        """Without the p | D case (read as chi(p) = 1) the closed forms miss."""
+        closed = _sums_by_closed_forms(D, 50, lambda p, e, c: _prime_power_sums(p, e, c or 1))
+        assert closed != qseries._divisor_sums(build_char_table(D), D, 50)
+
+    @pytest.mark.parametrize("D", fundamental_discriminants(399))
+    def test_s1_is_bounded_by_s2(self, D):
+        s1, s2 = qseries._divisor_sums(build_char_table(D), D, self.K_BOUND)
+        assert min(s2) > 0
+        assert all(abs(a) <= b for a, b in zip(s1, s2))
+
+    @pytest.mark.parametrize("D", [5, 13, 17, 21, 101, 105])
+    def test_conjugate_embedding_is_positive(self, D):
+        """On the kernel's a_D(0..1500); sigma in place of sigma' has both
+        signs there, so the check tells the two embeddings apart."""
+        coeffs = eta_series(D, 1500).coeffs
+        assert all(_sign(c.num_a, -c.num_b, D) == 1 for c in coeffs)
+        assert {_sign(c.num_a, c.num_b, D) for c in coeffs} == {1, -1}

@@ -14,9 +14,14 @@ After each pair its failed/attempted counts are printed, and every run made
 so far is written to FILE.  At the end one line is printed per end-to-end
 metric: each side's median [quartiles], the pairs the change wins (ties
 count for neither), the relative change of the medians next to the metric's
-bound, and whether the gain rule holds: the change wins at least nine
-tenths of all pairs, and its median is better than the parent's by more
-than the parent's interquartile range.
+bound with its verdict, and whether the gain rule holds: the change wins at
+least nine tenths of all pairs, and its median is better than the parent's
+by more than the parent's interquartile range.  The verdict is `WORSE` where
+the median is worse than the bound allows; else `unresolved` where the
+parent's interquartile range, relative to its median, is wider than the
+bound and not every run of the change beats every run of the parent, since
+runs that spread wider than the bound cannot show that a metric is
+unchanged; else `within`.
 """
 
 import argparse
@@ -59,11 +64,16 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
         relative = (change[1] - parent[1]) / parent[1]
+        spread = (parent[2] - parent[0]) / parent[1]
+        all_better = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
+        within = -sign * relative <= metric["bound"]
+        unresolved = spread > metric["bound"] and not all_better
         rows.append({
             "metric": name, "unit": metric["unit"], "better": metric["better"],
             "parent": parent, "change": change, "wins": wins, "pairs": len(runs),
-            "relative": relative, "bound": metric["bound"],
-            "within_bound": -sign * relative <= metric["bound"],
+            "relative": relative, "bound": metric["bound"], "spread": spread,
+            "within_bound": within,
+            "verdict": "WORSE" if not within else "unresolved" if unresolved else "within",
             "gain": wins >= WIN_SHARE * len(runs)
             and sign * (change[1] - parent[1]) > parent[2] - parent[0],
         })
@@ -78,7 +88,7 @@ def report(row: dict) -> str:
         f"{row['metric']} ({row['unit']}, {row['better']} is better): "
         f"parent {side(row['parent'])}, change {side(row['change'])}; "
         f"change wins {row['wins']}/{row['pairs']}; median {row['relative']:+.1%} "
-        f"(bound {row['bound']:.0%}: {'within' if row['within_bound'] else 'WORSE'}); "
+        f"(bound {row['bound']:.0%}: {row['verdict']}, parent IQR {row['spread']:.1%} of median); "
         f"gain rule {'holds' if row['gain'] else 'does not hold'}"
     )
 
