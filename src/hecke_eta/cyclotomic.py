@@ -15,15 +15,15 @@ is called by no library path.  The period polynomials f_plus / f_minus
 never enter the model ring: f_plus is expanded once in O_D from its
 closed-form power sums, f_minus is its conjugate, and their product, the
 norm (A^2 - D B^2)/4 of f_plus = (A + B sqrt(D))/2, is checked against
-Phi_D, built from integer Euler factors in partitions, as one identity of
-packed integers.
+Phi_D, built from integer Euler factors in partitions, by qseries, which
+owns every packed integer product.
 """
 
 from collections import namedtuple
 
 from .characters import _prime_row_product, euler_phi, moebius
 from .partitions import _euler_product
-from .qseries import _bound_bytes, _norm_bytes, _pack, _pair_norms, euler_transform
+from .qseries import _is_norm, euler_transform
 from .quad_ring import RingElem
 
 
@@ -126,20 +126,14 @@ def _expand_period(chi, h: int) -> tuple[list[int], list[int]]:
 def period_polynomials(chi) -> PeriodPair:
     """f_plus from its power sums, f_minus = (A, -B) as its conjugate, and
     the guards on both: constant term 1 and f_plus * f_minus = Phi_D, read
-    as A*A - D B*B = 4 Phi_D on the numerator pairs and checked as one
-    integer identity at x = 2^(8 wb): slots of wb bytes hold every
-    coefficient of both sides (by the _pair_norms of A, B) below half the
-    base, so pa^2 - D pb^2 equals the packed 4 Phi_D exactly when the
-    coefficients agree.  chi is the row of build_char_table, D = len(chi)."""
+    as A*A - D B*B = 4 Phi_D on the numerator pairs (qseries._is_norm).
+    chi is the row of build_char_table, D = len(chi)."""
     D = len(chi)
     h = euler_phi(D) // 2
     A, B = _expand_period(chi, h)
     if A[0] != 2 or B[0] != 0:
         raise ProjectionError("period polynomial constant term is not 1")
-    norm = [4 * c for c in _cyclotomic_coeffs(D)]
-    wb = max(_norm_bytes(*_pair_norms(A, B, A, B, D)), _bound_bytes(max(map(abs, norm))))
-    pa, pb = _pack(A, wb), _pack(B, wb)
-    if pa * pa - D * (pb * pb) != _pack(norm, wb):
+    if not _is_norm(A, B, D, [4 * c for c in _cyclotomic_coeffs(D)]):
         raise ProjectionError("f_plus * f_minus is not the cyclotomic polynomial Phi_D")
     f_plus = tuple(RingElem(a, b, D) for a, b in zip(A, B))
     f_minus = tuple(RingElem(a, -b, D) for a, b in zip(A, B))

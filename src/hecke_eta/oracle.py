@@ -13,17 +13,13 @@ factors are sigma_a(G), x -> x^a, over the residues a, with G = F_e(q, zeta)
 F_ord(q, zeta^n0) for one non-residue n0 built from partition tables; a n0
 runs over the non-residues as a does over the residues.  The residues are a
 subgroup, so their product is a norm, built by doubling along a chain of
-subgroups in at most 2 log2(phi(D)/2) products.  All are
-Kronecker-substituted integer products on rows packed at stride D with no
-padding: those of model-ring series (CycSeries.mul_dense), whose rows are
-plain lists of D integers as in cyclotomic, take two half-length products at
-+-y and split the row products by parity; the one by Phi packs Phi with
-slots D times as wide.  Every assembled coefficient must project exactly
-onto O_D.
-The results are the anti-bug cross-check for the Lambert-series recurrence
-in qseries: no divisor sums, no Lambert coefficients, no O_D arithmetic
-until the final projection; of qseries only the generic slot helpers
-(_conv_bytes, _bias, _pack, _unpack) are shared.
+subgroups in at most 2 log2(phi(D)/2) products.  Those products, of rows
+that are plain lists of D integers as in cyclotomic (CycSeries.mul_dense),
+and the one by Phi live in qseries next to the kernel's products, and the
+oracle calls no kernel function.  Every assembled coefficient must project
+exactly onto O_D.  The results are the anti-bug cross-check for the
+Lambert-series recurrence: no divisor sums, no Lambert coefficients, no O_D
+arithmetic until the final projection.
 """
 
 from math import log
@@ -31,8 +27,8 @@ from math import log
 from .characters import build_char_table
 from .cyclotomic import project_to_quad
 from .partitions import _euler_product, distinct_length_distribution, length_distribution
-from .qseries import _bias, _conv_bytes, _pack, _unpack
-from .quad_ring import RingElem, RingError
+from .qseries import _mul_rows, _times_int_series
+from .quad_ring import RingElem
 
 
 class CycSeries:
@@ -47,89 +43,8 @@ class CycSeries:
         self.prec = len(coeffs) - 1
 
     def mul_dense(self, other: "CycSeries") -> "CycSeries":
-        """Truncated product, by Kronecker substitution at the two points y
-        and -y, y = 2^(8 wb D).
-
-        An operand packs as U(y) = sum_i u_i(X) y^i, X = 2^(8 wb): its prec + 1
-        rows of D slots at stride D, with no padding.  The row product
-        c_k = sum_{i+j=k} u_i v_j has degree up to 2D - 2 in X; lo_k is its
-        slots 0..D-1 and hi_k its slots D..2D-2, so c_k = lo_k + y hi_k.  Row
-        k of W+ = U(y) V(y) is then lo_k + hi_{k-1}, and row k of
-        W- = U(-y) V(-y) is (-1)^k (lo_k - hi_{k-1}); W+ + W- holds 2 lo_k in
-        its even rows and 2 hi_{k-1} in its odd ones, W+ - W- the other way
-        round.  Both sums are halved slot by slot, and an odd slot raises
-        RingError, as does a nonzero slot where hi must be zero: all of
-        hi_{-1}, and slot D - 1 of each hi_k, which would be degree 2D - 1.
-        Row k of the product, c_k mod x^D - 1, is lo_k + hi_k: the rows of
-        lo and hi are picked from the two halves by parity and added as
-        integers, so only the (prec + 1) D result slots are unpacked.  Every
-        slot of lo_k, hi_k and lo_k + hi_k is at most
-        B_k = sum_{i+j=k} |u_i|_1 max|v_j|, as a slot of u_i meets at most one
-        of v_j in each.  Each slot of W+ + W- and W+ - W-, the only sums read,
-        holds 2 lo_k or 2 hi_{k-1} alone; their rows 0..prec + 1 are masked and
-        parity-checked, so the slots hold 2 B_k for k <= prec + 1 and the
-        operands (_conv_bytes), and slots above the mask only carry upward.
-        """
-        D, N = self.D, self.prec
-        u, v = self.coeffs, other.coeffs[: N + 1]
-        n = (N + 1) * D
-        norms = [2 * sum(map(abs, row)) for row in u]
-        wb = _conv_bytes(norms, [max(map(abs, row)) for row in v], N + 2)
-        row_bits = 8 * wb * D
-        even = _even_rows(wb * D, N + 2)
-        u_pos, u_neg = _pack_pm(u, wb, even)
-        v_pos, v_neg = _pack_pm(v, wb, even)
-        # each big integer is dropped once used, so that few are live at once
-        w_pos = u_pos * v_pos
-        del u_pos, v_pos
-        w_neg = u_neg * v_neg
-        del u_neg, v_neg
-        # rows 0..N + 1 of both sums, every slot biased by 2^(8 wb - 1)
-        lift = _bias(wb, n + D)
-        mask = (1 << (row_bits * (N + 2))) - 1
-        s_even = (w_pos + w_neg + lift) & mask
-        s_odd = (w_pos - w_neg + lift) & mask
-        del w_pos, w_neg
-        if (s_even | s_odd) & (lift >> (8 * wb - 1)):
-            raise RingError("internal corruption: odd slot in a two-point product")
-        # halved: no set bit crosses a slot, and each bias halves with its slot
-        s_even >>= 1
-        s_odd >>= 1
-        odd = mask ^ even
-        lo = (s_even & even) | (s_odd & odd)  # row k: lo_k
-        hi = (s_even & odd) | (s_odd & even)  # row k: hi_{k-1}
-        del s_even, s_odd
-        zero = _known_zero(wb, D, N + 2)
-        if hi & zero != (lift >> 1) & zero:
-            raise RingError("internal corruption: a two-point product fills a slot past 2D - 2")
-        # the two half biases make one; row N + 1 of lo lies above the n
-        # slots that _unpack keeps
-        slots = _unpack(lo + (hi >> row_bits) - _bias(wb, n), wb, 0, n)
-        return CycSeries(D, [slots[o : o + D] for o in range(0, n, D)])
-
-
-def _even_rows(row_bytes: int, rows: int) -> int:
-    """All ones on the even rows of row_bytes bytes each, of rows rows."""
-    ones = b"\xff" * row_bytes
-    return int.from_bytes((ones + bytes(row_bytes)) * (rows // 2) + ones * (rows % 2), "little")
-
-
-def _known_zero(wb: int, D: int, rows: int) -> int:
-    """All ones on the slots of hi_{k-1}, k = 0..rows-1, that are zero in
-    every product: all of hi_{-1}, and slot D - 1 of the others, as a row
-    product has no slot 2D - 1."""
-    ones = b"\xff" * wb
-    return int.from_bytes(ones * D + (bytes(wb * (D - 1)) + ones) * (rows - 1), "little")
-
-
-def _pack_pm(rows: list[list[int]], wb: int, even: int) -> tuple[int, int]:
-    """U(y) and U(-y) for rows of slots of wb bytes, with even from
-    _even_rows: U(-y) = 2E - U(y), where E, the even rows alone, is the
-    biased U(y) masked to its even rows."""
-    u = _pack([c for row in rows for c in row], wb)
-    bias = _bias(wb, len(rows) * len(rows[0]))
-    e = ((u + bias) & even) - (bias & even)
-    return u, 2 * e - u
+        """Truncated product, by the two-point product qseries._mul_rows."""
+        return CycSeries(self.D, _mul_rows(self.coeffs, other.coeffs, self.D))
 
 
 def _twist(rows, a: int, D: int) -> CycSeries:
@@ -171,18 +86,6 @@ def _norm(G: CycSeries, H: list[int]) -> CycSeries:
         S = {s * x % D for s in S for x in powers}
         P = R
     return P
-
-
-def _times_int_series(rows: list[list[int]], base: list[int], D: int) -> list[list[int]]:
-    """Rows 0..N of a model-ring series times the integer series base, of
-    the same length, by one integer product: base has no zeta part, so
-    packed with slots D times as wide it sits at row stride D and meets
-    every slot of the unpadded rows alone.  Slot s of row k is at most
-    sum_{i+j=k} max|rows_i| |base_j|, and slots past row N only carry upward."""
-    n = len(rows) * D
-    wb = _conv_bytes([max(map(abs, row)) for row in rows], list(map(abs, base)), len(rows))
-    slots = _unpack(_pack([c for row in rows for c in row], wb) * _pack(base, wb * D), wb, 0, n)
-    return [slots[o : o + D] for o in range(0, n, D)]
 
 
 def a_via_convolution(D: int, N: int) -> list[RingElem]:

@@ -78,6 +78,8 @@ def p_table(N: int) -> list[int]:
 def p_nr_table(chi, N: int) -> list[int]:
     """Partitions of 0..N into parts n with chi_D(n) = -1, chi the row of
     build_char_table, D = len(chi)."""
+    if N < 0:
+        raise ValueError("order must be >= 0")
     D = len(chi)
     return _euler_product(((n, -1) for n in range(1, N + 1) if chi[n % D] == -1), N)
 
@@ -101,6 +103,8 @@ def length_distribution(D: int, N: int) -> list[list[int]]:
     """
     if D < 1:
         raise ValueError("modulus must be positive")
+    if N < 0:
+        raise ValueError("order must be >= 0")
     c = [[0] * D for _ in range(N + 1)]
     c[0][0] = 1
     for m, P in _parts_at_most(N):
@@ -120,6 +124,8 @@ def distinct_length_distribution(D: int, N: int) -> list[list[int]]:
     """
     if D < 1:
         raise ValueError("modulus must be positive")
+    if N < 0:
+        raise ValueError("order must be >= 0")
     e = [[0] * D for _ in range(N + 1)]
     e[0][0] = 1
     for l, P in _parts_at_most(N):

@@ -22,9 +22,11 @@ the plain recurrence (_leaf) finishes every order no block product reaches.
 It runs on plain numerator pairs, not RingElem objects, and also expands
 the period polynomials; every division by k must be exact, so a wrong
 b(k), character value or sign convention for sqrt(D) raises RingError
-instead of returning coefficients.  The Kronecker slot format has one owner
-here (_pack, _unpack) and one slot bound, _norm_bytes, which _conv_bytes
-narrows to the sums kept; every packed product in the package sizes by them.
+instead of returning coefficients.  The Kronecker slot format is private
+here, and one slot bound, _norm_bytes, narrowed by _conv_bytes to the sums
+kept, sizes every packed product: the kernel's, the oracle's two, which call
+no kernel function (_mul_rows, _times_int_series), and the norm identity of
+the period polynomials (_is_norm).
 """
 
 from collections import namedtuple
@@ -114,13 +116,16 @@ def _pack(seq, wb: int) -> int:
 
 
 def _unpack(z: int, wb: int, lo: int, hi: int) -> list[int]:
-    """Slots lo..hi-1 of z = sum_k c_k 2^(8 wb k), |c_k| < 2^(8 wb - 1).
+    """Slots lo..hi-1 of z = sum_k c_k 2^(8 wb k), |c_k| < 2^(8 wb - 1), read
+    with every slot lifted by the bias, so that no borrow crosses a slot."""
+    return _read_biased(z + _bias(wb, hi), wb, lo, hi)
 
-    Adding the bias lifts every slot into [0, 2^(8 wb)), so no borrow
-    crosses a slot boundary; slots from hi up are cut off by the mask.
-    """
+
+def _read_biased(z: int, wb: int, lo: int, hi: int) -> list[int]:
+    """Slots lo..hi-1 of z, each held biased by 2^(8 wb - 1) in [0, 2^(8 wb)),
+    less the bias; slots from hi up are cut off by the mask."""
     half = 1 << (8 * wb - 1)
-    data = ((z + _bias(wb, hi)) & ((1 << (8 * wb * hi)) - 1)).to_bytes(wb * hi, "little")
+    data = (z & ((1 << (8 * wb * hi)) - 1)).to_bytes(wb * hi, "little")
     return [
         int.from_bytes(data[i : i + wb], "little") - half
         for i in range(wb * lo, wb * hi, wb)
@@ -160,6 +165,103 @@ def _mul_pairs(A1, B1, A2, B2, D: int, N: int) -> tuple[list[int], list[int]]:
     wb = _conv_bytes(*_pair_norms(A1, B1, A2, B2, D), N + 1)
     A, B = _pair_product(A1, B1, A2, B2, D, 0, N + 1, wb)
     return [_halve(a) for a in A], [_halve(b) for b in B]
+
+
+def _is_norm(A, B, D: int, target) -> bool:
+    """Whether A*A - D B*B = target, 4 times the norm of the numerator-pair
+    series (A, B), as one integer identity at x = 2^(8 wb): slots of wb bytes
+    (by _pair_norms) hold every coefficient of both sides below half the
+    base, so the packed sides are equal exactly when the coefficients are."""
+    wb = max(_norm_bytes(*_pair_norms(A, B, A, B, D)), _bound_bytes(max(map(abs, target))))
+    pa, pb = _pack(A, wb), _pack(B, wb)
+    return pa * pa - D * (pb * pb) == _pack(target, wb)
+
+
+def _mul_rows(u, v, D: int) -> list[list[int]]:
+    """Rows 0..N of the product of two truncated series over Z[x]/(x^D - 1),
+    N + 1 = len(u), each row a list of D integers, by Kronecker substitution
+    at the two points y and -y, y = 2^(8 wb D) (Harvey, JSC 2009).
+
+    A series packs as U(y) = sum_i u_i(X) y^i, X = 2^(8 wb): its rows of D
+    slots at stride D, with no padding.  The row product
+    c_k = sum_{i+j=k} u_i v_j has degree up to 2D - 2 in X; lo_k is its
+    slots 0..D-1 and hi_k its slots D..2D-2, so c_k = lo_k + y hi_k.  Row
+    k of W+ = U(y) V(y) is then lo_k + hi_{k-1}, and row k of
+    W- = U(-y) V(-y) is (-1)^k (lo_k - hi_{k-1}); W+ + W- holds 2 lo_k in
+    its even rows and 2 hi_{k-1} in its odd ones, W+ - W- the other way
+    round.  Both sums are halved slot by slot, and an odd slot raises
+    RingError, as does a nonzero slot where hi must be zero: all of
+    hi_{-1}, and slot D - 1 of each hi_k, which would be degree 2D - 1.
+    Row k of the product, c_k mod x^D - 1, is lo_k + hi_k: the rows of
+    lo and hi are picked from the two halves by parity and added as
+    integers, so only the (N + 1) D result slots are read.  Every
+    slot of lo_k, hi_k and lo_k + hi_k is at most
+    B_k = sum_{i+j=k} |u_i|_1 max|v_j|, as a slot of u_i meets at most one
+    of v_j in each.  Each slot of W+ + W- and W+ - W-, the only sums read,
+    holds 2 lo_k or 2 hi_{k-1} alone; their rows 0..N + 1 are masked and
+    parity-checked, so the slots hold 2 B_k for k <= N + 1 and the
+    operands (_conv_bytes), and slots above the mask only carry upward.
+    """
+    N = len(u) - 1
+    v = v[: N + 1]
+    n = (N + 1) * D
+    norms = [2 * sum(map(abs, row)) for row in u]
+    wb = _conv_bytes(norms, [max(map(abs, row)) for row in v], N + 2)
+    row_bits = 8 * wb * D
+    ones = b"\xff" * wb
+    # all ones on the even rows of the N + 2 rows read
+    even = int.from_bytes((ones * D + bytes(wb * D)) * ((N + 3) // 2), "little")
+    u_pos, u_neg = _pack_pm(u, wb, even)
+    v_pos, v_neg = _pack_pm(v, wb, even)
+    # each big integer is dropped once used, so that few are live at once
+    w_pos = u_pos * v_pos
+    del u_pos, v_pos
+    w_neg = u_neg * v_neg
+    del u_neg, v_neg
+    # rows 0..N + 1 of both sums, every slot biased by 2^(8 wb - 1)
+    lift = _bias(wb, n + D)
+    mask = (1 << (row_bits * (N + 2))) - 1
+    s_even = (w_pos + w_neg + lift) & mask
+    s_odd = (w_pos - w_neg + lift) & mask
+    del w_pos, w_neg
+    if (s_even | s_odd) & (lift >> (8 * wb - 1)):
+        raise RingError("internal corruption: odd slot in a two-point product")
+    # halved: no set bit crosses a slot, and each bias halves with its slot
+    s_even >>= 1
+    s_odd >>= 1
+    odd = mask ^ even
+    lo = (s_even & even) | (s_odd & odd)  # row k: lo_k
+    hi = (s_even & odd) | (s_odd & even)  # row k: hi_{k-1}
+    del s_even, s_odd
+    # all ones where hi must be zero: all of hi_{-1}, slot D - 1 of each hi_k
+    zero = int.from_bytes(ones * D + (bytes(wb * (D - 1)) + ones) * (N + 1), "little")
+    if hi & zero != (lift >> 1) & zero:
+        raise RingError("internal corruption: a two-point product fills a slot past 2D - 2")
+    # the two half biases make one; row N + 1 of lo lies above the slots read
+    slots = _read_biased(lo + (hi >> row_bits), wb, 0, n)
+    return [slots[o : o + D] for o in range(0, n, D)]
+
+
+def _pack_pm(rows: list[list[int]], wb: int, even: int) -> tuple[int, int]:
+    """U(y) and U(-y) for rows of slots of wb bytes, with even the mask of
+    the even rows: U(-y) = 2E - U(y), where E, the even rows alone, is the
+    biased U(y) masked to its even rows."""
+    u = _pack([c for row in rows for c in row], wb)
+    bias = _bias(wb, len(rows) * len(rows[0]))
+    e = ((u + bias) & even) - (bias & even)
+    return u, 2 * e - u
+
+
+def _times_int_series(rows: list[list[int]], base: list[int], D: int) -> list[list[int]]:
+    """Rows 0..N of a model-ring series times the integer series base, of
+    the same length, by one integer product: base has no zeta part, so
+    packed with slots D times as wide it sits at row stride D and meets
+    every slot of the unpadded rows alone.  Slot s of row k is at most
+    sum_{i+j=k} max|rows_i| |base_j|, and slots past row N only carry upward."""
+    n = len(rows) * D
+    wb = _conv_bytes([max(map(abs, row)) for row in rows], list(map(abs, base)), len(rows))
+    slots = _unpack(_pack([c for row in rows for c in row], wb) * _pack(base, wb * D), wb, 0, n)
+    return [slots[o : o + D] for o in range(0, n, D)]
 
 
 def series_pow(f: QSeries, k: int) -> QSeries:

@@ -16,11 +16,18 @@ log eta(gamma tau) = log eta(tau) where chi(d) = 1, and log eta(gamma tau) =
 2 L'(0, chi) - log eta(tau) where chi(d) = -1, so eta(gamma tau) eta(tau) =
 eps_D^(2h).  D = 5, whose second half carries a fifth root of unity, is left
 out.
+
+README keeps a ledger of the claims about a_D, each with its status and the
+test node id that backs it; TestLedger checks that every id it names is a
+test that exists.
 """
 
+import ast
 import math
+import re
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 from oracles import fundamental_discriminants
@@ -251,3 +258,45 @@ class TestGamma0Law:
         """L'(0, chi) in place of 2 L'(0, chi), or the chi(d) cases swapped,
         misses the law by far more than GAMMA0_TOL."""
         assert _gamma0_worst(D, lp_factor, swap) > 1e3 * GAMMA0_TOL
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _ledger_tests():
+    """The last cell, Test, of each row of README's ledger of claims about
+    a_D: a node id in backticks, or none for an open claim."""
+    ledger = (ROOT / "README.md").read_text().split("## Claims about a_D\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in ledger.splitlines() if line.startswith("| ") and not line.startswith("| Claim")]
+    return [row.rstrip(" |").rsplit("| ", 1)[1] for row in rows]
+
+
+def _is_test(node_id):
+    """Whether node_id, path::Class::test or path::test, names a test class
+    or test function that its file defines."""
+    path, *names = node_id.split("::")
+    if not (ROOT / path).is_file():
+        return False
+    scope = ast.parse((ROOT / path).read_text()).body
+    for name in names:
+        node = next((n for n in scope if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name), None)
+        if node is None or not name.startswith(("Test", "test_")):
+            return False
+        scope = node.body
+    return True
+
+
+class TestLedger:
+    def test_every_named_test_exists(self):
+        cells = _ledger_tests()
+        assert cells and all(c == "none" or re.fullmatch(r"`tests/\w+\.py(::\w+)+`", c) for c in cells)
+        assert [c for c in cells if c != "none" and not _is_test(c.strip("`"))] == []
+
+    @pytest.mark.parametrize("node_id", [
+        "tests/test_conjectures.py::TestConjectureReports::test_no_such_progression",
+        "tests/test_oracle.py::TestAssembly::_base",
+        "tests/test_conjectures.py::_pairs",
+        "tests/test_no_such_file.py::TestGamma0Law",
+    ])
+    def test_detects_a_missing_test(self, node_id):
+        assert not _is_test(node_id)

@@ -253,7 +253,7 @@ class TestPackedProduct:
         rng = random.Random(D + prec)
         f = _random_series(rng, D, prec, 64, zero_rows=0)
         g = _random_series(rng, D, prec, 64, zero_rows=0)
-        pack_pm = oracle._pack_pm
+        pack_pm = qseries._pack_pm
 
         class OffByOne(int):
             def __mul__(self, other):
@@ -268,7 +268,7 @@ class TestPackedProduct:
                     packed[point].off = 1 << (8 * wb * slot)
                 return tuple(packed)
 
-            monkeypatch.setattr(oracle, "_pack_pm", corrupted)
+            monkeypatch.setattr(qseries, "_pack_pm", corrupted)
             with pytest.raises(RingError, match="odd slot"):
                 f.mul_dense(g)
 
@@ -283,13 +283,13 @@ class TestPackedProduct:
         q-power, so they take the same value at y and -y and the later
         products are right for their wrong operands; the projection accepts
         the result, and the coefficients differ from the kernel's."""
-        pack_pm = oracle._pack_pm
+        pack_pm = qseries._pack_pm
 
         def plus_twice(rows, wb, even):
             u_pos, _ = pack_pm(rows, wb, even)
             return u_pos, u_pos
 
-        monkeypatch.setattr(oracle, "_pack_pm", plus_twice)
+        monkeypatch.setattr(qseries, "_pack_pm", plus_twice)
         rng = random.Random(D + N)
         f = _random_series(rng, D, N, 64, zero_rows=0)
         with pytest.raises(RingError, match="past 2D - 2"):

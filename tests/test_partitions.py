@@ -167,6 +167,23 @@ class TestDistinctLengthDistribution:
             distinct_length_distribution(0, 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        p_table,
+        lambda N: p_nr_table(build_char_table(5), N),
+        lambda N: length_distribution(5, N),
+        lambda N: distinct_length_distribution(5, N),
+    ],
+    ids=["p_table", "p_nr_table", "length_distribution", "distinct_length_distribution"],
+)
+def test_negative_order_refused_alike(build):
+    """Every exported partition builder refuses order -1 with one message,
+    where an empty table would raise IndexError or a silent [1] come back."""
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        build(-1)
+
+
 class TestTables:
     def test_build_partition_tables(self):
         chi = build_char_table(5)

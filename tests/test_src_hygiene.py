@@ -16,6 +16,10 @@ cli reads no _-prefixed name of another hecke_eta module, by import or as
 an attribute: each layer's plans and cost models stay behind its public
 names, so that none of them is priced or decided in cli.
 
+The Kronecker slot format is private to qseries: no other src module names
+its helpers (_pack, _unpack, _bias and the slot bounds), in code or in text,
+so that a change of the format or of its sizing touches one module.
+
 cli has no cost model: it defines no top-level name that ends in _s or _mb
 or contains _PER_, and reads from another hecke_eta module no constant that
 ends in _S or contains _PER_.  Each layer's model (qseries.kernel_s,
@@ -24,6 +28,7 @@ the budgets it keeps.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -249,3 +254,35 @@ def test_detects_a_cost_model():
         (2, "TABLE_S_PER_D"), (3, "LIMIT_PER_D"), (5, "_series_s"), (8, "_partitions_mb"),
         (9, "PRODUCT_BASE_S"),
     ]
+
+
+SLOT_HELPERS = ("_pack", "_unpack", "_bias", "_bound_bytes", "_norm_bytes", "_conv_bytes", "_pair_norms")
+
+
+def slot_helper_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each whole word of source that is a slot helper of
+    qseries: an import, a call, an attribute or a mention in a docstring."""
+    word = re.compile(r"\b(?:" + "|".join(SLOT_HELPERS) + r")\b")
+    return [
+        (line, name)
+        for line, text in enumerate(source.splitlines(), 1)
+        for name in word.findall(text)
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "qseries.py"], ids=lambda p: p.name
+)
+def test_only_qseries_names_the_slot_format(path):
+    assert slot_helper_names(path.read_text()) == []
+
+
+def test_detects_a_slot_helper_name():
+    source = (
+        "from .qseries import _mul_rows, _pack\n"
+        "from . import qseries\n"
+        "def f(x, y):\n"
+        "    \"\"\"Slots sized by _norm_bytes; not by _pack_pm or _biased.\"\"\"\n"
+        "    return qseries._unpack(x, qseries._conv_bytes(x, y, 1), 0, 1), _bias_\n"
+    )
+    assert slot_helper_names(source) == [(1, "_pack"), (4, "_norm_bytes"), (5, "_unpack"), (5, "_conv_bytes")]
